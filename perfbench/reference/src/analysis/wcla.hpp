@@ -1,0 +1,135 @@
+// Worst-case latency analysis (WCLA) for the AXI HyperConnect.
+//
+// The paper argues (§V-B) that the HyperConnect's slim, open architecture
+// makes it "prone to worst-case timing analysis, which is not addressed
+// here due to lack of space". This module provides that analysis, derived
+// from the implemented architecture, and the test suite validates every
+// bound against the cycle-accurate simulation (measured max <= bound).
+//
+// Model assumptions (matching the simulator):
+//  * fixed-granularity (1) round-robin at the EXBAR, non-preemptive
+//    transaction service at an in-order memory controller;
+//  * burst equalization caps every competing sub-transaction at the nominal
+//    burst length;
+//  * per-port reservation (budget B_i per period T) when enabled;
+//  * constant per-channel pipeline latencies (Fig. 3(a)).
+//
+// Bounds are *sound* (never below the true worst case under the model) and
+// intentionally tight enough to be useful: the validation suite also checks
+// they are within a small factor of the observed worst case.
+#pragma once
+
+#include <cstdint>
+#include <vector>
+
+#include "common/types.hpp"
+
+namespace axihc {
+
+/// Memory-side timing of the analysed platform.
+struct AnalysisPlatform {
+  /// Worst-case first-word latency of one transaction (row miss).
+  Cycle mem_latency = 24;
+  /// Dead cycles between transactions at the controller.
+  Cycle turnaround = 1;
+  /// DRAM refresh (0 = disabled): every refresh_period cycles the device
+  /// blocks for refresh_duration cycles. The bounds add one refresh
+  /// blocking term per started refresh interval of the busy span.
+  Cycle refresh_period = 0;
+  Cycle refresh_duration = 0;
+  /// Interconnect pipeline latencies per channel (defaults: HyperConnect).
+  Cycle ar_latency = 4;
+  Cycle r_latency = 2;
+  Cycle aw_latency = 4;
+  Cycle w_latency = 2;
+  Cycle b_latency = 2;
+};
+
+/// Interconnect-side parameters of the analysed HyperConnect instance.
+struct HcAnalysisConfig {
+  std::uint32_t num_ports = 2;
+  /// Nominal burst (beats); competing sub-transactions never exceed it.
+  /// 0 means equalization off — competitors may issue up to
+  /// `max_unequalized_beats`.
+  BeatCount nominal_burst = 16;
+  /// Largest burst a competitor can issue when equalization is off.
+  BeatCount max_unequalized_beats = kMaxAxi4BurstBeats;
+  /// Reservation period T (0 = reservation disabled) and per-port budgets.
+  Cycle reservation_period = 0;
+  std::vector<std::uint32_t> budgets{};
+  /// Sub-transactions each competitor can already have granted but unserved
+  /// when the analysed request arrives — the per-port outstanding limit
+  /// enforced by the TS (HyperConnectConfig::max_outstanding).
+  std::uint32_t competitor_backlog = 4;
+};
+
+/// Worst-case memory service time of one transaction of `beats` beats
+/// (first-word latency + streaming + turnaround), without refresh.
+[[nodiscard]] Cycle service_bound(const AnalysisPlatform& p, BeatCount beats);
+
+/// Inflates a busy span by the worst-case DRAM refresh interference it can
+/// suffer: one tRFC per started tREFI interval (fixed point, since refresh
+/// lengthens the span which can admit further refreshes).
+[[nodiscard]] Cycle with_refresh(const AnalysisPlatform& p, Cycle span);
+
+/// Worst-case size (beats) of one competing arbitration unit.
+[[nodiscard]] BeatCount competitor_unit_beats(const HcAnalysisConfig& cfg);
+
+/// Number of sub-transactions the TS creates for a `beats`-beat request.
+[[nodiscard]] std::uint32_t sub_transaction_count(const HcAnalysisConfig& cfg,
+                                                  BeatCount beats);
+
+/// Worst-case response time of a READ of `beats` beats issued by `port`,
+/// from the HA asserting ARVALID to the final R beat delivered, with every
+/// other port continuously backlogged. Uses the round-robin bound when
+/// reservation is off and the reservation supply bound (budget B per
+/// period T) when it is on.
+[[nodiscard]] Cycle wcrt_read(const HcAnalysisConfig& cfg,
+                              const AnalysisPlatform& p, PortIndex port,
+                              BeatCount beats);
+
+/// Worst-case response time of a WRITE (AWVALID to B response).
+[[nodiscard]] Cycle wcrt_write(const HcAnalysisConfig& cfg,
+                               const AnalysisPlatform& p, PortIndex port,
+                               BeatCount beats);
+
+/// Bounds used by the runtime latency auditor (src/obs/latency_audit.*).
+/// wcrt_read/wcrt_write bound a request arriving at an otherwise-idle own
+/// port; the live auditor observes arbitrary workloads where the port's
+/// reads and writes share one budget and drain it concurrently, so the
+/// audit bound composes the reservation supply bound with the full
+/// round-robin arbitration-and-service term instead of a single blocking
+/// unit. It is >= the corresponding wcrt_* bound everywhere, and sound for
+/// infeasible reservation plans (where budget throttling, not arbitration,
+/// dominates). Falls back to the round-robin bound when reservation is off
+/// or the port has no budget.
+[[nodiscard]] Cycle audit_wcrt_read(const HcAnalysisConfig& cfg,
+                                    const AnalysisPlatform& p, PortIndex port,
+                                    BeatCount beats);
+[[nodiscard]] Cycle audit_wcrt_write(const HcAnalysisConfig& cfg,
+                                     const AnalysisPlatform& p, PortIndex port,
+                                     BeatCount beats);
+
+/// The analogous bound for the SmartConnect baseline: variable round-robin
+/// granularity `g` (worst-case interference g×(N−1) transactions per §V-B)
+/// and no equalization (competitor bursts up to `max_competitor_beats`).
+[[nodiscard]] Cycle smartconnect_wcrt_read(const AnalysisPlatform& p,
+                                           std::uint32_t num_ports,
+                                           std::uint32_t granularity,
+                                           BeatCount max_competitor_beats,
+                                           BeatCount beats);
+
+/// Worst-case cycles needed to serve every port's full budget once:
+/// sum_i B_i * S(nominal). The demand side of the feasibility check; also
+/// quoted by the `reservation-overcommit` lint rule and embedded in prove
+/// certificates.
+[[nodiscard]] std::uint64_t reservation_demand(const HcAnalysisConfig& cfg,
+                                               const AnalysisPlatform& p);
+
+/// Schedulability-style check for a reservation plan: the budgets of all
+/// ports must be servable within one period at worst-case service times
+/// (reservation_demand(cfg, p) <= T). Returns true if the plan is feasible.
+[[nodiscard]] bool reservation_feasible(const HcAnalysisConfig& cfg,
+                                        const AnalysisPlatform& p);
+
+}  // namespace axihc

@@ -1,0 +1,187 @@
+#include "config/ini.hpp"
+
+#include <cctype>
+#include <sstream>
+
+#include "common/check.hpp"
+
+namespace axihc {
+
+namespace {
+std::string trim(const std::string& s) {
+  std::size_t b = 0;
+  std::size_t e = s.size();
+  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
+  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
+  return s.substr(b, e - b);
+}
+}  // namespace
+
+void IniSection::set(const std::string& key, const std::string& value) {
+  entries_.emplace_back(key, value);
+}
+
+void IniSection::replace(const std::string& key, const std::string& value) {
+  for (auto& [k, v] : entries_) {
+    if (k == key) {
+      v = value;
+      return;
+    }
+  }
+  entries_.emplace_back(key, value);
+}
+
+bool IniSection::has(const std::string& key) const {
+  for (const auto& [k, v] : entries_) {
+    if (k == key) return true;
+  }
+  return false;
+}
+
+std::string IniSection::get_string(const std::string& key,
+                                   const std::string& fallback) const {
+  for (const auto& [k, v] : entries_) {
+    if (k == key) return v;
+  }
+  return fallback;
+}
+
+std::uint64_t IniSection::get_u64(const std::string& key,
+                                  std::uint64_t fallback) const {
+  if (!has(key)) return fallback;
+  const std::string raw = get_string(key);
+  std::size_t used = 0;
+  std::uint64_t value = 0;
+  try {
+    value = std::stoull(raw, &used, 0);
+  } catch (const std::exception&) {
+    used = 0;
+  }
+  AXIHC_CHECK_MSG(used == raw.size() && !raw.empty(),
+                  "[" << name_ << "] " << key << " = '" << raw
+                      << "' is not an unsigned integer");
+  return value;
+}
+
+double IniSection::get_double(const std::string& key, double fallback) const {
+  if (!has(key)) return fallback;
+  const std::string raw = get_string(key);
+  std::size_t used = 0;
+  double value = 0;
+  try {
+    value = std::stod(raw, &used);
+  } catch (const std::exception&) {
+    used = 0;
+  }
+  AXIHC_CHECK_MSG(used == raw.size() && !raw.empty(),
+                  "[" << name_ << "] " << key << " = '" << raw
+                      << "' is not a number");
+  return value;
+}
+
+bool IniSection::get_bool(const std::string& key, bool fallback) const {
+  if (!has(key)) return fallback;
+  const std::string raw = get_string(key);
+  if (raw == "true" || raw == "1" || raw == "yes" || raw == "on") return true;
+  if (raw == "false" || raw == "0" || raw == "no" || raw == "off") {
+    return false;
+  }
+  AXIHC_CHECK_MSG(false, "[" << name_ << "] " << key << " = '" << raw
+                             << "' is not a boolean");
+  return fallback;
+}
+
+std::vector<std::uint32_t> IniSection::get_u32_list(
+    const std::string& key) const {
+  std::vector<std::uint32_t> out;
+  if (!has(key)) return out;
+  std::istringstream is(get_string(key));
+  std::string token;
+  while (is >> token) {
+    std::size_t used = 0;
+    unsigned long value = 0;
+    try {
+      value = std::stoul(token, &used, 0);
+    } catch (const std::exception&) {
+      used = 0;
+    }
+    AXIHC_CHECK_MSG(used == token.size(),
+                    "[" << name_ << "] " << key << ": bad list element '"
+                        << token << "'");
+    out.push_back(static_cast<std::uint32_t>(value));
+  }
+  return out;
+}
+
+IniFile IniFile::parse(const std::string& text) {
+  IniFile file;
+  std::istringstream in(text);
+  std::string line;
+  std::size_t line_no = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    // Strip comments (';' or '#').
+    for (const char marker : {';', '#'}) {
+      const auto pos = line.find(marker);
+      if (pos != std::string::npos) line.erase(pos);
+    }
+    const std::string trimmed = trim(line);
+    if (trimmed.empty()) continue;
+
+    if (trimmed.front() == '[') {
+      AXIHC_CHECK_MSG(trimmed.back() == ']',
+                      "ini line " << line_no << ": unterminated section");
+      const std::string name = trim(trimmed.substr(1, trimmed.size() - 2));
+      AXIHC_CHECK_MSG(!name.empty(), "ini line " << line_no
+                                                 << ": empty section name");
+      file.sections_.emplace_back(name);
+      continue;
+    }
+
+    const auto eq = trimmed.find('=');
+    AXIHC_CHECK_MSG(eq != std::string::npos,
+                    "ini line " << line_no << ": expected key = value");
+    AXIHC_CHECK_MSG(!file.sections_.empty(),
+                    "ini line " << line_no << ": key outside any section");
+    const std::string key = trim(trimmed.substr(0, eq));
+    const std::string value = trim(trimmed.substr(eq + 1));
+    AXIHC_CHECK_MSG(!key.empty(), "ini line " << line_no << ": empty key");
+    file.sections_.back().set(key, value);
+  }
+  return file;
+}
+
+const IniSection* IniFile::section(const std::string& name) const {
+  for (const auto& s : sections_) {
+    if (s.name() == name) return &s;
+  }
+  return nullptr;
+}
+
+IniSection* IniFile::mutable_section(const std::string& name) {
+  for (auto& s : sections_) {
+    if (s.name() == name) return &s;
+  }
+  return nullptr;
+}
+
+IniSection& IniFile::add_section(const std::string& name) {
+  sections_.emplace_back(name);
+  return sections_.back();
+}
+
+IniSection& IniFile::get_or_add_section(const std::string& name) {
+  if (IniSection* s = mutable_section(name)) return *s;
+  return add_section(name);
+}
+
+std::vector<const IniSection*> IniFile::sections_with_prefix(
+    const std::string& prefix) const {
+  std::vector<const IniSection*> out;
+  for (const auto& s : sections_) {
+    if (s.name().rfind(prefix, 0) == 0) out.push_back(&s);
+  }
+  return out;
+}
+
+}  // namespace axihc

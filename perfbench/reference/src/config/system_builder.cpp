@@ -1,0 +1,729 @@
+#include "config/system_builder.hpp"
+
+#include <algorithm>
+#include <cstdint>
+#include <sstream>
+#include <utility>
+
+#include "common/check.hpp"
+#include "common/log.hpp"
+#include "hyperconnect/config.hpp"
+#include "obs/chrome_trace.hpp"
+#include "stats/table.hpp"
+
+namespace axihc {
+
+namespace {
+
+Platform platform_by_name(const std::string& name) {
+  if (name == "zcu102") return zcu102_platform();
+  if (name == "zynq7020") return zynq7020_platform();
+  AXIHC_CHECK_MSG(false, "unknown platform '" << name
+                                              << "' (zcu102 | zynq7020)");
+  return zcu102_platform();
+}
+
+DmaMode dma_mode_by_name(const std::string& name) {
+  if (name == "read") return DmaMode::kRead;
+  if (name == "write") return DmaMode::kWrite;
+  if (name == "readwrite") return DmaMode::kReadWrite;
+  if (name == "copy") return DmaMode::kCopy;
+  AXIHC_CHECK_MSG(false, "unknown dma mode '"
+                             << name << "' (read | write | readwrite | copy)");
+  return DmaMode::kRead;
+}
+
+TrafficDirection direction_by_name(const std::string& name) {
+  if (name == "read") return TrafficDirection::kRead;
+  if (name == "write") return TrafficDirection::kWrite;
+  if (name == "mixed") return TrafficDirection::kMixed;
+  AXIHC_CHECK_MSG(false, "unknown traffic direction '"
+                             << name << "' (read | write | mixed)");
+  return TrafficDirection::kRead;
+}
+
+std::vector<DnnLayer> network_by_name(const std::string& name) {
+  if (name == "googlenet") return googlenet_layers();
+  if (name == "alexnet") return alexnet_layers();
+  AXIHC_CHECK_MSG(false,
+                  "unknown network '" << name << "' (googlenet | alexnet)");
+  return {};
+}
+
+}  // namespace
+
+ConfiguredSystem::ConfiguredSystem(const IniFile& ini) {
+  build(ini, nullptr);
+}
+
+ConfiguredSystem::ConfiguredSystem(const IniFile& ini,
+                                   const FaultScenario& scenario) {
+  build(ini, &scenario);
+}
+
+void ConfiguredSystem::build(const IniFile& ini,
+                             const FaultScenario* scenario_override) {
+  const IniSection* system = ini.section("system");
+  AXIHC_CHECK_MSG(system != nullptr, "config needs a [system] section");
+
+  platform_ = platform_by_name(system->get_string("platform", "zcu102"));
+  configured_cycles_ = system->get_u64("cycles", 1'000'000);
+
+  SocConfig cfg;
+  const std::string icn = system->get_string("interconnect", "hyperconnect");
+  if (icn == "hyperconnect") {
+    cfg.kind = InterconnectKind::kHyperConnect;
+  } else if (icn == "smartconnect") {
+    cfg.kind = InterconnectKind::kSmartConnect;
+  } else {
+    AXIHC_CHECK_MSG(false, "unknown interconnect '"
+                               << icn
+                               << "' (hyperconnect | smartconnect)");
+  }
+  cfg.num_ports =
+      static_cast<std::uint32_t>(system->get_u64("ports", 2));
+  cfg.mem = platform_.mem;
+
+  // Bounded address decode: accesses beyond mem_bytes get DECERR.
+  const std::uint64_t mem_bytes = system->get_u64("mem_bytes", 0);
+  if (mem_bytes != 0) cfg.mem.mapped_ranges.push_back({0, mem_bytes});
+
+  // [memN] sections: additional decode-map entries (base/bytes) for
+  // scattered mapped regions. The lint address-map check flags overlaps.
+  for (const IniSection* ms : ini.sections_with_prefix("mem")) {
+    cfg.mem.mapped_ranges.push_back(
+        {ms->get_u64("base", 0), ms->get_u64("bytes", 0)});
+  }
+
+  if (const IniSection* hc = ini.section("hyperconnect")) {
+    cfg.hc.nominal_burst =
+        static_cast<BeatCount>(hc->get_u64("nominal_burst", 16));
+    cfg.hc.max_outstanding =
+        static_cast<std::uint32_t>(hc->get_u64("max_outstanding", 4));
+    cfg.hc.reservation_period = hc->get_u64("reservation_period", 0);
+    cfg.hc.initial_budgets = hc->get_u32_list("budgets");
+    cfg.hc.prot_timeout = hc->get_u64("prot_timeout", 0);
+    cfg.hc.out_of_order = hc->get_bool("out_of_order", false);
+    // eFIFO structural knobs (the fifo-depth ablation sweep): data_depth
+    // sets the R/W queue depths, addr_depth the AR/AW queue depths, on the
+    // port AND master eFIFOs. 0 keeps the AxiLinkConfig defaults (32 / 4).
+    const std::uint64_t data_depth = hc->get_u64("data_depth", 0);
+    if (data_depth != 0) {
+      AXIHC_CHECK_MSG(data_depth >= 1, "[hyperconnect] data_depth >= 1");
+      cfg.hc.port_link_cfg.r_depth = data_depth;
+      cfg.hc.port_link_cfg.w_depth = data_depth;
+      cfg.hc.master_link_cfg.r_depth = data_depth;
+      cfg.hc.master_link_cfg.w_depth = data_depth;
+    }
+    const std::uint64_t addr_depth = hc->get_u64("addr_depth", 0);
+    if (addr_depth != 0) {
+      cfg.hc.port_link_cfg.ar_depth = addr_depth;
+      cfg.hc.port_link_cfg.aw_depth = addr_depth;
+      cfg.hc.master_link_cfg.ar_depth = addr_depth;
+      cfg.hc.master_link_cfg.aw_depth = addr_depth;
+    }
+    if (hc->get_string("arbitration", "round_robin") == "qos_priority") {
+      cfg.hc.arbitration = ArbitrationPolicy::kQosPriority;
+    }
+    if (cfg.hc.out_of_order) {
+      cfg.mem.scheduling = MemScheduling::kFrFcfs;
+      cfg.mem.id_order_mask = 0xFFFF0000;
+    }
+  }
+
+  // [faultN] sections: mem_slverr windows configure the memory controller;
+  // everything else becomes an injector fault spec. A scenario override
+  // (campaign runs) replaces the file's fault description wholesale.
+  if (scenario_override != nullptr) {
+    AXIHC_CHECK_MSG(ini.sections_with_prefix("fault").empty(),
+                    "a scenario override replaces all [faultN] sections — "
+                    "remove them from the base config");
+    for (const FaultSpec& spec : scenario_override->faults) {
+      AXIHC_CHECK_MSG(spec.port < cfg.num_ports,
+                      "scenario fault port " << spec.port << " out of range");
+    }
+    scenario_ = *scenario_override;
+  } else {
+    scenario_.seed = system->get_u64("fault_seed", 0);
+    for (const IniSection* fs : ini.sections_with_prefix("fault")) {
+      const std::string kind = fs->get_string("kind", "");
+      if (kind == "mem_slverr") {
+        cfg.mem.slverr_ranges.push_back(
+            {fs->get_u64("base", 0), fs->get_u64("bytes", 4096)});
+        continue;
+      }
+      const auto parsed = fault_kind_from_string(kind);
+      AXIHC_CHECK_MSG(parsed.has_value(),
+                      "[" << fs->name() << "] unknown fault kind '" << kind
+                          << "'");
+      FaultSpec spec;
+      spec.kind = *parsed;
+      spec.port = static_cast<PortIndex>(fs->get_u64("port", 0));
+      AXIHC_CHECK_MSG(spec.port < cfg.num_ports,
+                      "[" << fs->name() << "] port " << spec.port
+                          << " out of range");
+      spec.start = fs->get_u64("start", 0);
+      spec.duration = fs->get_u64("duration", 0);
+      spec.param = fs->get_u64("param", 0);
+      spec.probability = fs->get_double("probability", 1.0);
+      scenario_.faults.push_back(spec);
+    }
+  }
+
+  soc_ = std::make_unique<SocSystem>(cfg);
+
+  const auto ha_sections = ini.sections_with_prefix("ha");
+  AXIHC_CHECK_MSG(!ha_sections.empty(),
+                  "config needs at least one [haN] section");
+  AXIHC_CHECK_MSG(ha_sections.size() <= cfg.num_ports,
+                  "more [haN] sections (" << ha_sections.size()
+                                          << ") than interconnect ports ("
+                                          << cfg.num_ports << ")");
+  for (PortIndex port = 0; port < ha_sections.size(); ++port) {
+    add_ha(*ha_sections[port], port);
+  }
+
+  // [recovery] wants the masters built (the HA-reset hook targets them), so
+  // it wires after the HA loop.
+  if (const IniSection* rec = ini.section("recovery")) {
+    AXIHC_CHECK_MSG(cfg.kind == InterconnectKind::kHyperConnect,
+                    "[recovery] requires interconnect = hyperconnect "
+                    "(the stack drives the HyperConnect control interface)");
+    wire_recovery(*rec);
+  }
+
+  if (const IniSection* obs = ini.section("observe")) {
+    observe_.trace = obs->get_bool("trace", false);
+    observe_.metrics = obs->get_bool("metrics", false);
+    observe_.sample_every = obs->get_u64("sample_every", 1000);
+    observe_.trace_capacity =
+        static_cast<std::size_t>(obs->get_u64("trace_capacity", 0));
+    observe_.latency_audit = obs->get_bool("latency_audit", false);
+    observe_.flight_capacity =
+        static_cast<std::size_t>(obs->get_u64("flight_capacity", 4096));
+    AXIHC_CHECK_MSG(observe_.sample_every >= 1,
+                    "[observe] sample_every must be >= 1");
+    AXIHC_CHECK_MSG(observe_.flight_capacity >= 1,
+                    "[observe] flight_capacity must be >= 1");
+  }
+
+  soc_->sim().reset();
+}
+
+void ConfiguredSystem::wire_recovery(const IniSection& rec) {
+  HyperConnect* hc = soc_->hyperconnect();
+  AXIHC_CHECK(hc != nullptr);
+  const std::uint32_t num_ports = soc_->config().num_ports;
+
+  register_master_ =
+      std::make_unique<RegisterMaster>("hv_rm", hc->control_link());
+  driver_ = std::make_unique<HyperConnectDriver>(*register_master_,
+                                                 num_ports);
+  hypervisor_ = std::make_unique<Hypervisor>("hv", *driver_);
+
+  RecoveryPolicy pol;
+  pol.backoff_base = rec.get_u64("backoff_base", 1000);
+  pol.backoff_max = rec.get_u64("backoff_max", 16000);
+  pol.probation_window = rec.get_u64("probation_window", 2000);
+  pol.max_attempts =
+      static_cast<std::uint32_t>(rec.get_u64("max_attempts", 4));
+  pol.drain_timeout = rec.get_u64("drain_timeout", 4000);
+  recovery_ = std::make_unique<RecoveryManager>("recovery", *driver_, pol);
+  hypervisor_->set_recovery(recovery_.get());
+
+  // Baseline split = the [hyperconnect] budgets the hardware was built with
+  // (missing entries are 0 = unthrottled); graceful degradation defends it.
+  std::vector<std::uint32_t> baseline = soc_->config().hc.initial_budgets;
+  baseline.resize(num_ports, 0);
+  recovery_->set_baseline_budgets(baseline);
+
+  // DPR-style HA reset at the FSM's Resetting step: abandon everything the
+  // accelerator still has in flight (the flushed link will never deliver
+  // those responses) and restart its job engine.
+  recovery_->set_ha_reset([this](PortIndex p) {
+    if (p < masters_.size()) masters_[p]->abandon_in_flight();
+  });
+
+  WatchdogPolicy wd;
+  recovery_poll_period_ = rec.get_u64("poll_period", 500);
+  AXIHC_CHECK_MSG(recovery_poll_period_ >= 1,
+                  "[recovery] poll_period must be >= 1");
+  recovery_probation_window_ = pol.probation_window;
+  wd.poll_period = recovery_poll_period_;
+  wd.max_txns_per_poll.assign(num_ports,
+                              rec.get_u64("max_txns_per_poll", 0));
+  wd.auto_isolate = true;
+  wd.isolate_on_fault = true;
+  hypervisor_->set_watchdog(std::move(wd));
+
+  soc_->add(*register_master_);
+  soc_->add(*hypervisor_);
+  soc_->add(*recovery_);
+}
+
+void ConfiguredSystem::wire_observability() {
+  observability_wired_ = true;
+  trace_.enable(observe_.trace);
+  trace_.set_capacity(observe_.trace_capacity);
+
+  if (HyperConnect* hc = soc_->hyperconnect()) {
+    hc->set_trace(&trace_);
+    hc->register_metrics(registry_);
+  }
+  soc_->memory_controller().set_trace(&trace_);
+  soc_->memory_controller().register_metrics(registry_);
+  for (auto& m : masters_) {
+    m->set_trace(&trace_);
+    m->register_metrics(registry_);
+  }
+  if (hypervisor_) {
+    hypervisor_->set_trace(&trace_);
+    hypervisor_->register_metrics(registry_);
+  }
+  if (recovery_) {
+    recovery_->set_trace(&trace_);
+    recovery_->register_metrics(registry_);
+  }
+
+  // APM-style probe on the FPGA-PS link; its window is the sample period so
+  // per-sample counter deltas line up with the probe's window series.
+  probe_ = std::make_unique<BandwidthProbe>(
+      "apm", soc_->interconnect().master_link(), observe_.sample_every);
+  probe_->register_metrics(registry_);
+  soc_->add(*probe_);
+
+  // Trace-capacity drops as a first-class metric: a capped trace silently
+  // losing events would skew any analysis built on it.
+  registry_.add_counter("trace.dropped",
+                        [this] { return static_cast<double>(trace_.dropped()); });
+
+  if (observe_.latency_audit) {
+    const SocConfig& cfg = soc_->config();
+    audit_ =
+        std::make_unique<LatencyAudit>(cfg.num_ports, observe_.flight_capacity);
+    audit_->set_enabled(true);
+    audit_->set_trace(&trace_);
+    audit_->set_mem_source(soc_->memory_controller().name());
+    if (HyperConnect* hc = soc_->hyperconnect()) {
+      hc->set_latency_audit(audit_.get());
+      // Watermark for the prover soundness cross-check: every audited run
+      // also records the observed per-port eFIFO peak, so a simulated cell
+      // can be compared against the static backlog bound.
+      hc->set_track_efifo_peaks(true);
+      for (PortIndex p = 0; p < cfg.num_ports; ++p) {
+        audit_->set_port_source(p, hc->name() + ".port" + std::to_string(p));
+      }
+      // Positional memory-stage matching needs the in-order pipeline on
+      // both sides; out-of-order HC mode or FR-FCFS scheduling fall back
+      // to provenance-only auditing at the memory stage.
+      const bool positional =
+          !cfg.hc.out_of_order &&
+          cfg.mem.scheduling == MemScheduling::kInOrder;
+      if (positional) {
+        soc_->memory_controller().set_latency_audit(audit_.get());
+        // The analytic bound additionally assumes no PS-originated stall
+        // interference (the model has no term for it).
+        if (cfg.mem.ps_stall_period == 0) {
+          HcAnalysisConfig acfg;
+          acfg.num_ports = cfg.num_ports;
+          acfg.nominal_burst = cfg.hc.nominal_burst;
+          acfg.reservation_period = cfg.hc.reservation_period;
+          acfg.budgets = cfg.hc.initial_budgets;
+          acfg.budgets.resize(cfg.num_ports, 0);
+          acfg.competitor_backlog = cfg.hc.max_outstanding;
+          AnalysisPlatform ap;
+          ap.mem_latency = cfg.mem.row_miss_latency;
+          ap.turnaround = cfg.mem.turnaround;
+          ap.refresh_period = cfg.mem.refresh_period;
+          ap.refresh_duration = cfg.mem.refresh_duration;
+          audit_->set_bound_model(acfg, ap);
+        }
+      }
+    }
+    for (PortIndex p = 0; p < masters_.size(); ++p) {
+      masters_[p]->set_latency_audit(audit_.get(), p);
+    }
+    audit_->register_metrics(registry_);
+    // The audit state is shared by components on different tick islands
+    // (masters, interconnect, memory); only the serial kernel orders their
+    // hook calls deterministically.
+    soc_->sim().set_threads(0);
+  }
+
+  if (observe_.metrics) {
+    sampler_ = std::make_unique<MetricsSampler>("sampler", registry_,
+                                                observe_.sample_every);
+    soc_->add(*sampler_);
+  }
+}
+
+void ConfiguredSystem::write_trace(std::ostream& os) const {
+  write_chrome_trace(os, trace_, sampler_.get());
+}
+
+void ConfiguredSystem::write_metrics_csv(std::ostream& os) const {
+  AXIHC_CHECK_MSG(sampler_ != nullptr,
+                  "metrics were not enabled for this system");
+  sampler_->write_csv(os);
+}
+
+AxiLink& ConfiguredSystem::attach_port(PortIndex port) {
+  bool targeted = false;
+  for (const FaultSpec& f : scenario_.faults) {
+    if (f.port == port) {
+      targeted = true;
+      break;
+    }
+  }
+  if (!targeted) return soc_->port(port);
+  fault_links_.push_back(
+      std::make_unique<AxiLink>("fault_link" + std::to_string(port)));
+  AxiLink& ha_side = *fault_links_.back();
+  ha_side.register_with(soc_->sim());
+  injectors_.push_back(std::make_unique<FaultInjector>(
+      "fault_inj" + std::to_string(port), ha_side, soc_->port(port),
+      scenario_, port));
+  soc_->add(*injectors_.back());
+  return ha_side;
+}
+
+void ConfiguredSystem::add_ha(const IniSection& section, PortIndex port) {
+  const std::string type = section.get_string("type", "");
+  const std::string name = section.name();
+  AxiLink& link = attach_port(port);
+  const bool ooo = soc_->config().kind == InterconnectKind::kHyperConnect &&
+                   soc_->config().hc.out_of_order;
+
+  if (type == "dma") {
+    DmaConfig cfg;
+    cfg.mode = dma_mode_by_name(section.get_string("mode", "readwrite"));
+    cfg.bytes_per_job = section.get_u64("bytes_per_job", 1u << 20);
+    cfg.burst_beats = static_cast<BeatCount>(section.get_u64("burst", 16));
+    cfg.max_outstanding =
+        static_cast<std::uint32_t>(section.get_u64("outstanding", 8));
+    cfg.max_jobs = section.get_u64("max_jobs", 0);
+    cfg.read_base = section.get_u64("read_base", 0x1000'0000 +
+                                                     (Addr{port} << 26));
+    cfg.write_base = section.get_u64("write_base", 0x2000'0000 +
+                                                       (Addr{port} << 26));
+    cfg.tolerate_out_of_order = ooo;
+    ProveHaModel model;
+    model.name = name;
+    model.type = type;
+    model.burst_beats = cfg.burst_beats;
+    model.max_outstanding = cfg.max_outstanding;
+    model.reads = cfg.mode != DmaMode::kWrite;
+    model.writes = cfg.mode != DmaMode::kRead;
+    prove_has_.push_back(model);
+    if (cfg.mode != DmaMode::kWrite) {
+      lint_windows_.push_back(
+          {name + " read buffer", {cfg.read_base, cfg.bytes_per_job}});
+    }
+    if (cfg.mode != DmaMode::kRead) {
+      lint_windows_.push_back(
+          {name + " write buffer", {cfg.write_base, cfg.bytes_per_job}});
+    }
+    masters_.push_back(
+        std::make_unique<DmaEngine>(name, link, cfg));
+  } else if (type == "traffic") {
+    TrafficConfig cfg;
+    cfg.direction = direction_by_name(section.get_string("direction", "read"));
+    cfg.burst_beats = static_cast<BeatCount>(section.get_u64("burst", 16));
+    cfg.gap_cycles = section.get_u64("gap", 0);
+    cfg.max_outstanding =
+        static_cast<std::uint32_t>(section.get_u64("outstanding", 8));
+    cfg.qos = static_cast<std::uint8_t>(section.get_u64("qos", 0));
+    cfg.base = section.get_u64("base", 0x4000'0000 + (Addr{port} << 26));
+    cfg.tolerate_out_of_order = ooo;
+    ProveHaModel model;
+    model.name = name;
+    model.type = type;
+    model.burst_beats = cfg.burst_beats;
+    model.max_outstanding = cfg.max_outstanding;
+    model.gap_cycles = cfg.gap_cycles;
+    model.reads = cfg.direction != TrafficDirection::kWrite;
+    model.writes = cfg.direction != TrafficDirection::kRead;
+    prove_has_.push_back(model);
+    lint_windows_.push_back({name + " region", {cfg.base, cfg.region_bytes}});
+    masters_.push_back(
+        std::make_unique<TrafficGenerator>(name, link, cfg));
+  } else if (type == "dnn") {
+    DnnConfig cfg;
+    cfg.layers = network_by_name(section.get_string("network", "googlenet"));
+    const std::uint64_t scale = section.get_u64("scale", 1);
+    AXIHC_CHECK_MSG(scale >= 1, "[" << name << "] scale must be >= 1");
+    for (auto& l : cfg.layers) {
+      l.weight_bytes /= scale;
+      l.ifmap_bytes /= scale;
+      l.ofmap_bytes /= scale;
+      l.macs /= scale;
+    }
+    cfg.macs_per_cycle = section.get_u64("macs_per_cycle", 256);
+    cfg.max_frames = section.get_u64("max_frames", 0);
+    cfg.tolerate_out_of_order = ooo;
+    ProveHaModel model;
+    model.name = name;
+    model.type = type;
+    model.burst_beats = cfg.burst_beats;
+    model.max_outstanding = cfg.max_outstanding;
+    model.reads = true;   // weight/ifmap loads
+    model.writes = true;  // ofmap stores
+    prove_has_.push_back(model);
+    std::uint64_t load_max = 0;
+    std::uint64_t store_max = 0;
+    for (const DnnLayer& l : cfg.layers) {
+      load_max = std::max(load_max, l.weight_bytes + l.ifmap_bytes);
+      store_max = std::max(store_max, l.ofmap_bytes);
+    }
+    lint_windows_.push_back(
+        {name + " weight/ifmap buffer", {cfg.weight_base, load_max}});
+    lint_windows_.push_back(
+        {name + " ofmap buffer", {cfg.buffer_base, store_max}});
+    masters_.push_back(
+        std::make_unique<DnnAccelerator>(name, link, cfg));
+  } else {
+    AXIHC_CHECK_MSG(false, "[" << name << "] unknown HA type '" << type
+                               << "' (dma | traffic | dnn)");
+  }
+  ha_types_.push_back(type);
+  soc_->add(*masters_.back());
+}
+
+Cycle ConfiguredSystem::run(Cycle override_cycles) {
+  if (observe_.any() && !observability_wired_) wire_observability();
+  const Cycle cycles =
+      override_cycles != 0 ? override_cycles : configured_cycles_;
+  soc_->sim().run(cycles);
+  // Final cumulative sample: the last row of the time series then matches
+  // the end-of-run totals (e.g. apm.read_bytes == total_read_bytes()).
+  if (sampler_) sampler_->finalize(soc_->sim().now());
+  if (trace_.dropped() != 0) {
+    AXIHC_LOG_WARN() << "trace capacity " << trace_.capacity() << " dropped "
+                     << trace_.dropped()
+                     << " events; raise [observe] trace_capacity or check "
+                        "trace.dropped in the metrics series";
+  }
+  return soc_->sim().now();
+}
+
+const AxiMasterBase& ConfiguredSystem::ha(std::size_t i) const {
+  AXIHC_CHECK(i < masters_.size());
+  return *masters_[i];
+}
+
+const FaultInjector& ConfiguredSystem::injector(std::size_t i) const {
+  AXIHC_CHECK(i < injectors_.size());
+  return *injectors_[i];
+}
+
+const std::string& ConfiguredSystem::ha_type(std::size_t i) const {
+  AXIHC_CHECK(i < ha_types_.size());
+  return ha_types_[i];
+}
+
+ProveInput ConfiguredSystem::prove_input() const {
+  const SocConfig& cfg = soc_->config();
+  ProveInput in;
+  in.hyperconnect = cfg.kind == InterconnectKind::kHyperConnect;
+  in.num_ports = cfg.num_ports;
+
+  in.analysis.num_ports = cfg.num_ports;
+  in.analysis.nominal_burst = cfg.hc.nominal_burst;
+  in.analysis.reservation_period = cfg.hc.reservation_period;
+  in.analysis.budgets = cfg.hc.initial_budgets;
+  in.analysis.budgets.resize(cfg.num_ports, 0);
+  in.analysis.competitor_backlog = cfg.hc.max_outstanding;
+  in.platform.mem_latency = cfg.mem.row_miss_latency;
+  in.platform.turnaround = cfg.mem.turnaround;
+  in.platform.refresh_period = cfg.mem.refresh_period;
+  in.platform.refresh_duration = cfg.mem.refresh_duration;
+
+  const AxiLinkConfig& plc = cfg.hc.port_link_cfg;
+  in.ar_depth = plc.ar_depth;
+  in.aw_depth = plc.aw_depth;
+  in.w_depth = plc.w_depth;
+  in.r_depth = plc.r_depth;
+  in.b_depth = plc.b_depth;
+  in.out_of_order = in.hyperconnect && cfg.hc.out_of_order;
+  in.id_bits = plc.id_bits;
+  in.in_order_memory = cfg.mem.scheduling == MemScheduling::kInOrder;
+  in.ps_stall = cfg.mem.ps_stall_period != 0;
+  in.has = prove_has_;
+
+  // Waits-for graph over the elaborated pipeline. Forward edges follow the
+  // request path (a full queue drains into the next stage), response edges
+  // follow R/B back out to the HA, which always consumes beats (a sink
+  // node, NOT the HA's issue side — consuming responses never requires
+  // issuing new requests). The owed-completion back-edges model the TS's
+  // outstanding limit: accepting new work can require a completion slot,
+  // i.e. the port's R/B queues draining.
+  const auto edge = [&in](std::string from, std::string to) {
+    in.edges.push_back({std::move(from), std::move(to)});
+  };
+  if (in.hyperconnect) {
+    in.nodes = {"exbar",    "master.ar", "master.aw", "master.w",
+                "master.r", "master.b",  "mem"};
+    edge("exbar", "master.ar");
+    edge("exbar", "master.aw");
+    edge("exbar", "master.w");
+    edge("master.ar", "mem");
+    edge("master.aw", "mem");
+    edge("master.w", "mem");
+    edge("mem", "master.r");
+    edge("mem", "master.b");
+    for (std::size_t p = 0; p < prove_has_.size(); ++p) {
+      const std::string ha = prove_has_[p].name;
+      const std::string port = "port" + std::to_string(p);
+      const std::string ts = "ts" + std::to_string(p);
+      for (const char* ch : {".ar", ".aw", ".w", ".r", ".b"}) {
+        in.nodes.push_back(port + ch);
+      }
+      in.nodes.push_back(ha);
+      in.nodes.push_back(ha + ".sink");
+      in.nodes.push_back(ts);
+      edge(ha, port + ".ar");
+      edge(ha, port + ".aw");
+      edge(ha, port + ".w");
+      edge(port + ".ar", ts);
+      edge(port + ".aw", ts);
+      edge(port + ".w", ts);
+      edge(ts, "exbar");
+      edge(ts, port + ".r");  // owed completion (outstanding limit)
+      edge(ts, port + ".b");
+      edge("master.r", port + ".r");
+      edge("master.b", port + ".b");
+      edge(port + ".r", ha + ".sink");
+      edge(port + ".b", ha + ".sink");
+    }
+  } else {
+    in.nodes = {"smartconnect.req", "smartconnect.resp", "mem"};
+    edge("smartconnect.req", "mem");
+    edge("mem", "smartconnect.resp");
+    for (const ProveHaModel& ha : prove_has_) {
+      in.nodes.push_back(ha.name);
+      in.nodes.push_back(ha.name + ".sink");
+      edge(ha.name, "smartconnect.req");
+      edge("smartconnect.resp", ha.name + ".sink");
+    }
+  }
+  return in;
+}
+
+ProveReport ConfiguredSystem::prove() const {
+  return axihc::prove(prove_input());
+}
+
+LintReport ConfiguredSystem::lint() const {
+  const SocConfig& cfg = soc_->config();
+  DesignRuleChecker drc(soc_->sim());
+
+  for (const AddrRange& r : cfg.mem.mapped_ranges) {
+    drc.add_address_range("memory decode map", r, AddressKind::kDecode);
+  }
+  for (const AddrRange& r : cfg.mem.slverr_ranges) {
+    drc.add_address_range("SLVERR window", r, AddressKind::kErrorWindow);
+  }
+  for (const LintWindow& w : lint_windows_) {
+    drc.add_address_range(w.owner, w.range, AddressKind::kMasterWindow);
+  }
+
+  const bool ooo =
+      cfg.kind == InterconnectKind::kHyperConnect && cfg.hc.out_of_order;
+  for (PortIndex p = 0; p < cfg.num_ports; ++p) {
+    AxiLink& port_link = soc_->port(p);
+    drc.expect_connected(port_link,
+                         "interconnect port " + std::to_string(p));
+    if (ooo) {
+      drc.require_id_headroom(
+          port_link, kIdPortShift,
+          "the ID-extension (port index packed above bit " +
+              std::to_string(kIdPortShift) + ")");
+    }
+  }
+  drc.expect_connected(soc_->interconnect().master_link(),
+                       "FPGA-PS master link");
+  for (const auto& fl : fault_links_) {
+    drc.expect_connected(*fl, "fault-injector HA-side link");
+  }
+
+  LintReport report = drc.run();
+
+  // Recovery-loop timing rule: a probation window shorter than the watchdog
+  // poll period promotes a recoupled port straight back to Healthy at the
+  // first post-recouple poll — before a single fault observation could
+  // demote it, defeating probation entirely.
+  if (recovery_ != nullptr &&
+      recovery_probation_window_ < recovery_poll_period_) {
+    std::ostringstream msg;
+    msg << "probation_window (" << recovery_probation_window_
+        << " cycles) is shorter than the watchdog poll_period ("
+        << recovery_poll_period_
+        << " cycles): a recoupled port is promoted back to Healthy at the "
+           "first poll, before any new fault could be observed";
+    report.add({LintSeverity::kWarning, "recovery-probation-window",
+                "[recovery]", msg.str(),
+                "raise probation_window to at least one poll_period "
+                "(several, to observe real traffic before trusting the "
+                "port)"});
+  }
+
+  // Layer-2 static certification (src/prove) folded into lint: a disproved
+  // check is a configuration bug. Warning severity makes `--lint-strict`
+  // (the CI gate) fail on a disproved system while plain --lint keeps
+  // reporting everything else.
+  const ProveReport proof = axihc::prove(prove_input());
+  for (const ProveCheck& c : proof.checks) {
+    if (c.verdict != ProveVerdict::kDisproved) continue;
+    report.add({LintSeverity::kWarning, "prove-" + c.id, "[static prover]",
+                c.detail,
+                "run `axihc --prove` for the full certificate, then fix "
+                "the configuration it refutes"});
+  }
+  if (proof.reservation_on && !proof.reservation_feasible) {
+    std::ostringstream msg;
+    msg << "reservation plan is overcommitted: serving every budget at "
+           "worst-case memory timing needs "
+        << proof.reservation_demand << " cycles per "
+        << cfg.hc.reservation_period
+        << "-cycle period; the supply-bound WCLA form does not apply "
+           "(bounds stay sound via the composite supply+arbitration form, "
+           "but guarantees are weaker than the budget split suggests)";
+    report.add({LintSeverity::kWarning, "reservation-overcommit",
+                "[hyperconnect]", msg.str(),
+                "shrink the budgets, lengthen reservation_period, or "
+                "reduce nominal_burst so sum(budget x worst-case service) "
+                "fits the period"});
+  }
+
+  return report;
+}
+
+std::string ConfiguredSystem::report() const {
+  const Cycle now = soc_->sim().now();
+  const RateMeter meter = platform_.rate_meter();
+  std::ostringstream os;
+  os << "platform: " << platform_.name << ", " << now << " cycles ("
+     << Table::num(meter.to_us(now) / 1000.0, 2) << " ms)\n\n";
+
+  Table t({"HA", "type", "bytes read", "bytes written", "read BW (MB/s)",
+           "write BW (MB/s)", "max read lat (cyc)", "failed"});
+  for (std::size_t i = 0; i < masters_.size(); ++i) {
+    const MasterStats& s = masters_[i]->stats();
+    t.add_row(
+        {masters_[i]->name(), ha_types_[i], std::to_string(s.bytes_read),
+         std::to_string(s.bytes_written),
+         Table::num(meter.bytes_per_second(s.bytes_read, now) / 1e6, 1),
+         Table::num(meter.bytes_per_second(s.bytes_written, now) / 1e6, 1),
+         s.read_latency.count() ? std::to_string(s.read_latency.max())
+                                : "-",
+         std::to_string(s.reads_failed + s.writes_failed)});
+  }
+  t.print_markdown(os);
+  return os.str();
+}
+
+std::unique_ptr<ConfiguredSystem> build_system(const std::string& ini_text) {
+  return std::make_unique<ConfiguredSystem>(IniFile::parse(ini_text));
+}
+
+}  // namespace axihc

@@ -1,0 +1,242 @@
+// Builds a complete runnable system from an INI experiment description —
+// the engine behind the axihc CLI (tools/axihc.cpp). Lets users run
+// interconnect experiments without writing C++:
+//
+//   [system]
+//   interconnect = hyperconnect      ; hyperconnect | smartconnect
+//   platform = zcu102                ; zcu102 | zynq7020
+//   ports = 2
+//   cycles = 1000000
+//
+//   [hyperconnect]                   ; optional, defaults shown
+//   nominal_burst = 16
+//   max_outstanding = 4
+//   reservation_period = 2000
+//   budgets = 40 20
+//
+//   [ha0]
+//   type = dma                       ; dma | traffic | dnn
+//   mode = readwrite                 ; dma: read | write | readwrite | copy
+//   bytes_per_job = 1048576
+//   burst = 16
+//
+//   [ha1]
+//   type = dnn
+//   network = googlenet              ; googlenet | alexnet
+//   scale = 16
+//
+//   [fault0]                         ; optional fault-injection scenario
+//   kind = stall_w                   ; see fault/scenario.hpp; or mem_slverr
+//   port = 0
+//   start = 2000
+//   duration = 0                     ; 0 = forever
+//
+//   [recovery]                       ; optional closed-loop fault recovery
+//   poll_period = 500                ; watchdog poll period (cycles)
+//   max_txns_per_poll = 0            ; overrun threshold, all ports; 0 = off
+//   backoff_base = 1000              ; first quarantine wait (cycles)
+//   backoff_max = 16000              ; backoff doubling ceiling
+//   probation_window = 2000          ; fault-free cycles to count recovered
+//   max_attempts = 4                 ; re-couple attempts before permanent
+//   drain_timeout = 4000             ; max wait for INFLIGHT == 0
+//
+//   [observe]                        ; optional observability layer
+//   trace = true                     ; record typed events (Chrome trace)
+//   metrics = true                   ; sample the metrics registry
+//   sample_every = 1000              ; sampler period / APM window (cycles)
+//   trace_capacity = 0               ; max retained events; 0 = unbounded
+//
+// Fault-targeted ports get a FaultInjector spliced between the HA and the
+// interconnect; "mem_slverr" entries instead configure an SLVERR window
+// (base/bytes keys) on the memory controller. [system] fault_seed seeds the
+// injectors; [system] mem_bytes bounds the decoded address space (accesses
+// beyond it get DECERR); [hyperconnect] prot_timeout arms the per-port
+// protection units.
+//
+// A [recovery] section (hyperconnect only) assembles the full software
+// stack behind the control interface — RegisterMaster, driver, Hypervisor
+// watchdog, RecoveryManager — so detected faults start closed-loop recovery
+// episodes (src/recovery) instead of permanently retiring the port.
+#pragma once
+
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "config/ini.hpp"
+#include "driver/register_master.hpp"
+#include "fault/fault_injector.hpp"
+#include "ha/dma_engine.hpp"
+#include "ha/dnn_accelerator.hpp"
+#include "ha/traffic_gen.hpp"
+#include "hypervisor/hypervisor.hpp"
+#include "lint/lint.hpp"
+#include "obs/latency_audit.hpp"
+#include "obs/metrics.hpp"
+#include "platform/platform.hpp"
+#include "prove/prove.hpp"
+#include "recovery/recovery_manager.hpp"
+#include "sim/trace.hpp"
+#include "soc/soc.hpp"
+#include "stats/bandwidth_probe.hpp"
+
+namespace axihc {
+
+/// Observability settings ([observe] section; the axihc CLI flags override
+/// them). Both halves are independent: `trace` records typed events for the
+/// Chrome-trace export, `metrics` samples the registry every `sample_every`
+/// cycles.
+struct ObserveConfig {
+  bool trace = false;
+  bool metrics = false;
+  Cycle sample_every = 1000;
+  std::size_t trace_capacity = 0;  // 0 = unbounded
+  /// Per-transaction latency provenance + live WCLA bound auditing
+  /// (src/obs/latency_audit.hpp). Forces the serial tick kernel (the audit
+  /// state is shared across master/memory islands).
+  bool latency_audit = false;
+  /// Flight-recorder ring capacity (completed transactions retained).
+  std::size_t flight_capacity = 4096;
+  [[nodiscard]] bool any() const { return trace || metrics || latency_audit; }
+};
+
+/// A fully-assembled experiment: the SoC plus the configured HAs, ready to
+/// run. Owns everything.
+class ConfiguredSystem {
+ public:
+  explicit ConfiguredSystem(const IniFile& ini);
+
+  /// Builds the system with `scenario` instead of the file's [faultN]
+  /// sections and fault_seed — the campaign runner's entry point (each run
+  /// reuses one base description under a generated scenario).
+  ConfiguredSystem(const IniFile& ini, const FaultScenario& scenario);
+
+  /// Runs for the configured [system] cycles (or `override_cycles` if
+  /// nonzero) and returns the simulated cycle count.
+  Cycle run(Cycle override_cycles = 0);
+
+  [[nodiscard]] SocSystem& soc() { return *soc_; }
+  [[nodiscard]] const Platform& platform() const { return platform_; }
+  [[nodiscard]] std::size_t ha_count() const { return masters_.size(); }
+  [[nodiscard]] const AxiMasterBase& ha(std::size_t i) const;
+  [[nodiscard]] const std::string& ha_type(std::size_t i) const;
+
+  /// Renders the per-HA statistics table (markdown).
+  [[nodiscard]] std::string report() const;
+
+  /// Runs the design-rule checker (src/lint) over the elaborated system:
+  /// port/master-link connectivity, decode map vs HA job windows, ID
+  /// headroom under the out-of-order ID-extension, and — in instrumented
+  /// builds after a run — the access-ledger contract checks.
+  [[nodiscard]] LintReport lint() const;
+
+  /// Assembles the static-prover input (src/prove) from the elaborated
+  /// system: the WCLA-side analysis config, platform timing, eFIFO depths,
+  /// the per-HA arrival models recorded by add_ha, and the
+  /// channel/endpoint waits-for graph with owed-completion back-edges.
+  [[nodiscard]] ProveInput prove_input() const;
+  /// Runs the static predictability certifier (src/prove) — zero simulated
+  /// cycles; see ProveReport for verdicts and the certificate.
+  [[nodiscard]] ProveReport prove() const;
+
+  /// The parsed fault scenario ([faultN] sections; empty when none).
+  [[nodiscard]] const FaultScenario& fault_scenario() const {
+    return scenario_;
+  }
+  [[nodiscard]] std::size_t injector_count() const {
+    return injectors_.size();
+  }
+  [[nodiscard]] const FaultInjector& injector(std::size_t i) const;
+
+  /// The [recovery] software stack, or nullptr when the section is absent.
+  [[nodiscard]] Hypervisor* hypervisor() { return hypervisor_.get(); }
+  [[nodiscard]] const Hypervisor* hypervisor() const {
+    return hypervisor_.get();
+  }
+  [[nodiscard]] RecoveryManager* recovery() { return recovery_.get(); }
+  [[nodiscard]] const RecoveryManager* recovery() const {
+    return recovery_.get();
+  }
+
+  /// Mutable observability settings. Changes only take effect before the
+  /// first run() call (the layer is wired lazily on first run).
+  [[nodiscard]] ObserveConfig& observe_config() { return observe_; }
+
+  /// The recorded event stream (empty unless observe trace was on).
+  [[nodiscard]] const EventTrace& trace() const { return trace_; }
+  /// The sampler, or nullptr when metrics were never enabled.
+  [[nodiscard]] const MetricsSampler* sampler() const {
+    return sampler_.get();
+  }
+  /// The APM-style probe on the interconnect master link, or nullptr.
+  [[nodiscard]] const BandwidthProbe* probe() const { return probe_.get(); }
+
+  /// The latency auditor, or nullptr when observe latency_audit was off.
+  [[nodiscard]] const LatencyAudit* latency_audit() const {
+    return audit_.get();
+  }
+
+  /// Chrome trace-event JSON (Perfetto-loadable): the event stream plus the
+  /// sampled metrics as counter tracks.
+  void write_trace(std::ostream& os) const;
+  /// Sampled metrics time series as CSV.
+  void write_metrics_csv(std::ostream& os) const;
+
+ private:
+  /// Shared constructor body; `scenario_override` (campaign runs) replaces
+  /// the file's [faultN] sections and fault_seed.
+  void build(const IniFile& ini, const FaultScenario* scenario_override);
+  /// Hands the trace to every instrumented component, registers all
+  /// metrics, and attaches the APM probe + sampler. Called once, from the
+  /// first run() with observability requested.
+  void wire_observability();
+  void add_ha(const IniSection& section, PortIndex port);
+  /// Assembles the [recovery] hypervisor stack on the control link.
+  void wire_recovery(const IniSection& rec);
+  /// The link the HA on `port` should master: the interconnect port itself,
+  /// or a fresh intermediate link behind a FaultInjector when the scenario
+  /// targets this port.
+  AxiLink& attach_port(PortIndex port);
+
+  /// An address window an HA was configured to master (recorded by add_ha
+  /// for the lint address-map checks).
+  struct LintWindow {
+    std::string owner;
+    AddrRange range;
+  };
+
+  Platform platform_;
+  Cycle configured_cycles_ = 1'000'000;
+  std::vector<LintWindow> lint_windows_;
+  /// Arrival model per attached HA (recorded by add_ha for the prover).
+  std::vector<ProveHaModel> prove_has_;
+  std::unique_ptr<SocSystem> soc_;
+  std::vector<std::unique_ptr<AxiMasterBase>> masters_;
+  std::vector<std::string> ha_types_;
+  FaultScenario scenario_;
+  std::vector<std::unique_ptr<AxiLink>> fault_links_;
+  std::vector<std::unique_ptr<FaultInjector>> injectors_;
+
+  // [recovery] stack (all null when the section is absent).
+  std::unique_ptr<RegisterMaster> register_master_;
+  std::unique_ptr<HyperConnectDriver> driver_;
+  std::unique_ptr<Hypervisor> hypervisor_;
+  std::unique_ptr<RecoveryManager> recovery_;
+  Cycle recovery_poll_period_ = 0;
+  Cycle recovery_probation_window_ = 0;
+
+  ObserveConfig observe_;
+  bool observability_wired_ = false;
+  EventTrace trace_;
+  MetricsRegistry registry_;
+  std::unique_ptr<MetricsSampler> sampler_;
+  std::unique_ptr<BandwidthProbe> probe_;
+  std::unique_ptr<LatencyAudit> audit_;
+};
+
+/// Parses + builds in one call (throws ModelError with a line/section
+/// message on bad configs).
+[[nodiscard]] std::unique_ptr<ConfiguredSystem> build_system(
+    const std::string& ini_text);
+
+}  // namespace axihc

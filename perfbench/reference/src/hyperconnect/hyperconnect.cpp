@@ -1,0 +1,706 @@
+#include "hyperconnect/hyperconnect.hpp"
+
+#include <algorithm>
+#include <string>
+#include <utility>
+
+#include "common/check.hpp"
+#include "common/log.hpp"
+
+namespace axihc {
+
+namespace {
+HcRuntime make_runtime(const HyperConnectConfig& cfg) {
+  HcRuntime rt;
+  rt.global_enable = true;
+  rt.nominal_burst = cfg.nominal_burst;
+  rt.max_outstanding = cfg.max_outstanding;
+  rt.reservation_period = cfg.reservation_period;
+  rt.budgets = cfg.initial_budgets;
+  rt.budgets.resize(cfg.num_ports, 0);
+  rt.coupled.assign(cfg.num_ports, true);
+  rt.prot_timeout = cfg.prot_timeout;
+  rt.fault.assign(cfg.num_ports, PortFault{});
+  rt.out_of_order = cfg.out_of_order;
+  return rt;
+}
+}  // namespace
+
+HyperConnect::HyperConnect(std::string name, HyperConnectConfig cfg)
+    : Interconnect(std::move(name), cfg.num_ports, cfg.port_link_cfg,
+                   cfg.master_link_cfg),
+      cfg_(cfg),
+      runtime_(make_runtime(cfg)),
+      xbar_ar_(Component::name() + ".xbar_ar", cfg.xbar_stage_depth),
+      xbar_aw_(Component::name() + ".xbar_aw", cfg.xbar_stage_depth),
+      exbar_(cfg.num_ports, cfg.route_capacity,
+             /*order_based_routing=*/!cfg.out_of_order, cfg.arbitration),
+      budget_left_(runtime_.budgets),
+      regfile_(runtime_,
+               [this](PortIndex i) {
+                 return ts_[i]->subtransactions_issued();
+               },
+               [this](PortIndex i) {
+                 // Sub-transactions still pending downstream: the PU's live
+                 // records. Zero means the port is fully drained — safe to
+                 // reset/recouple (the recovery FSM's Draining gate).
+                 return static_cast<std::uint64_t>(pu_[i]->reads().size() +
+                                                   pu_[i]->writes().size());
+               }),
+      control_link_(Component::name() + ".ctrl", cfg.control_link_cfg) {
+  AXIHC_CHECK(cfg_.max_outstanding >= 1);
+  owed_r_.resize(cfg_.num_ports);
+  owed_b_.resize(cfg_.num_ports);
+  efifo_peak_.assign(cfg_.num_ports, 0);
+  efifos_.reserve(cfg_.num_ports);
+  for (PortIndex i = 0; i < cfg_.num_ports; ++i) {
+    efifos_.emplace_back(port_link(i));
+    ts_.push_back(std::make_unique<TransactionSupervisor>(i, runtime_));
+    pu_.push_back(std::make_unique<ProtectionUnit>(i, runtime_));
+    ts_ar_.push_back(std::make_unique<TimingChannel<AddrReq>>(
+        Component::name() + ".ts_ar" + std::to_string(i),
+        cfg_.ts_stage_depth));
+    ts_aw_.push_back(std::make_unique<TimingChannel<AddrReq>>(
+        Component::name() + ".ts_aw" + std::to_string(i),
+        cfg_.ts_stage_depth));
+    ts_ar_ptrs_.push_back(ts_ar_.back().get());
+    ts_aw_ptrs_.push_back(ts_aw_.back().get());
+    ts_ar_.back()->add_endpoint(*this);
+    ts_aw_.back()->add_endpoint(*this);
+  }
+  xbar_ar_.add_endpoint(*this);
+  xbar_aw_.add_endpoint(*this);
+  control_link_.attach_endpoint(*this);
+}
+
+void HyperConnect::register_with(Simulator& sim) {
+  Interconnect::register_with(sim);
+  for (auto& ch : ts_ar_) sim.add(*ch);
+  for (auto& ch : ts_aw_) sim.add(*ch);
+  sim.add(xbar_ar_);
+  sim.add(xbar_aw_);
+  control_link_.register_with(sim);
+}
+
+void HyperConnect::adopt_hot_state(HotStatePool& pool) {
+  budget_left_.adopt(pool, this, "budget_left");
+  recharge_next_.adopt(pool, this, "recharge_deadline");
+}
+
+void HyperConnect::reset() {
+  runtime_ = make_runtime(cfg_);
+  for (auto& ts : ts_) ts->reset();
+  for (auto& pu : pu_) pu->reset();
+  exbar_.reset();
+  budget_left_ = runtime_.budgets;
+  recharge_next_.set(0);
+  recharge_period_ = 0;
+  recharges_ = 0;
+  faults_latched_ = 0;
+  for (PortIndex i = 0; i < num_ports(); ++i) {
+    efifos_[i].set_coupled(true);
+    efifos_[i].set_faulted(false);
+    owed_r_[i].clear();
+    owed_b_[i].clear();
+    mutable_counters(i) = PortCounters{};
+    efifo_peak_[i] = 0;
+  }
+  owed_pending_ = 0;
+}
+
+std::string HyperConnect::port_source(PortIndex i) const {
+  return name() + ".port" + std::to_string(i);
+}
+
+void HyperConnect::append_digest(StateDigest& d) const {
+  Interconnect::append_digest(d);
+  for (std::uint32_t b : budget_left_) d.mix(b);
+  d.mix(recharges_);
+  d.mix(faults_latched_);
+  for (const auto& ts : ts_) d.mix(ts->subtransactions_issued());
+  for (PortIndex i = 0; i < num_ports(); ++i) {
+    d.mix(static_cast<std::uint64_t>(efifos_[i].coupled()) |
+          (static_cast<std::uint64_t>(efifos_[i].faulted()) << 1));
+    d.mix(static_cast<std::uint64_t>(owed_r_[i].size()));
+    for (const RBeat& beat : owed_r_[i]) d.mix(beat.id);
+    d.mix(static_cast<std::uint64_t>(owed_b_[i].size()));
+    for (const BResp& resp : owed_b_[i]) d.mix(resp.id);
+  }
+}
+
+void HyperConnect::register_metrics(MetricsRegistry& reg) {
+  // runtime_ and budget_left_ are wholesale reassigned by reset(), so their
+  // readers capture the port index and go through `this`, never a pointer
+  // into the vectors.
+  reg.add_counter(name() + ".recharges", &recharges_);
+  reg.add_counter(name() + ".faults_latched", &faults_latched_);
+  for (PortIndex i = 0; i < num_ports(); ++i) {
+    const std::string p = port_source(i);
+    reg.add_gauge(p + ".budget_left", [this, i] {
+      return static_cast<double>(budget_left_.get(i));
+    });
+    reg.add_gauge(p + ".efifo_level", [this, i] {
+      return static_cast<double>(efifos_[i].level());
+    });
+    reg.add_gauge(p + ".efifo_peak", [this, i] {
+      return static_cast<double>(efifo_peak_[i]);
+    });
+    reg.add_gauge(p + ".reads_outstanding", [this, i] {
+      return static_cast<double>(ts_[i]->reads_outstanding());
+    });
+    reg.add_gauge(p + ".writes_outstanding", [this, i] {
+      return static_cast<double>(ts_[i]->writes_outstanding());
+    });
+    reg.add_gauge(p + ".coupled", [this, i] {
+      return runtime_.coupled[i] ? 1.0 : 0.0;
+    });
+    reg.add_gauge(p + ".faulted", [this, i] {
+      return runtime_.fault[i].faulted ? 1.0 : 0.0;
+    });
+    reg.add_counter(p + ".fault_count", [this, i] {
+      return static_cast<double>(runtime_.fault[i].count);
+    });
+    const PortCounters& c = counters(i);  // stable element of counters_
+    reg.add_counter(p + ".ar_granted", &c.ar_granted);
+    reg.add_counter(p + ".aw_granted", &c.aw_granted);
+    reg.add_counter(p + ".r_beats", &c.r_beats);
+    reg.add_counter(p + ".w_beats", &c.w_beats);
+    reg.add_counter(p + ".b_resps", &c.b_resps);
+  }
+}
+
+std::size_t HyperConnect::efifo_peak(PortIndex i) const {
+  AXIHC_CHECK(i < efifo_peak_.size());
+  return efifo_peak_[i];
+}
+
+std::uint32_t HyperConnect::budget_left(PortIndex i) const {
+  AXIHC_CHECK(i < budget_left_.size());
+  return budget_left_[i];
+}
+
+const TransactionSupervisor& HyperConnect::supervisor(PortIndex i) const {
+  AXIHC_CHECK(i < ts_.size());
+  return *ts_[i];
+}
+
+const ProtectionUnit& HyperConnect::protection(PortIndex i) const {
+  AXIHC_CHECK(i < pu_.size());
+  return *pu_[i];
+}
+
+const PortFault& HyperConnect::port_fault(PortIndex i) const {
+  AXIHC_CHECK(i < runtime_.fault.size());
+  return runtime_.fault[i];
+}
+
+void HyperConnect::tick_control_interface() {
+  // Register write: AW + single W beat -> B.
+  if (control_link_.aw.can_pop() && control_link_.w.can_pop() &&
+      control_link_.b.can_push()) {
+    const AddrReq aw = control_link_.aw.pop();
+    AXIHC_CHECK_MSG(aw.beats == 1,
+                    name() << ": control interface writes must be single-beat");
+    const WBeat wb = control_link_.w.pop();
+    AXIHC_CHECK(wb.last);
+    regfile_.write(aw.addr, wb.data);
+    control_link_.b.push({aw.id, Resp::kOkay});
+  }
+  // Register read: AR -> single R beat.
+  if (control_link_.ar.can_pop() && control_link_.r.can_push()) {
+    const AddrReq ar = control_link_.ar.pop();
+    AXIHC_CHECK_MSG(ar.beats == 1,
+                    name() << ": control interface reads must be single-beat");
+    control_link_.r.push({ar.id, regfile_.read(ar.addr), true, Resp::kOkay});
+  }
+}
+
+void HyperConnect::tick_central_unit(Cycle now) {
+  // Keep the eFIFO decoupling state in sync with the PORT_CTRL registers.
+  // While a port is decoupled its signals are grounded: anything queued in
+  // or pushed toward its eFIFO is dropped continuously, and any half-split
+  // burst is aborted — as under dynamic partial reconfiguration, where the
+  // HA behind the port is being replaced and is reset before recoupling.
+  for (PortIndex i = 0; i < num_ports(); ++i) {
+    const bool want = runtime_.coupled[i];
+    if (want != efifos_[i].coupled()) {
+      if (tracing()) {
+        trace_->record(now, port_source(i), want ? "recouple" : "decouple");
+      }
+      if (!want && auditing()) audit_->on_port_disturbed(i, now);
+    }
+    if (!want) {
+      AxiLink& link = port_link(i);
+      link.ar.clear_contents();
+      link.aw.clear_contents();
+      link.w.clear_contents();
+      link.r.clear_contents();
+      link.b.clear_contents();
+      ts_[i]->abort_pending_issue();
+      // Undelivered synthesized completions die with the decouple (the HA
+      // is reset before the port recouples); account for them.
+      for (std::size_t n = owed_r_[i].size() + owed_b_[i].size(); n != 0;
+           --n) {
+        pu_[i]->count_synth_drop();
+        --owed_pending_;
+      }
+      owed_r_[i].clear();
+      owed_b_[i].clear();
+    }
+    efifos_[i].set_coupled(want);
+
+    // Sync the eFIFO fault latch with the FAULT_STATUS register. A
+    // hypervisor write cleared the runtime latch -> re-arm the protection
+    // unit (stall counters reset, record ages restamped so in-fault time
+    // does not count against the timeout).
+    const bool faulted = runtime_.fault[i].faulted;
+    if (efifos_[i].faulted() && !faulted) {
+      pu_[i]->clear_stalls();
+      pu_[i]->restamp(now);
+    }
+    efifos_[i].set_faulted(faulted);
+  }
+  // Synchronous budget recharge for all TS modules every period T. The
+  // boundary test is `now % T == 0`, but the divide runs only when the
+  // cached next-boundary deadline is due (or stale after a runtime period
+  // write): between boundaries this is a single compare.
+  const Cycle period = runtime_.reservation_period;
+  if (period != 0) {
+    if (period != recharge_period_) {
+      recharge_period_ = period;
+      recharge_next_.set(0);  // stale: re-derive from `now` below
+    }
+    if (now >= recharge_next_.get()) {
+      if (now % period == 0) {
+        if (tracing()) {
+          trace_->record(now, name() + ".central", "window_recharge");
+          // Budget consumed in the window that just closed, per port — the
+          // reservation-window accounting behind the Fig. 5 bandwidth
+          // plots.
+          for (PortIndex i = 0; i < num_ports(); ++i) {
+            trace_->record_counter(
+                now, port_source(i), "budget_used",
+                static_cast<double>(runtime_.budgets[i] -
+                                    budget_left_.get(i)));
+          }
+        }
+        budget_left_ = runtime_.budgets;
+        ++recharges_;
+      }
+      recharge_next_.set((now / period + 1) * period);
+    }
+  }
+}
+
+void HyperConnect::tick_protection(Cycle now) {
+  if (runtime_.fault.empty()) return;
+  // Culprit-first: a handshake stall or malformed burst identifies the
+  // misbehaving port precisely (stall counters only accumulate for the
+  // head-of-line blocker of a shared path). At most one fault per cycle.
+  for (PortIndex i = 0; i < num_ports(); ++i) {
+    if (runtime_.fault[i].faulted) continue;
+    const FaultCause cause = pu_[i]->evaluate_stalls();
+    if (cause != FaultCause::kNone) {
+      trigger_fault(i, cause, now);
+      return;
+    }
+  }
+  if (runtime_.prot_timeout == 0) return;
+  // Age backstop, suppressed while any port is a stall suspect: a port
+  // queued behind a wedge has old sub-transactions through no fault of its
+  // own and must not be blamed (the culprit faults first, and
+  // trigger_fault's restamp amnesty resets everyone else's ages).
+  for (PortIndex i = 0; i < num_ports(); ++i) {
+    if (!runtime_.fault[i].faulted && pu_[i]->suspected()) return;
+  }
+  for (PortIndex i = 0; i < num_ports(); ++i) {
+    if (runtime_.fault[i].faulted) continue;
+    const auto oldest = pu_[i]->oldest_issue();
+    if (oldest.has_value() && now - *oldest >= 2 * runtime_.prot_timeout) {
+      trigger_fault(i, FaultCause::kTimeout, now);
+      return;
+    }
+  }
+}
+
+void HyperConnect::trigger_fault(PortIndex i, FaultCause cause, Cycle now) {
+  PortFault& f = runtime_.fault[i];
+  f.faulted = true;
+  f.cause = cause;
+  ++f.count;
+  f.last_cycle = now;
+  ++faults_latched_;
+  efifos_[i].set_faulted(true);
+  if (tracing()) {
+    trace_->record(now, port_source(i),
+                   "fault cause=" + std::to_string(static_cast<int>(cause)));
+  }
+  AXIHC_LOG_WARN() << name() << " @" << now << ": port " << i
+                   << " faulted (cause " << static_cast<int>(cause)
+                   << ") — isolating and synthesizing SLVERR completions";
+
+  // Ground the request side with a one-time flush. R/B contents are KEPT:
+  // beats already queued toward the HA belong to sub-transactions that may
+  // have retired their records — dropping them would erase completions the
+  // HA is still owed (it would then see the next transaction's completion
+  // while waiting on the current one: a protocol violation on an in-order
+  // port, a wedge on any port).
+  AxiLink& link = port_link(i);
+  link.ar.clear_contents();
+  link.aw.clear_contents();
+  link.w.clear_contents();
+
+  // Synthesize a terminal SLVERR completion for every HA transaction that
+  // still owes one: in-flight final sub-bursts, plus the transaction being
+  // split (its final sub-request never went downstream). The PU/TS records
+  // are kept — in-flight sub-bursts still complete downstream (read data is
+  // dropped at the faulted port, granted writes are zero-filled) and retire
+  // their records, so the merge bookkeeping stays consistent. Completions
+  // go through the owed queues (drained in tick() as R/B capacity frees,
+  // behind whatever legitimate beats were kept above), so none is ever
+  // dropped on a full queue.
+  for (const auto& rec : pu_[i]->reads()) {
+    if (rec.is_final) {
+      owed_r_[i].push_back({rec.id, 0, true, Resp::kSlvErr});
+      ++owed_pending_;
+    }
+  }
+  if (const auto id = ts_[i]->active_read_id()) {
+    owed_r_[i].push_back({*id, 0, true, Resp::kSlvErr});
+    ++owed_pending_;
+  }
+  for (const auto& rec : pu_[i]->writes()) {
+    if (rec.is_final) {
+      owed_b_[i].push_back({rec.id, Resp::kSlvErr});
+      ++owed_pending_;
+    }
+  }
+  if (const auto id = ts_[i]->active_write_id()) {
+    owed_b_[i].push_back({*id, Resp::kSlvErr});
+    ++owed_pending_;
+  }
+  ts_[i]->abort_pending_issue();
+  pu_[i]->clear_stalls();
+  if (auditing()) audit_->on_port_disturbed(i, now);
+
+  // Amnesty for the bystanders: time their sub-transactions spent wedged
+  // behind the culprit must not count against the age backstop.
+  for (PortIndex j = 0; j < num_ports(); ++j) {
+    if (j != i) pu_[j]->restamp(now);
+  }
+}
+
+void HyperConnect::tick_r_path() {
+  if (!master_link().r.can_pop()) return;
+
+  PortIndex port = 0;
+  if (runtime_.out_of_order) {
+    // ID-extension mode: the source port is encoded in the upper ID bits.
+    port = static_cast<PortIndex>(master_link().r.front().id >> kIdPortShift);
+    AXIHC_CHECK_MSG(port < num_ports(),
+                    name() << ": R beat with unroutable extended id");
+  } else {
+    auto& route = exbar_.read_route();
+    AXIHC_CHECK_MSG(!route.empty(), name() << ": R data with no routing info");
+    port = route.front().port;
+  }
+  Efifo& fifo = efifos_[port];
+
+  if (fifo.active() && !fifo.can_push_r()) {
+    // Upstream backpressure: this port is the head-of-line blocker of the
+    // shared read-return stream (its HA holds RREADY low with a full R
+    // queue) — exactly the stall the protection unit polices.
+    pu_[port]->observe_r_stall(true);
+    return;
+  }
+  pu_[port]->observe_r_stall(false);
+
+  RBeat raw = master_link().r.pop();
+  const bool subburst_end = raw.last;  // controller-level LAST
+  if (runtime_.out_of_order) {
+    raw.id &= (TxnId{1} << kIdPortShift) - 1;  // restore the HA's ID
+  }
+  const RBeat merged = ts_[port]->process_r_beat(raw);
+  if (fifo.active()) {
+    fifo.push_r(merged);
+    ++mutable_counters(port).r_beats;
+  }
+  // A decoupled/faulted port's signals are grounded: the beat is dropped,
+  // but the routing/merge bookkeeping above stays consistent.
+  if (subburst_end) pu_[port]->on_read_sub_complete();
+  if (!runtime_.out_of_order && subburst_end) exbar_.read_route().pop();
+}
+
+void HyperConnect::tick_b_path() {
+  if (!master_link().b.can_pop()) return;
+
+  PortIndex port = 0;
+  if (runtime_.out_of_order) {
+    port = static_cast<PortIndex>(master_link().b.front().id >> kIdPortShift);
+    AXIHC_CHECK_MSG(port < num_ports(),
+                    name() << ": B with unroutable extended id");
+  } else {
+    auto& route = exbar_.b_route();
+    AXIHC_CHECK_MSG(!route.empty(), name() << ": B with no routing info");
+    port = route.front();
+  }
+  Efifo& fifo = efifos_[port];
+
+  if (fifo.active() && !fifo.can_push_b()) {
+    pu_[port]->observe_b_stall(true);
+    return;
+  }
+  pu_[port]->observe_b_stall(false);
+
+  BResp resp = master_link().b.pop();
+  if (runtime_.out_of_order) {
+    resp.id &= (TxnId{1} << kIdPortShift) - 1;
+  }
+  const bool forward = ts_[port]->process_b(resp);
+  pu_[port]->on_write_sub_complete();
+  if (forward && fifo.active()) {
+    fifo.push_b(resp);
+    ++mutable_counters(port).b_resps;
+  }
+  if (!runtime_.out_of_order) exbar_.b_route().pop();
+}
+
+void HyperConnect::tick_w_path() {
+  auto& route = exbar_.write_route();
+  if (route.empty()) return;
+  auto& entry = route.front();
+  Efifo& fifo = efifos_[entry.port];
+  if (!master_link().w.can_push()) return;
+  AXIHC_CHECK(entry.beats > 0);
+  const bool sub_end = entry.beats == 1;
+
+  WBeat beat;
+  if (fifo.active()) {
+    if (!fifo.w_available()) {
+      // A granted sub-write is starving for W data: this port wedges the
+      // shared write path head-of-line (hung W stream / truncated burst).
+      pu_[entry.port]->observe_w_stall(true);
+      return;
+    }
+    pu_[entry.port]->observe_w_stall(false);
+    beat = fifo.pop_w();
+    const bool orig_last = beat.last;
+    // WLAST legality at the re-chunk boundary. A mismatch (early, late or
+    // missing WLAST — e.g. a corrupted AWLEN) is a protocol fault handled
+    // gracefully by the protection unit; the stream stays legal downstream
+    // because WLAST is rewritten to the sub-burst boundary below.
+    if (orig_last != (sub_end && entry.expects_orig_last)) {
+      pu_[entry.port]->flag_malformed();
+    }
+    ++mutable_counters(entry.port).w_beats;
+  } else {
+    // Decoupled/faulted port with an already-granted sub-AW: its W input is
+    // grounded. Feed zero beats so the granted transaction completes and
+    // the shared W path cannot be wedged by the isolated HA.
+    beat = WBeat{0, 0xff, false};
+  }
+  // Re-chunk WLAST to the sub-burst boundary created by the TS split.
+  beat.last = sub_end;
+  master_link().w.push(beat);
+  --entry.beats;
+  if (sub_end) route.pop();
+}
+
+Cycle HyperConnect::next_activity(Cycle now) const {
+  // Control-interface traffic to serve.
+  if (control_link_.ar.can_pop() || control_link_.aw.can_pop() ||
+      control_link_.w.can_pop()) {
+    return now;
+  }
+  // Proactive data/response paths: returning R/B, or granted sub-writes
+  // still pulling W beats (the route entry drives the pull even when the
+  // port's W data has not arrived — that is exactly a PU stall observation).
+  if (master_link().r.can_pop() || master_link().b.can_pop()) return now;
+  if (!exbar_.write_route().empty()) return now;
+  // EXBAR output registers draining into the master eFIFO.
+  if (xbar_ar_.can_pop() || xbar_aw_.can_pop()) return now;
+
+  for (PortIndex i = 0; i < num_ports(); ++i) {
+    // Central-unit state sync pending (decouple/recouple or fault latch).
+    if (efifos_[i].coupled() != runtime_.coupled[i]) return now;
+    if (efifos_[i].faulted() != runtime_.fault[i].faulted) return now;
+    // A decoupled port grounds its signals continuously: queued traffic is
+    // still being flushed and a half-split burst aborted on the next tick.
+    if (!runtime_.coupled[i]) {
+      const AxiLink& link = port_link(i);
+      if (!link.ar.empty() || !link.aw.empty() || !link.w.empty() ||
+          !link.r.empty() || !link.b.empty() ||
+          ts_[i]->active_read_id().has_value() ||
+          ts_[i]->active_write_id().has_value()) {
+        return now;
+      }
+    }
+    // Owed synthesized completions wait for R/B capacity (or, decoupled,
+    // for the central unit to discard them).
+    if (!owed_r_[i].empty() || !owed_b_[i].empty()) return now;
+    // TS output stages feeding the EXBAR.
+    if (ts_ar_[i]->can_pop() || ts_aw_[i]->can_pop()) return now;
+    // Protection unit: in-flight records age and stall counters accumulate
+    // every cycle; conservative while anything is outstanding or suspected.
+    if (pu_[i]->oldest_issue().has_value() || pu_[i]->suspected()) return now;
+    if (ts_[i]->reads_outstanding() > 0 || ts_[i]->writes_outstanding() > 0) {
+      return now;
+    }
+    // Issue step could make progress (new request, or a split with budget).
+    if (ts_[i]->issue_pending(efifos_[i], *ts_ar_[i], *ts_aw_[i],
+                              budget_left_[i])) {
+      return now;
+    }
+  }
+
+  // Quiescent except for the central unit's synchronous recharge, which is
+  // observable (recharges_ counter, budget refill, trace instants) at every
+  // window boundary — and a budget-starved split resumes exactly there.
+  if (runtime_.reservation_period != 0) {
+    const Cycle p = runtime_.reservation_period;
+    return now % p == 0 ? now : (now / p + 1) * p;
+  }
+  return kNoCycle;
+}
+
+void HyperConnect::tick(Cycle now) {
+  if (track_efifo_peaks_) {
+    for (PortIndex i = 0; i < num_ports(); ++i) {
+      efifo_peak_[i] = std::max(efifo_peak_[i], efifos_[i].level());
+    }
+  }
+  tick_control_interface();
+  tick_central_unit(now);
+
+  // Protection units: evaluate the stall/age observations accumulated by
+  // the data paths up to the previous cycle, before this cycle's traffic.
+  tick_protection(now);
+
+  // Deliver owed synthesized completions as R/B capacity frees. Runs before
+  // the data paths so owed beats always land ahead of any newer traffic.
+  // owed_pending_ counts queued completions across all ports, so the
+  // fault-free common case skips the per-port deque walk entirely.
+  if (owed_pending_ != 0) {
+    for (PortIndex i = 0; i < num_ports(); ++i) {
+      if (!efifos_[i].coupled()) continue;
+      AxiLink& link = port_link(i);
+      while (!owed_r_[i].empty() && link.r.can_push()) {
+        link.r.push(owed_r_[i].front());
+        owed_r_[i].pop_front();
+        --owed_pending_;
+      }
+      while (!owed_b_[i].empty() && link.b.can_push()) {
+        link.b.push(owed_b_[i].front());
+        owed_b_[i].pop_front();
+        --owed_pending_;
+      }
+    }
+  }
+
+  // Proactive data/response paths (no added latency).
+  tick_r_path();
+  tick_b_path();
+  tick_w_path();
+
+  // TS modules: one sub-request per port per direction per cycle. Every
+  // issued sub-transaction is registered with the port's protection unit.
+  const bool audit = auditing();
+  if (audit) audit_->on_hc_tick(now);
+  for (PortIndex i = 0; i < num_ports(); ++i) {
+    // The TS pops the next original request before issuing; observe the pop
+    // (peek + precondition) so the auditor sees the accept with its payload.
+    bool accept_r = false;
+    bool accept_w = false;
+    AddrReq orig_r;
+    AddrReq orig_w;
+    if (audit && runtime_.global_enable) {
+      if (!ts_[i]->active_read_id().has_value() &&
+          efifos_[i].ar_available()) {
+        accept_r = true;
+        orig_r = efifos_[i].peek_ar();
+      }
+      if (!ts_[i]->active_write_id().has_value() &&
+          efifos_[i].aw_available()) {
+        accept_w = true;
+        orig_w = efifos_[i].peek_aw();
+      }
+    }
+    if (const auto sub =
+            ts_[i]->tick_read_issue(efifos_[i], *ts_ar_[i], budget_left_[i])) {
+      pu_[i]->on_issue_read(sub->id, sub->is_final, now);
+      if (audit) {
+        if (accept_r) audit_->on_accept(i, false, orig_r, now);
+        audit_->on_sub_issue(i, false, sub->is_final, now);
+      }
+    } else if (audit && accept_r) {
+      audit_->on_accept(i, false, orig_r, now);
+    }
+    if (const auto sub = ts_[i]->tick_write_issue(efifos_[i], *ts_aw_[i],
+                                                  budget_left_[i])) {
+      pu_[i]->on_issue_write(sub->id, sub->is_final, now);
+      if (audit) {
+        if (accept_w) audit_->on_accept(i, true, orig_w, now);
+        audit_->on_sub_issue(i, true, sub->is_final, now);
+      }
+    } else if (audit && accept_w) {
+      audit_->on_accept(i, true, orig_w, now);
+    }
+  }
+  // Classify why each still-active split could not issue this cycle; the
+  // auditor charges the cycles until the next evaluation to this cause.
+  if (audit) {
+    const auto classify = [this](PortIndex i,
+                                 std::uint32_t outstanding,
+                                 const TimingChannel<AddrReq>& stage) {
+      if (!runtime_.global_enable) return LatencyCause::kBackpressure;
+      if (runtime_.reservation_period != 0 && budget_left_.get(i) == 0) {
+        return LatencyCause::kBudgetWait;
+      }
+      if (!stage.can_push()) return LatencyCause::kArbitration;
+      if (outstanding >= runtime_.max_outstanding) {
+        return LatencyCause::kBackpressure;
+      }
+      return LatencyCause::kPipeline;  // will issue next cycle
+    };
+    for (PortIndex i = 0; i < num_ports(); ++i) {
+      if (ts_[i]->active_read_id().has_value()) {
+        audit_->on_stall_cause(
+            i, false, classify(i, ts_[i]->reads_outstanding(), *ts_ar_[i]));
+      }
+      if (ts_[i]->active_write_id().has_value()) {
+        audit_->on_stall_cause(
+            i, true, classify(i, ts_[i]->writes_outstanding(), *ts_aw_[i]));
+      }
+    }
+  }
+
+  // EXBAR: fixed-granularity round-robin, one grant per address channel.
+  if (auto p = exbar_.grant_read(ts_ar_ptrs_, xbar_ar_)) {
+    ++mutable_counters(*p).ar_granted;
+    if (tracing()) {
+      trace_->record(now, name() + ".exbar",
+                     "ar_grant_p" + std::to_string(*p));
+    }
+    if (audit) audit_->on_grant(*p, false, now);
+  }
+  if (auto p = exbar_.grant_write(ts_aw_ptrs_, xbar_aw_)) {
+    ++mutable_counters(*p).aw_granted;
+    if (tracing()) {
+      trace_->record(now, name() + ".exbar",
+                     "aw_grant_p" + std::to_string(*p));
+    }
+    if (audit) audit_->on_grant(*p, true, now);
+  }
+
+  // Master eFIFO stage toward the FPGA-PS interface.
+  if (xbar_ar_.can_pop() && master_link().ar.can_push()) {
+    master_link().ar.push(xbar_ar_.pop());
+    if (audit) audit_->on_hc_exit(false, now);
+  }
+  if (xbar_aw_.can_pop() && master_link().aw.can_push()) {
+    master_link().aw.push(xbar_aw_.pop());
+    if (audit) audit_->on_hc_exit(true, now);
+  }
+}
+
+}  // namespace axihc

@@ -1,0 +1,204 @@
+// Per-transaction latency provenance and live WCLA bound auditing.
+//
+// The analysis layer (src/analysis/wcla.*) proves per-port latency bounds;
+// this module closes the loop at runtime: every HA transaction is stamped at
+// each lifecycle hop (master issue -> eFIFO accept -> final sub issued ->
+// EXBAR grant -> HyperConnect exit -> memory service -> response delivered),
+// every cycle of its latency is attributed to a cause bucket, and the
+// observed latency is compared against the analytic bound. A violation is a
+// soundness bug in either the analysis or the interconnect, surfaced as a
+// first-class metric and trace instant.
+//
+// How the hops are matched without touching simulated state: on an in-order
+// HyperConnect every pipeline stage (TS output stage, EXBAR output register,
+// master eFIFO, in-order memory queue) is a FIFO per port or per direction,
+// so the audit mirrors each stage with its own token queue and matches
+// events positionally. Nothing is written into AddrReq or any component —
+// state digests are bit-identical with the auditor on or off, and the whole
+// layer costs one pointer test per hook site when detached.
+//
+// What is audited: the analytic bound assumes the request arrives to an
+// otherwise-idle own port (the validation fixtures use max_outstanding = 1
+// victims). Real workloads pipeline requests, so raw end-to-end latency
+// includes self-queuing behind the port's own earlier requests — delay the
+// port asked for, not interference. The auditor therefore checks the
+// busy-period-normalized latency: completion minus max(issue, previous
+// completion on the same port). Both raw and normalized values are recorded.
+//
+// Excluded from the bound check (still recorded): error completions,
+// transactions whose port faulted or was decoupled during their lifetime,
+// and configurations the analysis does not model (out-of-order mode,
+// FR-FCFS memory scheduling, PS-stall interference, SmartConnect).
+#pragma once
+
+#include <array>
+#include <cstdint>
+#include <deque>
+#include <iosfwd>
+#include <map>
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "analysis/wcla.hpp"
+#include "axi/axi.hpp"
+#include "obs/audit_hooks.hpp"
+#include "obs/flight_recorder.hpp"
+#include "obs/histogram.hpp"
+#include "obs/metrics.hpp"
+#include "sim/trace.hpp"
+
+namespace axihc {
+
+class LatencyAudit final : public LatencyAuditHooks {
+ public:
+  LatencyAudit(PortIndex num_ports, std::size_t flight_capacity);
+
+  /// Master switch. Hooks early-return when disabled, so an attached-but-
+  /// disabled auditor costs one call + branch per hook site (benchmarked by
+  /// BM_AuditIdleAttached, CI-gated like the observability pair).
+  void set_enabled(bool on) { enabled_ = on; }
+
+  /// Enables bound checking against audit_wcrt_read/audit_wcrt_write for
+  /// the given interconnect/platform model. Without a bound model the audit
+  /// still collects provenance, histograms and flight records.
+  void set_bound_model(HcAnalysisConfig cfg, AnalysisPlatform platform);
+
+  /// Test hook: forces every bound to `bound` (0 = use the model). A
+  /// deliberately-tightened bound must make the auditor fire — that is the
+  /// auditor's own fault-injection test.
+  void set_bound_override(Cycle bound) { bound_override_ = bound; }
+
+  /// Trace sink for flow events (request->response arrows), violation
+  /// instants. nullptr disables.
+  void set_trace(EventTrace* trace) { trace_ = trace; }
+  /// Source names used on trace events (defaults: "hc.portN" / "mem").
+  void set_port_source(PortIndex port, std::string source);
+  void set_mem_source(std::string source) { mem_source_ = std::move(source); }
+
+  void register_metrics(MetricsRegistry& reg);
+
+  // --- hooks: HyperConnect -------------------------------------------------
+  /// Once per HyperConnect tick, before the TS issue loop: charges the
+  /// cycles since the last tick to each stalled split's frozen cause
+  /// (span-based, so fast-forwarded stretches are attributed correctly).
+  void on_hc_tick(Cycle now) override;
+  /// TS popped `orig` from the port's eFIFO (split begins).
+  void on_accept(PortIndex port, bool is_write, const AddrReq& orig,
+                 Cycle now) override;
+  /// TS issued one sub-request into its output stage.
+  void on_sub_issue(PortIndex port, bool is_write, bool is_final,
+                    Cycle now) override;
+  /// Why the port's active split could not issue this cycle (evaluated by
+  /// the HyperConnect after the issue loop; charged on the next on_hc_tick).
+  void on_stall_cause(PortIndex port, bool is_write,
+                      LatencyCause cause) override;
+  /// EXBAR granted this port's oldest staged sub-request.
+  void on_grant(PortIndex port, bool is_write, Cycle now) override;
+  /// A sub-request left the HyperConnect into the master eFIFO.
+  void on_hc_exit(bool is_write, Cycle now) override;
+  /// The port faulted or was decoupled: close its stall classifiers and
+  /// mark its in-flight transactions fault-affected (excluded from bounds).
+  void on_port_disturbed(PortIndex port, Cycle now) override;
+
+  // --- hooks: memory controller (in-order scheduling only) -----------------
+  void on_mem_start(bool is_write, Cycle now) override;
+  void on_mem_done(Cycle now) override;
+
+  // --- hooks: masters ------------------------------------------------------
+  /// Response delivered. `req` is the original HA-side request.
+  void on_complete(PortIndex port, bool is_write, const AddrReq& req,
+                   bool failed, Cycle now) override;
+
+  // --- results -------------------------------------------------------------
+  [[nodiscard]] std::uint64_t transactions() const { return txns_; }
+  [[nodiscard]] std::uint64_t bound_checked() const { return bound_checked_; }
+  [[nodiscard]] std::uint64_t bound_violations() const {
+    return bound_violations_;
+  }
+  [[nodiscard]] std::uint64_t excluded() const { return excluded_; }
+  [[nodiscard]] bool bounds_enabled() const { return bound_model_.has_value(); }
+
+  /// Worst audited-latency / bound ratio observed across all checked
+  /// transactions (0 when none was checked). <= 1.0 means every observed
+  /// latency respected its bound.
+  [[nodiscard]] double max_latency_ratio() const { return max_ratio_; }
+
+  [[nodiscard]] const FlightRecorder& flight_recorder() const {
+    return flight_;
+  }
+
+  [[nodiscard]] const LogHistogram& histogram(PortIndex port,
+                                              bool is_write) const;
+  [[nodiscard]] Cycle max_latency(PortIndex port, bool is_write) const;
+  [[nodiscard]] Cycle max_audited(PortIndex port, bool is_write) const;
+  [[nodiscard]] Cycle bound_for(PortIndex port, bool is_write,
+                                BeatCount beats);
+
+  /// Per-port roll-up table: count, p50/p99/p99.9/max, audited max vs bound,
+  /// slack, violations, and the cause breakdown.
+  void write_rollup(std::ostream& os) const;
+
+ private:
+  struct StageToken {
+    PortIndex port = 0;
+    bool is_final = false;
+  };
+
+  struct PortDirState {
+    std::deque<FlightRecord> open;  // accepted, not yet completed
+    // Stall classifier for the (single) active split of this port+dir.
+    bool stall_active = false;
+    Cycle last_eval = 0;
+    LatencyCause frozen = LatencyCause::kPipeline;
+    std::deque<bool> ts_stage;  // is_final, per sub in the TS output stage
+    LogHistogram hist;
+    std::array<std::uint64_t, kLatencyCauseCount> cause_total{};
+    Cycle max_latency = 0;
+    Cycle max_audited = 0;
+    std::uint64_t violations = 0;
+  };
+
+  [[nodiscard]] PortDirState& state(PortIndex port, bool is_write);
+  [[nodiscard]] const PortDirState& state(PortIndex port,
+                                          bool is_write) const;
+  [[nodiscard]] std::string port_source(PortIndex port) const;
+  void flush_stall(PortDirState& pd, Cycle now);
+  /// First open record of `pd` whose `field` is unset and whose
+  /// prerequisite hop is set — hop events fill records strictly in order.
+  FlightRecord* fill_target(PortDirState& pd, Cycle FlightRecord::*field);
+  void finalize(PortIndex port, bool is_write, FlightRecord rec, Cycle now);
+
+  PortIndex num_ports_;
+  std::vector<PortDirState> per_port_dir_;  // [port * 2 + is_write]
+  std::array<std::deque<StageToken>, 2> xbar_stage_;   // [is_write]
+  std::array<std::deque<StageToken>, 2> mem_pending_;  // [is_write]
+  std::optional<StageToken> mem_current_;
+  bool mem_current_write_ = false;
+  std::vector<Cycle> prev_completion_;  // per port, any direction
+
+  std::optional<HcAnalysisConfig> bound_model_;
+  AnalysisPlatform bound_platform_;
+  Cycle bound_override_ = 0;
+  std::map<std::uint64_t, Cycle> bound_cache_;
+
+  EventTrace* trace_ = nullptr;
+  std::vector<std::string> port_sources_;
+  std::string mem_source_ = "mem";
+  std::uint64_t flow_seq_ = 0;
+
+  FlightRecorder flight_;
+  std::uint64_t txns_ = 0;
+  std::uint64_t bound_checked_ = 0;
+  std::uint64_t bound_violations_ = 0;
+  std::uint64_t excluded_ = 0;
+  std::uint64_t untracked_ = 0;
+  double max_ratio_ = 0.0;
+
+  /// Cap on open-record queues: recovery resets abandon master transactions
+  /// whose completions never arrive; their stale records are pruned here.
+  static constexpr std::size_t kOpenCap = 256;
+};
+
+}  // namespace axihc

@@ -1,0 +1,528 @@
+#include "prove/prove.hpp"
+
+#include <algorithm>
+#include <map>
+#include <ostream>
+#include <sstream>
+
+#include "common/check.hpp"
+#include "hyperconnect/config.hpp"
+
+namespace axihc {
+
+namespace {
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (c == '\n') {
+      out += "\\n";
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+std::string quoted(const std::string& s) {
+  return "\"" + json_escape(s) + "\"";
+}
+
+/// ceil(a / b) for b >= 1.
+std::uint64_t ceil_div(std::uint64_t a, std::uint64_t b) {
+  return (a + b - 1) / b;
+}
+
+// ---------------------------------------------------------------------------
+// deadlock-freedom: cycle analysis over the waits-for graph
+
+ProveCheck check_deadlock(const ProveInput& in) {
+  ProveCheck c;
+  c.id = "deadlock-freedom";
+
+  // Index the nodes; edges may reference endpoints the caller never listed
+  // explicitly (hand-built inputs), which simply become nodes.
+  std::map<std::string, std::size_t> index;
+  std::vector<std::string> names;
+  const auto intern = [&](const std::string& name) {
+    const auto [it, fresh] = index.emplace(name, names.size());
+    if (fresh) names.push_back(name);
+    return it->second;
+  };
+  for (const std::string& n : in.nodes) intern(n);
+  std::vector<std::vector<std::size_t>> adj;
+  for (const ProveEdge& e : in.edges) {
+    const std::size_t from = intern(e.from);
+    const std::size_t to = intern(e.to);
+    adj.resize(names.size());
+    adj[from].push_back(to);
+  }
+  adj.resize(names.size());
+
+  // Iterative three-color DFS; a back edge to an in-progress node is a
+  // waits-for cycle, reported as the certificate's counterexample.
+  enum : std::uint8_t { kWhite, kGray, kBlack };
+  std::vector<std::uint8_t> color(names.size(), kWhite);
+  std::vector<std::size_t> parent(names.size(), SIZE_MAX);
+  std::vector<std::size_t> cycle;
+  for (std::size_t root = 0; root < names.size() && cycle.empty(); ++root) {
+    if (color[root] != kWhite) continue;
+    std::vector<std::pair<std::size_t, std::size_t>> stack{{root, 0}};
+    color[root] = kGray;
+    while (!stack.empty() && cycle.empty()) {
+      auto& [node, next] = stack.back();
+      if (next >= adj[node].size()) {
+        color[node] = kBlack;
+        stack.pop_back();
+        continue;
+      }
+      const std::size_t to = adj[node][next++];
+      if (color[to] == kGray) {
+        // Unwind node -> ... -> to along the parent chain.
+        cycle.push_back(to);
+        for (std::size_t at = node; at != to; at = parent[at]) {
+          cycle.push_back(at);
+        }
+        std::reverse(cycle.begin(), cycle.end());
+        cycle.push_back(to);  // close the loop for readability
+      } else if (color[to] == kWhite) {
+        color[to] = kGray;
+        parent[to] = node;
+        stack.emplace_back(to, 0);
+      }
+    }
+  }
+
+  c.facts.emplace_back("nodes", std::to_string(names.size()));
+  c.facts.emplace_back("edges", std::to_string(in.edges.size()));
+  if (cycle.empty()) {
+    c.verdict = ProveVerdict::kProven;
+    std::ostringstream os;
+    os << "waits-for graph is acyclic (" << names.size() << " endpoints, "
+       << in.edges.size()
+       << " dependency edges incl. owed-completion back-edges): every "
+          "queue drains toward a sink, so no set of full queues can wait "
+          "on itself";
+    c.detail = os.str();
+  } else {
+    c.verdict = ProveVerdict::kDisproved;
+    std::ostringstream path;
+    for (std::size_t i = 0; i < cycle.size(); ++i) {
+      if (i != 0) path << " -> ";
+      path << names[cycle[i]];
+    }
+    c.detail = "waits-for cycle found: " + path.str() +
+               " — each endpoint's progress requires the next, so a state "
+               "with all of them blocked never drains";
+    c.facts.emplace_back("cycle", quoted(path.str()));
+  }
+  return c;
+}
+
+// ---------------------------------------------------------------------------
+// efifo-backlog: arrival curves vs the reservation / round-robin service
+
+ProveCheck check_backlog(const ProveInput& in,
+                         std::vector<ProveBacklogBound>& out) {
+  ProveCheck c;
+  c.id = "efifo-backlog";
+  if (!in.hyperconnect) {
+    c.verdict = ProveVerdict::kUnmodeled;
+    c.detail =
+        "SmartConnect baseline: no eFIFO structure to bound (the paper's "
+        "predictability analysis does not cover it)";
+    return c;
+  }
+
+  std::vector<std::uint32_t> budgets = in.analysis.budgets;
+  budgets.resize(in.num_ports, 0);
+  const bool reservation_on = in.analysis.reservation_period != 0;
+  HcAnalysisConfig feas = in.analysis;
+  feas.budgets = budgets;
+  const bool feasible =
+      reservation_on && reservation_feasible(feas, in.platform);
+
+  bool any_backpressure = false;
+  bool curve_applied = false;
+  std::uint64_t worst_total = 0;
+  for (std::size_t p = 0; p < in.has.size(); ++p) {
+    const ProveHaModel& ha = in.has[p];
+    // Flow-control demand: every queued AR/AW is an in-flight request of
+    // this HA, every queued W/R beat belongs to one, so the outstanding
+    // limit caps each queue's occupancy regardless of service timing.
+    std::uint64_t demand_ar = ha.reads ? ha.max_outstanding : 0;
+    std::uint64_t demand_aw = ha.writes ? ha.max_outstanding : 0;
+
+    // Arrival-curve refinement for paced single-direction HAs under a
+    // feasible reservation: arrivals obey the leaky bucket of 1 request
+    // per gap+1 cycles, and the supply curve guarantees
+    // floor(budget / subs-per-request) request completions per period once
+    // service starts. When the guaranteed service rate strictly exceeds
+    // the arrival rate, the backlog peaks before the first supply period
+    // completes: at most ceil(period / (gap+1)) arrivals plus one
+    // in-service request.
+    if (feasible && ha.gap_cycles > 0 && ha.reads != ha.writes &&
+        budgets[p] > 0) {
+      const std::uint32_t subs =
+          sub_transaction_count(in.analysis, ha.burst_beats);
+      const std::uint64_t service_per_period = budgets[p] / subs;
+      const std::uint64_t arrivals_per_period =
+          ceil_div(in.analysis.reservation_period, ha.gap_cycles + 1);
+      if (service_per_period >= arrivals_per_period + 1) {
+        const std::uint64_t curve = arrivals_per_period + 1;
+        std::uint64_t& demand = ha.reads ? demand_ar : demand_aw;
+        if (curve < demand) {
+          demand = curve;
+          curve_applied = true;
+        }
+      }
+    }
+
+    ProveBacklogBound b;
+    b.ar = std::min<std::uint64_t>(demand_ar, in.ar_depth);
+    b.aw = std::min<std::uint64_t>(demand_aw, in.aw_depth);
+    b.w = std::min<std::uint64_t>(demand_aw * ha.burst_beats, in.w_depth);
+    b.r = std::min<std::uint64_t>(demand_ar * ha.burst_beats, in.r_depth);
+    b.b = std::min<std::uint64_t>(demand_aw, in.b_depth);
+    b.total = b.ar + b.aw + b.w + b.r + b.b;
+    b.backpressure = demand_ar > in.ar_depth || demand_aw > in.aw_depth ||
+                     demand_aw * ha.burst_beats > in.w_depth ||
+                     demand_ar * ha.burst_beats > in.r_depth;
+    any_backpressure |= b.backpressure;
+    worst_total = std::max(worst_total, b.total);
+    out.push_back(b);
+  }
+  // Ports with no attached HA receive no traffic: zero backlog.
+  out.resize(in.num_ports);
+
+  c.verdict = ProveVerdict::kProven;
+  c.facts.emplace_back("worst_port_backlog", std::to_string(worst_total));
+  c.facts.emplace_back("backpressure",
+                       any_backpressure ? "true" : "false");
+  c.facts.emplace_back("arrival_curve_applied",
+                       curve_applied ? "true" : "false");
+  std::ostringstream os;
+  os << "worst-case per-port eFIFO occupancy " << worst_total
+     << " entries across the five channel queues (flow-control demand from "
+        "per-HA outstanding limits"
+     << (curve_applied ? ", tightened by the arrival/service-curve backlog"
+                       : "")
+     << ", clamped to configured depths)";
+  if (any_backpressure) {
+    os << "; request-side demand exceeds the AR/AW depth on at least one "
+          "port, so the eFIFO always-ready premise is not certified "
+          "(back-pressure, not overflow)";
+  }
+  c.detail = os.str();
+  return c;
+}
+
+// ---------------------------------------------------------------------------
+// reservation: starvation-freedom, feasibility, ID headroom
+
+ProveCheck check_reservation(const ProveInput& in, ProveReport& report) {
+  ProveCheck c;
+  c.id = "reservation";
+  if (!in.hyperconnect) {
+    c.verdict = ProveVerdict::kUnmodeled;
+    c.detail = "SmartConnect baseline: no reservation unit to analyse";
+    return c;
+  }
+
+  std::vector<std::uint32_t> budgets = in.analysis.budgets;
+  budgets.resize(in.num_ports, 0);
+  report.reservation_on = in.analysis.reservation_period != 0;
+
+  std::vector<std::string> problems;
+
+  // ID headroom under the out-of-order ID extension: the port index is
+  // packed above bit kIdPortShift, so a wider HA-side ID would alias ports.
+  if (in.out_of_order && in.id_bits > kIdPortShift) {
+    std::ostringstream os;
+    os << "HA-side AxID width " << in.id_bits
+       << " exceeds the ID-extension boundary (kIdPortShift = "
+       << kIdPortShift
+       << "): extended IDs alias across ports and responses misroute";
+    problems.push_back(os.str());
+    c.facts.emplace_back("id_headroom", "false");
+  } else {
+    c.facts.emplace_back("id_headroom", "true");
+  }
+
+  if (!report.reservation_on) {
+    c.facts.emplace_back("reservation", "\"off\"");
+    report.reservation_feasible = true;
+    if (problems.empty()) {
+      c.verdict = ProveVerdict::kProven;
+      c.detail =
+          "reservation disabled: fixed-granularity round-robin alone "
+          "guarantees every backlogged port a grant each round "
+          "(starvation-free by construction)";
+    }
+  } else {
+    // Starvation: the central unit recharges a zero budget to zero, so the
+    // TS never issues for that port again — an attached HA wedges forever.
+    for (std::size_t p = 0; p < in.has.size(); ++p) {
+      if (budgets[p] != 0) continue;
+      std::ostringstream os;
+      os << "port " << p << " (" << in.has[p].name
+         << ") has budget 0 under an active reservation (period "
+         << in.analysis.reservation_period
+         << "): the transaction supervisor never issues for it, so the "
+            "attached HA starves";
+      problems.push_back(os.str());
+    }
+
+    HcAnalysisConfig feas = in.analysis;
+    feas.budgets = budgets;
+    report.reservation_feasible = reservation_feasible(feas, in.platform);
+    const std::uint64_t demand = reservation_demand(feas, in.platform);
+    report.reservation_demand = demand;
+
+    c.facts.emplace_back("reservation", "\"on\"");
+    {
+      // The certificate must state the plan it certifies: two plans with
+      // equal total demand are different guarantees per port.
+      std::ostringstream os;
+      os << "[";
+      for (std::size_t p = 0; p < budgets.size(); ++p) {
+        os << (p != 0 ? "," : "") << budgets[p];
+      }
+      os << "]";
+      c.facts.emplace_back("budgets", os.str());
+    }
+    c.facts.emplace_back("period",
+                         std::to_string(in.analysis.reservation_period));
+    c.facts.emplace_back("demand", std::to_string(demand));
+    c.facts.emplace_back("feasible",
+                         report.reservation_feasible ? "true" : "false");
+    if (problems.empty()) {
+      c.verdict = ProveVerdict::kProven;
+      std::ostringstream os;
+      os << "every attached port has a nonzero budget (starvation-free); "
+         << "plan demand " << demand << " cycles per " <<
+          in.analysis.reservation_period << "-cycle period ("
+         << (report.reservation_feasible
+                 ? "feasible: the supply-bound WCLA form applies"
+                 : "overcommitted: budgets cannot all be served at "
+                   "worst-case memory timing, so only the composite "
+                   "supply+arbitration bound is sound — see the "
+                   "reservation-overcommit lint warning");
+      os << ")";
+      c.detail = os.str();
+    }
+  }
+
+  if (!problems.empty()) {
+    c.verdict = ProveVerdict::kDisproved;
+    std::ostringstream os;
+    for (std::size_t i = 0; i < problems.size(); ++i) {
+      if (i != 0) os << "; ";
+      os << problems[i];
+    }
+    c.detail = os.str();
+  }
+  return c;
+}
+
+// ---------------------------------------------------------------------------
+// wcla-bound: boundedness classification + per-port bounds
+
+ProveCheck check_wcla(const ProveInput& in, ProveReport& report) {
+  ProveCheck c;
+  c.id = "wcla-bound";
+
+  std::vector<std::string> excluded;
+  if (!in.hyperconnect) excluded.emplace_back("SmartConnect interconnect");
+  if (in.out_of_order) {
+    excluded.emplace_back("out-of-order ID-extension mode");
+  }
+  if (!in.in_order_memory) {
+    excluded.emplace_back("non-in-order (FR-FCFS) memory scheduling");
+  }
+  if (in.ps_stall) excluded.emplace_back("PS-originated stall interference");
+  if (!excluded.empty()) {
+    c.verdict = ProveVerdict::kUnmodeled;
+    std::ostringstream os;
+    os << "no analytic latency bound for this configuration (";
+    for (std::size_t i = 0; i < excluded.size(); ++i) {
+      if (i != 0) os << ", ";
+      os << excluded[i];
+    }
+    os << ") — the same exclusions as the runtime latency auditor";
+    c.detail = os.str();
+    c.facts.emplace_back("modeled", "false");
+    return c;
+  }
+
+  HcAnalysisConfig acfg = in.analysis;
+  acfg.budgets.resize(in.num_ports, 0);
+  const bool reservation_on = acfg.reservation_period != 0;
+  Cycle worst = 0;
+  bool starved = false;
+  for (std::size_t p = 0; p < in.has.size(); ++p) {
+    const ProveHaModel& ha = in.has[p];
+    if (reservation_on && acfg.budgets[p] == 0) {
+      // No finite bound exists for a starved port; the reservation check
+      // disproves the system, this check just refuses to certify a number.
+      report.wcrt_read.push_back(0);
+      report.wcrt_write.push_back(0);
+      starved = true;
+      continue;
+    }
+    const Cycle rd =
+        ha.reads ? audit_wcrt_read(acfg, in.platform,
+                                   static_cast<PortIndex>(p), ha.burst_beats)
+                 : 0;
+    const Cycle wr = ha.writes
+                         ? audit_wcrt_write(acfg, in.platform,
+                                            static_cast<PortIndex>(p),
+                                            ha.burst_beats)
+                         : 0;
+    report.wcrt_read.push_back(rd);
+    report.wcrt_write.push_back(wr);
+    worst = std::max({worst, rd, wr});
+  }
+
+  c.facts.emplace_back("modeled", "true");
+  c.facts.emplace_back("worst_wcrt", std::to_string(worst));
+  if (starved) {
+    c.verdict = ProveVerdict::kDisproved;
+    c.detail =
+        "a zero-budget port under an active reservation has no finite "
+        "latency bound (see the reservation check)";
+  } else {
+    c.verdict = ProveVerdict::kProven;
+    std::ostringstream os;
+    os << "WCLA model covers this configuration; worst accept-to-complete "
+          "bound over attached ports: "
+       << worst
+       << " cycles (analysis::audit_wcrt_*, the same bounds the runtime "
+          "latency auditor enforces per transaction)";
+    c.detail = os.str();
+  }
+  return c;
+}
+
+}  // namespace
+
+const char* to_string(ProveVerdict verdict) {
+  switch (verdict) {
+    case ProveVerdict::kProven:
+      return "proven";
+    case ProveVerdict::kDisproved:
+      return "disproved";
+    case ProveVerdict::kUnmodeled:
+      return "unmodeled";
+  }
+  return "?";
+}
+
+ProveVerdict ProveReport::verdict() const {
+  ProveVerdict v = ProveVerdict::kProven;
+  for (const ProveCheck& c : checks) {
+    if (c.verdict == ProveVerdict::kDisproved) return c.verdict;
+    if (c.verdict == ProveVerdict::kUnmodeled) v = c.verdict;
+  }
+  return v;
+}
+
+std::int64_t ProveReport::static_backlog_bound() const {
+  const ProveCheck* c = check("efifo-backlog");
+  if (c == nullptr || c->verdict == ProveVerdict::kUnmodeled) return -1;
+  std::uint64_t worst = 0;
+  for (const ProveBacklogBound& b : backlog) {
+    worst = std::max(worst, b.total);
+  }
+  return static_cast<std::int64_t>(worst);
+}
+
+const ProveCheck* ProveReport::check(const std::string& id) const {
+  for (const ProveCheck& c : checks) {
+    if (c.id == id) return &c;
+  }
+  return nullptr;
+}
+
+std::string ProveReport::certificate_json() const {
+  std::ostringstream os;
+  os << "{\"schema\":\"axihc-prove-v1\",\"verdict\":\""
+     << to_string(verdict()) << "\",\"static_backlog_bound\":"
+     << static_backlog_bound() << ",\"reservation\":{\"on\":"
+     << (reservation_on ? "true" : "false") << ",\"feasible\":"
+     << (reservation_feasible ? "true" : "false") << ",\"demand\":"
+     << reservation_demand << "},\"checks\":[";
+  for (std::size_t i = 0; i < checks.size(); ++i) {
+    const ProveCheck& c = checks[i];
+    if (i != 0) os << ",";
+    os << "{\"id\":\"" << c.id << "\",\"verdict\":\""
+       << to_string(c.verdict) << "\",\"detail\":\""
+       << json_escape(c.detail) << "\"";
+    for (const auto& [key, value] : c.facts) {
+      os << ",\"" << key << "\":" << value;
+    }
+    os << "}";
+  }
+  os << "],\"ports\":[";
+  const std::size_t ports =
+      std::max(backlog.size(), wcrt_read.size());
+  for (std::size_t p = 0; p < ports; ++p) {
+    if (p != 0) os << ",";
+    os << "{\"port\":" << p;
+    if (p < backlog.size()) {
+      const ProveBacklogBound& b = backlog[p];
+      os << ",\"backlog\":{\"ar\":" << b.ar << ",\"aw\":" << b.aw
+         << ",\"w\":" << b.w << ",\"r\":" << b.r << ",\"b\":" << b.b
+         << ",\"total\":" << b.total << ",\"backpressure\":"
+         << (b.backpressure ? "true" : "false") << "}";
+    }
+    if (p < wcrt_read.size()) {
+      os << ",\"wcrt_read\":" << wcrt_read[p]
+         << ",\"wcrt_write\":" << wcrt_write[p];
+    }
+    os << "}";
+  }
+  os << "]}";
+  return os.str();
+}
+
+std::uint64_t ProveReport::certificate_digest() const {
+  // FNV-1a over the certificate text: cheap, stable, and good enough to
+  // fingerprint a certificate inside a cache entry (the cache key itself
+  // already carries the collision-relevant config + code digests).
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char ch : certificate_json()) {
+    h ^= static_cast<unsigned char>(ch);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+void ProveReport::write_text(std::ostream& os) const {
+  for (const ProveCheck& c : checks) {
+    os << "  [" << to_string(c.verdict) << "] " << c.id << ": " << c.detail
+       << "\n";
+  }
+  os << "verdict: " << to_string(verdict());
+  const std::int64_t bound = static_backlog_bound();
+  if (bound >= 0) os << "; static backlog bound: " << bound;
+  os << "\n";
+}
+
+ProveReport prove(const ProveInput& in) {
+  AXIHC_CHECK_MSG(in.num_ports >= 1, "prove: a system needs ports");
+  AXIHC_CHECK_MSG(in.has.size() <= in.num_ports,
+                  "prove: more HA models than ports");
+  ProveReport report;
+  report.checks.push_back(check_deadlock(in));
+  report.checks.push_back(check_backlog(in, report.backlog));
+  report.checks.push_back(check_reservation(in, report));
+  report.checks.push_back(check_wcla(in, report));
+  return report;
+}
+
+}  // namespace axihc

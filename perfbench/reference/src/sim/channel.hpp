@@ -1,0 +1,351 @@
+// Point-to-point timing channel — the wire+register abstraction of the
+// simulation kernel.
+//
+// Semantics (two-phase, deterministic):
+//  * During a cycle, `push` stages an element; staged elements become visible
+//    to the consumer only after `commit()` runs at the end of the cycle.
+//    Hence every hop through a channel costs exactly one clock cycle, which
+//    matches the paper's per-stage latency accounting ("one clock cycle is
+//    spent on the slave interface of the eFIFO, one on the TS, ...").
+//  * `can_push` is evaluated against the occupancy snapshotted at the start
+//    of the cycle, so the answer does not depend on whether the consumer
+//    already popped this cycle. Together with staged pushes this makes the
+//    simulation independent of component tick order: runs are
+//    bit-deterministic by construction and there are no combinational loops.
+//  * `pop` consumes elements committed in earlier cycles.
+//
+// Storage is a single fixed-capacity ring allocated once at construction:
+// committed and staged elements share the ring (committed at the head,
+// staged behind them), so push/pop/commit never touch the heap. One ring of
+// `capacity` slots always suffices because committed + staged <= capacity is
+// an invariant: can_push requires snapshot + staged < capacity, committed
+// can only shrink within a cycle, and commit sets the new committed count to
+// committed + staged <= snapshot + (capacity - snapshot) = capacity.
+//
+// Channels also self-report to their Simulator's dirty list: any push, pop
+// or flush marks the channel dirty, and only dirty channels are committed at
+// the end of a cycle (quiet channels need neither data movement nor a new
+// snapshot). Standalone channels (no Simulator) just keep the flag locally.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/check.hpp"
+#include "common/types.hpp"
+#include "sim/digest.hpp"
+#include "sim/soa_pool.hpp"
+
+namespace axihc {
+
+class Component;
+
+/// Type-erased base so the Simulator can commit/reset heterogeneous channels.
+class ChannelBase {
+ public:
+  explicit ChannelBase(std::string name) : name_(std::move(name)) {}
+  virtual ~ChannelBase() = default;
+  ChannelBase(const ChannelBase&) = delete;
+  ChannelBase& operator=(const ChannelBase&) = delete;
+
+  /// End-of-cycle: make staged pushes visible and re-snapshot occupancy.
+  virtual void commit() = 0;
+
+  /// Hardware reset: drop all contents.
+  virtual void reset() = 0;
+
+  /// Pool adoption (Simulator elaboration): moves this channel's hot words
+  /// into pool lane `index` at address `lane` and repoints the handle.
+  /// Returns false (default) for channel types without pooled hot state —
+  /// the Simulator then keeps committing them through virtual commit() and
+  /// leaves the (all-zero, hence sweep-neutral) lane unused. Called again
+  /// after any pool growth; re-adoption of the same lane is a no-op.
+  virtual bool adopt_hot_lane(ChannelHot* lane, std::uint32_t index) {
+    (void)lane;
+    (void)index;
+    return false;
+  }
+
+  /// Detaches from the pool (Simulator teardown): copies the hot words back
+  /// into channel-local storage so the channel outliving its Simulator
+  /// remains fully usable.
+  virtual void release_hot_lane() {}
+
+  /// Pool lane index, or kNoLane when not pooled.
+  [[nodiscard]] std::uint32_t pool_lane() const { return lane_; }
+
+  /// Folds the committed + staged contents and traffic counters into `d`
+  /// (Simulator::state_digest). Default: no content to report.
+  virtual void append_digest(StateDigest& d) const { (void)d; }
+
+  /// Declares `component` as an endpoint (producer or consumer) of this
+  /// channel. Called from component constructors; the island engine builds
+  /// connected components of the (component, channel) graph from these
+  /// declarations at elaboration time. Duplicate declarations are fine.
+  void add_endpoint(const Component& component) {
+    endpoints_.push_back(&component);
+  }
+
+  [[nodiscard]] const std::vector<const Component*>& endpoints() const {
+    return endpoints_;
+  }
+
+  /// Access ledger (axihc-lint): distinct components observed touching this
+  /// channel while the phase checker was armed. Always empty in builds
+  /// without AXIHC_PHASE_CHECK — the design-rule checker cross-checks it
+  /// against endpoints() to find undeclared accesses.
+#ifdef AXIHC_PHASE_CHECK
+  [[nodiscard]] const std::vector<const Component*>& observed_accessors()
+      const {
+    return ledger_accessors_;
+  }
+  void clear_observed_accessors() { ledger_accessors_.clear(); }
+#else
+  [[nodiscard]] const std::vector<const Component*>& observed_accessors()
+      const {
+    static const std::vector<const Component*> kEmpty;
+    return kEmpty;
+  }
+  void clear_observed_accessors() {}
+#endif
+
+  [[nodiscard]] const std::string& name() const { return name_; }
+
+ protected:
+  /// Enqueues this channel on its commit list (once per cycle). Called on any
+  /// state change that a commit must observe: push (staged data), pop and
+  /// flush (the next snapshot changes).
+  ///
+  /// Registered channels dedup purely on the epoch stamp: a mid-cycle
+  /// manual commit() must not cause a second enqueue (the commit phase
+  /// would commit and re-snapshot twice), and the stamp — unlike the dirty_
+  /// flag — survives clear_dirty(), so the channel stays enqueued exactly
+  /// once per epoch. Pooled channels enqueue their lane index (committed by
+  /// the backend kernels); only unpooled ones enqueue a pointer for the
+  /// virtual-commit fallback. Standalone channels just set the local flag
+  /// (which Simulator::add also checks, so pre-registration pushes commit
+  /// at the end of the first cycle).
+  void mark_dirty() {
+    if (epoch_ != nullptr) {
+      if (enqueue_epoch_ == *epoch_) return;  // already enqueued this cycle
+      enqueue_epoch_ = *epoch_;
+      dirty_ = true;
+      if (lane_ != kNoLane) {
+        lane_list_->push_back(lane_);
+      } else {
+        dirty_list_->push_back(this);
+      }
+      return;
+    }
+    dirty_ = true;
+  }
+
+  /// commit() implementations call this so a later change re-enqueues.
+  void clear_dirty() { dirty_ = false; }
+
+  // Phase-checker hooks (see sim/phase_check.hpp). Instrumented builds
+  // outline them into phase_check.cpp; default builds compile them away, so
+  // the hot channel methods carry zero overhead. Const so the read-side
+  // hooks can be called from const accessors (the ledger state is mutable).
+#ifdef AXIHC_PHASE_CHECK
+  void ledger_on_read() const;   // pop/front: consumes committed state
+  void ledger_on_peek() const;   // occupancy reads (can_push/can_pop/...)
+  void ledger_on_write() const;  // push
+  void ledger_on_commit() const;
+  void ledger_on_flush() const;  // clear_contents
+
+ private:
+  void ledger_note_accessor() const;
+#else
+  void ledger_on_read() const {}
+  void ledger_on_peek() const {}
+  void ledger_on_write() const {}
+  void ledger_on_commit() const {}
+  void ledger_on_flush() const {}
+
+ private:
+#endif
+  friend class Simulator;
+
+  std::string name_;
+  std::vector<const Component*> endpoints_;
+#ifdef AXIHC_PHASE_CHECK
+  // Phase-checker state (sim/phase_check.hpp). Compiled out of the default
+  // build along with the hooks, so uninstrumented channels carry neither
+  // per-access nor footprint overhead. Mutable: read-side hooks record from
+  // const accessors.
+  mutable std::vector<const Component*> ledger_accessors_;
+  mutable std::uint64_t ledger_commit_epoch_ = 0;
+#endif
+  // Commit lists this channel enqueues itself on: the Simulator's main
+  // lists, or (island engine) its island's local lists. Null when
+  // standalone. Pooled channels (lane_ != kNoLane) enqueue their lane on
+  // lane_list_; unpooled ones enqueue themselves on dirty_list_.
+  std::vector<ChannelBase*>* dirty_list_ = nullptr;
+  std::vector<std::uint32_t>* lane_list_ = nullptr;
+  const std::uint64_t* epoch_ = nullptr;  // Simulator's cycle epoch counter
+  std::uint64_t enqueue_epoch_ = 0;       // epoch of the last enqueue
+  std::uint32_t lane_ = kNoLane;          // pool lane (set via adopt_hot_lane)
+  bool dirty_ = false;
+
+ protected:
+  /// For adopt_hot_lane overrides (lane_ itself is private to keep the
+  /// dedup machinery in one place).
+  void set_pool_lane(std::uint32_t lane) { lane_ = lane; }
+};
+
+template <typename T>
+class TimingChannel final : public ChannelBase {
+ public:
+  /// A channel with `capacity` storage slots (the register/FIFO depth of the
+  /// link). Capacity 1 models a plain pipeline register.
+  TimingChannel(std::string name, std::size_t capacity)
+      : ChannelBase(std::move(name)),
+        capacity_(static_cast<std::uint32_t>(capacity)),
+        slots_(capacity) {
+    AXIHC_CHECK(capacity_ > 0);
+    // The hot counter words are u32 pool lanes (sim/soa_pool.hpp); cap well
+    // below the u32 range so occupancy sums can never wrap.
+    AXIHC_CHECK(capacity <= (std::size_t{1} << 30));
+  }
+
+  /// True if the producer may push this cycle (backpressure check).
+  [[nodiscard]] bool can_push() const {
+    ledger_on_peek();
+    return hot_->snapshot + hot_->staged < capacity_;
+  }
+
+  /// Stages `value` for delivery next cycle. Requires can_push().
+  void push(T value) {
+    ledger_on_write();
+    AXIHC_CHECK_MSG(can_push(), "push on full channel '" << name() << "'");
+    slots_[wrap(hot_->head + hot_->committed + hot_->staged)] =
+        std::move(value);
+    ++hot_->staged;
+    ++total_pushes_;
+    mark_dirty();
+  }
+
+  /// True if the consumer can pop a (previously committed) element.
+  [[nodiscard]] bool can_pop() const {
+    ledger_on_peek();
+    return hot_->committed != 0;
+  }
+
+  [[nodiscard]] bool empty() const {
+    ledger_on_peek();
+    return hot_->committed == 0;
+  }
+
+  /// Oldest committed element. Requires can_pop().
+  [[nodiscard]] const T& front() const {
+    ledger_on_read();
+    AXIHC_CHECK_MSG(can_pop(), "front on empty channel '" << name() << "'");
+    return slots_[hot_->head];
+  }
+
+  /// Removes and returns the oldest committed element. Requires can_pop().
+  T pop() {
+    ledger_on_read();
+    AXIHC_CHECK_MSG(can_pop(), "pop on empty channel '" << name() << "'");
+    T value = std::move(slots_[hot_->head]);
+    hot_->head = wrap(hot_->head + 1);
+    --hot_->committed;
+    ++total_pops_;
+    mark_dirty();  // the next cycle's occupancy snapshot must drop
+    return value;
+  }
+
+  /// Committed elements currently queued (in-flight occupancy).
+  [[nodiscard]] std::size_t size() const {
+    ledger_on_peek();
+    return hot_->committed;
+  }
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
+
+  /// Lifetime traffic counters (used by throughput probes).
+  [[nodiscard]] std::uint64_t total_pushes() const {
+    ledger_on_peek();
+    return total_pushes_;
+  }
+  [[nodiscard]] std::uint64_t total_pops() const {
+    ledger_on_peek();
+    return total_pops_;
+  }
+
+  void commit() override {
+    ledger_on_commit();
+    hot_->committed += hot_->staged;
+    hot_->staged = 0;
+    hot_->snapshot = hot_->committed;
+    clear_dirty();
+  }
+
+  void reset() override {
+    clear_contents();
+    total_pushes_ = 0;
+    total_pops_ = 0;
+  }
+
+  bool adopt_hot_lane(ChannelHot* lane, std::uint32_t index) override {
+    if (hot_ != lane) {
+      *lane = *hot_;
+      hot_ = lane;
+    }
+    set_pool_lane(index);
+    return true;
+  }
+
+  void release_hot_lane() override {
+    if (hot_ != &inline_hot_) {
+      inline_hot_ = *hot_;
+      hot_ = &inline_hot_;
+    }
+    set_pool_lane(kNoLane);
+  }
+
+  void append_digest(StateDigest& d) const override {
+    d.mix(name());
+    d.mix(static_cast<std::uint64_t>(hot_->committed));
+    d.mix(static_cast<std::uint64_t>(hot_->staged));
+    d.mix(total_pushes_);
+    d.mix(total_pops_);
+    for (std::uint32_t i = 0; i < hot_->committed + hot_->staged; ++i) {
+      digest_detail::fold(d, slots_[wrap(hot_->head + i)]);
+    }
+  }
+
+  /// Drops all queued and staged elements but keeps the traffic counters
+  /// (used for port flushes, e.g. eFIFO decoupling, not full resets).
+  /// A no-op on an already-empty channel, so continuous flushing (a
+  /// decoupled port) does not keep marking the channel dirty.
+  void clear_contents() {
+    ledger_on_flush();
+    ChannelHot& h = *hot_;
+    if (h.committed == 0 && h.staged == 0 && h.snapshot == 0) return;
+    h = ChannelHot{};
+    mark_dirty();
+  }
+
+ private:
+  [[nodiscard]] std::uint32_t wrap(std::uint32_t i) const {
+    // Capacities are arbitrary (not power-of-two); a compare beats div.
+    return i >= capacity_ ? i - capacity_ : i;
+  }
+
+  std::uint32_t capacity_;
+  std::vector<T> slots_;  // fixed ring: [head, +committed) visible,
+                          // then [.., +staged) pending commit
+  // Hot counter words: channel-local until the owning Simulator's pool
+  // adopts them (adopt_hot_lane), after which hot_ points at the pool lane.
+  // Accessors are layout-blind — same code either way.
+  ChannelHot inline_hot_;
+  ChannelHot* hot_ = &inline_hot_;
+  std::uint64_t total_pushes_ = 0;
+  std::uint64_t total_pops_ = 0;
+};
+
+}  // namespace axihc

@@ -1,0 +1,85 @@
+// Base class for everything with clocked behaviour (interconnects, memory
+// controllers, accelerators, monitors).
+#pragma once
+
+#include <string>
+#include <utility>
+
+#include "common/types.hpp"
+#include "sim/digest.hpp"
+
+namespace axihc {
+
+class HotStatePool;
+
+/// What a component's tick() may touch — the contract the island engine
+/// (src/sim/island.hpp) partitions on.
+enum class TickScope : std::uint8_t {
+  /// tick() may read or write state outside this component and its
+  /// registered channels (e.g. it samples foreign counters through a
+  /// registry, or drives another component directly). Serial-scope
+  /// components collapse the whole system into one island: the engine
+  /// then ticks everything in registration order, exactly like the
+  /// serial kernel.
+  kSerial,
+  /// tick() touches only this component's own state and channels it is a
+  /// declared endpoint of (ChannelBase::add_endpoint). Island-scope
+  /// components may tick concurrently with components in other islands.
+  kIsland,
+};
+
+class Component {
+ public:
+  explicit Component(std::string name) : name_(std::move(name)) {}
+  virtual ~Component() = default;
+  Component(const Component&) = delete;
+  Component& operator=(const Component&) = delete;
+
+  /// One clock cycle of behaviour. Reads committed channel state, stages
+  /// pushes, updates internal registers. Must not assume anything about the
+  /// tick order of other components.
+  virtual void tick(Cycle now) = 0;
+
+  /// Hardware reset. Default: stateless.
+  virtual void reset() {}
+
+  /// Fast-forward hook: the earliest cycle >= `now` at which tick() might do
+  /// observable work, under the assumption that NO component (including this
+  /// one) ticks in the interim — i.e. the whole system stays frozen. Return
+  /// `now` when active or unsure (always safe), a future cycle when the next
+  /// interesting moment is self-scheduled (a deadline, a period boundary),
+  /// or kNoCycle when only external stimulus could wake this component.
+  ///
+  /// The kernel skips cycle N only when EVERY component reports
+  /// next_activity(N) > N, so implementations may rely on all other
+  /// components' state being unchanged across the skipped stretch. Must not
+  /// mutate any state (it runs on cycles that are then skipped).
+  [[nodiscard]] virtual Cycle next_activity(Cycle now) const { return now; }
+
+  /// Hot-state adoption hook (sim/soa_pool.hpp): called once per component
+  /// at elaboration time by the owning Simulator. Components with per-cycle
+  /// hot scalars (budget counters, deadline caches) move them into the pool
+  /// here via PooledWords/PooledCycle::adopt, declaring themselves as the
+  /// slot owner; axihc-lint cross-checks observed writers against that
+  /// declaration. Default: nothing to pool.
+  virtual void adopt_hot_state(HotStatePool& pool) { (void)pool; }
+
+  /// Parallel-tick contract (see TickScope). Default kSerial: a component
+  /// that has not audited its tick() for foreign-state access must not be
+  /// parallelized — one unaudited component safely serializes the system.
+  [[nodiscard]] virtual TickScope tick_scope() const {
+    return TickScope::kSerial;
+  }
+
+  /// Folds this component's architecturally visible state (counters,
+  /// latched registers, completion logs) into `d` for
+  /// Simulator::state_digest(). Default: stateless.
+  virtual void append_digest(StateDigest& d) const { (void)d; }
+
+  [[nodiscard]] const std::string& name() const { return name_; }
+
+ private:
+  std::string name_;
+};
+
+}  // namespace axihc

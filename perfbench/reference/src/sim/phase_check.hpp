@@ -1,0 +1,102 @@
+// Phase-race detector for the two-phase channel semantics (axihc-lint
+// layer 2) plus the channel access ledger backing the design-rule checker's
+// endpoint cross-checks (layer 1).
+//
+// The kernel's bit-identity guarantees (fast-forward, island-parallel tick)
+// rest on three honor-system contracts:
+//   1. every component declares each channel it touches as an endpoint
+//      (ChannelBase::add_endpoint / AxiLink::attach_endpoint);
+//   2. tick_scope() truthfully describes what tick() touches;
+//   3. channel state moves strictly in two phases — tick() stages pushes and
+//      consumes previously-committed elements, the engine's commit phase
+//      alone makes staged data visible.
+// A single violation silently corrupts island partitioning or tick-order
+// independence with no diagnostic. This checker turns those contracts into
+// machine-checked ones.
+//
+// Instrumentation is compiled in only with the AXIHC_PHASE_CHECK CMake
+// option (the default build carries zero per-access overhead; see
+// docs/STATIC_ANALYSIS.md). When compiled in, it is armed at run time with
+// PhaseCheck::arm(true); the Simulator then stamps the engine phase and the
+// currently-ticking component, and every TimingChannel access
+//   * records the accessing component into the channel's ledger
+//     (ChannelBase::observed_accessors), and
+//   * flags two-phase violations: a mid-compute commit() (staged data made
+//     visible in the same cycle), a same-cycle read of freshly-committed
+//     state, or any channel access during the engine's commit phase.
+//
+// Threading: the phase stamp is a process-wide atomic written only between
+// parallel regions; the current component is thread-local, so arming under
+// the island engine is safe as long as the contracts hold — and when they
+// do not, the ledger race the detector itself incurs involves exactly the
+// channels it is about to report. Lint runs use the serial kernel.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "common/types.hpp"
+
+namespace axihc {
+
+class Component;
+
+/// True when the build carries the channel instrumentation
+/// (-DAXIHC_PHASE_CHECK=ON). The design-rule checker downgrades its
+/// ledger-backed checks to a note when false.
+#ifdef AXIHC_PHASE_CHECK
+inline constexpr bool kPhaseCheckAvailable = true;
+#else
+inline constexpr bool kPhaseCheckAvailable = false;
+#endif
+
+/// Where the engine currently is within a cycle. kOutside covers setup,
+/// reset and inter-cycle code, where channel manipulation is unrestricted.
+enum class EnginePhase : std::uint8_t { kOutside, kCompute, kCommit };
+
+/// One detected two-phase violation.
+struct PhaseViolation {
+  std::string channel;
+  std::string component;  // empty when the access came from outside a tick
+  std::string what;
+  Cycle epoch = 0;  // Simulator epoch (monotone per-cycle stamp)
+};
+
+/// Process-wide detector state. All members are static: the Simulator and
+/// the channels need to reach it without plumbing a context through every
+/// access site, and one process hosts one checked simulation at a time
+/// (parallel sweeps run with the checker disarmed).
+class PhaseCheck {
+ public:
+  /// Master switch. Arming clears previously recorded violations.
+  static void arm(bool on);
+  [[nodiscard]] static bool armed();
+
+  /// Engine phase stamp (Simulator only; written between parallel regions).
+  static void set_phase(EnginePhase phase);
+  [[nodiscard]] static EnginePhase phase();
+
+  /// Currently-ticking component (Simulator only; thread-local).
+  static void set_current(const Component* component);
+  [[nodiscard]] static const Component* current();
+
+  /// Appends a violation (channel instrumentation only).
+  static void record(const std::string& channel, const std::string& what,
+                     Cycle epoch);
+
+  [[nodiscard]] static std::size_t violation_count();
+
+  /// Returns and clears the recorded violations.
+  [[nodiscard]] static std::vector<PhaseViolation> drain();
+
+  /// Copies the recorded violations without clearing them (the design-rule
+  /// checker reports them; the owner decides when to drain).
+  [[nodiscard]] static std::vector<PhaseViolation> snapshot();
+
+  /// Disarms and clears all state (test isolation).
+  static void reset();
+};
+
+}  // namespace axihc
