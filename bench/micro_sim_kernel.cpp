@@ -79,7 +79,7 @@ BENCHMARK(BM_HyperConnectSystemCycle)->Arg(2)->Arg(4)->Arg(8);
 // the headline "simulated cycles per wall-second" number guarded by
 // BENCH_kernel.json; the throttled DMA windows and DNN compute phases are
 // exactly the quiescent stretches the kernel fast path exists to skip.
-void fig5_contention_run(benchmark::State& state, BackendKind backend) {
+void BM_Fig5ContentionSystem(benchmark::State& state) {
   const std::uint64_t scale = 64;  // fig5 shapes, sized for bench iterations
   std::uint64_t cycles = 0;
   for (auto _ : state) {
@@ -94,7 +94,6 @@ void fig5_contention_run(benchmark::State& state, BackendKind backend) {
     DmaEngine dma("ha_dma", soc.port(1), bench::paper_dma(scale, 0));
     soc.add(dnn);
     soc.add(dma);
-    soc.sim().set_backend(backend);
     soc.sim().reset();
     soc.sim().run_until(
         [&] { return dnn.finished() && dma.jobs_completed() >= 2; },
@@ -105,81 +104,7 @@ void fig5_contention_run(benchmark::State& state, BackendKind backend) {
   state.counters["cycles/s"] = benchmark::Counter(
       static_cast<double>(cycles), benchmark::Counter::kIsRate);
 }
-
-void BM_Fig5ContentionSystem(benchmark::State& state) {
-  fig5_contention_run(state, BackendKind::kAuto);
-}
 BENCHMARK(BM_Fig5ContentionSystem)->Unit(benchmark::kMillisecond);
-
-// Maps the benchmark Arg (0 = scalar, 1 = sse2, 2 = avx2) to a backend and
-// verifies it is what would actually execute: skipped when the host lacks
-// the ISA or AXIHC_FORCE_BACKEND repoints the choice (the CI backend matrix
-// pins the env per leg; the per-arg variants would otherwise run mislabeled
-// kernels). The skip message carries the full policy report.
-bool backend_for_arg(benchmark::State& state, BackendKind& out) {
-  out = state.range(0) == 0   ? BackendKind::kScalar
-        : state.range(0) == 1 ? BackendKind::kSse2
-                              : BackendKind::kAvx2;
-  const BackendPolicy policy = resolve_backend(out);
-  if (policy.chosen != out) {
-    state.SkipWithError(policy.report().c_str());
-    return false;
-  }
-  state.SetLabel(to_string(out));
-  return true;
-}
-
-// Per-backend variants of the headline number (CI backend matrix);
-// unsupported or env-overridden ISAs are skipped, so the matrix is safe to
-// run on any host.
-void BM_Fig5ContentionBackend(benchmark::State& state) {
-  BackendKind requested;
-  if (!backend_for_arg(state, requested)) return;
-  fig5_contention_run(state, requested);
-}
-BENCHMARK(BM_Fig5ContentionBackend)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Unit(benchmark::kMillisecond);
-
-// The sweep kernels in isolation: one dense commit pass / one certificate
-// min-reduction over a 512-lane synthetic pool per iteration. Pure kernel
-// cost, no system around it — the number the --auto-tune probe estimates.
-void BM_CommitDenseKernel(benchmark::State& state) {
-  BackendKind requested;
-  if (!backend_for_arg(state, requested)) return;
-  const BackendKernels& kernels = kernels_for(requested);
-  std::vector<ChannelHot> lanes(512);
-  for (std::size_t i = 0; i < lanes.size(); ++i) {
-    lanes[i].committed = static_cast<std::uint32_t>(i % 7);
-    lanes[i].staged = static_cast<std::uint32_t>(i % 3);
-    lanes[i].snapshot = lanes[i].committed;
-  }
-  for (auto _ : state) {
-    kernels.commit_dense(lanes.data(), lanes.size());
-    benchmark::DoNotOptimize(lanes.data());
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * lanes.size()));
-}
-BENCHMARK(BM_CommitDenseKernel)->Arg(0)->Arg(1)->Arg(2);
-
-void BM_MinReduceKernel(benchmark::State& state) {
-  BackendKind requested;
-  if (!backend_for_arg(state, requested)) return;
-  const BackendKernels& kernels = kernels_for(requested);
-  std::vector<Cycle> certs(512);
-  for (std::size_t i = 0; i < certs.size(); ++i) {
-    certs[i] = (i % 11 == 0) ? kNoCycle : 1000 + i * 37;
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kernels.min_reduce(certs.data(), certs.size()));
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * certs.size()));
-}
-BENCHMARK(BM_MinReduceKernel)->Arg(0)->Arg(1)->Arg(2);
 
 // Observability cost pair: the same busy 2-port DMA system with no
 // observability objects at all vs. with an EventTrace attached-but-disabled
@@ -315,84 +240,6 @@ void BM_AuditEnabled(benchmark::State& state) {
       static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_AuditEnabled);
-
-// Parallel tick engine scaling: a widened fig5-class topology — several
-// independent HC+DDR+DMA subsystems in one Simulator — so the island
-// partitioner finds one island per subsystem and the compute phase can fan
-// out. Arg 0 runs the serial kernel (set_parallel_tick(false)) as the
-// baseline; Arg 1 configures the engine with one thread, which resolves to
-// the serial kernel (the zero-overhead-by-construction case CI asserts);
-// Args 2/4 dispatch across the worker pool. Bit-identity is spot-checked
-// once before any timing: the engine must land on the same state digest as
-// the serial kernel or the numbers are meaningless.
-struct ParallelTickSystem {
-  Simulator sim;
-  std::vector<std::unique_ptr<BackingStore>> stores;
-  std::vector<std::unique_ptr<HyperConnect>> hcs;
-  std::vector<std::unique_ptr<MemoryController>> mems;
-  std::vector<std::unique_ptr<DmaEngine>> dmas;
-
-  explicit ParallelTickSystem(std::uint32_t subsystems) {
-    for (std::uint32_t s = 0; s < subsystems; ++s) {
-      HyperConnectConfig cfg;
-      cfg.num_ports = 2;
-      hcs.push_back(
-          std::make_unique<HyperConnect>("hc" + std::to_string(s), cfg));
-      stores.push_back(std::make_unique<BackingStore>());
-      mems.push_back(std::make_unique<MemoryController>(
-          "ddr" + std::to_string(s), hcs.back()->master_link(),
-          *stores.back(), MemoryControllerConfig{}));
-      hcs.back()->register_with(sim);
-      sim.add(*mems.back());
-      for (PortIndex p = 0; p < cfg.num_ports; ++p) {
-        DmaConfig d;
-        d.mode = DmaMode::kReadWrite;
-        d.bytes_per_job = 1u << 20;
-        dmas.push_back(std::make_unique<DmaEngine>(
-            "dma" + std::to_string(s) + "_" + std::to_string(p),
-            hcs.back()->port_link(p), d));
-        sim.add(*dmas.back());
-      }
-    }
-  }
-};
-
-bool parallel_tick_digest_matches_serial() {
-  ParallelTickSystem serial(8);
-  ParallelTickSystem engine(8);
-  serial.sim.set_parallel_tick(false);
-  engine.sim.set_threads(2);
-  serial.sim.reset();
-  engine.sim.reset();
-  for (int i = 0; i < 10'000; ++i) {
-    serial.sim.step();
-    engine.sim.step();
-  }
-  return serial.sim.state_digest() == engine.sim.state_digest();
-}
-
-void BM_ParallelTick(benchmark::State& state) {
-  static const bool digest_ok = parallel_tick_digest_matches_serial();
-  if (!digest_ok) {
-    state.SkipWithError("engine digest diverged from serial kernel");
-    return;
-  }
-  ParallelTickSystem system(8);
-  const long threads = state.range(0);
-  if (threads == 0) {
-    system.sim.set_parallel_tick(false);  // serial-kernel baseline
-  } else {
-    system.sim.set_threads(static_cast<unsigned>(threads));
-  }
-  system.sim.reset();
-  for (auto _ : state) system.sim.step();
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.counters["cycles/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
-  state.counters["islands"] =
-      static_cast<double>(system.sim.island_count());
-}
-BENCHMARK(BM_ParallelTick)->Arg(0)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_DmaJobThroughHyperConnect(benchmark::State& state) {
   for (auto _ : state) {

@@ -15,6 +15,7 @@
 #include "ps/ha_control_slave.hpp"
 #include "ps/sw_task.hpp"
 #include "soc/soc.hpp"
+#include "stats/stats.hpp"
 #include "stats/table.hpp"
 
 int main() {
@@ -84,7 +85,7 @@ int main() {
   Table t({"SW-task", "requests", "response min (us)", "mean (us)",
            "max (us)", "interrupts"});
   auto row = [&](const SwTask& task, std::uint32_t line) {
-    const LatencyStats& rt = task.response_times();
+    const LogHistogram& rt = task.response_times();
     t.add_row({task.name(), std::to_string(task.requests_completed()),
                Table::num(meter.to_us(rt.min()), 1),
                Table::num(meter.to_us(static_cast<Cycle>(rt.mean())), 1),

@@ -150,9 +150,9 @@ class AxiLink {
   /// Registers all five channels with `sim` for end-of-cycle commit.
   void register_with(Simulator& sim);
 
-  /// Declares `component` as an endpoint of all five channels (island
-  /// discovery; see ChannelBase::add_endpoint). Masters and slaves call this
-  /// from their constructors.
+  /// Declares `component` as an endpoint of all five channels (see
+  /// ChannelBase::add_endpoint). Masters and slaves call this from their
+  /// constructors.
   void attach_endpoint(const Component& component);
 
   [[nodiscard]] const std::string& name() const { return name_; }

@@ -27,11 +27,6 @@ class AxiBridge final : public Component {
     return kNoCycle;
   }
 
-  /// Channel-pure: moves beats between its two links only.
-  [[nodiscard]] TickScope tick_scope() const override {
-    return TickScope::kIsland;
-  }
-
  private:
   AxiLink& up_;
   AxiLink& down_;

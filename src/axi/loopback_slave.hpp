@@ -32,11 +32,6 @@ class LoopbackSlave final : public Component {
     return kNoCycle;
   }
 
-  /// Channel-pure: serves only its own link.
-  [[nodiscard]] TickScope tick_scope() const override {
-    return TickScope::kIsland;
-  }
-
   // Arrival timestamps, one entry per event, in order.
   std::vector<Cycle> ar_arrivals;
   std::vector<Cycle> aw_arrivals;

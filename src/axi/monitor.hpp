@@ -51,11 +51,6 @@ class AxiMonitor final : public Component {
     return kNoCycle;
   }
 
-  /// Channel-pure: observes only its two links and its own bookkeeping.
-  [[nodiscard]] TickScope tick_scope() const override {
-    return TickScope::kIsland;
-  }
-
   /// If set, a violation throws ModelError instead of only being recorded.
   void set_throw_on_violation(bool on) { throw_on_violation_ = on; }
 

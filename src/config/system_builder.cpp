@@ -344,10 +344,6 @@ void ConfiguredSystem::wire_observability() {
       masters_[p]->set_latency_audit(audit_.get(), p);
     }
     audit_->register_metrics(registry_);
-    // The audit state is shared by components on different tick islands
-    // (masters, interconnect, memory); only the serial kernel orders their
-    // hook calls deterministically.
-    soc_->sim().set_threads(0);
   }
 
   if (observe_.metrics) {
@@ -615,7 +611,7 @@ ProveReport ConfiguredSystem::prove() const {
 
 LintReport ConfiguredSystem::lint() const {
   const SocConfig& cfg = soc_->config();
-  DesignRuleChecker drc(soc_->sim());
+  DesignRuleChecker drc;
 
   for (const AddrRange& r : cfg.mem.mapped_ranges) {
     drc.add_address_range("memory decode map", r, AddressKind::kDecode);

@@ -92,8 +92,7 @@ struct ObserveConfig {
   Cycle sample_every = 1000;
   std::size_t trace_capacity = 0;  // 0 = unbounded
   /// Per-transaction latency provenance + live WCLA bound auditing
-  /// (src/obs/latency_audit.hpp). Forces the serial tick kernel (the audit
-  /// state is shared across master/memory islands).
+  /// (src/obs/latency_audit.hpp).
   bool latency_audit = false;
   /// Flight-recorder ring capacity (completed transactions retained).
   std::size_t flight_capacity = 4096;
@@ -127,7 +126,7 @@ class ConfiguredSystem {
   /// Runs the design-rule checker (src/lint) over the elaborated system:
   /// port/master-link connectivity, decode map vs HA job windows, ID
   /// headroom under the out-of-order ID-extension, and — in instrumented
-  /// builds after a run — the access-ledger contract checks.
+  /// builds after a run — the phase-race check.
   [[nodiscard]] LintReport lint() const;
 
   /// Assembles the static-prover input (src/prove) from the elaborated

@@ -42,14 +42,6 @@ class RegisterMaster final : public Component {
     return idle() ? kNoCycle : now;
   }
 
-  /// Channel-pure: drives only its control link. Read callbacks run inside
-  /// tick but mutate driver-side software state, which only serial-scope
-  /// components (Hypervisor, SW tasks) read — so those readers, not this
-  /// master, serialize the system when both are present.
-  [[nodiscard]] TickScope tick_scope() const override {
-    return TickScope::kIsland;
-  }
-
   void append_digest(StateDigest& d) const override {
     d.mix(completed_);
     d.mix(static_cast<std::uint64_t>(queue_.size()));

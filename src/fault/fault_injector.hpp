@@ -74,11 +74,6 @@ class FaultInjector final : public Component {
   [[nodiscard]] const FaultInjectorStats& stats() const { return stats_; }
   [[nodiscard]] PortIndex port() const { return port_; }
 
-  /// Channel-pure: forwards between its two links; the RNG is private.
-  [[nodiscard]] TickScope tick_scope() const override {
-    return TickScope::kIsland;
-  }
-
   void append_digest(StateDigest& d) const override;
 
  private:

@@ -54,11 +54,8 @@ struct MasterStats {
   std::uint64_t stray_r_beats = 0;
   std::uint64_t stray_b_resps = 0;
   /// Latency distributions in log-bucketed histograms (obs/histogram.hpp):
-  /// masters live for the whole run, so retaining every sample
-  /// (stats/stats.hpp LatencyStats) grows without bound on hot paths.
   /// count/min/max/mean/sum stay exact; percentiles are bucket-resolution
-  /// (<= ~3.1% high). Tests needing exact percentiles keep LatencyStats on
-  /// their own bounded collections.
+  /// (<= ~3.1% high).
   LogHistogram read_latency;   // AR issue -> final R beat
   LogHistogram write_latency;  // AW issue -> B response
 };
@@ -111,11 +108,6 @@ class AxiMasterBase : public Component {
   /// Registers traffic counters and outstanding-transaction gauges with
   /// `reg`. Virtual so subclasses can append their own (jobs done, frames).
   virtual void register_metrics(MetricsRegistry& reg);
-
-  /// Masters touch only their own state and their link's channels.
-  [[nodiscard]] TickScope tick_scope() const override {
-    return TickScope::kIsland;
-  }
 
   void append_digest(StateDigest& d) const override;
 

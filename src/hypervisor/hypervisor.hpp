@@ -113,12 +113,6 @@ class Hypervisor final : public Component {
     if (poll_in_flight_) return now;
     return now < next_poll_ ? next_poll_ : now;
   }
-  [[nodiscard]] TickScope tick_scope() const override {
-    // Serial: tick() calls straight into the HyperConnect driver
-    // (reconfiguration, decouple/recouple, watchdog polls) — direct
-    // mutation of another component.
-    return TickScope::kSerial;
-  }
 
   /// Observability: watchdog isolations and observed faults become trace
   /// instants. nullptr (the default) disables the hooks.

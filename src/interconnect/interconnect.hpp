@@ -54,12 +54,6 @@ class Interconnect : public Component {
 
   [[nodiscard]] const PortCounters& counters(PortIndex i) const;
 
-  /// Interconnect models are channel-pure: their tick() touches only their
-  /// own registers and the links/internal channels they terminate.
-  [[nodiscard]] TickScope tick_scope() const override {
-    return TickScope::kIsland;
-  }
-
   void append_digest(StateDigest& d) const override;
 
  protected:

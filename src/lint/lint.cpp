@@ -3,15 +3,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <ostream>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "axi/axi.hpp"
 #include "sim/channel.hpp"
 #include "sim/component.hpp"
-#include "sim/island.hpp"
 #include "sim/phase_check.hpp"
-#include "sim/simulator.hpp"
 
 namespace axihc {
 
@@ -148,8 +145,7 @@ LintReport DesignRuleChecker::run() const {
   check_connectivity(report);
   check_address_map(report);
   check_widths(report);
-  check_ledger(report);
-  check_pool_slots(report);
+  check_phase_races(report);
   return report;
 }
 
@@ -265,65 +261,14 @@ void DesignRuleChecker::check_widths(LintReport& report) const {
   }
 }
 
-void DesignRuleChecker::check_ledger(LintReport& report) const {
+void DesignRuleChecker::check_phase_races(LintReport& report) const {
   if (!kPhaseCheckAvailable) {
-    report.add(
-        {LintSeverity::kNote, "lint-coverage", "access-ledger",
-         "undeclared-endpoint / island-scope / phase-race checks skipped: "
-         "this build has no channel instrumentation",
-         "reconfigure with -DAXIHC_PHASE_CHECK=ON to run them"});
+    report.add({LintSeverity::kNote, "lint-coverage", "phase-check",
+                "phase-race check skipped: this build has no channel "
+                "instrumentation",
+                "reconfigure with -DAXIHC_PHASE_CHECK=ON to run it"});
     return;
   }
-
-  const auto& components = sim_->components();
-  const auto& channels = sim_->channels();
-  const IslandPartition part = partition_islands(components, channels);
-  std::unordered_map<const Component*, std::size_t> island_of;
-  if (!part.collapsed) {
-    for (std::size_t i = 0; i < part.islands.size(); ++i) {
-      for (const Component* c : part.islands[i].components) {
-        island_of.emplace(c, i);
-      }
-    }
-  }
-
-  for (std::size_t ci = 0; ci < channels.size(); ++ci) {
-    const ChannelBase* ch = channels[ci];
-    for (const Component* accessor : ch->observed_accessors()) {
-      // Serial-scope components are licensed to touch foreign state: their
-      // presence collapses the partition, so the engine never runs them
-      // concurrently with anything (see TickScope).
-      if (accessor->tick_scope() == TickScope::kSerial) continue;
-      const auto& eps = ch->endpoints();
-      if (std::find(eps.begin(), eps.end(), accessor) == eps.end()) {
-        report.add({LintSeverity::kError, "undeclared-endpoint",
-                    accessor->name(),
-                    "island-scope component accessed channel '" + ch->name() +
-                        "' without declaring itself an endpoint — island "
-                        "partitioning cannot see this edge",
-                    "call add_endpoint()/attach_endpoint() for every "
-                    "touched channel in the constructor, or return "
-                    "TickScope::kSerial until the component is audited"});
-      }
-      if (!part.collapsed &&
-          part.channel_island[ci] != IslandPartition::kUnassigned) {
-        const auto it = island_of.find(accessor);
-        if (it != island_of.end() && it->second != part.channel_island[ci]) {
-          report.add(
-              {LintSeverity::kError, "island-scope-violation",
-               accessor->name(),
-               "island-scope component (island " +
-                   std::to_string(it->second) + ") accessed channel '" +
-                   ch->name() + "' owned by island " +
-                   std::to_string(part.channel_island[ci]) +
-                   " — a data race under the parallel tick engine",
-               "declare the endpoint (merging the islands) or return "
-               "TickScope::kSerial"});
-        }
-      }
-    }
-  }
-
   for (const PhaseViolation& v : PhaseCheck::snapshot()) {
     report.add({LintSeverity::kError, "phase-race", v.channel,
                 (v.component.empty() ? std::string("<outside tick>")
@@ -332,42 +277,6 @@ void DesignRuleChecker::check_ledger(LintReport& report) const {
                     ")",
                 "keep tick() two-phase: stage pushes, consume committed "
                 "elements, and leave commit() to the engine"});
-  }
-}
-
-void DesignRuleChecker::check_pool_slots(LintReport& report) const {
-  const HotStatePool& pool = sim_->hot_pool();
-  const auto& slots = pool.slots();
-  for (std::uint32_t s = 0; s < slots.size(); ++s) {
-    const HotStatePool::SlotInfo& slot = slots[s];
-    if (slot.owner == nullptr) {
-      report.add({LintSeverity::kWarning, "undeclared-pool-slot",
-                  "pool:" + slot.what,
-                  "hot-state pool slot '" + slot.what + "' (" +
-                      std::to_string(slot.words) +
-                      " words) was allocated without an owning component — "
-                      "its writes cannot be audited against the island "
-                      "partition",
-                  "pass the owning component to alloc_u32/alloc_u64 "
-                  "(adopt() from the component's adopt_hot_state)"});
-      continue;
-    }
-    // Ledger cross-check (AXIHC_PHASE_CHECK builds; empty otherwise): pool
-    // writes are stamped like channel writes, so a foreign island-scope
-    // writer is the slot analogue of undeclared-endpoint.
-    for (const Component* accessor : pool.slot_accessors(s)) {
-      if (accessor == slot.owner ||
-          accessor->tick_scope() == TickScope::kSerial) {
-        continue;
-      }
-      report.add({LintSeverity::kError, "undeclared-pool-slot",
-                  accessor->name(),
-                  "island-scope component wrote hot-state pool slot '" +
-                      slot.what + "' owned by '" + slot.owner->name() +
-                      "' — island partitioning cannot see this edge",
-                  "move the shared state behind a channel, or return "
-                  "TickScope::kSerial until the component is audited"});
-    }
   }
 }
 

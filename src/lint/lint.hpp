@@ -1,27 +1,18 @@
 // axihc-lint — elaboration-time design-rule checker (layer 1 of the
 // static-analysis wall; see docs/STATIC_ANALYSIS.md).
 //
-// The simulation kernel's strongest properties — bit-identical results
-// across tick engines, thread counts and fast-forward settings — are
-// theorems whose premises are structural contracts on the component graph:
-// complete endpoint declarations, truthful tick scopes, two-phase channel
-// discipline, a consistent address map. The DesignRuleChecker walks the
-// elaborated (component, channel) graph after a system is assembled and
-// verifies the premises, so a missed `add_endpoint` or a lying
-// `tick_scope()` becomes a diagnostic with a fix hint instead of a silent
-// bit-identity break under `--threads N`.
+// The simulation kernel's strongest property — bit-identical results
+// regardless of tick order and fast-forward — rests on the two-phase
+// channel discipline; the experiments' meaning rests on a well-formed
+// topology and a consistent address map. The DesignRuleChecker verifies
+// those premises after a system is assembled, so a dangling port or a
+// mid-tick commit() becomes a diagnostic with a fix hint instead of a
+// silent modelling error.
 //
 // Checks (ids as reported):
-//   undeclared-endpoint     island-scope component touched a channel it
-//                           never declared (needs AXIHC_PHASE_CHECK ledger)
-//   island-scope-violation  island-scope component touched a channel owned
-//                           by another island (ledger)
 //   phase-race              two-phase discipline violation recorded by the
-//                           race detector (sim/phase_check.hpp); covers
-//                           hot-pool slot writes during the commit phase
-//   undeclared-pool-slot    hot-state pool slot (sim/soa_pool.hpp) with no
-//                           owner declaration, or written by an island-scope
-//                           component other than its owner (ledger)
+//                           race detector (sim/phase_check.hpp; needs
+//                           AXIHC_PHASE_CHECK)
 //   unconnected-link        a port bundle with fewer than two attached
 //                           components (dangling master/slave port)
 //   address-overlap         overlapping decode-map entries, or two HA job
@@ -29,8 +20,8 @@
 //   address-unmapped        HA job window not contained in the decode map
 //   width-mismatch          data/ID width discontinuity at a bridge, or an
 //                           ID too wide for the ID-extension boundary
-//   lint-coverage           note: ledger checks skipped (uninstrumented
-//                           build or no armed run)
+//   lint-coverage           note: phase-race check skipped (uninstrumented
+//                           build)
 //
 // ConfiguredSystem::lint() appends configuration-level rules on top:
 //   recovery-probation-window  [recovery] probation_window shorter than the
@@ -51,7 +42,6 @@
 namespace axihc {
 
 class AxiLink;
-class Simulator;
 
 enum class LintSeverity : std::uint8_t { kNote, kWarning, kError };
 
@@ -101,13 +91,11 @@ enum class AddressKind : std::uint8_t {
 };
 
 /// Collects topology facts about an elaborated system, then runs every
-/// design rule over them plus the Simulator's registered graph.
+/// design rule over them plus the phase-race detector's findings.
 /// ConfiguredSystem::lint() assembles one from an INI system; tests and
 /// hand-built systems feed it directly.
 class DesignRuleChecker {
  public:
-  explicit DesignRuleChecker(const Simulator& sim) : sim_(&sim) {}
-
   /// Declares that `link` must have at least two attached components
   /// (e.g. an interconnect port and the HA mastering it).
   void expect_connected(const AxiLink& link, std::string role);
@@ -126,10 +114,9 @@ class DesignRuleChecker {
   void require_id_headroom(const AxiLink& link, std::uint32_t max_id_bits,
                            std::string reason);
 
-  /// Runs all design rules. The ledger-backed checks (undeclared-endpoint,
-  /// island-scope-violation, phase-race) cover whatever accesses an armed
-  /// instrumented run has recorded so far; in uninstrumented builds they
-  /// degrade to a single lint-coverage note.
+  /// Runs all design rules. The phase-race check covers whatever an armed
+  /// instrumented run has recorded so far; in uninstrumented builds it
+  /// degrades to a single lint-coverage note.
   [[nodiscard]] LintReport run() const;
 
  private:
@@ -156,10 +143,8 @@ class DesignRuleChecker {
   void check_connectivity(LintReport& report) const;
   void check_address_map(LintReport& report) const;
   void check_widths(LintReport& report) const;
-  void check_ledger(LintReport& report) const;
-  void check_pool_slots(LintReport& report) const;
+  void check_phase_races(LintReport& report) const;
 
-  const Simulator* sim_;
   std::vector<LinkExpectation> links_;
   std::vector<NamedRange> ranges_;
   std::vector<BridgeInfo> bridges_;

@@ -61,11 +61,6 @@ class DualPortMemoryController final : public Component {
     return fpga_served_;
   }
 
-  /// Channel-pure: touches only its two links, its store and its registers.
-  [[nodiscard]] TickScope tick_scope() const override {
-    return TickScope::kIsland;
-  }
-
   void append_digest(StateDigest& d) const override {
     d.mix(ps_served_);
     d.mix(fpga_served_);

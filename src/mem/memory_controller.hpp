@@ -119,12 +119,6 @@ class MemoryController final : public Component {
   /// Registers queue depth, served/row-hit/row-miss counters etc. with `reg`.
   void register_metrics(MetricsRegistry& reg);
 
-  /// Channel-pure: touches only its link, its backing store (private to
-  /// this controller) and its own registers.
-  [[nodiscard]] TickScope tick_scope() const override {
-    return TickScope::kIsland;
-  }
-
   void append_digest(StateDigest& d) const override;
 
  private:

@@ -1,10 +1,9 @@
 // Log-bucketed latency histogram with bounded memory (HDR-histogram style).
 //
-// LatencyStats (src/stats/stats.hpp) retains every sample, which makes its
-// percentiles exact but its memory proportional to run length — fine for
-// tests, wrong for unbounded-lifetime hot paths (a Fig. 5 run completes
-// millions of transactions). LogHistogram trades percentile accuracy for a
-// fixed footprint:
+// The one latency-distribution type. Retaining every sample would make
+// percentiles exact but memory proportional to run length (a Fig. 5 run
+// completes millions of transactions); LogHistogram trades percentile
+// accuracy for a fixed footprint:
 //
 //  * values below 2^kSubBucketBits (64 cycles) land in exact unit-width
 //    buckets — short latencies, the common case, lose nothing;
@@ -17,8 +16,7 @@
 //    max-vs-bound comparisons are unaffected by bucketing.
 //
 // Total footprint: 64 + 58*32 = 1920 buckets of 8 bytes (~15 KiB),
-// independent of sample count. Keep LatencyStats where tests need exact
-// percentiles; use LogHistogram wherever lifetime is unbounded.
+// independent of sample count.
 #pragma once
 
 #include <cstdint>

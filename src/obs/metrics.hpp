@@ -92,12 +92,6 @@ class MetricsSampler final : public Component {
     const Cycle n = sample_every_;
     return now % n == 0 ? now : (now / n + 1) * n;
   }
-  [[nodiscard]] TickScope tick_scope() const override {
-    // Serial: tick() reads every counter/gauge in the registry — foreign
-    // component state far outside any declared channel edge. Sampling
-    // mid-parallel-phase would also see half-updated cycles.
-    return TickScope::kSerial;
-  }
 
   /// Takes one snapshot immediately (used by tick, and by end-of-run
   /// finalization so the last partial window is never lost).

@@ -40,11 +40,6 @@ class HaControlSlave final : public Component {
   void tick(Cycle now) override;
   void reset() override;
   [[nodiscard]] Cycle next_activity(Cycle now) const override;
-  [[nodiscard]] TickScope tick_scope() const override {
-    // Serial: tick() drives the ControllableHa (start/abort) and raises
-    // InterruptController lines — direct foreign-component mutation.
-    return TickScope::kSerial;
-  }
 
   [[nodiscard]] std::uint64_t jobs_completed() const { return jobs_; }
 

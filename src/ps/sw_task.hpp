@@ -15,8 +15,8 @@
 #include "axi/axi.hpp"
 #include "ps/ha_control_slave.hpp"
 #include "ps/interrupt.hpp"
+#include "obs/histogram.hpp"
 #include "sim/component.hpp"
-#include "stats/stats.hpp"
 
 namespace axihc {
 
@@ -41,14 +41,10 @@ class SwTask final : public Component {
   void tick(Cycle now) override;
   void reset() override;
   [[nodiscard]] Cycle next_activity(Cycle now) const override;
-  [[nodiscard]] TickScope tick_scope() const override {
-    // Serial: tick() polls the InterruptController directly — shared state
-    // the channel graph cannot express as an endpoint edge.
-    return TickScope::kSerial;
-  }
 
   [[nodiscard]] std::uint64_t requests_completed() const { return done_; }
-  [[nodiscard]] const LatencyStats& response_times() const {
+  /// Start-to-interrupt response times; min/mean/max are exact.
+  [[nodiscard]] const LogHistogram& response_times() const {
     return response_times_;
   }
   [[nodiscard]] bool finished() const {
@@ -70,7 +66,7 @@ class SwTask final : public Component {
   Cycle irq_seen_ = 0;
   TxnId next_id_ = 1;
   std::uint64_t done_ = 0;
-  LatencyStats response_times_;
+  LogHistogram response_times_;
 };
 
 }  // namespace axihc

@@ -148,11 +148,6 @@ class RecoveryManager final : public Component {
   [[nodiscard]] Cycle next_activity(Cycle /*now*/) const override {
     return kNoCycle;
   }
-  /// Serial like the hypervisor that drives it: its hooks reconfigure other
-  /// components through the driver.
-  [[nodiscard]] TickScope tick_scope() const override {
-    return TickScope::kSerial;
-  }
   void append_digest(StateDigest& d) const override;
 
   /// Observability: every FSM transition becomes a trace instant.

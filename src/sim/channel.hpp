@@ -59,14 +59,12 @@ class ChannelBase {
 
   /// Pool adoption (Simulator elaboration): moves this channel's hot words
   /// into pool lane `index` at address `lane` and repoints the handle.
-  /// Returns false (default) for channel types without pooled hot state —
-  /// the Simulator then keeps committing them through virtual commit() and
-  /// leaves the (all-zero, hence sweep-neutral) lane unused. Called again
-  /// after any pool growth; re-adoption of the same lane is a no-op.
-  virtual bool adopt_hot_lane(ChannelHot* lane, std::uint32_t index) {
+  /// The default ignores the lane: channel types without pooled hot state
+  /// keep being committed through virtual commit(). Called again after any
+  /// pool growth; re-adoption of the same lane is a no-op.
+  virtual void adopt_hot_lane(ChannelHot* lane, std::uint32_t index) {
     (void)lane;
     (void)index;
-    return false;
   }
 
   /// Detaches from the pool (Simulator teardown): copies the hot words back
@@ -82,9 +80,9 @@ class ChannelBase {
   virtual void append_digest(StateDigest& d) const { (void)d; }
 
   /// Declares `component` as an endpoint (producer or consumer) of this
-  /// channel. Called from component constructors; the island engine builds
-  /// connected components of the (component, channel) graph from these
-  /// declarations at elaboration time. Duplicate declarations are fine.
+  /// channel. Called from component constructors; the design-rule checker's
+  /// connectivity check reads these declarations after elaboration.
+  /// Duplicate declarations are fine.
   void add_endpoint(const Component& component) {
     endpoints_.push_back(&component);
   }
@@ -92,25 +90,6 @@ class ChannelBase {
   [[nodiscard]] const std::vector<const Component*>& endpoints() const {
     return endpoints_;
   }
-
-  /// Access ledger (axihc-lint): distinct components observed touching this
-  /// channel while the phase checker was armed. Always empty in builds
-  /// without AXIHC_PHASE_CHECK — the design-rule checker cross-checks it
-  /// against endpoints() to find undeclared accesses.
-#ifdef AXIHC_PHASE_CHECK
-  [[nodiscard]] const std::vector<const Component*>& observed_accessors()
-      const {
-    return ledger_accessors_;
-  }
-  void clear_observed_accessors() { ledger_accessors_.clear(); }
-#else
-  [[nodiscard]] const std::vector<const Component*>& observed_accessors()
-      const {
-    static const std::vector<const Component*> kEmpty;
-    return kEmpty;
-  }
-  void clear_observed_accessors() {}
-#endif
 
   [[nodiscard]] const std::string& name() const { return name_; }
 
@@ -123,8 +102,8 @@ class ChannelBase {
   /// manual commit() must not cause a second enqueue (the commit phase
   /// would commit and re-snapshot twice), and the stamp — unlike the dirty_
   /// flag — survives clear_dirty(), so the channel stays enqueued exactly
-  /// once per epoch. Pooled channels enqueue their lane index (committed by
-  /// the backend kernels); only unpooled ones enqueue a pointer for the
+  /// once per epoch. Pooled channels enqueue their lane index (committed in
+  /// place by the Simulator); only unpooled ones enqueue a pointer for the
   /// virtual-commit fallback. Standalone channels just set the local flag
   /// (which Simulator::add also checks, so pre-registration pushes commit
   /// at the end of the first cycle).
@@ -152,22 +131,15 @@ class ChannelBase {
   // hooks can be called from const accessors (the ledger state is mutable).
 #ifdef AXIHC_PHASE_CHECK
   void ledger_on_read() const;   // pop/front: consumes committed state
-  void ledger_on_peek() const;   // occupancy reads (can_push/can_pop/...)
   void ledger_on_write() const;  // push
   void ledger_on_commit() const;
-  void ledger_on_flush() const;  // clear_contents
-
- private:
-  void ledger_note_accessor() const;
 #else
   void ledger_on_read() const {}
-  void ledger_on_peek() const {}
   void ledger_on_write() const {}
   void ledger_on_commit() const {}
-  void ledger_on_flush() const {}
+#endif
 
  private:
-#endif
   friend class Simulator;
 
   std::string name_;
@@ -177,11 +149,9 @@ class ChannelBase {
   // build along with the hooks, so uninstrumented channels carry neither
   // per-access nor footprint overhead. Mutable: read-side hooks record from
   // const accessors.
-  mutable std::vector<const Component*> ledger_accessors_;
   mutable std::uint64_t ledger_commit_epoch_ = 0;
 #endif
-  // Commit lists this channel enqueues itself on: the Simulator's main
-  // lists, or (island engine) its island's local lists. Null when
+  // The Simulator's commit lists this channel enqueues itself on; null when
   // standalone. Pooled channels (lane_ != kNoLane) enqueue their lane on
   // lane_list_; unpooled ones enqueue themselves on dirty_list_.
   std::vector<ChannelBase*>* dirty_list_ = nullptr;
@@ -214,7 +184,6 @@ class TimingChannel final : public ChannelBase {
 
   /// True if the producer may push this cycle (backpressure check).
   [[nodiscard]] bool can_push() const {
-    ledger_on_peek();
     return hot_->snapshot + hot_->staged < capacity_;
   }
 
@@ -231,12 +200,10 @@ class TimingChannel final : public ChannelBase {
 
   /// True if the consumer can pop a (previously committed) element.
   [[nodiscard]] bool can_pop() const {
-    ledger_on_peek();
     return hot_->committed != 0;
   }
 
   [[nodiscard]] bool empty() const {
-    ledger_on_peek();
     return hot_->committed == 0;
   }
 
@@ -261,18 +228,15 @@ class TimingChannel final : public ChannelBase {
 
   /// Committed elements currently queued (in-flight occupancy).
   [[nodiscard]] std::size_t size() const {
-    ledger_on_peek();
     return hot_->committed;
   }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
   /// Lifetime traffic counters (used by throughput probes).
   [[nodiscard]] std::uint64_t total_pushes() const {
-    ledger_on_peek();
     return total_pushes_;
   }
   [[nodiscard]] std::uint64_t total_pops() const {
-    ledger_on_peek();
     return total_pops_;
   }
 
@@ -290,13 +254,12 @@ class TimingChannel final : public ChannelBase {
     total_pops_ = 0;
   }
 
-  bool adopt_hot_lane(ChannelHot* lane, std::uint32_t index) override {
+  void adopt_hot_lane(ChannelHot* lane, std::uint32_t index) override {
     if (hot_ != lane) {
       *lane = *hot_;
       hot_ = lane;
     }
     set_pool_lane(index);
-    return true;
   }
 
   void release_hot_lane() override {
@@ -323,7 +286,6 @@ class TimingChannel final : public ChannelBase {
   /// A no-op on an already-empty channel, so continuous flushing (a
   /// decoupled port) does not keep marking the channel dirty.
   void clear_contents() {
-    ledger_on_flush();
     ChannelHot& h = *hot_;
     if (h.committed == 0 && h.staged == 0 && h.snapshot == 0) return;
     h = ChannelHot{};

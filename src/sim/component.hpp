@@ -12,22 +12,6 @@ namespace axihc {
 
 class HotStatePool;
 
-/// What a component's tick() may touch — the contract the island engine
-/// (src/sim/island.hpp) partitions on.
-enum class TickScope : std::uint8_t {
-  /// tick() may read or write state outside this component and its
-  /// registered channels (e.g. it samples foreign counters through a
-  /// registry, or drives another component directly). Serial-scope
-  /// components collapse the whole system into one island: the engine
-  /// then ticks everything in registration order, exactly like the
-  /// serial kernel.
-  kSerial,
-  /// tick() touches only this component's own state and channels it is a
-  /// declared endpoint of (ChannelBase::add_endpoint). Island-scope
-  /// components may tick concurrently with components in other islands.
-  kIsland,
-};
-
 class Component {
  public:
   explicit Component(std::string name) : name_(std::move(name)) {}
@@ -60,16 +44,8 @@ class Component {
   /// at elaboration time by the owning Simulator. Components with per-cycle
   /// hot scalars (budget counters, deadline caches) move them into the pool
   /// here via PooledWords/PooledCycle::adopt, declaring themselves as the
-  /// slot owner; axihc-lint cross-checks observed writers against that
-  /// declaration. Default: nothing to pool.
+  /// slot owner. Default: nothing to pool.
   virtual void adopt_hot_state(HotStatePool& pool) { (void)pool; }
-
-  /// Parallel-tick contract (see TickScope). Default kSerial: a component
-  /// that has not audited its tick() for foreign-state access must not be
-  /// parallelized — one unaudited component safely serializes the system.
-  [[nodiscard]] virtual TickScope tick_scope() const {
-    return TickScope::kSerial;
-  }
 
   /// Folds this component's architecturally visible state (counters,
   /// latched registers, completion logs) into `d` for

@@ -1,6 +1,7 @@
 // FNV-1a state digest over the committed simulation state. Used by the
-// bit-identity tests (serial kernel vs. island engine at any thread count)
-// and by `axihc --digest` instead of ad-hoc per-observable comparisons.
+// bit-identity tests (fast-forward on/off, repeated runs, sweep rows at any
+// job-thread count) and by `axihc --digest` instead of ad-hoc
+// per-observable comparisons.
 //
 // Determinism notes:
 //  * The digest folds explicit fields, never raw struct bytes — padding

@@ -8,10 +8,10 @@
 // job order, so the aggregate output of a parallel sweep is byte-identical
 // to a serial run.
 //
-// Jobs and the island tick engine draw from the SAME pool
-// (sim/worker_pool.hpp): a simulation running set_threads(n) inside a job
-// executes its islands inline instead of oversubscribing, so total
-// parallelism is capped by one pool either way.
+// Parallelism lives only here, across independent simulations: each
+// simulation runs on the serial kernel. Jobs draw from one shared pool
+// (sim/worker_pool.hpp); a fan-out nested inside a job runs inline instead
+// of oversubscribing, so total parallelism is capped by the pool.
 #pragma once
 
 #include <algorithm>

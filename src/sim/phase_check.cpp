@@ -85,22 +85,12 @@ void PhaseCheck::reset() {
 
 // --- ChannelBase instrumentation (declared in sim/channel.hpp) ----------
 //
-// The ledger and the phase rules live here, out of the header, so the hot
-// channel methods only pay an outlined call (and only in instrumented
-// builds; the default build compiles the hooks away entirely).
-
-void ChannelBase::ledger_note_accessor() const {
-  const Component* c = PhaseCheck::current();
-  if (c == nullptr) return;  // setup/teardown code outside any tick
-  for (const Component* seen : ledger_accessors_) {
-    if (seen == c) return;
-  }
-  ledger_accessors_.push_back(c);
-}
+// The phase rules live here, out of the header, so the hot channel methods
+// only pay an outlined call (and only in instrumented builds; the default
+// build compiles the hooks away entirely).
 
 void ChannelBase::ledger_on_read() const {
   if (!PhaseCheck::armed()) return;
-  ledger_note_accessor();
   const EnginePhase p = PhaseCheck::phase();
   const std::uint64_t epoch = epoch_ != nullptr ? *epoch_ : 0;
   if (p == EnginePhase::kCommit) {
@@ -116,14 +106,8 @@ void ChannelBase::ledger_on_read() const {
   }
 }
 
-void ChannelBase::ledger_on_peek() const {
-  if (!PhaseCheck::armed()) return;
-  ledger_note_accessor();
-}
-
 void ChannelBase::ledger_on_write() const {
   if (!PhaseCheck::armed()) return;
-  ledger_note_accessor();
   if (PhaseCheck::phase() == EnginePhase::kCommit) {
     PhaseCheck::record(name(), "push during the engine commit phase",
                        epoch_ != nullptr ? *epoch_ : 0);
@@ -140,14 +124,6 @@ void ChannelBase::ledger_on_commit() const {
         "mid-compute commit: staged data made visible in the same cycle",
         epoch);
   }
-}
-
-void ChannelBase::ledger_on_flush() const {
-  if (!PhaseCheck::armed()) return;
-  // Flushing committed contents mid-compute is a sanctioned operation (the
-  // HyperConnect decoupling path drops a faulted port's queues from its own
-  // tick); only record the accessor for the endpoint cross-check.
-  ledger_note_accessor();
 }
 
 #endif  // AXIHC_PHASE_CHECK

@@ -1,35 +1,24 @@
 // Phase-race detector for the two-phase channel semantics (axihc-lint
-// layer 2) plus the channel access ledger backing the design-rule checker's
-// endpoint cross-checks (layer 1).
+// layer 2).
 //
-// The kernel's bit-identity guarantees (fast-forward, island-parallel tick)
-// rest on three honor-system contracts:
-//   1. every component declares each channel it touches as an endpoint
-//      (ChannelBase::add_endpoint / AxiLink::attach_endpoint);
-//   2. tick_scope() truthfully describes what tick() touches;
-//   3. channel state moves strictly in two phases — tick() stages pushes and
-//      consumes previously-committed elements, the engine's commit phase
-//      alone makes staged data visible.
-// A single violation silently corrupts island partitioning or tick-order
-// independence with no diagnostic. This checker turns those contracts into
-// machine-checked ones.
+// The kernel's bit-identity guarantees (tick-order independence, the
+// fast-forward) rest on channel state moving strictly in two phases: tick()
+// stages pushes and consumes previously-committed elements, and the
+// kernel's commit phase alone makes staged data visible. A violation
+// silently makes results depend on tick order with no diagnostic; this
+// checker turns the contract into a machine-checked one.
 //
 // Instrumentation is compiled in only with the AXIHC_PHASE_CHECK CMake
 // option (the default build carries zero per-access overhead; see
 // docs/STATIC_ANALYSIS.md). When compiled in, it is armed at run time with
-// PhaseCheck::arm(true); the Simulator then stamps the engine phase and the
-// currently-ticking component, and every TimingChannel access
-//   * records the accessing component into the channel's ledger
-//     (ChannelBase::observed_accessors), and
-//   * flags two-phase violations: a mid-compute commit() (staged data made
-//     visible in the same cycle), a same-cycle read of freshly-committed
-//     state, or any channel access during the engine's commit phase.
+// PhaseCheck::arm(true); the Simulator then stamps the kernel phase and the
+// currently-ticking component, and every TimingChannel access flags
+// two-phase violations: a mid-compute commit() (staged data made visible in
+// the same cycle), a same-cycle read of freshly-committed state, or a read
+// or push during the commit phase.
 //
-// Threading: the phase stamp is a process-wide atomic written only between
-// parallel regions; the current component is thread-local, so arming under
-// the island engine is safe as long as the contracts hold — and when they
-// do not, the ledger race the detector itself incurs involves exactly the
-// channels it is about to report. Lint runs use the serial kernel.
+// Threading: the phase stamp is a process-wide atomic and the current
+// component is thread-local; lint runs arm one simulation at a time.
 #pragma once
 
 #include <cstddef>
@@ -45,7 +34,7 @@ class Component;
 
 /// True when the build carries the channel instrumentation
 /// (-DAXIHC_PHASE_CHECK=ON). The design-rule checker downgrades its
-/// ledger-backed checks to a note when false.
+/// phase-race check to a note when false.
 #ifdef AXIHC_PHASE_CHECK
 inline constexpr bool kPhaseCheckAvailable = true;
 #else
@@ -74,7 +63,7 @@ class PhaseCheck {
   static void arm(bool on);
   [[nodiscard]] static bool armed();
 
-  /// Engine phase stamp (Simulator only; written between parallel regions).
+  /// Kernel phase stamp (Simulator only).
   static void set_phase(EnginePhase phase);
   [[nodiscard]] static EnginePhase phase();
 

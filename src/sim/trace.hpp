@@ -36,66 +36,14 @@ struct TraceEvent {
   double value = 0.0;  // kCounter payload; unused otherwise
 };
 
-class EventTrace;
-
-/// Per-island staging sink for the parallel tick engine. While a compute
-/// phase runs, each worker installs its island's buffer as the calling
-/// thread's sink; every EventTrace::record lands here (tagged with the
-/// global registration index of the component being ticked) instead of in
-/// the shared trace. After the phase, merge_staged_traces() replays the
-/// events into their traces in ascending registration-index order — the
-/// exact order the serial kernel would have produced, so the trace stream
-/// (including capacity-drop accounting) is bit-identical at any thread
-/// count. Within one island, components tick in ascending index, so each
-/// buffer is already sorted and the merge is a k-way front pick.
-class TraceStagingBuffer {
- public:
-  [[nodiscard]] bool empty() const { return staged_.empty(); }
-  void clear() { staged_.clear(); }
-
-  /// Installs `buf` as the calling thread's staging sink (null = direct
-  /// recording). Only the tick engine installs buffers.
-  static void install(TraceStagingBuffer* buf);
-  [[nodiscard]] static TraceStagingBuffer* current();
-
-  /// Tags subsequently staged events with the registration index of the
-  /// component about to tick.
-  static void set_sequence(std::uint32_t seq);
-
- private:
-  friend class EventTrace;
-  friend void merge_staged_traces(TraceStagingBuffer* const* buffers,
-                                  std::size_t n);
-
-  struct Entry {
-    std::uint32_t seq;
-    EventTrace* trace;
-    TraceEvent event;
-  };
-  std::vector<Entry> staged_;
-};
-
-/// Replays all staged events into their traces in ascending registration
-/// order and clears the buffers. Runs on the dispatching thread only.
-void merge_staged_traces(TraceStagingBuffer* const* buffers, std::size_t n);
-
 class EventTrace {
  public:
   EventTrace() = default;
-  ~EventTrace();
   EventTrace(const EventTrace&) = delete;
   EventTrace& operator=(const EventTrace&) = delete;
 
-  void enable(bool on);
+  void enable(bool on) { enabled_ = on; }
   [[nodiscard]] bool enabled() const { return enabled_; }
-
-  /// True while any trace in the process is enabled. The tick engine skips
-  /// the whole staging path (thread-local sink install + per-component
-  /// sequence tagging) when this is false — the common benchmark/production
-  /// case — so untraced runs pay nothing for trace determinism. Sampled
-  /// once per cycle; traces are expected to be enabled between runs, not
-  /// from inside a component's tick.
-  [[nodiscard]] static bool any_enabled();
 
   /// Caps the number of retained events, like a fixed-capacity hardware
   /// buffer (common/ring_buffer.hpp): once full, later events are discarded
@@ -142,17 +90,8 @@ class EventTrace {
   void dump(std::ostream& os) const;
 
  private:
-  friend class TraceStagingBuffer;
-  friend void merge_staged_traces(TraceStagingBuffer* const* buffers,
-                                  std::size_t n);
-
-  /// Routes to the thread's staging buffer when one is installed (parallel
-  /// compute phase), otherwise commits directly.
+  /// Applies capacity accounting and appends.
   void push(TraceEvent e);
-
-  /// Applies capacity accounting and appends. Only the recording thread
-  /// (serial kernel) or the merge (parallel engine) reaches this.
-  void commit_push(TraceEvent e);
 
   bool enabled_ = false;
   std::size_t capacity_ = 0;  // 0 = unbounded

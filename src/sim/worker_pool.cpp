@@ -17,8 +17,6 @@ WorkerPool& WorkerPool::shared() {
   return pool;
 }
 
-bool WorkerPool::on_pool_thread() { return tls_on_pool_thread; }
-
 WorkerPool::WorkerPool(unsigned worker_threads) : slots_(worker_threads) {
   threads_.reserve(worker_threads);
   for (unsigned w = 0; w < worker_threads; ++w) {
@@ -40,8 +38,8 @@ void WorkerPool::run_tasks_impl(unsigned participants, Call call, void* ctx) {
   if (n == 0) n = 1;
   if (n == 1 || tls_on_pool_thread || !run_mutex_.try_lock()) {
     // Nested or contended dispatch: run everything inline, serially. This is
-    // the "one shared pool" cap — a simulation inside a sweep job does not
-    // multiply the sweep's threads.
+    // the "one shared pool" cap — a fan-out inside a job does not multiply
+    // the job's threads.
     for (unsigned i = 0; i < n; ++i) call(ctx, i);
     return;
   }
@@ -89,7 +87,7 @@ void WorkerPool::worker_main(unsigned worker_index) {
   WorkerSlot& slot = slots_[worker_index];
   std::uint64_t seen = 0;
   for (;;) {
-    // Wait for our mailbox to move: spin briefly (a tick round is short),
+    // Wait for our mailbox to move: spin briefly (back-to-back rounds),
     // then yield (oversubscribed host), then sleep (idle pool).
     unsigned spins = 0;
     while (slot.work_gen.load(std::memory_order_acquire) == seen) {

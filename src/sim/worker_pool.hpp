@@ -1,11 +1,10 @@
-// Process-wide persistent worker pool shared by the island tick engine
-// (src/sim/island.hpp) and the bench sweep runner (bench::run_parallel), so
-// nested parallelism is capped by one pool: a task already running inside
-// the pool — or a second concurrent dispatcher — degrades to inline serial
+// Process-wide persistent worker pool behind job-level fan-out
+// (sim/parallel_jobs.hpp: sweeps, fault campaigns, bench grids), so nested
+// parallelism is capped by one pool: a task already running inside the
+// pool — or a second concurrent dispatcher — degrades to inline serial
 // execution instead of oversubscribing the machine.
 //
-// Dispatch design (per-round cost matters: the tick engine dispatches every
-// simulated cycle):
+// Dispatch design:
 //  * Each worker has its own cache-line-sized mailbox (a generation counter).
 //    The dispatcher publishes the job, then bumps exactly the mailboxes of
 //    the workers that participate in the round; workers never read shared
@@ -33,10 +32,6 @@ class WorkerPool {
   /// The lazily-created shared pool, sized for the host. Never destroyed
   /// before process exit (workers are joined by the static destructor).
   static WorkerPool& shared();
-
-  /// True while the calling thread is executing a pool task. Used by nested
-  /// dispatchers (an engine inside a sweep job) to fall back to serial.
-  static bool on_pool_thread();
 
   explicit WorkerPool(unsigned worker_threads);
   ~WorkerPool();

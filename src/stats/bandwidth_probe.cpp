@@ -11,8 +11,8 @@ BandwidthProbe::BandwidthProbe(std::string name, AxiLink& link, Cycle window)
     : Component(std::move(name)), link_(link), window_(window) {
   AXIHC_CHECK(window_ > 0);
   window_end_ = window_;
-  // Counter reads are still cross-component state: co-island with the
-  // link's producer/consumer so the observed counters are tick-order stable.
+  // The probe reads the R/W channels' traffic counters: declare it as an
+  // endpoint so connectivity checks see the edge.
   link_.r.add_endpoint(*this);
   link_.w.add_endpoint(*this);
 }

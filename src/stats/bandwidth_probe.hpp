@@ -62,12 +62,6 @@ class BandwidthProbe final : public Component {
   /// sample equals total_read_bytes()/total_write_bytes() exactly.
   void register_metrics(MetricsRegistry& reg);
 
-  /// Reads only its link's R/W traffic counters — the probe registers as an
-  /// endpoint of those channels, so it islands together with their users.
-  [[nodiscard]] TickScope tick_scope() const override {
-    return TickScope::kIsland;
-  }
-
   void append_digest(StateDigest& d) const override {
     d.mix(read_total_);
     d.mix(write_total_);

@@ -1,47 +1,16 @@
-// Measurement primitives: latency distributions, throughput/rate meters.
+// Measurement primitives: throughput/rate meters and window counters
+// (latency distributions live in obs/histogram.hpp).
 // These play the role of the paper's "custom-developed timer implemented in
 // the FPGA fabric" (§VI-B): cycle-exact observation without disturbing the
 // traffic.
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "common/types.hpp"
 
 namespace axihc {
-
-/// Accumulates latency samples (in cycles) and reports min/max/mean and
-/// percentiles. Samples are retained, so percentiles are exact. The sorted
-/// order is cached across queries and invalidated by record(), so report
-/// code asking for several percentiles sorts once, not per query.
-class LatencyStats {
- public:
-  void record(Cycle latency);
-
-  [[nodiscard]] std::size_t count() const { return samples_.size(); }
-  [[nodiscard]] Cycle min() const;
-  [[nodiscard]] Cycle max() const;
-  [[nodiscard]] double mean() const;
-
-  /// Exact p-th percentile (0 < p <= 100) by nearest-rank. Requires samples.
-  [[nodiscard]] Cycle percentile(double p) const;
-
-  void clear() {
-    samples_.clear();
-    sorted_.clear();
-    sorted_valid_ = false;
-  }
-  [[nodiscard]] const std::vector<Cycle>& samples() const { return samples_; }
-
- private:
-  [[nodiscard]] const std::vector<Cycle>& sorted() const;
-
-  std::vector<Cycle> samples_;
-  mutable std::vector<Cycle> sorted_;
-  mutable bool sorted_valid_ = false;
-};
 
 /// Converts (work completed, elapsed cycles) into per-second rates given the
 /// fabric clock frequency. The ZCU102 designs in the paper clock the fabric

@@ -2,9 +2,9 @@
 // exists for — fed by deliberately-broken fixture components — and stay
 // silent on well-formed systems.
 //
-// The ledger-backed checks (undeclared-endpoint, island-scope-violation,
-// phase-race) need the AXIHC_PHASE_CHECK instrumentation; those tests skip
-// on uninstrumented builds (the CI static-analysis job runs them for real).
+// The phase-race checks need the AXIHC_PHASE_CHECK instrumentation; those
+// tests skip on uninstrumented builds (the CI static-analysis job runs them
+// for real).
 // The structural checks (connectivity, address map, widths) run everywhere.
 #include "lint/lint.hpp"
 
@@ -31,8 +31,8 @@ struct PhaseCheckGuard {
 
 // --- fixtures: honest and lying components ------------------------------
 
-/// Honest island-scope producer: declares its channel, stages one push per
-/// cycle while there is room.
+/// Honest producer: declares its channel, stages one push per cycle while
+/// there is room.
 class HonestProducer : public Component {
  public:
   HonestProducer(std::string name, TimingChannel<int>& ch)
@@ -42,52 +42,9 @@ class HonestProducer : public Component {
   void tick(Cycle) override {
     if (ch_->can_push()) ch_->push(1);
   }
-  [[nodiscard]] TickScope tick_scope() const override {
-    return TickScope::kIsland;
-  }
 
  private:
   TimingChannel<int>* ch_;
-};
-
-/// The bug the undeclared-endpoint check exists for: claims island scope but
-/// consumes a channel it never declared, so the partitioner cannot see the
-/// edge between it and the producer.
-class UndeclaredConsumer : public Component {
- public:
-  UndeclaredConsumer(std::string name, TimingChannel<int>& ch)
-      : Component(std::move(name)), ch_(&ch) {}  // no add_endpoint — the bug
-  void tick(Cycle) override {
-    if (ch_->can_pop()) ch_->pop();
-  }
-  [[nodiscard]] TickScope tick_scope() const override {
-    return TickScope::kIsland;
-  }
-
- private:
-  TimingChannel<int>* ch_;
-};
-
-/// Declares its own channel but also peeks at a foreign island's channel:
-/// a data race under the parallel engine (island-scope-violation).
-class CrossIslandSnooper : public Component {
- public:
-  CrossIslandSnooper(std::string name, TimingChannel<int>& own,
-                     TimingChannel<int>& foreign)
-      : Component(std::move(name)), own_(&own), foreign_(&foreign) {
-    own_->add_endpoint(*this);
-  }
-  void tick(Cycle) override {
-    if (own_->can_push()) own_->push(1);
-    if (foreign_->can_pop()) foreign_->pop();  // undeclared, cross-island
-  }
-  [[nodiscard]] TickScope tick_scope() const override {
-    return TickScope::kIsland;
-  }
-
- private:
-  TimingChannel<int>* own_;
-  TimingChannel<int>* foreign_;
 };
 
 /// Breaks the two-phase discipline on purpose: commits its own channel
@@ -105,9 +62,6 @@ class PhaseRacer : public Component {
     ch_->commit();                 // mid-compute commit
     if (ch_->can_pop()) ch_->pop();  // same-cycle read-after-commit
   }
-  [[nodiscard]] TickScope tick_scope() const override {
-    return TickScope::kIsland;
-  }
 
  private:
   TimingChannel<int>* ch_;
@@ -120,56 +74,7 @@ class IdleMaster : public Component {
   void tick(Cycle) override {}
 };
 
-// --- ledger-backed checks (need the instrumented build) -----------------
-
-TEST(LintLedger, FlagsUndeclaredEndpoint) {
-  if (!kPhaseCheckAvailable) {
-    GTEST_SKIP() << "needs -DAXIHC_PHASE_CHECK=ON";
-  }
-  PhaseCheckGuard guard;
-  Simulator sim;
-  TimingChannel<int> ch("fixture.ch", 4);
-  sim.add(ch);
-  HonestProducer producer("producer", ch);
-  UndeclaredConsumer consumer("consumer", ch);
-  sim.add(producer);
-  sim.add(consumer);
-
-  PhaseCheck::arm(true);
-  sim.run(10);
-
-  const LintReport report = DesignRuleChecker(sim).run();
-  EXPECT_TRUE(report.has_errors());
-  EXPECT_TRUE(report.has_check("undeclared-endpoint"));
-  // The honest producer must not be flagged.
-  for (const LintFinding& f : report.findings()) {
-    EXPECT_NE(f.subject, "producer") << f.message;
-  }
-}
-
-TEST(LintLedger, FlagsCrossIslandAccess) {
-  if (!kPhaseCheckAvailable) {
-    GTEST_SKIP() << "needs -DAXIHC_PHASE_CHECK=ON";
-  }
-  PhaseCheckGuard guard;
-  Simulator sim;
-  TimingChannel<int> island_a("a.ch", 4);
-  TimingChannel<int> island_b("b.ch", 4);
-  sim.add(island_a);
-  sim.add(island_b);
-  HonestProducer producer("a.producer", island_a);
-  CrossIslandSnooper snooper("b.snooper", island_b, island_a);
-  sim.add(producer);
-  sim.add(snooper);
-
-  PhaseCheck::arm(true);
-  sim.run(10);
-
-  const LintReport report = DesignRuleChecker(sim).run();
-  EXPECT_TRUE(report.has_errors());
-  EXPECT_TRUE(report.has_check("island-scope-violation"));
-  EXPECT_TRUE(report.has_check("undeclared-endpoint"));
-}
+// --- phase-race checks (need the instrumented build) --------------------
 
 TEST(LintLedger, FlagsPhaseRace) {
   if (!kPhaseCheckAvailable) {
@@ -186,7 +91,7 @@ TEST(LintLedger, FlagsPhaseRace) {
   sim.run(3);
 
   EXPECT_GT(PhaseCheck::violation_count(), 0u);
-  const LintReport report = DesignRuleChecker(sim).run();
+  const LintReport report = DesignRuleChecker().run();
   EXPECT_TRUE(report.has_errors());
   EXPECT_TRUE(report.has_check("phase-race"));
 }
@@ -205,7 +110,7 @@ TEST(LintLedger, CleanSystemHasNoLedgerFindings) {
   PhaseCheck::arm(true);
   sim.run(10);
 
-  const LintReport report = DesignRuleChecker(sim).run();
+  const LintReport report = DesignRuleChecker().run();
   EXPECT_FALSE(report.has_errors()) << [&] {
     std::ostringstream os;
     report.write_text(os);
@@ -227,14 +132,12 @@ TEST(LintLedger, DisarmedRunRecordsNothing) {
   sim.run(3);  // never armed
 
   EXPECT_EQ(PhaseCheck::violation_count(), 0u);
-  EXPECT_TRUE(ch.observed_accessors().empty());
 }
 
 // --- structural checks (run on every build) -----------------------------
 
 TEST(LintStructural, FlagsOverlappingDecodeMap) {
-  Simulator sim;
-  DesignRuleChecker drc(sim);
+  DesignRuleChecker drc;
   drc.add_address_range("bank0", {0x0000, 0x2000}, AddressKind::kDecode);
   drc.add_address_range("bank1", {0x1000, 0x2000}, AddressKind::kDecode);
 
@@ -244,8 +147,7 @@ TEST(LintStructural, FlagsOverlappingDecodeMap) {
 }
 
 TEST(LintStructural, WarnsOnSharedHaWindows) {
-  Simulator sim;
-  DesignRuleChecker drc(sim);
+  DesignRuleChecker drc;
   drc.add_address_range("ha0 buffer", {0x1000'0000, 1u << 20},
                         AddressKind::kMasterWindow);
   drc.add_address_range("ha1 buffer", {0x1000'8000, 1u << 20},
@@ -257,8 +159,7 @@ TEST(LintStructural, WarnsOnSharedHaWindows) {
 }
 
 TEST(LintStructural, WarnsOnWindowOutsideDecodeMap) {
-  Simulator sim;
-  DesignRuleChecker drc(sim);
+  DesignRuleChecker drc;
   drc.add_address_range("memory decode map", {0, 1u << 20},
                         AddressKind::kDecode);
   drc.add_address_range("ha0 buffer", {0x1000'0000, 1u << 16},
@@ -278,7 +179,7 @@ TEST(LintStructural, WarnsOnUnconnectedLink) {
   link.attach_endpoint(lonely);  // only one side attached
   sim.add(lonely);
 
-  DesignRuleChecker drc(sim);
+  DesignRuleChecker drc;
   drc.expect_connected(link, "test port");
   const LintReport report = drc.run();
   EXPECT_TRUE(report.has_check("unconnected-link"));
@@ -286,7 +187,6 @@ TEST(LintStructural, WarnsOnUnconnectedLink) {
 }
 
 TEST(LintStructural, FlagsBridgeWidthMismatch) {
-  Simulator sim;
   AxiLinkConfig wide;
   wide.data_bits = 128;
   AxiLinkConfig narrow;
@@ -294,7 +194,7 @@ TEST(LintStructural, FlagsBridgeWidthMismatch) {
   AxiLink up("up", wide);
   AxiLink down("down", narrow);
 
-  DesignRuleChecker drc(sim);
+  DesignRuleChecker drc;
   drc.add_bridge("bridge0", up, down);
   const LintReport report = drc.run();
   EXPECT_TRUE(report.has_errors());
@@ -302,19 +202,18 @@ TEST(LintStructural, FlagsBridgeWidthMismatch) {
 }
 
 TEST(LintStructural, FlagsIdHeadroomViolation) {
-  Simulator sim;
   AxiLinkConfig cfg;
   cfg.id_bits = 20;  // collides with the port index packed at bit 16
   AxiLink link("ha0.link", cfg);
 
-  DesignRuleChecker drc(sim);
+  DesignRuleChecker drc;
   drc.require_id_headroom(link, 16, "the ID-extension");
   const LintReport report = drc.run();
   EXPECT_TRUE(report.has_errors());
   EXPECT_TRUE(report.has_check("width-mismatch"));
 
   AxiLink ok("ha1.link", {});  // default 16-bit IDs exactly fit
-  DesignRuleChecker drc2(sim);
+  DesignRuleChecker drc2;
   drc2.require_id_headroom(ok, 16, "the ID-extension");
   EXPECT_FALSE(drc2.run().has_errors());
 }
@@ -368,7 +267,6 @@ TEST(LintSystem, CleanConfigLintsClean) {
   auto system = build_system(kCleanIni);
   if (kPhaseCheckAvailable) {
     PhaseCheck::arm(true);
-    system->soc().sim().set_threads(0);
     system->run(2000);
   }
   const LintReport report = system->lint();

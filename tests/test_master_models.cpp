@@ -207,7 +207,7 @@ TEST_F(DirectFixture, GoogleNetScheduleShape) {
   EXPECT_NEAR(static_cast<double>(macs), 1.6e9, 0.3e9);
 }
 
-TEST_F(DirectFixture, MasterLatencyStatsPopulated) {
+TEST_F(DirectFixture, MasterLatencyHistogramsPopulated) {
   DmaConfig cfg;
   cfg.mode = DmaMode::kRead;
   cfg.bytes_per_job = 512;

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <vector>
 
 #include "sim/trace.hpp"
+#include "sim/worker_pool.hpp"
 
 namespace axihc {
 namespace {
@@ -140,6 +143,35 @@ TEST(EventTrace, RecordsOnlyWhenEnabled) {
   EXPECT_EQ(trace.first("a", "x"), 2u);
   EXPECT_EQ(trace.first("a", "z"), kNoCycle);
   EXPECT_EQ(trace.count("a", "x"), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Worker pool sanity (job-level fan-out: sweeps, campaigns).
+
+TEST(WorkerPoolTest, RunsEachIndexExactlyOnce) {
+  WorkerPool& pool = WorkerPool::shared();
+  const unsigned n = std::min(4u, pool.max_participants());
+  std::vector<std::atomic<int>> counts(n);
+  for (int round = 0; round < 100; ++round) {
+    pool.run_tasks(n, [&](unsigned index) {
+      counts[index].fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  for (unsigned i = 0; i < n; ++i) {
+    EXPECT_EQ(counts[i].load(), 100) << "index " << i;
+  }
+}
+
+TEST(WorkerPoolTest, NestedDispatchDegradesToInline) {
+  // A pool task dispatching again must run its tasks inline (no deadlock,
+  // no oversubscription) — this is what caps nested fan-out inside a job.
+  WorkerPool& pool = WorkerPool::shared();
+  std::atomic<int> total{0};
+  pool.run_tasks(2, [&](unsigned) {
+    pool.run_tasks(4,
+                   [&](unsigned) { total.fetch_add(1, std::memory_order_relaxed); });
+  });
+  EXPECT_EQ(total.load(), 8);
 }
 
 }  // namespace

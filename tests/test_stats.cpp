@@ -1,5 +1,4 @@
-// Measurement-primitive tests: latency stats, rate meter, window counter,
-// table printer.
+// Measurement-primitive tests: rate meter, window counter, table printer.
 #include "stats/stats.hpp"
 
 #include <gtest/gtest.h>
@@ -11,54 +10,6 @@
 
 namespace axihc {
 namespace {
-
-TEST(LatencyStats, MinMaxMean) {
-  LatencyStats s;
-  for (Cycle v : {4u, 2u, 9u, 5u}) s.record(v);
-  EXPECT_EQ(s.count(), 4u);
-  EXPECT_EQ(s.min(), 2u);
-  EXPECT_EQ(s.max(), 9u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-}
-
-TEST(LatencyStats, PercentilesExact) {
-  LatencyStats s;
-  for (Cycle v = 1; v <= 100; ++v) s.record(v);
-  EXPECT_EQ(s.percentile(50), 50u);
-  EXPECT_EQ(s.percentile(99), 99u);
-  EXPECT_EQ(s.percentile(100), 100u);
-  EXPECT_EQ(s.percentile(1), 1u);
-}
-
-TEST(LatencyStats, SortCacheSurvivesQueriesAndInvalidatesOnRecord) {
-  LatencyStats s;
-  for (Cycle v : {30u, 10u, 20u}) s.record(v);
-  // Several queries against one cached sort.
-  EXPECT_EQ(s.percentile(50), 20u);
-  EXPECT_EQ(s.percentile(100), 30u);
-  EXPECT_EQ(s.min(), 10u);
-  EXPECT_EQ(s.max(), 30u);
-  // A new sample must invalidate the cache, not be ignored by it.
-  s.record(5);
-  EXPECT_EQ(s.min(), 5u);
-  EXPECT_EQ(s.percentile(25), 5u);
-  EXPECT_EQ(s.percentile(100), 30u);
-  s.record(100);
-  EXPECT_EQ(s.max(), 100u);
-  // samples() stays in insertion order regardless of percentile queries.
-  EXPECT_EQ(s.samples().front(), 30u);
-  s.clear();
-  EXPECT_EQ(s.count(), 0u);
-  s.record(7);
-  EXPECT_EQ(s.percentile(50), 7u);
-}
-
-TEST(LatencyStats, EmptyThrows) {
-  LatencyStats s;
-  EXPECT_THROW((void)s.min(), ModelError);
-  EXPECT_THROW((void)s.mean(), ModelError);
-  EXPECT_THROW((void)s.percentile(50), ModelError);
-}
 
 TEST(RateMeter, ConvertsToPerSecond) {
   RateMeter meter(100e6);  // 100 MHz

@@ -2,9 +2,7 @@
 //
 //   axihc <config.ini> [--cycles N] [--trace-out f.json]
 //         [--metrics-out f.csv] [--sample-every N] [--no-fast-forward]
-//         [--threads N] [--no-parallel-tick] [--digest]
-//         [--backend scalar|sse2|avx2|auto] [--auto-tune]
-//         [--latency-audit] [--flight-out f.jsonl]
+//         [--digest] [--latency-audit] [--flight-out f.jsonl]
 //   axihc <config.ini> --lint [--lint-strict] [--lint-json f.json]
 //   axihc <config.ini> --prove [--prove-json f.json]
 //   axihc <spec.ini> --campaign [--campaign-out f.jsonl]
@@ -61,9 +59,8 @@
 // --lint elaborates the system, runs the design-rule checker (src/lint) and
 // exits nonzero when any error-severity finding is present. In builds
 // configured with -DAXIHC_PHASE_CHECK=ON it first runs a short simulation
-// (the --cycles value, or 20000) on the serial kernel with the channel
-// instrumentation armed, so the ledger-backed checks (undeclared endpoints,
-// island-scope violations, two-phase races) have accesses to audit.
+// (the --cycles value, or 20000) with the channel instrumentation armed, so
+// the phase-race check has accesses to audit.
 //
 // See src/config/system_builder.hpp for the full config reference.
 #include <cstdio>
@@ -79,7 +76,6 @@
 #include "common/check.hpp"
 #include "config/canonical.hpp"
 #include "config/system_builder.hpp"
-#include "sim/backend.hpp"
 #include "sim/phase_check.hpp"
 #include "sweep/code_version.hpp"
 #include "sweep/report.hpp"
@@ -123,9 +119,7 @@ flight_capacity = 4096        ; flight-recorder ring size (transactions)
 void usage() {
   std::cerr << "usage: axihc <config.ini> [--cycles N] [--trace-out f.json]\n"
                "             [--metrics-out f.csv] [--sample-every N]\n"
-               "             [--no-fast-forward] [--threads N]\n"
-               "             [--no-parallel-tick] [--digest]\n"
-               "             [--backend scalar|sse2|avx2|auto] [--auto-tune]\n"
+               "             [--no-fast-forward] [--digest]\n"
                "             [--latency-audit] [--flight-out f.jsonl]\n"
                "       axihc <config.ini> --lint [--lint-strict]\n"
                "             [--lint-json f.json]\n"
@@ -177,8 +171,6 @@ int main(int argc, char** argv) {
   std::string metrics_out;
   axihc::Cycle sample_every = 0;  // 0 = keep the config's value
   bool fast_forward = true;
-  unsigned threads = 0;  // 0 = serial kernel
-  bool parallel_tick = true;
   bool print_digest = false;
   bool lint_mode = false;
   bool lint_strict = false;
@@ -202,9 +194,6 @@ int main(int argc, char** argv) {
   std::string sweep_report_json;
   bool config_digest_mode = false;
   bool config_canonical_mode = false;
-  axihc::BackendKind backend = axihc::BackendKind::kAuto;
-  bool backend_flag = false;
-  bool auto_tune = false;
   for (int i = 2; i < argc; ++i) {
     const bool has_value = i + 1 < argc;
     if (std::strcmp(argv[i], "--cycles") == 0 && has_value) {
@@ -217,10 +206,6 @@ int main(int argc, char** argv) {
       sample_every = std::strtoull(argv[++i], nullptr, 0);
     } else if (std::strcmp(argv[i], "--no-fast-forward") == 0) {
       fast_forward = false;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && has_value) {
-      threads = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 0));
-    } else if (std::strcmp(argv[i], "--no-parallel-tick") == 0) {
-      parallel_tick = false;
     } else if (std::strcmp(argv[i], "--digest") == 0) {
       print_digest = true;
     } else if (std::strcmp(argv[i], "--lint") == 0) {
@@ -287,22 +272,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--flight-out") == 0 && has_value) {
       latency_audit = true;
       flight_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--backend") == 0 && has_value) {
-      if (!axihc::parse_backend(argv[++i], backend)) {
-        std::cerr << "axihc: unknown backend '" << argv[i]
-                  << "' (scalar|sse2|avx2|auto)\n";
-        return 2;
-      }
-      backend_flag = true;
-    } else if (std::strncmp(argv[i], "--backend=", 10) == 0) {
-      if (!axihc::parse_backend(argv[i] + 10, backend)) {
-        std::cerr << "axihc: unknown backend '" << (argv[i] + 10)
-                  << "' (scalar|sse2|avx2|auto)\n";
-        return 2;
-      }
-      backend_flag = true;
-    } else if (std::strcmp(argv[i], "--auto-tune") == 0) {
-      auto_tune = true;
     }
   }
 
@@ -481,30 +450,10 @@ int main(int argc, char** argv) {
       return proof.disproved() ? 1 : 0;
     }
 
-    // Sweep-kernel backend: --auto-tune micro-probes the candidates on this
-    // host and picks the fastest; otherwise the request (default: auto =
-    // widest supported) goes through the resolve chain, which also honours
-    // the AXIHC_FORCE_BACKEND environment override. Results are
-    // bit-identical on every backend — only wall time changes.
-    if (auto_tune) {
-      std::string note;
-      backend = axihc::auto_tune_backend(&note);
-      std::cerr << "axihc: " << note << "\n";
-      backend_flag = true;
-    }
-    system->soc().sim().set_backend(backend);
-    if (backend_flag || std::getenv("AXIHC_FORCE_BACKEND") != nullptr) {
-      std::cerr << "axihc: "
-                << system->soc().sim().backend_policy().report() << "\n";
-    }
-
     if (lint_mode) {
       if (axihc::kPhaseCheckAvailable) {
-        // Populate the access ledger: short armed run on the serial kernel
-        // (the checks cover exactly what ran, and serial keeps the ledger
-        // race-free even for the broken systems lint exists to catch).
+        // Short armed run: the phase-race check covers exactly what ran.
         axihc::PhaseCheck::arm(true);
-        system->soc().sim().set_threads(0);
         system->run(override_cycles != 0 ? override_cycles : 20000);
       }
       const axihc::LintReport report = system->lint();
@@ -535,11 +484,6 @@ int main(int argc, char** argv) {
     // Kernel fast-forward is on by default and bit-exact; --no-fast-forward
     // forces the naive one-tick-per-cycle loop (kernel debugging aid).
     system->soc().sim().set_fast_forward(fast_forward);
-    // --threads N (>= 2) selects the island-partitioned parallel tick
-    // engine, bit-identical to the serial kernel; 0/1 and
-    // --no-parallel-tick run the serial kernel.
-    system->soc().sim().set_threads(threads);
-    system->soc().sim().set_parallel_tick(parallel_tick);
 
     system->run(override_cycles);
     std::cout << system->report();
@@ -559,7 +503,7 @@ int main(int argc, char** argv) {
     }
     if (print_digest) {
       // Machine-checkable bit-identity: equal configs must print equal
-      // digests at any --threads / fast-forward setting.
+      // digests with and without fast-forward.
       std::cout << "state_digest: " << std::hex
                 << system->soc().sim().state_digest() << std::dec << "\n";
     }

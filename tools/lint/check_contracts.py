@@ -1,31 +1,22 @@
 #!/usr/bin/env python3
 """Source-level contract scanner for the axihc component model (lint layer 3).
 
-Checks over src/**/*.hpp + the matching .cpp files, complementing the
-runtime access ledger (which only audits code that actually executed) with
-whole-source coverage:
-
-  explicit-tick-scope   every class deriving (transitively) from Component
-                        must override tick_scope() somewhere in its
-                        inheritance chain below Component itself. The default
-                        is a safe kSerial, but an *implicit* default means
-                        nobody decided — the parallel-tick contract requires
-                        an explicit, auditable answer.
+Checks over src/**/*.hpp + the matching .cpp files, with whole-source
+coverage (the runtime phase checker only audits code that actually
+executed):
 
   endpoint-declaration  every Component subclass that owns TimingChannel or
                         AxiLink members must call add_endpoint()/
                         attach_endpoint() somewhere in its header or
-                        implementation file, so the island partitioner sees
-                        the edges to its channels.
+                        implementation file, so the design-rule checker's
+                        connectivity check sees the edges to its channels.
 
   pool-adoption         every Component subclass that owns PooledWords /
                         PooledCycle members (sim/soa_pool.hpp) must override
                         adopt_hot_state() and call .adopt() somewhere in its
                         header or implementation file — an unadopted handle
-                        silently falls back to inline storage, so the slot
-                        never gets the owner declaration axihc-lint's
-                        undeclared-pool-slot check and the AXIHC_PHASE_CHECK
-                        write ledger audit.
+                        silently falls back to inline storage, outside the
+                        pool.
 
 Two fact collectors feed one shared checker:
 
@@ -39,9 +30,8 @@ Two fact collectors feed one shared checker:
                  never skipped just because the toolchain is minimal.
 
 Suppressions (put the comment inside the class body):
-  // contracts: allow-default-scope   -- the implicit kSerial is intentional
   // contracts: allow-no-endpoint     -- channels are private plumbing that
-                                         no island partition needs to see
+                                         no connectivity check needs to see
   // contracts: allow-inline-pool     -- the handle intentionally stays on
                                          inline storage (never simulated
                                          under a Simulator-owned pool)
@@ -125,7 +115,6 @@ class ClassFacts:
         self.name = name
         self.path = path
         self.bases: list[str] = []
-        self.declares_tick_scope = False
         self.owns_channels = False
         self.owns_pooled = False
 
@@ -140,7 +129,6 @@ def collect_regex(src: pathlib.Path) -> dict[str, ClassFacts]:
                 continue  # first definition wins; duplicates are rare
             f = ClassFacts(name, path)
             f.bases = bases
-            f.declares_tick_scope = "tick_scope" in body
             f.owns_channels = any(OWNED_CHANNEL_RE.match(line)
                                   for line in body.splitlines())
             f.owns_pooled = any(OWNED_POOLED_RE.match(line)
@@ -197,9 +185,6 @@ def collect_ast(src: pathlib.Path, cindex) -> dict[str, ClassFacts]:
                 if nk == cindex.CursorKind.CXX_BASE_SPECIFIER:
                     base = node.type.spelling.split("<")[0]
                     f.bases.append(base.split("::")[-1].strip())
-                elif nk == cindex.CursorKind.CXX_METHOD and \
-                        node.spelling == "tick_scope":
-                    f.declares_tick_scope = True
                 elif nk == cindex.CursorKind.FIELD_DECL:
                     t = node.type.spelling
                     if "*" in t or "&" in t:
@@ -267,14 +252,6 @@ def main() -> int:
                 return True
         return False
 
-    def chain_declares_tick_scope(name: str) -> bool:
-        if name not in facts:
-            return False
-        if facts[name].declares_tick_scope:
-            return True
-        return any(b != "Component" and chain_declares_tick_scope(b)
-                   for b in facts[name].bases)
-
     def raw_body(name: str) -> str:
         """The class body with comments intact (suppression markers)."""
         raw = raw_texts.get(facts[name].path, "")
@@ -298,14 +275,6 @@ def main() -> int:
         rel = facts[name].path.relative_to(root)
         marker_body = raw_body(name)
 
-        if not chain_declares_tick_scope(name):
-            if "contracts: allow-default-scope" not in marker_body:
-                violations += 1
-                print(f"{rel}: class {name}: no tick_scope() override "
-                      f"anywhere in its inheritance chain — state the "
-                      f"parallel-tick contract explicitly (kSerial is fine, "
-                      f"implicit is not)")
-
         if facts[name].owns_channels:
             text = impl_text(name)
             if ("add_endpoint" not in text and "attach_endpoint" not in text
@@ -313,7 +282,7 @@ def main() -> int:
                 violations += 1
                 print(f"{rel}: class {name}: owns TimingChannel/AxiLink "
                       f"members but never calls add_endpoint()/"
-                      f"attach_endpoint() — the island partitioner cannot "
+                      f"attach_endpoint() — connectivity checks cannot "
                       f"see its channel edges")
 
         if facts[name].owns_pooled:
@@ -324,7 +293,7 @@ def main() -> int:
                 print(f"{rel}: class {name}: owns PooledWords/PooledCycle "
                       f"members but never adopts them into the hot-state "
                       f"pool (override adopt_hot_state() and call .adopt()) "
-                      f"— the slots stay inline and unauditable")
+                      f"— the slots stay on inline storage")
 
     print(f"check_contracts ({mode}): {len(components)} Component "
           f"subclass(es), {violations} violation(s)")
