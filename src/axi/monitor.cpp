@@ -26,29 +26,6 @@ void AxiMonitor::reset() {
   writes_started_ = writes_completed_ = 0;
   r_beats_ = w_beats_ = 0;
   r_errors_ = b_errors_ = 0;
-  read_idle_ = write_idle_ = 0;
-  read_hang_flagged_ = write_hang_flagged_ = false;
-  hangs_flagged_ = 0;
-}
-
-void AxiMonitor::check_hang(Cycle now, bool owes_progress, bool progressed,
-                            Cycle& counter, bool& flagged,
-                            const char* direction) {
-  if (hang_timeout_ == 0) return;
-  if (!owes_progress || progressed) {
-    counter = 0;
-    flagged = false;
-    return;
-  }
-  ++counter;
-  if (counter >= hang_timeout_ && !flagged) {
-    flagged = true;  // one violation per stall episode
-    ++hangs_flagged_;
-    std::ostringstream os;
-    os << direction << " path hung: no progress for " << counter
-       << " cycles with transactions outstanding";
-    violation(now, os.str());
-  }
 }
 
 void AxiMonitor::violation(Cycle now, const std::string& what) {
@@ -87,9 +64,6 @@ bool AxiMonitor::check_addr_req(Cycle now, const AddrReq& req,
 }
 
 void AxiMonitor::tick(Cycle now) {
-  bool read_progress = false;
-  bool write_progress = false;
-
   // AR: master -> slave, one request per cycle.
   if (up_.ar.can_pop() && down_.ar.can_push() && !outstanding_reads_.full()) {
     AddrReq req = up_.ar.pop();
@@ -105,7 +79,6 @@ void AxiMonitor::tick(Cycle now) {
   if (down_.r.can_pop() && up_.r.can_push()) {
     RBeat beat = down_.r.pop();
     ++r_beats_;
-    read_progress = true;
     if (is_error(beat.resp)) ++r_errors_;
     if (outstanding_reads_.empty()) {
       violation(now, "R beat with no outstanding AR");
@@ -157,7 +130,6 @@ void AxiMonitor::tick(Cycle now) {
     } else {
       up_.w.pop();
       ++w_beats_;
-      write_progress = true;
       auto& head = pending_w_.front();
       AXIHC_CHECK(head.beats_left > 0);
       --head.beats_left;
@@ -182,7 +154,6 @@ void AxiMonitor::tick(Cycle now) {
   // B: slave -> master.
   if (down_.b.can_pop() && up_.b.can_push()) {
     BResp resp = down_.b.pop();
-    write_progress = true;
     if (is_error(resp.resp)) ++b_errors_;
     if (awaiting_b_.empty()) {
       violation(now, "B response before all W data transferred (or spurious)");
@@ -199,11 +170,6 @@ void AxiMonitor::tick(Cycle now) {
     }
     up_.b.push(resp);
   }
-
-  check_hang(now, !outstanding_reads_.empty(), read_progress, read_idle_,
-             read_hang_flagged_, "read");
-  check_hang(now, !pending_w_.empty() || !awaiting_b_.empty(), write_progress,
-             write_idle_, write_hang_flagged_, "write");
 }
 
 }  // namespace axihc

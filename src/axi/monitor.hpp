@@ -37,15 +37,10 @@ class AxiMonitor final : public Component {
   void tick(Cycle now) override;
   void reset() override;
   [[nodiscard]] Cycle next_activity(Cycle now) const override {
-    // Traffic to forward this cycle?
+    // Only traffic to forward wakes the monitor; its bookkeeping changes
+    // solely on forwarded beats.
     if (up_.ar.can_pop() || up_.aw.can_pop() || up_.w.can_pop() ||
         down_.r.can_pop() || down_.b.can_pop()) {
-      return now;
-    }
-    // The hang watchdog counts no-progress cycles while a direction owes
-    // data/responses — conservative while anything is outstanding.
-    if (!outstanding_reads_.empty() || !pending_w_.empty() ||
-        !awaiting_b_.empty()) {
       return now;
     }
     return kNoCycle;
@@ -53,11 +48,6 @@ class AxiMonitor final : public Component {
 
   /// If set, a violation throws ModelError instead of only being recorded.
   void set_throw_on_violation(bool on) { throw_on_violation_ = on; }
-
-  /// Hang watchdog: flags a violation when a direction owes progress (data
-  /// or responses are outstanding) but none happens for `cycles` in a row.
-  /// One violation per stall episode. 0 (default) disables the check.
-  void set_hang_timeout(Cycle cycles) { hang_timeout_ = cycles; }
 
   /// Records every forwarded AR/AW into `sink` as a trace entry (nullptr
   /// stops recording). Replay with TracePlayer.
@@ -84,8 +74,6 @@ class AxiMonitor final : public Component {
   /// Error responses observed (legal AXI — counted, not violations).
   [[nodiscard]] std::uint64_t r_errors() const { return r_errors_; }
   [[nodiscard]] std::uint64_t b_errors() const { return b_errors_; }
-  /// Hang-watchdog episodes flagged (also recorded in violations()).
-  [[nodiscard]] std::uint64_t hangs_flagged() const { return hangs_flagged_; }
 
  private:
   struct OutstandingBurst {
@@ -96,9 +84,6 @@ class AxiMonitor final : public Component {
   void violation(Cycle now, const std::string& what);
   /// Returns false if the request is too malformed to forward downstream.
   bool check_addr_req(Cycle now, const AddrReq& req, const char* channel);
-  /// Per-direction no-progress accounting for the hang watchdog.
-  void check_hang(Cycle now, bool owes_progress, bool progressed,
-                  Cycle& counter, bool& flagged, const char* direction);
 
   AxiLink& up_;
   AxiLink& down_;
@@ -119,13 +104,6 @@ class AxiMonitor final : public Component {
   std::uint64_t w_beats_ = 0;
   std::uint64_t r_errors_ = 0;
   std::uint64_t b_errors_ = 0;
-
-  Cycle hang_timeout_ = 0;
-  Cycle read_idle_ = 0;
-  Cycle write_idle_ = 0;
-  bool read_hang_flagged_ = false;
-  bool write_hang_flagged_ = false;
-  std::uint64_t hangs_flagged_ = 0;
 };
 
 }  // namespace axihc

@@ -69,9 +69,9 @@ class Efifo {
   void push_b(const BResp& resp) { link_->b.push(resp); }
 
   /// Total occupancy across the five channel queues (the paper's eFIFO
-  /// fill level, exported as the `efifo_level` gauge). The counts live in
-  /// the Simulator's hot-state pool — TimingChannel::size() reads the
-  /// pooled head/committed words — so sampling this is pure reads.
+  /// fill level, exported as the `efifo_level` gauge). Each size() is a
+  /// read of the channel's committed counter, so sampling this is pure
+  /// reads.
   [[nodiscard]] std::size_t level() const {
     return link_->ar.size() + link_->aw.size() + link_->w.size() +
            link_->r.size() + link_->b.size();

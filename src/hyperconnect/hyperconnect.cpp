@@ -82,18 +82,13 @@ void HyperConnect::register_with(Simulator& sim) {
   control_link_.register_with(sim);
 }
 
-void HyperConnect::adopt_hot_state(HotStatePool& pool) {
-  budget_left_.adopt(pool, this, "budget_left");
-  recharge_next_.adopt(pool, this, "recharge_deadline");
-}
-
 void HyperConnect::reset() {
   runtime_ = make_runtime(cfg_);
   for (auto& ts : ts_) ts->reset();
   for (auto& pu : pu_) pu->reset();
   exbar_.reset();
   budget_left_ = runtime_.budgets;
-  recharge_next_.set(0);
+  recharge_next_ = 0;
   recharge_period_ = 0;
   recharges_ = 0;
   faults_latched_ = 0;
@@ -137,7 +132,7 @@ void HyperConnect::register_metrics(MetricsRegistry& reg) {
   for (PortIndex i = 0; i < num_ports(); ++i) {
     const std::string p = port_source(i);
     reg.add_gauge(p + ".budget_left", [this, i] {
-      return static_cast<double>(budget_left_.get(i));
+      return static_cast<double>(budget_left_[i]);
     });
     reg.add_gauge(p + ".efifo_level", [this, i] {
       return static_cast<double>(efifos_[i].level());
@@ -268,9 +263,9 @@ void HyperConnect::tick_central_unit(Cycle now) {
   if (period != 0) {
     if (period != recharge_period_) {
       recharge_period_ = period;
-      recharge_next_.set(0);  // stale: re-derive from `now` below
+      recharge_next_ = 0;  // stale: re-derive from `now` below
     }
-    if (now >= recharge_next_.get()) {
+    if (now >= recharge_next_) {
       if (now % period == 0) {
         if (tracing()) {
           trace_->record(now, name() + ".central", "window_recharge");
@@ -280,14 +275,13 @@ void HyperConnect::tick_central_unit(Cycle now) {
           for (PortIndex i = 0; i < num_ports(); ++i) {
             trace_->record_counter(
                 now, port_source(i), "budget_used",
-                static_cast<double>(runtime_.budgets[i] -
-                                    budget_left_.get(i)));
+                static_cast<double>(runtime_.budgets[i] - budget_left_[i]));
           }
         }
         budget_left_ = runtime_.budgets;
         ++recharges_;
       }
-      recharge_next_.set((now / period + 1) * period);
+      recharge_next_ = (now / period + 1) * period;
     }
   }
 }
@@ -653,7 +647,7 @@ void HyperConnect::tick(Cycle now) {
                                  std::uint32_t outstanding,
                                  const TimingChannel<AddrReq>& stage) {
       if (!runtime_.global_enable) return LatencyCause::kBackpressure;
-      if (runtime_.reservation_period != 0 && budget_left_.get(i) == 0) {
+      if (runtime_.reservation_period != 0 && budget_left_[i] == 0) {
         return LatencyCause::kBudgetWait;
       }
       if (!stage.can_push()) return LatencyCause::kArbitration;

@@ -28,7 +28,6 @@
 #include "interconnect/interconnect.hpp"
 #include "obs/audit_hooks.hpp"
 #include "obs/metrics.hpp"
-#include "sim/soa_pool.hpp"
 #include "sim/trace.hpp"
 
 namespace axihc {
@@ -41,10 +40,6 @@ class HyperConnect final : public Interconnect {
   void reset() override;
   void register_with(Simulator& sim) override;
   [[nodiscard]] Cycle next_activity(Cycle now) const override;
-
-  /// Moves the per-port budget counters and the recharge-deadline cache
-  /// into the Simulator's hot-state pool (sim/soa_pool.hpp).
-  void adopt_hot_state(HotStatePool& pool) override;
 
   /// The control AXI slave interface (AXI-Lite-style: single-beat
   /// transactions). In the considered framework only the hypervisor masters
@@ -158,13 +153,12 @@ class HyperConnect final : public Interconnect {
   // free tick skip the per-port drain walk with one compare.
   std::size_t owed_pending_ = 0;
 
-  // Hot state, pool-adopted at elaboration (adopt_hot_state): the per-port
-  // reservation budgets and the next recharge-boundary cache. The cache
-  // keeps the `now % period == 0` divide off the per-cycle path — it fires
-  // only on actual boundaries (and after a runtime period change, detected
-  // via recharge_period_).
-  PooledWords budget_left_;
-  PooledCycle recharge_next_;
+  // The per-port reservation budgets and the next recharge-boundary cache.
+  // The cache keeps the `now % period == 0` divide off the per-cycle path —
+  // it fires only on actual boundaries (and after a runtime period change,
+  // detected via recharge_period_).
+  std::vector<std::uint32_t> budget_left_;
+  Cycle recharge_next_ = 0;
   Cycle recharge_period_ = 0;  // period recharge_next_ was computed for
   std::uint64_t recharges_ = 0;
   std::uint64_t faults_latched_ = 0;

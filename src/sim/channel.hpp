@@ -22,10 +22,12 @@
 // can only shrink within a cycle, and commit sets the new committed count to
 // committed + staged <= snapshot + (capacity - snapshot) = capacity.
 //
-// Channels also self-report to their Simulator's dirty list: any push, pop
-// or flush marks the channel dirty, and only dirty channels are committed at
-// the end of a cycle (quiet channels need neither data movement nor a new
-// snapshot). Standalone channels (no Simulator) just keep the flag locally.
+// The ring bookkeeping is four u32 counters held in the channel itself
+// (head, committed, staged, snapshot). Channels self-report to their
+// Simulator's dirty list: any push, pop or flush marks the channel dirty,
+// and only dirty channels are committed at the end of a cycle (quiet
+// channels need neither data movement nor a new snapshot). Standalone
+// channels (no Simulator) just keep the flag locally.
 #pragma once
 
 #include <cstddef>
@@ -37,7 +39,6 @@
 #include "common/check.hpp"
 #include "common/types.hpp"
 #include "sim/digest.hpp"
-#include "sim/soa_pool.hpp"
 
 namespace axihc {
 
@@ -56,24 +57,6 @@ class ChannelBase {
 
   /// Hardware reset: drop all contents.
   virtual void reset() = 0;
-
-  /// Pool adoption (Simulator elaboration): moves this channel's hot words
-  /// into pool lane `index` at address `lane` and repoints the handle.
-  /// The default ignores the lane: channel types without pooled hot state
-  /// keep being committed through virtual commit(). Called again after any
-  /// pool growth; re-adoption of the same lane is a no-op.
-  virtual void adopt_hot_lane(ChannelHot* lane, std::uint32_t index) {
-    (void)lane;
-    (void)index;
-  }
-
-  /// Detaches from the pool (Simulator teardown): copies the hot words back
-  /// into channel-local storage so the channel outliving its Simulator
-  /// remains fully usable.
-  virtual void release_hot_lane() {}
-
-  /// Pool lane index, or kNoLane when not pooled.
-  [[nodiscard]] std::uint32_t pool_lane() const { return lane_; }
 
   /// Folds the committed + staged contents and traffic counters into `d`
   /// (Simulator::state_digest). Default: no content to report.
@@ -94,30 +77,22 @@ class ChannelBase {
   [[nodiscard]] const std::string& name() const { return name_; }
 
  protected:
-  /// Enqueues this channel on its commit list (once per cycle). Called on any
-  /// state change that a commit must observe: push (staged data), pop and
-  /// flush (the next snapshot changes).
+  /// Enqueues this channel on its Simulator's commit list (once per cycle).
+  /// Called on any state change that a commit must observe: push (staged
+  /// data), pop and flush (the next snapshot changes).
   ///
   /// Registered channels dedup purely on the epoch stamp: a mid-cycle
   /// manual commit() must not cause a second enqueue (the commit phase
   /// would commit and re-snapshot twice), and the stamp — unlike the dirty_
   /// flag — survives clear_dirty(), so the channel stays enqueued exactly
-  /// once per epoch. Pooled channels enqueue their lane index (committed in
-  /// place by the Simulator); only unpooled ones enqueue a pointer for the
-  /// virtual-commit fallback. Standalone channels just set the local flag
-  /// (which Simulator::add also checks, so pre-registration pushes commit
-  /// at the end of the first cycle).
+  /// once per epoch. Standalone channels just set the local flag (which
+  /// Simulator::add also checks, so pre-registration pushes commit at the
+  /// end of the first cycle).
   void mark_dirty() {
     if (epoch_ != nullptr) {
       if (enqueue_epoch_ == *epoch_) return;  // already enqueued this cycle
       enqueue_epoch_ = *epoch_;
-      dirty_ = true;
-      if (lane_ != kNoLane) {
-        lane_list_->push_back(lane_);
-      } else {
-        dirty_list_->push_back(this);
-      }
-      return;
+      dirty_list_->push_back(this);
     }
     dirty_ = true;
   }
@@ -151,20 +126,12 @@ class ChannelBase {
   // const accessors.
   mutable std::uint64_t ledger_commit_epoch_ = 0;
 #endif
-  // The Simulator's commit lists this channel enqueues itself on; null when
-  // standalone. Pooled channels (lane_ != kNoLane) enqueue their lane on
-  // lane_list_; unpooled ones enqueue themselves on dirty_list_.
+  // The Simulator's commit list this channel enqueues itself on; null when
+  // standalone.
   std::vector<ChannelBase*>* dirty_list_ = nullptr;
-  std::vector<std::uint32_t>* lane_list_ = nullptr;
   const std::uint64_t* epoch_ = nullptr;  // Simulator's cycle epoch counter
   std::uint64_t enqueue_epoch_ = 0;       // epoch of the last enqueue
-  std::uint32_t lane_ = kNoLane;          // pool lane (set via adopt_hot_lane)
   bool dirty_ = false;
-
- protected:
-  /// For adopt_hot_lane overrides (lane_ itself is private to keep the
-  /// dedup machinery in one place).
-  void set_pool_lane(std::uint32_t lane) { lane_ = lane; }
 };
 
 template <typename T>
@@ -177,74 +144,63 @@ class TimingChannel final : public ChannelBase {
         capacity_(static_cast<std::uint32_t>(capacity)),
         slots_(capacity) {
     AXIHC_CHECK(capacity_ > 0);
-    // The hot counter words are u32 pool lanes (sim/soa_pool.hpp); cap well
-    // below the u32 range so occupancy sums can never wrap.
+    // The ring counters are u32; cap well below the u32 range so occupancy
+    // sums (head + committed + staged) can never wrap.
     AXIHC_CHECK(capacity <= (std::size_t{1} << 30));
   }
 
   /// True if the producer may push this cycle (backpressure check).
   [[nodiscard]] bool can_push() const {
-    return hot_->snapshot + hot_->staged < capacity_;
+    return snapshot_ + staged_ < capacity_;
   }
 
   /// Stages `value` for delivery next cycle. Requires can_push().
   void push(T value) {
     ledger_on_write();
     AXIHC_CHECK_MSG(can_push(), "push on full channel '" << name() << "'");
-    slots_[wrap(hot_->head + hot_->committed + hot_->staged)] =
-        std::move(value);
-    ++hot_->staged;
+    slots_[wrap(head_ + committed_ + staged_)] = std::move(value);
+    ++staged_;
     ++total_pushes_;
     mark_dirty();
   }
 
   /// True if the consumer can pop a (previously committed) element.
-  [[nodiscard]] bool can_pop() const {
-    return hot_->committed != 0;
-  }
+  [[nodiscard]] bool can_pop() const { return committed_ != 0; }
 
-  [[nodiscard]] bool empty() const {
-    return hot_->committed == 0;
-  }
+  [[nodiscard]] bool empty() const { return committed_ == 0; }
 
   /// Oldest committed element. Requires can_pop().
   [[nodiscard]] const T& front() const {
     ledger_on_read();
     AXIHC_CHECK_MSG(can_pop(), "front on empty channel '" << name() << "'");
-    return slots_[hot_->head];
+    return slots_[head_];
   }
 
   /// Removes and returns the oldest committed element. Requires can_pop().
   T pop() {
     ledger_on_read();
     AXIHC_CHECK_MSG(can_pop(), "pop on empty channel '" << name() << "'");
-    T value = std::move(slots_[hot_->head]);
-    hot_->head = wrap(hot_->head + 1);
-    --hot_->committed;
+    T value = std::move(slots_[head_]);
+    head_ = wrap(head_ + 1);
+    --committed_;
     ++total_pops_;
     mark_dirty();  // the next cycle's occupancy snapshot must drop
     return value;
   }
 
   /// Committed elements currently queued (in-flight occupancy).
-  [[nodiscard]] std::size_t size() const {
-    return hot_->committed;
-  }
+  [[nodiscard]] std::size_t size() const { return committed_; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
   /// Lifetime traffic counters (used by throughput probes).
-  [[nodiscard]] std::uint64_t total_pushes() const {
-    return total_pushes_;
-  }
-  [[nodiscard]] std::uint64_t total_pops() const {
-    return total_pops_;
-  }
+  [[nodiscard]] std::uint64_t total_pushes() const { return total_pushes_; }
+  [[nodiscard]] std::uint64_t total_pops() const { return total_pops_; }
 
   void commit() override {
     ledger_on_commit();
-    hot_->committed += hot_->staged;
-    hot_->staged = 0;
-    hot_->snapshot = hot_->committed;
+    committed_ += staged_;
+    staged_ = 0;
+    snapshot_ = committed_;
     clear_dirty();
   }
 
@@ -254,30 +210,14 @@ class TimingChannel final : public ChannelBase {
     total_pops_ = 0;
   }
 
-  void adopt_hot_lane(ChannelHot* lane, std::uint32_t index) override {
-    if (hot_ != lane) {
-      *lane = *hot_;
-      hot_ = lane;
-    }
-    set_pool_lane(index);
-  }
-
-  void release_hot_lane() override {
-    if (hot_ != &inline_hot_) {
-      inline_hot_ = *hot_;
-      hot_ = &inline_hot_;
-    }
-    set_pool_lane(kNoLane);
-  }
-
   void append_digest(StateDigest& d) const override {
     d.mix(name());
-    d.mix(static_cast<std::uint64_t>(hot_->committed));
-    d.mix(static_cast<std::uint64_t>(hot_->staged));
+    d.mix(static_cast<std::uint64_t>(committed_));
+    d.mix(static_cast<std::uint64_t>(staged_));
     d.mix(total_pushes_);
     d.mix(total_pops_);
-    for (std::uint32_t i = 0; i < hot_->committed + hot_->staged; ++i) {
-      digest_detail::fold(d, slots_[wrap(hot_->head + i)]);
+    for (std::uint32_t i = 0; i < committed_ + staged_; ++i) {
+      digest_detail::fold(d, slots_[wrap(head_ + i)]);
     }
   }
 
@@ -286,9 +226,11 @@ class TimingChannel final : public ChannelBase {
   /// A no-op on an already-empty channel, so continuous flushing (a
   /// decoupled port) does not keep marking the channel dirty.
   void clear_contents() {
-    ChannelHot& h = *hot_;
-    if (h.committed == 0 && h.staged == 0 && h.snapshot == 0) return;
-    h = ChannelHot{};
+    if (committed_ == 0 && staged_ == 0 && snapshot_ == 0) return;
+    head_ = 0;
+    committed_ = 0;
+    staged_ = 0;
+    snapshot_ = 0;
     mark_dirty();
   }
 
@@ -301,11 +243,10 @@ class TimingChannel final : public ChannelBase {
   std::uint32_t capacity_;
   std::vector<T> slots_;  // fixed ring: [head, +committed) visible,
                           // then [.., +staged) pending commit
-  // Hot counter words: channel-local until the owning Simulator's pool
-  // adopts them (adopt_hot_lane), after which hot_ points at the pool lane.
-  // Accessors are layout-blind — same code either way.
-  ChannelHot inline_hot_;
-  ChannelHot* hot_ = &inline_hot_;
+  std::uint32_t head_ = 0;       // ring index of the oldest committed element
+  std::uint32_t committed_ = 0;  // elements visible to the consumer
+  std::uint32_t staged_ = 0;     // pushed this cycle, pending commit
+  std::uint32_t snapshot_ = 0;   // occupancy at cycle start (can_push basis)
   std::uint64_t total_pushes_ = 0;
   std::uint64_t total_pops_ = 0;
 };

@@ -10,8 +10,6 @@
 
 namespace axihc {
 
-class HotStatePool;
-
 class Component {
  public:
   explicit Component(std::string name) : name_(std::move(name)) {}
@@ -39,13 +37,6 @@ class Component {
   /// components' state being unchanged across the skipped stretch. Must not
   /// mutate any state (it runs on cycles that are then skipped).
   [[nodiscard]] virtual Cycle next_activity(Cycle now) const { return now; }
-
-  /// Hot-state adoption hook (sim/soa_pool.hpp): called once per component
-  /// at elaboration time by the owning Simulator. Components with per-cycle
-  /// hot scalars (budget counters, deadline caches) move them into the pool
-  /// here via PooledWords/PooledCycle::adopt, declaring themselves as the
-  /// slot owner. Default: nothing to pool.
-  virtual void adopt_hot_state(HotStatePool& pool) { (void)pool; }
 
   /// Folds this component's architecturally visible state (counters,
   /// latched registers, completion logs) into `d` for

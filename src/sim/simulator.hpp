@@ -10,7 +10,6 @@
 #include "common/types.hpp"
 #include "sim/channel.hpp"
 #include "sim/component.hpp"
-#include "sim/soa_pool.hpp"
 
 namespace axihc {
 
@@ -35,7 +34,8 @@ class Simulator {
   /// Resets all components and channels and rewinds time to zero.
   void reset();
 
-  /// Advances the simulation by exactly one clock cycle (never skips).
+  /// Advances the simulation by exactly one clock cycle (never skips):
+  /// compute phase (every tick) then commit phase (every queued channel).
   void step();
 
   /// Advances by `cycles` clock cycles (may fast-forward internally).
@@ -77,21 +77,9 @@ class Simulator {
   /// (unless the jump already reached the deadline).
   void advance(Cycle deadline);
 
-  /// Compute phase (every tick) then commit phase (every queued channel).
-  void step_cycle();
-
-  /// (Re-)installs pool handles: sizes the lane array to the registered
-  /// channels, adopts every channel's hot words (lane == channel
-  /// registration index) and runs adopt_hot_state for components not yet
-  /// asked. Re-run after any registration, since lane-array growth moves
-  /// the handles.
-  void finalize_pool();
-
   std::vector<Component*> components_;
-  std::vector<ChannelBase*> channels_;  // all channels, for reset()
-  std::vector<ChannelBase*> dirty_;     // unpooled channels awaiting commit
-  std::vector<std::uint32_t> dirty_lanes_;  // pooled lanes awaiting commit
-  HotStatePool pool_;
+  std::vector<ChannelBase*> channels_;  // all channels, in registration order
+  std::vector<ChannelBase*> dirty_;     // channels awaiting commit this cycle
   Cycle now_ = 0;
   // Cycle epoch for the duplicate-enqueue guard (ChannelBase::mark_dirty).
   // Starts at 1 so a fresh channel's stamp of 0 never matches; bumped every
@@ -99,8 +87,6 @@ class Simulator {
   std::uint64_t epoch_ = 1;
   bool fast_forward_ = true;
   bool last_step_quiet_ = true;  // no channel was touched last cycle
-  bool pool_stale_ = true;       // registrations since the last finalize
-  std::size_t adopted_components_ = 0;  // adopt_hot_state high-water mark
 };
 
 }  // namespace axihc

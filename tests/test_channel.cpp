@@ -252,5 +252,46 @@ TEST(DirtyList, StandaloneChannelKeepsFlagLocally) {
   EXPECT_EQ(ch.commits(), 2);
 }
 
+TEST(DirtyList, PushBeforeRegistrationCommitsAtFirstStep) {
+  // A push staged while the channel is still standalone (system setup before
+  // Simulator::add) must not be lost: registration enqueues the dirty
+  // channel, so the first cycle's commit makes the element visible.
+  TimingChannel<int> ch("ch", 2);
+  ch.push(5);
+  Simulator sim;
+  sim.add(ch);
+  EXPECT_FALSE(ch.can_pop());
+  sim.step();
+  ASSERT_TRUE(ch.can_pop());
+  EXPECT_EQ(ch.pop(), 5);
+}
+
+TEST(DirtyList, LateRegisteredChannelCommitsAndDigestsLikeEarlyOne) {
+  // A channel added after the simulator has already stepped must be
+  // committed and digested exactly like one registered up front.
+  const auto run = [](bool late) {
+    Simulator sim;
+    TimingChannel<int> a("a", 2);
+    TimingChannel<int> b("b", 2);
+    sim.add(a);
+    if (!late) sim.add(b);
+    sim.reset();
+    for (int i = 0; i < 3; ++i) sim.step();
+    if (late) sim.add(b);
+    b.push(7);
+    b.push(8);
+    EXPECT_FALSE(b.can_push());
+    sim.step();
+    EXPECT_TRUE(b.can_pop());
+    EXPECT_EQ(b.pop(), 7);
+    EXPECT_FALSE(b.can_push());  // the pop frees space only next cycle
+    sim.step();
+    EXPECT_TRUE(b.can_push());
+    EXPECT_EQ(b.size(), 1u);
+    return sim.state_digest();
+  };
+  EXPECT_EQ(run(/*late=*/false), run(/*late=*/true));
+}
+
 }  // namespace
 }  // namespace axihc

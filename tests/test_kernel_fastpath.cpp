@@ -12,14 +12,17 @@
 // per-frame/per-job completion cycles, interconnect counters, memory
 // counters, probe window series, sampled metric series, and the full
 // trace-event stream. Further cases cover several independent subsystems
-// in one Simulator sharing a trace, repeated-run digest stability, and a
-// closed-loop fault-recovery run.
+// in one Simulator sharing a trace, repeated-run digest stability, a
+// closed-loop fault-recovery run, and a protocol monitor spanning a long
+// read latency.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "axi/monitor.hpp"
 #include "config/ini.hpp"
 #include "config/system_builder.hpp"
 #include "fault/fault_injector.hpp"
@@ -457,6 +460,120 @@ TEST(KernelFastPath, FaultRecoveryScenarioDigestIsStable) {
     EXPECT_EQ(ref.faults_latched, got.faults_latched);
     EXPECT_EQ(ref.transition_count, got.transition_count);
   }
+}
+
+// ---------------------------------------------------------------------------
+// An AxiMonitor between a DMA engine and a slow memory: while a read waits
+// out the memory latency the monitor has nothing to forward, so it must not
+// hold the kernel to per-cycle stepping, and the skipped stretches must not
+// show in its counters or findings.
+
+// Read-only slave with a fixed first-beat latency. Unlike the DDR model it
+// certifies its wake-up cycle while a read is in flight, so the stretch
+// between AR and the first R beat is one the kernel can skip.
+class SlowReadSlave final : public Component {
+ public:
+  SlowReadSlave(AxiLink& link, Cycle latency)
+      : Component("slow_mem"), link_(link), latency_(latency) {
+    link_.attach_endpoint(*this);
+  }
+
+  void tick(Cycle now) override {
+    ++ticks_;
+    if (beats_left_ == 0 && link_.ar.can_pop()) {
+      const AddrReq req = link_.ar.pop();
+      id_ = req.id;
+      beats_left_ = req.beats;
+      ready_ = now + latency_;
+    }
+    if (beats_left_ != 0 && now >= ready_ && link_.r.can_push()) {
+      RBeat beat;
+      beat.id = id_;
+      beat.last = --beats_left_ == 0;
+      link_.r.push(beat);
+    }
+  }
+
+  void reset() override {
+    beats_left_ = 0;
+    ticks_ = 0;
+  }
+
+  [[nodiscard]] Cycle next_activity(Cycle now) const override {
+    if (beats_left_ != 0) return std::max(now, ready_);
+    return link_.ar.can_pop() ? now : kNoCycle;
+  }
+
+  // Cycles actually ticked: fewer than elapsed cycles iff the kernel
+  // fast-forwarded. Not architectural state, so not digested.
+  [[nodiscard]] std::uint64_t ticks() const { return ticks_; }
+
+ private:
+  AxiLink& link_;
+  Cycle latency_;
+  TxnId id_ = 0;
+  BeatCount beats_left_ = 0;
+  Cycle ready_ = 0;
+  std::uint64_t ticks_ = 0;
+};
+
+struct MonitoredReadOutcome {
+  Cycle final_cycle = 0;
+  std::uint64_t digest = 0;
+  std::uint64_t slave_ticks = 0;
+  std::vector<std::uint64_t> monitor_counters;
+  std::vector<std::string> violations;
+};
+
+MonitoredReadOutcome run_monitored_read(bool fast_forward) {
+  Simulator sim;
+  sim.set_fast_forward(fast_forward);
+  AxiLink ha_link("ha");
+  AxiLink mem_link("mem");
+  AxiMonitor monitor("mon", ha_link, mem_link);
+  SlowReadSlave slave(mem_link, /*latency=*/5000);
+  DmaConfig cfg;
+  cfg.mode = DmaMode::kRead;
+  cfg.bytes_per_job = 4 * 4 * 8;  // four 4-beat bursts, 64-bit bus
+  cfg.burst_beats = 4;
+  cfg.max_outstanding = 1;
+  cfg.max_jobs = 1;
+  DmaEngine dma("dma", ha_link, cfg);
+  ha_link.register_with(sim);
+  mem_link.register_with(sim);
+  sim.add(dma);
+  sim.add(monitor);
+  sim.add(slave);
+  sim.reset();
+
+  EXPECT_TRUE(sim.run_until([&] { return dma.finished(); }, 1'000'000));
+  MonitoredReadOutcome out;
+  out.final_cycle = sim.now();
+  out.digest = sim.state_digest();
+  out.slave_ticks = slave.ticks();
+  out.monitor_counters = {monitor.reads_started(), monitor.reads_completed(),
+                          monitor.r_beats(),       monitor.writes_started(),
+                          monitor.writes_completed(), monitor.w_beats(),
+                          monitor.r_errors(),      monitor.b_errors()};
+  out.violations = monitor.violations();
+  return out;
+}
+
+TEST(KernelFastPath, MonitoredLongReadLatencyIsBitIdenticalToNaiveStepping) {
+  const MonitoredReadOutcome fast = run_monitored_read(true);
+  const MonitoredReadOutcome naive = run_monitored_read(false);
+  EXPECT_EQ(fast.final_cycle, naive.final_cycle);
+  EXPECT_EQ(fast.digest, naive.digest);
+  EXPECT_EQ(fast.monitor_counters, naive.monitor_counters);
+  EXPECT_EQ(fast.violations, naive.violations);
+  EXPECT_TRUE(fast.violations.empty());
+  EXPECT_EQ(fast.monitor_counters[1], 4u);  // all four bursts completed
+  EXPECT_EQ(fast.monitor_counters[2], 16u);
+  // Four 5000-cycle waits dominate the run; with reads outstanding through
+  // all of them the kernel must still have skipped most cycles.
+  EXPECT_GT(fast.final_cycle, 20'000u);
+  EXPECT_EQ(naive.slave_ticks, naive.final_cycle);
+  EXPECT_LT(fast.slave_ticks, fast.final_cycle / 10);
 }
 
 }  // namespace

@@ -11,13 +11,6 @@ executed):
                         implementation file, so the design-rule checker's
                         connectivity check sees the edges to its channels.
 
-  pool-adoption         every Component subclass that owns PooledWords /
-                        PooledCycle members (sim/soa_pool.hpp) must override
-                        adopt_hot_state() and call .adopt() somewhere in its
-                        header or implementation file — an unadopted handle
-                        silently falls back to inline storage, outside the
-                        pool.
-
 Two fact collectors feed one shared checker:
 
   --mode ast     libclang (python `clang` bindings): the class graph, base
@@ -29,12 +22,9 @@ Two fact collectors feed one shared checker:
                  libclang are available, regex otherwise — so the check is
                  never skipped just because the toolchain is minimal.
 
-Suppressions (put the comment inside the class body):
+Suppression (put the comment inside the class body):
   // contracts: allow-no-endpoint     -- channels are private plumbing that
                                          no connectivity check needs to see
-  // contracts: allow-inline-pool     -- the handle intentionally stays on
-                                         inline storage (never simulated
-                                         under a Simulator-owned pool)
 
 Exit code: number of violations (0 = clean). Run from anywhere:
   python3 tools/lint/check_contracts.py [--root <repo>] [--mode auto|ast|regex]
@@ -64,15 +54,9 @@ OWNED_CHANNEL_RE = re.compile(
     r"|std::unique_ptr\s*<\s*(?:TimingChannel\s*<[^;]*?>|AxiLink)\s*>\s*"
     r"[A-Za-z_]\w*\s*[;{=])"
 )
-# An owned hot-state pool handle (sim/soa_pool.hpp): by value only — a
-# pointer/reference is a view of someone else's slot.
-OWNED_POOLED_RE = re.compile(
-    r"^\s*(?:mutable\s+)?Pooled(?:Words|Cycle)\s+[A-Za-z_]\w*\s*[;{=]"
-)
 # Member-type names as libclang renders them (qualified or not).
 AST_CHANNEL_TYPE_RE = re.compile(
     r"\b(?:axihc::)?(?:TimingChannel\s*<|AxiLink\b)")
-AST_POOLED_TYPE_RE = re.compile(r"\b(?:axihc::)?Pooled(?:Words|Cycle)\b")
 
 
 def strip_comments(text: str) -> str:
@@ -116,7 +100,6 @@ class ClassFacts:
         self.path = path
         self.bases: list[str] = []
         self.owns_channels = False
-        self.owns_pooled = False
 
 
 def collect_regex(src: pathlib.Path) -> dict[str, ClassFacts]:
@@ -131,8 +114,6 @@ def collect_regex(src: pathlib.Path) -> dict[str, ClassFacts]:
             f.bases = bases
             f.owns_channels = any(OWNED_CHANNEL_RE.match(line)
                                   for line in body.splitlines())
-            f.owns_pooled = any(OWNED_POOLED_RE.match(line)
-                                for line in body.splitlines())
             facts[name] = f
     return facts
 
@@ -191,8 +172,6 @@ def collect_ast(src: pathlib.Path, cindex) -> dict[str, ClassFacts]:
                         continue  # views of foreign state
                     if AST_CHANNEL_TYPE_RE.search(t):
                         f.owns_channels = True
-                    if AST_POOLED_TYPE_RE.search(t):
-                        f.owns_pooled = True
             facts[name] = f
             visit(child, path)  # nested classes
 
@@ -272,28 +251,17 @@ def main() -> int:
     violations = 0
     components = sorted(n for n in facts if derives_from_component(n))
     for name in components:
-        rel = facts[name].path.relative_to(root)
-        marker_body = raw_body(name)
-
-        if facts[name].owns_channels:
-            text = impl_text(name)
-            if ("add_endpoint" not in text and "attach_endpoint" not in text
-                    and "contracts: allow-no-endpoint" not in marker_body):
-                violations += 1
-                print(f"{rel}: class {name}: owns TimingChannel/AxiLink "
-                      f"members but never calls add_endpoint()/"
-                      f"attach_endpoint() — connectivity checks cannot "
-                      f"see its channel edges")
-
-        if facts[name].owns_pooled:
-            text = impl_text(name)
-            if (("adopt_hot_state" not in text or ".adopt(" not in text)
-                    and "contracts: allow-inline-pool" not in marker_body):
-                violations += 1
-                print(f"{rel}: class {name}: owns PooledWords/PooledCycle "
-                      f"members but never adopts them into the hot-state "
-                      f"pool (override adopt_hot_state() and call .adopt()) "
-                      f"— the slots stay on inline storage")
+        if not facts[name].owns_channels:
+            continue
+        text = impl_text(name)
+        if ("add_endpoint" not in text and "attach_endpoint" not in text
+                and "contracts: allow-no-endpoint" not in raw_body(name)):
+            violations += 1
+            rel = facts[name].path.relative_to(root)
+            print(f"{rel}: class {name}: owns TimingChannel/AxiLink "
+                  f"members but never calls add_endpoint()/"
+                  f"attach_endpoint() — connectivity checks cannot "
+                  f"see its channel edges")
 
     print(f"check_contracts ({mode}): {len(components)} Component "
           f"subclass(es), {violations} violation(s)")
