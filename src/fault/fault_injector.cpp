@@ -192,6 +192,36 @@ void FaultInjector::forward_b(Cycle now) {
   ha_.b.push(bus_.b.pop());
 }
 
+Cycle FaultInjector::next_activity(Cycle now) const {
+  // Mirrors tick(). A pass-through channel acts (forwards, or counts a
+  // stalled cycle) only when its input can pop and its output can push;
+  // every other fault kind acts on a forwarding event, so its window edges
+  // need no wake-up of their own.
+  if ((ha_.ar.can_pop() && bus_.ar.can_push()) ||
+      (ha_.aw.can_pop() && bus_.aw.can_push()) ||
+      (bus_.r.can_pop() && ha_.r.can_push()) ||
+      (bus_.b.can_pop() && ha_.b.can_push())) {
+    return now;
+  }
+  if (!ha_.w.can_pop()) return kNoCycle;
+  // W path: a kStallW window counts every cycle a beat waits in it, so the
+  // window's start is a deadline.
+  Cycle next = kNoCycle;
+  for (const FaultSpec& f : faults_) {
+    if (f.kind != FaultKind::kStallW) continue;
+    if (f.active_at(now)) return now;
+    if (f.start > now) next = std::min(next, f.start);
+  }
+  // Otherwise W data moves only behind a forwarded AW: the front burst is
+  // swallowing, a hold is counting down, or bus W has room.
+  if (!w_bursts_.empty() &&
+      (w_bursts_.front().swallowing || w_hold_left_ > 0 ||
+       bus_.w.can_push())) {
+    return now;
+  }
+  return next;
+}
+
 void FaultInjector::tick(Cycle now) {
   forward_ar(now);
   forward_aw(now);

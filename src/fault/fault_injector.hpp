@@ -58,18 +58,7 @@ class FaultInjector final : public Component {
 
   void tick(Cycle now) override;
   void reset() override;
-  [[nodiscard]] Cycle next_activity(Cycle now) const override {
-    if (ha_.ar.can_pop() || ha_.aw.can_pop() || ha_.w.can_pop() ||
-        bus_.r.can_pop() || bus_.b.can_pop()) {
-      return now;
-    }
-    // Mid-burst W bookkeeping or a held beat still ticking down.
-    if (!w_bursts_.empty() || w_hold_left_ > 0) return now;
-    // Any fault spec may become active at its window edge; conservative
-    // (fault scenarios are short and benches run without them).
-    if (!faults_.empty()) return now;
-    return kNoCycle;
-  }
+  [[nodiscard]] Cycle next_activity(Cycle now) const override;
 
   [[nodiscard]] const FaultInjectorStats& stats() const { return stats_; }
   [[nodiscard]] PortIndex port() const { return port_; }

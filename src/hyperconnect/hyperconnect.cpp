@@ -506,11 +506,14 @@ Cycle HyperConnect::next_activity(Cycle now) const {
       control_link_.w.can_pop()) {
     return now;
   }
-  // Proactive data/response paths: returning R/B, or granted sub-writes
-  // still pulling W beats (the route entry drives the pull even when the
-  // port's W data has not arrived — that is exactly a PU stall observation).
+  // Proactive data/response paths: returning R/B, or a granted sub-write
+  // pulling a W beat into a master W queue with room (the route entry drives
+  // the pull even when the port's W data has not arrived — that is exactly
+  // a PU stall observation; a full master W queue blocks the pull first).
   if (master_link().r.can_pop() || master_link().b.can_pop()) return now;
-  if (!exbar_.write_route().empty()) return now;
+  if (!exbar_.write_route().empty() && master_link().w.can_push()) {
+    return now;
+  }
   // EXBAR output registers draining into the master eFIFO.
   if (xbar_ar_.can_pop() || xbar_aw_.can_pop()) return now;
 
@@ -534,12 +537,10 @@ Cycle HyperConnect::next_activity(Cycle now) const {
     if (!owed_r_[i].empty() || !owed_b_[i].empty()) return now;
     // TS output stages feeding the EXBAR.
     if (ts_ar_[i]->can_pop() || ts_aw_[i]->can_pop()) return now;
-    // Protection unit: in-flight records age and stall counters accumulate
-    // every cycle; conservative while anything is outstanding or suspected.
-    if (pu_[i]->oldest_issue().has_value() || pu_[i]->suspected()) return now;
-    if (ts_[i]->reads_outstanding() > 0 || ts_[i]->writes_outstanding() > 0) {
-      return now;
-    }
+    // Protection unit: a suspect's stall counters accumulate on every tick.
+    // Outstanding sub-transactions alone need no tick: they retire on R/B
+    // traffic (covered above), and their age is a deadline (below).
+    if (pu_[i]->suspected()) return now;
     // Issue step could make progress (new request, or a split with budget).
     if (ts_[i]->issue_pending(efifos_[i], *ts_ar_[i], *ts_aw_[i],
                               budget_left_[i])) {
@@ -547,14 +548,29 @@ Cycle HyperConnect::next_activity(Cycle now) const {
     }
   }
 
-  // Quiescent except for the central unit's synchronous recharge, which is
-  // observable (recharges_ counter, budget refill, trace instants) at every
-  // window boundary — and a budget-starved split resumes exactly there.
+  // Quiescent except for two self-scheduled events. The age backstop fires
+  // when an unfaulted port's oldest in-flight record reaches twice the
+  // timeout (records only age; nothing restamps them while frozen).
+  Cycle next = kNoCycle;
+  if (runtime_.prot_timeout != 0) {
+    for (PortIndex i = 0; i < num_ports(); ++i) {
+      if (runtime_.fault[i].faulted) continue;
+      if (const auto oldest = pu_[i]->oldest_issue()) {
+        const Cycle due = *oldest + 2 * runtime_.prot_timeout;
+        if (due <= now) return now;
+        next = std::min(next, due);
+      }
+    }
+  }
+  // The central unit's synchronous recharge is observable (recharges_
+  // counter, budget refill, trace instants) at every window boundary — and
+  // a budget-starved split resumes exactly there.
   if (runtime_.reservation_period != 0) {
     const Cycle p = runtime_.reservation_period;
-    return now % p == 0 ? now : (now / p + 1) * p;
+    if (now % p == 0) return now;
+    next = std::min(next, (now / p + 1) * p);
   }
-  return kNoCycle;
+  return next;
 }
 
 void HyperConnect::tick(Cycle now) {

@@ -1,5 +1,6 @@
 #include "mem/memory_controller.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/check.hpp"
@@ -186,24 +187,69 @@ void MemoryController::start_next_command() {
     audit_->on_mem_start(current_.is_write, now_);
 }
 
+namespace {
+// Periodic blocking window (PS stall, refresh): the controller is frozen in
+// cycles where `now % period < length`. Returns false inside a window, else
+// caps `next` at the start of the next one.
+bool before_window(Cycle period, Cycle length, Cycle now, Cycle& next) {
+  if (period == 0 || length == 0) return true;
+  if (now % period < length) return false;
+  next = std::min(next, (now / period + 1) * period);
+  return true;
+}
+}  // namespace
+
 Cycle MemoryController::next_activity(Cycle now) const {
-  // Pending input on any slave channel needs accepting/buffering.
-  if (link_.ar.can_pop() || link_.aw.can_pop() || link_.w.can_pop()) {
+  // Pending requests on AR/AW need accepting. W data is consumed only by a
+  // streaming in-order write (always active below), or buffered as it
+  // arrives under FR-FCFS.
+  if (link_.ar.can_pop() || link_.aw.can_pop()) return now;
+  if (cfg_.scheduling == MemScheduling::kFrFcfs && link_.w.can_pop()) {
     return now;
   }
-  // Mid-transaction (or commands queued): every tick counts busy_cycles_
-  // and advances the phase machine — conservative through stall windows.
-  if (phase_ != Phase::kIdle || !queue_.empty()) return now;
-  // Fully idle. The only self-scheduled event is the refresh boundary,
-  // which closes all open rows even with no traffic.
-  if (cfg_.refresh_period != 0) {
-    const Cycle p = cfg_.refresh_period;
-    return now % p == 0 ? now : (now / p + 1) * p;
+  switch (phase_) {
+    case Phase::kIdle:
+      if (!queue_.empty()) return now;
+      // Fully idle. The only self-scheduled event is the refresh boundary,
+      // which closes all open rows even with no traffic.
+      if (cfg_.refresh_period != 0) {
+        const Cycle p = cfg_.refresh_period;
+        return now % p == 0 ? now : (now / p + 1) * p;
+      }
+      return kNoCycle;
+    case Phase::kLatency:
+    case Phase::kTurnaround: {
+      // A countdown: until it expires each tick only decrements wait_left_
+      // and counts a busy cycle, which tick() catches up on. PS-stall and
+      // refresh windows freeze the countdown, so the certificate stops at
+      // the next window and is `now` inside one.
+      Cycle next = now + wait_left_;
+      if (!before_window(cfg_.ps_stall_period, cfg_.ps_stall_length, now,
+                         next) ||
+          !before_window(cfg_.refresh_period, cfg_.refresh_duration, now,
+                         next)) {
+        return now;
+      }
+      return next;
+    }
+    case Phase::kStreamRead:
+    case Phase::kStreamWrite:
+      break;
   }
-  return kNoCycle;
+  return now;
 }
 
 void MemoryController::tick(Cycle now) {
+  // Lazy catch-up: a countdown's certificate let the kernel skip ticks that
+  // would each have consumed one cycle of wait_left_ and counted it busy.
+  if ((phase_ == Phase::kLatency || phase_ == Phase::kTurnaround) &&
+      now > now_ + 1) {
+    const Cycle skipped = now - now_ - 1;
+    AXIHC_CHECK_MSG(skipped <= wait_left_,
+                    name() << ": skipped past the end of a countdown");
+    wait_left_ -= skipped;
+    busy_cycles_ += skipped;
+  }
   now_ = now;
   accept_new_requests();
   if (cfg_.scheduling == MemScheduling::kFrFcfs) buffer_write_data();

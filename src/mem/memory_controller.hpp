@@ -178,7 +178,9 @@ class MemoryController final : public Component {
   }
   EventTrace* trace_ = nullptr;
   LatencyAuditHooks* audit_ = nullptr;
-  Cycle now_ = 0;  // tick timestamp, for hooks below start_next_command
+  // Last tick's cycle: timestamps hooks below start_next_command and
+  // measures the stretch a countdown skipped (lazy catch-up in tick()).
+  Cycle now_ = 0;
 };
 
 }  // namespace axihc

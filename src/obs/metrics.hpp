@@ -88,7 +88,10 @@ class MetricsSampler final : public Component {
   [[nodiscard]] Cycle next_activity(Cycle now) const override {
     // Strictly clocked: only sample boundaries are observable. The sampled
     // values are frozen along with the rest of the world between boundaries,
-    // so skipping the in-between cycles cannot change any snapshot.
+    // so skipping the in-between cycles cannot change any snapshot. A
+    // component that catches up lazily does so in its own tick at the
+    // boundary, which is why the sampler is registered after the components
+    // it reads.
     const Cycle n = sample_every_;
     return now % n == 0 ? now : (now / n + 1) * n;
   }

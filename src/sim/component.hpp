@@ -32,6 +32,13 @@ class Component {
   /// interesting moment is self-scheduled (a deadline, a period boundary),
   /// or kNoCycle when only external stimulus could wake this component.
   ///
+  /// Lazy catch-up: a component may also certify a later cycle when every
+  /// tick it would skip only counts down or accumulates by a fixed amount
+  /// (a DRAM first-word latency, a busy-cycle counter). Its next tick must
+  /// then first apply the skipped count. The kernel ends every run()/
+  /// run_until() advance with a real step, so callers, state_digest() and
+  /// samplers registered after the component see caught-up state.
+  ///
   /// The kernel skips cycle N only when EVERY component reports
   /// next_activity(N) > N, so implementations may rely on all other
   /// components' state being unchanged across the skipped stretch. Must not

@@ -87,9 +87,12 @@ void Simulator::advance(Cycle deadline) {
     }
     if (!active) {
       // Every skipped cycle [now_, target) would have been a full-system
-      // no-op: no ticks run, so the certificates stay valid by induction.
-      now_ = target;
-      if (now_ >= deadline) return;
+      // no-op or a countdown its component catches up on at its next tick:
+      // no ticks run, so the certificates stay valid by induction. The jump
+      // lands at deadline - 1 at most, so every advance ends with a real
+      // step and pending catch-up is applied before any caller, digest or
+      // sampler reads state.
+      now_ = target < deadline ? target : deadline - 1;
     }
   }
   step();

@@ -45,8 +45,10 @@ class Simulator {
   /// Returns true if the predicate fired (i.e. the run did not time out).
   ///
   /// Fast-forward note: predicates read simulation state, and state is by
-  /// construction frozen across a skipped stretch, so `done()` cannot change
-  /// inside one — checking it once per advance is exact.
+  /// construction frozen across a skipped stretch (apart from countdowns
+  /// and accumulators caught up lazily, which no predicate should key on),
+  /// so `done()` cannot change inside one — checking it once per advance
+  /// is exact.
   template <typename Pred>
   bool run_until(Pred done, Cycle max_cycles) {
     const Cycle deadline = now_ + max_cycles;
@@ -73,8 +75,8 @@ class Simulator {
 
  private:
   /// One step toward `deadline`: first jumps `now_` across a quiescent
-  /// stretch when every component certifies one, then steps one cycle
-  /// (unless the jump already reached the deadline).
+  /// stretch when every component certifies one (landing no later than
+  /// `deadline - 1`), then always steps one cycle.
   void advance(Cycle deadline);
 
   std::vector<Component*> components_;

@@ -152,14 +152,19 @@ TEST(CampaignRunTest, ReplayReproducesTheRowDigest) {
         row.substr(at + key.size(), row.find('"', at + key.size()) -
                                         (at + key.size()));
 
-    // ...must fall out of a standalone run of the reconstructed config.
-    ConfiguredSystem replay(IniFile::parse(campaign_replay_ini(ini, r)));
-    replay.run();
-    char got[32];
-    std::snprintf(got, sizeof got, "0x%016llx",
-                  static_cast<unsigned long long>(
-                      replay.soc().sim().state_digest()));
-    EXPECT_EQ(want, std::string(got)) << "run " << r;
+    // ...must fall out of a standalone run of the reconstructed config,
+    // with the kernel fast-forward on and with naive stepping.
+    for (const bool ff : {true, false}) {
+      ConfiguredSystem replay(IniFile::parse(campaign_replay_ini(ini, r)));
+      replay.soc().sim().set_fast_forward(ff);
+      replay.run();
+      char got[32];
+      std::snprintf(got, sizeof got, "0x%016llx",
+                    static_cast<unsigned long long>(
+                        replay.soc().sim().state_digest()));
+      EXPECT_EQ(want, std::string(got))
+          << "run " << r << (ff ? "" : " without fast-forward");
+    }
   }
 }
 

@@ -13,12 +13,15 @@
 // counters, probe window series, sampled metric series, and the full
 // trace-event stream. Further cases cover several independent subsystems
 // in one Simulator sharing a trace, repeated-run digest stability, a
-// closed-loop fault-recovery run, and a protocol monitor spanning a long
-// read latency.
+// closed-loop fault-recovery run, a protocol monitor spanning a long
+// read latency, and the lazy catch-up through DRAM countdowns (a saturated
+// audited cell, run(N) deadlines inside countdowns, refresh and PS-stall
+// windows, and a kStallW window opening behind a blocked port).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -468,9 +471,9 @@ TEST(KernelFastPath, FaultRecoveryScenarioDigestIsStable) {
 // hold the kernel to per-cycle stepping, and the skipped stretches must not
 // show in its counters or findings.
 
-// Read-only slave with a fixed first-beat latency. Unlike the DDR model it
-// certifies its wake-up cycle while a read is in flight, so the stretch
-// between AR and the first R beat is one the kernel can skip.
+// Read-only slave with a fixed first-beat latency. It certifies its wake-up
+// cycle while a read is in flight, so the stretch between AR and the first
+// R beat is one the kernel can skip.
 class SlowReadSlave final : public Component {
  public:
   SlowReadSlave(AxiLink& link, Cycle latency)
@@ -574,6 +577,246 @@ TEST(KernelFastPath, MonitoredLongReadLatencyIsBitIdenticalToNaiveStepping) {
   EXPECT_GT(fast.final_cycle, 20'000u);
   EXPECT_EQ(naive.slave_ticks, naive.final_cycle);
   EXPECT_LT(fast.slave_ticks, fast.final_cycle / 10);
+}
+
+// ---------------------------------------------------------------------------
+// Lazy catch-up through the in-order DDR path: the memory controller
+// certifies the end of a first-word-latency or turnaround countdown, the
+// HyperConnect sleeps while sub-transactions are in flight, and the kernel
+// lands every deadline on a real step. Each case compares fast-forward on
+// and off.
+
+// Test-only component: always asleep, counts the ticks the kernel gives it.
+// Fewer ticks than elapsed cycles means the kernel fast-forwarded.
+class TickCounter final : public Component {
+ public:
+  TickCounter() : Component("tick_counter") {}
+  void tick(Cycle now) override {
+    (void)now;
+    ++ticks_;
+  }
+  [[nodiscard]] Cycle next_activity(Cycle now) const override {
+    (void)now;
+    return kNoCycle;
+  }
+  [[nodiscard]] std::uint64_t ticks() const { return ticks_; }
+
+ private:
+  std::uint64_t ticks_ = 0;
+};
+
+std::vector<std::uint64_t> memory_counters(const MemoryController& mem) {
+  return {mem.reads_served(), mem.writes_served(), mem.beats_served(),
+          mem.busy_cycles(),  mem.row_hits(),      mem.row_misses(),
+          mem.refreshes()};
+}
+
+// Two saturating traffic generators on a 2-port HyperConnect in front of the
+// in-order DDR model (the pareto1k base cell), audited, sampled and
+// eFIFO-peak tracked.
+constexpr char kSaturatedIni[] = R"(
+[system]
+interconnect = hyperconnect
+platform = zcu102
+ports = 2
+cycles = 60000
+
+[hyperconnect]
+nominal_burst = 16
+max_outstanding = 4
+reservation_period = 2000
+budgets = 36 36
+
+[ha0]
+type = traffic
+direction = read
+burst = 16
+outstanding = 8
+
+[ha1]
+type = traffic
+direction = mixed
+burst = 16
+outstanding = 8
+)";
+
+struct SaturatedOutcome {
+  Cycle final_cycle = 0;
+  std::uint64_t digest = 0;
+  std::uint64_t counter_ticks = 0;
+  std::vector<std::uint64_t> mem;
+  std::vector<std::size_t> efifo_peaks;
+  std::string audit_rollup;
+  std::string flight;
+  std::vector<MetricsSnapshot> samples;
+};
+
+SaturatedOutcome run_saturated(bool fast_forward) {
+  ConfiguredSystem cs(IniFile::parse(kSaturatedIni));
+  cs.soc().sim().set_fast_forward(fast_forward);
+  cs.observe_config().latency_audit = true;
+  cs.observe_config().metrics = true;
+  TickCounter counter;
+  cs.soc().add(counter);
+  SaturatedOutcome out;
+  out.final_cycle = cs.run();
+  out.digest = cs.soc().sim().state_digest();
+  out.counter_ticks = counter.ticks();
+  out.mem = memory_counters(cs.soc().memory_controller());
+  for (PortIndex i = 0; i < 2; ++i) {
+    out.efifo_peaks.push_back(cs.soc().hyperconnect()->efifo_peak(i));
+  }
+  std::ostringstream rollup;
+  cs.latency_audit()->write_rollup(rollup);
+  out.audit_rollup = rollup.str();
+  std::ostringstream flight;
+  cs.latency_audit()->flight_recorder().write_jsonl(flight);
+  out.flight = flight.str();
+  out.samples = cs.sampler()->snapshots();
+  return out;
+}
+
+TEST(KernelFastPath, SaturatedInOrderDdrSkipsCountdownsBitIdentically) {
+  const SaturatedOutcome fast = run_saturated(true);
+  const SaturatedOutcome naive = run_saturated(false);
+  EXPECT_EQ(fast.final_cycle, naive.final_cycle);
+  EXPECT_EQ(fast.digest, naive.digest);
+  EXPECT_EQ(fast.mem, naive.mem);
+  EXPECT_EQ(fast.efifo_peaks, naive.efifo_peaks);
+  EXPECT_EQ(fast.audit_rollup, naive.audit_rollup);
+  EXPECT_EQ(fast.flight, naive.flight);
+  ASSERT_EQ(fast.samples.size(), naive.samples.size());
+  for (std::size_t i = 0; i < fast.samples.size(); ++i) {
+    EXPECT_EQ(fast.samples[i].cycle, naive.samples[i].cycle);
+    EXPECT_EQ(fast.samples[i].values, naive.samples[i].values);
+  }
+  // The run must be saturated and audited, or the equality proves little.
+  EXPECT_GT(fast.mem[2], fast.final_cycle / 2);  // beats served
+  EXPECT_FALSE(fast.flight.empty());
+  // DRAM latencies with sub-transactions in flight are skipped even on a
+  // saturated fabric.
+  EXPECT_EQ(naive.counter_ticks, naive.final_cycle);
+  EXPECT_LT(fast.counter_ticks, fast.final_cycle * 85 / 100);
+}
+
+// One HA behind a HyperConnect port and the DDR model, built directly so
+// the memory timing and the fault scenario can be set per case.
+struct SmallSystem {
+  SocSystem soc;
+  AxiLink ha_link{"ha_up"};
+  std::unique_ptr<FaultInjector> injector;
+  DmaEngine dma;
+  TickCounter counter;
+
+  SmallSystem(const SocConfig& cfg, const DmaConfig& dma_cfg,
+              const FaultScenario* faults, bool fast_forward)
+      : soc(cfg),
+        dma("dma", faults != nullptr ? ha_link : soc.port(0), dma_cfg) {
+    soc.sim().set_fast_forward(fast_forward);
+    if (faults != nullptr) {
+      ha_link.register_with(soc.sim());
+      injector = std::make_unique<FaultInjector>("inj0", ha_link, soc.port(0),
+                                                 *faults, 0);
+    }
+    soc.add(dma);
+    if (injector) soc.add(*injector);
+    soc.add(counter);
+    soc.sim().reset();
+  }
+};
+
+SocConfig one_port_soc() {
+  SocConfig cfg;
+  cfg.kind = InterconnectKind::kHyperConnect;
+  cfg.num_ports = 1;
+  cfg.hc.num_ports = 1;
+  cfg.mem.row_hit_latency = 20;
+  cfg.mem.row_miss_latency = 40;
+  cfg.mem.turnaround = 3;
+  return cfg;
+}
+
+DmaConfig one_at_a_time_dma() {
+  DmaConfig cfg;
+  cfg.mode = DmaMode::kReadWrite;
+  cfg.bytes_per_job = 8 << 10;
+  cfg.burst_beats = 8;
+  cfg.max_outstanding = 1;
+  cfg.max_jobs = 0;
+  return cfg;
+}
+
+TEST(KernelFastPath, EveryRunDeadlineCatchesUpPendingCountdowns) {
+  // Deadlines of run(1), run(2), ... land at every offset inside the DRAM
+  // countdowns; each run() must return with the skipped stretch applied.
+  SmallSystem fast(one_port_soc(), one_at_a_time_dma(), nullptr, true);
+  SmallSystem naive(one_port_soc(), one_at_a_time_dma(), nullptr, false);
+  for (Cycle n = 1; n <= 120; ++n) {
+    fast.soc.sim().run(n);
+    naive.soc.sim().run(n);
+    ASSERT_EQ(fast.soc.sim().now(), naive.soc.sim().now());
+    ASSERT_EQ(fast.soc.sim().state_digest(), naive.soc.sim().state_digest())
+        << "after run(" << n << ") at cycle " << fast.soc.sim().now();
+  }
+  EXPECT_GT(fast.soc.memory_controller().reads_served(), 10u);
+  EXPECT_LT(fast.counter.ticks(), naive.counter.ticks());
+}
+
+TEST(KernelFastPath, StallAndRefreshWindowsInsideCountdownsAreBitIdentical) {
+  // Short, coprime PS-stall and refresh periods, so windows keep opening
+  // while a command is in its first-word latency or turnaround.
+  SocConfig cfg = one_port_soc();
+  cfg.mem.ps_stall_period = 61;
+  cfg.mem.ps_stall_length = 5;
+  cfg.mem.refresh_period = 97;
+  cfg.mem.refresh_duration = 7;
+  DmaConfig dma_cfg = one_at_a_time_dma();
+  dma_cfg.max_jobs = 2;
+  SmallSystem fast(cfg, dma_cfg, nullptr, true);
+  SmallSystem naive(cfg, dma_cfg, nullptr, false);
+  const auto done_fast = [&] { return fast.dma.finished(); };
+  const auto done_naive = [&] { return naive.dma.finished(); };
+  ASSERT_TRUE(fast.soc.sim().run_until(done_fast, 1'000'000));
+  ASSERT_TRUE(naive.soc.sim().run_until(done_naive, 1'000'000));
+  EXPECT_EQ(fast.soc.sim().now(), naive.soc.sim().now());
+  EXPECT_EQ(fast.soc.sim().state_digest(), naive.soc.sim().state_digest());
+  EXPECT_EQ(memory_counters(fast.soc.memory_controller()),
+            memory_counters(naive.soc.memory_controller()));
+  EXPECT_EQ(fast.dma.job_completion_cycles(),
+            naive.dma.job_completion_cycles());
+  EXPECT_GT(fast.soc.memory_controller().refreshes(), 10u);
+  EXPECT_LT(fast.counter.ticks(), naive.counter.ticks());
+}
+
+TEST(KernelFastPath, StallWWindowOpeningBehindBlockedAwIsBitIdentical) {
+  // A zero reservation budget blocks the port: its AW queue fills, the
+  // injector cannot forward the next AW, and that burst's W beats wait at
+  // the injector while the kernel sleeps toward the next recharge. A
+  // kStallW window opens in the middle of that sleep; every cycle of it
+  // counts a stalled W beat.
+  SocConfig cfg = one_port_soc();
+  cfg.hc.reservation_period = 5000;
+  cfg.hc.initial_budgets = {0};
+  DmaConfig dma_cfg;
+  dma_cfg.mode = DmaMode::kWrite;
+  dma_cfg.bytes_per_job = 1 << 10;
+  dma_cfg.burst_beats = 4;
+  dma_cfg.max_outstanding = 8;
+  dma_cfg.max_jobs = 1;
+  FaultScenario faults;
+  faults.seed = 7;
+  faults.faults = {{FaultKind::kStallW, 0, 1500, 400, 0, 1.0}};
+  SmallSystem fast(cfg, dma_cfg, &faults, true);
+  SmallSystem naive(cfg, dma_cfg, &faults, false);
+  fast.soc.sim().run(12'000);
+  naive.soc.sim().run(12'000);
+  EXPECT_EQ(fast.soc.sim().state_digest(), naive.soc.sim().state_digest());
+  const FaultInjectorStats& a = fast.injector->stats();
+  const FaultInjectorStats& b = naive.injector->stats();
+  EXPECT_EQ(a.w_stalled, b.w_stalled);
+  EXPECT_EQ(a.aw_stalled, b.aw_stalled);
+  EXPECT_EQ(naive.injector->stats().w_stalled, 400u);
+  EXPECT_LT(fast.counter.ticks(), naive.counter.ticks() / 2);
 }
 
 }  // namespace
