@@ -22,6 +22,7 @@
 #include "ha/traffic_gen.hpp"
 #include "hyperconnect/hyperconnect.hpp"
 #include "interconnect/smartconnect.hpp"
+#include "sim/parallel_jobs.hpp"
 #include "stats/table.hpp"
 
 namespace axihc {
@@ -119,7 +120,7 @@ void run() {
     });
   });
   const std::vector<GranularityResult> results =
-      bench::run_parallel(std::move(jobs));
+      run_parallel_jobs(std::move(jobs));
 
   Table t({"arbiter", "granularity g", "paper bound g x (N-1)",
            "worst observed interference (txns)",

@@ -11,16 +11,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iostream>
 #include <string>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "ha/dma_engine.hpp"
 #include "ha/dnn_accelerator.hpp"
-#include "sim/parallel_jobs.hpp"
 #include "soc/soc.hpp"
 #include "stats/stats.hpp"
 #include "stats/table.hpp"
@@ -98,21 +94,6 @@ inline double rate_per_second(const std::vector<Cycle>& completions) {
   }
   const Cycle span = completions.back() - completions.front();
   return meter.per_second(completions.size() - 1, span);
-}
-
-/// Worker threads for run_parallel: AXIHC_BENCH_THREADS overrides (0 or
-/// unset = one per hardware thread). Shared with the campaign runner —
-/// see sim/parallel_jobs.hpp.
-inline unsigned bench_threads() { return parallel_job_threads(); }
-
-/// Runs independent scenario jobs across the shared worker pool and returns
-/// their results in job order (the printed sweep is identical to a serial
-/// run). Thin alias of run_parallel_jobs (sim/parallel_jobs.hpp), kept so
-/// benches read as before; the oversubscription warning lives in the shared
-/// scheduler now, so every fan-out client gets it.
-template <typename Result>
-std::vector<Result> run_parallel(std::vector<std::function<Result()>> jobs) {
-  return run_parallel_jobs<Result>(std::move(jobs));
 }
 
 inline void print_header(const std::string& title, std::uint64_t scale) {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "sim/parallel_jobs.hpp"
 #include "stats/table.hpp"
 
 namespace axihc {
@@ -46,9 +47,9 @@ double dma_rate(InterconnectKind kind, std::uint64_t scale) {
 void run(std::uint64_t scale) {
   bench::print_header("Fig. 4: CHaiDNN and HA_DMA in isolation", scale);
 
-  // Four independent simulations — sweep them across the thread pool.
+  // Four independent simulations — fan them out across threads.
   const std::vector<double> r =
-      bench::run_parallel<double>(
+      run_parallel_jobs<double>(
           {[=] { return dnn_fps(InterconnectKind::kHyperConnect, scale); },
            [=] { return dnn_fps(InterconnectKind::kSmartConnect, scale); },
            [=] { return dma_rate(InterconnectKind::kHyperConnect, scale); },

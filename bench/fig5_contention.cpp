@@ -13,6 +13,7 @@
 
 #include "bench_common.hpp"
 #include "hypervisor/domain.hpp"
+#include "sim/parallel_jobs.hpp"
 #include "stats/table.hpp"
 
 namespace axihc {
@@ -93,8 +94,8 @@ void run(std::uint64_t scale) {
   bench::print_header("Fig. 5: CHaiDNN + HA_DMA under contention", scale);
   const std::uint64_t frames = 2;
 
-  // Every configuration is an independent simulation; sweep them across the
-  // thread pool and print in fixed order afterwards.
+  // Every configuration is an independent simulation; fan them out across
+  // threads and print in fixed order afterwards.
   std::vector<std::string> labels{"isolation", "SmartConnect (contention)"};
   std::vector<std::function<PairResult()>> jobs;
   jobs.emplace_back([=] { return run_isolation(scale, frames); });
@@ -109,7 +110,7 @@ void run(std::uint64_t scale) {
       return run_pair(InterconnectKind::kHyperConnect, scale, share, frames);
     });
   }
-  const std::vector<PairResult> results = bench::run_parallel(std::move(jobs));
+  const std::vector<PairResult> results = run_parallel_jobs(std::move(jobs));
 
   const PairResult& iso = results[0];
   Table t({"configuration", "CHaiDNN (fps)", "HA_DMA (jobs/s)",

@@ -1,11 +1,11 @@
 #include "campaign/campaign.hpp"
 
-#include <cinttypes>
 #include <cstdio>
 #include <limits>
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/json_write.hpp"
 #include "config/system_builder.hpp"
 #include "recovery/recovery_manager.hpp"
 #include "sim/parallel_jobs.hpp"
@@ -73,18 +73,6 @@ void append_sentinels(const CampaignSpec& spec, FaultScenario& scenario) {
 
 [[nodiscard]] bool is_sentinel(const FaultSpec& f) {
   return f.start == kNeverActive;
-}
-
-std::string json_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6f", v);
-  return buf;
-}
-
-std::string hex_digest(std::uint64_t d) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "0x%016" PRIx64, d);
-  return buf;
 }
 
 /// One run's contribution to the JSON-lines output and the exit verdict.

@@ -102,7 +102,7 @@ struct CampaignOutput {
 };
 
 /// Runs the whole campaign (baseline + `runs` randomized runs, fanned out
-/// over the shared worker pool; AXIHC_BENCH_THREADS overrides the width).
+/// by run_parallel_jobs; AXIHC_BENCH_THREADS overrides the width).
 [[nodiscard]] CampaignOutput run_campaign(const IniFile& ini);
 
 /// Reconstructs a standalone axihc config that reproduces run `run_index`

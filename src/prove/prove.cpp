@@ -6,27 +6,12 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/json_write.hpp"
 #include "hyperconnect/config.hpp"
 
 namespace axihc {
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
 
 std::string quoted(const std::string& s) {
   return "\"" + json_escape(s) + "\"";

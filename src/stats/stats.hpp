@@ -1,12 +1,11 @@
-// Measurement primitives: throughput/rate meters and window counters
-// (latency distributions live in obs/histogram.hpp).
+// Measurement primitives: throughput/rate meters (latency distributions
+// live in obs/histogram.hpp).
 // These play the role of the paper's "custom-developed timer implemented in
 // the FPGA fabric" (§VI-B): cycle-exact observation without disturbing the
 // traffic.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/types.hpp"
 
@@ -36,35 +35,6 @@ class RateMeter {
 
  private:
   double clock_hz_;
-};
-
-/// Periodic-window bandwidth accounting: counts events per fixed window and
-/// keeps the per-window history (used to validate reservation budgets:
-/// "transactions per window never exceed the budget").
-class WindowCounter {
- public:
-  explicit WindowCounter(Cycle window_length);
-
-  /// Notes one event at cycle `now`. Calls may not go back in time.
-  void record(Cycle now);
-
-  /// Closes all windows up to `now` (call at end of run before reading).
-  void flush(Cycle now);
-
-  [[nodiscard]] const std::vector<std::uint64_t>& windows() const {
-    return history_;
-  }
-  [[nodiscard]] std::uint64_t max_window() const;
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-
- private:
-  void roll_to(std::uint64_t window_index);
-
-  Cycle window_length_;
-  std::uint64_t current_window_ = 0;
-  std::uint64_t current_count_ = 0;
-  std::uint64_t total_ = 0;
-  std::vector<std::uint64_t> history_;
 };
 
 }  // namespace axihc

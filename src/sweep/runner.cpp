@@ -1,14 +1,12 @@
 #include "sweep/runner.hpp"
 
 #include <algorithm>
-#include <cinttypes>
-#include <map>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <ostream>
 #include <sstream>
+#include <unordered_map>
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -16,6 +14,7 @@
 #endif
 
 #include "common/check.hpp"
+#include "common/json_write.hpp"
 #include "config/canonical.hpp"
 #include "config/system_builder.hpp"
 #include "hyperconnect/hyperconnect.hpp"
@@ -29,34 +28,6 @@
 namespace axihc {
 
 namespace {
-
-std::string json_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6f", v);
-  return buf;
-}
-
-std::string hex_digest(std::uint64_t d) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "0x%016" PRIx64, d);
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
 
 /// The prover columns shared by annotated and simulated rows. The
 /// certificate digest rides in the fragment, so cached certificates live
@@ -81,7 +52,7 @@ std::string prove_fields(const ProveReport& proof) {
 ///   "prove_verdict":...  a statically disproved cell — annotated, never
 ///                        simulated (no cycles/state_digest)
 ///   "error":"..."        a config the builder rejects — a structured row
-///                        instead of a mid-batch abort
+///                        instead of a mid-sweep abort
 std::string execute_cell(const IniFile& cfg) {
   std::unique_ptr<ConfiguredSystem> sys;
   try {
@@ -235,9 +206,25 @@ void cache_store(const std::string& path, const std::string& fragment) {
   if (ec) std::filesystem::remove(tmp, ec);
 }
 
-struct CellResult {
+/// The `axes` object of one cell's row: each axis id with its value.
+std::string axes_json(const SweepSpec& spec, std::size_t cell) {
+  const std::vector<std::size_t> idx = spec.cell_indices(cell);
+  std::ostringstream axes;
+  axes << "{";
+  for (std::size_t a = 0; a < spec.axes.size(); ++a) {
+    if (a != 0) axes << ",";
+    axes << "\"" << json_escape(spec.axes[a].id()) << "\":\""
+         << json_escape(spec.axes[a].values[idx[a]]) << "\"";
+  }
+  axes << "}";
+  return axes.str();
+}
+
+/// One distinct config's fragment, from the cache or from a simulation.
+struct ConfigResult {
   std::string fragment;
-  JobTiming timing;
+  bool cached = false;
+  JobTiming timing;  ///< execute_cell only; zero for a cache hit
 };
 
 }  // namespace
@@ -262,129 +249,105 @@ SweepSummary run_sweep(const IniFile& ini, const SweepOptions& opts) {
   summary.name = spec.name;
   summary.cells = spec.cell_count();
 
-  std::vector<std::size_t> owned;
-  for (std::size_t cell = 0; cell < summary.cells; ++cell) {
-    if (cell % opts.shard_count == opts.shard_index) owned.push_back(cell);
+  // Serial pre-pass over the owned cells: digest each cell's config and
+  // give every distinct digest one job, numbered in order of first
+  // appearance. Axes whose values canonicalize to the same config (e.g.
+  // `0x10 | 16`, or a swept key the builder ignores) simulate once. No
+  // expanded config is kept; a job re-expands its first cell's.
+  struct Cell {
+    std::size_t cell = 0;
+    std::uint64_t config = 0;
+    std::string axes_json;
+    std::size_t job = 0;
+  };
+  std::vector<Cell> cells;
+  std::vector<std::size_t> first_cell;  // per job: index into `cells`
+  std::vector<std::size_t> last_cell;   // per job: index into `cells`
+  std::unordered_map<std::uint64_t, std::size_t> job_for_config;
+  for (std::size_t cell = opts.shard_index; cell < summary.cells;
+       cell += opts.shard_count) {
+    const std::uint64_t config =
+        config_digest(sweep_cell_config(ini, spec, cell));
+    const auto [it, fresh] =
+        job_for_config.try_emplace(config, first_cell.size());
+    if (fresh) {
+      first_cell.push_back(cells.size());
+      last_cell.push_back(0);
+    }
+    last_cell[it->second] = cells.size();
+    cells.push_back({cell, config, axes_json(spec, cell), it->second});
   }
-  summary.shard_cells = owned.size();
-  summary.lines.reserve(owned.size());
+  summary.shard_cells = cells.size();
+  summary.lines.reserve(cells.size());
 
-  // Process owned cells in order, in batches of ~2x the worker count: the
-  // output streams while later batches still simulate, and each batch's
-  // rows are emitted in cell order regardless of which worker finished
-  // first — a parallel sweep prints byte-identical rows to a serial one.
-  const std::size_t batch =
-      std::max<std::size_t>(std::size_t{2} * parallel_job_threads(), 1);
-
-  for (std::size_t base = 0; base < owned.size(); base += batch) {
-    const std::size_t end = std::min(owned.size(), base + batch);
-
-    struct PendingCell {
-      std::size_t cell = 0;
-      std::uint64_t config = 0;
-      std::string axes_json;
-      std::string fragment;  // empty until resolved
-      bool cached = false;
-      JobTiming timing;
-      IniFile cfg;
-    };
-    std::vector<PendingCell> pending;
-    pending.reserve(end - base);
-
-    for (std::size_t i = base; i < end; ++i) {
-      PendingCell p;
-      p.cell = owned[i];
-      p.cfg = sweep_cell_config(ini, spec, p.cell);
-      p.config = config_digest(p.cfg);
-
-      const std::vector<std::size_t> idx = spec.cell_indices(p.cell);
-      std::ostringstream axes;
-      axes << "{";
-      for (std::size_t a = 0; a < spec.axes.size(); ++a) {
-        if (a != 0) axes << ",";
-        axes << "\"" << json_escape(spec.axes[a].id()) << "\":\""
-             << json_escape(spec.axes[a].values[idx[a]]) << "\"";
-      }
-      axes << "}";
-      p.axes_json = axes.str();
-
-      if (!opts.cache_dir.empty()) {
-        p.cached =
-            cache_load(cache_path(opts.cache_dir, p.config, code),
-                       &p.fragment);
-      }
-      pending.push_back(std::move(p));
-    }
-
-    // Dedup within the batch: axes whose values canonicalize to the same
-    // config (e.g. `0x10 | 16`, or a swept key the builder ignores) simulate
-    // once; the duplicates borrow the fragment and count as cache hits. With
-    // caching on, cross-batch duplicates hit the stored entry instead.
-    std::vector<std::size_t> miss_slots;
-    std::vector<std::pair<std::size_t, std::size_t>> dup_slots;  // slot, job
-    std::map<std::uint64_t, std::size_t> job_for_config;
-    std::vector<std::function<CellResult()>> jobs;
-    for (std::size_t slot = 0; slot < pending.size(); ++slot) {
-      if (pending[slot].cached) continue;
-      const auto it = job_for_config.find(pending[slot].config);
-      if (it != job_for_config.end()) {
-        dup_slots.emplace_back(slot, it->second);
-        continue;
-      }
-      job_for_config.emplace(pending[slot].config, jobs.size());
-      miss_slots.push_back(slot);
-      const IniFile* cfg = &pending[slot].cfg;
-      jobs.push_back([cfg] {
-        CellResult r;
-        r.fragment = run_timed_job([cfg] { return execute_cell(*cfg); },
-                                   r.timing);
+  std::vector<std::function<ConfigResult()>> jobs;
+  jobs.reserve(first_cell.size());
+  for (const std::size_t first : first_cell) {
+    const Cell& c = cells[first];
+    jobs.push_back([&ini, &spec, &opts, &code, cell = c.cell,
+                    config = c.config] {
+      ConfigResult r;
+      const std::string path =
+          opts.cache_dir.empty() ? std::string()
+                                 : cache_path(opts.cache_dir, config, code);
+      if (!path.empty() && cache_load(path, &r.fragment)) {
+        r.cached = true;
         return r;
-      });
-    }
-    std::vector<CellResult> results =
-        run_parallel_jobs<CellResult>(std::move(jobs));
-    for (std::size_t j = 0; j < miss_slots.size(); ++j) {
-      PendingCell& p = pending[miss_slots[j]];
-      p.fragment = std::move(results[j].fragment);
-      p.timing = results[j].timing;
-      if (!opts.cache_dir.empty()) {
-        cache_store(cache_path(opts.cache_dir, p.config, code), p.fragment);
       }
-    }
-    for (const auto& [slot, job] : dup_slots) {
-      pending[slot].fragment = pending[miss_slots[job]].fragment;
-      pending[slot].cached = true;
-    }
+      const IniFile cfg = sweep_cell_config(ini, spec, cell);
+      r.fragment =
+          run_timed_job([&cfg] { return execute_cell(cfg); }, r.timing);
+      if (!path.empty()) cache_store(path, r.fragment);
+      return r;
+    });
+  }
 
-    for (PendingCell& p : pending) {
-      if (p.cached) {
+  // Jobs finish in any order; rows stream in cell order. Once jobs 0..j are
+  // done, every cell up to the first one of job j+1 has its fragment. A
+  // fragment is held only until its config's last cell is written.
+  std::vector<std::string> fragments(jobs.size());
+  std::size_t emitted = 0;
+  const auto emit_ready = [&](std::size_t job, ConfigResult& r) {
+    fragments[job] = std::move(r.fragment);
+    for (; emitted < cells.size() && cells[emitted].job <= job; ++emitted) {
+      const Cell& c = cells[emitted];
+      // The job's first cell carries its cache flag and timing; later
+      // cells with the same config count as cache hits.
+      const bool first = first_cell[c.job] == emitted;
+      const bool cached = !first || r.cached;
+      const JobTiming timing = first ? r.timing : JobTiming{};
+      const std::string& fragment = fragments[c.job];
+      if (cached) {
         ++summary.cache_hits;
       } else {
         ++summary.executed;
       }
-      if (p.fragment.rfind("\"prove_verdict\":", 0) == 0) {
+      if (fragment.rfind("\"prove_verdict\":", 0) == 0) {
         ++summary.disproved;
-      } else if (p.fragment.rfind("\"error\":", 0) == 0) {
+      } else if (fragment.rfind("\"error\":", 0) == 0) {
         ++summary.errors;
       }
       std::ostringstream row;
-      row << "{\"cell\":" << p.cell << ",\"sweep\":\""
-          << json_escape(spec.name) << "\",\"axes\":" << p.axes_json
-          << ",\"config\":\"" << hex_digest(p.config) << "\",\"code\":\""
-          << json_escape(code) << "\"," << p.fragment;
+      row << "{\"cell\":" << c.cell << ",\"sweep\":\""
+          << json_escape(spec.name) << "\",\"axes\":" << c.axes_json
+          << ",\"config\":\"" << hex_digest(c.config) << "\",\"code\":\""
+          << json_escape(code) << "\"," << fragment;
       if (!opts.deterministic) {
-        row << ",\"cached\":" << (p.cached ? "true" : "false")
-            << ",\"wall_ms\":" << json_double(p.timing.wall_ms)
-            << ",\"rss_kb\":" << p.timing.rss_kb;
+        row << ",\"cached\":" << (cached ? "true" : "false")
+            << ",\"wall_ms\":" << json_double(timing.wall_ms)
+            << ",\"rss_kb\":" << timing.rss_kb;
       }
       row << "}";
+      std::string line = row.str();
       if (opts.out != nullptr) {
-        *opts.out << row.str() << "\n";
+        *opts.out << line << "\n";
         opts.out->flush();
       }
-      summary.lines.push_back(row.str());
+      summary.lines.push_back(std::move(line));
+      if (last_cell[c.job] == emitted) fragments[c.job] = std::string();
     }
-  }
+  };
+  run_parallel_jobs<ConfigResult>(std::move(jobs), emit_ready);
   return summary;
 }
 

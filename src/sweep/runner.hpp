@@ -1,10 +1,11 @@
 // The sweep execution engine behind `axihc --sweep` (see sweep.hpp for the
 // spec format).
 //
-// Every cell is one shared-nothing simulation job on the persistent worker
-// pool (sim/parallel_jobs.hpp). Cells are processed in index order in
-// batches of ~2x the worker count, so the JSON-lines output STREAMS while
-// the sweep runs yet stays in deterministic cell order — a parallel sweep
+// A serial pre-pass digests every cell's config; then one fan-out
+// (sim/parallel_jobs.hpp) runs one shared-nothing job per distinct config
+// — cache load, or simulate and cache store. Rows STREAM while the sweep
+// runs, each written as soon as every earlier cell is done, so the
+// JSON-lines output stays in deterministic cell order — a parallel sweep
 // prints byte-identical rows to a serial one (`--sweep-deterministic` drops
 // the wall-clock fields so whole files byte-compare).
 //

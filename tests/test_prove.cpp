@@ -332,7 +332,7 @@ TEST(ProveSweep, BuilderRejectionsBecomeStructuredErrorRows) {
   const JsonValue bad = parse_json(s.lines[1]);
   ASSERT_NE(bad.find("error"), nullptr);
   EXPECT_NE(bad.find("error")->str_or("").find("bogus"), std::string::npos);
-  EXPECT_EQ(bad.find("cycles"), nullptr);  // the batch survived the cell
+  EXPECT_EQ(bad.find("cycles"), nullptr);  // the sweep survived the cell
   const std::string md = sweep_report_markdown(s.lines);
   EXPECT_NE(md.find("failed to build"), std::string::npos);
 }

@@ -3,12 +3,19 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdlib>
+#include <functional>
+#include <mutex>
+#include <numeric>
+#include <set>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
+#include "sim/parallel_jobs.hpp"
 #include "sim/trace.hpp"
-#include "sim/worker_pool.hpp"
 
 namespace axihc {
 namespace {
@@ -146,32 +153,112 @@ TEST(EventTrace, RecordsOnlyWhenEnabled) {
 }
 
 // ---------------------------------------------------------------------------
-// Worker pool sanity (job-level fan-out: sweeps, campaigns).
+// Job-level fan-out (sweeps, campaigns, bench grids).
 
-TEST(WorkerPoolTest, RunsEachIndexExactlyOnce) {
-  WorkerPool& pool = WorkerPool::shared();
-  const unsigned n = std::min(4u, pool.max_participants());
-  std::vector<std::atomic<int>> counts(n);
-  for (int round = 0; round < 100; ++round) {
-    pool.run_tasks(n, [&](unsigned index) {
-      counts[index].fetch_add(1, std::memory_order_relaxed);
-    });
+TEST(ParallelJobs, RunsEveryJobOnceInJobOrder) {
+  constexpr std::size_t kJobs = 64;
+  for (const char* threads : {"1", "4"}) {
+    ::setenv("AXIHC_BENCH_THREADS", threads, 1);
+    std::vector<std::atomic<int>> runs(kJobs);
+    std::mutex mu;
+    std::set<std::thread::id> workers;
+    std::vector<std::function<std::size_t()>> jobs;
+    for (std::size_t i = 0; i < kJobs; ++i) {
+      jobs.push_back([&, i] {
+        runs[i].fetch_add(1);
+        {
+          const std::lock_guard lock(mu);
+          workers.insert(std::this_thread::get_id());
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        return i * i;
+      });
+    }
+    const std::vector<std::size_t> results =
+        run_parallel_jobs<std::size_t>(std::move(jobs));
+    ASSERT_EQ(results.size(), kJobs);
+    for (std::size_t i = 0; i < kJobs; ++i) {
+      EXPECT_EQ(runs[i].load(), 1) << "job " << i << " at " << threads;
+      EXPECT_EQ(results[i], i * i) << "job " << i << " at " << threads;
+    }
+    EXPECT_LE(workers.size(), static_cast<std::size_t>(std::atoi(threads)));
   }
-  for (unsigned i = 0; i < n; ++i) {
-    EXPECT_EQ(counts[i].load(), 100) << "index " << i;
-  }
+  ::unsetenv("AXIHC_BENCH_THREADS");
 }
 
-TEST(WorkerPoolTest, NestedDispatchDegradesToInline) {
-  // A pool task dispatching again must run its tasks inline (no deadlock,
-  // no oversubscription) — this is what caps nested fan-out inside a job.
-  WorkerPool& pool = WorkerPool::shared();
-  std::atomic<int> total{0};
-  pool.run_tasks(2, [&](unsigned) {
-    pool.run_tasks(4,
-                   [&](unsigned) { total.fetch_add(1, std::memory_order_relaxed); });
-  });
-  EXPECT_EQ(total.load(), 8);
+TEST(ParallelJobs, NestedCallRunsInline) {
+  // A fan-out inside a job runs on that job's thread: nested parallelism
+  // never oversubscribes.
+  ::setenv("AXIHC_BENCH_THREADS", "4", 1);
+  std::vector<std::function<int()>> outer;
+  for (int i = 0; i < 4; ++i) {
+    outer.push_back([] {
+      const std::thread::id self = std::this_thread::get_id();
+      std::vector<std::function<int()>> inner(
+          8, [self] { return std::this_thread::get_id() == self ? 1 : 0; });
+      const std::vector<int> same = run_parallel_jobs<int>(std::move(inner));
+      return std::accumulate(same.begin(), same.end(), 0);
+    });
+  }
+  for (const int on_caller : run_parallel_jobs<int>(std::move(outer))) {
+    EXPECT_EQ(on_caller, 8);
+  }
+  ::unsetenv("AXIHC_BENCH_THREADS");
+}
+
+TEST(ParallelJobs, ThrowingJobRethrowsAfterEveryOtherJobFinished) {
+  // Jobs 2 and 5 throw; job 5 throws first, but the lowest-indexed failure
+  // is the one rethrown, and only once every other job has finished. The
+  // consumer stops before the failed index.
+  constexpr int kJobs = 16;
+  ::setenv("AXIHC_BENCH_THREADS", "4", 1);
+  std::atomic<int> finished{0};
+  std::vector<std::function<int()>> jobs;
+  for (int i = 0; i < kJobs; ++i) {
+    jobs.push_back([&finished, i]() -> int {
+      if (i == 5) throw std::runtime_error("job 5 failed");
+      std::this_thread::sleep_for(std::chrono::milliseconds(i == 2 ? 20 : 2));
+      if (i == 2) throw std::runtime_error("job 2 failed");
+      finished.fetch_add(1);
+      return i;
+    });
+  }
+  std::vector<std::size_t> consumed;
+  try {
+    (void)run_parallel_jobs<int>(
+        std::move(jobs),
+        [&consumed](std::size_t i, int&) { consumed.push_back(i); });
+    FAIL() << "expected the job's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "job 2 failed");
+    EXPECT_EQ(finished.load(), kJobs - 2);
+  }
+  EXPECT_EQ(consumed, (std::vector<std::size_t>{0, 1}));
+  ::unsetenv("AXIHC_BENCH_THREADS");
+}
+
+TEST(ParallelJobs, ConsumerSeesJobOrderWhenJobZeroIsSlowest) {
+  constexpr std::size_t kJobs = 12;
+  for (const char* threads : {"1", "4"}) {
+    ::setenv("AXIHC_BENCH_THREADS", threads, 1);
+    std::vector<std::function<std::size_t()>> jobs;
+    for (std::size_t i = 0; i < kJobs; ++i) {
+      jobs.push_back([i] {
+        if (i == 0) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        return i;
+      });
+    }
+    std::vector<std::size_t> seen;
+    (void)run_parallel_jobs<std::size_t>(
+        std::move(jobs), [&seen](std::size_t i, std::size_t& result) {
+          EXPECT_EQ(result, i);
+          seen.push_back(i);
+        });
+    std::vector<std::size_t> expected(kJobs);
+    std::iota(expected.begin(), expected.end(), std::size_t{0});
+    EXPECT_EQ(seen, expected) << "at " << threads;
+  }
+  ::unsetenv("AXIHC_BENCH_THREADS");
 }
 
 }  // namespace

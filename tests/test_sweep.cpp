@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -314,6 +315,49 @@ TEST(SweepRunner, CacheEntriesAreSharedAcrossIdenticalConfigs) {
   EXPECT_EQ(s.executed, 1u);
   EXPECT_EQ(s.cache_hits, 1u);
   std::filesystem::remove_all(dir);
+}
+
+TEST(SweepRunner, StreamedRowsEqualSummaryInCellOrder) {
+  // Twelve cells of uneven cost on four workers: jobs finish out of order,
+  // yet every row reaches `out` in cell order and matches summary.lines.
+  ScopedEnv threads("AXIHC_BENCH_THREADS", "4");
+  const std::string text =
+      "[system]\nports = 2\n[ha0]\ntype = traffic\n[ha1]\ntype = traffic\n"
+      "[sweep]\ncycles = 3000\n"
+      "axis.ha0.burst = 4 | 16 | 64\naxis.ha1.gap = 0 | 2 | 16 | 64\n";
+  std::ostringstream out;
+  SweepOptions opts;
+  opts.out = &out;
+  const SweepSummary s = run(text, opts);
+  ASSERT_EQ(s.lines.size(), 12u);
+  std::vector<std::string> streamed;
+  std::istringstream in(out.str());
+  for (std::string line; std::getline(in, line);) streamed.push_back(line);
+  EXPECT_EQ(streamed, s.lines);
+  for (std::size_t i = 0; i < s.lines.size(); ++i) {
+    EXPECT_EQ(parse_json(s.lines[i]).find("cell")->number,
+              static_cast<double>(i));
+  }
+}
+
+TEST(SweepRunner, DistantEqualConfigsSimulateOnceWithoutCache) {
+  // Cells 0 and 10 canonicalize to the same config (16 == 0x10) and sit
+  // more than 2x workers cells apart: one simulation serves both.
+  ScopedEnv threads("AXIHC_BENCH_THREADS", "4");
+  const std::string text =
+      "[system]\nports = 2\n[ha0]\ntype = traffic\n[sweep]\ncycles = 2000\n"
+      "axis.ha0.burst = 16 | 1 | 2 | 3 | 4 | 5 | 6 | 7 | 8 | 9 | 0x10\n";
+  SweepOptions opts;
+  opts.deterministic = true;
+  const SweepSummary s = run(text, opts);
+  ASSERT_EQ(s.shard_cells, 11u);
+  EXPECT_EQ(s.executed, s.shard_cells - 1);
+  EXPECT_EQ(s.cache_hits, 1u);
+  const JsonValue first = parse_json(s.lines.front());
+  const JsonValue last = parse_json(s.lines.back());
+  EXPECT_EQ(first.find("config")->str_or(""), last.find("config")->str_or(""));
+  EXPECT_EQ(first.find("state_digest")->str_or(""),
+            last.find("state_digest")->str_or(""));
 }
 
 TEST(SweepRunner, ShardUnionEqualsUnsharded) {
