@@ -183,10 +183,8 @@ CampaignSpec parse_campaign_spec(const IniFile& ini) {
   spec.cycles = camp->get_u64("cycles", 0);
   if (spec.cycles == 0) spec.cycles = system->get_u64("cycles", 1'000'000);
 
-  spec.min_faults =
-      static_cast<std::uint32_t>(camp->get_u64("min_faults", 1));
-  spec.max_faults =
-      static_cast<std::uint32_t>(camp->get_u64("max_faults", 3));
+  spec.min_faults = camp->get_u32("min_faults", 1);
+  spec.max_faults = camp->get_u32("max_faults", 3);
   AXIHC_CHECK_MSG(spec.max_faults >= spec.min_faults,
                   "[campaign] max_faults < min_faults");
 

@@ -1,6 +1,7 @@
 #include "config/ini.hpp"
 
 #include <cctype>
+#include <cstdint>
 #include <sstream>
 
 #include "common/check.hpp"
@@ -14,6 +15,21 @@ std::string trim(const std::string& s) {
   while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
   while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
   return s.substr(b, e - b);
+}
+
+// Whole-string unsigned parse (decimal, 0x hex or 0 octal) no larger than
+// `max`. std::stoull alone accepts "-1" (as 2^64 - 1), and a later narrowing
+// cast would wrap anything above 32 bits.
+bool parse_unsigned(const std::string& text, std::uint64_t max,
+                    std::uint64_t& out) {
+  if (text.empty() || text.front() == '-') return false;
+  std::size_t used = 0;
+  try {
+    out = std::stoull(text, &used, 0);
+  } catch (const std::exception&) {
+    return false;
+  }
+  return used == text.size() && out <= max;
 }
 }  // namespace
 
@@ -50,17 +66,22 @@ std::uint64_t IniSection::get_u64(const std::string& key,
                                   std::uint64_t fallback) const {
   if (!has(key)) return fallback;
   const std::string raw = get_string(key);
-  std::size_t used = 0;
   std::uint64_t value = 0;
-  try {
-    value = std::stoull(raw, &used, 0);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  AXIHC_CHECK_MSG(used == raw.size() && !raw.empty(),
+  AXIHC_CHECK_MSG(parse_unsigned(raw, UINT64_MAX, value),
                   "[" << name_ << "] " << key << " = '" << raw
                       << "' is not an unsigned integer");
   return value;
+}
+
+std::uint32_t IniSection::get_u32(const std::string& key,
+                                  std::uint32_t fallback) const {
+  if (!has(key)) return fallback;
+  const std::string raw = get_string(key);
+  std::uint64_t value = 0;
+  AXIHC_CHECK_MSG(parse_unsigned(raw, UINT32_MAX, value),
+                  "[" << name_ << "] " << key << " = '" << raw
+                      << "' is not an unsigned 32-bit integer");
+  return static_cast<std::uint32_t>(value);
 }
 
 double IniSection::get_double(const std::string& key, double fallback) const {
@@ -98,16 +119,10 @@ std::vector<std::uint32_t> IniSection::get_u32_list(
   std::istringstream is(get_string(key));
   std::string token;
   while (is >> token) {
-    std::size_t used = 0;
-    unsigned long value = 0;
-    try {
-      value = std::stoul(token, &used, 0);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    AXIHC_CHECK_MSG(used == token.size(),
+    std::uint64_t value = 0;
+    AXIHC_CHECK_MSG(parse_unsigned(token, UINT32_MAX, value),
                     "[" << name_ << "] " << key << ": bad list element '"
-                        << token << "'");
+                        << token << "' (unsigned 32-bit integers)");
     out.push_back(static_cast<std::uint32_t>(value));
   }
   return out;

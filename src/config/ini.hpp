@@ -29,13 +29,18 @@ class IniSection {
 
   [[nodiscard]] std::string get_string(const std::string& key,
                                        const std::string& fallback = "") const;
-  /// Throws ModelError if present but non-numeric.
+  /// Throws ModelError if present but not an unsigned integer (a leading
+  /// '-' included).
   [[nodiscard]] std::uint64_t get_u64(const std::string& key,
                                       std::uint64_t fallback) const;
+  /// get_u64 that also rejects values above 0xFFFFFFFF, for keys stored in
+  /// 32 bits.
+  [[nodiscard]] std::uint32_t get_u32(const std::string& key,
+                                      std::uint32_t fallback) const;
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
-  /// Space-separated unsigned list.
+  /// Space-separated list of unsigned 32-bit integers.
   [[nodiscard]] std::vector<std::uint32_t> get_u32_list(
       const std::string& key) const;
 

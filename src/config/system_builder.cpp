@@ -80,8 +80,7 @@ void ConfiguredSystem::build(const IniFile& ini,
                                << icn
                                << "' (hyperconnect | smartconnect)");
   }
-  cfg.num_ports =
-      static_cast<std::uint32_t>(system->get_u64("ports", 2));
+  cfg.num_ports = system->get_u32("ports", 2);
   cfg.mem = platform_.mem;
 
   // Bounded address decode: accesses beyond mem_bytes get DECERR.
@@ -96,10 +95,8 @@ void ConfiguredSystem::build(const IniFile& ini,
   }
 
   if (const IniSection* hc = ini.section("hyperconnect")) {
-    cfg.hc.nominal_burst =
-        static_cast<BeatCount>(hc->get_u64("nominal_burst", 16));
-    cfg.hc.max_outstanding =
-        static_cast<std::uint32_t>(hc->get_u64("max_outstanding", 4));
+    cfg.hc.nominal_burst = hc->get_u32("nominal_burst", 16);
+    cfg.hc.max_outstanding = hc->get_u32("max_outstanding", 4);
     cfg.hc.reservation_period = hc->get_u64("reservation_period", 0);
     cfg.hc.initial_budgets = hc->get_u32_list("budgets");
     cfg.hc.prot_timeout = hc->get_u64("prot_timeout", 0);
@@ -158,7 +155,7 @@ void ConfiguredSystem::build(const IniFile& ini,
                           << "'");
       FaultSpec spec;
       spec.kind = *parsed;
-      spec.port = static_cast<PortIndex>(fs->get_u64("port", 0));
+      spec.port = fs->get_u32("port", 0);
       AXIHC_CHECK_MSG(spec.port < cfg.num_ports,
                       "[" << fs->name() << "] port " << spec.port
                           << " out of range");
@@ -225,8 +222,7 @@ void ConfiguredSystem::wire_recovery(const IniSection& rec) {
   pol.backoff_base = rec.get_u64("backoff_base", 1000);
   pol.backoff_max = rec.get_u64("backoff_max", 16000);
   pol.probation_window = rec.get_u64("probation_window", 2000);
-  pol.max_attempts =
-      static_cast<std::uint32_t>(rec.get_u64("max_attempts", 4));
+  pol.max_attempts = rec.get_u32("max_attempts", 4);
   pol.drain_timeout = rec.get_u64("drain_timeout", 4000);
   recovery_ = std::make_unique<RecoveryManager>("recovery", *driver_, pol);
   hypervisor_->set_recovery(recovery_.get());
@@ -394,9 +390,8 @@ void ConfiguredSystem::add_ha(const IniSection& section, PortIndex port) {
     DmaConfig cfg;
     cfg.mode = dma_mode_by_name(section.get_string("mode", "readwrite"));
     cfg.bytes_per_job = section.get_u64("bytes_per_job", 1u << 20);
-    cfg.burst_beats = static_cast<BeatCount>(section.get_u64("burst", 16));
-    cfg.max_outstanding =
-        static_cast<std::uint32_t>(section.get_u64("outstanding", 8));
+    cfg.burst_beats = section.get_u32("burst", 16);
+    cfg.max_outstanding = section.get_u32("outstanding", 8);
     cfg.max_jobs = section.get_u64("max_jobs", 0);
     cfg.read_base = section.get_u64("read_base", 0x1000'0000 +
                                                      (Addr{port} << 26));
@@ -424,10 +419,9 @@ void ConfiguredSystem::add_ha(const IniSection& section, PortIndex port) {
   } else if (type == "traffic") {
     TrafficConfig cfg;
     cfg.direction = direction_by_name(section.get_string("direction", "read"));
-    cfg.burst_beats = static_cast<BeatCount>(section.get_u64("burst", 16));
+    cfg.burst_beats = section.get_u32("burst", 16);
     cfg.gap_cycles = section.get_u64("gap", 0);
-    cfg.max_outstanding =
-        static_cast<std::uint32_t>(section.get_u64("outstanding", 8));
+    cfg.max_outstanding = section.get_u32("outstanding", 8);
     cfg.qos = static_cast<std::uint8_t>(section.get_u64("qos", 0));
     cfg.base = section.get_u64("base", 0x4000'0000 + (Addr{port} << 26));
     cfg.tolerate_out_of_order = ooo;

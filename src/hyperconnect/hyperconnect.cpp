@@ -52,6 +52,8 @@ HyperConnect::HyperConnect(std::string name, HyperConnectConfig cfg)
   owed_r_.resize(cfg_.num_ports);
   owed_b_.resize(cfg_.num_ports);
   efifo_peak_.assign(cfg_.num_ports, 0);
+  reported_cause_.assign(std::size_t{cfg_.num_ports} * 2,
+                         LatencyCause::kPipeline);
   efifos_.reserve(cfg_.num_ports);
   for (PortIndex i = 0; i < cfg_.num_ports; ++i) {
     efifos_.emplace_back(port_link(i));
@@ -101,6 +103,8 @@ void HyperConnect::reset() {
     efifo_peak_[i] = 0;
   }
   owed_pending_ = 0;
+  staged_ = {};
+  reported_cause_.assign(reported_cause_.size(), LatencyCause::kPipeline);
 }
 
 std::string HyperConnect::port_source(PortIndex i) const {
@@ -291,22 +295,23 @@ void HyperConnect::tick_protection(Cycle now) {
   // Culprit-first: a handshake stall or malformed burst identifies the
   // misbehaving port precisely (stall counters only accumulate for the
   // head-of-line blocker of a shared path). At most one fault per cycle.
+  // Only a suspect can fire: with no stall counting and no malformed latch,
+  // evaluate_stalls() is kNone.
+  bool any_suspect = false;
   for (PortIndex i = 0; i < num_ports(); ++i) {
-    if (runtime_.fault[i].faulted) continue;
+    if (runtime_.fault[i].faulted || !pu_[i]->suspected()) continue;
     const FaultCause cause = pu_[i]->evaluate_stalls();
     if (cause != FaultCause::kNone) {
       trigger_fault(i, cause, now);
       return;
     }
+    any_suspect = true;
   }
-  if (runtime_.prot_timeout == 0) return;
   // Age backstop, suppressed while any port is a stall suspect: a port
   // queued behind a wedge has old sub-transactions through no fault of its
   // own and must not be blamed (the culprit faults first, and
   // trigger_fault's restamp amnesty resets everyone else's ages).
-  for (PortIndex i = 0; i < num_ports(); ++i) {
-    if (!runtime_.fault[i].faulted && pu_[i]->suspected()) return;
-  }
+  if (runtime_.prot_timeout == 0 || any_suspect) return;
   for (PortIndex i = 0; i < num_ports(); ++i) {
     if (runtime_.fault[i].faulted) continue;
     const auto oldest = pu_[i]->oldest_issue();
@@ -500,6 +505,35 @@ void HyperConnect::tick_w_path() {
   if (sub_end) route.pop();
 }
 
+void HyperConnect::audit_accept(PortIndex i, bool is_write,
+                                const AddrReq& orig, Cycle now) {
+  // The auditor starts every split's classifier at kPipeline.
+  reported_cause_[i * 2 + (is_write ? 1 : 0)] = LatencyCause::kPipeline;
+  audit_->on_accept(i, is_write, orig, now);
+}
+
+LatencyCause HyperConnect::classify_stall(
+    PortIndex i, std::uint32_t outstanding,
+    const TimingChannel<AddrReq>& stage) const {
+  if (!runtime_.global_enable) return LatencyCause::kBackpressure;
+  if (runtime_.reservation_period != 0 && budget_left_[i] == 0) {
+    return LatencyCause::kBudgetWait;
+  }
+  if (!stage.can_push()) return LatencyCause::kArbitration;
+  if (outstanding >= runtime_.max_outstanding) {
+    return LatencyCause::kBackpressure;
+  }
+  return LatencyCause::kPipeline;  // will issue next cycle
+}
+
+void HyperConnect::report_stall_cause(PortIndex i, bool is_write,
+                                      LatencyCause cause, Cycle now) {
+  LatencyCause& last = reported_cause_[i * 2 + (is_write ? 1 : 0)];
+  if (cause == last) return;
+  last = cause;
+  audit_->on_stall_cause(i, is_write, cause, now);
+}
+
 Cycle HyperConnect::next_activity(Cycle now) const {
   // Control-interface traffic to serve.
   if (control_link_.ar.can_pop() || control_link_.aw.can_pop() ||
@@ -615,91 +649,71 @@ void HyperConnect::tick(Cycle now) {
   // TS modules: one sub-request per port per direction per cycle. Every
   // issued sub-transaction is registered with the port's protection unit.
   const bool audit = auditing();
-  if (audit) audit_->on_hc_tick(now);
   for (PortIndex i = 0; i < num_ports(); ++i) {
-    // The TS pops the next original request before issuing; observe the pop
-    // (peek + precondition) so the auditor sees the accept with its payload.
-    bool accept_r = false;
-    bool accept_w = false;
-    AddrReq orig_r;
-    AddrReq orig_w;
+    TransactionSupervisor& ts = *ts_[i];
+    Efifo& fifo = efifos_[i];
+    // The TS pops the next original request before issuing; report the
+    // accept first (peek + the TS's own precondition) so the auditor sees it
+    // with its payload.
     if (audit && runtime_.global_enable) {
-      if (!ts_[i]->active_read_id().has_value() &&
-          efifos_[i].ar_available()) {
-        accept_r = true;
-        orig_r = efifos_[i].peek_ar();
+      if (!ts.active_read_id().has_value() && fifo.ar_available()) {
+        audit_accept(i, false, fifo.peek_ar(), now);
       }
-      if (!ts_[i]->active_write_id().has_value() &&
-          efifos_[i].aw_available()) {
-        accept_w = true;
-        orig_w = efifos_[i].peek_aw();
+      if (!ts.active_write_id().has_value() && fifo.aw_available()) {
+        audit_accept(i, true, fifo.peek_aw(), now);
       }
     }
     if (const auto sub =
-            ts_[i]->tick_read_issue(efifos_[i], *ts_ar_[i], budget_left_[i])) {
-      pu_[i]->on_issue_read(sub->id, sub->is_final, now);
-      if (audit) {
-        if (accept_r) audit_->on_accept(i, false, orig_r, now);
-        audit_->on_sub_issue(i, false, sub->is_final, now);
-      }
-    } else if (audit && accept_r) {
-      audit_->on_accept(i, false, orig_r, now);
+            ts.tick_read_issue(fifo, *ts_ar_[i], budget_left_[i])) {
+      ++staged_[0];
+      pu_[i]->on_issue_read(sub.id, sub.is_final, now);
+      if (audit) audit_->on_sub_issue(i, false, sub.is_final, now);
     }
-    if (const auto sub = ts_[i]->tick_write_issue(efifos_[i], *ts_aw_[i],
-                                                  budget_left_[i])) {
-      pu_[i]->on_issue_write(sub->id, sub->is_final, now);
-      if (audit) {
-        if (accept_w) audit_->on_accept(i, true, orig_w, now);
-        audit_->on_sub_issue(i, true, sub->is_final, now);
-      }
-    } else if (audit && accept_w) {
-      audit_->on_accept(i, true, orig_w, now);
+    if (const auto sub =
+            ts.tick_write_issue(fifo, *ts_aw_[i], budget_left_[i])) {
+      ++staged_[1];
+      pu_[i]->on_issue_write(sub.id, sub.is_final, now);
+      if (audit) audit_->on_sub_issue(i, true, sub.is_final, now);
     }
-  }
-  // Classify why each still-active split could not issue this cycle; the
-  // auditor charges the cycles until the next evaluation to this cause.
-  if (audit) {
-    const auto classify = [this](PortIndex i,
-                                 std::uint32_t outstanding,
-                                 const TimingChannel<AddrReq>& stage) {
-      if (!runtime_.global_enable) return LatencyCause::kBackpressure;
-      if (runtime_.reservation_period != 0 && budget_left_[i] == 0) {
-        return LatencyCause::kBudgetWait;
-      }
-      if (!stage.can_push()) return LatencyCause::kArbitration;
-      if (outstanding >= runtime_.max_outstanding) {
-        return LatencyCause::kBackpressure;
-      }
-      return LatencyCause::kPipeline;  // will issue next cycle
-    };
-    for (PortIndex i = 0; i < num_ports(); ++i) {
-      if (ts_[i]->active_read_id().has_value()) {
-        audit_->on_stall_cause(
-            i, false, classify(i, ts_[i]->reads_outstanding(), *ts_ar_[i]));
-      }
-      if (ts_[i]->active_write_id().has_value()) {
-        audit_->on_stall_cause(
-            i, true, classify(i, ts_[i]->writes_outstanding(), *ts_aw_[i]));
-      }
+    // Classify why each still-active split of this port could not issue
+    // this cycle (no other port's issue affects it). The auditor hears only
+    // changes: it charges the cycles since the previous report to the
+    // previous cause, so a split stalled for a whole budget window costs one
+    // call at each end, not one per cycle.
+    if (!audit) continue;
+    if (ts.active_read_id().has_value()) {
+      report_stall_cause(
+          i, false, classify_stall(i, ts.reads_outstanding(), *ts_ar_[i]), now);
+    }
+    if (ts.active_write_id().has_value()) {
+      report_stall_cause(
+          i, true, classify_stall(i, ts.writes_outstanding(), *ts_aw_[i]), now);
     }
   }
 
   // EXBAR: fixed-granularity round-robin, one grant per address channel.
-  if (auto p = exbar_.grant_read(ts_ar_ptrs_, xbar_ar_)) {
-    ++mutable_counters(*p).ar_granted;
-    if (tracing()) {
-      trace_->record(now, name() + ".exbar",
-                     "ar_grant_p" + std::to_string(*p));
+  // With no sub-request staged in any TS output the scan cannot grant.
+  if (staged_[0] != 0) {
+    if (auto p = exbar_.grant_read(ts_ar_ptrs_, xbar_ar_)) {
+      --staged_[0];
+      ++mutable_counters(*p).ar_granted;
+      if (tracing()) {
+        trace_->record(now, name() + ".exbar",
+                       "ar_grant_p" + std::to_string(*p));
+      }
+      if (audit) audit_->on_grant(*p, false, now);
     }
-    if (audit) audit_->on_grant(*p, false, now);
   }
-  if (auto p = exbar_.grant_write(ts_aw_ptrs_, xbar_aw_)) {
-    ++mutable_counters(*p).aw_granted;
-    if (tracing()) {
-      trace_->record(now, name() + ".exbar",
-                     "aw_grant_p" + std::to_string(*p));
+  if (staged_[1] != 0) {
+    if (auto p = exbar_.grant_write(ts_aw_ptrs_, xbar_aw_)) {
+      --staged_[1];
+      ++mutable_counters(*p).aw_granted;
+      if (tracing()) {
+        trace_->record(now, name() + ".exbar",
+                       "aw_grant_p" + std::to_string(*p));
+      }
+      if (audit) audit_->on_grant(*p, true, now);
     }
-    if (audit) audit_->on_grant(*p, true, now);
   }
 
   // Master eFIFO stage toward the FPGA-PS interface.

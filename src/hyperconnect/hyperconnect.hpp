@@ -14,6 +14,7 @@
 //           channels proactively, adding no latency)
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -83,8 +84,8 @@ class HyperConnect final : public Interconnect {
   void set_trace(EventTrace* trace) { trace_ = trace; }
 
   /// Attaches the latency auditor (src/obs/latency_audit.*): the tick loop
-  /// reports eFIFO accepts, sub-transaction issues, stall causes, EXBAR
-  /// grants, master-side exits and port disturbances through the hook
+  /// reports eFIFO accepts, sub-transaction issues, stall-cause changes,
+  /// EXBAR grants, master-side exits and port disturbances through the hook
   /// interface. nullptr (the default) disables at one branch per site; the
   /// audit mutates no simulated state, so digests are unaffected.
   void set_latency_audit(LatencyAuditHooks* audit) { audit_ = audit; }
@@ -122,6 +123,14 @@ class HyperConnect final : public Interconnect {
   void tick_central_unit(Cycle now);
   void tick_protection(Cycle now);
   void trigger_fault(PortIndex i, FaultCause cause, Cycle now);
+  // Latency-audit reporting from the TS issue loop.
+  void audit_accept(PortIndex i, bool is_write, const AddrReq& orig,
+                    Cycle now);
+  [[nodiscard]] LatencyCause classify_stall(
+      PortIndex i, std::uint32_t outstanding,
+      const TimingChannel<AddrReq>& stage) const;
+  void report_stall_cause(PortIndex i, bool is_write, LatencyCause cause,
+                          Cycle now);
   void tick_r_path();
   void tick_b_path();
   void tick_w_path();
@@ -137,6 +146,10 @@ class HyperConnect final : public Interconnect {
   std::vector<std::unique_ptr<TimingChannel<AddrReq>>> ts_aw_;
   std::vector<TimingChannel<AddrReq>*> ts_ar_ptrs_;
   std::vector<TimingChannel<AddrReq>*> ts_aw_ptrs_;
+  // Sub-requests held in the TS output stages, per direction ([0] = AR,
+  // [1] = AW): +1 per TS issue, -1 per EXBAR grant. While a count is zero
+  // the EXBAR has nothing to grant and its scan is skipped.
+  std::array<std::uint32_t, 2> staged_{};
   TimingChannel<AddrReq> xbar_ar_;
   TimingChannel<AddrReq> xbar_aw_;
   Exbar exbar_;
@@ -171,6 +184,9 @@ class HyperConnect final : public Interconnect {
   AxiLink control_link_;
   EventTrace* trace_ = nullptr;
   LatencyAuditHooks* audit_ = nullptr;
+  // Stall cause last reported to the auditor per port and direction
+  // ([port * 2 + is_write]); on_stall_cause fires only when it changes.
+  std::vector<LatencyCause> reported_cause_;
 };
 
 }  // namespace axihc

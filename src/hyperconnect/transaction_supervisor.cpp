@@ -33,16 +33,6 @@ BeatCount TransactionSupervisor::next_sub_beats(
   return std::min<BeatCount>(sp.remaining, rt_.nominal_burst);
 }
 
-bool TransactionSupervisor::may_issue(const TimingChannel<AddrReq>& out,
-                                      std::uint32_t outstanding,
-                                      std::uint32_t budget_left) const {
-  if (!rt_.global_enable) return false;
-  if (!out.can_push()) return false;
-  if (outstanding >= rt_.max_outstanding) return false;
-  if (rt_.reservation_period != 0 && budget_left == 0) return false;
-  return true;
-}
-
 TransactionSupervisor::IssuedSub TransactionSupervisor::issue_sub(
     SplitProgress& sp, TimingChannel<AddrReq>& out,
     RingBuffer<std::uint8_t>& pending_finals, std::uint32_t& outstanding,
@@ -78,7 +68,7 @@ TransactionSupervisor::IssuedSub TransactionSupervisor::issue_sub(
     sp.next_addr += std::uint64_t{sub_beats} << sp.orig.size_log2;
   }
   if (sp.remaining == 0) sp.active = false;
-  return {sp.orig.id, is_final};
+  return {sp.orig.id, is_final, true};
 }
 
 bool TransactionSupervisor::issue_pending(
@@ -100,36 +90,28 @@ bool TransactionSupervisor::issue_pending(
   return false;
 }
 
-std::optional<TransactionSupervisor::IssuedSub>
-TransactionSupervisor::tick_read_issue(Efifo& in,
-                                       TimingChannel<AddrReq>& ts_ar,
-                                       std::uint32_t& budget_left) {
-  if (!read_split_.active && rt_.global_enable && in.ar_available()) {
+TransactionSupervisor::IssuedSub TransactionSupervisor::read_issue(
+    Efifo& in, TimingChannel<AddrReq>& ts_ar, std::uint32_t& budget_left) {
+  // The inline caller saw either an active split that may issue, or an
+  // enabled port with a request at the eFIFO head.
+  if (!read_split_.active) {
     const AddrReq req = in.pop_ar();
     read_split_ = {true, req, req.beats, req.addr};
+    if (!may_issue(ts_ar, reads_outstanding_, budget_left)) return {};
   }
-  if (read_split_.active &&
-      may_issue(ts_ar, reads_outstanding_, budget_left)) {
-    return issue_sub(read_split_, ts_ar, pending_split_reads_,
-                     reads_outstanding_, budget_left);
-  }
-  return std::nullopt;
+  return issue_sub(read_split_, ts_ar, pending_split_reads_, reads_outstanding_,
+                   budget_left);
 }
 
-std::optional<TransactionSupervisor::IssuedSub>
-TransactionSupervisor::tick_write_issue(Efifo& in,
-                                        TimingChannel<AddrReq>& ts_aw,
-                                        std::uint32_t& budget_left) {
-  if (!write_split_.active && rt_.global_enable && in.aw_available()) {
+TransactionSupervisor::IssuedSub TransactionSupervisor::write_issue(
+    Efifo& in, TimingChannel<AddrReq>& ts_aw, std::uint32_t& budget_left) {
+  if (!write_split_.active) {
     const AddrReq req = in.pop_aw();
     write_split_ = {true, req, req.beats, req.addr};
+    if (!may_issue(ts_aw, writes_outstanding_, budget_left)) return {};
   }
-  if (write_split_.active &&
-      may_issue(ts_aw, writes_outstanding_, budget_left)) {
-    return issue_sub(write_split_, ts_aw, pending_split_writes_,
-                     writes_outstanding_, budget_left);
-  }
-  return std::nullopt;
+  return issue_sub(write_split_, ts_aw, pending_split_writes_,
+                   writes_outstanding_, budget_left);
 }
 
 RBeat TransactionSupervisor::process_r_beat(RBeat beat) {

@@ -41,26 +41,47 @@ class TransactionSupervisor {
   /// HyperConnect, programmed via the control interface).
   TransactionSupervisor(PortIndex port, const HcRuntime& rt);
 
-  /// Description of one sub-transaction issued this cycle (consumed by the
-  /// protection unit's in-flight tracking). `id` is the HA-side ID, before
-  /// any ID extension.
+  /// Result of one issue step: the sub-transaction issued this cycle, if
+  /// `issued` (consumed by the protection unit's in-flight tracking). `id`
+  /// is the HA-side ID, before any ID extension. Eight bytes, returned in
+  /// one register: a std::optional of the same fields is twelve bytes, and
+  /// rebuilding its engaged flag on the stack cost a store-forwarding stall
+  /// on every idle tick.
   struct IssuedSub {
     TxnId id = 0;
     bool is_final = false;
+    bool issued = false;
+    explicit operator bool() const { return issued; }
   };
 
   /// Read-management issue step: moves at most one sub-AR from the port
   /// eFIFO into the TS output stage. `budget_left` is the port's remaining
   /// reservation budget (shared between read and write subsystems).
   /// Returns the sub-transaction issued this cycle, if any.
-  std::optional<IssuedSub> tick_read_issue(Efifo& in,
-                                           TimingChannel<AddrReq>& ts_ar,
-                                           std::uint32_t& budget_left);
+  ///
+  /// The idle cases stay inline: no split and nothing in the eFIFO, or a
+  /// split that may not issue (the common case on a saturated port). Only a
+  /// split start or an issue leaves the header.
+  IssuedSub tick_read_issue(Efifo& in, TimingChannel<AddrReq>& ts_ar,
+                            std::uint32_t& budget_left) {
+    if (read_split_.active
+            ? !may_issue(ts_ar, reads_outstanding_, budget_left)
+            : !(rt_.global_enable && in.ar_available())) {
+      return {};
+    }
+    return read_issue(in, ts_ar, budget_left);
+  }
 
   /// Write-management issue step (sub-AW), symmetric to reads.
-  std::optional<IssuedSub> tick_write_issue(Efifo& in,
-                                            TimingChannel<AddrReq>& ts_aw,
-                                            std::uint32_t& budget_left);
+  IssuedSub tick_write_issue(Efifo& in, TimingChannel<AddrReq>& ts_aw,
+                             std::uint32_t& budget_left) {
+    if (write_split_.active
+            ? !may_issue(ts_aw, writes_outstanding_, budget_left)
+            : !(rt_.global_enable && in.aw_available())) {
+      return {};
+    }
+    return write_issue(in, ts_aw, budget_left);
+  }
 
   /// Read merge: fixes up RLAST across split sub-bursts and tracks
   /// outstanding reads. Call for every R beat routed to this port. Error
@@ -132,9 +153,19 @@ class TransactionSupervisor {
   IssuedSub issue_sub(SplitProgress& sp, TimingChannel<AddrReq>& out,
                       RingBuffer<std::uint8_t>& pending_finals,
                       std::uint32_t& outstanding, std::uint32_t& budget_left);
+  /// The non-idle halves of tick_read_issue/tick_write_issue: start a split
+  /// from the eFIFO head if none is active, then issue if permitted.
+  IssuedSub read_issue(Efifo& in, TimingChannel<AddrReq>& ts_ar,
+                       std::uint32_t& budget_left);
+  IssuedSub write_issue(Efifo& in, TimingChannel<AddrReq>& ts_aw,
+                        std::uint32_t& budget_left);
   [[nodiscard]] bool may_issue(const TimingChannel<AddrReq>& out,
                                std::uint32_t outstanding,
-                               std::uint32_t budget_left) const;
+                               std::uint32_t budget_left) const {
+    return rt_.global_enable && out.can_push() &&
+           outstanding < rt_.max_outstanding &&
+           (rt_.reservation_period == 0 || budget_left != 0);
+  }
 
   PortIndex port_;
   const HcRuntime& rt_;

@@ -47,18 +47,16 @@ class LatencyAuditHooks {
   [[nodiscard]] bool enabled() const { return enabled_; }
 
   // --- HyperConnect --------------------------------------------------------
-  /// Once per tick, before the TS issue loop: charge the cycles since the
-  /// last tick to each stalled split's frozen cause.
-  virtual void on_hc_tick(Cycle now) = 0;
   /// TS popped `orig` from the port's eFIFO (split begins).
   virtual void on_accept(PortIndex port, bool is_write, const AddrReq& orig,
                          Cycle now) = 0;
   /// TS issued one sub-request into its output stage.
   virtual void on_sub_issue(PortIndex port, bool is_write, bool is_final,
                             Cycle now) = 0;
-  /// Why the port's active split could not issue this cycle.
+  /// The reason the port's active split cannot issue changed to `cause`
+  /// at `now`. Reported only on a change; a split starts at kPipeline.
   virtual void on_stall_cause(PortIndex port, bool is_write,
-                              LatencyCause cause) = 0;
+                              LatencyCause cause, Cycle now) = 0;
   /// EXBAR granted this port's oldest staged sub-request.
   virtual void on_grant(PortIndex port, bool is_write, Cycle now) = 0;
   /// A sub-request left the HyperConnect into the master eFIFO.

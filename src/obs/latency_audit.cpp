@@ -83,11 +83,6 @@ void LatencyAudit::flush_stall(PortDirState& pd, Cycle now) {
   pd.last_eval = now;
 }
 
-void LatencyAudit::on_hc_tick(Cycle now) {
-  if (!enabled_) return;
-  for (PortDirState& pd : per_port_dir_) flush_stall(pd, now);
-}
-
 void LatencyAudit::on_accept(PortIndex port, bool is_write,
                              const AddrReq& orig, Cycle now) {
   if (!enabled_) return;
@@ -123,10 +118,12 @@ void LatencyAudit::on_sub_issue(PortIndex port, bool is_write, bool is_final,
 }
 
 void LatencyAudit::on_stall_cause(PortIndex port, bool is_write,
-                                  LatencyCause cause) {
+                                  LatencyCause cause, Cycle now) {
   if (!enabled_) return;
   PortDirState& pd = state(port, is_write);
-  if (pd.stall_active) pd.frozen = cause;
+  if (!pd.stall_active) return;
+  flush_stall(pd, now);
+  pd.frozen = cause;
 }
 
 FlightRecord* LatencyAudit::fill_target(PortDirState& pd,

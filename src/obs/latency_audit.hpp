@@ -80,20 +80,18 @@ class LatencyAudit final : public LatencyAuditHooks {
   void register_metrics(MetricsRegistry& reg);
 
   // --- hooks: HyperConnect -------------------------------------------------
-  /// Once per HyperConnect tick, before the TS issue loop: charges the
-  /// cycles since the last tick to each stalled split's frozen cause
-  /// (span-based, so fast-forwarded stretches are attributed correctly).
-  void on_hc_tick(Cycle now) override;
   /// TS popped `orig` from the port's eFIFO (split begins).
   void on_accept(PortIndex port, bool is_write, const AddrReq& orig,
                  Cycle now) override;
   /// TS issued one sub-request into its output stage.
   void on_sub_issue(PortIndex port, bool is_write, bool is_final,
                     Cycle now) override;
-  /// Why the port's active split could not issue this cycle (evaluated by
-  /// the HyperConnect after the issue loop; charged on the next on_hc_tick).
-  void on_stall_cause(PortIndex port, bool is_write,
-                      LatencyCause cause) override;
+  /// The port's active split changed stall cause at `now` (classified by
+  /// the HyperConnect after its issue loop). Charges [last change, now) to
+  /// the previous cause: span-based, so fast-forwarded stretches and
+  /// unchanged busy cycles cost nothing.
+  void on_stall_cause(PortIndex port, bool is_write, LatencyCause cause,
+                      Cycle now) override;
   /// EXBAR granted this port's oldest staged sub-request.
   void on_grant(PortIndex port, bool is_write, Cycle now) override;
   /// A sub-request left the HyperConnect into the master eFIFO.
@@ -148,7 +146,9 @@ class LatencyAudit final : public LatencyAuditHooks {
 
   struct PortDirState {
     std::deque<FlightRecord> open;  // accepted, not yet completed
-    // Stall classifier for the (single) active split of this port+dir.
+    // Stall classifier for the (single) active split of this port+dir:
+    // [last_eval, next flush) belongs to `frozen`, flushed at each cause
+    // change, the final issue, a disturbance or the owner's completion.
     bool stall_active = false;
     Cycle last_eval = 0;
     LatencyCause frozen = LatencyCause::kPipeline;

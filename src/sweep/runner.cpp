@@ -83,8 +83,10 @@ std::string execute_cell(const IniFile& cfg) {
   // (src/analysis/wcla.hpp) are the sweep's predictability metric, and it
   // forces the serial tick kernel — parallelism lives across cells, never
   // inside one, so rows are independent of AXIHC_BENCH_THREADS. It never
-  // touches simulated state, so state digests stay comparable with plain
-  // `axihc` runs of the same config.
+  // touches simulated state, but turning it on adds the `apm` bandwidth
+  // probe component (wire_observability), which the digest covers: a row's
+  // state_digest matches `axihc <cell> --latency-audit --digest`, not a
+  // plain run.
   sys->observe_config().latency_audit = true;
   const Cycle cycles = sys->run();
 

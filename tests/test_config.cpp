@@ -1,6 +1,8 @@
 // INI parser and config-driven system builder tests (the axihc CLI engine).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "config/ini.hpp"
 #include "config/system_builder.hpp"
 #include "hyperconnect/hyperconnect.hpp"
@@ -42,6 +44,30 @@ TEST(Ini, TypedAccessorsRejectGarbage) {
   const IniSection* s = ini.section("s");
   EXPECT_THROW(static_cast<void>(s->get_u64("num", 0)), ModelError);
   EXPECT_THROW(static_cast<void>(s->get_bool("flag", false)), ModelError);
+}
+
+TEST(Ini, IntegerReadsRejectNegativeAndOutOfRange) {
+  const IniFile ini = IniFile::parse(
+      "[s]\n"
+      "neg = -1\n"
+      "max32 = 0xFFFFFFFF\n"
+      "wide = 4294967296\n"
+      "huge = 18446744073709551616\n"
+      "neg_list = 1 -1\n"
+      "wide_list = 4294967332 4294967332\n"
+      "max_list = 4294967295 0x10\n");
+  const IniSection* s = ini.section("s");
+  EXPECT_THROW(static_cast<void>(s->get_u64("neg", 0)), ModelError);
+  EXPECT_THROW(static_cast<void>(s->get_u64("huge", 0)), ModelError);
+  EXPECT_EQ(s->get_u64("wide", 0), 4294967296u);
+  EXPECT_EQ(s->get_u32("max32", 0), 0xFFFFFFFFu);
+  EXPECT_EQ(s->get_u32("missing", 9), 9u);
+  EXPECT_THROW(static_cast<void>(s->get_u32("wide", 0)), ModelError);
+  EXPECT_THROW(static_cast<void>(s->get_u32("neg", 0)), ModelError);
+  EXPECT_THROW(static_cast<void>(s->get_u32_list("neg_list")), ModelError);
+  EXPECT_THROW(static_cast<void>(s->get_u32_list("wide_list")), ModelError);
+  EXPECT_EQ(s->get_u32_list("max_list"),
+            (std::vector<std::uint32_t>{4294967295u, 16u}));
 }
 
 TEST(Ini, PrefixLookupKeepsOrder) {
@@ -137,6 +163,60 @@ TEST(SystemBuilder, RejectsBadConfigs) {
   EXPECT_THROW(build_system("[system]\ncycles=1\n[ha0]\ntype = dnn\n"
                             "network = vgg\n"),
                ModelError);
+}
+
+// The pareto1k base config plus one line, for values a 32-bit cast would
+// wrap (ports = 2^32 + 2 to 2 ports, budgets of 2^32 + 36 to 36) and
+// negative values std::stoull reads as 2^64 - 1. The line goes right after
+// the section header, so it shadows a base key of the same name (every get_*
+// reads the first occurrence).
+std::string pareto_base_with(const std::string& section,
+                             const std::string& line) {
+  std::string ini =
+      "[system]\nports = 2\ncycles = 1000\n"
+      "[hyperconnect]\nnominal_burst = 16\nmax_outstanding = 4\n"
+      "reservation_period = 2000\nbudgets = 36 36\n"
+      "[ha0]\ntype = traffic\n[ha1]\ntype = traffic\n";
+  const std::string header = "[" + section + "]\n";
+  ini.insert(ini.find(header) + header.size(), line + "\n");
+  return ini;
+}
+
+std::string build_error(const std::string& ini) {
+  try {
+    static_cast<void>(build_system(ini));
+  } catch (const ModelError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SystemBuilder, RejectsWrappingAndNegativeIntegers) {
+  // Sanity: the unmodified base builds.
+  EXPECT_NO_THROW(build_system(pareto_base_with("system", "")));
+  const struct {
+    const char* section;
+    const char* line;
+    const char* names;
+  } cases[] = {
+      {"system", "ports = 4294967298", "[system] ports"},
+      {"hyperconnect", "budgets = 4294967332 4294967332",
+       "[hyperconnect] budgets"},
+      {"hyperconnect", "max_outstanding = -1",
+       "[hyperconnect] max_outstanding"},
+      {"hyperconnect", "max_outstanding = 4294967300",
+       "[hyperconnect] max_outstanding"},
+      {"hyperconnect", "nominal_burst = 4294967312",
+       "[hyperconnect] nominal_burst"},
+      {"hyperconnect", "reservation_period = -2000",
+       "[hyperconnect] reservation_period"},
+      {"ha1", "outstanding = 4294967304", "[ha1] outstanding"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.line);
+    const std::string msg = build_error(pareto_base_with(c.section, c.line));
+    EXPECT_NE(msg.find(c.names), std::string::npos) << msg;
+  }
 }
 
 TEST(SystemBuilder, QosPriorityArbitrationSelectable) {

@@ -16,7 +16,8 @@
 // closed-loop fault-recovery run, a protocol monitor spanning a long
 // read latency, and the lazy catch-up through DRAM countdowns (a saturated
 // audited cell, run(N) deadlines inside countdowns, refresh and PS-stall
-// windows, and a kStallW window opening behind a blocked port).
+// windows, and a kStallW window opening behind a blocked port), and the
+// HyperConnect's gated EXBAR grants against pinned full-scan values.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,9 +32,12 @@
 #include "fault/fault_injector.hpp"
 #include "ha/dma_engine.hpp"
 #include "ha/dnn_accelerator.hpp"
+#include "ha/traffic_gen.hpp"
+#include "hyperconnect/register_file.hpp"
 #include "hypervisor/domain.hpp"
 #include "mem/backing_store.hpp"
 #include "mem/memory_controller.hpp"
+#include "obs/latency_audit.hpp"
 #include "obs/metrics.hpp"
 #include "recovery/recovery_manager.hpp"
 #include "sim/trace.hpp"
@@ -817,6 +821,110 @@ TEST(KernelFastPath, StallWWindowOpeningBehindBlockedAwIsBitIdentical) {
   EXPECT_EQ(a.aw_stalled, b.aw_stalled);
   EXPECT_EQ(naive.injector->stats().w_stalled, 400u);
   EXPECT_LT(fast.counter.ticks(), naive.counter.ticks() / 2);
+}
+
+// ---------------------------------------------------------------------------
+// EXBAR grant gating: the HyperConnect skips a direction's grant scan while
+// its count of sub-requests held in the TS output stages is zero. Four ports
+// mix reads and writes; port 2 is decoupled, drained and recoupled mid-run,
+// and a kStallW window on port 3 latches a write-stall fault. The digest,
+// the per-port grant counts and the audited flight records are pinned to
+// the values of the ungated scan (a miscounted direction stops granting or
+// grants late, and every pin moves).
+
+struct GatedGrantOutcome {
+  std::uint64_t digest = 0;
+  std::vector<std::uint64_t> grants;  // ar_granted, aw_granted per port
+  std::uint64_t flight_digest = 0;
+  std::uint64_t faults = 0;
+};
+
+GatedGrantOutcome run_gated_grants(bool fast_forward) {
+  SocConfig cfg;
+  cfg.kind = InterconnectKind::kHyperConnect;
+  cfg.num_ports = 4;
+  cfg.hc.num_ports = 4;
+  cfg.hc.nominal_burst = 8;
+  cfg.hc.reservation_period = 1000;
+  cfg.hc.initial_budgets = {40, 30, 20, 20};
+  cfg.hc.prot_timeout = 1000;
+  SocSystem soc(cfg);
+  soc.sim().set_fast_forward(fast_forward);
+
+  TrafficConfig reads;
+  reads.direction = TrafficDirection::kRead;
+  TrafficConfig mixed;
+  mixed.direction = TrafficDirection::kMixed;
+  mixed.base = 0x4400'0000;
+  TrafficConfig writes;
+  writes.direction = TrafficDirection::kWrite;
+  writes.base = 0x4c00'0000;
+  TrafficGenerator t0("t0", soc.port(0), reads);
+  TrafficGenerator t1("t1", soc.port(1), mixed);
+  DmaEngine dma2("dma2", soc.port(2), small_dma(0x5000'0000));
+  AxiLink t3_up("t3_up");
+  t3_up.register_with(soc.sim());
+  FaultScenario faults;
+  faults.seed = 11;
+  faults.faults = {{FaultKind::kStallW, 3, 6000, 3000, 0, 1.0}};
+  FaultInjector inj("inj3", t3_up, soc.port(3), faults, 3);
+  TrafficGenerator t3("t3", t3_up, writes);
+  soc.add(t0);
+  soc.add(t1);
+  soc.add(dma2);
+  soc.add(inj);
+  soc.add(t3);
+
+  LatencyAudit audit(4, 8192);
+  audit.set_enabled(true);
+  soc.hyperconnect()->set_latency_audit(&audit);
+  soc.memory_controller().set_latency_audit(&audit);
+  t0.set_latency_audit(&audit, 0);
+  t1.set_latency_audit(&audit, 1);
+  dma2.set_latency_audit(&audit, 2);
+  t3.set_latency_audit(&audit, 3);
+
+  soc.sim().reset();
+  soc.sim().run(4000);
+  // Decouple port 2, let its in-flight sub-transactions drain, replace the
+  // HA (reset) and recouple.
+  HcRegisterFile& regs = soc.hyperconnect()->registers_backdoor();
+  regs.write(hcregs::port_ctrl(2), 0);
+  soc.sim().run(3000);
+  EXPECT_EQ(regs.read(hcregs::inflight(2)), 0u);
+  dma2.reset();
+  regs.write(hcregs::port_ctrl(2), 1);
+  soc.sim().run(13000);
+
+  GatedGrantOutcome out;
+  out.digest = soc.sim().state_digest();
+  for (PortIndex i = 0; i < 4; ++i) {
+    const PortCounters& c = soc.interconnect().counters(i);
+    out.grants.push_back(c.ar_granted);
+    out.grants.push_back(c.aw_granted);
+  }
+  std::ostringstream flight;
+  audit.flight_recorder().write_jsonl(flight);
+  StateDigest d;
+  d.mix(flight.str());
+  out.flight_digest = d.value();
+  out.faults = soc.hyperconnect()->faults_latched();
+  return out;
+}
+
+TEST(KernelFastPath, GatedExbarGrantsMatchTheFullScan) {
+  const GatedGrantOutcome fast = run_gated_grants(true);
+  const GatedGrantOutcome naive = run_gated_grants(false);
+  EXPECT_EQ(fast.digest, naive.digest);
+  EXPECT_EQ(fast.grants, naive.grants);
+  EXPECT_EQ(fast.flight_digest, naive.flight_digest);
+  // The stall window must latch its fault, or the case misses the
+  // faulted-port grants it is meant to cover.
+  EXPECT_EQ(fast.faults, 1u);
+  EXPECT_EQ(fast.digest, 0xdccc6cf835a332fau);
+  EXPECT_EQ(fast.grants, (std::vector<std::uint64_t>{143, 0, 143, 142, 123,
+                                                      122, 0, 46}));
+  EXPECT_EQ(fast.flight_digest, 0x0768c56277124347u);
 }
 
 }  // namespace

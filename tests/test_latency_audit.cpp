@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <memory>
 #include <sstream>
@@ -20,6 +21,7 @@
 #include "mem/memory_controller.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/histogram.hpp"
+#include "sim/digest.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 
@@ -180,6 +182,96 @@ TEST(LatencyAudit, CauseBucketsSumExactlyToLatency) {
               0u);
     EXPECT_FALSE(rec.error);
     EXPECT_FALSE(rec.fault_overlap);
+  }
+}
+
+// Three ports on short reservation windows with small budgets, split into
+// 4-beat sub-requests under a 2-deep outstanding limit: an active split's
+// stall cause keeps flipping between budget_wait, arbitration and
+// backpressure.
+constexpr const char* kBudgetStarvedIni = R"(
+[system]
+interconnect = hyperconnect
+platform = zcu102
+ports = 3
+cycles = 60000
+
+[hyperconnect]
+nominal_burst = 4
+max_outstanding = 2
+reservation_period = 400
+budgets = 10 6 3
+
+[ha0]
+type = traffic
+direction = read
+burst = 16
+
+[ha1]
+type = traffic
+direction = mixed
+burst = 16
+
+[ha2]
+type = dma
+mode = readwrite
+bytes_per_job = 65536
+burst = 32
+)";
+
+// FNV-1a over (port, dir, id, cause buckets) of every flight record: where
+// the auditor put each transaction's cycles, independent of timestamps.
+std::uint64_t cause_digest(const LatencyAudit& audit) {
+  StateDigest d;
+  for (const FlightRecord& rec : audit.flight_recorder().snapshot()) {
+    d.mix(rec.port);
+    d.mix(rec.is_write ? 1u : 0u);
+    d.mix(rec.id);
+    for (const Cycle c : rec.cause) d.mix(c);
+  }
+  return d.value();
+}
+
+std::array<Cycle, kLatencyCauseCount> cause_totals(const LatencyAudit& audit) {
+  std::array<Cycle, kLatencyCauseCount> total{};
+  for (const FlightRecord& rec : audit.flight_recorder().snapshot()) {
+    for (std::size_t c = 0; c < kLatencyCauseCount; ++c) {
+      total[c] += rec.cause[c];
+    }
+  }
+  return total;
+}
+
+TEST(LatencyAudit, CauseAttributionIsPinned) {
+  // The stall classifier is change-driven: the HyperConnect reports a cause
+  // only when it differs from the last one reported for that split. These
+  // digests equal those of a classifier that reports every cycle; any span
+  // charged to the wrong cause moves them.
+  const struct {
+    const char* name;
+    const char* ini;
+    std::uint64_t digest;
+  } cases[] = {
+      {"contention", kContentionIni, 0xb99acbd3b164a050u},
+      {"budget_starved", kBudgetStarvedIni, 0x602d187a9ca3e9beu},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto sys = audited_system(c.ini);
+    sys->run();
+    const LatencyAudit* audit = sys->latency_audit();
+    ASSERT_NE(audit, nullptr);
+    ASSERT_GT(audit->transactions(), 100u);
+    EXPECT_EQ(cause_digest(*audit), c.digest);
+    if (c.ini != kBudgetStarvedIni) continue;
+    // The starved fixture must charge cycles to each of these causes.
+    const auto total = cause_totals(*audit);
+    for (const LatencyCause cause :
+         {LatencyCause::kBudgetWait, LatencyCause::kArbitration,
+          LatencyCause::kBackpressure}) {
+      EXPECT_GT(total[static_cast<std::size_t>(cause)], 0u)
+          << latency_cause_name(cause);
+    }
   }
 }
 

@@ -11,8 +11,10 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/json_write.hpp"
 #include "config/canonical.hpp"
 #include "config/ini.hpp"
+#include "config/system_builder.hpp"
 #include "sweep/code_version.hpp"
 #include "sweep/json_mini.hpp"
 #include "sweep/report.hpp"
@@ -421,6 +423,33 @@ TEST(SweepRunner, RowsExposeRollups) {
     EXPECT_GT(row.find("wcla_slack")->number, 0.0) << line;
     EXPECT_GT(row.find("lut")->number, 0.0) << line;
     ASSERT_EQ(row.find("ha")->items.size(), 2u) << line;
+  }
+}
+
+TEST(SweepRunner, RowDigestEqualsAuditedRunOfTheCellConfig) {
+  // Every row is an audited run, and any observation adds the `apm`
+  // bandwidth probe, so a row's state_digest is that of `axihc <cell>
+  // --latency-audit --digest`, not of a plain run.
+  SweepOptions opts;
+  opts.deterministic = true;
+  const IniFile ini = IniFile::parse(kRunnable);
+  const SweepSpec spec = parse_sweep_spec(ini);
+  const SweepSummary s = run_sweep(ini, opts);
+  ASSERT_EQ(s.lines.size(), 4u);
+  for (std::size_t cell = 0; cell < s.lines.size(); ++cell) {
+    SCOPED_TRACE(cell);
+    const JsonValue row = parse_json(s.lines[cell]);
+    const std::string row_digest = row.find("state_digest")->str_or("");
+    const IniFile cfg = sweep_cell_config(ini, spec, cell);
+    ConfiguredSystem audited(cfg);
+    audited.observe_config().latency_audit = true;
+    audited.run();
+    EXPECT_EQ(row_digest, hex_digest(audited.soc().sim().state_digest()));
+    // The plain run simulates the same traffic without the probe component.
+    ConfiguredSystem plain(cfg);
+    plain.run();
+    EXPECT_NE(plain.soc().sim().state_digest(),
+              audited.soc().sim().state_digest());
   }
 }
 
