@@ -1,10 +1,9 @@
 // Microbenchmarks of the simulation kernel itself (google-benchmark):
 // channel hop cost, simulator step cost, full 2-port HyperConnect system
 // cycles/second. These guard the simulator's own performance so the
-// reproduction benches stay fast.
+// paper-figure tests stay fast.
 #include <benchmark/benchmark.h>
 
-#include "bench_common.hpp"
 #include "ha/dma_engine.hpp"
 #include "ha/dnn_accelerator.hpp"
 #include "hyperconnect/hyperconnect.hpp"
@@ -80,18 +79,30 @@ BENCHMARK(BM_HyperConnectSystemCycle)->Arg(2)->Arg(4)->Arg(8);
 // BENCH_kernel.json; the throttled DMA windows and DNN compute phases are
 // exactly the quiescent stretches the kernel fast path exists to skip.
 void BM_Fig5ContentionSystem(benchmark::State& state) {
-  const std::uint64_t scale = 64;  // fig5 shapes, sized for bench iterations
+  // GoogleNet at 1/64 of the paper's data sizes: fig5 shapes, sized for
+  // bench iterations.
+  const std::uint64_t scale = 64;
+  DnnConfig dnn_cfg;
+  dnn_cfg.layers = googlenet_layers();
+  for (DnnLayer& l : dnn_cfg.layers) {
+    l.weight_bytes /= scale;
+    l.ifmap_bytes /= scale;
+    l.ofmap_bytes /= scale;
+    l.macs /= scale;
+  }
+  dnn_cfg.max_frames = 1;
+  DmaConfig dma_cfg;
+  dma_cfg.bytes_per_job = (4ull << 20) / scale;
   std::uint64_t cycles = 0;
   for (auto _ : state) {
-    SocConfig cfg = bench::bench_soc_cfg(InterconnectKind::kHyperConnect);
+    SocConfig cfg;
     const ReservationPlan plan =
         plan_bandwidth_split(2000, 27.0, {0.9, 0.1});
     cfg.hc.reservation_period = plan.period;
     cfg.hc.initial_budgets = plan.budgets;
     SocSystem soc(cfg);
-    DnnAccelerator dnn("chaidnn", soc.port(0),
-                       bench::scaled_googlenet(scale, 1));
-    DmaEngine dma("ha_dma", soc.port(1), bench::paper_dma(scale, 0));
+    DnnAccelerator dnn("chaidnn", soc.port(0), dnn_cfg);
+    DmaEngine dma("ha_dma", soc.port(1), dma_cfg);
     soc.add(dnn);
     soc.add(dma);
     soc.sim().reset();

@@ -6,9 +6,9 @@
 // under contention with no protection, and under HC-90-10 reservation, so
 // you can see the Fig. 5 effect directly.
 //
-//   $ ./dnn_inference          (1/16-scale GoogleNet, seconds)
-//   $ ./dnn_inference --full   (full-size traffic, minutes)
-#include <cstring>
+//   $ ./dnn_inference          (1/16-scale GoogleNet, well under a second)
+//
+// The Fig. 5 numbers themselves are asserted by tests/test_paper.cpp.
 #include <iostream>
 
 #include "ha/dma_engine.hpp"
@@ -20,20 +20,23 @@
 
 namespace {
 
-axihc::DnnConfig make_dnn(std::uint64_t scale, std::uint64_t frames) {
+/// Workload scale divisor: GoogleNet traffic and MACs, DMA bytes per job.
+constexpr std::uint64_t kScale = 16;
+
+axihc::DnnConfig make_dnn(std::uint64_t frames) {
   axihc::DnnConfig cfg;
   cfg.layers = axihc::googlenet_layers();
   for (auto& l : cfg.layers) {
-    l.weight_bytes /= scale;
-    l.ifmap_bytes /= scale;
-    l.ofmap_bytes /= scale;
-    l.macs /= scale;
+    l.weight_bytes /= kScale;
+    l.ifmap_bytes /= kScale;
+    l.ofmap_bytes /= kScale;
+    l.macs /= kScale;
   }
   cfg.max_frames = frames;
   return cfg;
 }
 
-double run_config(bool with_dma, double dnn_share, std::uint64_t scale) {
+double run_config(bool with_dma, double dnn_share) {
   using namespace axihc;
   SocConfig cfg;
   cfg.kind = InterconnectKind::kHyperConnect;
@@ -45,10 +48,10 @@ double run_config(bool with_dma, double dnn_share, std::uint64_t scale) {
     cfg.hc.initial_budgets = plan.budgets;
   }
   SocSystem soc(cfg);
-  DnnAccelerator dnn("chaidnn", soc.port(0), make_dnn(scale, 2));
+  DnnAccelerator dnn("chaidnn", soc.port(0), make_dnn(2));
   DmaConfig dma_cfg;
   dma_cfg.mode = DmaMode::kReadWrite;
-  dma_cfg.bytes_per_job = (4ull << 20) / scale;
+  dma_cfg.bytes_per_job = (4ull << 20) / kScale;
   DmaEngine dma("ha_dma", soc.port(1), dma_cfg);
   soc.add(dnn);
   if (with_dma) soc.add(dma);
@@ -61,27 +64,23 @@ double run_config(bool with_dma, double dnn_share, std::uint64_t scale) {
   const RateMeter meter(150e6);
   const Cycle span = frames.back() - frames.front();
   return meter.per_second(frames.size() - 1, span) /
-         static_cast<double>(scale);
+         static_cast<double>(kScale);
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::uint64_t scale = 16;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--full") == 0) scale = 1;
-  }
+int main() {
   std::cout << "CHaiDNN GoogleNet inference under contention (scale 1/"
-            << scale << ")\n\n";
+            << kScale << ")\n\n";
 
   axihc::Table t({"configuration", "GoogleNet frames/s",
                   "% of isolation"});
-  const double iso = run_config(false, 0, scale);
+  const double iso = run_config(false, 0);
   t.add_row({"isolation (DNN alone)", axihc::Table::num(iso, 2), "100%"});
-  const double contended = run_config(true, 0, scale);
+  const double contended = run_config(true, 0);
   t.add_row({"+ DMA, no reservation", axihc::Table::num(contended, 2),
              axihc::Table::num(100 * contended / iso, 0) + "%"});
-  const double protected_fps = run_config(true, 0.9, scale);
+  const double protected_fps = run_config(true, 0.9);
   t.add_row({"+ DMA, HC-90-10 reservation",
              axihc::Table::num(protected_fps, 2),
              axihc::Table::num(100 * protected_fps / iso, 0) + "%"});

@@ -422,7 +422,11 @@ void ConfiguredSystem::add_ha(const IniSection& section, PortIndex port) {
     cfg.burst_beats = section.get_u32("burst", 16);
     cfg.gap_cycles = section.get_u64("gap", 0);
     cfg.max_outstanding = section.get_u32("outstanding", 8);
-    cfg.qos = static_cast<std::uint8_t>(section.get_u64("qos", 0));
+    // AxQOS is a 4-bit field.
+    const std::uint32_t qos = section.get_u32("qos", 0);
+    AXIHC_CHECK_MSG(qos <= 15, "[" << name << "] qos = " << qos
+                                   << " is out of range (AxQOS is 0-15)");
+    cfg.qos = static_cast<std::uint8_t>(qos);
     cfg.base = section.get_u64("base", 0x4000'0000 + (Addr{port} << 26));
     cfg.tolerate_out_of_order = ooo;
     ProveHaModel model;

@@ -8,7 +8,8 @@
 // delay the execution of software running on the processors of the PS)":
 // with both ports contending for the same device, throttling the FPGA side
 // at the HyperConnect visibly protects CPU memory latency
-// (bench/ablation_cpu_protection).
+// (CpuProtection.PaperAblationFpgaBudgetRestoresCpuLatency in
+// tests/test_dual_port.cpp).
 //
 // Service model matches MemoryController (first-word latency from the
 // open-row state, one beat per cycle, turnaround); arbitration between the

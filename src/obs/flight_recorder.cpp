@@ -34,7 +34,6 @@ const char* latency_cause_name(LatencyCause c) {
 
 FlightRecorder::FlightRecorder(std::size_t capacity) : capacity_(capacity) {
   AXIHC_CHECK_MSG(capacity_ > 0, "flight recorder needs a nonzero capacity");
-  ring_.reserve(capacity_);
 }
 
 void FlightRecorder::append(const FlightRecord& rec) {

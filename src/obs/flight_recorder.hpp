@@ -1,8 +1,10 @@
 // Transaction flight recorder: a bounded ring of the most recent completed
 // transactions with their full latency provenance (per-hop timestamps and
 // cause buckets), dumpable as JSON-lines on fault, bound violation, or exit.
-// Like a hardware trace buffer, it never grows: once full, each new record
-// overwrites the oldest (counted in dropped()).
+// Like a hardware trace buffer it holds at most `capacity` records: once
+// full, each new record overwrites the oldest (counted in dropped()).
+// Storage grows as records arrive, so a capacity beyond the run's
+// transaction count keeps every record.
 #pragma once
 
 #include <array>

@@ -1,6 +1,5 @@
 // Shared-nothing job fan-out — the one parallel primitive, behind the sweep
-// runner (src/sweep), the fault-campaign runner (src/campaign) and the bench
-// grids.
+// runner (src/sweep) and the fault-campaign runner (src/campaign).
 //
 // Each job must own its entire simulation (Simulator, SocSystem, HAs,
 // stores): simulations share no mutable state, which is what makes a sweep
@@ -87,7 +86,7 @@ auto run_timed_job(Fn&& job, JobTiming& timing) {
 /// Warns (once per process) when AXIHC_BENCH_THREADS asks for more workers
 /// than the host has hardware threads: the jobs still run, but
 /// oversubscribed timings are not scaling measurements. Lives in the shared
-/// fan-out so every client (benches, campaigns, sweeps) gets it.
+/// fan-out so every client (campaigns, sweeps) gets it.
 inline void warn_once_if_oversubscribed() {
   static const bool warned = [] {
     const unsigned requested = parallel_job_threads();

@@ -192,8 +192,9 @@ std::string build_error(const std::string& ini) {
 }
 
 TEST(SystemBuilder, RejectsWrappingAndNegativeIntegers) {
-  // Sanity: the unmodified base builds.
+  // Sanity: the unmodified base builds, and so does the largest AxQOS.
   EXPECT_NO_THROW(build_system(pareto_base_with("system", "")));
+  EXPECT_NO_THROW(build_system(pareto_base_with("ha1", "qos = 15")));
   const struct {
     const char* section;
     const char* line;
@@ -211,6 +212,11 @@ TEST(SystemBuilder, RejectsWrappingAndNegativeIntegers) {
       {"hyperconnect", "reservation_period = -2000",
        "[hyperconnect] reservation_period"},
       {"ha1", "outstanding = 4294967304", "[ha1] outstanding"},
+      // AxQOS is 4 bits: no wrap modulo 256, no silent truncation to 4 bits.
+      {"ha1", "qos = 256", "[ha1] qos"},
+      {"ha1", "qos = 257", "[ha1] qos"},
+      {"ha1", "qos = 16", "[ha1] qos"},
+      {"ha1", "qos = -1", "[ha1] qos"},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.line);

@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "ha/dma_engine.hpp"
 #include "ha/traffic_gen.hpp"
 #include "hyperconnect/hyperconnect.hpp"
 #include "sim/simulator.hpp"
+#include "stats/stats.hpp"
 
 namespace axihc {
 namespace {
@@ -119,56 +123,113 @@ TEST(DualPortFair, FifoArbitrationMakesCpuWaitBehindBacklog) {
   EXPECT_GT(cpu.stats().read_latency.max(), 100u);
 }
 
-TEST(CpuProtection, FpgaReservationRestoresCpuLatency) {
-  // The §V-A claim end to end: throttling the FPGA at the HyperConnect
-  // protects the CPU's memory latency, even on a fair DDRC.
-  auto cpu_mean_latency = [](std::uint32_t budget_per_port) {
-    Simulator sim;
-    BackingStore store;
-    HyperConnectConfig cfg;
-    cfg.num_ports = 2;
-    if (budget_per_port != 0) {
-      cfg.reservation_period = 2000;
-      cfg.initial_budgets = {budget_per_port, budget_per_port};
-    }
-    HyperConnect hc("hc", cfg);
-    AxiLink cpu_link("cpu");
-    cpu_link.register_with(sim);
-    DualPortConfig dpc;
-    dpc.ps_priority = false;  // worst case for the CPU
-    DualPortMemoryController ddr("ddr", cpu_link, hc.master_link(), store,
-                                 dpc);
-    hc.register_with(sim);
-    sim.add(ddr);
+struct CpuResult {
+  double cpu_mean_latency = 0;
+  Cycle cpu_max_latency = 0;
+  double fpga_mb_s = 0;
+};
 
-    TrafficConfig probe;
-    probe.direction = TrafficDirection::kRead;
-    probe.burst_beats = 8;
-    probe.gap_cycles = 150;
-    probe.max_outstanding = 1;
-    probe.base = 0x0100'0000;
-    TrafficGenerator cpu("cpu", cpu_link, probe);
-    sim.add(cpu);
-    DmaConfig d;
-    d.mode = DmaMode::kReadWrite;
-    d.bytes_per_job = 1u << 20;
-    DmaEngine dma0("dma0", hc.port_link(0), d);
-    d.read_base = 0x5000'0000;
-    d.write_base = 0x6000'0000;
-    DmaEngine dma1("dma1", hc.port_link(1), d);
-    sim.add(dma0);
-    sim.add(dma1);
-    sim.reset();
-    sim.run(200000);
-    return cpu.stats().read_latency.count() > 0
-               ? cpu.stats().read_latency.mean()
-               : 1e9;
+/// A CPU-like master reading one cache line every 150 cycles on the DDRC's
+/// PS port while two greedy 1 MiB read+write DMAs flood it through a
+/// HyperConnect on the FPGA port. `fpga_budget` is the total transactions
+/// per 2000-cycle window, split evenly (0 = reservation off).
+CpuResult run_cpu_protection(std::uint32_t fpga_budget, bool ps_priority) {
+  Simulator sim;
+  BackingStore store;
+  HyperConnectConfig cfg;
+  cfg.num_ports = 2;
+  cfg.nominal_burst = 16;
+  if (fpga_budget != 0) {
+    cfg.reservation_period = 2000;
+    cfg.initial_budgets = {fpga_budget / 2, fpga_budget / 2};
+  }
+  HyperConnect hc("hc", cfg);
+  AxiLink cpu_link("cpu");
+  cpu_link.register_with(sim);
+  DualPortConfig dpc;
+  dpc.ps_priority = ps_priority;
+  DualPortMemoryController ddr("ddr", cpu_link, hc.master_link(), store, dpc);
+  hc.register_with(sim);
+  sim.add(ddr);
+
+  TrafficConfig probe;
+  probe.direction = TrafficDirection::kRead;
+  probe.burst_beats = 8;  // one 64-byte cache line
+  probe.gap_cycles = 150;
+  probe.max_outstanding = 1;
+  probe.base = 0x0100'0000;
+  TrafficGenerator cpu("cpu", cpu_link, probe);
+  sim.add(cpu);
+  DmaConfig d;
+  d.mode = DmaMode::kReadWrite;
+  d.bytes_per_job = 1u << 20;
+  DmaEngine dma0("dma0", hc.port_link(0), d);
+  d.read_base = 0x5000'0000;
+  d.write_base = 0x6000'0000;
+  DmaEngine dma1("dma1", hc.port_link(1), d);
+  sim.add(dma0);
+  sim.add(dma1);
+  sim.reset();
+  sim.run(300000);
+
+  CpuResult r;
+  r.cpu_mean_latency = cpu.stats().read_latency.mean();
+  r.cpu_max_latency = cpu.stats().read_latency.max();
+  const std::uint64_t fpga_bytes =
+      dma0.stats().bytes_read + dma0.stats().bytes_written +
+      dma1.stats().bytes_read + dma1.stats().bytes_written;
+  r.fpga_mb_s = RateMeter(150e6).bytes_per_second(fpga_bytes, sim.now()) / 1e6;
+  return r;
+}
+
+TEST(CpuProtection, PaperAblationFpgaBudgetRestoresCpuLatency) {
+  // §V-A: reservation also "controls the overall memory traffic coming from
+  // the FPGA", which delays software on the PS. Budget 2 is a near-idle
+  // FPGA; 0 is reservation off.
+  struct Row {
+    std::uint32_t budget;
+    double mean;
+    Cycle max;
+    double fpga_mb_s;
   };
-
-  const double unlimited = cpu_mean_latency(0);
-  const double throttled = cpu_mean_latency(8);   // tight FPGA budget
-  EXPECT_LT(throttled, unlimited * 0.7)
-      << "reservation did not protect the CPU";
+  const Row fair[] = {{2, 22.3, 110, 19.2},
+                      {16, 82.3, 654, 153.6},
+                      {32, 211.3, 705, 307.2},
+                      {48, 691.3, 705, 442.6},
+                      {0, 691.8, 705, 442.3}};
+  const Row prio[] = {{2, 21.5, 69, 19.2},
+                      {16, 29.6, 75, 153.6},
+                      {32, 38.1, 75, 307.2},
+                      {48, 43.1, 75, 388.3},
+                      {0, 43.1, 75, 388.3}};
+  for (const bool ps_priority : {false, true}) {
+    std::vector<CpuResult> results;
+    for (const Row& row : ps_priority ? prio : fair) {
+      const CpuResult r = run_cpu_protection(row.budget, ps_priority);
+      const std::string label =
+          std::string(ps_priority ? "PS-priority" : "fair") +
+          " DDRC, budget " + std::to_string(row.budget);
+      EXPECT_NEAR(r.cpu_mean_latency, row.mean, 0.05) << label;
+      EXPECT_EQ(r.cpu_max_latency, row.max) << label;
+      EXPECT_NEAR(r.fpga_mb_s, row.fpga_mb_s, 0.05) << label;
+      results.push_back(r);
+    }
+    for (std::size_t i = 1; i < results.size(); ++i) {
+      EXPECT_GE(results[i].cpu_mean_latency, results[i - 1].cpu_mean_latency)
+          << "tightening the FPGA budget walks CPU latency back";
+    }
+    if (ps_priority) {
+      EXPECT_LE(results.back().cpu_max_latency, 75u)
+          << "PS priority bounds the CPU's worst case";
+      EXPECT_LT(results[1].fpga_mb_s, results.back().fpga_mb_s / 2)
+          << "under PS priority the budget still caps FPGA bandwidth";
+    } else {
+      EXPECT_GT(results.back().cpu_mean_latency,
+                10 * results.front().cpu_mean_latency)
+          << "on a fair DDRC unlimited FPGA traffic inflates CPU latency "
+             ">10x";
+    }
+  }
 }
 
 }  // namespace

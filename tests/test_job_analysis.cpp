@@ -7,6 +7,7 @@
 #include "ha/traffic_gen.hpp"
 #include "hypervisor/domain.hpp"
 #include "hyperconnect/hyperconnect.hpp"
+#include "mem/backing_store.hpp"
 #include "mem/memory_controller.hpp"
 #include "sim/simulator.hpp"
 
@@ -59,6 +60,48 @@ TEST(JobAnalysis, BoundGrowsWithContention) {
   EXPECT_LT(job_wcrt(two, p, 0, job), job_wcrt(four, p, 0, job));
 }
 
+/// Cycle at which a one-frame DNN on port 0 finishes, under a 2-port
+/// HyperConnect with `budgets` per `period` and a flooding 16-beat reader on
+/// port 1 (0 when it does not finish).
+Cycle simulate_frame(DnnConfig dnn_cfg, Cycle period,
+                     std::vector<std::uint32_t> budgets) {
+  Simulator sim;
+  BackingStore store;
+  HyperConnectConfig cfg;
+  cfg.num_ports = 2;
+  cfg.nominal_burst = 16;
+  cfg.reservation_period = period;
+  cfg.initial_budgets = std::move(budgets);
+  HyperConnect hc("hc", cfg);
+  MemoryController mem("ddr", hc.master_link(), store, {});
+  hc.register_with(sim);
+  sim.add(mem);
+
+  dnn_cfg.max_frames = 1;
+  DnnAccelerator dnn("dnn", hc.port_link(0), dnn_cfg);
+  TrafficConfig adversary;
+  adversary.direction = TrafficDirection::kRead;
+  adversary.burst_beats = 16;
+  adversary.base = 0x6000'0000;
+  TrafficGenerator flood("flood", hc.port_link(1), adversary);
+  sim.add(dnn);
+  sim.add(flood);
+  sim.reset();
+  if (!sim.run_until([&] { return dnn.finished(); }, 1'000'000'000ull)) {
+    return 0;
+  }
+  return dnn.frame_completion_cycles()[0];
+}
+
+/// The analysis view of the default memory controller.
+AnalysisPlatform default_platform() {
+  const MemoryControllerConfig mc;
+  AnalysisPlatform p;
+  p.mem_latency = mc.row_miss_latency;
+  p.turnaround = mc.turnaround;
+  return p;
+}
+
 TEST(JobAnalysis, ReservationBoundDominatesSimulatedFrame) {
   // A DNN-like job under reservation, with a flooding adversary: the
   // analytical frame bound must dominate the measured frame time.
@@ -69,38 +112,11 @@ TEST(JobAnalysis, ReservationBoundDominatesSimulatedFrame) {
   };
   dnn_cfg.macs_per_cycle = 256;
   dnn_cfg.burst_beats = 16;
-  dnn_cfg.max_frames = 1;
 
   const Cycle period = 2000;
   const std::vector<std::uint32_t> budgets = {30, 15};  // 45 * S(16)=41 <= 2000
-
-  Simulator sim;
-  BackingStore store;
-  HyperConnectConfig cfg;
-  cfg.num_ports = 2;
-  cfg.nominal_burst = 16;
-  cfg.reservation_period = period;
-  cfg.initial_budgets = budgets;
-  HyperConnect hc("hc", cfg);
-  MemoryControllerConfig mc;
-  mc.row_hit_latency = 10;
-  mc.row_miss_latency = 24;
-  MemoryController mem("ddr", hc.master_link(), store, mc);
-  hc.register_with(sim);
-  sim.add(mem);
-
-  DnnAccelerator dnn("dnn", hc.port_link(0), dnn_cfg);
-  TrafficConfig adversary;
-  adversary.direction = TrafficDirection::kRead;
-  adversary.burst_beats = 16;
-  adversary.base = 0x6000'0000;
-  TrafficGenerator flood("flood", hc.port_link(1), adversary);
-  sim.add(dnn);
-  sim.add(flood);
-  sim.reset();
-
-  ASSERT_TRUE(sim.run_until([&] { return dnn.finished(); }, 10'000'000));
-  const Cycle measured = dnn.frame_completion_cycles()[0];
+  const Cycle measured = simulate_frame(dnn_cfg, period, budgets);
+  ASSERT_GT(measured, 0u);
 
   HcAnalysisConfig a;
   a.num_ports = 2;
@@ -108,14 +124,73 @@ TEST(JobAnalysis, ReservationBoundDominatesSimulatedFrame) {
   a.reservation_period = period;
   a.budgets = budgets;
   a.competitor_backlog = 4;
-  AnalysisPlatform p;
-  p.mem_latency = mc.row_miss_latency;
-  p.turnaround = mc.turnaround;
+  const AnalysisPlatform p = default_platform();
   ASSERT_TRUE(reservation_feasible(a, p));
   const Cycle bound = job_wcrt(a, p, 0, profile_of(dnn_cfg));
 
   EXPECT_LE(measured, bound);
   EXPECT_LE(bound, measured * 30) << "uselessly loose job bound";
+}
+
+TEST(ReservationSizing, PaperAblationSizedBudgetsMeetDeadlines) {
+  // The job-level analysis inverted: the smallest DNN budget (txns per
+  // 2000 cycles) that meets a GoogleNet frame deadline whatever a flooding
+  // adversary with 4 txns per window does. GoogleNet runs at 1/4 scale.
+  DnnConfig dnn_cfg;
+  dnn_cfg.layers = googlenet_layers();
+  for (DnnLayer& l : dnn_cfg.layers) {
+    l.weight_bytes /= 4;
+    l.ifmap_bytes /= 4;
+    l.ofmap_bytes /= 4;
+    l.macs /= 4;
+  }
+  const JobProfile job = profile_of(dnn_cfg);
+  EXPECT_EQ(job.total_bytes() / 1024, 2786u);
+
+  const AnalysisPlatform p = default_platform();
+  HcAnalysisConfig a;
+  a.num_ports = 2;
+  a.nominal_burst = 16;
+  a.reservation_period = 2000;
+  a.budgets = {0, 4};
+  a.competitor_backlog = 4;
+
+  const RateMeter meter(150e6);
+  const auto ms = [&](Cycle c) { return meter.to_us(c) / 1000.0; };
+  struct Row {
+    double deadline_ms;
+    std::uint32_t budget;
+    double bound_ms;
+    double simulated_ms;
+  };
+  std::uint32_t prev_budget = 0;
+  for (const Row row : {Row{120, 3, 109.8, 109.2}, Row{90, 4, 85.0, 84.4},
+                        Row{70, 6, 60.3, 59.7}, Row{60, 7, 53.2, 52.6},
+                        Row{55, 7, 53.2, 52.6}}) {
+    const auto deadline =
+        static_cast<Cycle>(row.deadline_ms / 1000.0 * meter.clock_hz());
+    const std::uint32_t budget =
+        min_budget_for_deadline(a, p, 0, job, deadline);
+    HcAnalysisConfig sized = a;
+    sized.budgets[0] = budget;
+    const Cycle bound = job_wcrt(sized, p, 0, job);
+    const Cycle simulated = simulate_frame(dnn_cfg, 2000, {budget, 4});
+    const std::string label = std::to_string(row.deadline_ms) + " ms";
+    EXPECT_EQ(budget, row.budget) << label;
+    EXPECT_NEAR(ms(bound), row.bound_ms, 0.05) << label;
+    EXPECT_NEAR(ms(simulated), row.simulated_ms, 0.05) << label;
+    EXPECT_GT(simulated, 0u) << label;
+    EXPECT_LE(simulated, deadline)
+        << "every sized budget's simulated frame meets its deadline: "
+        << label;
+    EXPECT_GE(budget, prev_budget)
+        << "tighter deadlines demand larger budgets: " << label;
+    prev_budget = budget;
+    if (budget == 3) {
+      EXPECT_LT(bound - simulated, simulated / 100)
+          << "in the reservation-dominated regime the bound is tight to <1%";
+    }
+  }
 }
 
 TEST(JobAnalysis, MinBudgetForDeadlineIsTightAndSound) {

@@ -46,20 +46,25 @@ ChannelLatencies measure(Interconnect& icn, Simulator& sim,
   lat.r = sim.now() - slave.r_first_push[0];
   port.r.pop();
 
-  // --- write transaction: AW + W downstream, B upstream ------------------
+  // --- write transaction: AW alone, then W on the established route,
+  // then B upstream -------------------------------------------------------
   AddrReq aw;
   aw.id = 2;
   aw.addr = 0x200;
   aw.beats = 1;
   const Cycle aw_pushed = sim.now();
   port.aw.push(aw);
+  EXPECT_TRUE(
+      sim.run_until([&] { return !slave.aw_arrivals.empty(); }, 200));
+  lat.aw = slave.aw_arrivals.at(0) - aw_pushed;
+  const Cycle w_pushed = sim.now();
   port.w.push({0xAB, 0xff, true});
-  const bool got_b = sim.run_until([&] { return port.b.can_pop(); }, 200);
-  EXPECT_TRUE(got_b);
-  EXPECT_EQ(slave.aw_arrivals.size(), 1u);
-  lat.aw = slave.aw_arrivals[0] - aw_pushed;
-  lat.w = slave.w_first_beat[0] - aw_pushed;
-  lat.b = sim.now() - slave.b_pushes[0];
+  EXPECT_TRUE(
+      sim.run_until([&] { return !slave.w_first_beat.empty(); }, 200));
+  lat.w = slave.w_first_beat.at(0) - w_pushed;
+  // The slave emits B with the last W beat.
+  EXPECT_TRUE(sim.run_until([&] { return port.b.can_pop(); }, 200));
+  lat.b = sim.now() - slave.b_pushes.at(0);
   port.b.pop();
   return lat;
 }
@@ -79,10 +84,30 @@ TEST(ChannelLatency, HyperConnectMatchesPaperFig3a) {
   EXPECT_EQ(lat.aw, 4u);
   // eFIFO(1) + eFIFO(1) on data/response channels (TS/EXBAR proactive).
   EXPECT_EQ(lat.r, 2u);
+  EXPECT_EQ(lat.w, 2u);
   EXPECT_EQ(lat.b, 2u);
-  // W data leaves with the AW; its own path is 2 cycles, but it can only be
-  // pulled after the AW grant, so first-W-at-slave == AW arrival time.
-  EXPECT_LE(lat.w - lat.aw, 1u);
+}
+
+TEST(ChannelLatency, HyperConnectWriteDataTravelsWithItsAddress) {
+  // W pushed together with its AW can only be pulled after the AW grant, so
+  // the first W beat reaches the slave at most one cycle after the AW.
+  Simulator sim;
+  HyperConnect hc("hc", {});
+  LoopbackSlave slave("slave", hc.master_link());
+  hc.register_with(sim);
+  sim.add(slave);
+  sim.reset();
+
+  AddrReq aw;
+  aw.id = 2;
+  aw.addr = 0x200;
+  aw.beats = 1;
+  hc.port_link(0).aw.push(aw);
+  hc.port_link(0).w.push({0xAB, 0xff, true});
+  ASSERT_TRUE(
+      sim.run_until([&] { return !slave.w_first_beat.empty(); }, 200));
+  ASSERT_EQ(slave.aw_arrivals.size(), 1u);
+  EXPECT_LE(slave.w_first_beat[0] - slave.aw_arrivals[0], 1u);
 }
 
 TEST(ChannelLatency, SmartConnectMatchesPaperFig3a) {
@@ -96,6 +121,7 @@ TEST(ChannelLatency, SmartConnectMatchesPaperFig3a) {
   EXPECT_EQ(lat.ar, 12u);
   EXPECT_EQ(lat.aw, 12u);
   EXPECT_EQ(lat.r, 11u);
+  EXPECT_EQ(lat.w, 3u);
   EXPECT_EQ(lat.b, 2u);
 }
 
@@ -118,13 +144,28 @@ TEST(ChannelLatency, ImprovementPercentagesMatchPaper) {
     return 100.0 * (1.0 - static_cast<double>(ours) /
                               static_cast<double>(theirs));
   };
-  // Paper: 66% on AR/AW, 82% on R, equal on B.
+  // Paper: 66% on AR/AW, 82% on R, 33% on W, equal on B.
   EXPECT_NEAR(improvement(l_hc.ar, l_sc.ar), 66.0, 2.0);
   EXPECT_NEAR(improvement(l_hc.aw, l_sc.aw), 66.0, 2.0);
   EXPECT_NEAR(improvement(l_hc.r, l_sc.r), 82.0, 2.0);
+  EXPECT_NEAR(improvement(l_hc.w, l_sc.w), 33.0, 1.0);
   EXPECT_EQ(l_hc.b, l_sc.b);
-  // Whole-transaction improvements: read dAR+dR = 74%.
-  EXPECT_NEAR(improvement(l_hc.ar + l_hc.r, l_sc.ar + l_sc.r), 74.0, 2.0);
+
+  // Whole transactions: read AR+R is 6 vs 23 cycles (the paper's 74%);
+  // write AW+W+B is 8 vs 17. The paper prints 41% for the write, but its
+  // own per-channel numbers give 1 - 8/17 = 53%.
+  const Cycle read_hc = l_hc.ar + l_hc.r;
+  const Cycle read_sc = l_sc.ar + l_sc.r;
+  const Cycle write_hc = l_hc.aw + l_hc.w + l_hc.b;
+  const Cycle write_sc = l_sc.aw + l_sc.w + l_sc.b;
+  EXPECT_EQ(read_hc, 6u);
+  EXPECT_EQ(read_sc, 23u);
+  EXPECT_EQ(write_hc, 8u);
+  EXPECT_EQ(write_sc, 17u);
+  EXPECT_NEAR(improvement(read_hc, read_sc), 74.0, 1.0)
+      << "HC read transaction 74% faster than SC";
+  EXPECT_NEAR(improvement(write_hc, write_sc), 53.0, 1.0)
+      << "HC write transaction 53% faster than SC";
 }
 
 TEST(ChannelLatency, HyperConnectLatencyIndependentOfBurstSize) {

@@ -422,5 +422,24 @@ TEST(LatencyAudit, DisabledAuditorRecordsNothing) {
   EXPECT_EQ(audit.flight_recorder().size(), 0u);
 }
 
+// The ring grows as records arrive, so a capacity far beyond any run (here
+// 2^50 records) keeps everything instead of allocating up front.
+TEST(FlightRecorder, HugeCapacityKeepsEveryRecord) {
+  FlightRecorder recorder(std::size_t{1} << 50);
+  for (TxnId id = 1; id <= 3; ++id) {
+    FlightRecord rec;
+    rec.id = id;
+    rec.latency = 10 * id;
+    recorder.append(rec);
+  }
+  EXPECT_EQ(recorder.size(), 3u);
+  EXPECT_EQ(recorder.dropped(), 0u);
+  std::ostringstream os;
+  recorder.write_jsonl(os);
+  const std::string dump = os.str();
+  EXPECT_EQ(std::count(dump.begin(), dump.end(), '\n'), 3);
+  EXPECT_NE(dump.find("\"id\":3"), std::string::npos) << dump;
+}
+
 }  // namespace
 }  // namespace axihc

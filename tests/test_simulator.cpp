@@ -153,7 +153,7 @@ TEST(EventTrace, RecordsOnlyWhenEnabled) {
 }
 
 // ---------------------------------------------------------------------------
-// Job-level fan-out (sweeps, campaigns, bench grids).
+// Job-level fan-out (sweeps, campaigns).
 
 TEST(ParallelJobs, RunsEveryJobOnceInJobOrder) {
   constexpr std::size_t kJobs = 64;

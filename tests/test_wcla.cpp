@@ -10,6 +10,7 @@
 
 #include "ha/traffic_gen.hpp"
 #include "hyperconnect/hyperconnect.hpp"
+#include "interconnect/smartconnect.hpp"
 #include "mem/backing_store.hpp"
 #include "mem/memory_controller.hpp"
 #include "sim/simulator.hpp"
@@ -95,23 +96,16 @@ TEST(Wcla, ReservationFeasibility) {
   EXPECT_FALSE(reservation_feasible(cfg, p));
 }
 
-/// Measures the observed worst-case read latency of a victim issuing
-/// `beats`-beat reads against `n_ports - 1` adversarial greedy masters.
-Cycle observed_worst_read(std::uint32_t n_ports, BeatCount victim_beats,
-                          BeatCount adversary_beats, BeatCount nominal,
-                          Cycle period, std::vector<std::uint32_t> budgets,
-                          const MemoryControllerConfig& mc) {
+/// Measures the observed worst-case read latency of a sparse victim on
+/// port 0 issuing `victim_beats`-beat reads against greedy adversaries on
+/// every other port. The memory is the default controller, whose analysis
+/// view is platform_for(MemoryControllerConfig{}).
+Cycle observed_worst_read(std::unique_ptr<Interconnect> icn,
+                          BeatCount victim_beats, BeatCount adversary_beats) {
   Simulator sim;
   BackingStore store;
-  HyperConnectConfig cfg;
-  cfg.num_ports = n_ports;
-  cfg.nominal_burst = nominal;
-  cfg.max_outstanding = 4;
-  cfg.reservation_period = period;
-  cfg.initial_budgets = std::move(budgets);
-  HyperConnect hc("hc", cfg);
-  MemoryController mem("ddr", hc.master_link(), store, mc);
-  hc.register_with(sim);
+  MemoryController mem("ddr", icn->master_link(), store, {});
+  icn->register_with(sim);
   sim.add(mem);
 
   TrafficConfig vcfg;
@@ -120,18 +114,18 @@ Cycle observed_worst_read(std::uint32_t n_ports, BeatCount victim_beats,
   vcfg.gap_cycles = 97;  // sparse, misaligned with periods
   vcfg.max_outstanding = 1;
   vcfg.base = 0x4000'0000;
-  TrafficGenerator victim("victim", hc.port_link(0), vcfg);
+  TrafficGenerator victim("victim", icn->port_link(0), vcfg);
   sim.add(victim);
 
   std::vector<std::unique_ptr<TrafficGenerator>> adversaries;
-  for (PortIndex pt = 1; pt < n_ports; ++pt) {
+  for (PortIndex pt = 1; pt < icn->num_ports(); ++pt) {
     TrafficConfig a;
     a.direction = TrafficDirection::kRead;
     a.burst_beats = adversary_beats;
     a.max_outstanding = 4;
     a.base = 0x6000'0000 + (static_cast<Addr>(pt) << 24);
     adversaries.push_back(std::make_unique<TrafficGenerator>(
-        "adv" + std::to_string(pt), hc.port_link(pt), a));
+        "adv" + std::to_string(pt), icn->port_link(pt), a));
     sim.add(*adversaries.back());
   }
   sim.reset();
@@ -141,6 +135,18 @@ Cycle observed_worst_read(std::uint32_t n_ports, BeatCount victim_beats,
              : 0;
 }
 
+std::unique_ptr<HyperConnect> make_hc(std::uint32_t n_ports,
+                                      BeatCount nominal, Cycle period = 0,
+                                      std::vector<std::uint32_t> budgets = {}) {
+  HyperConnectConfig cfg;
+  cfg.num_ports = n_ports;
+  cfg.nominal_burst = nominal;
+  cfg.max_outstanding = 4;
+  cfg.reservation_period = period;
+  cfg.initial_budgets = std::move(budgets);
+  return std::make_unique<HyperConnect>("hc", cfg);
+}
+
 /// (ports, victim beats, adversary beats, nominal)
 using WclaParams = std::tuple<std::uint32_t, BeatCount, BeatCount, BeatCount>;
 
@@ -148,14 +154,8 @@ class WclaSoundness : public ::testing::TestWithParam<WclaParams> {};
 
 TEST_P(WclaSoundness, BoundDominatesObservedWorstCase) {
   const auto [ports, victim_beats, adversary_beats, nominal] = GetParam();
-  MemoryControllerConfig mc;
-  mc.row_hit_latency = 10;
-  mc.row_miss_latency = 24;
-  mc.turnaround = 1;
-
-  const Cycle observed = observed_worst_read(ports, victim_beats,
-                                             adversary_beats, nominal, 0, {},
-                                             mc);
+  const Cycle observed = observed_worst_read(make_hc(ports, nominal),
+                                             victim_beats, adversary_beats);
   ASSERT_GT(observed, 0u);
 
   HcAnalysisConfig cfg;
@@ -163,7 +163,7 @@ TEST_P(WclaSoundness, BoundDominatesObservedWorstCase) {
   cfg.nominal_burst = nominal;
   cfg.max_unequalized_beats = adversary_beats;
   cfg.competitor_backlog = 4;
-  const Cycle bound = wcrt_read(cfg, platform_for(mc), 0, victim_beats);
+  const Cycle bound = wcrt_read(cfg, platform_for({}), 0, victim_beats);
 
   EXPECT_LE(observed, bound) << "unsound bound";
   // Tightness: the bound must be within 12x of what an adversarial (but
@@ -179,15 +179,11 @@ INSTANTIATE_TEST_SUITE_P(
                       WclaParams{2, 16, 256, 0}, WclaParams{3, 32, 64, 8}));
 
 TEST(WclaReservation, SupplyBoundHoldsUnderReservation) {
-  MemoryControllerConfig mc;
-  mc.row_hit_latency = 10;
-  mc.row_miss_latency = 24;
-  mc.turnaround = 1;
   const Cycle period = 2000;
   const std::vector<std::uint32_t> budgets = {4, 20};
 
   const Cycle observed =
-      observed_worst_read(2, 16, 16, 16, period, budgets, mc);
+      observed_worst_read(make_hc(2, 16, period, budgets), 16, 16);
   ASSERT_GT(observed, 0u);
 
   HcAnalysisConfig cfg;
@@ -196,9 +192,57 @@ TEST(WclaReservation, SupplyBoundHoldsUnderReservation) {
   cfg.reservation_period = period;
   cfg.budgets = budgets;
   cfg.competitor_backlog = 4;
-  ASSERT_TRUE(reservation_feasible(cfg, platform_for(mc)));
-  const Cycle bound = wcrt_read(cfg, platform_for(mc), 0, 16);
+  ASSERT_TRUE(reservation_feasible(cfg, platform_for({})));
+  const Cycle bound = wcrt_read(cfg, platform_for({}), 0, 16);
   EXPECT_LE(observed, bound);
+}
+
+TEST(WclaBounds, PaperAblationBoundsDominateObservations) {
+  // The worst-case analysis the paper says the architecture admits (§V-B),
+  // against adversarial observations.
+  const AnalysisPlatform hc_p = platform_for({});
+  Cycle hc_bound_vs_256_beats = 0;
+  struct Row {
+    std::uint32_t ports;
+    BeatCount victim;
+    BeatCount adversary;
+    Cycle observed;
+    Cycle bound;
+  };
+  for (const Row row : {Row{2, 16, 16, 181, 293}, Row{2, 16, 256, 181, 293},
+                        Row{4, 16, 16, 545, 703}, Row{2, 64, 16, 298, 539}}) {
+    const Cycle observed = observed_worst_read(
+        make_hc(row.ports, 16), row.victim, row.adversary);
+    HcAnalysisConfig a;
+    a.num_ports = row.ports;
+    a.nominal_burst = 16;
+    a.competitor_backlog = 4;
+    const Cycle bound = wcrt_read(a, hc_p, 0, row.victim);
+    const std::string label = "HC N=" + std::to_string(row.ports) +
+                              " victim " + std::to_string(row.victim) +
+                              " adv " + std::to_string(row.adversary);
+    EXPECT_EQ(observed, row.observed) << label;
+    EXPECT_EQ(bound, row.bound) << label;
+    EXPECT_LE(observed, bound) << "the HC bound dominates: " << label;
+    if (row.ports == 2 && row.victim == 16 && row.adversary == 256) {
+      hc_bound_vs_256_beats = bound;
+    }
+  }
+
+  // SmartConnect at granularity 4 against unequalized 256-beat bursts.
+  SmartConnectConfig sc_cfg;
+  sc_cfg.grant_granularity = 4;
+  const Cycle sc_observed = observed_worst_read(
+      std::make_unique<SmartConnect>("sc", 2, sc_cfg), 16, 256);
+  AnalysisPlatform sc_p = hc_p;
+  sc_p.ar_latency = 12;
+  sc_p.r_latency = 11;
+  const Cycle sc_bound = smartconnect_wcrt_read(sc_p, 2, 4, 256, 16);
+  EXPECT_EQ(sc_observed, 1191u);
+  EXPECT_EQ(sc_bound, 1469u);
+  EXPECT_LE(sc_observed, sc_bound) << "the SC bound dominates";
+  EXPECT_GE(sc_bound, 5 * hc_bound_vs_256_beats)
+      << "the HC bound is 5x below the SC bound for the same scenario";
 }
 
 }  // namespace
