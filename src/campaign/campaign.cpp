@@ -6,6 +6,7 @@
 
 #include "common/check.hpp"
 #include "common/json_write.hpp"
+#include "config/keys.hpp"
 #include "config/system_builder.hpp"
 #include "recovery/recovery_manager.hpp"
 #include "sim/parallel_jobs.hpp"
@@ -164,6 +165,7 @@ RunRow execute_run(const IniFile& ini, const CampaignSpec& spec,
 }  // namespace
 
 CampaignSpec parse_campaign_spec(const IniFile& ini) {
+  check_config(ini);
   const IniSection* camp = ini.section("campaign");
   AXIHC_CHECK_MSG(camp != nullptr,
                   "a campaign file needs a [campaign] section");
@@ -177,18 +179,17 @@ CampaignSpec parse_campaign_spec(const IniFile& ini) {
                   "[faultN] sections from the base config");
 
   CampaignSpec spec;
-  spec.runs = camp->get_u64("runs", 100);
-  AXIHC_CHECK_MSG(spec.runs >= 1, "[campaign] runs must be >= 1");
-  spec.seed = camp->get_u64("seed", 1);
-  spec.cycles = camp->get_u64("cycles", 0);
-  if (spec.cycles == 0) spec.cycles = system->get_u64("cycles", 1'000'000);
+  spec.runs = camp->get_u64("runs");
+  spec.seed = camp->get_u64("seed");
+  spec.cycles = camp->get_u64("cycles");
+  if (spec.cycles == 0) spec.cycles = system->get_u64("cycles");
 
-  spec.min_faults = camp->get_u32("min_faults", 1);
-  spec.max_faults = camp->get_u32("max_faults", 3);
+  spec.min_faults = camp->get_u32("min_faults");
+  spec.max_faults = camp->get_u32("max_faults");
   AXIHC_CHECK_MSG(spec.max_faults >= spec.min_faults,
                   "[campaign] max_faults < min_faults");
 
-  std::istringstream kinds(camp->get_string("kinds", ""));
+  std::istringstream kinds(camp->get_string("kinds"));
   for (std::string word; kinds >> word;) {
     const auto kind = fault_kind_from_string(word);
     AXIHC_CHECK_MSG(kind.has_value(),
@@ -197,10 +198,8 @@ CampaignSpec parse_campaign_spec(const IniFile& ini) {
   }
   if (spec.kinds.empty()) spec.kinds = all_injector_kinds();
 
-  const std::uint64_t num_ports = system->get_u64("ports", 2);
-  for (const std::uint32_t p : camp->get_u32_list("ports")) {
-    spec.ports.push_back(p);
-  }
+  const std::uint64_t num_ports = system->get_u32("ports");
+  spec.ports = camp->get_u32_list("ports");
   if (spec.ports.empty()) {
     // Default: every port with an HA behind it (faults on empty ports
     // would never materialize — no injector is built there).
@@ -217,15 +216,12 @@ CampaignSpec parse_campaign_spec(const IniFile& ini) {
   spec.start_max = camp->get_u64("start_max", spec.cycles / 2);
   AXIHC_CHECK_MSG(spec.start_max >= spec.start_min,
                   "[campaign] start_max < start_min");
-  spec.duration_min = camp->get_u64("duration_min", 200);
-  spec.duration_max = camp->get_u64("duration_max", 2000);
-  AXIHC_CHECK_MSG(spec.duration_min >= 1,
-                  "[campaign] duration_min must be >= 1 (duration 0 means "
-                  "a permanent fault; campaigns sweep transient windows)");
+  spec.duration_min = camp->get_u64("duration_min");
+  spec.duration_max = camp->get_u64("duration_max");
   AXIHC_CHECK_MSG(spec.duration_max >= spec.duration_min,
                   "[campaign] duration_max < duration_min");
 
-  spec.probability = camp->get_double("probability", 1.0);
+  spec.probability = camp->get_double("probability");
   AXIHC_CHECK_MSG(spec.probability > 0.0 && spec.probability <= 1.0,
                   "[campaign] probability must be in (0, 1]");
   return spec;

@@ -55,18 +55,18 @@ namespace axihc {
 
 /// Parsed [campaign] section with resolved defaults.
 struct CampaignSpec {
-  std::uint64_t runs = 100;
-  std::uint64_t seed = 1;
+  std::uint64_t runs = 0;
+  std::uint64_t seed = 0;
   Cycle cycles = 0;  ///< resolved per-run horizon (never 0 after parsing)
-  std::uint32_t min_faults = 1;
-  std::uint32_t max_faults = 3;
+  std::uint32_t min_faults = 0;
+  std::uint32_t max_faults = 0;
   std::vector<FaultKind> kinds;
   std::vector<PortIndex> ports;
   Cycle start_min = 0;
   Cycle start_max = 0;
   Cycle duration_min = 0;
   Cycle duration_max = 0;
-  double probability = 1.0;
+  double probability = 0.0;
 };
 
 /// Parses + validates the [campaign] section against the base system in the

@@ -12,15 +12,11 @@
 //    space) and numeric tokens are reprinted in decimal (0x40 == 64);
 //    whole-value boolean synonyms normalize (yes/on -> true, no/off ->
 //    false);
-//  * keys whose normalized value equals the system builder's default for
-//    that (section, key) are DROPPED — writing `ports = 2` explicitly does
-//    not change the digest of a config that omitted it. Section headers are
-//    never dropped (an empty [recovery] is not the same system as no
-//    [recovery] at all).
-//
-// The default table must track src/config/system_builder.cpp (and the
-// [campaign]/[sweep] spec parsers); tests/test_sweep.cpp pins
-// representative entries.
+//  * keys whose normalized value equals their row's default in the config
+//    key table (config/keys.hpp) are DROPPED — writing `ports = 2`
+//    explicitly does not change the digest of a config that omitted it.
+//    Section headers are never dropped (an empty [recovery] is not the same
+//    system as no [recovery] at all).
 #pragma once
 
 #include <cstdint>

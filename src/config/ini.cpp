@@ -5,10 +5,10 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "config/keys.hpp"
 
 namespace axihc {
 
-namespace {
 std::string trim(const std::string& s) {
   std::size_t b = 0;
   std::size_t e = s.size();
@@ -17,12 +17,13 @@ std::string trim(const std::string& s) {
   return s.substr(b, e - b);
 }
 
-// Whole-string unsigned parse (decimal, 0x hex or 0 octal) no larger than
-// `max`. std::stoull alone accepts "-1" (as 2^64 - 1), and a later narrowing
-// cast would wrap anything above 32 bits.
+// std::stoull alone accepts "-1" (as 2^64 - 1) and skips leading blanks,
+// and a later narrowing cast would wrap anything above 32 bits.
 bool parse_unsigned(const std::string& text, std::uint64_t max,
                     std::uint64_t& out) {
-  if (text.empty() || text.front() == '-') return false;
+  if (text.empty() || std::isdigit(static_cast<unsigned char>(text[0])) == 0) {
+    return false;
+  }
   std::size_t used = 0;
   try {
     out = std::stoull(text, &used, 0);
@@ -30,6 +31,27 @@ bool parse_unsigned(const std::string& text, std::uint64_t max,
     return false;
   }
   return used == text.size() && out <= max;
+}
+
+namespace {
+
+// Whole-value parse of s.get_string(key); a ModelError naming `[section] key`
+// on garbage or on a value outside the key's row range.
+std::uint64_t to_unsigned(const IniSection& s, const std::string& key,
+                          std::uint64_t max) {
+  const std::string raw = s.get_string(key);
+  std::uint64_t value = 0;
+  AXIHC_CHECK_MSG(parse_unsigned(raw, max, value),
+                  "[" << s.name() << "] " << key << " = '" << raw
+                      << "' is not an unsigned "
+                      << (max == UINT32_MAX ? "32-bit " : "") << "integer");
+  if (const ConfigKey* row = find_config_key(s.name(), key)) {
+    AXIHC_CHECK_MSG(value >= row->min && value <= row->max,
+                    "[" << s.name() << "] " << key << " = " << value
+                        << " is out of range [" << row->min << ", "
+                        << row->max << "]");
+  }
+  return value;
 }
 }  // namespace
 
@@ -47,45 +69,45 @@ void IniSection::replace(const std::string& key, const std::string& value) {
   entries_.emplace_back(key, value);
 }
 
-bool IniSection::has(const std::string& key) const {
+const std::string* IniSection::find(const std::string& key) const {
   for (const auto& [k, v] : entries_) {
-    if (k == key) return true;
+    if (k == key) return &v;
   }
-  return false;
+  return nullptr;
+}
+
+bool IniSection::has(const std::string& key) const {
+  return find(key) != nullptr;
 }
 
 std::string IniSection::get_string(const std::string& key,
-                                   const std::string& fallback) const {
-  for (const auto& [k, v] : entries_) {
-    if (k == key) return v;
-  }
-  return fallback;
+                                   std::optional<std::string> fallback) const {
+  if (const std::string* value = find(key)) return *value;
+  if (fallback.has_value()) return *fallback;
+  const ConfigKey* row = find_config_key(name_, key);
+  AXIHC_CHECK_MSG(row != nullptr, "[" << name_ << "] " << key
+                                      << " has no row in the config table");
+  AXIHC_CHECK_MSG(row->fallback != nullptr,
+                  "[" << name_ << "] " << key << " is required");
+  return row->fallback;
 }
 
 std::uint64_t IniSection::get_u64(const std::string& key,
-                                  std::uint64_t fallback) const {
-  if (!has(key)) return fallback;
-  const std::string raw = get_string(key);
-  std::uint64_t value = 0;
-  AXIHC_CHECK_MSG(parse_unsigned(raw, UINT64_MAX, value),
-                  "[" << name_ << "] " << key << " = '" << raw
-                      << "' is not an unsigned integer");
-  return value;
+                                  std::optional<std::uint64_t> fallback) const {
+  return fallback && !has(key) ? *fallback
+                               : to_unsigned(*this, key, UINT64_MAX);
 }
 
 std::uint32_t IniSection::get_u32(const std::string& key,
-                                  std::uint32_t fallback) const {
-  if (!has(key)) return fallback;
-  const std::string raw = get_string(key);
-  std::uint64_t value = 0;
-  AXIHC_CHECK_MSG(parse_unsigned(raw, UINT32_MAX, value),
-                  "[" << name_ << "] " << key << " = '" << raw
-                      << "' is not an unsigned 32-bit integer");
-  return static_cast<std::uint32_t>(value);
+                                  std::optional<std::uint32_t> fallback) const {
+  return fallback && !has(key) ? *fallback
+                               : static_cast<std::uint32_t>(
+                                     to_unsigned(*this, key, UINT32_MAX));
 }
 
-double IniSection::get_double(const std::string& key, double fallback) const {
-  if (!has(key)) return fallback;
+double IniSection::get_double(const std::string& key,
+                              std::optional<double> fallback) const {
+  if (fallback && !has(key)) return *fallback;
   const std::string raw = get_string(key);
   std::size_t used = 0;
   double value = 0;
@@ -100,23 +122,21 @@ double IniSection::get_double(const std::string& key, double fallback) const {
   return value;
 }
 
-bool IniSection::get_bool(const std::string& key, bool fallback) const {
-  if (!has(key)) return fallback;
+bool IniSection::get_bool(const std::string& key,
+                          std::optional<bool> fallback) const {
+  if (fallback && !has(key)) return *fallback;
   const std::string raw = get_string(key);
   if (raw == "true" || raw == "1" || raw == "yes" || raw == "on") return true;
-  if (raw == "false" || raw == "0" || raw == "no" || raw == "off") {
-    return false;
-  }
-  AXIHC_CHECK_MSG(false, "[" << name_ << "] " << key << " = '" << raw
-                             << "' is not a boolean");
-  return fallback;
+  AXIHC_CHECK_MSG(raw == "false" || raw == "0" || raw == "no" || raw == "off",
+                  "[" << name_ << "] " << key << " = '" << raw
+                      << "' is not a boolean");
+  return false;
 }
 
 std::vector<std::uint32_t> IniSection::get_u32_list(
     const std::string& key) const {
   std::vector<std::uint32_t> out;
-  if (!has(key)) return out;
-  std::istringstream is(get_string(key));
+  std::istringstream is(get_string(key, ""));
   std::string token;
   while (is >> token) {
     std::uint64_t value = 0;

@@ -4,16 +4,27 @@
 //   key = value        ; or # comments
 //   list = 1 2 3       (space-separated)
 //
-// Section names repeat freely ([ha0], [ha1], ...). Lookups are typed with
-// defaults; unknown keys are detectable so the system builder can reject
-// typos instead of silently ignoring them.
+// The parser accepts any section and key name. Which sections and keys an
+// experiment may hold, and their defaults, is the table in config/keys.hpp:
+// check_config rejects a name without a row, and a getter called without a
+// fallback reads the key's default from its row.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace axihc {
+
+/// `s` without leading and trailing whitespace.
+[[nodiscard]] std::string trim(const std::string& s);
+
+/// Whole-string unsigned parse (decimal, 0x hex or 0 octal) of at most
+/// `max` into `out`: false for "", "-1", "1e3" or "abc" rather than a read
+/// of some prefix.
+[[nodiscard]] bool parse_unsigned(const std::string& text, std::uint64_t max,
+                                  std::uint64_t& out);
 
 class IniSection {
  public:
@@ -27,19 +38,22 @@ class IniSection {
   void replace(const std::string& key, const std::string& value);
   [[nodiscard]] bool has(const std::string& key) const;
 
-  [[nodiscard]] std::string get_string(const std::string& key,
-                                       const std::string& fallback = "") const;
-  /// Throws ModelError if present but not an unsigned integer (a leading
-  /// '-' included).
-  [[nodiscard]] std::uint64_t get_u64(const std::string& key,
-                                      std::uint64_t fallback) const;
-  /// get_u64 that also rejects values above 0xFFFFFFFF, for keys stored in
-  /// 32 bits.
-  [[nodiscard]] std::uint32_t get_u32(const std::string& key,
-                                      std::uint32_t fallback) const;
+  /// Typed getters. A present value that does not parse is a ModelError
+  /// naming `[section] key`. An absent key reads as `fallback` when given,
+  /// else as its row's default in the config key table (config/keys.hpp);
+  /// an absent key whose row has no default is an error ("required").
+  /// Integer reads also reject a value outside the key's row range.
+  [[nodiscard]] std::string get_string(
+      const std::string& key, std::optional<std::string> fallback = {}) const;
+  [[nodiscard]] std::uint64_t get_u64(
+      const std::string& key, std::optional<std::uint64_t> fallback = {}) const;
+  /// get_u64 that also rejects values above 0xFFFFFFFF.
+  [[nodiscard]] std::uint32_t get_u32(
+      const std::string& key, std::optional<std::uint32_t> fallback = {}) const;
   [[nodiscard]] double get_double(const std::string& key,
-                                  double fallback) const;
-  [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
+                                  std::optional<double> fallback = {}) const;
+  [[nodiscard]] bool get_bool(const std::string& key,
+                              std::optional<bool> fallback = {}) const;
   /// Space-separated list of unsigned 32-bit integers.
   [[nodiscard]] std::vector<std::uint32_t> get_u32_list(
       const std::string& key) const;
@@ -50,6 +64,9 @@ class IniSection {
   }
 
  private:
+  /// The first occurrence of `key` (the one every get_* reads), or null.
+  [[nodiscard]] const std::string* find(const std::string& key) const;
+
   std::string name_;
   std::vector<std::pair<std::string, std::string>> entries_;
 };

@@ -7,47 +7,28 @@
 
 #include "common/check.hpp"
 #include "common/log.hpp"
+#include "config/keys.hpp"
 #include "hyperconnect/config.hpp"
 #include "obs/chrome_trace.hpp"
 #include "stats/table.hpp"
 
 namespace axihc {
 
+// check_config admits only the choices of each string key's row, so the
+// last value of every mapping below is the one that is left.
 namespace {
-
-Platform platform_by_name(const std::string& name) {
-  if (name == "zcu102") return zcu102_platform();
-  if (name == "zynq7020") return zynq7020_platform();
-  AXIHC_CHECK_MSG(false, "unknown platform '" << name
-                                              << "' (zcu102 | zynq7020)");
-  return zcu102_platform();
-}
 
 DmaMode dma_mode_by_name(const std::string& name) {
   if (name == "read") return DmaMode::kRead;
   if (name == "write") return DmaMode::kWrite;
-  if (name == "readwrite") return DmaMode::kReadWrite;
   if (name == "copy") return DmaMode::kCopy;
-  AXIHC_CHECK_MSG(false, "unknown dma mode '"
-                             << name << "' (read | write | readwrite | copy)");
-  return DmaMode::kRead;
+  return DmaMode::kReadWrite;
 }
 
 TrafficDirection direction_by_name(const std::string& name) {
-  if (name == "read") return TrafficDirection::kRead;
   if (name == "write") return TrafficDirection::kWrite;
   if (name == "mixed") return TrafficDirection::kMixed;
-  AXIHC_CHECK_MSG(false, "unknown traffic direction '"
-                             << name << "' (read | write | mixed)");
   return TrafficDirection::kRead;
-}
-
-std::vector<DnnLayer> network_by_name(const std::string& name) {
-  if (name == "googlenet") return googlenet_layers();
-  if (name == "alexnet") return alexnet_layers();
-  AXIHC_CHECK_MSG(false,
-                  "unknown network '" << name << "' (googlenet | alexnet)");
-  return {};
 }
 
 }  // namespace
@@ -63,69 +44,58 @@ ConfiguredSystem::ConfiguredSystem(const IniFile& ini,
 
 void ConfiguredSystem::build(const IniFile& ini,
                              const FaultScenario* scenario_override) {
+  check_config(ini);
   const IniSection* system = ini.section("system");
   AXIHC_CHECK_MSG(system != nullptr, "config needs a [system] section");
 
-  platform_ = platform_by_name(system->get_string("platform", "zcu102"));
-  configured_cycles_ = system->get_u64("cycles", 1'000'000);
+  platform_ = system->get_string("platform") == "zynq7020"
+                  ? zynq7020_platform()
+                  : zcu102_platform();
+  configured_cycles_ = system->get_u64("cycles");
 
   SocConfig cfg;
-  const std::string icn = system->get_string("interconnect", "hyperconnect");
-  if (icn == "hyperconnect") {
-    cfg.kind = InterconnectKind::kHyperConnect;
-  } else if (icn == "smartconnect") {
+  if (system->get_string("interconnect") == "smartconnect") {
     cfg.kind = InterconnectKind::kSmartConnect;
-  } else {
-    AXIHC_CHECK_MSG(false, "unknown interconnect '"
-                               << icn
-                               << "' (hyperconnect | smartconnect)");
   }
-  cfg.num_ports = system->get_u32("ports", 2);
+  cfg.num_ports = system->get_u32("ports");
   cfg.mem = platform_.mem;
 
   // Bounded address decode: accesses beyond mem_bytes get DECERR.
-  const std::uint64_t mem_bytes = system->get_u64("mem_bytes", 0);
+  const std::uint64_t mem_bytes = system->get_u64("mem_bytes");
   if (mem_bytes != 0) cfg.mem.mapped_ranges.push_back({0, mem_bytes});
 
   // [memN] sections: additional decode-map entries (base/bytes) for
   // scattered mapped regions. The lint address-map check flags overlaps.
   for (const IniSection* ms : ini.sections_with_prefix("mem")) {
     cfg.mem.mapped_ranges.push_back(
-        {ms->get_u64("base", 0), ms->get_u64("bytes", 0)});
+        {ms->get_u64("base"), ms->get_u64("bytes")});
   }
 
-  if (const IniSection* hc = ini.section("hyperconnect")) {
-    cfg.hc.nominal_burst = hc->get_u32("nominal_burst", 16);
-    cfg.hc.max_outstanding = hc->get_u32("max_outstanding", 4);
-    cfg.hc.reservation_period = hc->get_u64("reservation_period", 0);
-    cfg.hc.initial_budgets = hc->get_u32_list("budgets");
-    cfg.hc.prot_timeout = hc->get_u64("prot_timeout", 0);
-    cfg.hc.out_of_order = hc->get_bool("out_of_order", false);
-    // eFIFO structural knobs (the fifo-depth ablation sweep): data_depth
-    // sets the R/W queue depths, addr_depth the AR/AW queue depths, on the
-    // port AND master eFIFOs. 0 keeps the AxiLinkConfig defaults (32 / 4).
-    const std::uint64_t data_depth = hc->get_u64("data_depth", 0);
-    if (data_depth != 0) {
-      AXIHC_CHECK_MSG(data_depth >= 1, "[hyperconnect] data_depth >= 1");
-      cfg.hc.port_link_cfg.r_depth = data_depth;
-      cfg.hc.port_link_cfg.w_depth = data_depth;
-      cfg.hc.master_link_cfg.r_depth = data_depth;
-      cfg.hc.master_link_cfg.w_depth = data_depth;
-    }
-    const std::uint64_t addr_depth = hc->get_u64("addr_depth", 0);
-    if (addr_depth != 0) {
-      cfg.hc.port_link_cfg.ar_depth = addr_depth;
-      cfg.hc.port_link_cfg.aw_depth = addr_depth;
-      cfg.hc.master_link_cfg.ar_depth = addr_depth;
-      cfg.hc.master_link_cfg.aw_depth = addr_depth;
-    }
-    if (hc->get_string("arbitration", "round_robin") == "qos_priority") {
-      cfg.hc.arbitration = ArbitrationPolicy::kQosPriority;
-    }
-    if (cfg.hc.out_of_order) {
-      cfg.mem.scheduling = MemScheduling::kFrFcfs;
-      cfg.mem.id_order_mask = 0xFFFF0000;
-    }
+  // An absent [hyperconnect] reads as an empty one: every key its default.
+  const IniSection no_hc("hyperconnect");
+  const IniSection* hc_section = ini.section("hyperconnect");
+  const IniSection& hc = hc_section != nullptr ? *hc_section : no_hc;
+  cfg.hc.nominal_burst = hc.get_u32("nominal_burst");
+  cfg.hc.max_outstanding = hc.get_u32("max_outstanding");
+  cfg.hc.reservation_period = hc.get_u64("reservation_period");
+  cfg.hc.initial_budgets = hc.get_u32_list("budgets");
+  cfg.hc.prot_timeout = hc.get_u64("prot_timeout");
+  cfg.hc.out_of_order = hc.get_bool("out_of_order");
+  // eFIFO structural knobs (the fifo-depth ablation sweep): data_depth sets
+  // the R/W queue depths, addr_depth the AR/AW queue depths, on the port AND
+  // master eFIFOs.
+  const std::uint64_t data_depth = hc.get_u64("data_depth");
+  const std::uint64_t addr_depth = hc.get_u64("addr_depth");
+  for (AxiLinkConfig* link : {&cfg.hc.port_link_cfg, &cfg.hc.master_link_cfg}) {
+    link->r_depth = link->w_depth = data_depth;
+    link->ar_depth = link->aw_depth = addr_depth;
+  }
+  if (hc.get_string("arbitration") == "qos_priority") {
+    cfg.hc.arbitration = ArbitrationPolicy::kQosPriority;
+  }
+  if (cfg.hc.out_of_order) {
+    cfg.mem.scheduling = MemScheduling::kFrFcfs;
+    cfg.mem.id_order_mask = 0xFFFF0000;
   }
 
   // [faultN] sections: mem_slverr windows configure the memory controller;
@@ -141,12 +111,12 @@ void ConfiguredSystem::build(const IniFile& ini,
     }
     scenario_ = *scenario_override;
   } else {
-    scenario_.seed = system->get_u64("fault_seed", 0);
+    scenario_.seed = system->get_u64("fault_seed");
     for (const IniSection* fs : ini.sections_with_prefix("fault")) {
-      const std::string kind = fs->get_string("kind", "");
+      const std::string kind = fs->get_string("kind");
       if (kind == "mem_slverr") {
         cfg.mem.slverr_ranges.push_back(
-            {fs->get_u64("base", 0), fs->get_u64("bytes", 4096)});
+            {fs->get_u64("base"), fs->get_u64("bytes")});
         continue;
       }
       const auto parsed = fault_kind_from_string(kind);
@@ -155,14 +125,14 @@ void ConfiguredSystem::build(const IniFile& ini,
                           << "'");
       FaultSpec spec;
       spec.kind = *parsed;
-      spec.port = fs->get_u32("port", 0);
+      spec.port = fs->get_u32("port");
       AXIHC_CHECK_MSG(spec.port < cfg.num_ports,
                       "[" << fs->name() << "] port " << spec.port
                           << " out of range");
-      spec.start = fs->get_u64("start", 0);
-      spec.duration = fs->get_u64("duration", 0);
-      spec.param = fs->get_u64("param", 0);
-      spec.probability = fs->get_double("probability", 1.0);
+      spec.start = fs->get_u64("start");
+      spec.duration = fs->get_u64("duration");
+      spec.param = fs->get_u64("param");
+      spec.probability = fs->get_double("probability");
       scenario_.faults.push_back(spec);
     }
   }
@@ -189,20 +159,15 @@ void ConfiguredSystem::build(const IniFile& ini,
     wire_recovery(*rec);
   }
 
-  if (const IniSection* obs = ini.section("observe")) {
-    observe_.trace = obs->get_bool("trace", false);
-    observe_.metrics = obs->get_bool("metrics", false);
-    observe_.sample_every = obs->get_u64("sample_every", 1000);
-    observe_.trace_capacity =
-        static_cast<std::size_t>(obs->get_u64("trace_capacity", 0));
-    observe_.latency_audit = obs->get_bool("latency_audit", false);
-    observe_.flight_capacity =
-        static_cast<std::size_t>(obs->get_u64("flight_capacity", 4096));
-    AXIHC_CHECK_MSG(observe_.sample_every >= 1,
-                    "[observe] sample_every must be >= 1");
-    AXIHC_CHECK_MSG(observe_.flight_capacity >= 1,
-                    "[observe] flight_capacity must be >= 1");
-  }
+  const IniSection no_obs("observe");
+  const IniSection* obs_section = ini.section("observe");
+  const IniSection& obs = obs_section != nullptr ? *obs_section : no_obs;
+  observe_.trace = obs.get_bool("trace");
+  observe_.metrics = obs.get_bool("metrics");
+  observe_.sample_every = obs.get_u64("sample_every");
+  observe_.trace_capacity = obs.get_u64("trace_capacity");
+  observe_.latency_audit = obs.get_bool("latency_audit");
+  observe_.flight_capacity = obs.get_u64("flight_capacity");
 
   soc_->sim().reset();
 }
@@ -219,11 +184,11 @@ void ConfiguredSystem::wire_recovery(const IniSection& rec) {
   hypervisor_ = std::make_unique<Hypervisor>("hv", *driver_);
 
   RecoveryPolicy pol;
-  pol.backoff_base = rec.get_u64("backoff_base", 1000);
-  pol.backoff_max = rec.get_u64("backoff_max", 16000);
-  pol.probation_window = rec.get_u64("probation_window", 2000);
-  pol.max_attempts = rec.get_u32("max_attempts", 4);
-  pol.drain_timeout = rec.get_u64("drain_timeout", 4000);
+  pol.backoff_base = rec.get_u64("backoff_base");
+  pol.backoff_max = rec.get_u64("backoff_max");
+  pol.probation_window = rec.get_u64("probation_window");
+  pol.max_attempts = rec.get_u32("max_attempts");
+  pol.drain_timeout = rec.get_u64("drain_timeout");
   recovery_ = std::make_unique<RecoveryManager>("recovery", *driver_, pol);
   hypervisor_->set_recovery(recovery_.get());
 
@@ -241,13 +206,10 @@ void ConfiguredSystem::wire_recovery(const IniSection& rec) {
   });
 
   WatchdogPolicy wd;
-  recovery_poll_period_ = rec.get_u64("poll_period", 500);
-  AXIHC_CHECK_MSG(recovery_poll_period_ >= 1,
-                  "[recovery] poll_period must be >= 1");
+  recovery_poll_period_ = rec.get_u64("poll_period");
   recovery_probation_window_ = pol.probation_window;
   wd.poll_period = recovery_poll_period_;
-  wd.max_txns_per_poll.assign(num_ports,
-                              rec.get_u64("max_txns_per_poll", 0));
+  wd.max_txns_per_poll.assign(num_ports, rec.get_u64("max_txns_per_poll"));
   wd.auto_isolate = true;
   wd.isolate_on_fault = true;
   hypervisor_->set_watchdog(std::move(wd));
@@ -320,19 +282,8 @@ void ConfiguredSystem::wire_observability() {
         // The analytic bound additionally assumes no PS-originated stall
         // interference (the model has no term for it).
         if (cfg.mem.ps_stall_period == 0) {
-          HcAnalysisConfig acfg;
-          acfg.num_ports = cfg.num_ports;
-          acfg.nominal_burst = cfg.hc.nominal_burst;
-          acfg.reservation_period = cfg.hc.reservation_period;
-          acfg.budgets = cfg.hc.initial_budgets;
-          acfg.budgets.resize(cfg.num_ports, 0);
-          acfg.competitor_backlog = cfg.hc.max_outstanding;
-          AnalysisPlatform ap;
-          ap.mem_latency = cfg.mem.row_miss_latency;
-          ap.turnaround = cfg.mem.turnaround;
-          ap.refresh_period = cfg.mem.refresh_period;
-          ap.refresh_duration = cfg.mem.refresh_duration;
-          audit_->set_bound_model(acfg, ap);
+          const ProveInput in = prove_input();
+          audit_->set_bound_model(in.analysis, in.platform);
         }
       }
     }
@@ -380,7 +331,7 @@ AxiLink& ConfiguredSystem::attach_port(PortIndex port) {
 }
 
 void ConfiguredSystem::add_ha(const IniSection& section, PortIndex port) {
-  const std::string type = section.get_string("type", "");
+  const std::string type = section.get_string("type");
   const std::string name = section.name();
   AxiLink& link = attach_port(port);
   const bool ooo = soc_->config().kind == InterconnectKind::kHyperConnect &&
@@ -388,11 +339,11 @@ void ConfiguredSystem::add_ha(const IniSection& section, PortIndex port) {
 
   if (type == "dma") {
     DmaConfig cfg;
-    cfg.mode = dma_mode_by_name(section.get_string("mode", "readwrite"));
-    cfg.bytes_per_job = section.get_u64("bytes_per_job", 1u << 20);
-    cfg.burst_beats = section.get_u32("burst", 16);
-    cfg.max_outstanding = section.get_u32("outstanding", 8);
-    cfg.max_jobs = section.get_u64("max_jobs", 0);
+    cfg.mode = dma_mode_by_name(section.get_string("mode"));
+    cfg.bytes_per_job = section.get_u64("bytes_per_job");
+    cfg.burst_beats = section.get_u32("burst");
+    cfg.max_outstanding = section.get_u32("outstanding");
+    cfg.max_jobs = section.get_u64("max_jobs");
     cfg.read_base = section.get_u64("read_base", 0x1000'0000 +
                                                      (Addr{port} << 26));
     cfg.write_base = section.get_u64("write_base", 0x2000'0000 +
@@ -418,15 +369,11 @@ void ConfiguredSystem::add_ha(const IniSection& section, PortIndex port) {
         std::make_unique<DmaEngine>(name, link, cfg));
   } else if (type == "traffic") {
     TrafficConfig cfg;
-    cfg.direction = direction_by_name(section.get_string("direction", "read"));
-    cfg.burst_beats = section.get_u32("burst", 16);
-    cfg.gap_cycles = section.get_u64("gap", 0);
-    cfg.max_outstanding = section.get_u32("outstanding", 8);
-    // AxQOS is a 4-bit field.
-    const std::uint32_t qos = section.get_u32("qos", 0);
-    AXIHC_CHECK_MSG(qos <= 15, "[" << name << "] qos = " << qos
-                                   << " is out of range (AxQOS is 0-15)");
-    cfg.qos = static_cast<std::uint8_t>(qos);
+    cfg.direction = direction_by_name(section.get_string("direction"));
+    cfg.burst_beats = section.get_u32("burst");
+    cfg.gap_cycles = section.get_u64("gap");
+    cfg.max_outstanding = section.get_u32("outstanding");
+    cfg.qos = static_cast<std::uint8_t>(section.get_u32("qos"));
     cfg.base = section.get_u64("base", 0x4000'0000 + (Addr{port} << 26));
     cfg.tolerate_out_of_order = ooo;
     ProveHaModel model;
@@ -441,19 +388,20 @@ void ConfiguredSystem::add_ha(const IniSection& section, PortIndex port) {
     lint_windows_.push_back({name + " region", {cfg.base, cfg.region_bytes}});
     masters_.push_back(
         std::make_unique<TrafficGenerator>(name, link, cfg));
-  } else if (type == "dnn") {
+  } else {  // dnn
     DnnConfig cfg;
-    cfg.layers = network_by_name(section.get_string("network", "googlenet"));
-    const std::uint64_t scale = section.get_u64("scale", 1);
-    AXIHC_CHECK_MSG(scale >= 1, "[" << name << "] scale must be >= 1");
+    cfg.layers = section.get_string("network") == "alexnet"
+                     ? alexnet_layers()
+                     : googlenet_layers();
+    const std::uint64_t scale = section.get_u64("scale");
     for (auto& l : cfg.layers) {
       l.weight_bytes /= scale;
       l.ifmap_bytes /= scale;
       l.ofmap_bytes /= scale;
       l.macs /= scale;
     }
-    cfg.macs_per_cycle = section.get_u64("macs_per_cycle", 256);
-    cfg.max_frames = section.get_u64("max_frames", 0);
+    cfg.macs_per_cycle = section.get_u64("macs_per_cycle");
+    cfg.max_frames = section.get_u64("max_frames");
     cfg.tolerate_out_of_order = ooo;
     ProveHaModel model;
     model.name = name;
@@ -475,9 +423,6 @@ void ConfiguredSystem::add_ha(const IniSection& section, PortIndex port) {
         {name + " ofmap buffer", {cfg.buffer_base, store_max}});
     masters_.push_back(
         std::make_unique<DnnAccelerator>(name, link, cfg));
-  } else {
-    AXIHC_CHECK_MSG(false, "[" << name << "] unknown HA type '" << type
-                               << "' (dma | traffic | dnn)");
   }
   ha_types_.push_back(type);
   soc_->add(*masters_.back());

@@ -5,58 +5,38 @@
 //   [system]
 //   interconnect = hyperconnect      ; hyperconnect | smartconnect
 //   platform = zcu102                ; zcu102 | zynq7020
-//   ports = 2
-//   cycles = 1000000
+//   cycles = 2000000
 //
-//   [hyperconnect]                   ; optional, defaults shown
-//   nominal_burst = 16
-//   max_outstanding = 4
+//   [hyperconnect]
 //   reservation_period = 2000
-//   budgets = 40 20
+//   budgets = 64 7
 //
 //   [ha0]
-//   type = dma                       ; dma | traffic | dnn
-//   mode = readwrite                 ; dma: read | write | readwrite | copy
-//   bytes_per_job = 1048576
-//   burst = 16
-//
-//   [ha1]
-//   type = dnn
-//   network = googlenet              ; googlenet | alexnet
+//   type = dnn                       ; dma | traffic | dnn
 //   scale = 16
 //
-//   [fault0]                         ; optional fault-injection scenario
-//   kind = stall_w                   ; see fault/scenario.hpp; or mem_slverr
-//   port = 0
-//   start = 2000
-//   duration = 0                     ; 0 = forever
+//   [ha1]
+//   type = dma
+//   mode = readwrite                 ; read | write | readwrite | copy
 //
-//   [recovery]                       ; optional closed-loop fault recovery
-//   poll_period = 500                ; watchdog poll period (cycles)
-//   max_txns_per_poll = 0            ; overrun threshold, all ports; 0 = off
-//   backoff_base = 1000              ; first quarantine wait (cycles)
-//   backoff_max = 16000              ; backoff doubling ceiling
-//   probation_window = 2000          ; fault-free cycles to count recovered
-//   max_attempts = 4                 ; re-couple attempts before permanent
-//   drain_timeout = 4000             ; max wait for INFLIGHT == 0
+// Every section and key an experiment may hold, with its default and range,
+// is a row of the config key table in config/keys.cpp; a section or key
+// without a row is rejected. HAs take interconnect ports in file order, so
+// the i-th [haN] section must be named [ha<i>] (likewise [faultN], [memN]).
 //
-//   [observe]                        ; optional observability layer
-//   trace = true                     ; record typed events (Chrome trace)
-//   metrics = true                   ; sample the metrics registry
-//   sample_every = 1000              ; sampler period / APM window (cycles)
-//   trace_capacity = 0               ; max retained events; 0 = unbounded
-//
-// Fault-targeted ports get a FaultInjector spliced between the HA and the
-// interconnect; "mem_slverr" entries instead configure an SLVERR window
-// (base/bytes keys) on the memory controller. [system] fault_seed seeds the
-// injectors; [system] mem_bytes bounds the decoded address space (accesses
-// beyond it get DECERR); [hyperconnect] prot_timeout arms the per-port
-// protection units.
+// [faultN] sections inject faults: a FaultInjector is spliced between the
+// HA and the interconnect on the targeted port, and "mem_slverr" entries
+// instead configure an SLVERR window (base/bytes) on the memory controller.
+// [system] fault_seed seeds the injectors; [system] mem_bytes and [memN]
+// bound the decoded address space (accesses beyond it get DECERR);
+// [hyperconnect] prot_timeout arms the per-port protection units.
 //
 // A [recovery] section (hyperconnect only) assembles the full software
 // stack behind the control interface — RegisterMaster, driver, Hypervisor
 // watchdog, RecoveryManager — so detected faults start closed-loop recovery
 // episodes (src/recovery) instead of permanently retiring the port.
+// [observe] turns on the observability layer (trace, metrics, latency
+// audit); the axihc CLI flags override it.
 #pragma once
 
 #include <memory>
@@ -82,20 +62,20 @@
 
 namespace axihc {
 
-/// Observability settings ([observe] section; the axihc CLI flags override
-/// them). Both halves are independent: `trace` records typed events for the
-/// Chrome-trace export, `metrics` samples the registry every `sample_every`
-/// cycles.
+/// Observability settings ([observe] section, every key read with its
+/// config-table default; the axihc CLI flags override them). Both halves are
+/// independent: `trace` records typed events for the Chrome-trace export,
+/// `metrics` samples the registry every `sample_every` cycles.
 struct ObserveConfig {
   bool trace = false;
   bool metrics = false;
-  Cycle sample_every = 1000;
+  Cycle sample_every = 0;
   std::size_t trace_capacity = 0;  // 0 = unbounded
   /// Per-transaction latency provenance + live WCLA bound auditing
   /// (src/obs/latency_audit.hpp).
   bool latency_audit = false;
   /// Flight-recorder ring capacity (completed transactions retained).
-  std::size_t flight_capacity = 4096;
+  std::size_t flight_capacity = 0;
   [[nodiscard]] bool any() const { return trace || metrics || latency_audit; }
 };
 
@@ -205,7 +185,7 @@ class ConfiguredSystem {
   };
 
   Platform platform_;
-  Cycle configured_cycles_ = 1'000'000;
+  Cycle configured_cycles_ = 0;
   std::vector<LintWindow> lint_windows_;
   /// Arrival model per attached HA (recorded by add_ha for the prover).
   std::vector<ProveHaModel> prove_has_;

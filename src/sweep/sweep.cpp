@@ -1,10 +1,9 @@
 #include "sweep/sweep.hpp"
 
-#include <cctype>
-#include <cstdlib>
 #include <sstream>
 
 #include "common/check.hpp"
+#include "config/keys.hpp"
 
 namespace axihc {
 
@@ -12,20 +11,10 @@ namespace {
 
 constexpr std::size_t kMaxCells = std::size_t{1} << 20;
 
-std::string trim(const std::string& s) {
-  std::size_t b = 0;
-  std::size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
 std::uint64_t parse_range_term(const std::string& token,
                                const std::string& raw) {
-  AXIHC_CHECK_MSG(!token.empty(), "[sweep] malformed range '" << raw << "'");
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(token.c_str(), &end, 0);
-  AXIHC_CHECK_MSG(end == token.c_str() + token.size(),
+  std::uint64_t v = 0;
+  AXIHC_CHECK_MSG(parse_unsigned(token, UINT64_MAX, v),
                   "[sweep] range term '" << token << "' is not a number in '"
                                          << raw << "'");
   return v;
@@ -95,21 +84,18 @@ std::vector<std::string> expand_axis_values(const std::string& raw) {
 }
 
 SweepSpec parse_sweep_spec(const IniFile& ini) {
+  check_config(ini);
   const IniSection* sw = ini.section("sweep");
   AXIHC_CHECK_MSG(sw != nullptr, "--sweep needs a [sweep] section");
   AXIHC_CHECK_MSG(ini.section("campaign") == nullptr,
                   "a file cannot hold both [sweep] and [campaign]");
 
   SweepSpec spec;
-  spec.name = sw->get_string("name", "sweep");
-  spec.cycles = sw->get_u64("cycles", 0);
+  spec.name = sw->get_string("name");
+  spec.cycles = sw->get_u64("cycles");
 
   for (const auto& [key, value] : sw->entries()) {
-    if (key == "name" || key == "cycles") continue;
-    AXIHC_CHECK_MSG(key.rfind("axis.", 0) == 0,
-                    "[sweep] unknown key '" << key
-                                            << "' (expected axis.<section>."
-                                               "<key>, name, or cycles)");
+    if (!key.starts_with("axis.")) continue;  // name, cycles: check_config
     const std::string target = key.substr(5);
     const std::size_t dot = target.find('.');
     AXIHC_CHECK_MSG(dot != std::string::npos && dot > 0 &&
@@ -121,6 +107,9 @@ SweepSpec parse_sweep_spec(const IniFile& ini) {
     axis.key = target.substr(dot + 1);
     AXIHC_CHECK_MSG(axis.section != "sweep",
                     "[sweep] cannot sweep the [sweep] section itself");
+    AXIHC_CHECK_MSG(find_config_key(axis.section, axis.key) != nullptr,
+                    "[sweep] axis '" << key << "' targets no config key: ["
+                                     << axis.section << "] " << axis.key);
     for (const SweepAxis& existing : spec.axes) {
       AXIHC_CHECK_MSG(existing.id() != axis.id(),
                       "[sweep] duplicate axis '" << axis.id() << "'");

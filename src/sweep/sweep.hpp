@@ -43,7 +43,7 @@ struct SweepAxis {
 };
 
 struct SweepSpec {
-  std::string name = "sweep";
+  std::string name;
   /// Per-cell horizon override; 0 = each cell's own [system] cycles.
   Cycle cycles = 0;
   /// Axes in file order; the last axis varies fastest across cells.

@@ -103,11 +103,14 @@ TEST(Canonical, DefaultedKeysDropButSectionsSurvive) {
 }
 
 TEST(Canonical, DepthAlternativesCollapse) {
-  // data_depth = 32 spells the structural default (0 = "unset").
+  // data_depth = 32 spells the structural default; 0 is no alias for it (the
+  // builder rejects a zero depth).
   EXPECT_EQ(config_digest("[hyperconnect]\ndata_depth = 32\n"),
-            config_digest("[hyperconnect]\ndata_depth = 0\n"));
+            config_digest("[hyperconnect]\n"));
+  EXPECT_NE(config_digest("[hyperconnect]\ndata_depth = 0\n"),
+            config_digest("[hyperconnect]\n"));
   EXPECT_NE(config_digest("[hyperconnect]\ndata_depth = 64\n"),
-            config_digest("[hyperconnect]\ndata_depth = 0\n"));
+            config_digest("[hyperconnect]\n"));
 }
 
 TEST(Canonical, IniReplacePrimitive) {

@@ -62,14 +62,20 @@
 // (the --cycles value, or 20000) with the channel instrumentation armed, so
 // the phase-race check has accesses to audit.
 //
-// See src/config/system_builder.hpp for the full config reference.
+// An unknown flag, a flag missing its value, or a count that is not a whole
+// unsigned number ("1e3", "abc") is a usage error: exit 2 with the usage
+// text. Every config section and key, with its default, is a row of the
+// table in src/config/keys.cpp; see src/config/system_builder.hpp for the
+// sections' meaning.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "campaign/campaign.hpp"
@@ -179,7 +185,7 @@ int main(int argc, char** argv) {
   std::string prove_json;
   bool campaign_mode = false;
   std::string campaign_out;
-  long long campaign_replay = -1;
+  std::optional<std::uint64_t> campaign_replay;
   bool latency_audit = false;
   std::string flight_out;
   bool sweep_mode = false;
@@ -195,83 +201,112 @@ int main(int argc, char** argv) {
   bool config_digest_mode = false;
   bool config_canonical_mode = false;
   for (int i = 2; i < argc; ++i) {
-    const bool has_value = i + 1 < argc;
-    if (std::strcmp(argv[i], "--cycles") == 0 && has_value) {
-      override_cycles = std::strtoull(argv[++i], nullptr, 0);
-    } else if (std::strcmp(argv[i], "--trace-out") == 0 && has_value) {
-      trace_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics-out") == 0 && has_value) {
-      metrics_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--sample-every") == 0 && has_value) {
-      sample_every = std::strtoull(argv[++i], nullptr, 0);
-    } else if (std::strcmp(argv[i], "--no-fast-forward") == 0) {
+    const std::string_view arg = argv[i];
+    const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
+    // Each consumes the flag's value; false when it is missing or malformed.
+    const auto take = [&](std::string& out) {
+      if (value == nullptr) return false;
+      out = value;
+      ++i;
+      return true;
+    };
+    const auto take_count = [&](auto& out) {
+      std::uint64_t n = 0;
+      if (value == nullptr || !axihc::parse_unsigned(value, UINT64_MAX, n)) {
+        return false;
+      }
+      out = n;
+      ++i;
+      return true;
+    };
+    bool ok = true;
+    if (arg == "--cycles") {
+      ok = take_count(override_cycles);
+    } else if (arg == "--trace-out") {
+      ok = take(trace_out);
+    } else if (arg == "--metrics-out") {
+      ok = take(metrics_out);
+    } else if (arg == "--sample-every") {
+      ok = take_count(sample_every);
+    } else if (arg == "--no-fast-forward") {
       fast_forward = false;
-    } else if (std::strcmp(argv[i], "--digest") == 0) {
+    } else if (arg == "--digest") {
       print_digest = true;
-    } else if (std::strcmp(argv[i], "--lint") == 0) {
+    } else if (arg == "--lint") {
       lint_mode = true;
-    } else if (std::strcmp(argv[i], "--lint-strict") == 0) {
+    } else if (arg == "--lint-strict") {
       lint_mode = true;
       lint_strict = true;
-    } else if (std::strcmp(argv[i], "--lint-json") == 0 && has_value) {
+    } else if (arg == "--lint-json") {
       lint_mode = true;
-      lint_json = argv[++i];
-    } else if (std::strcmp(argv[i], "--prove") == 0) {
+      ok = take(lint_json);
+    } else if (arg == "--prove") {
       prove_mode = true;
-    } else if (std::strcmp(argv[i], "--prove-json") == 0 && has_value) {
+    } else if (arg == "--prove-json") {
       prove_mode = true;
-      prove_json = argv[++i];
-    } else if (std::strcmp(argv[i], "--campaign") == 0) {
+      ok = take(prove_json);
+    } else if (arg == "--campaign") {
       campaign_mode = true;
-    } else if (std::strcmp(argv[i], "--campaign-out") == 0 && has_value) {
+    } else if (arg == "--campaign-out") {
       campaign_mode = true;
-      campaign_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--campaign-replay") == 0 && has_value) {
+      ok = take(campaign_out);
+    } else if (arg == "--campaign-replay") {
       campaign_mode = true;
-      campaign_replay = std::strtoll(argv[++i], nullptr, 0);
-    } else if (std::strcmp(argv[i], "--sweep") == 0) {
+      std::uint64_t run = 0;
+      ok = take_count(run);
+      campaign_replay = run;
+    } else if (arg == "--sweep") {
       sweep_mode = true;
-    } else if (std::strcmp(argv[i], "--sweep-out") == 0 && has_value) {
+    } else if (arg == "--sweep-out") {
       sweep_mode = true;
-      sweep_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--sweep-cache") == 0 && has_value) {
+      ok = take(sweep_out);
+    } else if (arg == "--sweep-cache") {
       sweep_mode = true;
-      sweep_cache = argv[++i];
-    } else if (std::strcmp(argv[i], "--sweep-no-cache") == 0) {
+      ok = take(sweep_cache);
+    } else if (arg == "--sweep-no-cache") {
       sweep_mode = true;
       sweep_no_cache = true;
-    } else if (std::strcmp(argv[i], "--sweep-shard") == 0 && has_value) {
+    } else if (arg == "--sweep-shard") {
+      // i/N with i < N.
       sweep_mode = true;
-      unsigned long long idx = 0;
-      unsigned long long count = 0;
-      if (std::sscanf(argv[++i], "%llu/%llu", &idx, &count) != 2 ||
-          count == 0 || idx >= count) {
-        std::cerr << "axihc: --sweep-shard wants i/N with i < N, got '"
-                  << argv[i] << "'\n";
-        return 2;
-      }
+      std::string shard;
+      ok = take(shard);
+      const std::size_t slash = shard.find('/');
+      std::uint64_t idx = 0;
+      std::uint64_t count = 0;
+      ok = ok && slash != std::string::npos &&
+           axihc::parse_unsigned(shard.substr(0, slash), UINT64_MAX, idx) &&
+           axihc::parse_unsigned(shard.substr(slash + 1), UINT64_MAX, count) &&
+           idx < count;
       sweep_shard_index = static_cast<std::size_t>(idx);
       sweep_shard_count = static_cast<std::size_t>(count);
-    } else if (std::strcmp(argv[i], "--sweep-deterministic") == 0) {
+    } else if (arg == "--sweep-deterministic") {
       sweep_mode = true;
       sweep_deterministic = true;
-    } else if (std::strcmp(argv[i], "--sweep-check") == 0 && has_value) {
+    } else if (arg == "--sweep-check") {
       sweep_mode = true;
-      sweep_check = argv[++i];
-    } else if (std::strcmp(argv[i], "--sweep-report") == 0 && has_value) {
-      sweep_report = argv[++i];
-    } else if (std::strcmp(argv[i], "--sweep-report-json") == 0 &&
-               has_value) {
-      sweep_report_json = argv[++i];
-    } else if (std::strcmp(argv[i], "--config-digest") == 0) {
+      ok = take(sweep_check);
+    } else if (arg == "--sweep-report") {
+      ok = take(sweep_report);
+    } else if (arg == "--sweep-report-json") {
+      ok = take(sweep_report_json);
+    } else if (arg == "--config-digest") {
       config_digest_mode = true;
-    } else if (std::strcmp(argv[i], "--config-canonical") == 0) {
+    } else if (arg == "--config-canonical") {
       config_canonical_mode = true;
-    } else if (std::strcmp(argv[i], "--latency-audit") == 0) {
+    } else if (arg == "--latency-audit") {
       latency_audit = true;
-    } else if (std::strcmp(argv[i], "--flight-out") == 0 && has_value) {
+    } else if (arg == "--flight-out") {
       latency_audit = true;
-      flight_out = argv[++i];
+      ok = take(flight_out);
+    } else {
+      ok = false;
+    }
+    if (!ok) {
+      std::cerr << "axihc: unknown flag, or missing or malformed value: '"
+                << arg << "'\n";
+      usage();
+      return 2;
     }
   }
 
@@ -396,9 +431,8 @@ int main(int argc, char** argv) {
 
     if (campaign_mode) {
       const axihc::IniFile ini = axihc::IniFile::parse(text.str());
-      if (campaign_replay >= 0) {
-        std::cout << axihc::campaign_replay_ini(
-            ini, static_cast<std::uint64_t>(campaign_replay));
+      if (campaign_replay.has_value()) {
+        std::cout << axihc::campaign_replay_ini(ini, *campaign_replay);
         return 0;
       }
       const axihc::CampaignOutput out = axihc::run_campaign(ini);
