@@ -18,8 +18,8 @@ file(REMOVE_RECURSE "${WORK}")
 file(MAKE_DIRECTORY "${WORK}")
 
 # Runs axihc on INI with the extra arguments and stores the state_digest
-# line of its output in <out_var>. The exit code is not checked: a lint
-# fixture or an audit violation may exit nonzero and still print a digest.
+# line of its output in <out_var>. The exit code is not checked: an audit
+# violation exits nonzero and still prints a digest.
 function(run_digest out_var)
   execute_process(
     COMMAND "${AXIHC}" "${INI}" --cycles ${CYCLES} --digest ${ARGN}

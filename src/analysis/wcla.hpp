@@ -121,8 +121,7 @@ struct HcAnalysisConfig {
 
 /// Worst-case cycles needed to serve every port's full budget once:
 /// sum_i B_i * S(nominal). The demand side of the feasibility check; also
-/// quoted by the `reservation-overcommit` lint rule and embedded in prove
-/// certificates.
+/// embedded in prove certificates (the reservation check's `demand`).
 [[nodiscard]] std::uint64_t reservation_demand(const HcAnalysisConfig& cfg,
                                                const AnalysisPlatform& p);
 

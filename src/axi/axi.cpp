@@ -39,12 +39,4 @@ void AxiLink::register_with(Simulator& sim) {
   sim.add(b);
 }
 
-void AxiLink::attach_endpoint(const Component& component) {
-  ar.add_endpoint(component);
-  r.add_endpoint(component);
-  aw.add_endpoint(component);
-  w.add_endpoint(component);
-  b.add_endpoint(component);
-}
-
 }  // namespace axihc

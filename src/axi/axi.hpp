@@ -124,9 +124,10 @@ inline void append_digest(StateDigest& d, const BResp& resp) {
 [[nodiscard]] bool crosses_4k(const AddrReq& req);
 
 /// FIFO depths of the five channels of a link, plus the static interface
-/// widths the design-rule checker (src/lint) validates at bridges and
-/// ID-extension boundaries. The behavioural model carries 64-bit beats
-/// regardless; the widths describe the modelled hardware interface.
+/// widths an AxiBridge checks when it joins two links (the prover checks
+/// the ID width against the ID-extension boundary from the port config).
+/// The behavioural model carries 64-bit beats regardless; the widths
+/// describe the modelled hardware interface.
 struct AxiLinkConfig {
   std::size_t ar_depth = 4;
   std::size_t aw_depth = 4;
@@ -150,14 +151,9 @@ class AxiLink {
   /// Registers all five channels with `sim` for end-of-cycle commit.
   void register_with(Simulator& sim);
 
-  /// Declares `component` as an endpoint of all five channels (see
-  /// ChannelBase::add_endpoint). Masters and slaves call this from their
-  /// constructors.
-  void attach_endpoint(const Component& component);
-
   [[nodiscard]] const std::string& name() const { return name_; }
 
-  /// Static interface widths (design-rule checks; see AxiLinkConfig).
+  /// Static interface widths (see AxiLinkConfig).
   [[nodiscard]] std::uint32_t data_bits() const { return data_bits_; }
   [[nodiscard]] std::uint32_t id_bits() const { return id_bits_; }
 

@@ -2,12 +2,21 @@
 
 #include <utility>
 
+#include "common/check.hpp"
+
 namespace axihc {
 
 AxiBridge::AxiBridge(std::string name, AxiLink& upstream, AxiLink& downstream)
     : Component(std::move(name)), up_(upstream), down_(downstream) {
-  up_.attach_endpoint(*this);
-  down_.attach_endpoint(*this);
+  // A register slice performs no width conversion, and a narrower
+  // downstream ID would alias upstream transactions.
+  AXIHC_CHECK_MSG(up_.data_bits() == down_.data_bits(),
+                  this->name() << " joins a " << up_.data_bits()
+                               << "-bit link to a " << down_.data_bits()
+                               << "-bit link");
+  AXIHC_CHECK_MSG(up_.id_bits() <= down_.id_bits(),
+                  this->name() << " narrows AxID from " << up_.id_bits()
+                               << " to " << down_.id_bits() << " bits");
 }
 
 void AxiBridge::tick(Cycle) {

@@ -15,7 +15,8 @@ namespace axihc {
 class AxiBridge final : public Component {
  public:
   /// Forwards master-side traffic from `upstream` to `downstream` and
-  /// responses back.
+  /// responses back. Both links must have the same data width, and the
+  /// downstream ID must be at least as wide as the upstream one.
   AxiBridge(std::string name, AxiLink& upstream, AxiLink& downstream);
 
   void tick(Cycle now) override;

@@ -7,9 +7,7 @@
 namespace axihc {
 
 LoopbackSlave::LoopbackSlave(std::string name, AxiLink& link)
-    : Component(std::move(name)), link_(link) {
-  link_.attach_endpoint(*this);
-}
+    : Component(std::move(name)), link_(link) {}
 
 void LoopbackSlave::reset() {
   ar_arrivals.clear();

@@ -12,10 +12,7 @@ AxiMonitor::AxiMonitor(std::string name, AxiLink& upstream,
     : Component(std::move(name)),
       up_(upstream),
       down_(downstream),
-      axi3_mode_(axi3_mode) {
-  up_.attach_endpoint(*this);
-  down_.attach_endpoint(*this);
-}
+      axi3_mode_(axi3_mode) {}
 
 void AxiMonitor::reset() {
   outstanding_reads_.clear();

@@ -111,7 +111,10 @@ RunRow execute_run(const IniFile& ini, const CampaignSpec& spec,
   // Latency provenance rides along on every run: fault recovery is exactly
   // when the bound-exclusion logic earns its keep, and the audited/violation
   // counters join the survivability row. The auditor never touches simulated
-  // state, so digests stay comparable with non-audited runs.
+  // state, but turning it on adds the `apm` bandwidth probe component
+  // (wire_observability), which the state digest covers: a row's digest
+  // differs from a plain run of the same scenario (the replay config turns
+  // the audit on to match).
   sys.observe_config().latency_audit = true;
   sys.run(spec.cycles);
 

@@ -60,15 +60,30 @@ void ConfiguredSystem::build(const IniFile& ini,
   cfg.num_ports = system->get_u32("ports");
   cfg.mem = platform_.mem;
 
-  // Bounded address decode: accesses beyond mem_bytes get DECERR.
+  // Bounded address decode: accesses beyond mem_bytes get DECERR. [memN]
+  // sections add decode-map entries (base/bytes) for scattered mapped
+  // regions. Entries must fit the address space and be disjoint: an aliased
+  // address would decode by entry order.
+  std::vector<std::pair<std::string, AddrRange>> decode;
   const std::uint64_t mem_bytes = system->get_u64("mem_bytes");
-  if (mem_bytes != 0) cfg.mem.mapped_ranges.push_back({0, mem_bytes});
-
-  // [memN] sections: additional decode-map entries (base/bytes) for
-  // scattered mapped regions. The lint address-map check flags overlaps.
+  if (mem_bytes != 0) {
+    decode.emplace_back("[system] mem_bytes", AddrRange{0, mem_bytes});
+  }
   for (const IniSection* ms : ini.sections_with_prefix("mem")) {
-    cfg.mem.mapped_ranges.push_back(
-        {ms->get_u64("base"), ms->get_u64("bytes")});
+    const std::string owner = "[" + ms->name() + "]";
+    const AddrRange entry{ms->get_u64("base"), ms->get_u64("bytes")};
+    AXIHC_CHECK_MSG(entry.bytes <= ~entry.base,
+                    owner << " base + bytes wraps past the address space");
+    for (const auto& [other_owner, other] : decode) {
+      AXIHC_CHECK_MSG(entry.bytes == 0 || other.bytes == 0 ||
+                          !entry.overlaps(other.base, other.bytes),
+                      other_owner << " and " << owner
+                                  << " decode entries overlap");
+    }
+    decode.emplace_back(owner, entry);
+  }
+  for (const auto& entry : decode) {
+    cfg.mem.mapped_ranges.push_back(entry.second);
   }
 
   // An absent [hyperconnect] reads as an empty one: every key its default.
@@ -205,10 +220,16 @@ void ConfiguredSystem::wire_recovery(const IniSection& rec) {
     if (p < masters_.size()) masters_[p]->abandon_in_flight();
   });
 
+  // The FSM advances only at watchdog polls: a shorter probation would
+  // promote a recoupled port at its first poll, before any fault could be
+  // observed.
   WatchdogPolicy wd;
-  recovery_poll_period_ = rec.get_u64("poll_period");
-  recovery_probation_window_ = pol.probation_window;
-  wd.poll_period = recovery_poll_period_;
+  wd.poll_period = rec.get_u64("poll_period");
+  AXIHC_CHECK_MSG(pol.probation_window >= wd.poll_period,
+                  "[recovery] probation_window ("
+                      << pol.probation_window
+                      << ") is shorter than poll_period (" << wd.poll_period
+                      << ")");
   wd.max_txns_per_poll.assign(num_ports, rec.get_u64("max_txns_per_poll"));
   wd.auto_isolate = true;
   wd.isolate_on_fault = true;
@@ -356,15 +377,15 @@ void ConfiguredSystem::add_ha(const IniSection& section, PortIndex port) {
     model.max_outstanding = cfg.max_outstanding;
     model.reads = cfg.mode != DmaMode::kWrite;
     model.writes = cfg.mode != DmaMode::kRead;
-    prove_has_.push_back(model);
-    if (cfg.mode != DmaMode::kWrite) {
-      lint_windows_.push_back(
+    if (model.reads) {
+      model.windows.push_back(
           {name + " read buffer", {cfg.read_base, cfg.bytes_per_job}});
     }
-    if (cfg.mode != DmaMode::kRead) {
-      lint_windows_.push_back(
+    if (model.writes) {
+      model.windows.push_back(
           {name + " write buffer", {cfg.write_base, cfg.bytes_per_job}});
     }
+    prove_has_.push_back(model);
     masters_.push_back(
         std::make_unique<DmaEngine>(name, link, cfg));
   } else if (type == "traffic") {
@@ -384,8 +405,8 @@ void ConfiguredSystem::add_ha(const IniSection& section, PortIndex port) {
     model.gap_cycles = cfg.gap_cycles;
     model.reads = cfg.direction != TrafficDirection::kWrite;
     model.writes = cfg.direction != TrafficDirection::kRead;
+    model.windows.push_back({name + " region", {cfg.base, cfg.region_bytes}});
     prove_has_.push_back(model);
-    lint_windows_.push_back({name + " region", {cfg.base, cfg.region_bytes}});
     masters_.push_back(
         std::make_unique<TrafficGenerator>(name, link, cfg));
   } else {  // dnn
@@ -410,17 +431,17 @@ void ConfiguredSystem::add_ha(const IniSection& section, PortIndex port) {
     model.max_outstanding = cfg.max_outstanding;
     model.reads = true;   // weight/ifmap loads
     model.writes = true;  // ofmap stores
-    prove_has_.push_back(model);
     std::uint64_t load_max = 0;
     std::uint64_t store_max = 0;
     for (const DnnLayer& l : cfg.layers) {
       load_max = std::max(load_max, l.weight_bytes + l.ifmap_bytes);
       store_max = std::max(store_max, l.ofmap_bytes);
     }
-    lint_windows_.push_back(
+    model.windows.push_back(
         {name + " weight/ifmap buffer", {cfg.weight_base, load_max}});
-    lint_windows_.push_back(
+    model.windows.push_back(
         {name + " ofmap buffer", {cfg.buffer_base, store_max}});
+    prove_has_.push_back(model);
     masters_.push_back(
         std::make_unique<DnnAccelerator>(name, link, cfg));
   }
@@ -487,6 +508,7 @@ ProveInput ConfiguredSystem::prove_input() const {
   in.id_bits = plc.id_bits;
   in.in_order_memory = cfg.mem.scheduling == MemScheduling::kInOrder;
   in.ps_stall = cfg.mem.ps_stall_period != 0;
+  in.decode = cfg.mem.mapped_ranges;
   in.has = prove_has_;
 
   // Waits-for graph over the elaborated pipeline. Forward edges follow the
@@ -550,91 +572,6 @@ ProveInput ConfiguredSystem::prove_input() const {
 
 ProveReport ConfiguredSystem::prove() const {
   return axihc::prove(prove_input());
-}
-
-LintReport ConfiguredSystem::lint() const {
-  const SocConfig& cfg = soc_->config();
-  DesignRuleChecker drc;
-
-  for (const AddrRange& r : cfg.mem.mapped_ranges) {
-    drc.add_address_range("memory decode map", r, AddressKind::kDecode);
-  }
-  for (const AddrRange& r : cfg.mem.slverr_ranges) {
-    drc.add_address_range("SLVERR window", r, AddressKind::kErrorWindow);
-  }
-  for (const LintWindow& w : lint_windows_) {
-    drc.add_address_range(w.owner, w.range, AddressKind::kMasterWindow);
-  }
-
-  const bool ooo =
-      cfg.kind == InterconnectKind::kHyperConnect && cfg.hc.out_of_order;
-  for (PortIndex p = 0; p < cfg.num_ports; ++p) {
-    AxiLink& port_link = soc_->port(p);
-    drc.expect_connected(port_link,
-                         "interconnect port " + std::to_string(p));
-    if (ooo) {
-      drc.require_id_headroom(
-          port_link, kIdPortShift,
-          "the ID-extension (port index packed above bit " +
-              std::to_string(kIdPortShift) + ")");
-    }
-  }
-  drc.expect_connected(soc_->interconnect().master_link(),
-                       "FPGA-PS master link");
-  for (const auto& fl : fault_links_) {
-    drc.expect_connected(*fl, "fault-injector HA-side link");
-  }
-
-  LintReport report = drc.run();
-
-  // Recovery-loop timing rule: a probation window shorter than the watchdog
-  // poll period promotes a recoupled port straight back to Healthy at the
-  // first post-recouple poll — before a single fault observation could
-  // demote it, defeating probation entirely.
-  if (recovery_ != nullptr &&
-      recovery_probation_window_ < recovery_poll_period_) {
-    std::ostringstream msg;
-    msg << "probation_window (" << recovery_probation_window_
-        << " cycles) is shorter than the watchdog poll_period ("
-        << recovery_poll_period_
-        << " cycles): a recoupled port is promoted back to Healthy at the "
-           "first poll, before any new fault could be observed";
-    report.add({LintSeverity::kWarning, "recovery-probation-window",
-                "[recovery]", msg.str(),
-                "raise probation_window to at least one poll_period "
-                "(several, to observe real traffic before trusting the "
-                "port)"});
-  }
-
-  // Layer-2 static certification (src/prove) folded into lint: a disproved
-  // check is a configuration bug. Warning severity makes `--lint-strict`
-  // (the CI gate) fail on a disproved system while plain --lint keeps
-  // reporting everything else.
-  const ProveReport proof = axihc::prove(prove_input());
-  for (const ProveCheck& c : proof.checks) {
-    if (c.verdict != ProveVerdict::kDisproved) continue;
-    report.add({LintSeverity::kWarning, "prove-" + c.id, "[static prover]",
-                c.detail,
-                "run `axihc --prove` for the full certificate, then fix "
-                "the configuration it refutes"});
-  }
-  if (proof.reservation_on && !proof.reservation_feasible) {
-    std::ostringstream msg;
-    msg << "reservation plan is overcommitted: serving every budget at "
-           "worst-case memory timing needs "
-        << proof.reservation_demand << " cycles per "
-        << cfg.hc.reservation_period
-        << "-cycle period; the supply-bound WCLA form does not apply "
-           "(bounds stay sound via the composite supply+arbitration form, "
-           "but guarantees are weaker than the budget split suggests)";
-    report.add({LintSeverity::kWarning, "reservation-overcommit",
-                "[hyperconnect]", msg.str(),
-                "shrink the budgets, lengthen reservation_period, or "
-                "reduce nominal_burst so sum(budget x worst-case service) "
-                "fits the period"});
-  }
-
-  return report;
 }
 
 std::string ConfiguredSystem::report() const {

@@ -28,13 +28,15 @@
 // HA and the interconnect on the targeted port, and "mem_slverr" entries
 // instead configure an SLVERR window (base/bytes) on the memory controller.
 // [system] fault_seed seeds the injectors; [system] mem_bytes and [memN]
-// bound the decoded address space (accesses beyond it get DECERR);
+// bound the decoded address space (accesses beyond it get DECERR; entries
+// that overlap are rejected);
 // [hyperconnect] prot_timeout arms the per-port protection units.
 //
 // A [recovery] section (hyperconnect only) assembles the full software
 // stack behind the control interface — RegisterMaster, driver, Hypervisor
 // watchdog, RecoveryManager — so detected faults start closed-loop recovery
-// episodes (src/recovery) instead of permanently retiring the port.
+// episodes (src/recovery) instead of permanently retiring the port. Its
+// probation_window must span at least one watchdog poll_period.
 // [observe] turns on the observability layer (trace, metrics, latency
 // audit); the axihc CLI flags override it.
 #pragma once
@@ -50,7 +52,6 @@
 #include "ha/dnn_accelerator.hpp"
 #include "ha/traffic_gen.hpp"
 #include "hypervisor/hypervisor.hpp"
-#include "lint/lint.hpp"
 #include "obs/latency_audit.hpp"
 #include "obs/metrics.hpp"
 #include "platform/platform.hpp"
@@ -103,16 +104,11 @@ class ConfiguredSystem {
   /// Renders the per-HA statistics table (markdown).
   [[nodiscard]] std::string report() const;
 
-  /// Runs the design-rule checker (src/lint) over the elaborated system:
-  /// port/master-link connectivity, decode map vs HA job windows, ID
-  /// headroom under the out-of-order ID-extension, and — in instrumented
-  /// builds after a run — the phase-race check.
-  [[nodiscard]] LintReport lint() const;
-
   /// Assembles the static-prover input (src/prove) from the elaborated
   /// system: the WCLA-side analysis config, platform timing, eFIFO depths,
-  /// the per-HA arrival models recorded by add_ha, and the
-  /// channel/endpoint waits-for graph with owed-completion back-edges.
+  /// the decode map, the per-HA arrival models and job windows recorded by
+  /// add_ha, and the channel/endpoint waits-for graph with owed-completion
+  /// back-edges.
   [[nodiscard]] ProveInput prove_input() const;
   /// Runs the static predictability certifier (src/prove) — zero simulated
   /// cycles; see ProveReport for verdicts and the certificate.
@@ -177,17 +173,10 @@ class ConfiguredSystem {
   /// targets this port.
   AxiLink& attach_port(PortIndex port);
 
-  /// An address window an HA was configured to master (recorded by add_ha
-  /// for the lint address-map checks).
-  struct LintWindow {
-    std::string owner;
-    AddrRange range;
-  };
-
   Platform platform_;
   Cycle configured_cycles_ = 0;
-  std::vector<LintWindow> lint_windows_;
-  /// Arrival model per attached HA (recorded by add_ha for the prover).
+  /// Arrival model and job windows per attached HA (recorded by add_ha for
+  /// the prover).
   std::vector<ProveHaModel> prove_has_;
   std::unique_ptr<SocSystem> soc_;
   std::vector<std::unique_ptr<AxiMasterBase>> masters_;
@@ -201,8 +190,6 @@ class ConfiguredSystem {
   std::unique_ptr<HyperConnectDriver> driver_;
   std::unique_ptr<Hypervisor> hypervisor_;
   std::unique_ptr<RecoveryManager> recovery_;
-  Cycle recovery_poll_period_ = 0;
-  Cycle recovery_probation_window_ = 0;
 
   ObserveConfig observe_;
   bool observability_wired_ = false;

@@ -7,9 +7,7 @@
 namespace axihc {
 
 RegisterMaster::RegisterMaster(std::string name, AxiLink& control_link)
-    : Component(std::move(name)), link_(control_link) {
-  link_.attach_endpoint(*this);
-}
+    : Component(std::move(name)), link_(control_link) {}
 
 void RegisterMaster::reset() {
   queue_.clear();

@@ -20,8 +20,6 @@ FaultInjector::FaultInjector(std::string name, AxiLink& ha_side,
     if (f.port == port_) faults_.push_back(f);
   }
   stats_.effective_seed = seed_;
-  ha_.attach_endpoint(*this);
-  bus_.attach_endpoint(*this);
 }
 
 void FaultInjector::append_digest(StateDigest& d) const {

@@ -17,7 +17,6 @@ AxiMasterBase::AxiMasterBase(std::string name, AxiLink& link,
       allow_ooo_(allow_out_of_order) {
   AXIHC_CHECK(max_or_ > 0);
   AXIHC_CHECK(max_ow_ > 0);
-  link_.attach_endpoint(*this);
 }
 
 void AxiMasterBase::append_digest(StateDigest& d) const {

@@ -67,12 +67,7 @@ HyperConnect::HyperConnect(std::string name, HyperConnectConfig cfg)
         cfg_.ts_stage_depth));
     ts_ar_ptrs_.push_back(ts_ar_.back().get());
     ts_aw_ptrs_.push_back(ts_aw_.back().get());
-    ts_ar_.back()->add_endpoint(*this);
-    ts_aw_.back()->add_endpoint(*this);
   }
-  xbar_ar_.add_endpoint(*this);
-  xbar_aw_.add_endpoint(*this);
-  control_link_.attach_endpoint(*this);
 }
 
 void HyperConnect::register_with(Simulator& sim) {

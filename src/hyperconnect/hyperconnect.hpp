@@ -86,8 +86,10 @@ class HyperConnect final : public Interconnect {
   /// Attaches the latency auditor (src/obs/latency_audit.*): the tick loop
   /// reports eFIFO accepts, sub-transaction issues, stall-cause changes,
   /// EXBAR grants, master-side exits and port disturbances through the hook
-  /// interface. nullptr (the default) disables at one branch per site; the
-  /// audit mutates no simulated state, so digests are unaffected.
+  /// interface. nullptr (the default) disables at one branch per site. The
+  /// audit mutates no HyperConnect state: on the same set of components the
+  /// state digest is identical with it on or off (ConfiguredSystem also
+  /// adds the digested `apm` probe when it wires an audit).
   void set_latency_audit(LatencyAuditHooks* audit) { audit_ = audit; }
 
   /// Observability: track the per-port peak of Efifo::level() (the five

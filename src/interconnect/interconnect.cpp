@@ -18,10 +18,6 @@ Interconnect::Interconnect(std::string name, std::uint32_t num_ports,
   }
   master_link_ = std::make_unique<AxiLink>(Component::name() + ".m",
                                            master_link_cfg);
-  // The interconnect is an endpoint of every link it terminates (the
-  // design-rule checker's connectivity check reads these declarations).
-  for (auto& link : port_links_) link->attach_endpoint(*this);
-  master_link_->attach_endpoint(*this);
 }
 
 void Interconnect::append_digest(StateDigest& d) const {

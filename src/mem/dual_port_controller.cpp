@@ -19,8 +19,6 @@ DualPortMemoryController::DualPortMemoryController(std::string name,
       cfg_(cfg),
       open_row_(cfg.banks, kNoRow) {
   AXIHC_CHECK(cfg_.banks > 0);
-  ps_link_.attach_endpoint(*this);
-  fpga_link_.attach_endpoint(*this);
 }
 
 void DualPortMemoryController::reset() {

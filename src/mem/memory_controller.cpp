@@ -16,7 +16,6 @@ MemoryController::MemoryController(std::string name, AxiLink& link,
       cfg_(cfg),
       open_row_(cfg.banks, kNoRow) {
   AXIHC_CHECK(cfg_.banks > 0);
-  link_.attach_endpoint(*this);
 }
 
 void MemoryController::append_digest(StateDigest& d) const {

@@ -295,8 +295,8 @@ ProveCheck check_reservation(const ProveInput& in, ProveReport& report) {
                  ? "feasible: the supply-bound WCLA form applies"
                  : "overcommitted: budgets cannot all be served at "
                    "worst-case memory timing, so only the composite "
-                   "supply+arbitration bound is sound — see the "
-                   "reservation-overcommit lint warning");
+                   "supply+arbitration bound is sound and the guarantees "
+                   "are weaker than the budget split suggests");
       os << ")";
       c.detail = os.str();
     }
@@ -390,6 +390,72 @@ ProveCheck check_wcla(const ProveInput& in, ProveReport& report) {
           "latency auditor enforces per transaction)";
     c.detail = os.str();
   }
+  return c;
+}
+
+// ---------------------------------------------------------------------------
+// address-map: HA job windows vs each other and the decode map
+
+std::string range_str(const AddrRange& r) {
+  std::ostringstream os;
+  os << std::hex << "[0x" << r.base << ", 0x" << r.base + r.bytes << ")";
+  return os.str();
+}
+
+ProveCheck check_address_map(const ProveInput& in) {
+  ProveCheck c;
+  c.id = "address-map";
+  c.verdict = ProveVerdict::kProven;
+
+  std::vector<const ProveWindow*> windows;
+  for (const ProveHaModel& ha : in.has) {
+    for (const ProveWindow& w : ha.windows) {
+      if (w.range.bytes != 0) windows.push_back(&w);
+    }
+  }
+
+  std::vector<std::string> findings;
+  std::string shared = "[";
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    const ProveWindow& a = *windows[i];
+    for (std::size_t j = i + 1; j < windows.size(); ++j) {
+      const ProveWindow& b = *windows[j];
+      if (!a.range.overlaps(b.range.base, b.range.bytes)) continue;
+      shared += (shared.size() > 1 ? "," : "") +
+                quoted(a.name + " / " + b.name);
+      findings.push_back(a.name + " " + range_str(a.range) +
+                         " shares bytes with " + b.name + " " +
+                         range_str(b.range));
+    }
+  }
+  // A burst decodes only when one entry holds all of it, so a window no
+  // single entry contains completes (partly) with DECERR.
+  std::string unmapped = "[";
+  if (!in.decode.empty()) {
+    for (const ProveWindow* w : windows) {
+      const bool covered = std::any_of(
+          in.decode.begin(), in.decode.end(), [&](const AddrRange& d) {
+            return d.contains_span(w->range.base, w->range.bytes);
+          });
+      if (covered) continue;
+      unmapped += (unmapped.size() > 1 ? "," : "") + quoted(w->name);
+      findings.push_back(w->name + " " + range_str(w->range) +
+                         " lies outside every decode entry (DECERR)");
+    }
+  }
+  c.facts.emplace_back("shared_windows", shared + "]");
+  c.facts.emplace_back("unmapped_windows", unmapped + "]");
+
+  std::ostringstream os;
+  os << windows.size() << " HA job window(s)";
+  if (findings.empty()) {
+    os << ", pairwise disjoint"
+       << (in.decode.empty() ? "" : " and inside the decode map");
+  }
+  for (std::size_t i = 0; i < findings.size(); ++i) {
+    os << (i == 0 ? ": " : "; ") << findings[i];
+  }
+  c.detail = os.str();
   return c;
 }
 
@@ -507,6 +573,7 @@ ProveReport prove(const ProveInput& in) {
   report.checks.push_back(check_backlog(in, report.backlog));
   report.checks.push_back(check_reservation(in, report));
   report.checks.push_back(check_wcla(in, report));
+  report.checks.push_back(check_address_map(in));
   return report;
 }
 

@@ -1,6 +1,6 @@
 // axihc-prove — static predictability certification of an elaborated
-// system (layer 2 of the static-analysis wall, between axihc-lint and the
-// cycle-accurate simulation; see docs/STATIC_ANALYSIS.md).
+// system, the one static checker between the config builder and the
+// cycle-accurate simulation (see docs/STATIC_ANALYSIS.md).
 //
 // The paper's central claim is that the HyperConnect's slim architecture is
 // "prone to worst-case timing analysis". src/analysis/wcla derives the
@@ -37,6 +37,12 @@
 //                      out-of-order / FR-FCFS memory and PS-stall
 //                      interference are flagged unmodeled, exactly the
 //                      configurations the PR 7 auditor excludes.
+//   address-map        HA job windows against each other and the decode
+//                      map: windows of two HAs sharing bytes (an isolation
+//                      smell) and windows outside every decode entry
+//                      (accesses DECERR). Reported as facts; never
+//                      disproves, since the simulated system is well
+//                      defined either way.
 //
 // Verdicts: kDisproved on a hard refutation (deadlock cycle, starvation,
 // ID overflow); kUnmodeled when a check has no model for the
@@ -47,9 +53,11 @@
 //
 // Wiring: `axihc --prove/--prove-json` (tools/axihc.cpp),
 // ConfiguredSystem::prove() assembles the ProveInput from an elaborated
-// INI system, ConfiguredSystem::lint() folds disproofs in as strict-fail
-// warnings, and the sweep runner screens every cell statically before
-// spending simulation time on it (src/sweep/runner.cpp).
+// INI system, and the sweep runner screens every cell statically before
+// spending simulation time on it (src/sweep/runner.cpp). Inputs that are
+// inconsistent rather than unpredictable (overlapping decode entries, a
+// probation window shorter than the watchdog poll) never reach the
+// prover: the builder rejects them.
 #pragma once
 
 #include <cstdint>
@@ -67,6 +75,13 @@ enum class ProveVerdict : std::uint8_t { kProven, kDisproved, kUnmodeled };
 
 [[nodiscard]] const char* to_string(ProveVerdict verdict);
 
+/// A named address window an HA's jobs touch (a DMA buffer, a traffic
+/// region), e.g. "ha0 read buffer".
+struct ProveWindow {
+  std::string name;
+  AddrRange range;
+};
+
 /// The arrival model of one attached hardware accelerator, extracted from
 /// its configuration (ConfiguredSystem::add_ha records one per [haN]).
 struct ProveHaModel {
@@ -81,6 +96,8 @@ struct ProveHaModel {
   Cycle gap_cycles = 0;
   bool reads = true;
   bool writes = false;
+  /// The address windows its jobs touch (the address-map check).
+  std::vector<ProveWindow> windows{};
 };
 
 /// One waits-for edge: `from`'s progress can require `to`'s progress.
@@ -108,6 +125,8 @@ struct ProveInput {
   std::uint32_t id_bits = 16;
   bool in_order_memory = true;
   bool ps_stall = false;
+  /// Memory decode map; empty when every address decodes.
+  std::vector<AddrRange> decode{};
   /// Attached HAs, index = port. May be shorter than num_ports (idle
   /// ports contribute no arrivals and cannot starve).
   std::vector<ProveHaModel> has{};

@@ -42,8 +42,6 @@
 
 namespace axihc {
 
-class Component;
-
 /// Type-erased base so the Simulator can commit/reset heterogeneous channels.
 class ChannelBase {
  public:
@@ -61,18 +59,6 @@ class ChannelBase {
   /// Folds the committed + staged contents and traffic counters into `d`
   /// (Simulator::state_digest). Default: no content to report.
   virtual void append_digest(StateDigest& d) const { (void)d; }
-
-  /// Declares `component` as an endpoint (producer or consumer) of this
-  /// channel. Called from component constructors; the design-rule checker's
-  /// connectivity check reads these declarations after elaboration.
-  /// Duplicate declarations are fine.
-  void add_endpoint(const Component& component) {
-    endpoints_.push_back(&component);
-  }
-
-  [[nodiscard]] const std::vector<const Component*>& endpoints() const {
-    return endpoints_;
-  }
 
   [[nodiscard]] const std::string& name() const { return name_; }
 
@@ -118,7 +104,6 @@ class ChannelBase {
   friend class Simulator;
 
   std::string name_;
-  std::vector<const Component*> endpoints_;
 #ifdef AXIHC_PHASE_CHECK
   // Phase-checker state (sim/phase_check.hpp). Compiled out of the default
   // build along with the hooks, so uninstrumented channels carry neither

@@ -60,11 +60,6 @@ std::size_t PhaseCheck::violation_count() {
   return g_violations.size();
 }
 
-std::vector<PhaseViolation> PhaseCheck::snapshot() {
-  std::lock_guard<std::mutex> lock(g_violations_mutex);
-  return g_violations;
-}
-
 std::vector<PhaseViolation> PhaseCheck::drain() {
   std::lock_guard<std::mutex> lock(g_violations_mutex);
   std::vector<PhaseViolation> out;

@@ -1,5 +1,5 @@
-// Phase-race detector for the two-phase channel semantics (axihc-lint
-// layer 2).
+// Phase-race detector for the two-phase channel semantics (the runtime
+// half of the static checks; see docs/STATIC_ANALYSIS.md).
 //
 // The kernel's bit-identity guarantees (tick-order independence, the
 // fast-forward) rest on channel state moving strictly in two phases: tick()
@@ -18,7 +18,8 @@
 // or push during the commit phase.
 //
 // Threading: the phase stamp is a process-wide atomic and the current
-// component is thread-local; lint runs arm one simulation at a time.
+// component is thread-local; tests arm one simulation at a time
+// (tests/test_phase_check.cpp).
 #pragma once
 
 #include <cstddef>
@@ -33,8 +34,7 @@ namespace axihc {
 class Component;
 
 /// True when the build carries the channel instrumentation
-/// (-DAXIHC_PHASE_CHECK=ON). The design-rule checker downgrades its
-/// phase-race check to a note when false.
+/// (-DAXIHC_PHASE_CHECK=ON). The phase-race tests skip when false.
 #ifdef AXIHC_PHASE_CHECK
 inline constexpr bool kPhaseCheckAvailable = true;
 #else
@@ -79,10 +79,6 @@ class PhaseCheck {
 
   /// Returns and clears the recorded violations.
   [[nodiscard]] static std::vector<PhaseViolation> drain();
-
-  /// Copies the recorded violations without clearing them (the design-rule
-  /// checker reports them; the owner decides when to drain).
-  [[nodiscard]] static std::vector<PhaseViolation> snapshot();
 
   /// Disarms and clears all state (test isolation).
   static void reset();

@@ -11,10 +11,6 @@ BandwidthProbe::BandwidthProbe(std::string name, AxiLink& link, Cycle window)
     : Component(std::move(name)), link_(link), window_(window) {
   AXIHC_CHECK(window_ > 0);
   window_end_ = window_;
-  // The probe reads the R/W channels' traffic counters: declare it as an
-  // endpoint so connectivity checks see the edge.
-  link_.r.add_endpoint(*this);
-  link_.w.add_endpoint(*this);
 }
 
 void BandwidthProbe::register_metrics(MetricsRegistry& reg) {

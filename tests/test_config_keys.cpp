@@ -62,9 +62,9 @@ TEST(ConfigKeys, DefaultsAreCanonical) {
 }
 
 /// Everything a run of `ini` shows: config digest, observability settings,
-/// the static certificate (analysis config, eFIFO depths, HA models), the
-/// lint findings (address maps), the report and the state digest. `cycles`
-/// 0 runs the configured horizon.
+/// the static certificate (analysis config, eFIFO depths, HA models and
+/// their address windows), the report and the state digest. `cycles` 0 runs
+/// the configured horizon.
 std::string fingerprint(const IniFile& ini, Cycle cycles) {
   ConfiguredSystem sys(ini);
   std::ostringstream os;
@@ -72,9 +72,8 @@ std::string fingerprint(const IniFile& ini, Cycle cycles) {
   os << config_digest(ini) << ' ' << o.trace << o.metrics << o.latency_audit
      << ' ' << o.sample_every << ' ' << o.trace_capacity << ' '
      << o.flight_capacity << '\n'
-     << sys.prove().certificate_json() << '\n';
-  sys.lint().write_text(os);
-  os << sys.run(cycles) << '\n'
+     << sys.prove().certificate_json() << '\n'
+     << sys.run(cycles) << '\n'
      << sys.report() << sys.soc().sim().state_digest();
   return os.str();
 }
@@ -144,9 +143,10 @@ TEST(ConfigKeys, SpelledDefaultsBuildTheSameSystem) {
        "[recovery]\nbackoff_base = 12000\n",
        20000},
       // An SLVERR window over the traffic region, and decode-map entries
-      // the lint address-map check compares.
-      {"[system]\nmem_bytes = 0x80000000\n[mem0]\n[mem1]\nbytes = 4096\n"
-       "[ha0]\ntype = traffic\nbase = 0\n[fault0]\nkind = mem_slverr\n",
+      // the prover's address-map check compares.
+      {"[system]\nmem_bytes = 0x80000000\n[mem0]\n[mem1]\nbase = 0x80000000\n"
+       "bytes = 4096\n[ha0]\ntype = traffic\nbase = 0\n[fault0]\n"
+       "kind = mem_slverr\n",
        20000},
   };
   std::set<std::pair<std::string_view, std::string_view>> spelled;
@@ -234,7 +234,7 @@ std::vector<std::string> inis_under(const std::string& rel) {
 
 TEST(ConfigKeys, ShippedFilesPass) {
   std::vector<std::string> systems = inis_under("examples/configs");
-  for (const std::string& f : inis_under("tests/lint_fixtures")) {
+  for (const std::string& f : inis_under("tests/config_fixtures")) {
     systems.push_back(f);
   }
   for (const std::string& f : systems) {
@@ -332,6 +332,56 @@ TEST(ConfigKeys, RejectsRepeatedSingleSection) {
   const std::string err = error_of(
       [&] { (void)build_system(fig5 + "[hyperconnect]\nbudgets = 7 64\n"); });
   EXPECT_NE(err.find("[hyperconnect] appears twice"), std::string::npos)
+      << err;
+}
+
+TEST(ConfigKeys, RejectsInconsistentKeys) {
+  // Keys each in range that contradict one another.
+  const std::string fig5 = read_file("examples/configs/fig5_hc90.ini");
+  const std::string smoke = read_file("examples/configs/campaign_smoke.ini");
+  const struct {
+    std::string ini;
+    const char* names;
+  } cases[] = {
+      // An aliased address would decode by entry order; an entry past the
+      // top of the address space would alias its low addresses.
+      {replace_once(fig5, "[system]", "[system]\nmem_bytes = 0x80000000") +
+           "[mem0]\nbase = 0x7FFFF000\nbytes = 0x2000\n",
+       "[system] mem_bytes and [mem0] decode entries overlap"},
+      {fig5 + "[mem0]\nbase = 0xFFFFFFFFFFFFF000\nbytes = 0x2000\n"
+              "[mem1]\nbase = 0xFFFFFFFFFFFFF800\nbytes = 0x100\n",
+       "[mem0] base + bytes wraps past the address space"},
+  };
+  for (const auto& c : cases) {
+    const std::string err = error_of([&] { (void)build_system(c.ini); });
+    EXPECT_NE(err.find(c.names), std::string::npos) << c.names << ": " << err;
+  }
+  // Touching or empty entries and a probation of exactly one poll are
+  // consistent.
+  for (const char* mems : {"[mem0]\nbytes = 0x1000\n[mem1]\nbase = 0x1000\n"
+                           "bytes = 0x1000\n",
+                           "[mem0]\nbase = 0x100\n[mem1]\nbytes = 0x1000\n"}) {
+    EXPECT_EQ(error_of([&] { (void)build_system(fig5 + mems); }), "") << mems;
+  }
+  EXPECT_EQ(error_of([&] {
+              (void)build_system(replace_once(smoke, "probation_window = 1500",
+                                              "probation_window = 500"));
+            }),
+            "");
+}
+
+// The retired design-rule checker flagged these ranges as an error; the
+// builder now refuses them and names both sections.
+TEST(LintStructural, FlagsOverlappingDecodeMap) {
+  const std::string err = error_of([] {
+    (void)build_system(
+        "[system]\nports = 1\n"
+        "[mem0]\nbase = 0x0\nbytes = 0x2000\n"
+        "[mem1]\nbase = 0x1000\nbytes = 0x2000\n"
+        "[ha0]\ntype = dma\n");
+  });
+  EXPECT_NE(err.find("[mem0] and [mem1] decode entries overlap"),
+            std::string::npos)
       << err;
 }
 

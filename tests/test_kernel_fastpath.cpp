@@ -481,9 +481,7 @@ TEST(KernelFastPath, FaultRecoveryScenarioDigestIsStable) {
 class SlowReadSlave final : public Component {
  public:
   SlowReadSlave(AxiLink& link, Cycle latency)
-      : Component("slow_mem"), link_(link), latency_(latency) {
-    link_.attach_endpoint(*this);
-  }
+      : Component("slow_mem"), link_(link), latency_(latency) {}
 
   void tick(Cycle now) override {
     ++ticks_;

@@ -1,8 +1,8 @@
 // axihc-prove (src/prove): the static predictability certifier. Covers the
 // certificate format, each disprover firing on a fixture it exists for, the
-// unmodeled classifications, determinism, the lint wiring, the sweep
+// unmodeled classifications, the address-map facts, determinism, the sweep
 // screening (disproved annotation rows, structured error rows, cached
-// certificates), and the headline soundness gate: over the full pareto1k
+// certificates), and the headline soundness gate: over every shipped sweep
 // grid every statically proven bound must dominate what the simulation of
 // the same cell actually observed.
 #include "prove/prove.hpp"
@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,10 +21,10 @@
 #include "config/ini.hpp"
 #include "config/system_builder.hpp"
 #include "hyperconnect/config.hpp"
-#include "lint/lint.hpp"
 #include "sweep/json_mini.hpp"
 #include "sweep/report.hpp"
 #include "sweep/runner.hpp"
+#include "sweep/sweep.hpp"
 
 #ifndef AXIHC_REPO_ROOT
 #define AXIHC_REPO_ROOT "."
@@ -70,6 +71,14 @@ ProveReport prove_text(const std::string& ini_text) {
   return build_system(ini_text)->prove();
 }
 
+/// The pre-rendered JSON value of `check`'s fact `key`, or "" if absent.
+std::string fact(const ProveCheck& check, const std::string& key) {
+  for (const auto& [k, value] : check.facts) {
+    if (k == key) return value;
+  }
+  return "";
+}
+
 // ---------------------------------------------------------------------------
 // Certificate structure + determinism
 
@@ -90,9 +99,10 @@ TEST(ProveCertificate, JsonStructure) {
 
   const JsonValue* checks = cert.find("checks");
   ASSERT_NE(checks, nullptr);
-  ASSERT_EQ(checks->items.size(), 4u);
+  ASSERT_EQ(checks->items.size(), 5u);
   const std::vector<std::string> ids = {"deadlock-freedom", "efifo-backlog",
-                                        "reservation", "wcla-bound"};
+                                        "reservation", "wcla-bound",
+                                        "address-map"};
   for (std::size_t i = 0; i < ids.size(); ++i) {
     EXPECT_EQ(checks->items[i].find("id")->str_or(""), ids[i]);
     EXPECT_EQ(checks->items[i].find("verdict")->str_or(""), "proven");
@@ -173,38 +183,25 @@ TEST(ProveDisprovers, IdOverflowUnderOutOfOrderIsRefuted) {
             ProveVerdict::kDisproved);
 }
 
-TEST(ProveDisprovers, ZeroBudgetStarvationIsRefutedAndFailsStrictLint) {
-  const auto sys =
-      build_system(read_file(repo_file("tests/lint_fixtures/starved_port.ini")));
-  const ProveReport proof = sys->prove();
+TEST(ProveDisprovers, ZeroBudgetStarvationIsRefuted) {
+  const ProveReport proof = prove_text(
+      read_file(repo_file("tests/config_fixtures/starved_port.ini")));
   EXPECT_TRUE(proof.disproved());
   EXPECT_EQ(proof.check("reservation")->verdict, ProveVerdict::kDisproved);
   // No finite bound exists for a port that is never scheduled.
   EXPECT_EQ(proof.check("wcla-bound")->verdict, ProveVerdict::kDisproved);
   EXPECT_NE(proof.check("reservation")->detail.find("budget 0"),
             std::string::npos);
-
-  // Lint folds the disproofs in as strict-fail warnings.
-  const LintReport lint = sys->lint();
-  EXPECT_TRUE(lint.has_check("prove-reservation"));
-  EXPECT_TRUE(lint.has_check("prove-wcla-bound"));
-  EXPECT_EQ(lint.count(LintSeverity::kError), 0u);  // plain --lint passes
-  EXPECT_GT(lint.count(LintSeverity::kWarning), 0u);
 }
 
 TEST(ProveChecks, OvercommitWarnsButDoesNotDisprove) {
-  const auto sys =
-      build_system(read_file(repo_file("tests/lint_fixtures/overcommit.ini")));
-  const ProveReport proof = sys->prove();
+  const ProveReport proof =
+      prove_text(read_file(repo_file("tests/config_fixtures/overcommit.ini")));
   // Overcommit keeps sound (composite-form) bounds: proven, not disproved.
   EXPECT_EQ(proof.verdict(), ProveVerdict::kProven);
   EXPECT_TRUE(proof.reservation_on);
   EXPECT_FALSE(proof.reservation_feasible);
   EXPECT_GT(proof.reservation_demand, 1000u);  // the fixture's period
-
-  const LintReport lint = sys->lint();
-  EXPECT_TRUE(lint.has_check("reservation-overcommit"));
-  EXPECT_EQ(lint.count(LintSeverity::kError), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -274,6 +271,112 @@ TEST(ProveChecks, Fig4IsFeasibleAndFullyProven) {
   for (const ProveCheck& c : proof.checks) {
     EXPECT_EQ(c.verdict, ProveVerdict::kProven) << c.id;
   }
+}
+
+// ---------------------------------------------------------------------------
+// address-map: shared and unmapped HA job windows are facts, never disproofs
+
+/// A copy of the address-map check of `proof`; it is always proven.
+ProveCheck address_map(const ProveReport& proof) {
+  const ProveCheck* c = proof.check("address-map");
+  AXIHC_CHECK(c != nullptr);
+  EXPECT_EQ(c->verdict, ProveVerdict::kProven);
+  return *c;
+}
+
+TEST(ProveAddressMap, ShippedExamplesHaveDisjointMappedWindows) {
+  std::size_t configs = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           repo_file("examples/configs"))) {
+    if (entry.path().extension() != ".ini") continue;
+    SCOPED_TRACE(entry.path().filename().string());
+    const ProveCheck c =
+        address_map(prove_text(read_file(entry.path().string())));
+    EXPECT_EQ(fact(c, "shared_windows"), "[]");
+    EXPECT_EQ(fact(c, "unmapped_windows"), "[]");
+    ++configs;
+  }
+  EXPECT_GE(configs, 5u);
+}
+
+TEST(ProveAddressMap, SharedDmaBuffersAreNamed) {
+  const ProveCheck c = address_map(prove_text(R"(
+[system]
+ports = 2
+cycles = 1000
+[ha0]
+type = dma
+read_base = 0x10000000
+write_base = 0x20000000
+[ha1]
+type = dma
+read_base = 0x10000000
+write_base = 0x28000000
+)"));
+  EXPECT_EQ(fact(c, "shared_windows"),
+            "[\"ha0 read buffer / ha1 read buffer\"]");
+}
+
+TEST(ProveAddressMap, WindowBeyondMemBytesIsUnmapped) {
+  const ProveCheck c = address_map(prove_text(R"(
+[system]
+ports = 1
+cycles = 1000
+mem_bytes = 0x1000000
+[ha0]
+type = dma
+read_base = 0x10000000
+)"));
+  // Both buffers of the default readwrite DMA lie above 16 MiB.
+  EXPECT_EQ(fact(c, "unmapped_windows"),
+            "[\"ha0 read buffer\",\"ha0 write buffer\"]");
+  EXPECT_NE(c.detail.find("outside every decode entry"), std::string::npos);
+}
+
+TEST(ProveAddressMap, WindowMustFitOneDecodeEntry) {
+  ProveInput in = build_system(kHealthy)->prove_input();
+  in.has.resize(1);
+  in.has[0].windows = {{"ha0 buffer", {0x1000, 0x2000}}};
+  // Two adjacent entries cover the window together but neither holds it
+  // whole: a burst decodes only inside one entry.
+  in.decode = {{0x0, 0x2000}, {0x2000, 0x2000}};
+  EXPECT_EQ(fact(address_map(prove(in)), "unmapped_windows"),
+            "[\"ha0 buffer\"]");
+  in.decode = {{0x0, 0x4000}};
+  EXPECT_EQ(fact(address_map(prove(in)), "unmapped_windows"), "[]");
+  // Without a decode map every address decodes.
+  in.decode.clear();
+  EXPECT_EQ(fact(address_map(prove(in)), "unmapped_windows"), "[]");
+}
+
+// Hand-built inputs for two findings the retired design-rule checker
+// reported as structural lint; the prover now carries both.
+
+TEST(LintStructural, WarnsOnSharedHaWindows) {
+  ProveInput in = build_system(kHealthy)->prove_input();
+  in.has.resize(2);
+  in.has[0].windows = {{"ha0 buffer", {0x1000'0000, 1u << 20}}};
+  in.has[1].windows = {{"ha1 buffer", {0x1000'8000, 1u << 20}}};
+  const ProveReport proof = prove(in);
+  // A partial overlap is named, and it is a fact, never a disproof.
+  EXPECT_EQ(fact(address_map(proof), "shared_windows"),
+            "[\"ha0 buffer / ha1 buffer\"]");
+  EXPECT_FALSE(proof.disproved());
+}
+
+TEST(LintStructural, FlagsIdHeadroomViolation) {
+  ProveInput in = build_system(kHealthy)->prove_input();
+  in.out_of_order = true;
+  in.id_bits = 20;  // collides with the port index packed at bit 16
+  const ProveReport proof = prove(in);
+  const ProveCheck* reservation = proof.check("reservation");
+  ASSERT_NE(reservation, nullptr);
+  EXPECT_EQ(fact(*reservation, "id_headroom"), "false");
+  EXPECT_NE(reservation->detail.find("exceeds the ID-extension boundary"),
+            std::string::npos)
+      << reservation->detail;
+  in.id_bits = 16;  // default 16-bit IDs exactly fit
+  EXPECT_EQ(fact(*prove(in).check("reservation"), "id_headroom"), "true");
 }
 
 // ---------------------------------------------------------------------------
@@ -411,6 +514,28 @@ TEST(ProveSoundness, StaticBoundsDominateFig4AndFig5Grids) {
   // actually drawn from.
   EXPECT_GT(assert_sweep_soundness("examples/sweeps/fig4_isolation.ini"), 0u);
   EXPECT_GT(assert_sweep_soundness("examples/sweeps/fig5_grid.ini"), 0u);
+}
+
+TEST(ProveSoundness, StaticBoundsDominateEveryOtherShippedSweep) {
+  // Every spec under examples/sweeps, so a new one is gated without a test
+  // edit. The three above are not rerun; the rest are fully proven grids.
+  const std::set<std::string> covered = {"pareto1k", "fig4_isolation",
+                                         "fig5_grid"};
+  std::size_t specs = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           repo_file("examples/sweeps"))) {
+    const std::string stem = entry.path().stem().string();
+    if (entry.path().extension() != ".ini" || covered.contains(stem)) {
+      continue;
+    }
+    const std::string rel = "examples/sweeps/" + stem + ".ini";
+    const SweepSpec spec = parse_sweep_spec(IniFile::parse(read_file(
+        repo_file(rel))));
+    EXPECT_EQ(assert_sweep_soundness(rel), spec.cell_count()) << rel;
+    ++specs;
+  }
+  // smoke64, ablation_reservation and ablation_fifo_depth today.
+  EXPECT_GE(specs, 3u);
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 //   axihc <config.ini> [--cycles N] [--trace-out f.json]
 //         [--metrics-out f.csv] [--sample-every N] [--no-fast-forward]
 //         [--digest] [--latency-audit] [--flight-out f.jsonl]
-//   axihc <config.ini> --lint [--lint-strict] [--lint-json f.json]
 //   axihc <config.ini> --prove [--prove-json f.json]
 //   axihc <spec.ini> --campaign [--campaign-out f.jsonl]
 //   axihc <spec.ini> --campaign --campaign-replay N
@@ -52,15 +51,12 @@
 // certifier (src/prove) with ZERO simulated cycles: deadlock-freedom over
 // the waits-for graph, per-port eFIFO backlog bounds, reservation
 // feasibility/starvation-freedom/ID headroom, and WCLA boundedness
-// classification. Exits nonzero iff any check is disproved. --prove-json
-// writes the machine-readable certificate (plus the code-version digest
-// certificates are cached under in sweeps).
-//
-// --lint elaborates the system, runs the design-rule checker (src/lint) and
-// exits nonzero when any error-severity finding is present. In builds
-// configured with -DAXIHC_PHASE_CHECK=ON it first runs a short simulation
-// (the --cycles value, or 20000) with the channel instrumentation armed, so
-// the phase-race check has accesses to audit.
+// classification, and the address map (HA job windows shared between HAs
+// or outside the decode map, reported as facts). Exits nonzero iff any
+// check is disproved. --prove-json writes the machine-readable certificate
+// (plus the code-version digest certificates are cached under in sweeps).
+// Inconsistent inputs (overlapping decode entries, a probation window
+// shorter than the watchdog poll) are rejected when the system is built.
 //
 // An unknown flag, a flag missing its value, or a count that is not a whole
 // unsigned number ("1e3", "abc") is a usage error: exit 2 with the usage
@@ -82,7 +78,6 @@
 #include "common/check.hpp"
 #include "config/canonical.hpp"
 #include "config/system_builder.hpp"
-#include "sim/phase_check.hpp"
 #include "sweep/code_version.hpp"
 #include "sweep/report.hpp"
 #include "sweep/runner.hpp"
@@ -127,8 +122,6 @@ void usage() {
                "             [--metrics-out f.csv] [--sample-every N]\n"
                "             [--no-fast-forward] [--digest]\n"
                "             [--latency-audit] [--flight-out f.jsonl]\n"
-               "       axihc <config.ini> --lint [--lint-strict]\n"
-               "             [--lint-json f.json]\n"
                "       axihc <config.ini> --prove [--prove-json f.json]\n"
                "       axihc <spec.ini> --campaign [--campaign-out f.jsonl]\n"
                "       axihc <spec.ini> --campaign --campaign-replay N\n"
@@ -178,9 +171,6 @@ int main(int argc, char** argv) {
   axihc::Cycle sample_every = 0;  // 0 = keep the config's value
   bool fast_forward = true;
   bool print_digest = false;
-  bool lint_mode = false;
-  bool lint_strict = false;
-  std::string lint_json;
   bool prove_mode = false;
   std::string prove_json;
   bool campaign_mode = false;
@@ -232,14 +222,6 @@ int main(int argc, char** argv) {
       fast_forward = false;
     } else if (arg == "--digest") {
       print_digest = true;
-    } else if (arg == "--lint") {
-      lint_mode = true;
-    } else if (arg == "--lint-strict") {
-      lint_mode = true;
-      lint_strict = true;
-    } else if (arg == "--lint-json") {
-      lint_mode = true;
-      ok = take(lint_json);
     } else if (arg == "--prove") {
       prove_mode = true;
     } else if (arg == "--prove-json") {
@@ -482,30 +464,6 @@ int main(int argc, char** argv) {
                   << "\n";
       }
       return proof.disproved() ? 1 : 0;
-    }
-
-    if (lint_mode) {
-      if (axihc::kPhaseCheckAvailable) {
-        // Short armed run: the phase-race check covers exactly what ran.
-        axihc::PhaseCheck::arm(true);
-        system->run(override_cycles != 0 ? override_cycles : 20000);
-      }
-      const axihc::LintReport report = system->lint();
-      report.write_text(std::cout);
-      if (!lint_json.empty()) {
-        std::ofstream out(lint_json);
-        if (!out) {
-          std::cerr << "axihc: cannot write '" << lint_json << "'\n";
-          return 1;
-        }
-        report.write_json(out);
-        std::cerr << "axihc: wrote lint report to " << lint_json << "\n";
-      }
-      const bool failed =
-          report.has_errors() ||
-          (lint_strict &&
-           report.count(axihc::LintSeverity::kWarning) != 0);
-      return failed ? 1 : 0;
     }
 
     // CLI flags layer on top of the [observe] section: an output file turns

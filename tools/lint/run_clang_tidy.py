@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""clang-tidy runner for the axihc static-analysis job (lint layer 3).
+"""clang-tidy runner for the axihc static-analysis job (source-level checks).
 
 Runs clang-tidy (profile: the repo's .clang-tidy) over every src/ source in
 compile_commands.json and diffs the warnings against the checked-in baseline

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""cppcheck runner for the axihc static-analysis job (lint layer 3).
+"""cppcheck runner for the axihc static-analysis job (source-level checks).
 
 Runs cppcheck (warning/performance/portability profiles) over src/ and diffs
 the findings against the checked-in baseline
