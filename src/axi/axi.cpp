@@ -27,9 +27,7 @@ AxiLink::AxiLink(const std::string& name, AxiLinkConfig cfg)
       aw(name + ".AW", cfg.aw_depth),
       w(name + ".W", cfg.w_depth),
       b(name + ".B", cfg.b_depth),
-      name_(name),
-      data_bits_(cfg.data_bits),
-      id_bits_(cfg.id_bits) {}
+      name_(name) {}
 
 void AxiLink::register_with(Simulator& sim) {
   sim.add(ar);

@@ -123,20 +123,14 @@ inline void append_digest(StateDigest& d, const BResp& resp) {
 /// True if an INCR burst crosses a 4 KiB boundary (forbidden by AXI).
 [[nodiscard]] bool crosses_4k(const AddrReq& req);
 
-/// FIFO depths of the five channels of a link, plus the static interface
-/// widths an AxiBridge checks when it joins two links (the prover checks
-/// the ID width against the ID-extension boundary from the port config).
-/// The behavioural model carries 64-bit beats regardless; the widths
-/// describe the modelled hardware interface.
+/// FIFO depths of the five channels of a link, plus the AxID width the
+/// prover checks against the ID-extension boundary (from the port config).
 struct AxiLinkConfig {
   std::size_t ar_depth = 4;
   std::size_t aw_depth = 4;
   std::size_t w_depth = 32;
   std::size_t r_depth = 32;
   std::size_t b_depth = 4;
-  /// Data-bus width in bits (AXI allows 8..1024; the paper's platforms
-  /// use 64/128-bit HP ports).
-  std::uint32_t data_bits = 64;
   /// AxID width in bits. Must stay <= kIdPortShift on HA-side links when
   /// the HyperConnect's ID-extension (out-of-order) mode is enabled.
   std::uint32_t id_bits = 16;
@@ -153,10 +147,6 @@ class AxiLink {
 
   [[nodiscard]] const std::string& name() const { return name_; }
 
-  /// Static interface widths (see AxiLinkConfig).
-  [[nodiscard]] std::uint32_t data_bits() const { return data_bits_; }
-  [[nodiscard]] std::uint32_t id_bits() const { return id_bits_; }
-
   TimingChannel<AddrReq> ar;
   TimingChannel<RBeat> r;
   TimingChannel<AddrReq> aw;
@@ -165,8 +155,6 @@ class AxiLink {
 
  private:
   std::string name_;
-  std::uint32_t data_bits_;
-  std::uint32_t id_bits_;
 };
 
 }  // namespace axihc

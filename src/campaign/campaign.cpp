@@ -170,16 +170,16 @@ RunRow execute_run(const IniFile& ini, const CampaignSpec& spec,
 CampaignSpec parse_campaign_spec(const IniFile& ini) {
   check_config(ini);
   const IniSection* camp = ini.section("campaign");
-  AXIHC_CHECK_MSG(camp != nullptr,
-                  "a campaign file needs a [campaign] section");
+  AXIHC_REQUIRE(camp != nullptr,
+                "a campaign file needs a [campaign] section");
   const IniSection* system = ini.section("system");
-  AXIHC_CHECK_MSG(system != nullptr, "config needs a [system] section");
-  AXIHC_CHECK_MSG(ini.section("recovery") != nullptr,
-                  "campaigns measure survivability through the recovery "
-                  "FSM — add a [recovery] section");
-  AXIHC_CHECK_MSG(ini.sections_with_prefix("fault").empty(),
-                  "the campaign owns the fault description — remove the "
-                  "[faultN] sections from the base config");
+  AXIHC_REQUIRE(system != nullptr, "config needs a [system] section");
+  AXIHC_REQUIRE(ini.section("recovery") != nullptr,
+                "campaigns measure survivability through the recovery "
+                "FSM — add a [recovery] section");
+  AXIHC_REQUIRE(ini.sections_with_prefix("fault").empty(),
+                "the campaign owns the fault description — remove the "
+                "[faultN] sections from the base config");
 
   CampaignSpec spec;
   spec.runs = camp->get_u64("runs");
@@ -189,14 +189,14 @@ CampaignSpec parse_campaign_spec(const IniFile& ini) {
 
   spec.min_faults = camp->get_u32("min_faults");
   spec.max_faults = camp->get_u32("max_faults");
-  AXIHC_CHECK_MSG(spec.max_faults >= spec.min_faults,
-                  "[campaign] max_faults < min_faults");
+  AXIHC_REQUIRE(spec.max_faults >= spec.min_faults,
+                "[campaign] max_faults < min_faults");
 
   std::istringstream kinds(camp->get_string("kinds"));
   for (std::string word; kinds >> word;) {
     const auto kind = fault_kind_from_string(word);
-    AXIHC_CHECK_MSG(kind.has_value(),
-                    "[campaign] unknown fault kind '" << word << "'");
+    AXIHC_REQUIRE(kind.has_value(),
+                  "[campaign] unknown fault kind '" << word << "'");
     spec.kinds.push_back(*kind);
   }
   if (spec.kinds.empty()) spec.kinds = all_injector_kinds();
@@ -209,24 +209,24 @@ CampaignSpec parse_campaign_spec(const IniFile& ini) {
     const std::size_t ha_count = ini.sections_with_prefix("ha").size();
     for (PortIndex p = 0; p < ha_count; ++p) spec.ports.push_back(p);
   }
-  AXIHC_CHECK_MSG(!spec.ports.empty(), "[campaign] no candidate ports");
+  AXIHC_REQUIRE(!spec.ports.empty(), "[campaign] no candidate ports");
   for (const PortIndex p : spec.ports) {
-    AXIHC_CHECK_MSG(p < num_ports,
-                    "[campaign] port " << p << " out of range");
+    AXIHC_REQUIRE(p < num_ports,
+                  "[campaign] port " << p << " out of range");
   }
 
   spec.start_min = camp->get_u64("start_min", spec.cycles / 10);
   spec.start_max = camp->get_u64("start_max", spec.cycles / 2);
-  AXIHC_CHECK_MSG(spec.start_max >= spec.start_min,
-                  "[campaign] start_max < start_min");
+  AXIHC_REQUIRE(spec.start_max >= spec.start_min,
+                "[campaign] start_max < start_min");
   spec.duration_min = camp->get_u64("duration_min");
   spec.duration_max = camp->get_u64("duration_max");
-  AXIHC_CHECK_MSG(spec.duration_max >= spec.duration_min,
-                  "[campaign] duration_max < duration_min");
+  AXIHC_REQUIRE(spec.duration_max >= spec.duration_min,
+                "[campaign] duration_max < duration_min");
 
   spec.probability = camp->get_double("probability");
-  AXIHC_CHECK_MSG(spec.probability > 0.0 && spec.probability <= 1.0,
-                  "[campaign] probability must be in (0, 1]");
+  AXIHC_REQUIRE(spec.probability > 0.0 && spec.probability <= 1.0,
+                "[campaign] probability must be in (0, 1]");
   return spec;
 }
 

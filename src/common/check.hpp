@@ -11,8 +11,9 @@
 
 namespace axihc {
 
-/// Raised when a model invariant is violated. Carries the failed condition
-/// and the source location.
+/// Raised when a model invariant is violated, carrying the failed condition
+/// and the source location; or when AXIHC_REQUIRE rejects user input,
+/// carrying only its message.
 class ModelError : public std::logic_error {
  public:
   using std::logic_error::logic_error;
@@ -45,5 +46,17 @@ namespace detail {
       axihc_os_ << msg;                                               \
       ::axihc::detail::check_failed(#cond, __FILE__, __LINE__,        \
                                     axihc_os_.str());                 \
+    }                                                                 \
+  } while (false)
+
+/// Input check: rejects user input (an INI, a sweep or campaign spec) with
+/// `msg` alone, which names the section and key. No condition or source
+/// location: the fault is in the input, not in the model.
+#define AXIHC_REQUIRE(cond, msg)                                      \
+  do {                                                                \
+    if (!(cond)) {                                                    \
+      std::ostringstream axihc_os_;                                   \
+      axihc_os_ << msg;                                               \
+      throw ::axihc::ModelError(axihc_os_.str());                     \
     }                                                                 \
   } while (false)

@@ -41,15 +41,15 @@ std::uint64_t to_unsigned(const IniSection& s, const std::string& key,
                           std::uint64_t max) {
   const std::string raw = s.get_string(key);
   std::uint64_t value = 0;
-  AXIHC_CHECK_MSG(parse_unsigned(raw, max, value),
-                  "[" << s.name() << "] " << key << " = '" << raw
-                      << "' is not an unsigned "
-                      << (max == UINT32_MAX ? "32-bit " : "") << "integer");
+  AXIHC_REQUIRE(parse_unsigned(raw, max, value),
+                "[" << s.name() << "] " << key << " = '" << raw
+                    << "' is not an unsigned "
+                    << (max == UINT32_MAX ? "32-bit " : "") << "integer");
   if (const ConfigKey* row = find_config_key(s.name(), key)) {
-    AXIHC_CHECK_MSG(value >= row->min && value <= row->max,
-                    "[" << s.name() << "] " << key << " = " << value
-                        << " is out of range [" << row->min << ", "
-                        << row->max << "]");
+    AXIHC_REQUIRE(value >= row->min && value <= row->max,
+                  "[" << s.name() << "] " << key << " = " << value
+                      << " is out of range [" << row->min << ", "
+                      << row->max << "]");
   }
   return value;
 }
@@ -87,8 +87,8 @@ std::string IniSection::get_string(const std::string& key,
   const ConfigKey* row = find_config_key(name_, key);
   AXIHC_CHECK_MSG(row != nullptr, "[" << name_ << "] " << key
                                       << " has no row in the config table");
-  AXIHC_CHECK_MSG(row->fallback != nullptr,
-                  "[" << name_ << "] " << key << " is required");
+  AXIHC_REQUIRE(row->fallback != nullptr,
+                "[" << name_ << "] " << key << " is required");
   return row->fallback;
 }
 
@@ -116,9 +116,9 @@ double IniSection::get_double(const std::string& key,
   } catch (const std::exception&) {
     used = 0;
   }
-  AXIHC_CHECK_MSG(used == raw.size() && !raw.empty(),
-                  "[" << name_ << "] " << key << " = '" << raw
-                      << "' is not a number");
+  AXIHC_REQUIRE(used == raw.size() && !raw.empty(),
+                "[" << name_ << "] " << key << " = '" << raw
+                    << "' is not a number");
   return value;
 }
 
@@ -127,9 +127,9 @@ bool IniSection::get_bool(const std::string& key,
   if (fallback && !has(key)) return *fallback;
   const std::string raw = get_string(key);
   if (raw == "true" || raw == "1" || raw == "yes" || raw == "on") return true;
-  AXIHC_CHECK_MSG(raw == "false" || raw == "0" || raw == "no" || raw == "off",
-                  "[" << name_ << "] " << key << " = '" << raw
-                      << "' is not a boolean");
+  AXIHC_REQUIRE(raw == "false" || raw == "0" || raw == "no" || raw == "off",
+                "[" << name_ << "] " << key << " = '" << raw
+                    << "' is not a boolean");
   return false;
 }
 
@@ -140,9 +140,9 @@ std::vector<std::uint32_t> IniSection::get_u32_list(
   std::string token;
   while (is >> token) {
     std::uint64_t value = 0;
-    AXIHC_CHECK_MSG(parse_unsigned(token, UINT32_MAX, value),
-                    "[" << name_ << "] " << key << ": bad list element '"
-                        << token << "' (unsigned 32-bit integers)");
+    AXIHC_REQUIRE(parse_unsigned(token, UINT32_MAX, value),
+                  "[" << name_ << "] " << key << ": bad list element '"
+                      << token << "' (unsigned 32-bit integers)");
     out.push_back(static_cast<std::uint32_t>(value));
   }
   return out;
@@ -164,23 +164,23 @@ IniFile IniFile::parse(const std::string& text) {
     if (trimmed.empty()) continue;
 
     if (trimmed.front() == '[') {
-      AXIHC_CHECK_MSG(trimmed.back() == ']',
-                      "ini line " << line_no << ": unterminated section");
+      AXIHC_REQUIRE(trimmed.back() == ']',
+                    "ini line " << line_no << ": unterminated section");
       const std::string name = trim(trimmed.substr(1, trimmed.size() - 2));
-      AXIHC_CHECK_MSG(!name.empty(), "ini line " << line_no
-                                                 << ": empty section name");
+      AXIHC_REQUIRE(!name.empty(), "ini line " << line_no
+                                               << ": empty section name");
       file.sections_.emplace_back(name);
       continue;
     }
 
     const auto eq = trimmed.find('=');
-    AXIHC_CHECK_MSG(eq != std::string::npos,
-                    "ini line " << line_no << ": expected key = value");
-    AXIHC_CHECK_MSG(!file.sections_.empty(),
-                    "ini line " << line_no << ": key outside any section");
+    AXIHC_REQUIRE(eq != std::string::npos,
+                  "ini line " << line_no << ": expected key = value");
+    AXIHC_REQUIRE(!file.sections_.empty(),
+                  "ini line " << line_no << ": key outside any section");
     const std::string key = trim(trimmed.substr(0, eq));
     const std::string value = trim(trimmed.substr(eq + 1));
-    AXIHC_CHECK_MSG(!key.empty(), "ini line " << line_no << ": empty key");
+    AXIHC_REQUIRE(!key.empty(), "ini line " << line_no << ": empty key");
     file.sections_.back().set(key, value);
   }
   return file;

@@ -37,6 +37,8 @@ class IniSection {
   /// appends when absent — the sweep engine's axis-override primitive.
   void replace(const std::string& key, const std::string& value);
   [[nodiscard]] bool has(const std::string& key) const;
+  /// The first occurrence of `key` (the one every get_* reads), or null.
+  [[nodiscard]] const std::string* find(const std::string& key) const;
 
   /// Typed getters. A present value that does not parse is a ModelError
   /// naming `[section] key`. An absent key reads as `fallback` when given,
@@ -64,9 +66,6 @@ class IniSection {
   }
 
  private:
-  /// The first occurrence of `key` (the one every get_* reads), or null.
-  [[nodiscard]] const std::string* find(const std::string& key) const;
-
   std::string name_;
   std::vector<std::pair<std::string, std::string>> entries_;
 };

@@ -14,15 +14,23 @@ namespace {
 
 constexpr std::uint64_t kU32 = UINT32_MAX;
 
+/// An [haN] row, read only by the HA `types` (space-separated; nullptr =
+/// every type). Any other type rejects the key rather than ignore it.
+constexpr ConfigKey ha(std::string_view key, const char* fallback,
+                       const char* types, const char* choices = nullptr,
+                       std::uint64_t min = 0, std::uint64_t max = UINT64_MAX) {
+  return {"ha", key, fallback, choices, min, max, types};
+}
+
 constexpr ConfigKey kKeys[] = {
     {"system", "platform", "zcu102", "zcu102 zynq7020"},
     {"system", "interconnect", "hyperconnect", "hyperconnect smartconnect"},
-    {"system", "ports", "2", nullptr, 0, kU32},
+    {"system", "ports", "2", nullptr, 1, kU32},
     {"system", "cycles", "1000000"},
     {"system", "mem_bytes", "0"},  // 0 = unbounded decode
     {"system", "fault_seed", "0"},
     {"hyperconnect", "nominal_burst", "16", nullptr, 0, kU32},
-    {"hyperconnect", "max_outstanding", "4", nullptr, 0, kU32},
+    {"hyperconnect", "max_outstanding", "4", nullptr, 1, kU32},
     {"hyperconnect", "reservation_period", "0"},  // 0 = no reservation
     {"hyperconnect", "budgets", ""},
     {"hyperconnect", "prot_timeout", "0"},
@@ -58,22 +66,22 @@ constexpr ConfigKey kKeys[] = {
     {"campaign", "probability", "1.0"},
     {"sweep", "name", "sweep"},
     {"sweep", "cycles", "0"},  // 0 = [system] cycles
-    {"ha", "type", nullptr, "dma traffic dnn"},
-    {"ha", "mode", "readwrite", "read write readwrite copy"},
-    {"ha", "bytes_per_job", "1048576"},
-    {"ha", "burst", "16", nullptr, 0, kU32},
-    {"ha", "outstanding", "8", nullptr, 0, kU32},
-    {"ha", "max_jobs", "0"},
-    {"ha", "read_base", nullptr},   // 0x1000'0000 + (port << 26)
-    {"ha", "write_base", nullptr},  // 0x2000'0000 + (port << 26)
-    {"ha", "direction", "read", "read write mixed"},
-    {"ha", "gap", "0"},
-    {"ha", "qos", "0", nullptr, 0, 15},  // AxQOS is 4 bits
-    {"ha", "base", nullptr},    // 0x4000'0000 + (port << 26)
-    {"ha", "network", "googlenet", "googlenet alexnet"},
-    {"ha", "scale", "1", nullptr, 1},
-    {"ha", "macs_per_cycle", "256"},
-    {"ha", "max_frames", "0"},
+    ha("type", nullptr, nullptr, "dma traffic dnn"),
+    ha("mode", "readwrite", "dma", "read write readwrite copy"),
+    ha("bytes_per_job", "1048576", "dma", nullptr, 1),
+    ha("burst", "16", "dma traffic", nullptr, 1, 256),  // AXI4 INCR
+    ha("outstanding", "8", "dma traffic", nullptr, 1, kU32),
+    ha("max_jobs", "0", "dma"),
+    ha("read_base", nullptr, "dma"),   // 0x1000'0000 + (port << 26)
+    ha("write_base", nullptr, "dma"),  // 0x2000'0000 + (port << 26)
+    ha("direction", "read", "traffic", "read write mixed"),
+    ha("gap", "0", "traffic"),
+    ha("qos", "0", "traffic", nullptr, 0, 15),  // AxQOS is 4 bits
+    ha("base", nullptr, "traffic"),  // 0x4000'0000 + (port << 26)
+    ha("network", "googlenet", "dnn", "googlenet alexnet"),
+    ha("scale", "1", "dnn", nullptr, 1),
+    ha("macs_per_cycle", "256", "dnn", nullptr, 1),
+    ha("max_frames", "0", "dnn"),
     {"fault", "kind", nullptr},
     {"fault", "port", "0", nullptr, 0, kU32},
     {"fault", "start", "0"},
@@ -125,30 +133,44 @@ const ConfigKey* find_config_key(std::string_view section,
   return nullptr;
 }
 
+void check_ha_type_reads(std::string_view section, const ConfigKey& row,
+                         std::string_view type) {
+  if (row.types == nullptr ||
+      !one_of(find_config_key(section, "type")->choices, type)) {
+    return;
+  }
+  AXIHC_REQUIRE(one_of(row.types, type),
+                "[" << section << "] " << row.key << " is not read by type = "
+                    << type << " (only by: " << row.types << ")");
+}
+
 void check_config(const IniFile& ini) {
   std::map<std::string_view, std::size_t> count;  // sections per family
   for (const IniSection& s : ini.sections()) {
     const std::string_view family = config_family(s.name());
-    AXIHC_CHECK_MSG(!family.empty(), "unknown section [" << s.name() << "]");
+    AXIHC_REQUIRE(!family.empty(), "unknown section [" << s.name() << "]");
     const std::size_t i = count[family]++;
     if (family == s.name()) {
-      AXIHC_CHECK_MSG(i == 0, "section [" << s.name() << "] appears twice");
+      AXIHC_REQUIRE(i == 0, "section [" << s.name() << "] appears twice");
     } else {
       const std::string expected = std::string(family) + std::to_string(i);
-      AXIHC_CHECK_MSG(s.name() == expected,
-                      "section [" << s.name() << "] must be named ["
-                                  << expected << "]: it is the [" << family
-                                  << "N] section at index " << i
-                                  << " in file order");
+      AXIHC_REQUIRE(s.name() == expected,
+                    "section [" << s.name() << "] must be named ["
+                                << expected << "]: it is the [" << family
+                                << "N] section at index " << i
+                                << " in file order");
     }
     for (const auto& [key, value] : s.entries()) {
       if (family == "sweep" && key.starts_with("axis.")) continue;
       const ConfigKey* row = find_config_key(s.name(), key);
-      AXIHC_CHECK_MSG(row != nullptr,
-                      "[" << s.name() << "] unknown key '" << key << "'");
-      AXIHC_CHECK_MSG(row->choices == nullptr || one_of(row->choices, value),
-                      "[" << s.name() << "] " << key << " = '" << value
-                          << "' is not one of: " << row->choices);
+      AXIHC_REQUIRE(row != nullptr,
+                    "[" << s.name() << "] unknown key '" << key << "'");
+      AXIHC_REQUIRE(row->choices == nullptr || one_of(row->choices, value),
+                    "[" << s.name() << "] " << key << " = '" << value
+                        << "' is not one of: " << row->choices);
+      if (const std::string* type = s.find("type")) {
+        check_ha_type_reads(s.name(), *row, *type);
+      }
     }
   }
 }

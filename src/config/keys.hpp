@@ -7,9 +7,9 @@
 //    default when the key is absent; integer getters reject a value outside
 //    the row's range, naming `[section] key`;
 //  * canonical_ini drops a value exactly when it equals its row's default;
-//  * check_config rejects every section and key without a row, and every
-//    value outside its row's choices; parse_sweep_spec rejects every axis
-//    target without a row.
+//  * check_config rejects every section and key without a row, every
+//    value outside its row's choices, and every [haN] key its type does not
+//    read; parse_sweep_spec rejects the same axis targets.
 //
 // Families: system, hyperconnect, observe, recovery, campaign and sweep are
 // single sections; ha<N>, fault<N> and mem<N> (N decimal digits) repeat.
@@ -41,6 +41,9 @@ struct ConfigKey {
   /// Accepted range of an integer key.
   std::uint64_t min = 0;
   std::uint64_t max = UINT64_MAX;
+  /// [haN] rows: the HA types that read the key, space-separated; nullptr =
+  /// every type.
+  const char* types = nullptr;
 };
 
 /// Every row, grouped by family.
@@ -53,11 +56,18 @@ struct ConfigKey {
 [[nodiscard]] const ConfigKey* find_config_key(std::string_view section,
                                                std::string_view key);
 
+/// Rejects (ModelError naming `[section] key` and `type`) a row that an HA of
+/// `type` never reads. `type` outside the row's family choices is left to
+/// the choices check.
+void check_ha_type_reads(std::string_view section, const ConfigKey& row,
+                         std::string_view type);
+
 /// Rejects (ModelError naming it) a section or key without a row, a value
-/// outside its row's choices, a repeated single section, and a section of a
-/// repeating family not named <family><its index in file order>. [sweep]
-/// axis.* keys are left to parse_sweep_spec, which looks each target up
-/// with find_config_key.
+/// outside its row's choices, an [haN] key its type never reads, a repeated
+/// single section, and a section of a repeating family not named
+/// <family><its index in file order>. [sweep] axis.* keys are left to
+/// parse_sweep_spec, which looks each target up with find_config_key and
+/// check_ha_type_reads.
 void check_config(const IniFile& ini);
 
 }  // namespace axihc

@@ -46,7 +46,7 @@ void ConfiguredSystem::build(const IniFile& ini,
                              const FaultScenario* scenario_override) {
   check_config(ini);
   const IniSection* system = ini.section("system");
-  AXIHC_CHECK_MSG(system != nullptr, "config needs a [system] section");
+  AXIHC_REQUIRE(system != nullptr, "config needs a [system] section");
 
   platform_ = system->get_string("platform") == "zynq7020"
                   ? zynq7020_platform()
@@ -72,13 +72,13 @@ void ConfiguredSystem::build(const IniFile& ini,
   for (const IniSection* ms : ini.sections_with_prefix("mem")) {
     const std::string owner = "[" + ms->name() + "]";
     const AddrRange entry{ms->get_u64("base"), ms->get_u64("bytes")};
-    AXIHC_CHECK_MSG(entry.bytes <= ~entry.base,
-                    owner << " base + bytes wraps past the address space");
+    AXIHC_REQUIRE(entry.bytes <= ~entry.base,
+                  owner << " base + bytes wraps past the address space");
     for (const auto& [other_owner, other] : decode) {
-      AXIHC_CHECK_MSG(entry.bytes == 0 || other.bytes == 0 ||
-                          !entry.overlaps(other.base, other.bytes),
-                      other_owner << " and " << owner
-                                  << " decode entries overlap");
+      AXIHC_REQUIRE(entry.bytes == 0 || other.bytes == 0 ||
+                        !entry.overlaps(other.base, other.bytes),
+                    other_owner << " and " << owner
+                                << " decode entries overlap");
     }
     decode.emplace_back(owner, entry);
   }
@@ -94,6 +94,13 @@ void ConfiguredSystem::build(const IniFile& ini,
   cfg.hc.max_outstanding = hc.get_u32("max_outstanding");
   cfg.hc.reservation_period = hc.get_u64("reservation_period");
   cfg.hc.initial_budgets = hc.get_u32_list("budgets");
+  // Fewer entries leave the remaining ports at 0 (the prover's reservation
+  // check disproves those); extra entries would be dropped unseen.
+  AXIHC_REQUIRE(cfg.hc.initial_budgets.size() <= cfg.num_ports,
+                "[hyperconnect] budgets has "
+                    << cfg.hc.initial_budgets.size()
+                    << " entries, more than [system] ports = "
+                    << cfg.num_ports);
   cfg.hc.prot_timeout = hc.get_u64("prot_timeout");
   cfg.hc.out_of_order = hc.get_bool("out_of_order");
   // eFIFO structural knobs (the fifo-depth ablation sweep): data_depth sets
@@ -117,9 +124,9 @@ void ConfiguredSystem::build(const IniFile& ini,
   // everything else becomes an injector fault spec. A scenario override
   // (campaign runs) replaces the file's fault description wholesale.
   if (scenario_override != nullptr) {
-    AXIHC_CHECK_MSG(ini.sections_with_prefix("fault").empty(),
-                    "a scenario override replaces all [faultN] sections — "
-                    "remove them from the base config");
+    AXIHC_REQUIRE(ini.sections_with_prefix("fault").empty(),
+                  "a scenario override replaces all [faultN] sections — "
+                  "remove them from the base config");
     for (const FaultSpec& spec : scenario_override->faults) {
       AXIHC_CHECK_MSG(spec.port < cfg.num_ports,
                       "scenario fault port " << spec.port << " out of range");
@@ -135,15 +142,15 @@ void ConfiguredSystem::build(const IniFile& ini,
         continue;
       }
       const auto parsed = fault_kind_from_string(kind);
-      AXIHC_CHECK_MSG(parsed.has_value(),
-                      "[" << fs->name() << "] unknown fault kind '" << kind
-                          << "'");
+      AXIHC_REQUIRE(parsed.has_value(),
+                    "[" << fs->name() << "] unknown fault kind '" << kind
+                        << "'");
       FaultSpec spec;
       spec.kind = *parsed;
       spec.port = fs->get_u32("port");
-      AXIHC_CHECK_MSG(spec.port < cfg.num_ports,
-                      "[" << fs->name() << "] port " << spec.port
-                          << " out of range");
+      AXIHC_REQUIRE(spec.port < cfg.num_ports,
+                    "[" << fs->name() << "] port " << spec.port
+                        << " out of range");
       spec.start = fs->get_u64("start");
       spec.duration = fs->get_u64("duration");
       spec.param = fs->get_u64("param");
@@ -155,12 +162,12 @@ void ConfiguredSystem::build(const IniFile& ini,
   soc_ = std::make_unique<SocSystem>(cfg);
 
   const auto ha_sections = ini.sections_with_prefix("ha");
-  AXIHC_CHECK_MSG(!ha_sections.empty(),
-                  "config needs at least one [haN] section");
-  AXIHC_CHECK_MSG(ha_sections.size() <= cfg.num_ports,
-                  "more [haN] sections (" << ha_sections.size()
-                                          << ") than interconnect ports ("
-                                          << cfg.num_ports << ")");
+  AXIHC_REQUIRE(!ha_sections.empty(),
+                "config needs at least one [haN] section");
+  AXIHC_REQUIRE(ha_sections.size() <= cfg.num_ports,
+                "more [haN] sections (" << ha_sections.size()
+                                        << ") than interconnect ports ("
+                                        << cfg.num_ports << ")");
   for (PortIndex port = 0; port < ha_sections.size(); ++port) {
     add_ha(*ha_sections[port], port);
   }
@@ -168,9 +175,9 @@ void ConfiguredSystem::build(const IniFile& ini,
   // [recovery] wants the masters built (the HA-reset hook targets them), so
   // it wires after the HA loop.
   if (const IniSection* rec = ini.section("recovery")) {
-    AXIHC_CHECK_MSG(cfg.kind == InterconnectKind::kHyperConnect,
-                    "[recovery] requires interconnect = hyperconnect "
-                    "(the stack drives the HyperConnect control interface)");
+    AXIHC_REQUIRE(cfg.kind == InterconnectKind::kHyperConnect,
+                  "[recovery] requires interconnect = hyperconnect "
+                  "(the stack drives the HyperConnect control interface)");
     wire_recovery(*rec);
   }
 
@@ -225,11 +232,11 @@ void ConfiguredSystem::wire_recovery(const IniSection& rec) {
   // observed.
   WatchdogPolicy wd;
   wd.poll_period = rec.get_u64("poll_period");
-  AXIHC_CHECK_MSG(pol.probation_window >= wd.poll_period,
-                  "[recovery] probation_window ("
-                      << pol.probation_window
-                      << ") is shorter than poll_period (" << wd.poll_period
-                      << ")");
+  AXIHC_REQUIRE(pol.probation_window >= wd.poll_period,
+                "[recovery] probation_window ("
+                    << pol.probation_window
+                    << ") is shorter than poll_period (" << wd.poll_period
+                    << ")");
   wd.max_txns_per_poll.assign(num_ports, rec.get_u64("max_txns_per_poll"));
   wd.auto_isolate = true;
   wd.isolate_on_fault = true;

@@ -19,26 +19,15 @@ BeatCount beats_for(std::uint64_t remaining_bytes, BeatCount burst_beats) {
 DmaEngine::DmaEngine(std::string name, AxiLink& link, DmaConfig cfg)
     : AxiMasterBase(std::move(name), link, cfg.max_outstanding,
                     cfg.max_outstanding, cfg.tolerate_out_of_order),
-      cfg_(cfg),
-      armed_(!cfg.externally_triggered) {
+      cfg_(cfg) {
   AXIHC_CHECK(cfg_.bytes_per_job > 0);
   AXIHC_CHECK(cfg_.burst_beats >= 1 && cfg_.burst_beats <= kMaxAxi4BurstBeats);
-}
-
-void DmaEngine::start() {
-  AXIHC_CHECK_MSG(cfg_.externally_triggered,
-                  name() << ": start() is only for externally_triggered mode");
-  AXIHC_CHECK_MSG(!armed_, name() << ": start() while busy");
-  read_issued_bytes_ = read_done_bytes_ = 0;
-  write_issued_bytes_ = write_done_bytes_ = 0;
-  armed_ = true;
 }
 
 void DmaEngine::reset_master() {
   read_issued_bytes_ = read_done_bytes_ = 0;
   write_issued_bytes_ = write_done_bytes_ = 0;
   jobs_done_ = 0;
-  armed_ = !cfg_.externally_triggered;
   job_slice_open_ = false;
   job_done_cycles_.clear();
   copy_buffer_.clear();
@@ -51,7 +40,7 @@ void DmaEngine::append_digest(StateDigest& d) const {
   d.mix(read_done_bytes_);
   d.mix(write_issued_bytes_);
   d.mix(write_done_bytes_);
-  d.mix(static_cast<std::uint64_t>(armed_));
+  d.mix(std::uint64_t{1});  // a retired always-true flag; keeps pinned digests
   for (Cycle c : job_done_cycles_) d.mix(static_cast<std::uint64_t>(c));
 }
 
@@ -69,7 +58,7 @@ bool DmaEngine::write_stream_active() const {
 }
 
 void DmaEngine::tick(Cycle now) {
-  if (armed_ && !finished()) {
+  if (!finished()) {
     if (!job_slice_open_ && tracing()) {
       trace()->record_begin(now, name(), "job");
       job_slice_open_ = true;
@@ -112,7 +101,7 @@ void DmaEngine::tick(Cycle now) {
 
 Cycle DmaEngine::next_activity(Cycle now) const {
   if (!pump_idle()) return now;
-  if (armed_ && !finished()) {
+  if (!finished()) {
     if (tracing() && !job_slice_open_) return now;  // job slice opens next tick
     if (read_stream_active() && read_issued_bytes_ < cfg_.bytes_per_job &&
         can_issue_read()) {
@@ -158,16 +147,9 @@ void DmaEngine::maybe_finish_job(Cycle now) {
     if (tracing()) trace()->record_end(now, name(), "job");
     job_slice_open_ = false;
   }
-  if (cfg_.externally_triggered) {
-    // Idle until the SW-task programs the next job (interrupt raised by
-    // the control slave on this busy->idle edge).
-    armed_ = false;
-    return;
-  }
   if (finished()) return;
 
-  // Re-arm for the next job (continuous operation, as when a SW-task
-  // immediately re-programs the DMA).
+  // Re-arm for the next job (continuous operation).
   read_issued_bytes_ = read_done_bytes_ = 0;
   write_issued_bytes_ = write_done_bytes_ = 0;
 }

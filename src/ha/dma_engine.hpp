@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ha/controllable.hpp"
 #include "ha/master_base.hpp"
 
 namespace axihc {
@@ -37,21 +36,14 @@ struct DmaConfig {
   std::uint64_t max_jobs = 0;
   /// Accept out-of-order completion (future-work platforms, §V-A).
   bool tolerate_out_of_order = false;
-  /// If true the DMA idles until start() is called (SW-task controlled
-  /// operation via a ps::HaControlSlave); jobs do not self-re-arm.
-  bool externally_triggered = false;
 };
 
-class DmaEngine final : public AxiMasterBase, public ControllableHa {
+class DmaEngine final : public AxiMasterBase {
  public:
   DmaEngine(std::string name, AxiLink& link, DmaConfig cfg = {});
 
   void tick(Cycle now) override;
   [[nodiscard]] Cycle next_activity(Cycle now) const override;
-
-  /// ControllableHa: arms one job (externally_triggered mode).
-  void start() override;
-  [[nodiscard]] bool busy() const override { return armed_; }
 
   /// Completed jobs (one job = all programmed bytes moved, both directions).
   [[nodiscard]] std::uint64_t jobs_completed() const { return jobs_done_; }
@@ -89,7 +81,6 @@ class DmaEngine final : public AxiMasterBase, public ControllableHa {
   std::uint64_t write_issued_bytes_ = 0;
   std::uint64_t write_done_bytes_ = 0;
   std::uint64_t jobs_done_ = 0;
-  bool armed_ = false;
   bool job_slice_open_ = false;  // a "job" duration slice is begun on trace_
   std::vector<Cycle> job_done_cycles_;
   /// kCopy: data read but not yet written back.

@@ -66,18 +66,6 @@ DnnAccelerator::DnnAccelerator(std::string name, AxiLink& link, DnnConfig cfg)
   AXIHC_CHECK_MSG(!cfg_.layers.empty(), "DNN schedule must have layers");
   AXIHC_CHECK(cfg_.macs_per_cycle > 0);
   AXIHC_CHECK(cfg_.burst_beats >= 1 && cfg_.burst_beats <= kMaxAxi4BurstBeats);
-  if (cfg_.externally_triggered) {
-    phase_ = Phase::kDone;  // idle until the SW-task starts a frame
-  } else {
-    start_layer();
-  }
-}
-
-void DnnAccelerator::start() {
-  AXIHC_CHECK_MSG(cfg_.externally_triggered,
-                  name() << ": start() is only for externally_triggered mode");
-  AXIHC_CHECK_MSG(!busy(), name() << ": start() while busy");
-  layer_idx_ = 0;
   start_layer();
 }
 
@@ -93,11 +81,7 @@ void DnnAccelerator::reset_master() {
   layer_idx_ = 0;
   frames_ = 0;
   frame_done_cycles_.clear();
-  if (cfg_.externally_triggered) {
-    phase_ = Phase::kDone;
-  } else {
-    start_layer();
-  }
+  start_layer();
 }
 
 void DnnAccelerator::start_layer() {
@@ -212,7 +196,7 @@ Cycle DnnAccelerator::next_activity(Cycle now) const {
       if (store_done_ >= store_total_) return now;  // phase transition pending
       return kNoCycle;
     case Phase::kDone:
-      return kNoCycle;  // only start()/reset can re-arm
+      return kNoCycle;  // only a reset can re-arm
   }
   return now;
 }
@@ -231,13 +215,12 @@ void DnnAccelerator::advance_after_store(Cycle now) {
     start_layer();
     return;
   }
-  // Frame finished (the control slave raises the completion interrupt on
-  // this busy->idle edge in SW-task controlled operation).
+  // Frame finished.
   ++frames_;
   frame_done_cycles_.push_back(now);
   if (tracing()) trace()->record(now, name(), "frame_done");
   layer_idx_ = 0;
-  if (cfg_.externally_triggered || finished()) {
+  if (finished()) {
     phase_ = Phase::kDone;
   } else {
     start_layer();

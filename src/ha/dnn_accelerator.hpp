@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "ha/controllable.hpp"
 #include "ha/master_base.hpp"
 
 namespace axihc {
@@ -44,9 +43,6 @@ struct DnnConfig {
   std::uint64_t max_frames = 0;
   /// Accept out-of-order completion (future-work platforms, §V-A).
   bool tolerate_out_of_order = false;
-  /// If true the accelerator idles until start() is called (one frame per
-  /// start, SW-task controlled operation).
-  bool externally_triggered = false;
 };
 
 /// The quantized GoogleNet (Inception v1) schedule shipped with CHaiDNN:
@@ -58,16 +54,12 @@ struct DnnConfig {
 /// a far more weight-bandwidth-bound profile than GoogleNet.
 [[nodiscard]] std::vector<DnnLayer> alexnet_layers();
 
-class DnnAccelerator final : public AxiMasterBase, public ControllableHa {
+class DnnAccelerator final : public AxiMasterBase {
  public:
   DnnAccelerator(std::string name, AxiLink& link, DnnConfig cfg);
 
   void tick(Cycle now) override;
   [[nodiscard]] Cycle next_activity(Cycle now) const override;
-
-  /// ControllableHa: runs one inference frame (externally_triggered mode).
-  void start() override;
-  [[nodiscard]] bool busy() const override { return phase_ != Phase::kDone; }
 
   [[nodiscard]] std::uint64_t frames_completed() const { return frames_; }
   [[nodiscard]] const std::vector<Cycle>& frame_completion_cycles() const {

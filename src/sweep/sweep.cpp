@@ -14,9 +14,9 @@ constexpr std::size_t kMaxCells = std::size_t{1} << 20;
 std::uint64_t parse_range_term(const std::string& token,
                                const std::string& raw) {
   std::uint64_t v = 0;
-  AXIHC_CHECK_MSG(parse_unsigned(token, UINT64_MAX, v),
-                  "[sweep] range term '" << token << "' is not a number in '"
-                                         << raw << "'");
+  AXIHC_REQUIRE(parse_unsigned(token, UINT64_MAX, v),
+                "[sweep] range term '" << token << "' is not a number in '"
+                                       << raw << "'");
   return v;
 }
 
@@ -51,15 +51,15 @@ std::vector<std::string> expand_axis_values(const std::string& raw) {
     std::string step_s;
     std::string extra;
     in >> lo_s >> hi_s >> step_s;
-    AXIHC_CHECK_MSG(!(in >> extra),
-                    "[sweep] range takes exactly 3 terms, got extra '"
-                        << extra << "' in '" << raw << "'");
+    AXIHC_REQUIRE(!(in >> extra),
+                  "[sweep] range takes exactly 3 terms, got extra '"
+                      << extra << "' in '" << raw << "'");
     const std::uint64_t lo = parse_range_term(lo_s, raw);
     const std::uint64_t hi = parse_range_term(hi_s, raw);
     const std::uint64_t step = parse_range_term(step_s, raw);
-    AXIHC_CHECK_MSG(step > 0, "[sweep] range step must be > 0 in '" << raw
-                                                                   << "'");
-    AXIHC_CHECK_MSG(lo <= hi, "[sweep] range lo > hi in '" << raw << "'");
+    AXIHC_REQUIRE(step > 0, "[sweep] range step must be > 0 in '" << raw
+                                                                 << "'");
+    AXIHC_REQUIRE(lo <= hi, "[sweep] range lo > hi in '" << raw << "'");
     std::vector<std::string> out;
     for (std::uint64_t v = lo; v <= hi; v += step) {
       out.push_back(std::to_string(v));
@@ -74,8 +74,8 @@ std::vector<std::string> expand_axis_values(const std::string& raw) {
     const std::string piece =
         trim(bar == std::string::npos ? trimmed.substr(start)
                                       : trimmed.substr(start, bar - start));
-    AXIHC_CHECK_MSG(!piece.empty(),
-                    "[sweep] empty value in axis list '" << raw << "'");
+    AXIHC_REQUIRE(!piece.empty(),
+                  "[sweep] empty value in axis list '" << raw << "'");
     out.push_back(piece);
     if (bar == std::string::npos) break;
     start = bar + 1;
@@ -86,9 +86,9 @@ std::vector<std::string> expand_axis_values(const std::string& raw) {
 SweepSpec parse_sweep_spec(const IniFile& ini) {
   check_config(ini);
   const IniSection* sw = ini.section("sweep");
-  AXIHC_CHECK_MSG(sw != nullptr, "--sweep needs a [sweep] section");
-  AXIHC_CHECK_MSG(ini.section("campaign") == nullptr,
-                  "a file cannot hold both [sweep] and [campaign]");
+  AXIHC_REQUIRE(sw != nullptr, "--sweep needs a [sweep] section");
+  AXIHC_REQUIRE(ini.section("campaign") == nullptr,
+                "a file cannot hold both [sweep] and [campaign]");
 
   SweepSpec spec;
   spec.name = sw->get_string("name");
@@ -98,29 +98,35 @@ SweepSpec parse_sweep_spec(const IniFile& ini) {
     if (!key.starts_with("axis.")) continue;  // name, cycles: check_config
     const std::string target = key.substr(5);
     const std::size_t dot = target.find('.');
-    AXIHC_CHECK_MSG(dot != std::string::npos && dot > 0 &&
-                        dot + 1 < target.size(),
-                    "[sweep] axis '" << key
-                                     << "' must name axis.<section>.<key>");
+    AXIHC_REQUIRE(dot != std::string::npos && dot > 0 &&
+                      dot + 1 < target.size(),
+                  "[sweep] axis '" << key
+                                   << "' must name axis.<section>.<key>");
     SweepAxis axis;
     axis.section = target.substr(0, dot);
     axis.key = target.substr(dot + 1);
-    AXIHC_CHECK_MSG(axis.section != "sweep",
-                    "[sweep] cannot sweep the [sweep] section itself");
-    AXIHC_CHECK_MSG(find_config_key(axis.section, axis.key) != nullptr,
-                    "[sweep] axis '" << key << "' targets no config key: ["
-                                     << axis.section << "] " << axis.key);
+    AXIHC_REQUIRE(axis.section != "sweep",
+                  "[sweep] cannot sweep the [sweep] section itself");
+    const ConfigKey* row = find_config_key(axis.section, axis.key);
+    AXIHC_REQUIRE(row != nullptr,
+                  "[sweep] axis '" << key << "' targets no config key: ["
+                                   << axis.section << "] " << axis.key);
+    if (const IniSection* target_section = ini.section(axis.section)) {
+      if (const std::string* type = target_section->find("type")) {
+        check_ha_type_reads(axis.section, *row, *type);
+      }
+    }
     for (const SweepAxis& existing : spec.axes) {
-      AXIHC_CHECK_MSG(existing.id() != axis.id(),
-                      "[sweep] duplicate axis '" << axis.id() << "'");
+      AXIHC_REQUIRE(existing.id() != axis.id(),
+                    "[sweep] duplicate axis '" << axis.id() << "'");
     }
     axis.values = expand_axis_values(value);
     spec.axes.push_back(std::move(axis));
   }
 
-  AXIHC_CHECK_MSG(spec.cell_count() <= kMaxCells,
-                  "sweep expands to " << spec.cell_count()
-                                      << " cells (cap " << kMaxCells << ")");
+  AXIHC_REQUIRE(spec.cell_count() <= kMaxCells,
+                "sweep expands to " << spec.cell_count()
+                                    << " cells (cap " << kMaxCells << ")");
   return spec;
 }
 

@@ -1,11 +1,9 @@
-// AXI payload helper tests: burst arithmetic and 4KiB-boundary rules, link
-// depths, and the bridge's width checks.
+// AXI payload helper tests: burst arithmetic and 4KiB-boundary rules, and
+// link depths.
 #include "axi/axi.hpp"
 
 #include <gtest/gtest.h>
 
-#include "axi/bridge.hpp"
-#include "common/check.hpp"
 #include "sim/simulator.hpp"
 
 namespace axihc {
@@ -80,23 +78,6 @@ TEST(AxiLink, ConfiguredDepthsApply) {
   EXPECT_EQ(link.ar.capacity(), 1u);
   EXPECT_EQ(link.w.capacity(), 2u);
   EXPECT_EQ(link.r.capacity(), 32u);  // default
-}
-
-TEST(AxiBridge, RejectsWidthMismatch) {
-  // A register slice performs no width conversion, and a narrower
-  // downstream ID would alias upstream transactions.
-  AxiLinkConfig wide;
-  wide.data_bits = 128;
-  AxiLinkConfig narrow_id;
-  narrow_id.id_bits = 8;
-  AxiLink up("up", {});
-  AxiLink down_wide("down_wide", wide);
-  AxiLink down_narrow_id("down_narrow_id", narrow_id);
-  EXPECT_THROW(AxiBridge("b0", up, down_wide), ModelError);
-  EXPECT_THROW(AxiBridge("b1", up, down_narrow_id), ModelError);
-  // A wider downstream ID is fine.
-  AxiLink narrow_up("narrow_up", narrow_id);
-  EXPECT_NO_THROW(AxiBridge("b2", narrow_up, up));
 }
 
 }  // namespace

@@ -78,9 +78,21 @@ std::string fingerprint(const IniFile& ini, Cycle cycles) {
   return os.str();
 }
 
+/// True when `section` may hold `row`: an [haN] row whose type column does
+/// not name the section's type is rejected, not ignored.
+bool type_reads(const IniSection& section, const ConfigKey& row) {
+  if (row.types == nullptr || !section.has("type")) return true;
+  std::istringstream types(row.types);
+  for (std::string type; types >> type;) {
+    if (type == section.get_string("type")) return true;
+  }
+  return false;
+}
+
 /// Calls check(base, with) once per static-default row of each section's
-/// family that `base` leaves unset, `with` being `base` plus that row's
-/// default spelled out; records the rows it spelled.
+/// family that `base` leaves unset and the section's type reads, `with`
+/// being `base` plus that row's default spelled out; records the rows it
+/// spelled.
 template <typename Check>
 void spell_each_default(
     const IniFile& base, Check check,
@@ -89,7 +101,8 @@ void spell_each_default(
     for (const ConfigKey& row : config_keys()) {
       const std::string key(row.key);
       if (row.family != config_family(section.name()) ||
-          row.fallback == nullptr || section.has(key)) {
+          row.fallback == nullptr || section.has(key) ||
+          !type_reads(section, row)) {
         continue;
       }
       SCOPED_TRACE("[" + section.name() + "] " + key + " = " + row.fallback);
@@ -397,7 +410,6 @@ TEST(ConfigKeys, RowBoundsNameSectionAndKey) {
   } cases[] = {
       {"[hyperconnect]", "data_depth = 0", "[hyperconnect] data_depth"},
       {"[hyperconnect]", "addr_depth = 0", "[hyperconnect] addr_depth"},
-      {"[ha0]", "type = dnn\nscale = 0", "[ha0] scale"},
       {"[observe]", "sample_every = 0", "[observe] sample_every"},
       {"[observe]", "flight_capacity = 0", "[observe] flight_capacity"},
       {"[recovery]", "poll_period = 0", "[recovery] poll_period"},
@@ -413,6 +425,56 @@ TEST(ConfigKeys, RowBoundsNameSectionAndKey) {
       ConfiguredSystem sys(ini);
     });
     EXPECT_NE(err.find(c.names), std::string::npos) << c.line << ": " << err;
+  }
+}
+
+TEST(ConfigKeys, KeyTableRejectsWhatTheModelsCannotTake) {
+  // Values no model can take, and keys no model reads, are rejected by the
+  // key table and the builder with the user's section and key, before any
+  // model constructor's invariant check (which names a source file). On
+  // fig5, [ha0] is a dnn and [ha1] a dma on 2 ports; each line goes right
+  // after its section header, so it is the occurrence every getter reads.
+  const std::string fig5 = read_file("examples/configs/fig5_hc90.ini");
+  const struct {
+    const char* section;
+    const char* line;
+    const char* names;
+  } cases[] = {
+      {"[ha1]", "burst = 9999999", "[ha1] burst = 9999999 is out of range"},
+      {"[ha1]", "burst = 0", "[ha1] burst = 0 is out of range [1, 256]"},
+      {"[ha1]", "burst = 257", "[ha1] burst = 257 is out of range"},
+      {"[ha1]", "outstanding = 0", "[ha1] outstanding = 0 is out of range"},
+      {"[ha1]", "bytes_per_job = 0", "[ha1] bytes_per_job = 0 is out of"},
+      {"[ha0]", "macs_per_cycle = 0", "[ha0] macs_per_cycle = 0 is out of"},
+      {"[ha0]", "scale = 0", "[ha0] scale = 0 is out of range"},
+      {"[hyperconnect]", "max_outstanding = 0",
+       "[hyperconnect] max_outstanding = 0 is out of range"},
+      {"[system]", "ports = 0", "[system] ports = 0 is out of range"},
+      // Extra budgets would be dropped; fewer leave ports at 0.
+      {"[hyperconnect]", "budgets = 10 20 30",
+       "[hyperconnect] budgets has 3 entries, more than [system] ports = 2"},
+      // Keys the HA's type never reads would be ignored.
+      {"[ha0]", "burst = 0", "[ha0] burst is not read by type = dnn"},
+      {"[ha1]", "gap = 8", "[ha1] gap is not read by type = dma"},
+      // A sweep axis (appended) is checked against the base file's type.
+      {"", "[sweep]\naxis.ha1.gap = 0 | 8",
+       "[ha1] gap is not read by type = dma"},
+  };
+  for (const auto& c : cases) {
+    const std::string header = "\n" + std::string(c.section) + "\n";
+    const IniFile ini = IniFile::parse(
+        *c.section == '\0'
+            ? fig5 + c.line + "\n"
+            : replace_once(fig5, header, header + c.line + "\n"));
+    const std::string err = error_of([&] {
+      if (ini.section("sweep") != nullptr) {
+        (void)parse_sweep_spec(ini);
+      } else {
+        ConfiguredSystem sys(ini);
+      }
+    });
+    EXPECT_NE(err.find(c.names), std::string::npos) << c.line << ": " << err;
+    EXPECT_EQ(err.find("src/"), std::string::npos) << c.line << ": " << err;
   }
 }
 
