@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include "common/check.hpp"
@@ -29,6 +30,16 @@ TrafficDirection direction_by_name(const std::string& name) {
   if (name == "write") return TrafficDirection::kWrite;
   if (name == "mixed") return TrafficDirection::kMixed;
   return TrafficDirection::kRead;
+}
+
+/// The window [base, base + bytes), rejected when it wraps past the top of
+/// the address space: decode, SLVERR matching and the prover's overlap test
+/// all compute base + bytes. `what` names the keys, e.g. "[mem0] base +
+/// bytes".
+AddrRange checked_window(Addr base, std::uint64_t bytes,
+                         const std::string& what) {
+  AXIHC_REQUIRE(bytes <= ~base, what << " wraps past the address space");
+  return {base, bytes};
 }
 
 }  // namespace
@@ -71,9 +82,8 @@ void ConfiguredSystem::build(const IniFile& ini,
   }
   for (const IniSection* ms : ini.sections_with_prefix("mem")) {
     const std::string owner = "[" + ms->name() + "]";
-    const AddrRange entry{ms->get_u64("base"), ms->get_u64("bytes")};
-    AXIHC_REQUIRE(entry.bytes <= ~entry.base,
-                  owner << " base + bytes wraps past the address space");
+    const AddrRange entry = checked_window(
+        ms->get_u64("base"), ms->get_u64("bytes"), owner + " base + bytes");
     for (const auto& [other_owner, other] : decode) {
       AXIHC_REQUIRE(entry.bytes == 0 || other.bytes == 0 ||
                         !entry.overlaps(other.base, other.bytes),
@@ -138,7 +148,8 @@ void ConfiguredSystem::build(const IniFile& ini,
       const std::string kind = fs->get_string("kind");
       if (kind == "mem_slverr") {
         cfg.mem.slverr_ranges.push_back(
-            {fs->get_u64("base"), fs->get_u64("bytes")});
+            checked_window(fs->get_u64("base"), fs->get_u64("bytes"),
+                           "[" + fs->name() + "] base + bytes"));
         continue;
       }
       const auto parsed = fault_kind_from_string(kind);
@@ -377,6 +388,12 @@ void ConfiguredSystem::add_ha(const IniSection& section, PortIndex port) {
     cfg.write_base = section.get_u64("write_base", 0x2000'0000 +
                                                        (Addr{port} << 26));
     cfg.tolerate_out_of_order = ooo;
+    const AddrRange read_window =
+        checked_window(cfg.read_base, cfg.bytes_per_job,
+                       "[" + name + "] read_base + bytes_per_job");
+    const AddrRange write_window =
+        checked_window(cfg.write_base, cfg.bytes_per_job,
+                       "[" + name + "] write_base + bytes_per_job");
     ProveHaModel model;
     model.name = name;
     model.type = type;
@@ -385,12 +402,10 @@ void ConfiguredSystem::add_ha(const IniSection& section, PortIndex port) {
     model.reads = cfg.mode != DmaMode::kWrite;
     model.writes = cfg.mode != DmaMode::kRead;
     if (model.reads) {
-      model.windows.push_back(
-          {name + " read buffer", {cfg.read_base, cfg.bytes_per_job}});
+      model.windows.push_back({name + " read buffer", read_window});
     }
     if (model.writes) {
-      model.windows.push_back(
-          {name + " write buffer", {cfg.write_base, cfg.bytes_per_job}});
+      model.windows.push_back({name + " write buffer", write_window});
     }
     prove_has_.push_back(model);
     masters_.push_back(
@@ -412,7 +427,12 @@ void ConfiguredSystem::add_ha(const IniSection& section, PortIndex port) {
     model.gap_cycles = cfg.gap_cycles;
     model.reads = cfg.direction != TrafficDirection::kWrite;
     model.writes = cfg.direction != TrafficDirection::kRead;
-    model.windows.push_back({name + " region", {cfg.base, cfg.region_bytes}});
+    model.windows.push_back(
+        {name + " region",
+         checked_window(cfg.base, cfg.region_bytes,
+                        "[" + name + "] base + the " +
+                            std::to_string(cfg.region_bytes) +
+                            "-byte region")});
     prove_has_.push_back(model);
     masters_.push_back(
         std::make_unique<TrafficGenerator>(name, link, cfg));
@@ -430,6 +450,11 @@ void ConfiguredSystem::add_ha(const IniSection& section, PortIndex port) {
     }
     cfg.macs_per_cycle = section.get_u64("macs_per_cycle");
     cfg.max_frames = section.get_u64("max_frames");
+    // Port 0 keeps DnnConfig's buffers; each further port's sit 2 GiB
+    // higher, clear of each other and of every default dma/traffic window
+    // (all below 0x5000'0000).
+    cfg.weight_base += Addr{port} << 31;
+    cfg.buffer_base += Addr{port} << 31;
     cfg.tolerate_out_of_order = ooo;
     ProveHaModel model;
     model.name = name;

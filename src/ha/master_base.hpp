@@ -23,8 +23,8 @@
 #include <string>
 
 #include "axi/axi.hpp"
-#include "obs/audit_hooks.hpp"
 #include "obs/histogram.hpp"
+#include "obs/latency_audit.hpp"
 #include "obs/metrics.hpp"
 #include "sim/component.hpp"
 #include "sim/trace.hpp"
@@ -100,7 +100,7 @@ class AxiMasterBase : public Component {
   /// write B response) is reported with its original request and failure
   /// flag. `port` identifies this master's interconnect slave port.
   /// nullptr (the default) disables at one branch per completion.
-  void set_latency_audit(LatencyAuditHooks* audit, PortIndex port) {
+  void set_latency_audit(LatencyAudit* audit, PortIndex port) {
     audit_ = audit;
     audit_port_ = port;
   }
@@ -199,7 +199,7 @@ class AxiMasterBase : public Component {
 
   MasterStats stats_;
   EventTrace* trace_ = nullptr;
-  LatencyAuditHooks* audit_ = nullptr;
+  LatencyAudit* audit_ = nullptr;
   PortIndex audit_port_ = 0;
 };
 

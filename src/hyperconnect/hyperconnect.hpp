@@ -27,7 +27,7 @@
 #include "hyperconnect/register_file.hpp"
 #include "hyperconnect/transaction_supervisor.hpp"
 #include "interconnect/interconnect.hpp"
-#include "obs/audit_hooks.hpp"
+#include "obs/latency_audit.hpp"
 #include "obs/metrics.hpp"
 #include "sim/trace.hpp"
 
@@ -85,12 +85,12 @@ class HyperConnect final : public Interconnect {
 
   /// Attaches the latency auditor (src/obs/latency_audit.*): the tick loop
   /// reports eFIFO accepts, sub-transaction issues, stall-cause changes,
-  /// EXBAR grants, master-side exits and port disturbances through the hook
-  /// interface. nullptr (the default) disables at one branch per site. The
-  /// audit mutates no HyperConnect state: on the same set of components the
-  /// state digest is identical with it on or off (ConfiguredSystem also
-  /// adds the digested `apm` probe when it wires an audit).
-  void set_latency_audit(LatencyAuditHooks* audit) { audit_ = audit; }
+  /// EXBAR grants, master-side exits and port disturbances to it. nullptr
+  /// (the default) disables at one branch per site. The audit mutates no
+  /// HyperConnect state: on the same set of components the state digest is
+  /// identical with it on or off (ConfiguredSystem also adds the digested
+  /// `apm` probe when it wires an audit).
+  void set_latency_audit(LatencyAudit* audit) { audit_ = audit; }
 
   /// Observability: track the per-port peak of Efifo::level() (the five
   /// channel queues of the port link summed), sampled once per tick. Exact
@@ -185,7 +185,7 @@ class HyperConnect final : public Interconnect {
   HcRegisterFile regfile_;
   AxiLink control_link_;
   EventTrace* trace_ = nullptr;
-  LatencyAuditHooks* audit_ = nullptr;
+  LatencyAudit* audit_ = nullptr;
   // Stall cause last reported to the auditor per port and direction
   // ([port * 2 + is_write]); on_stall_cause fires only when it changes.
   std::vector<LatencyCause> reported_cause_;

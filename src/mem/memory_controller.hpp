@@ -21,7 +21,7 @@
 #include "axi/axi.hpp"
 #include "common/types.hpp"
 #include "mem/backing_store.hpp"
-#include "obs/audit_hooks.hpp"
+#include "obs/latency_audit.hpp"
 #include "obs/metrics.hpp"
 #include "sim/component.hpp"
 #include "sim/trace.hpp"
@@ -114,7 +114,7 @@ class MemoryController final : public Component {
   /// with in-order scheduling (the auditor matches commands positionally;
   /// FR-FCFS reordering breaks that, so the wiring layer does not attach
   /// the auditor to FR-FCFS controllers). nullptr (the default) disables.
-  void set_latency_audit(LatencyAuditHooks* audit) { audit_ = audit; }
+  void set_latency_audit(LatencyAudit* audit) { audit_ = audit; }
 
   /// Registers queue depth, served/row-hit/row-miss counters etc. with `reg`.
   void register_metrics(MetricsRegistry& reg);
@@ -177,7 +177,7 @@ class MemoryController final : public Component {
     return trace_ != nullptr && trace_->enabled();
   }
   EventTrace* trace_ = nullptr;
-  LatencyAuditHooks* audit_ = nullptr;
+  LatencyAudit* audit_ = nullptr;
   // Last tick's cycle: timestamps hooks below start_next_command and
   // measures the stretch a countdown skipped (lazy catch-up in tick()).
   Cycle now_ = 0;

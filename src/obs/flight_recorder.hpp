@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "obs/audit_hooks.hpp"  // LatencyCause
+#include "obs/latency_cause.hpp"
 
 namespace axihc {
 

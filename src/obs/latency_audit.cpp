@@ -85,7 +85,6 @@ void LatencyAudit::flush_stall(PortDirState& pd, Cycle now) {
 
 void LatencyAudit::on_accept(PortIndex port, bool is_write,
                              const AddrReq& orig, Cycle now) {
-  if (!enabled_) return;
   PortDirState& pd = state(port, is_write);
   FlightRecord rec;
   rec.port = port;
@@ -105,7 +104,6 @@ void LatencyAudit::on_accept(PortIndex port, bool is_write,
 
 void LatencyAudit::on_sub_issue(PortIndex port, bool is_write, bool is_final,
                                 Cycle now) {
-  if (!enabled_) return;
   PortDirState& pd = state(port, is_write);
   pd.ts_stage.push_back(is_final);
   if (!is_final) return;
@@ -119,7 +117,6 @@ void LatencyAudit::on_sub_issue(PortIndex port, bool is_write, bool is_final,
 
 void LatencyAudit::on_stall_cause(PortIndex port, bool is_write,
                                   LatencyCause cause, Cycle now) {
-  if (!enabled_) return;
   PortDirState& pd = state(port, is_write);
   if (!pd.stall_active) return;
   flush_stall(pd, now);
@@ -140,7 +137,6 @@ FlightRecord* LatencyAudit::fill_target(PortDirState& pd,
 }
 
 void LatencyAudit::on_grant(PortIndex port, bool is_write, Cycle now) {
-  if (!enabled_) return;
   PortDirState& pd = state(port, is_write);
   if (pd.ts_stage.empty()) return;  // pre-enable residue
   const bool is_final = pd.ts_stage.front();
@@ -154,7 +150,6 @@ void LatencyAudit::on_grant(PortIndex port, bool is_write, Cycle now) {
 }
 
 void LatencyAudit::on_hc_exit(bool is_write, Cycle now) {
-  if (!enabled_) return;
   auto& stage = xbar_stage_[is_write ? 1 : 0];
   if (stage.empty()) return;  // pre-enable residue
   const StageToken tok = stage.front();
@@ -174,7 +169,6 @@ void LatencyAudit::on_hc_exit(bool is_write, Cycle now) {
 }
 
 void LatencyAudit::on_mem_start(bool is_write, Cycle now) {
-  if (!enabled_) return;
   auto& pending = mem_pending_[is_write ? 1 : 0];
   if (pending.empty()) return;  // pre-enable residue
   const StageToken tok = pending.front();
@@ -190,7 +184,6 @@ void LatencyAudit::on_mem_start(bool is_write, Cycle now) {
 }
 
 void LatencyAudit::on_mem_done(Cycle now) {
-  if (!enabled_) return;
   if (!mem_current_.has_value()) return;
   const StageToken tok = *mem_current_;
   mem_current_.reset();
@@ -202,7 +195,6 @@ void LatencyAudit::on_mem_done(Cycle now) {
 }
 
 void LatencyAudit::on_port_disturbed(PortIndex port, Cycle now) {
-  if (!enabled_) return;
   for (const bool dir : {false, true}) {
     PortDirState& pd = state(port, dir);
     flush_stall(pd, now);
@@ -229,7 +221,6 @@ Cycle LatencyAudit::bound_for(PortIndex port, bool is_write,
 
 void LatencyAudit::on_complete(PortIndex port, bool is_write,
                                const AddrReq& req, bool failed, Cycle now) {
-  if (!enabled_) return;
   PortDirState& pd = state(port, is_write);
   // Match by (id, issued_at): completions on an in-order port arrive in
   // accept order, but ID-extension (out-of-order) configurations can

@@ -43,22 +43,25 @@
 
 #include "analysis/wcla.hpp"
 #include "axi/axi.hpp"
-#include "obs/audit_hooks.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/histogram.hpp"
+#include "obs/latency_cause.hpp"
 #include "obs/metrics.hpp"
 #include "sim/trace.hpp"
 
 namespace axihc {
 
-class LatencyAudit final : public LatencyAuditHooks {
+class LatencyAudit final {
  public:
   LatencyAudit(PortIndex num_ports, std::size_t flight_capacity);
 
-  /// Master switch. Hooks early-return when disabled, so an attached-but-
-  /// disabled auditor costs one call + branch per hook site (benchmarked by
-  /// BM_AuditIdleAttached, CI-gated like the observability pair).
+  /// Master switch. The hooks record unconditionally: every hook site
+  /// guards with `audit_ != nullptr && audit_->enabled()`, so an attached-
+  /// but-disabled auditor costs an inline load + branch per hook site
+  /// (benchmarked by BM_AuditIdleAttached, CI-gated like the observability
+  /// pair).
   void set_enabled(bool on) { enabled_ = on; }
+  [[nodiscard]] bool enabled() const { return enabled_; }
 
   /// Enables bound checking against audit_wcrt_read/audit_wcrt_write for
   /// the given interconnect/platform model. Without a bound model the audit
@@ -81,33 +84,31 @@ class LatencyAudit final : public LatencyAuditHooks {
 
   // --- hooks: HyperConnect -------------------------------------------------
   /// TS popped `orig` from the port's eFIFO (split begins).
-  void on_accept(PortIndex port, bool is_write, const AddrReq& orig,
-                 Cycle now) override;
+  void on_accept(PortIndex port, bool is_write, const AddrReq& orig, Cycle now);
   /// TS issued one sub-request into its output stage.
-  void on_sub_issue(PortIndex port, bool is_write, bool is_final,
-                    Cycle now) override;
+  void on_sub_issue(PortIndex port, bool is_write, bool is_final, Cycle now);
   /// The port's active split changed stall cause at `now` (classified by
   /// the HyperConnect after its issue loop). Charges [last change, now) to
   /// the previous cause: span-based, so fast-forwarded stretches and
   /// unchanged busy cycles cost nothing.
   void on_stall_cause(PortIndex port, bool is_write, LatencyCause cause,
-                      Cycle now) override;
+                      Cycle now);
   /// EXBAR granted this port's oldest staged sub-request.
-  void on_grant(PortIndex port, bool is_write, Cycle now) override;
+  void on_grant(PortIndex port, bool is_write, Cycle now);
   /// A sub-request left the HyperConnect into the master eFIFO.
-  void on_hc_exit(bool is_write, Cycle now) override;
+  void on_hc_exit(bool is_write, Cycle now);
   /// The port faulted or was decoupled: close its stall classifiers and
   /// mark its in-flight transactions fault-affected (excluded from bounds).
-  void on_port_disturbed(PortIndex port, Cycle now) override;
+  void on_port_disturbed(PortIndex port, Cycle now);
 
   // --- hooks: memory controller (in-order scheduling only) -----------------
-  void on_mem_start(bool is_write, Cycle now) override;
-  void on_mem_done(Cycle now) override;
+  void on_mem_start(bool is_write, Cycle now);
+  void on_mem_done(Cycle now);
 
   // --- hooks: masters ------------------------------------------------------
   /// Response delivered. `req` is the original HA-side request.
   void on_complete(PortIndex port, bool is_write, const AddrReq& req,
-                   bool failed, Cycle now) override;
+                   bool failed, Cycle now);
 
   // --- results -------------------------------------------------------------
   [[nodiscard]] std::uint64_t transactions() const { return txns_; }
@@ -170,6 +171,7 @@ class LatencyAudit final : public LatencyAuditHooks {
   FlightRecord* fill_target(PortDirState& pd, Cycle FlightRecord::*field);
   void finalize(PortIndex port, bool is_write, FlightRecord rec, Cycle now);
 
+  bool enabled_ = false;
   PortIndex num_ports_;
   std::vector<PortDirState> per_port_dir_;  // [port * 2 + is_write]
   std::array<std::deque<StageToken>, 2> xbar_stage_;   // [is_write]

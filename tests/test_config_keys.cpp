@@ -19,10 +19,6 @@
 #include "config/system_builder.hpp"
 #include "sweep/sweep.hpp"
 
-#ifndef AXIHC_REPO_ROOT
-#define AXIHC_REPO_ROOT "."
-#endif
-
 namespace axihc {
 namespace {
 
@@ -432,13 +428,14 @@ TEST(ConfigKeys, KeyTableRejectsWhatTheModelsCannotTake) {
   // Values no model can take, and keys no model reads, are rejected by the
   // key table and the builder with the user's section and key, before any
   // model constructor's invariant check (which names a source file). On
-  // fig5, [ha0] is a dnn and [ha1] a dma on 2 ports; each line goes right
-  // after its section header, so it is the occurrence every getter reads.
-  const std::string fig5 = read_file("examples/configs/fig5_hc90.ini");
+  // fig5, [ha0] is a dnn and [ha1] a dma on 2 ports (on fig4, [ha1] is a
+  // traffic generator); each line goes right after its section header, so
+  // it is the occurrence every getter reads.
   const struct {
     const char* section;
     const char* line;
     const char* names;
+    const char* file = "examples/configs/fig5_hc90.ini";
   } cases[] = {
       {"[ha1]", "burst = 9999999", "[ha1] burst = 9999999 is out of range"},
       {"[ha1]", "burst = 0", "[ha1] burst = 0 is out of range [1, 256]"},
@@ -459,13 +456,24 @@ TEST(ConfigKeys, KeyTableRejectsWhatTheModelsCannotTake) {
       // A sweep axis (appended) is checked against the base file's type.
       {"", "[sweep]\naxis.ha1.gap = 0 | 8",
        "[ha1] gap is not read by type = dma"},
+      // A window past 2^64 would wrap to address 0 unseen.
+      {"[ha1]", "read_base = 0xFFFFFFFFFFFFF000",
+       "[ha1] read_base + bytes_per_job wraps past the address space"},
+      {"[ha1]", "write_base = 0xFFFFFFFFFFFFF000",
+       "[ha1] write_base + bytes_per_job wraps past the address space"},
+      {"[ha1]", "base = 0xFFFFFFFFFFFFF000",
+       "[ha1] base + the 1048576-byte region wraps past the address space",
+       "examples/configs/fig4_isolation.ini"},
+      {"", "[fault0]\nkind = mem_slverr\nbase = 0xFFFFFFFFFFFFF800",
+       "[fault0] base + bytes wraps past the address space"},
   };
   for (const auto& c : cases) {
+    const std::string text = read_file(c.file);
     const std::string header = "\n" + std::string(c.section) + "\n";
     const IniFile ini = IniFile::parse(
         *c.section == '\0'
-            ? fig5 + c.line + "\n"
-            : replace_once(fig5, header, header + c.line + "\n"));
+            ? text + c.line + "\n"
+            : replace_once(text, header, header + c.line + "\n"));
     const std::string err = error_of([&] {
       if (ini.section("sweep") != nullptr) {
         (void)parse_sweep_spec(ini);

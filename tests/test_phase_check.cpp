@@ -20,10 +20,6 @@
 #include "sim/component.hpp"
 #include "sim/simulator.hpp"
 
-#ifndef AXIHC_REPO_ROOT
-#define AXIHC_REPO_ROOT "."
-#endif
-
 namespace axihc {
 namespace {
 

@@ -26,10 +26,6 @@
 #include "sweep/runner.hpp"
 #include "sweep/sweep.hpp"
 
-#ifndef AXIHC_REPO_ROOT
-#define AXIHC_REPO_ROOT "."
-#endif
-
 namespace axihc {
 namespace {
 
@@ -315,6 +311,39 @@ write_base = 0x28000000
 )"));
   EXPECT_EQ(fact(c, "shared_windows"),
             "[\"ha0 read buffer / ha1 read buffer\"]");
+}
+
+TEST(ProveAddressMap, DnnBuffersArePerPort) {
+  // One HA type on all four ports, every buffer at its default base.
+  const auto four_ports = [](const std::string& ha) {
+    std::string ini = "[system]\nports = 4\ncycles = 1000\n";
+    for (int p = 0; p < 4; ++p) {
+      ini += "[ha" + std::to_string(p) + "]\n" + ha + "\n";
+    }
+    return ini;
+  };
+  std::vector<ProveWindow> dnn_windows;
+  for (const std::string network : {"googlenet", "alexnet"}) {
+    SCOPED_TRACE(network);
+    const std::string ini = four_ports("type = dnn\nnetwork = " + network);
+    EXPECT_EQ(fact(address_map(prove_text(ini)), "shared_windows"), "[]");
+    for (const ProveHaModel& ha : build_system(ini)->prove_input().has) {
+      dnn_windows.insert(dnn_windows.end(), ha.windows.begin(),
+                         ha.windows.end());
+    }
+  }
+  // Nor does any DNN buffer share bytes with a default dma/traffic window.
+  for (const char* type : {"type = dma", "type = traffic"}) {
+    for (const ProveHaModel& ha :
+         build_system(four_ports(type))->prove_input().has) {
+      for (const ProveWindow& w : ha.windows) {
+        for (const ProveWindow& d : dnn_windows) {
+          EXPECT_FALSE(d.range.overlaps(w.range.base, w.range.bytes))
+              << d.name << " / " << w.name;
+        }
+      }
+    }
+  }
 }
 
 TEST(ProveAddressMap, WindowBeyondMemBytesIsUnmapped) {
