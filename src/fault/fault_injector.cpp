@@ -40,6 +40,7 @@ void FaultInjector::reset() {
   rng_.seed(seed_);
   w_bursts_.clear();
   w_hold_left_ = 0;
+  next_tick_ = 0;
   stats_ = FaultInjectorStats{};
   stats_.effective_seed = seed_;
 }
@@ -50,6 +51,19 @@ bool FaultInjector::stalled(FaultKind kind, Cycle now) const {
     if (f.kind == kind && f.active_at(now)) return true;
   }
   return false;
+}
+
+Cycle FaultInjector::next_edge(FaultKind kind, Cycle now) const {
+  Cycle next = kNoCycle;
+  for (const FaultSpec& f : faults_) {
+    if (f.kind != kind) continue;
+    if (f.start > now) {
+      next = std::min(next, f.start);
+    } else if (f.duration != 0 && f.start + f.duration > now) {
+      next = std::min(next, f.start + f.duration);
+    }
+  }
+  return next;
 }
 
 const FaultSpec* FaultInjector::active_spec(FaultKind kind, Cycle now) const {
@@ -191,36 +205,66 @@ void FaultInjector::forward_b(Cycle now) {
 }
 
 Cycle FaultInjector::next_activity(Cycle now) const {
-  // Mirrors tick(). A pass-through channel acts (forwards, or counts a
-  // stalled cycle) only when its input can pop and its output can push;
-  // every other fault kind acts on a forwarding event, so its window edges
+  // Mirrors tick(). A pass-through channel acts only when its input can pop
+  // and its output can push: it forwards, or inside a stall window counts a
+  // stalled cycle, which tick() catches up on until the window's next edge.
+  // Every other fault kind acts on a forwarding event, so its window edges
   // need no wake-up of their own.
-  if ((ha_.ar.can_pop() && bus_.ar.can_push()) ||
-      (ha_.aw.can_pop() && bus_.aw.can_push()) ||
-      (bus_.r.can_pop() && ha_.r.can_push()) ||
-      (bus_.b.can_pop() && ha_.b.can_push())) {
-    return now;
-  }
-  if (!ha_.w.can_pop()) return kNoCycle;
-  // W path: a kStallW window counts every cycle a beat waits in it, so the
-  // window's start is a deadline.
   Cycle next = kNoCycle;
-  for (const FaultSpec& f : faults_) {
-    if (f.kind != FaultKind::kStallW) continue;
-    if (f.active_at(now)) return now;
-    if (f.start > now) next = std::min(next, f.start);
-  }
-  // Otherwise W data moves only behind a forwarded AW: the front burst is
-  // swallowing, a hold is counting down, or bus W has room.
-  if (!w_bursts_.empty() &&
-      (w_bursts_.front().swallowing || w_hold_left_ > 0 ||
-       bus_.w.can_push())) {
+  const auto quiet = [&](bool ready, FaultKind stall) {
+    if (!ready) return true;
+    if (!stalled(stall, now)) return false;
+    next = std::min(next, next_edge(stall, now));
+    return true;
+  };
+  if (!quiet(ha_.ar.can_pop() && bus_.ar.can_push(), FaultKind::kStallAr) ||
+      !quiet(ha_.aw.can_pop() && bus_.aw.can_push(), FaultKind::kStallAw) ||
+      !quiet(bus_.r.can_pop() && ha_.r.can_push(), FaultKind::kStallR) ||
+      !quiet(bus_.b.can_pop() && ha_.b.can_push(), FaultKind::kStallB)) {
     return now;
   }
-  return next;
+  if (!ha_.w.can_pop()) return next;
+  // W path: a kStallW window counts every cycle a beat waits in it, so the
+  // window's edges are deadlines.
+  next = std::min(next, next_edge(FaultKind::kStallW, now));
+  if (stalled(FaultKind::kStallW, now)) return next;
+  // Otherwise W data moves only behind a forwarded AW: the front burst is
+  // swallowing, bus W has room, or a delay_w hold counts down to its end.
+  if (w_bursts_.empty()) return next;
+  if (w_bursts_.front().swallowing) return now;
+  if (w_hold_left_ > 0) return std::min(next, now + w_hold_left_);
+  return bus_.w.can_push() ? now : next;
+}
+
+void FaultInjector::catch_up(Cycle skipped, Cycle last) {
+  // The channels' readiness is unchanged since the skip began (the world
+  // was frozen), and next_activity stopped it at the next window edge.
+  const auto count = [&](bool ready, FaultKind stall, std::uint64_t& stat) {
+    if (ready && stalled(stall, last)) stat += skipped;
+  };
+  count(ha_.ar.can_pop() && bus_.ar.can_push(), FaultKind::kStallAr,
+        stats_.ar_stalled);
+  count(ha_.aw.can_pop() && bus_.aw.can_push(), FaultKind::kStallAw,
+        stats_.aw_stalled);
+  count(bus_.r.can_pop() && ha_.r.can_push(), FaultKind::kStallR,
+        stats_.r_stalled);
+  count(bus_.b.can_pop() && ha_.b.can_push(), FaultKind::kStallB,
+        stats_.b_stalled);
+  if (!ha_.w.can_pop()) return;
+  if (stalled(FaultKind::kStallW, last)) {
+    stats_.w_stalled += skipped;
+  } else if (!w_bursts_.empty() && !w_bursts_.front().swallowing &&
+             w_hold_left_ > 0) {
+    AXIHC_CHECK_MSG(skipped <= w_hold_left_,
+                    name() << ": skipped past the end of a delay_w hold");
+    w_hold_left_ -= skipped;
+    stats_.w_delay_cycles += skipped;
+  }
 }
 
 void FaultInjector::tick(Cycle now) {
+  if (now > next_tick_) catch_up(now - next_tick_, now - 1);
+  next_tick_ = now + 1;
   forward_ar(now);
   forward_aw(now);
   forward_w(now);

@@ -74,6 +74,12 @@ class FaultInjector final : public Component {
   };
 
   [[nodiscard]] bool stalled(FaultKind kind, Cycle now) const;
+  /// First cycle after `now` at which a `kind` window opens or closes, or
+  /// kNoCycle.
+  [[nodiscard]] Cycle next_edge(FaultKind kind, Cycle now) const;
+  /// Lazy catch-up of `skipped` ticks, all in the fault-window state of
+  /// cycle `last`: stalled channels count them, a delay_w hold counts down.
+  void catch_up(Cycle skipped, Cycle last);
   /// First active spec of `kind` this cycle, or nullptr.
   [[nodiscard]] const FaultSpec* active_spec(FaultKind kind, Cycle now) const;
   [[nodiscard]] bool chance(double probability);
@@ -93,6 +99,7 @@ class FaultInjector final : public Component {
 
   std::deque<WBurst> w_bursts_;  // one per forwarded AW with W data pending
   Cycle w_hold_left_ = 0;        // kDelayW: cycles the front W beat waits
+  Cycle next_tick_ = 0;          // a later tick catches up the skipped ones
 
   FaultInjectorStats stats_;
 };

@@ -57,6 +57,9 @@ class Exbar {
 
   /// Routing memories, consumed by the HyperConnect's proactive R/W/B paths.
   [[nodiscard]] RingBuffer<ReadRoute>& read_route() { return read_route_; }
+  [[nodiscard]] const RingBuffer<ReadRoute>& read_route() const {
+    return read_route_;
+  }
   [[nodiscard]] RingBuffer<ExbarWriteRoute>& write_route() {
     return write_route_;
   }
@@ -64,6 +67,9 @@ class Exbar {
     return write_route_;
   }
   [[nodiscard]] RingBuffer<PortIndex>& b_route() { return b_route_; }
+  [[nodiscard]] const RingBuffer<PortIndex>& b_route() const {
+    return b_route_;
+  }
 
   void reset();
 

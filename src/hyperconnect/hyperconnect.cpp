@@ -89,6 +89,9 @@ void HyperConnect::reset() {
   recharge_period_ = 0;
   recharges_ = 0;
   faults_latched_ = 0;
+  next_tick_ = 0;
+  age_due_ = 0;
+  age_timeout_ = 0;
   for (PortIndex i = 0; i < num_ports(); ++i) {
     efifos_[i].set_coupled(true);
     efifos_[i].set_faulted(false);
@@ -251,6 +254,7 @@ void HyperConnect::tick_central_unit(Cycle now) {
     if (efifos_[i].faulted() && !faulted) {
       pu_[i]->clear_stalls();
       pu_[i]->restamp(now);
+      lower_age_due(now);
     }
     efifos_[i].set_faulted(faulted);
   }
@@ -306,15 +310,31 @@ void HyperConnect::tick_protection(Cycle now) {
   // queued behind a wedge has old sub-transactions through no fault of its
   // own and must not be blamed (the culprit faults first, and
   // trigger_fault's restamp amnesty resets everyone else's ages).
-  if (runtime_.prot_timeout == 0 || any_suspect) return;
+  const Cycle timeout = runtime_.prot_timeout;
+  if (timeout == 0 || any_suspect) return;
+  // The ports are scanned only once the deadline bound is due; a rewritten
+  // timeout invalidates the bound.
+  if (timeout != age_timeout_) {
+    age_timeout_ = timeout;
+    age_due_ = 0;
+  }
+  if (now < age_due_) return;
+  Cycle due = kNoCycle;
   for (PortIndex i = 0; i < num_ports(); ++i) {
     if (runtime_.fault[i].faulted) continue;
     const auto oldest = pu_[i]->oldest_issue();
-    if (oldest.has_value() && now - *oldest >= 2 * runtime_.prot_timeout) {
+    if (!oldest.has_value()) continue;
+    if (now - *oldest >= 2 * timeout) {
       trigger_fault(i, FaultCause::kTimeout, now);
       return;
     }
+    due = std::min(due, *oldest + 2 * timeout);
   }
+  age_due_ = due;
+}
+
+void HyperConnect::lower_age_due(Cycle stamp) {
+  age_due_ = std::min(age_due_, stamp + 2 * runtime_.prot_timeout);
 }
 
 void HyperConnect::trigger_fault(PortIndex i, FaultCause cause, Cycle now) {
@@ -378,36 +398,63 @@ void HyperConnect::trigger_fault(PortIndex i, FaultCause cause, Cycle now) {
   if (auditing()) audit_->on_port_disturbed(i, now);
 
   // Amnesty for the bystanders: time their sub-transactions spent wedged
-  // behind the culprit must not count against the age backstop.
+  // behind the culprit must not count against the age backstop. Restamped
+  // records only get younger, so age_due_ stays a lower bound.
   for (PortIndex j = 0; j < num_ports(); ++j) {
     if (j != i) pu_[j]->restamp(now);
   }
 }
 
+bool HyperConnect::stall_heads(
+    std::array<PortIndex, kStallPaths>& heads) const {
+  heads.fill(kNoPort);
+  // Returning R/B whose port is active but has a full R/B queue (its HA
+  // holds READY low): the path stays blocked and only counts the stall.
+  if (master_link().r.can_pop()) {
+    const PortIndex port = r_head_port();
+    if (port == kNoPort || !efifos_[port].active() ||
+        efifos_[port].can_push_r()) {
+      return false;
+    }
+    heads[static_cast<std::size_t>(StallPath::kR)] = port;
+  }
+  if (master_link().b.can_pop()) {
+    const PortIndex port = b_head_port();
+    if (port == kNoPort || !efifos_[port].active() ||
+        efifos_[port].can_push_b()) {
+      return false;
+    }
+    heads[static_cast<std::size_t>(StallPath::kB)] = port;
+  }
+  // A granted sub-write pulling into a master W queue with room (a full
+  // queue blocks the pull first): it moves a beat, or a zero beat for an
+  // inactive port, unless the active port has no W data for it.
+  const auto& route = exbar_.write_route();
+  if (!route.empty() && master_link().w.can_push()) {
+    const PortIndex port = route.front().port;
+    if (!efifos_[port].active() || efifos_[port].w_available()) return false;
+    heads[static_cast<std::size_t>(StallPath::kW)] = port;
+  }
+  return true;
+}
+
 void HyperConnect::tick_r_path() {
   if (!master_link().r.can_pop()) return;
 
-  PortIndex port = 0;
-  if (runtime_.out_of_order) {
-    // ID-extension mode: the source port is encoded in the upper ID bits.
-    port = static_cast<PortIndex>(master_link().r.front().id >> kIdPortShift);
-    AXIHC_CHECK_MSG(port < num_ports(),
-                    name() << ": R beat with unroutable extended id");
-  } else {
-    auto& route = exbar_.read_route();
-    AXIHC_CHECK_MSG(!route.empty(), name() << ": R data with no routing info");
-    port = route.front().port;
-  }
+  const PortIndex port = r_head_port();
+  AXIHC_CHECK_MSG(port != kNoPort,
+                  name() << ": R beat with an unroutable extended id or no "
+                            "routing info");
   Efifo& fifo = efifos_[port];
 
   if (fifo.active() && !fifo.can_push_r()) {
     // Upstream backpressure: this port is the head-of-line blocker of the
     // shared read-return stream (its HA holds RREADY low with a full R
     // queue) — exactly the stall the protection unit polices.
-    pu_[port]->observe_r_stall(true);
+    pu_[port]->observe_stall(StallPath::kR, true);
     return;
   }
-  pu_[port]->observe_r_stall(false);
+  pu_[port]->observe_stall(StallPath::kR, false);
 
   RBeat raw = master_link().r.pop();
   const bool subburst_end = raw.last;  // controller-level LAST
@@ -428,23 +475,17 @@ void HyperConnect::tick_r_path() {
 void HyperConnect::tick_b_path() {
   if (!master_link().b.can_pop()) return;
 
-  PortIndex port = 0;
-  if (runtime_.out_of_order) {
-    port = static_cast<PortIndex>(master_link().b.front().id >> kIdPortShift);
-    AXIHC_CHECK_MSG(port < num_ports(),
-                    name() << ": B with unroutable extended id");
-  } else {
-    auto& route = exbar_.b_route();
-    AXIHC_CHECK_MSG(!route.empty(), name() << ": B with no routing info");
-    port = route.front();
-  }
+  const PortIndex port = b_head_port();
+  AXIHC_CHECK_MSG(port != kNoPort,
+                  name() << ": B with an unroutable extended id or no "
+                            "routing info");
   Efifo& fifo = efifos_[port];
 
   if (fifo.active() && !fifo.can_push_b()) {
-    pu_[port]->observe_b_stall(true);
+    pu_[port]->observe_stall(StallPath::kB, true);
     return;
   }
-  pu_[port]->observe_b_stall(false);
+  pu_[port]->observe_stall(StallPath::kB, false);
 
   BResp resp = master_link().b.pop();
   if (runtime_.out_of_order) {
@@ -473,10 +514,10 @@ void HyperConnect::tick_w_path() {
     if (!fifo.w_available()) {
       // A granted sub-write is starving for W data: this port wedges the
       // shared write path head-of-line (hung W stream / truncated burst).
-      pu_[entry.port]->observe_w_stall(true);
+      pu_[entry.port]->observe_stall(StallPath::kW, true);
       return;
     }
-    pu_[entry.port]->observe_w_stall(false);
+    pu_[entry.port]->observe_stall(StallPath::kW, false);
     beat = fifo.pop_w();
     const bool orig_last = beat.last;
     // WLAST legality at the re-chunk boundary. A mismatch (early, late or
@@ -536,24 +577,23 @@ Cycle HyperConnect::next_activity(Cycle now) const {
     return now;
   }
   // Proactive data/response paths: returning R/B, or a granted sub-write
-  // pulling a W beat into a master W queue with room (the route entry drives
-  // the pull even when the port's W data has not arrived — that is exactly
-  // a PU stall observation; a full master W queue blocks the pull first).
-  if (master_link().r.can_pop() || master_link().b.can_pop()) return now;
-  if (!exbar_.write_route().empty() && master_link().w.can_push()) {
-    return now;
-  }
+  // pulling a W beat. A path blocked by its head port (full R/B queue, no
+  // W data) only grows that port's stall counter: lazy catch-up, with the
+  // counter's timeout as the deadline (below).
+  std::array<PortIndex, kStallPaths> heads{};
+  if (!stall_heads(heads)) return now;
   // EXBAR output registers draining into the master eFIFO.
   if (xbar_ar_.can_pop() || xbar_aw_.can_pop()) return now;
 
+  bool suspect = false;  // an unfaulted port is a stall suspect
   for (PortIndex i = 0; i < num_ports(); ++i) {
     // Central-unit state sync pending (decouple/recouple or fault latch).
     if (efifos_[i].coupled() != runtime_.coupled[i]) return now;
     if (efifos_[i].faulted() != runtime_.fault[i].faulted) return now;
     // A decoupled port grounds its signals continuously: queued traffic is
     // still being flushed and a half-split burst aborted on the next tick.
+    const AxiLink& link = port_link(i);
     if (!runtime_.coupled[i]) {
-      const AxiLink& link = port_link(i);
       if (!link.ar.empty() || !link.aw.empty() || !link.w.empty() ||
           !link.r.empty() || !link.b.empty() ||
           ts_[i]->active_read_id().has_value() ||
@@ -562,14 +602,20 @@ Cycle HyperConnect::next_activity(Cycle now) const {
       }
     }
     // Owed synthesized completions wait for R/B capacity (or, decoupled,
-    // for the central unit to discard them).
-    if (!owed_r_[i].empty() || !owed_b_[i].empty()) return now;
+    // for the central unit to discard them); a full queue holds them with
+    // no per-cycle work.
+    if ((!owed_r_[i].empty() && (!runtime_.coupled[i] || link.r.can_push())) ||
+        (!owed_b_[i].empty() && (!runtime_.coupled[i] || link.b.can_push()))) {
+      return now;
+    }
     // TS output stages feeding the EXBAR.
     if (ts_ar_[i]->can_pop() || ts_aw_[i]->can_pop()) return now;
-    // Protection unit: a suspect's stall counters accumulate on every tick.
-    // Outstanding sub-transactions alone need no tick: they retire on R/B
-    // traffic (covered above), and their age is a deadline (below).
-    if (pu_[i]->suspected()) return now;
+    // Protection unit: a suspect fires when its evaluation says so; its
+    // counters stay put unless its port heads a blocked path (below).
+    if (!runtime_.fault[i].faulted && pu_[i]->suspected()) {
+      if (pu_[i]->evaluate_stalls() != FaultCause::kNone) return now;
+      suspect = true;
+    }
     // Issue step could make progress (new request, or a split with budget).
     if (ts_[i]->issue_pending(efifos_[i], *ts_ar_[i], *ts_aw_[i],
                               budget_left_[i])) {
@@ -577,19 +623,24 @@ Cycle HyperConnect::next_activity(Cycle now) const {
     }
   }
 
-  // Quiescent except for two self-scheduled events. The age backstop fires
-  // when an unfaulted port's oldest in-flight record reaches twice the
-  // timeout (records only age; nothing restamps them while frozen).
+  // Quiescent except for self-scheduled events. A stall counter a blocked
+  // head grows reaches the timeout `timeout - count` ticks from now.
   Cycle next = kNoCycle;
-  if (runtime_.prot_timeout != 0) {
-    for (PortIndex i = 0; i < num_ports(); ++i) {
-      if (runtime_.fault[i].faulted) continue;
-      if (const auto oldest = pu_[i]->oldest_issue()) {
-        const Cycle due = *oldest + 2 * runtime_.prot_timeout;
-        if (due <= now) return now;
-        next = std::min(next, due);
-      }
+  const Cycle timeout = runtime_.prot_timeout;
+  for (std::size_t p = 0; timeout != 0 && p < kStallPaths; ++p) {
+    if (heads[p] != kNoPort) {
+      const Cycle count = pu_[heads[p]]->stall_cycles(StallPath(p));
+      next = std::min(next, now + (timeout - count));
     }
+  }
+  // The age backstop fires when an unfaulted port's oldest in-flight record
+  // reaches twice the timeout (records only age; nothing restamps them
+  // while frozen); age_due_ bounds that cycle from below. It is suppressed
+  // while a suspect exists.
+  if (timeout != 0 && !suspect) {
+    const Cycle due = age_timeout_ == timeout ? age_due_ : 0;
+    if (due <= now) return now;
+    next = std::min(next, due);
   }
   // The central unit's synchronous recharge is observable (recharges_
   // counter, budget refill, trace instants) at every window boundary — and
@@ -602,7 +653,23 @@ Cycle HyperConnect::next_activity(Cycle now) const {
   return next;
 }
 
+void HyperConnect::catch_up_stalls(Cycle skipped) {
+  // Each tick the kernel skipped would only have grown the stall counters
+  // of the blocked path heads (next_activity certified it), and the heads
+  // are unchanged in the frozen state.
+  std::array<PortIndex, kStallPaths> heads{};
+  AXIHC_CHECK_MSG(stall_heads(heads),
+                  name() << ": skipped ticks that would have moved data");
+  for (std::size_t p = 0; p < kStallPaths; ++p) {
+    if (heads[p] != kNoPort) {
+      pu_[heads[p]]->add_stall_cycles(StallPath(p), skipped);
+    }
+  }
+}
+
 void HyperConnect::tick(Cycle now) {
+  if (now > next_tick_) catch_up_stalls(now - next_tick_);
+  next_tick_ = now + 1;
   if (track_efifo_peaks_) {
     for (PortIndex i = 0; i < num_ports(); ++i) {
       efifo_peak_[i] = std::max(efifo_peak_[i], efifos_[i].level());
@@ -662,12 +729,14 @@ void HyperConnect::tick(Cycle now) {
             ts.tick_read_issue(fifo, *ts_ar_[i], budget_left_[i])) {
       ++staged_[0];
       pu_[i]->on_issue_read(sub.id, sub.is_final, now);
+      lower_age_due(now);
       if (audit) audit_->on_sub_issue(i, false, sub.is_final, now);
     }
     if (const auto sub =
             ts.tick_write_issue(fifo, *ts_aw_[i], budget_left_[i])) {
       ++staged_[1];
       pu_[i]->on_issue_write(sub.id, sub.is_final, now);
+      lower_age_due(now);
       if (audit) audit_->on_sub_issue(i, true, sub.is_final, now);
     }
     // Classify why each still-active split of this port could not issue

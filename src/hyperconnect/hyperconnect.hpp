@@ -125,6 +125,37 @@ class HyperConnect final : public Interconnect {
   void tick_central_unit(Cycle now);
   void tick_protection(Cycle now);
   void trigger_fault(PortIndex i, FaultCause cause, Cycle now);
+  // Age backstop deadline: lowers age_due_ for a record stamped at `stamp`.
+  void lower_age_due(Cycle stamp);
+  static constexpr PortIndex kNoPort = ~PortIndex{0};
+  // Ports heading the shared R/B return paths (kNoPort: unroutable head,
+  // which the tick rejects).
+  [[nodiscard]] PortIndex r_head_port() const {
+    if (runtime_.out_of_order) {
+      // ID-extension mode: the source port is encoded in the upper ID bits.
+      const auto port =
+          static_cast<PortIndex>(master_link().r.front().id >> kIdPortShift);
+      return port < num_ports() ? port : kNoPort;
+    }
+    const auto& route = exbar_.read_route();
+    return route.empty() ? kNoPort : route.front().port;
+  }
+  [[nodiscard]] PortIndex b_head_port() const {
+    if (runtime_.out_of_order) {
+      const auto port =
+          static_cast<PortIndex>(master_link().b.front().id >> kIdPortShift);
+      return port < num_ports() ? port : kNoPort;
+    }
+    const auto& route = exbar_.b_route();
+    return route.empty() ? kNoPort : route.front();
+  }
+  // Fills `heads` (indexed by StallPath) with the port whose PU stall
+  // counter each shared path grows on the next tick, kNoPort where the path
+  // has nothing to do. False when some path would move data instead.
+  [[nodiscard]] bool stall_heads(
+      std::array<PortIndex, kStallPaths>& heads) const;
+  // Lazy catch-up of `skipped` ticks on the blocked path heads.
+  void catch_up_stalls(Cycle skipped);
   // Latency-audit reporting from the TS issue loop.
   void audit_accept(PortIndex i, bool is_write, const AddrReq& orig,
                     Cycle now);
@@ -177,6 +208,18 @@ class HyperConnect final : public Interconnect {
   Cycle recharge_period_ = 0;  // period recharge_next_ was computed for
   std::uint64_t recharges_ = 0;
   std::uint64_t faults_latched_ = 0;
+
+  // Lazy catch-up: the cycle the next tick is due at when none is skipped.
+  // A later tick first adds the skipped cycles to the stall counters of the
+  // blocked path heads (next_activity certified nothing else happens).
+  Cycle next_tick_ = 0;
+  // Age backstop deadline: a lower bound on the first cycle an unfaulted
+  // port's oldest record turns 2 * PROT_TIMEOUT old, valid while
+  // age_timeout_ equals the timeout. Lowered on every sub-issue and re-arm
+  // (the port's records rejoin the scan restamped); the per-port scan runs
+  // only once it is reached.
+  Cycle age_due_ = 0;
+  Cycle age_timeout_ = 0;
 
   // Observation-only watermark (set_track_efifo_peaks); not digested.
   std::vector<std::size_t> efifo_peak_;

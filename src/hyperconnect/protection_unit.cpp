@@ -7,7 +7,7 @@ namespace axihc {
 void ProtectionUnit::reset() {
   reads_.clear();
   writes_.clear();
-  w_stall_ = r_stall_ = b_stall_ = 0;
+  stall_ = {};
   malformed_ = false;
   synth_dropped_ = 0;
 }
@@ -32,26 +32,20 @@ void ProtectionUnit::on_write_sub_complete() {
   writes_.pop_front();
 }
 
-void ProtectionUnit::observe_w_stall(bool stalled) {
-  w_stall_ = stalled ? w_stall_ + 1 : 0;
-}
-
-void ProtectionUnit::observe_r_stall(bool stalled) {
-  r_stall_ = stalled ? r_stall_ + 1 : 0;
-}
-
-void ProtectionUnit::observe_b_stall(bool stalled) {
-  b_stall_ = stalled ? b_stall_ + 1 : 0;
-}
-
 FaultCause ProtectionUnit::evaluate_stalls() const {
   // A malformed burst is a hard protocol violation: fault immediately, even
   // with timeouts disabled.
   if (malformed_) return FaultCause::kMalformed;
   if (rt_.prot_timeout == 0) return FaultCause::kNone;
-  if (w_stall_ >= rt_.prot_timeout) return FaultCause::kWriteStall;
-  if (r_stall_ >= rt_.prot_timeout) return FaultCause::kReadStall;
-  if (b_stall_ >= rt_.prot_timeout) return FaultCause::kRespStall;
+  if (stall_cycles(StallPath::kW) >= rt_.prot_timeout) {
+    return FaultCause::kWriteStall;
+  }
+  if (stall_cycles(StallPath::kR) >= rt_.prot_timeout) {
+    return FaultCause::kReadStall;
+  }
+  if (stall_cycles(StallPath::kB) >= rt_.prot_timeout) {
+    return FaultCause::kRespStall;
+  }
   return FaultCause::kNone;
 }
 
@@ -71,7 +65,7 @@ void ProtectionUnit::restamp(Cycle now) {
 }
 
 void ProtectionUnit::clear_stalls() {
-  w_stall_ = r_stall_ = b_stall_ = 0;
+  stall_ = {};
   malformed_ = false;
 }
 

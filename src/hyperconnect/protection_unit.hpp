@@ -24,6 +24,7 @@
 // HyperConnect::tick_protection / trigger_fault.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -32,6 +33,11 @@
 #include "hyperconnect/config.hpp"
 
 namespace axihc {
+
+/// The shared paths a port can stall head-of-line, in the order the PU
+/// evaluates their counters.
+enum class StallPath : std::uint8_t { kW, kR, kB };
+inline constexpr std::size_t kStallPaths = 3;
 
 class ProtectionUnit {
  public:
@@ -57,9 +63,19 @@ class ProtectionUnit {
   /// `stalled` = this port is the head of the shared path and refuses to
   /// make progress this cycle. false resets the counter (progress or not
   /// at the head).
-  void observe_w_stall(bool stalled);
-  void observe_r_stall(bool stalled);
-  void observe_b_stall(bool stalled);
+  void observe_stall(StallPath path, bool stalled) {
+    Cycle& count = stall_[static_cast<std::size_t>(path)];
+    count = stalled ? count + 1 : 0;
+  }
+  /// Lazy catch-up: `cycles` skipped ticks, each of which would have
+  /// observed a stall on `path`.
+  void add_stall_cycles(StallPath path, Cycle cycles) {
+    stall_[static_cast<std::size_t>(path)] += cycles;
+  }
+  /// Consecutive stalled cycles counted on `path`.
+  [[nodiscard]] Cycle stall_cycles(StallPath path) const {
+    return stall_[static_cast<std::size_t>(path)];
+  }
   /// Latches a protocol violation (WLAST misaligned with burst length).
   void flag_malformed() { malformed_ = true; }
 
@@ -72,7 +88,7 @@ class ProtectionUnit {
   /// port is suppressed until the suspect is resolved (victims of a shared
   /// wedge must not be blamed for their age).
   [[nodiscard]] bool suspected() const {
-    return malformed_ || w_stall_ > 0 || r_stall_ > 0 || b_stall_ > 0;
+    return malformed_ || stall_[0] > 0 || stall_[1] > 0 || stall_[2] > 0;
   }
 
   /// Issue cycle of the oldest in-flight sub-transaction (age backstop).
@@ -102,9 +118,7 @@ class ProtectionUnit {
 
   std::deque<SubRecord> reads_;
   std::deque<SubRecord> writes_;
-  Cycle w_stall_ = 0;
-  Cycle r_stall_ = 0;
-  Cycle b_stall_ = 0;
+  std::array<Cycle, kStallPaths> stall_{};  // indexed by StallPath
   bool malformed_ = false;
   std::uint64_t synth_dropped_ = 0;
 };

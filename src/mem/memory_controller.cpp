@@ -217,12 +217,20 @@ Cycle MemoryController::next_activity(Cycle now) const {
       }
       return kNoCycle;
     case Phase::kLatency:
-    case Phase::kTurnaround: {
-      // A countdown: until it expires each tick only decrements wait_left_
-      // and counts a busy cycle, which tick() catches up on. PS-stall and
-      // refresh windows freeze the countdown, so the certificate stops at
-      // the next window and is `now` inside one.
-      Cycle next = now + wait_left_;
+    case Phase::kTurnaround:
+    case Phase::kStreamRead:
+    case Phase::kStreamWrite: {
+      // A countdown, or a stream blocked on R room, W data or B room: until
+      // it ends each tick only counts a busy cycle (and decrements
+      // wait_left_), which tick() catches up on. PS-stall and refresh
+      // windows freeze the controller, so the certificate stops at the next
+      // window and is `now` inside one.
+      Cycle next = kNoCycle;
+      if (phase_ == Phase::kLatency || phase_ == Phase::kTurnaround) {
+        next = now + wait_left_;
+      } else if (!stream_blocked()) {
+        return now;
+      }
       if (!before_window(cfg_.ps_stall_period, cfg_.ps_stall_length, now,
                          next) ||
           !before_window(cfg_.refresh_period, cfg_.refresh_duration, now,
@@ -231,22 +239,22 @@ Cycle MemoryController::next_activity(Cycle now) const {
       }
       return next;
     }
-    case Phase::kStreamRead:
-    case Phase::kStreamWrite:
-      break;
   }
   return now;
 }
 
+
 void MemoryController::tick(Cycle now) {
-  // Lazy catch-up: a countdown's certificate let the kernel skip ticks that
-  // would each have consumed one cycle of wait_left_ and counted it busy.
-  if ((phase_ == Phase::kLatency || phase_ == Phase::kTurnaround) &&
-      now > now_ + 1) {
+  // Lazy catch-up: a countdown's or a blocked stream's certificate let the
+  // kernel skip ticks that would each have counted a busy cycle (and
+  // consumed one cycle of wait_left_).
+  if (phase_ != Phase::kIdle && now > now_ + 1) {
     const Cycle skipped = now - now_ - 1;
-    AXIHC_CHECK_MSG(skipped <= wait_left_,
-                    name() << ": skipped past the end of a countdown");
-    wait_left_ -= skipped;
+    if (phase_ == Phase::kLatency || phase_ == Phase::kTurnaround) {
+      AXIHC_CHECK_MSG(skipped <= wait_left_,
+                      name() << ": skipped past the end of a countdown");
+      wait_left_ -= skipped;
+    }
     busy_cycles_ += skipped;
   }
   now_ = now;

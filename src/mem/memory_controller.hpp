@@ -142,6 +142,13 @@ class MemoryController final : public Component {
   void buffer_write_data();
   [[nodiscard]] bool eligible(std::size_t index) const;
   [[nodiscard]] std::size_t pick_next() const;
+  /// kStreamRead/kStreamWrite: the next beat waits for R room, W data or B
+  /// room. FR-FCFS streams pre-buffered data; in order, each beat needs W.
+  [[nodiscard]] bool stream_blocked() const {
+    if (phase_ == Phase::kStreamRead) return !link_.r.can_push();
+    if (beats_left_ == 1 && !link_.b.can_push()) return true;
+    return cfg_.scheduling == MemScheduling::kInOrder && !link_.w.can_pop();
+  }
   void start_next_command();
   /// Address-decode + error-window resolution for a whole burst.
   [[nodiscard]] Resp resolve_resp(const AddrReq& req) const;

@@ -33,11 +33,15 @@ class Component {
   /// or kNoCycle when only external stimulus could wake this component.
   ///
   /// Lazy catch-up: a component may also certify a later cycle when every
-  /// tick it would skip only counts down or accumulates by a fixed amount
-  /// (a DRAM first-word latency, a busy-cycle counter). Its next tick must
-  /// then first apply the skipped count. The kernel ends every run()/
-  /// run_until() advance with a real step, so callers, state_digest() and
-  /// samplers registered after the component see caught-up state.
+  /// tick it would skip only counts down or accumulates by a fixed amount:
+  /// a DRAM first-word latency or turnaround, the DRAM busy counter of a
+  /// stream blocked on R/W/B, a protection unit's stall counter on a path
+  /// its port blocks (certified up to the timeout), an injector's stalled-
+  /// cycle counter inside a stall window (up to the window's edge) and its
+  /// delay_w hold. Its next tick must then first apply the skipped count.
+  /// The kernel ends every run()/run_until() advance with a real step, so
+  /// callers, state_digest() and samplers registered after the component
+  /// see caught-up state.
   ///
   /// The kernel skips cycle N only when EVERY component reports
   /// next_activity(N) > N, so implementations may rely on all other

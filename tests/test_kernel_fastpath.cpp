@@ -16,7 +16,9 @@
 // closed-loop fault-recovery run, a protocol monitor spanning a long
 // read latency, and the lazy catch-up through DRAM countdowns (a saturated
 // audited cell, run(N) deadlines inside countdowns, refresh and PS-stall
-// windows, and a kStallW window opening behind a blocked port), and the
+// windows, and a kStallW window opening behind a blocked port), the lazy
+// catch-up through one fault window of each stall kind and of delay_w, the
+// age backstop's deadline across timeout rewrites and re-arms, and the
 // HyperConnect's gated EXBAR grants against pinned full-scan values.
 #include <gtest/gtest.h>
 
@@ -819,6 +821,255 @@ TEST(KernelFastPath, StallWWindowOpeningBehindBlockedAwIsBitIdentical) {
   EXPECT_EQ(a.aw_stalled, b.aw_stalled);
   EXPECT_EQ(naive.injector->stats().w_stalled, 400u);
   EXPECT_LT(fast.counter.ticks(), naive.counter.ticks() / 2);
+}
+
+// ---------------------------------------------------------------------------
+// Lazy catch-up through fault stall windows: while a stall fault holds a
+// path, the protection unit's stall counter, the injector's stall counter
+// (or its delay_w hold) and the DDR's busy counter only grow, so the
+// kernel skips the window and each component adds the skipped cycles at
+// its next tick. One DMA behind one port (reading for the AR and R
+// windows, writing for the others), one fault window, audited; every case
+// runs with fast-forward on and off, with the protection timeout off and
+// on. Protected, the W, R and B windows latch their stall fault, and the
+// delay_w window holds W long enough for the age backstop to fire.
+
+constexpr Cycle kWindowStart = 3000;
+constexpr Cycle kWindowCycles = 4000;
+constexpr Cycle kStallRunCycles = 12000;
+
+std::string stall_case_ini(const std::string& kind, Cycle prot_timeout) {
+  std::ostringstream ini;
+  ini << "[system]\ninterconnect = hyperconnect\nplatform = zcu102\n"
+         "ports = 1\nfault_seed = 3\n"
+         "[hyperconnect]\nnominal_burst = 16\nmax_outstanding = 4\n"
+         "prot_timeout = "
+      << prot_timeout
+      << "\n[ha0]\ntype = dma\nmode = "
+      << (kind == "stall_ar" || kind == "stall_r" ? "read" : "write")
+      << "\nbytes_per_job = 16384\n"
+         "burst = 16\n"
+         "[fault0]\nkind = "
+      << kind << "\nport = 0\nstart = " << kWindowStart
+      << "\nduration = " << kWindowCycles << "\n";
+  if (kind == "delay_w") ini << "param = 40\nprobability = 0.5\n";
+  return ini.str();
+}
+
+struct StallCaseOutcome {
+  std::uint64_t digest = 0;
+  std::vector<std::uint64_t> fault;     // cause, count, last_cycle
+  std::vector<std::uint64_t> injector;  // every FaultInjectorStats counter
+  std::uint64_t mem_busy = 0;
+  std::string flight;
+  std::uint64_t window_ticks = 0;  // TickCounter ticks inside the window
+};
+
+StallCaseOutcome run_stall_case(const std::string& kind, Cycle prot_timeout,
+                                bool fast_forward) {
+  ConfiguredSystem cs(IniFile::parse(stall_case_ini(kind, prot_timeout)));
+  cs.soc().sim().set_fast_forward(fast_forward);
+  cs.observe_config().latency_audit = true;
+  TickCounter counter;
+  cs.soc().add(counter);
+  cs.run(kWindowStart);
+  const std::uint64_t before = counter.ticks();
+  cs.run(kWindowCycles);
+  StallCaseOutcome out;
+  out.window_ticks = counter.ticks() - before;
+  cs.run(kStallRunCycles - kWindowStart - kWindowCycles);
+  out.digest = cs.soc().sim().state_digest();
+  const PortFault& f = cs.soc().hyperconnect()->port_fault(0);
+  out.fault = {static_cast<std::uint64_t>(f.cause), f.count, f.last_cycle};
+  const FaultInjectorStats& st = cs.injector(0).stats();
+  out.injector = {st.ar_stalled,       st.aw_stalled,     st.w_stalled,
+                  st.r_stalled,        st.b_stalled,      st.w_dropped,
+                  st.w_delay_cycles,   st.bursts_truncated,
+                  st.lens_corrupted};
+  out.mem_busy = cs.soc().memory_controller().busy_cycles();
+  std::ostringstream flight;
+  cs.latency_audit()->flight_recorder().write_jsonl(flight);
+  out.flight = flight.str();
+  return out;
+}
+
+struct StallCase {
+  const char* kind;
+  std::size_t counter;  // index into StallCaseOutcome::injector
+  Cycle prot_timeout;
+  FaultCause latches;  // the fault the window latches, if any
+};
+
+class StallWindowCatchUp : public ::testing::TestWithParam<StallCase> {};
+
+TEST_P(StallWindowCatchUp, IsBitIdenticalAndSkipsTheWindow) {
+  const StallCase& c = GetParam();
+  const StallCaseOutcome fast = run_stall_case(c.kind, c.prot_timeout, true);
+  const StallCaseOutcome naive =
+      run_stall_case(c.kind, c.prot_timeout, false);
+  EXPECT_EQ(fast.digest, naive.digest);
+  EXPECT_EQ(fast.fault, naive.fault);
+  EXPECT_EQ(fast.injector, naive.injector);
+  EXPECT_EQ(fast.mem_busy, naive.mem_busy);
+  EXPECT_EQ(fast.flight, naive.flight);
+  // The window must actually stall (or delay) the port, and the audit must
+  // record transactions, or the equalities prove little.
+  EXPECT_GT(naive.injector[c.counter], kWindowCycles / 4);
+  EXPECT_FALSE(fast.flight.empty());
+  EXPECT_EQ(naive.fault[0], static_cast<std::uint64_t>(c.latches));
+  EXPECT_EQ(naive.fault[1], c.latches == FaultCause::kNone ? 0u : 1u);
+  EXPECT_EQ(naive.window_ticks, kWindowCycles);
+  EXPECT_LT(fast.window_ticks, kWindowCycles / 2);
+}
+
+std::string stall_case_name(const ::testing::TestParamInfo<StallCase>& info) {
+  return std::string(info.param.kind) +
+         (info.param.prot_timeout == 0 ? "_unprotected" : "_protected");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryStallKind, StallWindowCatchUp,
+    ::testing::Values(
+        StallCase{"stall_ar", 0, 0, FaultCause::kNone},
+        StallCase{"stall_ar", 0, 1000, FaultCause::kNone},
+        StallCase{"stall_aw", 1, 0, FaultCause::kNone},
+        StallCase{"stall_aw", 1, 1000, FaultCause::kNone},
+        StallCase{"stall_w", 2, 0, FaultCause::kNone},
+        StallCase{"stall_w", 2, 1000, FaultCause::kWriteStall},
+        StallCase{"stall_r", 3, 0, FaultCause::kNone},
+        StallCase{"stall_r", 3, 1000, FaultCause::kReadStall},
+        StallCase{"stall_b", 4, 0, FaultCause::kNone},
+        StallCase{"stall_b", 4, 1000, FaultCause::kRespStall},
+        StallCase{"delay_w", 6, 0, FaultCause::kNone},
+        StallCase{"delay_w", 6, 1000, FaultCause::kTimeout}),
+    stall_case_name);
+
+TEST(KernelFastPath, StallWWindowInsideADelayWHoldIsBitIdentical) {
+  // The first W beat of the delay_w window is held for 500 cycles; a kStallW
+  // window opens 200 cycles into the hold and freezes it for 100. The
+  // hold's certificate must stop at the stall window.
+  DmaConfig dma_cfg;
+  dma_cfg.mode = DmaMode::kWrite;
+  dma_cfg.bytes_per_job = 64 << 10;
+  dma_cfg.burst_beats = 16;
+  dma_cfg.max_outstanding = 4;
+  dma_cfg.max_jobs = 0;
+  FaultScenario faults;
+  faults.seed = 5;
+  faults.faults = {{FaultKind::kDelayW, 0, 2000, 600, 500, 1.0},
+                   {FaultKind::kStallW, 0, 2200, 100, 0, 1.0}};
+  SmallSystem fast(one_port_soc(), dma_cfg, &faults, true);
+  SmallSystem naive(one_port_soc(), dma_cfg, &faults, false);
+  fast.soc.sim().run(2000);
+  naive.soc.sim().run(2000);
+  const std::uint64_t before = fast.counter.ticks();
+  fast.soc.sim().run(700);  // the hold and the stall inside it
+  naive.soc.sim().run(700);
+  EXPECT_LT(fast.counter.ticks() - before, 700u / 2);
+  fast.soc.sim().run(1300);
+  naive.soc.sim().run(1300);
+  EXPECT_EQ(fast.soc.sim().state_digest(), naive.soc.sim().state_digest());
+  const FaultInjectorStats& a = fast.injector->stats();
+  const FaultInjectorStats& b = naive.injector->stats();
+  EXPECT_EQ(a.w_stalled, b.w_stalled);
+  EXPECT_EQ(a.w_delay_cycles, b.w_delay_cycles);
+  EXPECT_EQ(b.w_stalled, 100u);
+  EXPECT_GE(b.w_delay_cycles, 500u);
+}
+
+// ---------------------------------------------------------------------------
+// The age backstop's deadline. A PS-stall window freezes the DDR for the
+// whole run, so one read pushed into port 0 at reset stays in flight and
+// ages; port 1 stays idle. A fault must latch on the first cycle the
+// record is 2 * PROT_TIMEOUT old (counted from its issue, or from the
+// re-arm that restamped it), however the timeout was rewritten in between,
+// and with fast-forward on or off. The expected cycles follow from that
+// definition; the pinned digests are the ones the per-cycle age scan gave.
+
+struct AgeRun {
+  SocSystem soc;
+
+  AgeRun(Cycle prot_timeout, bool fast_forward) : soc(age_soc(prot_timeout)) {
+    soc.sim().set_fast_forward(fast_forward);
+    soc.sim().reset();
+    AddrReq req;
+    req.addr = 0x4000'0000;
+    req.beats = 4;
+    soc.port(0).ar.push(req);
+  }
+
+  static SocConfig age_soc(Cycle prot_timeout) {
+    SocConfig cfg;
+    cfg.kind = InterconnectKind::kHyperConnect;
+    cfg.num_ports = 2;
+    cfg.hc.num_ports = 2;
+    cfg.hc.prot_timeout = prot_timeout;
+    cfg.mem.ps_stall_period = 1'000'000;
+    cfg.mem.ps_stall_length = 500'000;
+    return cfg;
+  }
+
+  void run_to(Cycle cycle) { soc.sim().run(cycle - soc.sim().now()); }
+  HcRegisterFile& regs() { return soc.hyperconnect()->registers_backdoor(); }
+  const PortFault& fault() { return soc.hyperconnect()->port_fault(0); }
+  Cycle issued() { return *soc.hyperconnect()->protection(0).oldest_issue(); }
+  void rearm() { regs().write(hcregs::fault_status(0), 1); }
+};
+
+TEST(KernelFastPath, AgeDeadlineFollowsTimeoutRewrites) {
+  std::vector<std::uint64_t> digests;
+  for (const bool ff : {true, false}) {
+    SCOPED_TRACE(ff ? "fast-forward" : "naive stepping");
+    AgeRun run(3000, ff);
+    run.run_to(1000);
+    const Cycle issued = run.issued();
+    // Lowered while the record is in flight: the deadline moves earlier.
+    run.regs().write(hcregs::kProtTimeout, 1000);
+    run.run_to(4000);
+    EXPECT_EQ(run.fault().count, 1u);
+    EXPECT_EQ(run.fault().last_cycle, issued + 2 * 1000);
+    // Raised at the re-arm.
+    run.rearm();
+    run.regs().write(hcregs::kProtTimeout, 2500);
+    run.run_to(10000);
+    EXPECT_EQ(run.fault().count, 2u);
+    EXPECT_EQ(run.fault().last_cycle, 4000u + 2 * 2500);
+    // Lowered at the re-arm, then raised before that deadline.
+    run.rearm();
+    run.regs().write(hcregs::kProtTimeout, 500);
+    run.run_to(10500);
+    EXPECT_EQ(run.fault().count, 2u);
+    run.regs().write(hcregs::kProtTimeout, 1500);
+    run.run_to(15000);
+    EXPECT_EQ(run.fault().count, 3u);
+    EXPECT_EQ(run.fault().last_cycle, 10000u + 2 * 1500);
+    EXPECT_EQ(run.fault().cause, FaultCause::kTimeout);
+    digests.push_back(run.soc.sim().state_digest());
+  }
+  EXPECT_EQ(digests[0], digests[1]);
+  EXPECT_EQ(digests[0], 0xb0c0258ab29168abu);
+}
+
+TEST(KernelFastPath, AgeDeadlineCoversAPortReArmedAlone) {
+  // The timeout stays put, so only the re-arm's restamp can move the
+  // deadline: with nothing else in flight there is no other to fall back on.
+  std::vector<std::uint64_t> digests;
+  for (const bool ff : {true, false}) {
+    SCOPED_TRACE(ff ? "fast-forward" : "naive stepping");
+    AgeRun run(1000, ff);
+    run.run_to(1000);
+    const Cycle issued = run.issued();
+    run.run_to(5000);
+    EXPECT_EQ(run.fault().count, 1u);
+    EXPECT_EQ(run.fault().last_cycle, issued + 2 * 1000);
+    run.rearm();
+    run.run_to(9000);
+    EXPECT_EQ(run.fault().count, 2u);
+    EXPECT_EQ(run.fault().last_cycle, 5000u + 2 * 1000);
+    digests.push_back(run.soc.sim().state_digest());
+  }
+  EXPECT_EQ(digests[0], digests[1]);
+  EXPECT_EQ(digests[0], 0x969c2b3a09a5e64au);
 }
 
 // ---------------------------------------------------------------------------
