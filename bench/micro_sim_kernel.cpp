@@ -7,7 +7,7 @@
 #include "ha/dma_engine.hpp"
 #include "ha/dnn_accelerator.hpp"
 #include "hyperconnect/hyperconnect.hpp"
-#include "hypervisor/domain.hpp"
+#include "hypervisor/reservation_plan.hpp"
 #include "mem/backing_store.hpp"
 #include "mem/memory_controller.hpp"
 #include "obs/latency_audit.hpp"

@@ -46,10 +46,10 @@ constexpr ConfigKey kKeys[] = {
     {"observe", "flight_capacity", "4096", nullptr, 1},
     {"recovery", "poll_period", "500", nullptr, 1},
     {"recovery", "max_txns_per_poll", "0"},  // 0 = off
-    {"recovery", "backoff_base", "1000"},
+    {"recovery", "backoff_base", "1000", nullptr, 1},
     {"recovery", "backoff_max", "16000"},
     {"recovery", "probation_window", "2000"},
-    {"recovery", "max_attempts", "4", nullptr, 0, kU32},
+    {"recovery", "max_attempts", "4", nullptr, 1, kU32},
     {"recovery", "drain_timeout", "4000"},
     {"campaign", "runs", "100", nullptr, 1},
     {"campaign", "seed", "1"},

@@ -214,7 +214,6 @@ void ConfiguredSystem::wire_recovery(const IniSection& rec) {
       std::make_unique<RegisterMaster>("hv_rm", hc->control_link());
   driver_ = std::make_unique<HyperConnectDriver>(*register_master_,
                                                  num_ports);
-  hypervisor_ = std::make_unique<Hypervisor>("hv", *driver_);
 
   RecoveryPolicy pol;
   pol.backoff_base = rec.get_u64("backoff_base");
@@ -222,11 +221,14 @@ void ConfiguredSystem::wire_recovery(const IniSection& rec) {
   pol.probation_window = rec.get_u64("probation_window");
   pol.max_attempts = rec.get_u32("max_attempts");
   pol.drain_timeout = rec.get_u64("drain_timeout");
+  AXIHC_REQUIRE(pol.backoff_max >= pol.backoff_base,
+                "[recovery] backoff_max (" << pol.backoff_max
+                                           << ") is below backoff_base ("
+                                           << pol.backoff_base << ")");
   recovery_ = std::make_unique<RecoveryManager>("recovery", *driver_, pol);
-  hypervisor_->set_recovery(recovery_.get());
 
   // Baseline split = the [hyperconnect] budgets the hardware was built with
-  // (missing entries are 0 = unthrottled); graceful degradation defends it.
+  // (missing entries are 0); graceful degradation defends it.
   std::vector<std::uint32_t> baseline = soc_->config().hc.initial_budgets;
   baseline.resize(num_ports, 0);
   recovery_->set_baseline_budgets(baseline);
@@ -248,10 +250,9 @@ void ConfiguredSystem::wire_recovery(const IniSection& rec) {
                     << pol.probation_window
                     << ") is shorter than poll_period (" << wd.poll_period
                     << ")");
-  wd.max_txns_per_poll.assign(num_ports, rec.get_u64("max_txns_per_poll"));
-  wd.auto_isolate = true;
-  wd.isolate_on_fault = true;
-  hypervisor_->set_watchdog(std::move(wd));
+  wd.max_txns_per_poll = rec.get_u64("max_txns_per_poll");
+  hypervisor_ =
+      std::make_unique<Hypervisor>("hv", *driver_, *recovery_, wd);
 
   soc_->add(*register_master_);
   soc_->add(*hypervisor_);

@@ -34,9 +34,11 @@
 //
 // A [recovery] section (hyperconnect only) assembles the full software
 // stack behind the control interface — RegisterMaster, driver, Hypervisor
-// watchdog, RecoveryManager — so detected faults start closed-loop recovery
-// episodes (src/recovery) instead of permanently retiring the port. Its
-// probation_window must span at least one watchdog poll_period.
+// watchdog, RecoveryManager — so detected faults, and ports that overrun
+// max_txns_per_poll, start closed-loop recovery episodes (src/recovery)
+// instead of staying quarantined by their protection unit. Its
+// probation_window must span at least one watchdog poll_period, and its
+// backoff_max must not be below backoff_base.
 // [observe] turns on the observability layer (trace, metrics, latency
 // audit); the axihc CLI flags override it.
 #pragma once

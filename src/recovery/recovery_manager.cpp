@@ -155,8 +155,7 @@ void RecoveryManager::demote(PortIndex port, Cycle now) {
   redistribute_budgets(now);
 }
 
-void RecoveryManager::on_fault(PortIndex port, FaultCause /*cause*/,
-                               Cycle now) {
+void RecoveryManager::on_fault(PortIndex port, Cycle now) {
   AXIHC_CHECK(port < ports_.size());
   switch (ports_[port].state) {
     case RecoveryState::kHealthy:
@@ -172,12 +171,6 @@ void RecoveryManager::on_fault(PortIndex port, FaultCause /*cause*/,
       // Already out of service; nothing new to do.
       break;
   }
-}
-
-void RecoveryManager::on_watchdog_overrun(PortIndex port, Cycle now) {
-  // An overrun is handled exactly like a hardware fault: the port has
-  // proven it cannot be trusted with its current coupling.
-  on_fault(port, FaultCause::kNone, now);
 }
 
 void RecoveryManager::on_poll(Cycle now,

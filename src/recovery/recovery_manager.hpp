@@ -86,9 +86,10 @@ class RecoveryManager final : public Component {
   RecoveryManager(std::string name, HyperConnectDriver& driver,
                   RecoveryPolicy policy);
 
-  /// The reservation split to defend and restore. Also programs nothing by
+  /// The reservation split to defend and restore. Programs nothing by
   /// itself — the budgets are assumed to already be in the hardware (the
-  /// hypervisor's apply_plan forwards them here).
+  /// system builder passes the [hyperconnect] budgets the HyperConnect was
+  /// built with).
   void set_baseline_budgets(std::vector<std::uint32_t> budgets);
 
   /// Software HA reset performed when Resetting advances to Probation —
@@ -102,12 +103,11 @@ class RecoveryManager final : public Component {
 
   // --- Hooks called by the Hypervisor during its poll (serial scope). ---
 
-  /// A new hardware fault was observed on `port` (FAULT_COUNT advanced).
-  /// The hypervisor has already decoupled the port.
-  void on_fault(PortIndex port, FaultCause cause, Cycle now);
-  /// The watchdog observed a transaction-budget overrun on `port` (already
-  /// decoupled by the hypervisor).
-  void on_watchdog_overrun(PortIndex port, Cycle now);
+  /// The watchdog saw `port` misbehave: a new hardware fault (FAULT_COUNT
+  /// advanced) or a transaction-rate overrun. Both are handled alike — the
+  /// port has proven it cannot be trusted with its current coupling. The
+  /// hypervisor has already decoupled the port.
+  void on_fault(PortIndex port, Cycle now);
   /// Advances every port's FSM. `inflight[p]` is the freshly polled
   /// INFLIGHT register value of port p.
   void on_poll(Cycle now, const std::vector<std::uint64_t>& inflight);

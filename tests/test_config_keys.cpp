@@ -466,6 +466,17 @@ TEST(ConfigKeys, KeyTableRejectsWhatTheModelsCannotTake) {
        "examples/configs/fig4_isolation.ini"},
       {"", "[fault0]\nkind = mem_slverr\nbase = 0xFFFFFFFFFFFFF800",
        "[fault0] base + bytes wraps past the address space"},
+      // RecoveryManager needs at least one attempt and a backoff that
+      // starts at 1 cycle or more and never shrinks when doubled.
+      {"[recovery]", "max_attempts = 0",
+       "[recovery] max_attempts = 0 is out of range",
+       "examples/configs/campaign_smoke.ini"},
+      {"[recovery]", "backoff_base = 0",
+       "[recovery] backoff_base = 0 is out of range",
+       "examples/configs/campaign_smoke.ini"},
+      {"[recovery]", "backoff_max = 100",
+       "[recovery] backoff_max (100) is below backoff_base (500)",
+       "examples/configs/campaign_smoke.ini"},
   };
   for (const auto& c : cases) {
     const std::string text = read_file(c.file);

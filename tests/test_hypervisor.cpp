@@ -1,14 +1,17 @@
-// Hypervisor layer tests: domain management, reservation planning, the
-// watchdog that detects and decouples misbehaving HAs, and the integrator.
+// Hypervisor layer tests: reservation planning and programming, and the
+// watchdog that detects and decouples misbehaving HAs.
 #include "hypervisor/hypervisor.hpp"
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "ha/traffic_gen.hpp"
 #include "hyperconnect/hyperconnect.hpp"
-#include "hypervisor/integrator.hpp"
+#include "hypervisor/reservation_plan.hpp"
 #include "mem/backing_store.hpp"
 #include "mem/memory_controller.hpp"
+#include "recovery/recovery_manager.hpp"
 #include "sim/simulator.hpp"
 
 namespace axihc {
@@ -28,17 +31,18 @@ TEST(ReservationPlan, RejectsOverCommit) {
   EXPECT_THROW(plan_bandwidth_split(1000, 20.0, {-0.1}), ModelError);
 }
 
+// A two-port HyperConnect with the control stack behind it. By default
+// the recovery policy's backoff outlasts every test, so a decoupled port
+// stays Quarantined and the watchdog's own decision is what the tests see.
 struct HvFixture : ::testing::Test {
   HvFixture()
       : hc("hc", two_ports()),
         mem("ddr", hc.master_link(), store, {}),
         rm("rm", hc.control_link()),
-        driver(rm, 2),
-        hv("hv", driver) {
+        driver(rm, 2) {
     hc.register_with(sim);
     sim.add(mem);
     sim.add(rm);
-    sim.add(hv);
   }
 
   static HyperConnectConfig two_ports() {
@@ -47,57 +51,48 @@ struct HvFixture : ::testing::Test {
     return cfg;
   }
 
+  static RecoveryPolicy quarantine_for_good() {
+    RecoveryPolicy p;
+    p.backoff_base = 1'000'000;
+    p.backoff_max = 1'000'000;
+    return p;
+  }
+
+  Hypervisor& arm(WatchdogPolicy policy,
+                  RecoveryPolicy recovery_policy = quarantine_for_good()) {
+    recovery.emplace("recovery", driver, recovery_policy);
+    hv.emplace("hv", driver, *recovery, policy);
+    sim.add(*hv);
+    sim.add(*recovery);
+    return *hv;
+  }
+
   Simulator sim;
   BackingStore store;
   HyperConnect hc;
   MemoryController mem;
   RegisterMaster rm;
   HyperConnectDriver driver;
-  Hypervisor hv;
+  std::optional<RecoveryManager> recovery;
+  std::optional<Hypervisor> hv;
 };
 
-TEST_F(HvFixture, DomainsRejectPortDoubleBooking) {
-  hv.add_domain({"critical", Criticality::kHigh, {0}, 0.9});
-  EXPECT_THROW(hv.add_domain({"other", Criticality::kLow, {0}, 0.1}),
-               ModelError);
-}
-
 TEST_F(HvFixture, ConfigureReservationProgramsHardware) {
-  hv.add_domain({"critical", Criticality::kHigh, {0}, 0.8});
-  hv.add_domain({"best-effort", Criticality::kLow, {1}, 0.2});
   sim.reset();
-  hv.configure_reservation(/*period=*/1000, /*cycles_per_txn=*/25.0);
+  const ReservationPlan plan =
+      plan_bandwidth_split(/*period=*/1000, /*cycles_per_txn=*/25.0,
+                           {0.8, 0.2});
+  driver.apply_reservation(plan.period, plan.budgets);
   ASSERT_TRUE(sim.run_until([&] { return driver.idle(); }, 10000));
   EXPECT_EQ(hc.runtime().reservation_period, 1000u);
   EXPECT_EQ(hc.runtime().budgets[0], 32u);  // 0.8 * 40
   EXPECT_EQ(hc.runtime().budgets[1], 8u);
 }
 
-TEST_F(HvFixture, IsolateAndRestoreDomain) {
-  const auto idx = hv.add_domain({"dom", Criticality::kLow, {0, 1}, 0.5});
-  sim.reset();
-  hv.isolate_domain(idx);
-  ASSERT_TRUE(sim.run_until([&] { return driver.idle(); }, 10000));
-  EXPECT_FALSE(hc.runtime().coupled[0]);
-  EXPECT_FALSE(hc.runtime().coupled[1]);
-  EXPECT_TRUE(hv.port_isolated(0));
-
-  hv.restore_domain(idx);
-  ASSERT_TRUE(sim.run_until([&] { return driver.idle(); }, 10000));
-  EXPECT_TRUE(hc.runtime().coupled[0]);
-  EXPECT_FALSE(hv.port_isolated(1));
-}
-
 TEST_F(HvFixture, WatchdogDecouplesMisbehavingHa) {
-  // Port 0 is policed to 10 transactions per 2000-cycle poll; a greedy
-  // generator blows through that and must be auto-decoupled.
-  hv.add_domain({"greedy", Criticality::kLow, {0}, 0.5});
-  hv.add_domain({"calm", Criticality::kHigh, {1}, 0.5});
-  WatchdogPolicy policy;
-  policy.poll_period = 2000;
-  policy.max_txns_per_poll = {10, 0};  // port 1 unlimited
-  policy.auto_isolate = true;
-  hv.set_watchdog(policy);
+  // Ports are policed to 10 transactions per 2000-cycle poll; a greedy
+  // generator on port 0 blows through that and must be auto-decoupled.
+  Hypervisor& hv = arm({/*poll_period=*/2000, /*max_txns_per_poll=*/10});
 
   TrafficConfig greedy;
   greedy.direction = TrafficDirection::kRead;
@@ -111,7 +106,9 @@ TEST_F(HvFixture, WatchdogDecouplesMisbehavingHa) {
   EXPECT_EQ(hv.isolation_events()[0].port, 0u);
   EXPECT_GT(hv.isolation_events()[0].observed_txns, 10u);
   EXPECT_TRUE(hv.port_isolated(0));
+  EXPECT_FALSE(hv.port_isolated(1));
   EXPECT_FALSE(hc.runtime().coupled[0]);
+  EXPECT_EQ(recovery->state(0), RecoveryState::kQuarantined);
 
   // Once cut off, the generator makes no further progress.
   const auto completed = gen.stats().reads_completed;
@@ -120,11 +117,7 @@ TEST_F(HvFixture, WatchdogDecouplesMisbehavingHa) {
 }
 
 TEST_F(HvFixture, WatchdogLeavesCompliantHaAlone) {
-  hv.add_domain({"calm", Criticality::kHigh, {0}, 0.5});
-  WatchdogPolicy policy;
-  policy.poll_period = 2000;
-  policy.max_txns_per_poll = {1000, 0};
-  hv.set_watchdog(policy);
+  Hypervisor& hv = arm({/*poll_period=*/2000, /*max_txns_per_poll=*/1000});
 
   TrafficConfig slow;
   slow.direction = TrafficDirection::kRead;
@@ -137,60 +130,42 @@ TEST_F(HvFixture, WatchdogLeavesCompliantHaAlone) {
   sim.run(30000);
   EXPECT_TRUE(hv.isolation_events().empty());
   EXPECT_FALSE(hv.port_isolated(0));
+  EXPECT_EQ(recovery->state(0), RecoveryState::kHealthy);
   EXPECT_GT(gen.stats().reads_completed, 0u);
 }
 
-TEST(Integrator, AssignsPortsAndGroupsDomains) {
-  SystemIntegrator integrator;
-  integrator.add_accelerator({describe_accelerator("dnn", "xilinx.com"),
-                              "vision", Criticality::kHigh, 0.7});
-  integrator.add_accelerator({describe_accelerator("dma", "xilinx.com"),
-                              "logging", Criticality::kLow, 0.3});
-  HyperConnectConfig cfg;
-  cfg.num_ports = 2;
-  const SocDesign design = integrator.integrate(cfg);
+TEST_F(HvFixture, WatchdogIsolationIsUndoneByRecovery) {
+  // A 40-transaction burst overruns the 10-per-poll limit once and then
+  // stops: the watchdog decouples the port, and the recovery FSM recouples
+  // it after its backoff; the hypervisor's isolation ledger follows.
+  RecoveryPolicy quick;
+  quick.backoff_base = 1000;
+  quick.backoff_max = 1000;
+  quick.probation_window = 2000;
+  Hypervisor& hv =
+      arm({/*poll_period=*/2000, /*max_txns_per_poll=*/10}, quick);
 
-  ASSERT_EQ(design.port_assignment.size(), 2u);
-  EXPECT_EQ(design.port_assignment[0], "dnn");
-  EXPECT_EQ(design.port_assignment[1], "dma");
-  ASSERT_EQ(design.domains.size(), 2u);
-  EXPECT_EQ(design.domains[0].name, "vision");
-  EXPECT_EQ(design.domains[0].ports, (std::vector<PortIndex>{0}));
-  EXPECT_DOUBLE_EQ(design.domains[0].bandwidth_fraction, 0.7);
-  EXPECT_EQ(design.interconnect.name, "axi_hyperconnect");
-}
+  TrafficConfig burst;
+  burst.direction = TrafficDirection::kRead;
+  burst.burst_beats = 16;
+  burst.max_transactions = 40;
+  TrafficGenerator gen("gen", hc.port_link(0), burst);
+  sim.add(gen);
+  sim.reset();
 
-TEST(Integrator, RejectsTooManyAccelerators) {
-  SystemIntegrator integrator;
-  for (int i = 0; i < 3; ++i) {
-    integrator.add_accelerator({describe_accelerator("ha" + std::to_string(i),
-                                                     "v"),
-                                "d", Criticality::kLow, 0.1});
-  }
-  HyperConnectConfig cfg;
-  cfg.num_ports = 2;
-  EXPECT_THROW(integrator.integrate(cfg), ModelError);
-}
+  sim.run(3000);  // polls at 0 and 2000
+  ASSERT_EQ(hv.isolation_events().size(), 1u);
+  EXPECT_GT(hv.isolation_events()[0].observed_txns, 10u);
+  EXPECT_TRUE(hv.port_isolated(0));
+  EXPECT_FALSE(hc.runtime().coupled[0]);
 
-TEST(Integrator, RejectsAcceleratorWithoutMasterPort) {
-  SystemIntegrator integrator;
-  IpxactComponent bad;
-  bad.name = "slave-only";
-  bad.bus_interfaces.push_back({"S_AXI", BusInterfaceMode::kSlave, "aximm"});
-  EXPECT_THROW(
-      integrator.add_accelerator({bad, "d", Criticality::kLow, 0.1}),
-      ModelError);
-}
-
-TEST(Integrator, RejectsOverCommittedBandwidth) {
-  SystemIntegrator integrator;
-  integrator.add_accelerator(
-      {describe_accelerator("a", "v"), "d1", Criticality::kLow, 0.8});
-  integrator.add_accelerator(
-      {describe_accelerator("b", "v"), "d2", Criticality::kLow, 0.4});
-  HyperConnectConfig cfg;
-  cfg.num_ports = 2;
-  EXPECT_THROW(integrator.integrate(cfg), ModelError);
+  sim.run(10000);
+  EXPECT_EQ(recovery->state(0), RecoveryState::kHealthy);
+  EXPECT_EQ(recovery->recoveries(), 1u);
+  EXPECT_FALSE(hv.port_isolated(0));
+  EXPECT_TRUE(hc.runtime().coupled[0]);
+  EXPECT_EQ(hv.isolation_events().size(), 1u);
+  EXPECT_TRUE(gen.finished());
 }
 
 }  // namespace

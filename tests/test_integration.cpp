@@ -1,6 +1,6 @@
 // Full-stack integration tests: the paper's case study in miniature —
-// CHaiDNN-like accelerator + DMA through both interconnects, hypervisor
-// reconfiguration at run time, SocSystem assembly.
+// CHaiDNN-like accelerator + DMA through both interconnects, reservation
+// reprogramming at run time, the watchdog, SocSystem assembly.
 #include <gtest/gtest.h>
 
 #include "driver/hyperconnect_driver.hpp"
@@ -8,6 +8,8 @@
 #include "ha/dnn_accelerator.hpp"
 #include "ha/traffic_gen.hpp"
 #include "hypervisor/hypervisor.hpp"
+#include "hypervisor/reservation_plan.hpp"
+#include "recovery/recovery_manager.hpp"
 #include "soc/soc.hpp"
 
 namespace axihc {
@@ -111,9 +113,9 @@ TEST(Integration, ReservationProtectsDnnFromDma) {
 }
 
 TEST(Integration, HypervisorReconfiguresLiveSystem) {
-  // Start with DMA hogging the bus, then the hypervisor applies a 90/10
-  // plan at runtime over the control bus; the DNN's layer progress speeds
-  // up after the switch.
+  // Start with DMA hogging the bus, then a 90/10 reservation plan is
+  // programmed at runtime over the control bus; the DNN's layer progress
+  // speeds up after the switch.
   SocConfig cfg;
   cfg.kind = InterconnectKind::kHyperConnect;
   cfg.num_ports = 2;
@@ -125,19 +127,18 @@ TEST(Integration, HypervisorReconfiguresLiveSystem) {
   DmaEngine dma("dma", soc.port(1), small_dma_cfg());
   RegisterMaster rm("rm", hc->control_link());
   HyperConnectDriver driver(rm, 2);
-  Hypervisor hv("hv", driver);
-  hv.add_domain({"vision", Criticality::kHigh, {0}, 0.9});
-  hv.add_domain({"logger", Criticality::kLow, {1}, 0.1});
   soc.add(dnn);
   soc.add(dma);
   soc.add(rm);
-  soc.add(hv);
   soc.sim().reset();
 
   soc.sim().run(200'000);
   const auto dnn_bytes_before = dnn.stats().bytes_read;
 
-  hv.configure_reservation(/*period=*/2000, /*cycles_per_txn=*/28.0);
+  const ReservationPlan plan =
+      plan_bandwidth_split(/*period=*/2000, /*cycles_per_txn=*/28.0,
+                           {0.9, 0.1});
+  driver.apply_reservation(plan.period, plan.budgets);
   ASSERT_TRUE(soc.sim().run_until([&] { return driver.idle(); }, 10'000));
   EXPECT_EQ(hc->runtime().reservation_period, 2000u);
 
@@ -150,11 +151,15 @@ TEST(Integration, HypervisorReconfiguresLiveSystem) {
 
 TEST(Integration, EndToEndWatchdogScenario) {
   // A low-criticality HA goes rogue (greedy max-burst reads); the watchdog
-  // detects the overrun and decouples it; the high-criticality DNN's
-  // throughput recovers to near isolation.
+  // detects the overrun and decouples it; the high-criticality DNN keeps
+  // running. The watchdog polices every port alike, so the DNN's 10-txn
+  // reservation budget per 1000 cycles keeps it at most 60 txns into any
+  // 5000-cycle poll, under the limit of 100 the rogue overruns.
   SocConfig cfg;
   cfg.kind = InterconnectKind::kHyperConnect;
   cfg.num_ports = 2;
+  cfg.hc.reservation_period = 1000;
+  cfg.hc.initial_budgets = {10, 100};
   SocSystem soc(cfg);
   HyperConnect* hc = soc.hyperconnect();
 
@@ -163,22 +168,29 @@ TEST(Integration, EndToEndWatchdogScenario) {
                          TrafficGenerator::bandwidth_stealer(0x6000'0000));
   RegisterMaster rm("rm", hc->control_link());
   HyperConnectDriver driver(rm, 2);
-  Hypervisor hv("hv", driver);
-  hv.add_domain({"vision", Criticality::kHigh, {0}, 0.9});
-  hv.add_domain({"rogue", Criticality::kLow, {1}, 0.1});
-  WatchdogPolicy policy;
-  policy.poll_period = 5000;
-  policy.max_txns_per_poll = {0, 100};  // port 1 policed
-  hv.set_watchdog(policy);
+  // One recouple attempt, then retire for good. No baseline split is set,
+  // so the manager leaves the reservation budgets as they are.
+  RecoveryPolicy retire;
+  retire.max_attempts = 1;
+  retire.probation_window = 5000;
+  RecoveryManager recovery("recovery", driver, retire);
+  recovery.set_ha_reset([&](PortIndex p) {
+    if (p == 1) rogue.abandon_in_flight();
+  });
+  Hypervisor hv("hv", driver, recovery,
+                {/*poll_period=*/5000, /*max_txns_per_poll=*/100});
   soc.add(dnn);
   soc.add(rogue);
   soc.add(rm);
   soc.add(hv);
+  soc.add(recovery);
   soc.sim().reset();
 
   soc.sim().run(100'000);
   EXPECT_FALSE(hv.isolation_events().empty());
   EXPECT_TRUE(hv.port_isolated(1));
+  EXPECT_FALSE(hv.port_isolated(0));
+  EXPECT_EQ(recovery.state(1), RecoveryState::kPermanentlyIsolated);
   const auto rogue_bytes = rogue.stats().bytes_read;
   soc.sim().run(100'000);
   EXPECT_EQ(rogue.stats().bytes_read, rogue_bytes);

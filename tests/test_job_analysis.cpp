@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "ha/traffic_gen.hpp"
-#include "hypervisor/domain.hpp"
+#include "hypervisor/reservation_plan.hpp"
 #include "hyperconnect/hyperconnect.hpp"
 #include "mem/backing_store.hpp"
 #include "mem/memory_controller.hpp"

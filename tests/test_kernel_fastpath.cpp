@@ -36,7 +36,7 @@
 #include "ha/dnn_accelerator.hpp"
 #include "ha/traffic_gen.hpp"
 #include "hyperconnect/register_file.hpp"
-#include "hypervisor/domain.hpp"
+#include "hypervisor/reservation_plan.hpp"
 #include "mem/backing_store.hpp"
 #include "mem/memory_controller.hpp"
 #include "obs/latency_audit.hpp"

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "config/system_builder.hpp"
-#include "hypervisor/domain.hpp"
+#include "hypervisor/reservation_plan.hpp"
 #include "stats/stats.hpp"
 
 namespace axihc {

@@ -8,6 +8,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
+#include <sstream>
+#include <string>
 
 #include "config/ini.hpp"
 #include "config/system_builder.hpp"
@@ -78,7 +81,7 @@ struct RecoveryFixture : ::testing::Test {
   /// (decouple first, then report the fault).
   void quarantine_port(PortIndex p, Cycle now) {
     driver.set_coupled(p, false);
-    recovery.on_fault(p, FaultCause::kWriteStall, now);
+    recovery.on_fault(p, now);
     flush();
   }
 
@@ -142,7 +145,7 @@ TEST_F(RecoveryFixture, FaultDuringDrainingDemotesWithDoubledBackoff) {
   EXPECT_EQ(recovery.state(0), RecoveryState::kDraining);
 
   // A fresh fault mid-drain demotes: back to Quarantined, backoff doubled.
-  recovery.on_fault(0, FaultCause::kTimeout, 1150);
+  recovery.on_fault(0, 1150);
   flush();
   EXPECT_EQ(recovery.state(0), RecoveryState::kQuarantined);
   EXPECT_EQ(recovery.backoff(0), 200u);
@@ -158,7 +161,7 @@ TEST_F(RecoveryFixture, FaultInProbationDoublesBackoff) {
   recovery.on_poll(200, {0, 0});  // Resetting -> Probation
   EXPECT_EQ(recovery.state(0), RecoveryState::kProbation);
 
-  recovery.on_fault(0, FaultCause::kReadStall, 250);
+  recovery.on_fault(0, 250);
   flush();
   EXPECT_EQ(recovery.state(0), RecoveryState::kQuarantined);
   EXPECT_EQ(recovery.backoff(0), 200u);
@@ -175,7 +178,7 @@ TEST_F(RecoveryFixture, AttemptExhaustionEscalatesToPermanentIsolation) {
   recovery.on_poll(100, {0, 0});
   flush();
   recovery.on_poll(200, {0, 0});
-  recovery.on_fault(0, FaultCause::kWriteStall, 250);
+  recovery.on_fault(0, 250);
   flush();
   EXPECT_EQ(recovery.state(0), RecoveryState::kQuarantined);
 
@@ -186,7 +189,7 @@ TEST_F(RecoveryFixture, AttemptExhaustionEscalatesToPermanentIsolation) {
   recovery.on_poll(600, {0, 0});
   EXPECT_EQ(recovery.state(0), RecoveryState::kProbation);
   EXPECT_EQ(recovery.attempts(0), 2u);
-  recovery.on_fault(0, FaultCause::kWriteStall, 650);
+  recovery.on_fault(0, 650);
   flush();
   EXPECT_EQ(recovery.state(0), RecoveryState::kPermanentlyIsolated);
   EXPECT_EQ(recovery.escalations(), 1u);
@@ -200,19 +203,9 @@ TEST_F(RecoveryFixture, AttemptExhaustionEscalatesToPermanentIsolation) {
 
   // Further polls and faults leave the terminal state alone.
   recovery.on_poll(2000, {0, 0});
-  recovery.on_fault(0, FaultCause::kMalformed, 2100);
+  recovery.on_fault(0, 2100);
   EXPECT_EQ(recovery.state(0), RecoveryState::kPermanentlyIsolated);
   EXPECT_EQ(recovery.escalations(), 1u);
-}
-
-TEST_F(RecoveryFixture, WatchdogOverrunTreatedAsFault) {
-  driver.set_coupled(1, false);
-  recovery.on_watchdog_overrun(1, 500);
-  flush();
-  EXPECT_EQ(recovery.state(1), RecoveryState::kQuarantined);
-  EXPECT_EQ(recovery.intended_budget(0), 24u);
-  EXPECT_EQ(recovery.intended_budget(1), 0u);
-  expect_conserved();
 }
 
 TEST_F(RecoveryFixture, DrainTimeoutForcesTheRecouple) {
@@ -247,7 +240,7 @@ TEST(RecoveryApportionment, ProportionalLargestRemainder) {
   recovery.set_baseline_budgets({10, 6, 3});
 
   driver.set_coupled(0, false);
-  recovery.on_fault(0, FaultCause::kWriteStall, 100);
+  recovery.on_fault(0, 100);
   ASSERT_TRUE(sim.run_until([&] { return driver.idle(); }, 10000));
 
   EXPECT_EQ(recovery.intended_budget(0), 0u);
@@ -344,6 +337,71 @@ TEST(RecoveryClosedLoop, TransientFaultQuarantinesThenRestoresSplit) {
             0u);
   EXPECT_GT(cs.ha(1).stats().bytes_read + cs.ha(1).stats().bytes_written,
             0u);
+}
+
+// ---------------------------------------------------------------------------
+// The watchdog's overrun path through the configuration layer
+// (examples/configs/watchdog_overrun.ini): a sporadic reader on port 0
+// stays under [recovery] max_txns_per_poll, a flooding port 1 overruns it
+// after every recouple and escalates to PermanentlyIsolated.
+// ---------------------------------------------------------------------------
+
+std::string watchdog_overrun_ini() {
+  std::ifstream in(std::string(AXIHC_REPO_ROOT) +
+                   "/examples/configs/watchdog_overrun.ini");
+  EXPECT_TRUE(in.good());
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+TEST(RecoveryClosedLoop, WatchdogOverrunEscalatesOnlyTheFloodingPort) {
+  ConfiguredSystem cs(IniFile::parse(watchdog_overrun_ini()));
+  cs.run();
+  const auto& hc = dynamic_cast<const HyperConnect&>(cs.soc().interconnect());
+  const Hypervisor& hv = *cs.hypervisor();
+  const RecoveryManager& rec = *cs.recovery();
+
+  // Port 1 overran, was recoupled max_attempts = 2 times, overran again
+  // after each, and was retired for good on the second demotion.
+  EXPECT_EQ(rec.state(1), RecoveryState::kPermanentlyIsolated);
+  EXPECT_EQ(rec.attempts(1), 2u);
+  EXPECT_EQ(rec.demotions(), 2u);
+  EXPECT_EQ(rec.escalations(), 1u);
+  EXPECT_FALSE(hc.runtime().coupled[1]);
+  ASSERT_GE(hv.isolation_events().size(), 1u);
+  for (const IsolationEvent& e : hv.isolation_events()) {
+    EXPECT_EQ(e.port, 1u);
+    EXPECT_GT(e.observed_txns, e.allowed_txns);
+    EXPECT_EQ(e.allowed_txns, 6u);
+  }
+  EXPECT_TRUE(hv.fault_events().empty());
+
+  // Port 0 was never touched, and holds the whole 32-slot window.
+  EXPECT_EQ(rec.state(0), RecoveryState::kHealthy);
+  for (const RecoveryTransition& t : rec.transitions()) EXPECT_EQ(t.port, 1u);
+  EXPECT_TRUE(hc.runtime().coupled[0]);
+  EXPECT_EQ(hc.runtime().budgets[0], 32u);
+  EXPECT_EQ(hc.runtime().budgets[1], 0u);
+  EXPECT_EQ(rec.conservation_violations(), 0u);
+  EXPECT_TRUE(rec.all_converged());
+}
+
+TEST(RecoveryClosedLoop, UnreachedOverrunLimitIsNoLimit) {
+  // A limit neither port reaches leaves every poll's outcome, and so the
+  // whole run, the same as no limit at all (max_txns_per_poll = 0).
+  const auto run = [](const char* limit) {
+    std::string text = watchdog_overrun_ini();
+    const std::string key = "max_txns_per_poll = 6";
+    const std::size_t at = text.find(key);
+    EXPECT_NE(at, std::string::npos);
+    text.replace(at, key.size(), std::string("max_txns_per_poll = ") + limit);
+    ConfiguredSystem cs(IniFile::parse(text));
+    cs.run();
+    EXPECT_TRUE(cs.hypervisor()->isolation_events().empty()) << limit;
+    return cs.soc().sim().state_digest();
+  };
+  EXPECT_EQ(run("1000"), run("0"));
 }
 
 }  // namespace

@@ -1,12 +1,10 @@
-// SocSystem assembly details and remaining hypervisor/control-interface
-// coverage: watchdog in flag-only mode, PS-interference configuration,
-// control-bus robustness.
+// SocSystem assembly details and remaining control-interface coverage:
+// PS-interference configuration, control-bus robustness.
 #include <gtest/gtest.h>
 
 #include "driver/hyperconnect_driver.hpp"
 #include "ha/dma_engine.hpp"
 #include "ha/traffic_gen.hpp"
-#include "hypervisor/hypervisor.hpp"
 #include "soc/soc.hpp"
 
 namespace axihc {
@@ -50,42 +48,6 @@ TEST(SocSystem, NumPortsOverridesHcConfig) {
   cfg.hc.num_ports = 7;  // must be overridden by SocConfig::num_ports
   SocSystem soc(cfg);
   EXPECT_EQ(soc.interconnect().num_ports(), 3u);
-}
-
-TEST(Watchdog, FlagOnlyModeReportsWithoutIsolating) {
-  Simulator sim;
-  BackingStore store;
-  HyperConnectConfig cfg;
-  cfg.num_ports = 2;
-  HyperConnect hc("hc", cfg);
-  MemoryController mem("ddr", hc.master_link(), store, {});
-  RegisterMaster rm("rm", hc.control_link());
-  HyperConnectDriver driver(rm, 2);
-  Hypervisor hv("hv", driver);
-  hv.add_domain({"d", Criticality::kLow, {0}, 0.5});
-  WatchdogPolicy policy;
-  policy.poll_period = 2000;
-  policy.max_txns_per_poll = {5, 0};
-  policy.auto_isolate = false;  // report only
-  hv.set_watchdog(policy);
-
-  TrafficConfig t;
-  t.direction = TrafficDirection::kRead;
-  t.burst_beats = 16;
-  TrafficGenerator gen("gen", hc.port_link(0), t);
-  hc.register_with(sim);
-  sim.add(mem);
-  sim.add(rm);
-  sim.add(hv);
-  sim.add(gen);
-  sim.reset();
-  sim.run(30000);
-
-  EXPECT_FALSE(hv.isolation_events().empty());
-  EXPECT_FALSE(hv.port_isolated(0));
-  EXPECT_TRUE(hc.runtime().coupled[0]);
-  // Repeated violations keep being recorded.
-  EXPECT_GT(hv.isolation_events().size(), 1u);
 }
 
 TEST(ControlInterface, InterleavedReadsAndWrites) {
