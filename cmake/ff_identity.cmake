@@ -1,6 +1,8 @@
 # Fast-forward identity check for one INI: the kernel fast-forward must be
 # bit-identical to naive stepping, plain and audited, and the audited runs
-# must write byte-identical flight-recorder dumps. Run in script mode:
+# must write byte-identical flight-recorder dumps. Observing never changes
+# what is simulated: the audited run, and a run writing a trace and a
+# metrics series, must print the plain run's digest. Run in script mode:
 #
 #   cmake -DAXIHC=<axihc binary> -DINI=<config.ini> -DWORK=<scratch dir> \
 #         [-DCYCLES=50000] -P ff_identity.cmake
@@ -46,6 +48,16 @@ if(NOT audit_ff STREQUAL audit_noff)
   message(FATAL_ERROR
           "fast-forward audited digest mismatch: ${audit_ff} vs ${audit_noff}")
 endif()
+if(NOT audit_ff STREQUAL plain_ff)
+  message(FATAL_ERROR "the audit moved the digest: ${plain_ff} vs ${audit_ff}")
+endif()
+
+run_digest(traced --trace-out "${WORK}/trace.json"
+           --metrics-out "${WORK}/metrics.csv")
+if(NOT traced STREQUAL plain_ff)
+  message(FATAL_ERROR
+          "trace/metrics moved the digest: ${plain_ff} vs ${traced}")
+endif()
 
 execute_process(
   COMMAND "${CMAKE_COMMAND}" -E compare_files "${WORK}/ff.jsonl"
@@ -54,4 +66,4 @@ execute_process(
 if(NOT differ EQUAL 0)
   message(FATAL_ERROR "fast-forward flight-recorder mismatch")
 endif()
-message(STATUS "plain ${plain_ff}, audited ${audit_ff}, flight dumps equal")
+message(STATUS "${plain_ff} plain, audited and traced; flight dumps equal")

@@ -111,10 +111,7 @@ RunRow execute_run(const IniFile& ini, const CampaignSpec& spec,
   // Latency provenance rides along on every run: fault recovery is exactly
   // when the bound-exclusion logic earns its keep, and the audited/violation
   // counters join the survivability row. The auditor never touches simulated
-  // state, but turning it on adds the `apm` bandwidth probe component
-  // (wire_observability), which the state digest covers: a row's digest
-  // differs from a plain run of the same scenario (the replay config turns
-  // the audit on to match).
+  // state: a row's digest is that of a plain run of its replay config.
   sys.observe_config().latency_audit = true;
   sys.run(spec.cycles);
 
@@ -264,9 +261,7 @@ CampaignOutput run_campaign(const IniFile& ini) {
   baseline_scenario.seed = spec.seed;
   append_sentinels(spec, baseline_scenario);
   ConfiguredSystem baseline(ini, baseline_scenario);
-  // Same observability wiring as every run (execute_run): the probe and
-  // auditor join the digest composition, so baseline and run digests stay
-  // comparable.
+  // Audited like every run (execute_run).
   baseline.observe_config().latency_audit = true;
   baseline.run(spec.cycles);
   std::vector<std::uint64_t> baseline_bytes;
@@ -326,15 +321,15 @@ CampaignOutput run_campaign(const IniFile& ini) {
 std::string campaign_replay_ini(const IniFile& ini,
                                 std::uint64_t run_index) {
   const CampaignSpec spec = parse_campaign_spec(ini);
-  AXIHC_CHECK_MSG(run_index < spec.runs,
-                  "run " << run_index << " out of range (campaign has "
-                         << spec.runs << " runs)");
+  AXIHC_REQUIRE(run_index < spec.runs,
+                "--campaign-replay " << run_index
+                                     << " is out of range: the campaign has "
+                                     << spec.runs << " runs");
   const FaultScenario scenario = campaign_scenario(spec, run_index);
 
   std::ostringstream os;
   os << "; standalone replay of campaign run " << run_index
      << " (campaign seed " << spec.seed << ")\n";
-  bool saw_observe = false;
   for (const IniSection& s : ini.sections()) {
     if (s.name() == "campaign") continue;
     os << "[" << s.name() << "]\n";
@@ -343,24 +338,13 @@ std::string campaign_replay_ini(const IniFile& ini,
       if (s.name() == "system" && (key == "fault_seed" || key == "cycles")) {
         continue;
       }
-      // Campaign runs always audit; the replay must elaborate the same
-      // observability objects or its digest diverges from the row's.
-      if (s.name() == "observe" && key == "latency_audit") continue;
       os << key << " = " << value << "\n";
     }
     if (s.name() == "system") {
       os << "cycles = " << spec.cycles << "\n";
       os << "fault_seed = " << scenario.seed << "\n";
     }
-    if (s.name() == "observe") {
-      saw_observe = true;
-      os << "latency_audit = true\n";
-    }
     os << "\n";
-  }
-  if (!saw_observe) {
-    os << "[observe]\n";
-    os << "latency_audit = true\n\n";
   }
   for (std::size_t i = 0; i < scenario.faults.size(); ++i) {
     const FaultSpec& f = scenario.faults[i];

@@ -38,11 +38,8 @@ constexpr ConfigKey kKeys[] = {
     {"hyperconnect", "arbitration", "round_robin", "round_robin qos_priority"},
     {"hyperconnect", "data_depth", "32", nullptr, 1, kU32},
     {"hyperconnect", "addr_depth", "4", nullptr, 1, kU32},
-    {"observe", "trace", "false"},
-    {"observe", "metrics", "false"},
-    {"observe", "sample_every", "1000", nullptr, 1},
+    // What to observe is chosen by axihc flags, never by the config.
     {"observe", "trace_capacity", "0"},  // 0 = unbounded
-    {"observe", "latency_audit", "false"},
     {"observe", "flight_capacity", "4096", nullptr, 1},
     {"recovery", "poll_period", "500", nullptr, 1},
     {"recovery", "max_txns_per_poll", "0"},  // 0 = off

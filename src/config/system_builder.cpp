@@ -195,11 +195,7 @@ void ConfiguredSystem::build(const IniFile& ini,
   const IniSection no_obs("observe");
   const IniSection* obs_section = ini.section("observe");
   const IniSection& obs = obs_section != nullptr ? *obs_section : no_obs;
-  observe_.trace = obs.get_bool("trace");
-  observe_.metrics = obs.get_bool("metrics");
-  observe_.sample_every = obs.get_u64("sample_every");
   observe_.trace_capacity = obs.get_u64("trace_capacity");
-  observe_.latency_audit = obs.get_bool("latency_audit");
   observe_.flight_capacity = obs.get_u64("flight_capacity");
 
   soc_->sim().reset();
@@ -283,12 +279,16 @@ void ConfiguredSystem::wire_observability() {
     recovery_->register_metrics(registry_);
   }
 
-  // APM-style probe on the FPGA-PS link; its window is the sample period so
-  // per-sample counter deltas line up with the probe's window series.
-  probe_ = std::make_unique<BandwidthProbe>(
-      "apm", soc_->interconnect().master_link(), observe_.sample_every);
-  probe_->register_metrics(registry_);
-  soc_->add(*probe_);
+  // APM-style byte counters on the FPGA-PS link, read from its R and W
+  // traffic counters (64-bit bus: 8 bytes per beat): per-sample deltas are
+  // the bytes moved per window.
+  const AxiLink& ps = soc_->interconnect().master_link();
+  registry_.add_counter("apm.read_bytes", [&ps] {
+    return 8.0 * static_cast<double>(ps.r.total_pushes());
+  });
+  registry_.add_counter("apm.write_bytes", [&ps] {
+    return 8.0 * static_cast<double>(ps.w.total_pushes());
+  });
 
   // Trace-capacity drops as a first-class metric: a capped trace silently
   // losing events would skew any analysis built on it.
@@ -488,7 +488,7 @@ Cycle ConfiguredSystem::run(Cycle override_cycles) {
       override_cycles != 0 ? override_cycles : configured_cycles_;
   soc_->sim().run(cycles);
   // Final cumulative sample: the last row of the time series then matches
-  // the end-of-run totals (e.g. apm.read_bytes == total_read_bytes()).
+  // the end-of-run totals (e.g. apm.read_bytes == bytes read over the link).
   if (sampler_) sampler_->finalize(soc_->sim().now());
   if (trace_.dropped() != 0) {
     AXIHC_LOG_WARN() << "trace capacity " << trace_.capacity() << " dropped "

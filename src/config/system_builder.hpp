@@ -39,8 +39,10 @@
 // instead of staying quarantined by their protection unit. Its
 // probation_window must span at least one watchdog poll_period, and its
 // backoff_max must not be below backoff_base.
-// [observe] turns on the observability layer (trace, metrics, latency
-// audit); the axihc CLI flags override it.
+// [observe] sizes the observability buffers (trace_capacity,
+// flight_capacity); what is observed is chosen by the caller (the axihc
+// flags --trace-out, --metrics-out, --sample-every, --latency-audit) through
+// observe_config(). Observing never changes the simulated state.
 #pragma once
 
 #include <memory>
@@ -61,18 +63,18 @@
 #include "recovery/recovery_manager.hpp"
 #include "sim/trace.hpp"
 #include "soc/soc.hpp"
-#include "stats/bandwidth_probe.hpp"
 
 namespace axihc {
 
-/// Observability settings ([observe] section, every key read with its
-/// config-table default; the axihc CLI flags override them). Both halves are
-/// independent: `trace` records typed events for the Chrome-trace export,
-/// `metrics` samples the registry every `sample_every` cycles.
+/// Observability settings. The two capacities come from the [observe]
+/// section; the switches are set by the caller (axihc flags, sweep and
+/// campaign runners). Both halves are independent: `trace` records typed
+/// events for the Chrome-trace export, `metrics` samples the registry every
+/// `sample_every` cycles.
 struct ObserveConfig {
   bool trace = false;
   bool metrics = false;
-  Cycle sample_every = 0;
+  Cycle sample_every = 1000;
   std::size_t trace_capacity = 0;  // 0 = unbounded
   /// Per-transaction latency provenance + live WCLA bound auditing
   /// (src/obs/latency_audit.hpp).
@@ -145,9 +147,6 @@ class ConfiguredSystem {
   [[nodiscard]] const MetricsSampler* sampler() const {
     return sampler_.get();
   }
-  /// The APM-style probe on the interconnect master link, or nullptr.
-  [[nodiscard]] const BandwidthProbe* probe() const { return probe_.get(); }
-
   /// The latency auditor, or nullptr when observe latency_audit was off.
   [[nodiscard]] const LatencyAudit* latency_audit() const {
     return audit_.get();
@@ -164,8 +163,9 @@ class ConfiguredSystem {
   /// the file's [faultN] sections and fault_seed.
   void build(const IniFile& ini, const FaultScenario* scenario_override);
   /// Hands the trace to every instrumented component, registers all
-  /// metrics, and attaches the APM probe + sampler. Called once, from the
-  /// first run() with observability requested.
+  /// metrics (the APM-style `apm.*` byte counters included), and attaches
+  /// the sampler. Called once, from the first run() with observability
+  /// requested.
   void wire_observability();
   void add_ha(const IniSection& section, PortIndex port);
   /// Assembles the [recovery] hypervisor stack on the control link.
@@ -198,7 +198,6 @@ class ConfiguredSystem {
   EventTrace trace_;
   MetricsRegistry registry_;
   std::unique_ptr<MetricsSampler> sampler_;
-  std::unique_ptr<BandwidthProbe> probe_;
   std::unique_ptr<LatencyAudit> audit_;
 };
 

@@ -87,9 +87,7 @@ class HyperConnect final : public Interconnect {
   /// reports eFIFO accepts, sub-transaction issues, stall-cause changes,
   /// EXBAR grants, master-side exits and port disturbances to it. nullptr
   /// (the default) disables at one branch per site. The audit mutates no
-  /// HyperConnect state: on the same set of components the state digest is
-  /// identical with it on or off (ConfiguredSystem also adds the digested
-  /// `apm` probe when it wires an audit).
+  /// HyperConnect state: the state digest is identical with it on or off.
   void set_latency_audit(LatencyAudit* audit) { audit_ = audit; }
 
   /// Observability: track the per-port peak of Efifo::level() (the five

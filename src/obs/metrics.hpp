@@ -103,6 +103,8 @@ class MetricsSampler final : public Component {
   /// Samples at `now` unless a snapshot for that cycle already exists.
   void finalize(Cycle now);
 
+  [[nodiscard]] bool observer() const override { return true; }
+
   [[nodiscard]] Cycle sample_every() const { return sample_every_; }
   [[nodiscard]] const MetricsRegistry& registry() const { return registry_; }
   [[nodiscard]] const std::vector<MetricsSnapshot>& snapshots() const {

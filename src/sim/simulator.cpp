@@ -108,8 +108,11 @@ std::uint64_t Simulator::state_digest() const {
   d.mix(static_cast<std::uint64_t>(now_));
   d.mix(static_cast<std::uint64_t>(channels_.size()));
   for (const auto* ch : channels_) ch->append_digest(d);
-  d.mix(static_cast<std::uint64_t>(components_.size()));
+  std::uint64_t simulated = 0;
+  for (const auto* c : components_) simulated += c->observer() ? 0 : 1;
+  d.mix(simulated);
   for (const auto* c : components_) {
+    if (c->observer()) continue;
     d.mix(c->name());
     c->append_digest(d);
   }

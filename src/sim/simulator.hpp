@@ -66,7 +66,8 @@ class Simulator {
   [[nodiscard]] bool fast_forward() const { return fast_forward_; }
 
   /// FNV-1a digest of the committed simulation state: channel contents and
-  /// traffic counters plus each component's architecturally visible state.
+  /// traffic counters plus each component's architecturally visible state
+  /// (observers excluded: Component::observer).
   /// Equal digests across fast-forward settings and repeated runs are the
   /// bit-identity criterion used by tests and `axihc --digest`.
   [[nodiscard]] std::uint64_t state_digest() const;

@@ -11,13 +11,14 @@ namespace {
 
 class Parser {
  public:
-  explicit Parser(const std::string& text) : text_(text) {}
+  Parser(const std::string& text, std::string_view source)
+      : text_(text), source_(source) {}
 
   JsonValue parse_document() {
     JsonValue v = parse_value();
     skip_ws();
-    AXIHC_CHECK_MSG(pos_ == text_.size(),
-                    "json: trailing characters at offset " << pos_);
+    AXIHC_REQUIRE(pos_ == text_.size(),
+                  source_ << ": trailing characters at offset " << pos_);
     return v;
   }
 
@@ -30,14 +31,15 @@ class Parser {
   }
 
   char peek() {
-    AXIHC_CHECK_MSG(pos_ < text_.size(), "json: unexpected end of input");
+    AXIHC_REQUIRE(pos_ < text_.size(),
+                  source_ << ": unexpected end of input");
     return text_[pos_];
   }
 
   void expect(char c) {
-    AXIHC_CHECK_MSG(peek() == c, "json: expected '" << c << "' at offset "
-                                                    << pos_ << ", got '"
-                                                    << text_[pos_] << "'");
+    AXIHC_REQUIRE(peek() == c, source_ << ": expected '" << c
+                                       << "' at offset " << pos_ << ", got '"
+                                       << text_[pos_] << "'");
     ++pos_;
   }
 
@@ -79,11 +81,12 @@ class Parser {
     expect('"');
     std::string out;
     while (true) {
-      AXIHC_CHECK_MSG(pos_ < text_.size(), "json: unterminated string");
+      AXIHC_REQUIRE(pos_ < text_.size(), source_ << ": unterminated string");
       const char c = text_[pos_++];
       if (c == '"') break;
       if (c == '\\') {
-        AXIHC_CHECK_MSG(pos_ < text_.size(), "json: unterminated escape");
+        AXIHC_REQUIRE(pos_ < text_.size(),
+                      source_ << ": unterminated escape");
         const char e = text_[pos_++];
         switch (e) {
           case '"': out += '"'; break;
@@ -100,7 +103,8 @@ class Parser {
             out += "\\u";
             break;
           default:
-            AXIHC_CHECK_MSG(false, "json: unknown escape '\\" << e << "'");
+            AXIHC_REQUIRE(false,
+                          source_ << ": unknown escape '\\" << e << "'");
         }
       } else {
         out += c;
@@ -120,14 +124,15 @@ class Parser {
         break;
       }
     }
-    AXIHC_CHECK_MSG(pos_ > start, "json: expected a value at offset " << pos_);
+    AXIHC_REQUIRE(pos_ > start,
+                  source_ << ": expected a value at offset " << pos_);
     JsonValue v;
     v.kind = JsonValue::Kind::kNumber;
     v.raw = text_.substr(start, pos_ - start);
     char* end = nullptr;
     v.number = std::strtod(v.raw.c_str(), &end);
-    AXIHC_CHECK_MSG(end == v.raw.c_str() + v.raw.size(),
-                    "json: bad number '" << v.raw << "'");
+    AXIHC_REQUIRE(end == v.raw.c_str() + v.raw.size(),
+                  source_ << ": bad number '" << v.raw << "'");
     return v;
   }
 
@@ -178,6 +183,7 @@ class Parser {
   }
 
   const std::string& text_;
+  std::string_view source_;
   std::size_t pos_ = 0;
 };
 
@@ -191,8 +197,8 @@ const JsonValue* JsonValue::find(const std::string& key) const {
   return nullptr;
 }
 
-JsonValue parse_json(const std::string& text) {
-  return Parser(text).parse_document();
+JsonValue parse_json(const std::string& text, std::string_view source) {
+  return Parser(text, source).parse_document();
 }
 
 }  // namespace axihc

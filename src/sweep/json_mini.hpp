@@ -5,10 +5,11 @@
 // parser is deliberately small: UTF-8 passthrough, \uXXXX escapes kept
 // verbatim, numbers as double plus the raw token (so 64-bit digests printed
 // as strings stay exact — the writers quote anything that must round-trip).
-// Throws ModelError on malformed input.
+// Throws ModelError on malformed input, naming the input and the offset.
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace axihc {
@@ -32,7 +33,9 @@ struct JsonValue {
   }
 };
 
-/// Parses one complete JSON document (throws ModelError on trailing junk).
-[[nodiscard]] JsonValue parse_json(const std::string& text);
+/// Parses one complete JSON document (throws ModelError on malformed input
+/// or trailing junk; the message starts with `source`, e.g. "pin line 3").
+[[nodiscard]] JsonValue parse_json(const std::string& text,
+                                   std::string_view source = "json");
 
 }  // namespace axihc

@@ -48,9 +48,10 @@ std::string fmt(double v) {
 
 Parsed parse_rows(const std::vector<std::string>& lines) {
   Parsed out;
-  for (const std::string& line : lines) {
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const std::string& line = lines[i];
     if (line.empty()) continue;
-    const JsonValue v = parse_json(line);
+    const JsonValue v = parse_json(line, "row " + std::to_string(i + 1));
     const JsonValue* cell = v.find("cell");
     if (cell == nullptr) continue;  // header or foreign line
     // Annotation rows carry no measurements: a statically disproved cell
@@ -90,7 +91,7 @@ Parsed parse_rows(const std::vector<std::string>& lines) {
     if (r.wcla_slack < 0.0) out.all_bounded = false;
     out.rows.push_back(std::move(r));
   }
-  AXIHC_CHECK_MSG(!out.rows.empty(), "--sweep-report: no sweep rows found");
+  AXIHC_REQUIRE(!out.rows.empty(), "--sweep-report: no sweep rows found");
   return out;
 }
 

@@ -83,10 +83,8 @@ std::string execute_cell(const IniFile& cfg) {
   // (src/analysis/wcla.hpp) are the sweep's predictability metric, and it
   // forces the serial tick kernel — parallelism lives across cells, never
   // inside one, so rows are independent of AXIHC_BENCH_THREADS. It never
-  // touches simulated state, but turning it on adds the `apm` bandwidth
-  // probe component (wire_observability), which the digest covers: a row's
-  // state_digest matches `axihc <cell> --latency-audit --digest`, not a
-  // plain run.
+  // touches simulated state: a row's state_digest is that of a plain
+  // `axihc <cell> --digest` run.
   sys->observe_config().latency_audit = true;
   const Cycle cycles = sys->run();
 
@@ -183,11 +181,20 @@ bool cache_load(const std::string& path, std::string* fragment) {
   buf << in.rdbuf();
   *fragment = buf.str();
   // Sanity: a fragment always starts with one of the three shape-defining
-  // fields (simulated / statically disproved / build error); anything else
-  // (truncated write, foreign file) re-runs the cell.
-  return fragment->rfind("\"cycles\":", 0) == 0 ||
-         fragment->rfind("\"prove_verdict\":", 0) == 0 ||
-         fragment->rfind("\"error\":", 0) == 0;
+  // fields (simulated / statically disproved / build error) and completes a
+  // JSON object; anything else (truncated write, foreign file) re-runs the
+  // cell rather than splice a malformed row into the output.
+  if (fragment->rfind("\"cycles\":", 0) != 0 &&
+      fragment->rfind("\"prove_verdict\":", 0) != 0 &&
+      fragment->rfind("\"error\":", 0) != 0) {
+    return false;
+  }
+  try {
+    (void)parse_json("{" + *fragment + "}", path);
+  } catch (const ModelError&) {
+    return false;
+  }
+  return true;
 }
 
 void cache_store(const std::string& path, const std::string& fragment) {
@@ -243,8 +250,9 @@ SweepSummary run_sweep(const IniFile& ini, const SweepOptions& opts) {
   if (!opts.cache_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(opts.cache_dir, ec);
-    AXIHC_CHECK_MSG(!ec, "cannot create cache dir '" << opts.cache_dir
-                                                     << "': " << ec.message());
+    AXIHC_REQUIRE(!ec, "--sweep-cache: cannot create '" << opts.cache_dir
+                                                         << "': "
+                                                         << ec.message());
   }
 
   SweepSummary summary;
@@ -361,13 +369,14 @@ std::size_t check_pins(const std::vector<std::string>& lines,
     std::string state;
   };
   std::vector<std::pair<std::uint64_t, Produced>> produced;
-  for (const std::string& line : lines) {
-    const JsonValue row = parse_json(line);
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const std::string source = "row " + std::to_string(i + 1);
+    const JsonValue row = parse_json(lines[i], source);
     const JsonValue* cell = row.find("cell");
     const JsonValue* config = row.find("config");
     const JsonValue* state = row.find("state_digest");
-    AXIHC_CHECK_MSG(cell != nullptr && config != nullptr,
-                    "sweep row missing cell/config");
+    AXIHC_REQUIRE(cell != nullptr && config != nullptr,
+                  source << " has no cell or config");
     // Annotation rows (statically disproved cells, build errors) carry no
     // state digest; against a pinned cell that reads as a state mismatch —
     // a cell that used to simulate and now doesn't IS a divergence.
@@ -380,14 +389,15 @@ std::size_t check_pins(const std::vector<std::string>& lines,
   std::size_t mismatches = 0;
   std::istringstream in(pins_text);
   std::string line;
-  while (std::getline(in, line)) {
+  for (std::size_t n = 1; std::getline(in, line); ++n) {
     if (line.empty()) continue;
-    const JsonValue pin = parse_json(line);
+    const std::string source = "pin line " + std::to_string(n);
+    const JsonValue pin = parse_json(line, source);
     const JsonValue* cell = pin.find("cell");
     const JsonValue* config = pin.find("config");
     const JsonValue* state = pin.find("state_digest");
-    AXIHC_CHECK_MSG(cell != nullptr && config != nullptr && state != nullptr,
-                    "pin row missing cell/config/state_digest");
+    AXIHC_REQUIRE(cell != nullptr && config != nullptr && state != nullptr,
+                  source << " has no cell, config or state_digest");
     const auto id = static_cast<std::uint64_t>(cell->number);
     const Produced* match = nullptr;
     for (const auto& [c, p] : produced) {

@@ -152,8 +152,8 @@ TEST(CampaignRunTest, ReplayReproducesTheRowDigest) {
         row.substr(at + key.size(), row.find('"', at + key.size()) -
                                         (at + key.size()));
 
-    // ...must fall out of a standalone run of the reconstructed config,
-    // with the kernel fast-forward on and with naive stepping.
+    // ...must fall out of a plain (unaudited) run of the reconstructed
+    // config, with the kernel fast-forward on and with naive stepping.
     for (const bool ff : {true, false}) {
       ConfiguredSystem replay(IniFile::parse(campaign_replay_ini(ini, r)));
       replay.soc().sim().set_fast_forward(ff);
@@ -166,6 +166,21 @@ TEST(CampaignRunTest, ReplayReproducesTheRowDigest) {
           << "run " << r << (ff ? "" : " without fast-forward");
     }
   }
+}
+
+TEST(CampaignRunTest, ReplayOfAMissingRunNamesTheFlag) {
+  std::string err;
+  try {
+    (void)campaign_replay_ini(IniFile::parse(kSpec), 99999);
+  } catch (const ModelError& e) {
+    err = e.what();
+  }
+  EXPECT_NE(err.find("--campaign-replay 99999 is out of range: the campaign "
+                     "has 4 runs"),
+            std::string::npos)
+      << err;
+  EXPECT_EQ(err.find("check failed"), std::string::npos) << err;
+  EXPECT_EQ(err.find(".cpp:"), std::string::npos) << err;
 }
 
 }  // namespace

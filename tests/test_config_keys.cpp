@@ -57,7 +57,7 @@ TEST(ConfigKeys, DefaultsAreCanonical) {
   }
 }
 
-/// Everything a run of `ini` shows: config digest, observability settings,
+/// Everything a run of `ini` shows: config digest, observability capacities,
 /// the static certificate (analysis config, eFIFO depths, HA models and
 /// their address windows), the report and the state digest. `cycles` 0 runs
 /// the configured horizon.
@@ -65,8 +65,7 @@ std::string fingerprint(const IniFile& ini, Cycle cycles) {
   ConfiguredSystem sys(ini);
   std::ostringstream os;
   const ObserveConfig& o = sys.observe_config();
-  os << config_digest(ini) << ' ' << o.trace << o.metrics << o.latency_audit
-     << ' ' << o.sample_every << ' ' << o.trace_capacity << ' '
+  os << config_digest(ini) << ' ' << o.trace_capacity << ' '
      << o.flight_capacity << '\n'
      << sys.prove().certificate_json() << '\n'
      << sys.run(cycles) << '\n'
@@ -279,6 +278,15 @@ TEST(ConfigKeys, RejectsUnknownSectionsAndKeys) {
       {fig5 + "[hazard]\ntype = dma\n", "[hazard]"},
       {fig5 + "[mem0x]\nbytes = 4096\n", "[mem0x]"},
       {replace_once(fig5, "[ha1]", "[ha1]\nburts = 8"), "[ha1] unknown key"},
+      // What to observe is an axihc flag (--trace-out, --metrics-out,
+      // --sample-every, --latency-audit), never a config key.
+      {fig5 + "[observe]\ntrace = true\n", "[observe] unknown key 'trace'"},
+      {fig5 + "[observe]\nmetrics = true\n",
+       "[observe] unknown key 'metrics'"},
+      {fig5 + "[observe]\nsample_every = 500\n",
+       "[observe] unknown key 'sample_every'"},
+      {fig5 + "[observe]\nlatency_audit = true\n",
+       "[observe] unknown key 'latency_audit'"},
       // String keys take one of their row's values.
       {replace_once(fig5, "platform = zcu102", "platform = zcu104"),
        "[system] platform = 'zcu104' is not one of: zcu102 zynq7020"},
@@ -406,7 +414,6 @@ TEST(ConfigKeys, RowBoundsNameSectionAndKey) {
   } cases[] = {
       {"[hyperconnect]", "data_depth = 0", "[hyperconnect] data_depth"},
       {"[hyperconnect]", "addr_depth = 0", "[hyperconnect] addr_depth"},
-      {"[observe]", "sample_every = 0", "[observe] sample_every"},
       {"[observe]", "flight_capacity = 0", "[observe] flight_capacity"},
       {"[recovery]", "poll_period = 0", "[recovery] poll_period"},
       {"[campaign]", "runs = 0", "[campaign] runs"},

@@ -92,7 +92,8 @@ TEST_F(HvFixture, ConfigureReservationProgramsHardware) {
 TEST_F(HvFixture, WatchdogDecouplesMisbehavingHa) {
   // Ports are policed to 10 transactions per 2000-cycle poll; a greedy
   // generator on port 0 blows through that and must be auto-decoupled.
-  Hypervisor& hv = arm({/*poll_period=*/2000, /*max_txns_per_poll=*/10});
+  Hypervisor& watchdog =
+      arm({/*poll_period=*/2000, /*max_txns_per_poll=*/10});
 
   TrafficConfig greedy;
   greedy.direction = TrafficDirection::kRead;
@@ -102,11 +103,11 @@ TEST_F(HvFixture, WatchdogDecouplesMisbehavingHa) {
   sim.reset();
 
   sim.run(20000);
-  ASSERT_FALSE(hv.isolation_events().empty());
-  EXPECT_EQ(hv.isolation_events()[0].port, 0u);
-  EXPECT_GT(hv.isolation_events()[0].observed_txns, 10u);
-  EXPECT_TRUE(hv.port_isolated(0));
-  EXPECT_FALSE(hv.port_isolated(1));
+  ASSERT_FALSE(watchdog.isolation_events().empty());
+  EXPECT_EQ(watchdog.isolation_events()[0].port, 0u);
+  EXPECT_GT(watchdog.isolation_events()[0].observed_txns, 10u);
+  EXPECT_TRUE(watchdog.port_isolated(0));
+  EXPECT_FALSE(watchdog.port_isolated(1));
   EXPECT_FALSE(hc.runtime().coupled[0]);
   EXPECT_EQ(recovery->state(0), RecoveryState::kQuarantined);
 
@@ -117,7 +118,8 @@ TEST_F(HvFixture, WatchdogDecouplesMisbehavingHa) {
 }
 
 TEST_F(HvFixture, WatchdogLeavesCompliantHaAlone) {
-  Hypervisor& hv = arm({/*poll_period=*/2000, /*max_txns_per_poll=*/1000});
+  Hypervisor& watchdog =
+      arm({/*poll_period=*/2000, /*max_txns_per_poll=*/1000});
 
   TrafficConfig slow;
   slow.direction = TrafficDirection::kRead;
@@ -128,8 +130,8 @@ TEST_F(HvFixture, WatchdogLeavesCompliantHaAlone) {
   sim.reset();
 
   sim.run(30000);
-  EXPECT_TRUE(hv.isolation_events().empty());
-  EXPECT_FALSE(hv.port_isolated(0));
+  EXPECT_TRUE(watchdog.isolation_events().empty());
+  EXPECT_FALSE(watchdog.port_isolated(0));
   EXPECT_EQ(recovery->state(0), RecoveryState::kHealthy);
   EXPECT_GT(gen.stats().reads_completed, 0u);
 }
@@ -142,7 +144,7 @@ TEST_F(HvFixture, WatchdogIsolationIsUndoneByRecovery) {
   quick.backoff_base = 1000;
   quick.backoff_max = 1000;
   quick.probation_window = 2000;
-  Hypervisor& hv =
+  Hypervisor& watchdog =
       arm({/*poll_period=*/2000, /*max_txns_per_poll=*/10}, quick);
 
   TrafficConfig burst;
@@ -154,17 +156,17 @@ TEST_F(HvFixture, WatchdogIsolationIsUndoneByRecovery) {
   sim.reset();
 
   sim.run(3000);  // polls at 0 and 2000
-  ASSERT_EQ(hv.isolation_events().size(), 1u);
-  EXPECT_GT(hv.isolation_events()[0].observed_txns, 10u);
-  EXPECT_TRUE(hv.port_isolated(0));
+  ASSERT_EQ(watchdog.isolation_events().size(), 1u);
+  EXPECT_GT(watchdog.isolation_events()[0].observed_txns, 10u);
+  EXPECT_TRUE(watchdog.port_isolated(0));
   EXPECT_FALSE(hc.runtime().coupled[0]);
 
   sim.run(10000);
   EXPECT_EQ(recovery->state(0), RecoveryState::kHealthy);
   EXPECT_EQ(recovery->recoveries(), 1u);
-  EXPECT_FALSE(hv.port_isolated(0));
+  EXPECT_FALSE(watchdog.port_isolated(0));
   EXPECT_TRUE(hc.runtime().coupled[0]);
-  EXPECT_EQ(hv.isolation_events().size(), 1u);
+  EXPECT_EQ(watchdog.isolation_events().size(), 1u);
   EXPECT_TRUE(gen.finished());
 }
 

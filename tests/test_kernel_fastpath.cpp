@@ -4,13 +4,12 @@
 // The main scenario is deliberately hostile to shortcuts: a DNN accelerator
 // and two DMA engines contend on a 3-port HyperConnect under a bandwidth
 // reservation plan (budget-exhausted ports are exactly the stretches the
-// kernel fast-forwards across), with an APM-style bandwidth probe, a metrics
-// sampler and the typed event trace all attached; a variant splices a
-// seeded FaultInjector in front of one port. Each run is executed twice —
-// fast-forward on (the default) and forced naive stepping — and every
-// observable must be bit-identical: state digest, final cycle,
-// per-frame/per-job completion cycles, interconnect counters, memory
-// counters, probe window series, sampled metric series, and the full
+// kernel fast-forwards across), with a metrics sampler and the typed event
+// trace attached; a variant splices a seeded FaultInjector in front of one
+// port. Each run is executed twice — fast-forward on (the default) and
+// forced naive stepping — and every observable must be bit-identical: state
+// digest, final cycle, per-frame/per-job completion cycles, interconnect
+// counters, memory counters, sampled metric series, and the full
 // trace-event stream. Further cases cover several independent subsystems
 // in one Simulator sharing a trace, repeated-run digest stability, a
 // closed-loop fault-recovery run, a protocol monitor spanning a long
@@ -44,7 +43,6 @@
 #include "recovery/recovery_manager.hpp"
 #include "sim/trace.hpp"
 #include "soc/soc.hpp"
-#include "stats/bandwidth_probe.hpp"
 
 namespace axihc {
 namespace {
@@ -117,8 +115,6 @@ struct RunOutcome {
   std::uint64_t recharges = 0;
   std::uint64_t w_delay_cycles = 0;
   std::uint64_t ar_stalled = 0;
-  std::vector<std::uint64_t> probe_read_windows;
-  std::vector<std::uint64_t> probe_write_windows;
   std::vector<MetricsSnapshot> samples;
   std::vector<TraceEvent> trace_events;
 };
@@ -139,10 +135,6 @@ void expect_equal(const RunOutcome& a, const RunOutcome& b) {
   EXPECT_EQ(a.recharges, b.recharges);
   EXPECT_EQ(a.w_delay_cycles, b.w_delay_cycles);
   EXPECT_EQ(a.ar_stalled, b.ar_stalled);
-
-  // APM window series: identical length and identical per-window bytes.
-  EXPECT_EQ(a.probe_read_windows, b.probe_read_windows);
-  EXPECT_EQ(a.probe_write_windows, b.probe_write_windows);
 
   // Sampled metric series: same boundaries, same values at each boundary.
   ASSERT_EQ(a.samples.size(), b.samples.size());
@@ -199,9 +191,6 @@ RunOutcome run_scenario(bool fast_forward, bool inject_faults = false) {
   MetricsSampler sampler("sampler", registry, 500);
   soc.add(sampler);
 
-  BandwidthProbe probe("apm", soc.interconnect().master_link(), 1000);
-  soc.add(probe);
-
   soc.sim().reset();
   RunOutcome out;
   out.done = soc.sim().run_until(
@@ -230,8 +219,6 @@ RunOutcome run_scenario(bool fast_forward, bool inject_faults = false) {
     out.w_delay_cycles = inj->stats().w_delay_cycles;
     out.ar_stalled = inj->stats().ar_stalled;
   }
-  out.probe_read_windows = probe.read_window_bytes();
-  out.probe_write_windows = probe.write_window_bytes();
   out.samples = sampler.snapshots();
   out.trace_events = trace.events();
   return out;
@@ -279,7 +266,6 @@ struct MultiSubsystemSystem {
   std::vector<std::unique_ptr<HyperConnect>> hcs;
   std::vector<std::unique_ptr<MemoryController>> mems;
   std::vector<std::unique_ptr<DmaEngine>> dmas;
-  std::vector<std::unique_ptr<BandwidthProbe>> probes;
 
   explicit MultiSubsystemSystem(std::uint32_t subsystems) {
     trace.enable(true);
@@ -296,9 +282,6 @@ struct MultiSubsystemSystem {
       sim.add(*mems.back());
       hcs.back()->set_trace(&trace);
       mems.back()->set_trace(&trace);
-      probes.push_back(std::make_unique<BandwidthProbe>(
-          "apm" + std::to_string(s), hcs.back()->master_link(), 1000));
-      sim.add(*probes.back());
       for (PortIndex p = 0; p < cfg.num_ports; ++p) {
         DmaConfig d;
         d.mode = DmaMode::kReadWrite;
@@ -330,7 +313,6 @@ struct MultiSubsystemOutcome {
   Cycle final_cycle = 0;
   std::uint64_t digest = 0;
   std::vector<Cycle> job_cycles;
-  std::vector<std::uint64_t> probe_windows;
   std::vector<TraceEvent> trace_events;
 };
 
@@ -346,12 +328,6 @@ MultiSubsystemOutcome run_multi_subsystem(bool fast_forward,
     const auto& cycles = d->job_completion_cycles();
     out.job_cycles.insert(out.job_cycles.end(), cycles.begin(), cycles.end());
   }
-  for (const auto& p : system.probes) {
-    const auto& r = p->read_window_bytes();
-    const auto& w = p->write_window_bytes();
-    out.probe_windows.insert(out.probe_windows.end(), r.begin(), r.end());
-    out.probe_windows.insert(out.probe_windows.end(), w.begin(), w.end());
-  }
   out.trace_events = system.trace.events();
   return out;
 }
@@ -364,7 +340,6 @@ TEST(KernelFastPath, MultiSubsystemRunIsBitIdenticalToNaiveStepping) {
   EXPECT_EQ(fast.final_cycle, naive.final_cycle);
   EXPECT_EQ(fast.digest, naive.digest);
   EXPECT_EQ(fast.job_cycles, naive.job_cycles);
-  EXPECT_EQ(fast.probe_windows, naive.probe_windows);
   expect_same_events(fast.trace_events, naive.trace_events);
 }
 

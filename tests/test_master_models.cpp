@@ -1,5 +1,6 @@
 // Hardware-accelerator model tests: DMA engine, traffic generator and DNN
-// accelerator driving the memory controller directly (no interconnect).
+// accelerator (GoogleNet and AlexNet schedules) driving the memory
+// controller directly (no interconnect).
 #include <gtest/gtest.h>
 
 #include "ha/dma_engine.hpp"
@@ -220,6 +221,47 @@ TEST_F(DirectFixture, MasterLatencyHistogramsPopulated) {
   ASSERT_GT(dma.stats().read_latency.count(), 0u);
   // Latency must include memory first-word latency + burst streaming.
   EXPECT_GE(dma.stats().read_latency.min(), 8u);
+}
+
+TEST(AlexNet, ScheduleShape) {
+  const auto layers = alexnet_layers();
+  ASSERT_EQ(layers.size(), 8u);
+  std::uint64_t weights = 0;
+  std::uint64_t macs = 0;
+  for (const auto& l : layers) {
+    weights += l.weight_bytes;
+    macs += l.macs;
+  }
+  // ~61M parameters, ~0.72 GMAC.
+  EXPECT_NEAR(static_cast<double>(weights), 61e6, 4e6);
+  EXPECT_NEAR(static_cast<double>(macs), 0.72e9, 0.1e9);
+  // AlexNet is weight-dominated (FC layers), unlike GoogleNet.
+  std::uint64_t google_weights = 0;
+  for (const auto& l : googlenet_layers()) google_weights += l.weight_bytes;
+  EXPECT_GT(weights, 5 * google_weights);
+}
+
+TEST(AlexNet, RunsThroughTheStack) {
+  Simulator sim;
+  AxiLink link("l");
+  BackingStore store;
+  MemoryController mem("ddr", link, store, {});
+  DnnConfig cfg;
+  cfg.layers = alexnet_layers();
+  for (auto& l : cfg.layers) {  // scaled for test speed
+    l.weight_bytes /= 64;
+    l.ifmap_bytes /= 64;
+    l.ofmap_bytes /= 64;
+    l.macs /= 64;
+  }
+  cfg.max_frames = 1;
+  DnnAccelerator dnn("alexnet", link, cfg);
+  link.register_with(sim);
+  sim.add(mem);
+  sim.add(dnn);
+  sim.reset();
+  ASSERT_TRUE(sim.run_until([&] { return dnn.finished(); }, 10'000'000));
+  EXPECT_EQ(dnn.frames_completed(), 1u);
 }
 
 }  // namespace

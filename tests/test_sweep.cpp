@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -61,6 +62,21 @@ std::string fresh_dir(const std::string& tag) {
   const std::string dir = testing::TempDir() + "axihc_sweep_" + tag;
   std::filesystem::remove_all(dir);
   return dir;
+}
+
+/// Checks that `f` rejects its input with a message naming `names` and no
+/// source location or failed-check text (the fault is in the input).
+template <typename F>
+void expect_input_rejection(F f, const std::string& names) {
+  std::string err;
+  try {
+    f();
+  } catch (const ModelError& e) {
+    err = e.what();
+  }
+  EXPECT_NE(err.find(names), std::string::npos) << err;
+  EXPECT_EQ(err.find("check failed"), std::string::npos) << err;
+  EXPECT_EQ(err.find(".cpp:"), std::string::npos) << err;
 }
 
 // ---------------------------------------------------------------------------
@@ -304,6 +320,35 @@ TEST(SweepRunner, CacheHitsMissesAndInvalidation) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(SweepRunner, MalformedCacheEntryIsAMiss) {
+  ScopedEnv ver("AXIHC_CODE_VERSION", "corrupt_test_v1");
+  const std::string dir = fresh_dir("corrupt");
+  SweepOptions opts;
+  opts.cache_dir = dir;
+  opts.deterministic = true;
+  const SweepSummary first = run(kRunnable, opts);
+  // Entries truncated after their shape-defining first field (a torn
+  // write, a full disk) re-run their cells instead of corrupting the rows.
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ofstream(entry.path()) << "\"cycles\":3000,\"state_dig";
+  }
+  const SweepSummary second = run(kRunnable, opts);
+  EXPECT_EQ(second.executed, 4u);
+  EXPECT_EQ(second.cache_hits, 0u);
+  EXPECT_EQ(second.lines, first.lines);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SweepRunner, UncreatableCacheDirIsRejected) {
+  const std::string file = fresh_dir("not_a_dir");
+  std::ofstream(file) << "x";
+  SweepOptions opts;
+  opts.cache_dir = file + "/cache";
+  expect_input_rejection([&] { (void)run(kRunnable, opts); },
+                         "--sweep-cache: cannot create '" + file + "/cache'");
+  std::filesystem::remove(file);
+}
+
 TEST(SweepRunner, CacheEntriesAreSharedAcrossIdenticalConfigs) {
   ScopedEnv ver("AXIHC_CODE_VERSION", "shared_test_v1");
   const std::string dir = fresh_dir("shared");
@@ -411,6 +456,26 @@ TEST(SweepRunner, PinsCatchDivergence) {
   EXPECT_EQ(check_pins({s.lines[1]}, pins, quiet), 0u);
 }
 
+TEST(SweepRunner, MalformedPinsAndRowsAreRejectedByLine) {
+  std::ostringstream quiet;
+  expect_input_rejection(
+      [&] { (void)check_pins({}, "\n{\"cell\":0,", quiet); },
+      "pin line 2: unexpected end of input");
+  expect_input_rejection(
+      [&] { (void)check_pins({"{\"cell\":}"}, "", quiet); },
+      "row 1: expected a value at offset 8");
+}
+
+TEST(SweepRunner, PinsAndRowsWithoutDigestsAreRejected) {
+  std::ostringstream quiet;
+  expect_input_rejection(
+      [&] { (void)check_pins({}, "{\"cell\":0,\"config\":\"0x1\"}", quiet); },
+      "pin line 1 has no cell, config or state_digest");
+  expect_input_rejection(
+      [&] { (void)check_pins({"{\"cell\":0}"}, "", quiet); },
+      "row 1 has no cell or config");
+}
+
 TEST(SweepRunner, RowsExposeRollups) {
   SweepOptions opts;
   opts.deterministic = true;
@@ -429,10 +494,9 @@ TEST(SweepRunner, RowsExposeRollups) {
   }
 }
 
-TEST(SweepRunner, RowDigestEqualsAuditedRunOfTheCellConfig) {
-  // Every row is an audited run, and any observation adds the `apm`
-  // bandwidth probe, so a row's state_digest is that of `axihc <cell>
-  // --latency-audit --digest`, not of a plain run.
+TEST(SweepRunner, RowDigestEqualsPlainRunOfTheCellConfig) {
+  // Every row is an audited run, and observing never changes the simulated
+  // state: a row's state_digest is that of a plain `axihc <cell> --digest`.
   SweepOptions opts;
   opts.deterministic = true;
   const IniFile ini = IniFile::parse(kRunnable);
@@ -442,17 +506,10 @@ TEST(SweepRunner, RowDigestEqualsAuditedRunOfTheCellConfig) {
   for (std::size_t cell = 0; cell < s.lines.size(); ++cell) {
     SCOPED_TRACE(cell);
     const JsonValue row = parse_json(s.lines[cell]);
-    const std::string row_digest = row.find("state_digest")->str_or("");
-    const IniFile cfg = sweep_cell_config(ini, spec, cell);
-    ConfiguredSystem audited(cfg);
-    audited.observe_config().latency_audit = true;
-    audited.run();
-    EXPECT_EQ(row_digest, hex_digest(audited.soc().sim().state_digest()));
-    // The plain run simulates the same traffic without the probe component.
-    ConfiguredSystem plain(cfg);
+    ConfiguredSystem plain(sweep_cell_config(ini, spec, cell));
     plain.run();
-    EXPECT_NE(plain.soc().sim().state_digest(),
-              audited.soc().sim().state_digest());
+    EXPECT_EQ(row.find("state_digest")->str_or(""),
+              hex_digest(plain.soc().sim().state_digest()));
   }
 }
 
@@ -503,6 +560,13 @@ TEST(SweepReport, ParetoAndSensitivity) {
       EXPECT_EQ(v.find("cells")->number, 2.0) << axis;
     }
   }
+}
+
+TEST(SweepReport, FileWithoutRowsIsRejected) {
+  // A campaign's output has no sweep rows.
+  expect_input_rejection(
+      [] { (void)sweep_report_markdown({"{\"campaign\":{\"runs\":1}}"}); },
+      "--sweep-report: no sweep rows found");
 }
 
 TEST(SweepReport, FallsBackToTailLatencyWithoutBounds) {

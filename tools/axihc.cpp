@@ -63,10 +63,12 @@
 // ("host: 60000 cycles, 4.12 ms, 14.56 Mcyc/s, peak RSS 5.3 MB").
 //
 // An unknown flag, a flag missing its value, or a count that is not a whole
-// unsigned number ("1e3", "abc") is a usage error: exit 2 with the usage
-// text. Every config section and key, with its default, is a row of the
-// table in src/config/keys.cpp; see src/config/system_builder.hpp for the
-// sections' meaning.
+// unsigned number ("1e3", "abc", or 0 for --sample-every) is a usage error:
+// exit 2 with the usage text. A rejected input exits 1 with a message that
+// names the file ("axihc: bad.ini: ini line 3: expected key = value").
+// Every config section and key, with its default, is a row of the table in
+// src/config/keys.cpp; see src/config/system_builder.hpp for the sections'
+// meaning.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -114,13 +116,9 @@ mode = readwrite
 bytes_per_job = 262144
 burst = 16
 
-[observe]                     ; optional; --trace-out/--metrics-out imply it
-trace = false                 ; record typed events (Chrome trace JSON)
-metrics = false               ; sample every counter/gauge in the registry
-sample_every = 1000           ; sampler period / APM window, in cycles
-trace_capacity = 0            ; max retained events; 0 = unbounded
-latency_audit = false         ; per-txn provenance + WCLA bound auditing
-flight_capacity = 4096        ; flight-recorder ring size (transactions)
+[observe]                     ; optional buffer sizes for the observing flags
+trace_capacity = 0            ; --trace-out: max retained events; 0 = unbounded
+flight_capacity = 4096        ; --latency-audit: flight-recorder ring size
 )";
 
 void usage() {
@@ -174,7 +172,7 @@ int main(int argc, char** argv) {
   axihc::Cycle override_cycles = 0;
   std::string trace_out;
   std::string metrics_out;
-  axihc::Cycle sample_every = 0;  // 0 = keep the config's value
+  axihc::Cycle sample_every = 0;  // 0 = the default period
   bool fast_forward = true;
   bool print_digest = false;
   bool prove_mode = false;
@@ -223,7 +221,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--metrics-out") {
       ok = take(metrics_out);
     } else if (arg == "--sample-every") {
-      ok = take_count(sample_every);
+      ok = take_count(sample_every) && sample_every != 0;
     } else if (arg == "--no-fast-forward") {
       fast_forward = false;
     } else if (arg == "--digest") {
@@ -306,6 +304,9 @@ int main(int argc, char** argv) {
   std::ostringstream text;
   text << file.rdbuf();
 
+  // The file a rejection is about, named in its message: the config, row
+  // or spec file, or the pin file while --sweep-check reads it.
+  std::string input = argv[1];
   try {
     if (config_digest_mode || config_canonical_mode) {
       const axihc::IniFile ini = axihc::IniFile::parse(text.str());
@@ -323,11 +324,11 @@ int main(int argc, char** argv) {
     if ((!sweep_report.empty() || !sweep_report_json.empty()) &&
         !sweep_mode) {
       // Standalone report mode: argv[1] is a saved row file, not a config.
+      // Empty lines stay (the report skips them), so a rejected row's
+      // number is its line in the file.
       std::vector<std::string> lines;
       std::istringstream rows(text.str());
-      for (std::string line; std::getline(rows, line);) {
-        if (!line.empty()) lines.push_back(line);
-      }
+      for (std::string line; std::getline(rows, line);) lines.push_back(line);
       if (!sweep_report.empty() &&
           !write_output(sweep_report, axihc::sweep_report_markdown(lines))) {
         return 1;
@@ -405,6 +406,7 @@ int main(int argc, char** argv) {
         }
         std::ostringstream pins_text;
         pins_text << pins.rdbuf();
+        input = sweep_check;
         const std::size_t mismatches =
             axihc::check_pins(summary.lines, pins_text.str(), std::cerr);
         if (mismatches != 0) {
@@ -472,8 +474,8 @@ int main(int argc, char** argv) {
       return proof.disproved() ? 1 : 0;
     }
 
-    // CLI flags layer on top of the [observe] section: an output file turns
-    // the corresponding half on, --sample-every overrides the period.
+    // An output file turns the corresponding half of the observability
+    // layer on; --sample-every overrides the period.
     axihc::ObserveConfig& obs = system->observe_config();
     if (!trace_out.empty()) obs.trace = true;
     if (!metrics_out.empty()) obs.metrics = true;
@@ -541,7 +543,7 @@ int main(int argc, char** argv) {
       return 1;
     }
   } catch (const axihc::ModelError& e) {
-    std::cerr << "axihc: " << e.what() << "\n";
+    std::cerr << "axihc: " << input << ": " << e.what() << "\n";
     return 1;
   }
   return 0;
