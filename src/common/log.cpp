@@ -2,17 +2,8 @@
 
 #include <iostream>
 
-namespace axihc {
+namespace axihc::detail {
 
-LogLevel Logger::level_ = LogLevel::kWarn;
+void write_log_line(const std::string& line) { std::cerr << line << '\n'; }
 
-void Logger::set_level(LogLevel level) { level_ = level; }
-
-LogLevel Logger::level() { return level_; }
-
-void Logger::write(LogLevel level, const std::string& message) {
-  if (static_cast<int>(level) < static_cast<int>(level_)) return;
-  std::cerr << message << '\n';
-}
-
-}  // namespace axihc
+}  // namespace axihc::detail

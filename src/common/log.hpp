@@ -1,5 +1,6 @@
-// Minimal leveled logger for simulation diagnostics. Off by default so test
-// and bench output stays clean; enable with Logger::set_level.
+// Warning lines for simulation diagnostics ("[warn ] ..." on stderr).
+// Everything a test or tool needs to inspect is recorded as data instead
+// (isolation events, recovery transitions, trace instants).
 #pragma once
 
 #include <sstream>
@@ -7,25 +8,14 @@
 
 namespace axihc {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
-
-class Logger {
- public:
-  static void set_level(LogLevel level);
-  static LogLevel level();
-
-  /// Emits `message` to stderr if `level` is enabled.
-  static void write(LogLevel level, const std::string& message);
-
- private:
-  static LogLevel level_;
-};
-
 namespace detail {
+/// Writes one finished line to stderr.
+void write_log_line(const std::string& line);
+
 class LogLine {
  public:
-  LogLine(LogLevel level, const char* tag) : level_(level) { os_ << tag; }
-  ~LogLine() { Logger::write(level_, os_.str()); }
+  explicit LogLine(const char* tag) { os_ << tag; }
+  ~LogLine() { write_log_line(os_.str()); }
   LogLine(const LogLine&) = delete;
   LogLine& operator=(const LogLine&) = delete;
 
@@ -36,18 +26,10 @@ class LogLine {
   }
 
  private:
-  LogLevel level_;
   std::ostringstream os_;
 };
 }  // namespace detail
 
 }  // namespace axihc
 
-#define AXIHC_LOG_DEBUG() \
-  ::axihc::detail::LogLine(::axihc::LogLevel::kDebug, "[debug] ")
-#define AXIHC_LOG_INFO() \
-  ::axihc::detail::LogLine(::axihc::LogLevel::kInfo, "[info ] ")
-#define AXIHC_LOG_WARN() \
-  ::axihc::detail::LogLine(::axihc::LogLevel::kWarn, "[warn ] ")
-#define AXIHC_LOG_ERROR() \
-  ::axihc::detail::LogLine(::axihc::LogLevel::kError, "[error] ")
+#define AXIHC_LOG_WARN() ::axihc::detail::LogLine("[warn ] ")

@@ -29,7 +29,9 @@ std::string canonical_ini(const IniFile& ini) {
   // i-th [haN] / [faultN] / [memN] section in a file be named with its i.
   // A multimap keeps file order among equal names.
   std::multimap<std::string_view, const IniSection*> sections;
-  for (const IniSection& s : ini.sections()) sections.emplace(s.name(), &s);
+  for (const IniSection& s : ini.sections()) {
+    if (s.name() != "observe") sections.emplace(s.name(), &s);
+  }
 
   std::ostringstream os;
   for (const auto& [name, s] : sections) {

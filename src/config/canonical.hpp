@@ -16,7 +16,10 @@
 //    key table (config/keys.hpp) are DROPPED — writing `ports = 2`
 //    explicitly does not change the digest of a config that omitted it.
 //    Section headers are never dropped (an empty [recovery] is not the same
-//    system as no [recovery] at all).
+//    system as no [recovery] at all);
+//  * the [observe] section is dropped whole: its buffer sizes bound what an
+//    observer keeps, never what is simulated or what a sweep or campaign
+//    row reports.
 #pragma once
 
 #include <cstdint>

@@ -118,10 +118,6 @@ class ConfiguredSystem {
   /// cycles; see ProveReport for verdicts and the certificate.
   [[nodiscard]] ProveReport prove() const;
 
-  /// The parsed fault scenario ([faultN] sections; empty when none).
-  [[nodiscard]] const FaultScenario& fault_scenario() const {
-    return scenario_;
-  }
   [[nodiscard]] std::size_t injector_count() const {
     return injectors_.size();
   }

@@ -235,12 +235,8 @@ void HyperConnect::tick_central_unit(Cycle now) {
       link.b.clear_contents();
       ts_[i]->abort_pending_issue();
       // Undelivered synthesized completions die with the decouple (the HA
-      // is reset before the port recouples); account for them.
-      for (std::size_t n = owed_r_[i].size() + owed_b_[i].size(); n != 0;
-           --n) {
-        pu_[i]->count_synth_drop();
-        --owed_pending_;
-      }
+      // is reset before the port recouples).
+      owed_pending_ -= owed_r_[i].size() + owed_b_[i].size();
       owed_r_[i].clear();
       owed_b_[i].clear();
     }

@@ -189,8 +189,8 @@ class HyperConnect final : public Interconnect {
   // could not push immediately (full R/B queue at fault time). Drained into
   // the port link as capacity frees, so a completion is never silently
   // dropped — a lost completion wedges the HA forever on an in-flight
-  // transaction. Discarded (and counted as synth drops) when the port is
-  // decoupled: the HA behind a decoupled port is reset before recoupling.
+  // transaction. Discarded when the port is decoupled: the HA behind a
+  // decoupled port is reset before recoupling.
   std::vector<std::deque<RBeat>> owed_r_;
   std::vector<std::deque<BResp>> owed_b_;
   // Completions queued across all owed_r_/owed_b_ deques: lets the fault-

@@ -9,7 +9,6 @@ void ProtectionUnit::reset() {
   writes_.clear();
   stall_ = {};
   malformed_ = false;
-  synth_dropped_ = 0;
 }
 
 void ProtectionUnit::on_issue_read(TxnId id, bool is_final, Cycle now) {

@@ -108,10 +108,6 @@ class ProtectionUnit {
     return writes_;
   }
 
-  /// Synthesized completions that could not be queued (port queue full).
-  [[nodiscard]] std::uint64_t synth_dropped() const { return synth_dropped_; }
-  void count_synth_drop() { ++synth_dropped_; }
-
  private:
   PortIndex port_;
   const HcRuntime& rt_;
@@ -120,7 +116,6 @@ class ProtectionUnit {
   std::deque<SubRecord> writes_;
   std::array<Cycle, kStallPaths> stall_{};  // indexed by StallPath
   bool malformed_ = false;
-  std::uint64_t synth_dropped_ = 0;
 };
 
 }  // namespace axihc

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "common/log.hpp"
 #include "recovery/recovery_manager.hpp"
 
 namespace axihc {
@@ -86,8 +85,6 @@ void Hypervisor::poll_counters(Cycle now) {
         trace_->record(now, name(),
                        "watchdog_isolate p" + std::to_string(p));
       }
-      AXIHC_LOG_INFO() << name() << ": port " << p << " issued " << delta
-                       << " txns (allowed " << allowed << ") — decoupling";
       isolate(p, now);
     }
 
@@ -108,10 +105,6 @@ void Hypervisor::poll_counters(Cycle now) {
       if (tracing()) {
         trace_->record(now, name(), "fault_observed p" + std::to_string(p));
       }
-      AXIHC_LOG_INFO() << name() << ": port " << p << " latched " << fdelta
-                       << " new fault(s) (cause "
-                       << static_cast<unsigned>(cause)
-                       << ") — handing to recovery";
       isolate(p, now);
     }
   }

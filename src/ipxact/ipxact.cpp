@@ -1,6 +1,5 @@
 #include "ipxact/ipxact.hpp"
 
-#include "common/check.hpp"
 #include "ipxact/xml.hpp"
 
 namespace axihc {
@@ -37,44 +36,6 @@ std::string to_ipxact_xml(const IpxactComponent& component) {
   return root.to_string();
 }
 
-IpxactComponent parse_ipxact_xml(const std::string& xml) {
-  const auto root = parse_xml(xml);
-  AXIHC_CHECK_MSG(root->tag() == "spirit:component",
-                  "not an IP-XACT component document (root <" << root->tag()
-                                                              << ">)");
-  IpxactComponent out;
-  out.vendor = root->child_text("spirit:vendor");
-  out.library = root->child_text("spirit:library");
-  out.name = root->child_text("spirit:name");
-  out.version = root->child_text("spirit:version");
-  AXIHC_CHECK_MSG(!out.name.empty(), "IP-XACT component without a name");
-
-  if (const XmlNode* interfaces = root->child("spirit:busInterfaces")) {
-    for (const XmlNode* node :
-         interfaces->children_named("spirit:busInterface")) {
-      IpxactBusInterface iface;
-      iface.name = node->child_text("spirit:name");
-      if (const XmlNode* bus_type = node->child("spirit:busType")) {
-        if (const std::string* type_name =
-                bus_type->attribute("spirit:name")) {
-          iface.bus_type = *type_name;
-        }
-      }
-      iface.mode = node->child("spirit:master") != nullptr
-                       ? BusInterfaceMode::kMaster
-                       : BusInterfaceMode::kSlave;
-      out.bus_interfaces.push_back(std::move(iface));
-    }
-  }
-  if (const XmlNode* params = root->child("spirit:parameters")) {
-    for (const XmlNode* node : params->children_named("spirit:parameter")) {
-      out.parameters.push_back(
-          {node->child_text("spirit:name"), node->child_text("spirit:value")});
-    }
-  }
-  return out;
-}
-
 IpxactComponent describe_hyperconnect(const HyperConnectConfig& cfg) {
   IpxactComponent c;
   c.vendor = "sssa.it";
@@ -97,20 +58,6 @@ IpxactComponent describe_hyperconnect(const HyperConnectConfig& cfg) {
       {"RESERVATION_PERIOD", std::to_string(cfg.reservation_period)});
   c.parameters.push_back(
       {"ROUTE_CAPACITY", std::to_string(cfg.route_capacity)});
-  return c;
-}
-
-IpxactComponent describe_accelerator(const std::string& name,
-                                     const std::string& vendor) {
-  IpxactComponent c;
-  c.vendor = vendor;
-  c.library = "accelerators";
-  c.name = name;
-  c.version = "1.0";
-  c.bus_interfaces.push_back({"M_AXI_DATA", BusInterfaceMode::kMaster,
-                              "aximm"});
-  c.bus_interfaces.push_back({"S_AXI_CTRL", BusInterfaceMode::kSlave,
-                              "aximm-lite"});
   return c;
 }
 

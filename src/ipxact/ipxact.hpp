@@ -2,10 +2,9 @@
 //
 // The paper exports the AXI HyperConnect following the IP-XACT standard so
 // it can be consumed by commercial system-integration tools (Xilinx Vivado,
-// Intel Platform Designer). This module writes and reads the subset of
-// IP-XACT 2014 (spirit namespace) needed to describe the components of this
-// library: the VLNV identity, bus interfaces (AXI master/slave) and
-// configuration parameters.
+// Intel Platform Designer). This module writes the subset of IP-XACT 2014
+// (spirit namespace) needed to describe the HyperConnect: the VLNV
+// identity, bus interfaces (AXI master/slave) and configuration parameters.
 #pragma once
 
 #include <cstdint>
@@ -45,19 +44,10 @@ struct IpxactComponent {
 /// Serializes to IP-XACT XML (spirit:component document).
 [[nodiscard]] std::string to_ipxact_xml(const IpxactComponent& component);
 
-/// Parses an IP-XACT XML document produced by to_ipxact_xml (or a
-/// compatible subset). Throws ModelError on malformed input.
-[[nodiscard]] IpxactComponent parse_ipxact_xml(const std::string& xml);
-
 /// The IP-XACT description of an AXI HyperConnect instance: N slave ports,
 /// one master port, the control slave interface, and the synthesis
 /// parameters.
 [[nodiscard]] IpxactComponent describe_hyperconnect(
     const HyperConnectConfig& cfg);
-
-/// The IP-XACT description of a generic HA (control slave + data master),
-/// as an application would hand it to the system integrator.
-[[nodiscard]] IpxactComponent describe_accelerator(const std::string& name,
-                                                   const std::string& vendor);
 
 }  // namespace axihc

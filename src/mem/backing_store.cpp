@@ -30,8 +30,7 @@ void BackingStore::write_word(Addr addr, std::uint64_t data,
                               std::uint8_t strb) {
   const Addr idx = word_index(addr);
   Page& page = touch_page(idx / kPageWords);
-  const Addr off = idx % kPageWords;
-  std::uint64_t& word = page.data[off];
+  std::uint64_t& word = page.data[idx % kPageWords];
   if (strb == 0xff) {
     word = data;
   } else {
@@ -42,17 +41,12 @@ void BackingStore::write_word(Addr addr, std::uint64_t data,
       }
     }
   }
-  std::uint64_t& bits = page.written[off / 64];
-  const std::uint64_t bit = std::uint64_t{1} << (off % 64);
-  words_written_ += (bits & bit) == 0;
-  bits |= bit;
 }
 
 void BackingStore::clear() {
   pages_.clear();
   cached_idx_ = ~Addr{0};
   cached_page_ = nullptr;
-  words_written_ = 0;
 }
 
 }  // namespace axihc

@@ -6,8 +6,7 @@
 // last-page cache. DMA traffic is overwhelmingly sequential, so almost every
 // access hits the cache and costs an index compare plus an array load — the
 // per-word hash probe (and its rehashing) of a flat word map was a measurable
-// slice of the whole-system profile. Each page carries a written-word bitmask
-// so words_written() still counts distinct words exactly, not pages.
+// slice of the whole-system profile.
 #pragma once
 
 #include <cstdint>
@@ -28,11 +27,6 @@ class BackingStore {
   /// strobe `strb` (bit i enables byte i of the word).
   void write_word(Addr addr, std::uint64_t data, std::uint8_t strb = 0xff);
 
-  /// Number of distinct words ever written (test helper). A write with an
-  /// all-zero strobe still marks its word written, matching the historical
-  /// flat-map behaviour.
-  [[nodiscard]] std::size_t words_written() const { return words_written_; }
-
   void clear();
 
  private:
@@ -40,7 +34,6 @@ class BackingStore {
 
   struct Page {
     std::uint64_t data[kPageWords] = {};
-    std::uint64_t written[kPageWords / 64] = {};  // distinct-write bitmask
   };
 
   static Addr word_index(Addr addr) { return addr >> 3; }
@@ -55,7 +48,6 @@ class BackingStore {
   // index is unreachable — real page indices fit in addr >> 3 / kPageWords.
   mutable Addr cached_idx_ = ~Addr{0};
   mutable Page* cached_page_ = nullptr;
-  std::size_t words_written_ = 0;
 };
 
 }  // namespace axihc

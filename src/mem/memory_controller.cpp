@@ -9,13 +9,25 @@ namespace axihc {
 
 MemoryController::MemoryController(std::string name, AxiLink& link,
                                    BackingStore& store,
-                                   MemoryControllerConfig cfg)
+                                   MemoryControllerConfig cfg,
+                                   AxiLink* ps_link)
     : Component(std::move(name)),
       link_(link),
+      ps_link_(ps_link),
       store_(store),
       cfg_(cfg),
       open_row_(cfg.banks, kNoRow) {
   AXIHC_CHECK(cfg_.banks > 0);
+  AXIHC_CHECK_MSG(ps_link_ == nullptr ||
+                      cfg_.scheduling == MemScheduling::kInOrder,
+                  this->name() << ": a PS port needs in-order scheduling");
+}
+
+void MemoryController::set_latency_audit(LatencyAudit* audit) {
+  AXIHC_CHECK_MSG(audit == nullptr || ps_link_ == nullptr,
+                  name() << ": the latency auditor matches one port's "
+                            "commands; this controller has a PS port");
+  audit_ = audit;
 }
 
 void MemoryController::append_digest(StateDigest& d) const {
@@ -105,12 +117,18 @@ bool MemoryController::would_hit(Addr addr) const {
   return open_row_[bank] == row;
 }
 
-void MemoryController::accept_new_requests() {
+void MemoryController::accept_from(AxiLink& link) {
   // In-order merge of the two address channels; AR is checked first, so a
   // read and a write arriving the same cycle enqueue read-first
   // (deterministic tie-break, documented behaviour).
-  if (link_.ar.can_pop()) queue_.push_back({false, link_.ar.pop(), {}});
-  if (link_.aw.can_pop()) queue_.push_back({true, link_.aw.pop(), {}});
+  if (link.ar.can_pop()) queue_.push_back({false, link.ar.pop(), &link, {}});
+  if (link.aw.can_pop()) queue_.push_back({true, link.aw.pop(), &link, {}});
+}
+
+void MemoryController::accept_new_requests() {
+  // The PS port is polled first: same-cycle arrivals enqueue PS-first.
+  if (ps_link_ != nullptr) accept_from(*ps_link_);
+  accept_from(link_);
 }
 
 void MemoryController::buffer_write_data() {
@@ -158,14 +176,21 @@ std::size_t MemoryController::pick_next() const {
   return first_eligible;
 }
 
+std::size_t MemoryController::pick_in_order() const {
+  if (ps_link_ == nullptr || !cfg_.ps_priority) return 0;
+  for (std::size_t i = 0; i < queue_.size(); ++i) {
+    if (queue_[i].link == ps_link_) return i;
+  }
+  return 0;
+}
+
 void MemoryController::start_next_command() {
   if (queue_.empty()) return;
-  std::size_t index = 0;
-  if (cfg_.scheduling == MemScheduling::kFrFcfs) {
-    index = pick_next();
-    if (index == queue_.size()) return;  // nothing eligible yet
-    if (index != 0) ++reordered_;
-  }
+  const std::size_t index = cfg_.scheduling == MemScheduling::kFrFcfs
+                                ? pick_next()
+                                : pick_in_order();
+  if (index == queue_.size()) return;  // FR-FCFS: nothing eligible yet
+  if (index != 0) ++reordered_;
   current_ = std::move(queue_[index]);
   queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(index));
   current_resp_ = resolve_resp(current_.req);
@@ -203,6 +228,10 @@ Cycle MemoryController::next_activity(Cycle now) const {
   // streaming in-order write (always active below), or buffered as it
   // arrives under FR-FCFS.
   if (link_.ar.can_pop() || link_.aw.can_pop()) return now;
+  if (ps_link_ != nullptr &&
+      (ps_link_->ar.can_pop() || ps_link_->aw.can_pop())) {
+    return now;
+  }
   if (cfg_.scheduling == MemScheduling::kFrFcfs && link_.w.can_pop()) {
     return now;
   }
@@ -298,8 +327,9 @@ void MemoryController::tick(Cycle now) {
       // Error transactions (DECERR decode miss / SLVERR window) keep their
       // timing but never touch the backing store; every R beat and the B
       // response carry the resolved error code.
+      AxiLink& link = *current_.link;
       if (phase_ == Phase::kStreamRead) {
-        if (!link_.r.can_push()) break;  // backpressure from the fabric
+        if (!link.r.can_push()) break;  // backpressure from the fabric
         RBeat beat;
         beat.id = current_.req.id;
         beat.data =
@@ -307,27 +337,27 @@ void MemoryController::tick(Cycle now) {
                                          : 0;
         beat.last = beats_left_ == 1;
         beat.resp = current_resp_;
-        link_.r.push(beat);
+        link.r.push(beat);
       } else if (cfg_.scheduling == MemScheduling::kFrFcfs) {
         // Data was pre-buffered; stream one beat per cycle from the buffer.
         const bool final_beat = beats_left_ == 1;
-        if (final_beat && !link_.b.can_push()) break;
+        if (final_beat && !link.b.can_push()) break;
         const WBeat& beat = current_.data[stream_index_++];
         if (current_resp_ == Resp::kOkay) {
           store_.write_word(next_beat_addr_, beat.data, beat.strb);
         }
-        if (final_beat) link_.b.push({current_.req.id, current_resp_});
+        if (final_beat) link.b.push({current_.req.id, current_resp_});
       } else {
-        if (!link_.w.can_pop()) break;  // W data not here yet
+        if (!link.w.can_pop()) break;  // W data not here yet
         const bool final_beat = beats_left_ == 1;
-        if (final_beat && !link_.b.can_push()) break;  // hold last beat for B
-        const WBeat beat = link_.w.pop();
+        if (final_beat && !link.b.can_push()) break;  // hold last beat for B
+        const WBeat beat = link.w.pop();
         if (current_resp_ == Resp::kOkay) {
           store_.write_word(next_beat_addr_, beat.data, beat.strb);
         }
         if (final_beat) {
           AXIHC_CHECK_MSG(beat.last, "W burst longer than AW advertised");
-          link_.b.push({current_.req.id, current_resp_});
+          link.b.push({current_.req.id, current_resp_});
         }
       }
       ++beats_served_;

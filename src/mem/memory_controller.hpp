@@ -12,6 +12,18 @@
 //
 // An optional periodic stall models interference from PS-side masters
 // (CPU/peripherals sharing the DDR controller); it is off by default.
+//
+// An optional second link, the PS port, lets PS masters (CPU cores,
+// peripherals) contend for the same device explicitly: the DDR controller
+// as the PS exposes it. This is the substrate for the paper's §V-A remark
+// that bandwidth reservation also controls "the overall memory traffic
+// coming from the FPGA fabric directed to the shared memory subsystem
+// (which can delay the execution of software running on the processors of
+// the PS)" (CpuProtection.PaperAblationFpgaBudgetRestoresCpuLatency in
+// tests/test_ps_port.cpp). Both ports feed the one command queue; with
+// `ps_priority` the oldest queued PS command is served first
+// (non-preemptively), as the Zynq DDRC's default port weighting favours
+// the PS.
 #pragma once
 
 #include <cstdint>
@@ -73,14 +85,20 @@ struct MemoryControllerConfig {
   /// Error-synthesizing windows (fault injection / broken-slave model): a
   /// burst overlapping any of these ranges gets SLVERR.
   std::vector<AddrRange> slverr_ranges;
+  /// With a PS port (in-order scheduling only): queued PS commands are
+  /// served before queued FPGA commands. Off = arrival order.
+  bool ps_priority = true;
 };
 
 class MemoryController final : public Component {
  public:
-  /// Serves AXI traffic arriving on the slave side of `link`, reading and
-  /// writing `store`. Both are borrowed and must outlive the controller.
+  /// Serves AXI traffic arriving on the slave side of `link` (the FPGA-PS
+  /// port) and, if given, of `ps_link` (the PS port), reading and writing
+  /// `store`. All are borrowed and must outlive the controller. A PS port
+  /// needs in-order scheduling: FR-FCFS buffers W data from `link` only.
   MemoryController(std::string name, AxiLink& link, BackingStore& store,
-                   MemoryControllerConfig cfg = {});
+                   MemoryControllerConfig cfg = {},
+                   AxiLink* ps_link = nullptr);
 
   void tick(Cycle now) override;
   void reset() override;
@@ -95,7 +113,7 @@ class MemoryController final : public Component {
 
   [[nodiscard]] const MemoryControllerConfig& config() const { return cfg_; }
 
-  /// Transactions that overtook an older one (kFrFcfs only).
+  /// Transactions that overtook an older one (kFrFcfs, or PS priority).
   [[nodiscard]] std::uint64_t reordered() const { return reordered_; }
 
   /// Refresh windows entered so far.
@@ -113,8 +131,9 @@ class MemoryController final : public Component {
   /// Latency auditor hooks: command service start/done. Only meaningful
   /// with in-order scheduling (the auditor matches commands positionally;
   /// FR-FCFS reordering breaks that, so the wiring layer does not attach
-  /// the auditor to FR-FCFS controllers). nullptr (the default) disables.
-  void set_latency_audit(LatencyAudit* audit) { audit_ = audit; }
+  /// the auditor to FR-FCFS controllers, nor to one with a PS port, whose
+  /// commands are not the auditor's). nullptr (the default) disables.
+  void set_latency_audit(LatencyAudit* audit);
 
   /// Registers queue depth, served/row-hit/row-miss counters etc. with `reg`.
   void register_metrics(MetricsRegistry& reg);
@@ -125,6 +144,8 @@ class MemoryController final : public Component {
   struct Command {
     bool is_write = false;
     AddrReq req;
+    /// The port the command arrived on; R, W and B of its data phase use it.
+    AxiLink* link = nullptr;
     /// kFrFcfs: buffered write data (write eligible once complete).
     std::vector<WBeat> data;
   };
@@ -138,22 +159,27 @@ class MemoryController final : public Component {
   /// True if the open-row state says `addr` would be a row hit (no update).
   [[nodiscard]] bool would_hit(Addr addr) const;
 
+  void accept_from(AxiLink& link);
   void accept_new_requests();
   void buffer_write_data();
   [[nodiscard]] bool eligible(std::size_t index) const;
   [[nodiscard]] std::size_t pick_next() const;
+  /// In order: the oldest PS command under `ps_priority`, else the oldest.
+  [[nodiscard]] std::size_t pick_in_order() const;
   /// kStreamRead/kStreamWrite: the next beat waits for R room, W data or B
   /// room. FR-FCFS streams pre-buffered data; in order, each beat needs W.
   [[nodiscard]] bool stream_blocked() const {
-    if (phase_ == Phase::kStreamRead) return !link_.r.can_push();
-    if (beats_left_ == 1 && !link_.b.can_push()) return true;
-    return cfg_.scheduling == MemScheduling::kInOrder && !link_.w.can_pop();
+    const AxiLink& link = *current_.link;
+    if (phase_ == Phase::kStreamRead) return !link.r.can_push();
+    if (beats_left_ == 1 && !link.b.can_push()) return true;
+    return cfg_.scheduling == MemScheduling::kInOrder && !link.w.can_pop();
   }
   void start_next_command();
   /// Address-decode + error-window resolution for a whole burst.
   [[nodiscard]] Resp resolve_resp(const AddrReq& req) const;
 
   AxiLink& link_;
+  AxiLink* ps_link_;  // nullptr: no PS port
   BackingStore& store_;
   MemoryControllerConfig cfg_;
 

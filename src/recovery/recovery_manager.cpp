@@ -123,8 +123,6 @@ void RecoveryManager::transition(PortIndex port, RecoveryState to,
                        std::string(to_string(f.state)) + "->" +
                        to_string(to));
   }
-  AXIHC_LOG_INFO() << name() << " @" << now << ": port " << port << " "
-                   << to_string(f.state) << " -> " << to_string(to);
   f.state = to;
 }
 

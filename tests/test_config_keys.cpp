@@ -228,6 +228,21 @@ TEST(ConfigKeys, SpelledDefaultsParseTheSameSpecs) {
   EXPECT_THROW((void)parse_campaign_spec(port2), ModelError);
 }
 
+TEST(ConfigKeys, ObserveSizesLeaveTheConfigDigest) {
+  // [observe] only sizes observer buffers: it changes neither the simulated
+  // state nor a sweep or campaign row, so it must not split config digests
+  // (and with them sweep cache entries and pins).
+  const std::string quickstart =
+      read_file("examples/configs/quickstart.ini");
+  const std::uint64_t plain = config_digest(quickstart);
+  for (const char* observe :
+       {"[observe]\ntrace_capacity = 5\n", "[observe]\nflight_capacity = 8\n",
+        "[observe]\n"}) {
+    SCOPED_TRACE(observe);
+    EXPECT_EQ(config_digest(quickstart + "\n" + observe), plain);
+  }
+}
+
 std::vector<std::string> inis_under(const std::string& rel) {
   std::vector<std::string> out;
   for (const auto& entry : std::filesystem::directory_iterator(

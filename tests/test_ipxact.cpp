@@ -1,9 +1,8 @@
-// IP-XACT export/import tests: XML round-trips and component descriptions.
+// IP-XACT export tests: XML writing and component descriptions.
 #include "ipxact/ipxact.hpp"
 
 #include <gtest/gtest.h>
 
-#include "common/check.hpp"
 #include "ipxact/xml.hpp"
 
 namespace axihc {
@@ -20,40 +19,6 @@ TEST(Xml, BuildAndSerialize) {
   const std::string s = root.to_string();
   EXPECT_NE(s.find("<root k=\"v&lt;1&gt;\">"), std::string::npos);
   EXPECT_NE(s.find("<child>text &amp; more</child>"), std::string::npos);
-}
-
-TEST(Xml, ParseSimpleDocument) {
-  const auto root = parse_xml(
-      "<?xml version=\"1.0\"?>\n"
-      "<!-- comment -->\n"
-      "<a x=\"1\"><b>hello</b><b>world</b><c/></a>");
-  EXPECT_EQ(root->tag(), "a");
-  ASSERT_NE(root->attribute("x"), nullptr);
-  EXPECT_EQ(*root->attribute("x"), "1");
-  const auto bs = root->children_named("b");
-  ASSERT_EQ(bs.size(), 2u);
-  EXPECT_EQ(bs[0]->text(), "hello");
-  EXPECT_EQ(bs[1]->text(), "world");
-  EXPECT_NE(root->child("c"), nullptr);
-}
-
-TEST(Xml, ParseRejectsMalformed) {
-  EXPECT_THROW(parse_xml("<a><b></a></b>"), ModelError);
-  EXPECT_THROW(parse_xml("<a>"), ModelError);
-  EXPECT_THROW(parse_xml("<a></a><b></b>"), ModelError);
-}
-
-TEST(Xml, SerializeParseRoundTrip) {
-  XmlNode root("spirit:top");
-  root.set_attribute("xmlns:spirit", "http://example.org");
-  XmlNode& mid = root.add_child("spirit:mid");
-  mid.add_text_child("spirit:leaf", "value with <specials> & \"quotes\"");
-  const auto reparsed = parse_xml(root.to_string());
-  EXPECT_EQ(reparsed->tag(), "spirit:top");
-  const XmlNode* mid2 = reparsed->child("spirit:mid");
-  ASSERT_NE(mid2, nullptr);
-  EXPECT_EQ(mid2->child_text("spirit:leaf"),
-            "value with <specials> & \"quotes\"");
 }
 
 TEST(Ipxact, HyperConnectDescriptionHasAllInterfaces) {
@@ -89,40 +54,63 @@ TEST(Ipxact, ParametersCaptureConfiguration) {
   EXPECT_EQ(param("RESERVATION_PERIOD"), "1234");
 }
 
-TEST(Ipxact, ExportImportRoundTrip) {
+TEST(Ipxact, ExportMatchesGoldenText) {
+  // The whole document a system-integration tool would read, byte for byte.
   HyperConnectConfig cfg;
-  cfg.num_ports = 4;
-  const IpxactComponent original = describe_hyperconnect(cfg);
-  const std::string xml = to_ipxact_xml(original);
-  const IpxactComponent reparsed = parse_ipxact_xml(xml);
-
-  EXPECT_EQ(reparsed.vlnv(), original.vlnv());
-  ASSERT_EQ(reparsed.bus_interfaces.size(), original.bus_interfaces.size());
-  for (std::size_t i = 0; i < original.bus_interfaces.size(); ++i) {
-    EXPECT_EQ(reparsed.bus_interfaces[i].name,
-              original.bus_interfaces[i].name);
-    EXPECT_EQ(reparsed.bus_interfaces[i].mode == BusInterfaceMode::kMaster,
-              original.bus_interfaces[i].mode == BusInterfaceMode::kMaster);
-    EXPECT_EQ(reparsed.bus_interfaces[i].bus_type,
-              original.bus_interfaces[i].bus_type);
-  }
-  ASSERT_EQ(reparsed.parameters.size(), original.parameters.size());
-  for (std::size_t i = 0; i < original.parameters.size(); ++i) {
-    EXPECT_EQ(reparsed.parameters[i].name, original.parameters[i].name);
-    EXPECT_EQ(reparsed.parameters[i].value, original.parameters[i].value);
-  }
-}
-
-TEST(Ipxact, AcceleratorDescription) {
-  const IpxactComponent c = describe_accelerator("chaidnn", "xilinx.com");
-  EXPECT_EQ(c.name, "chaidnn");
-  ASSERT_EQ(c.bus_interfaces.size(), 2u);
-  EXPECT_EQ(c.bus_interfaces[0].mode == BusInterfaceMode::kMaster, true);
-  EXPECT_EQ(c.bus_interfaces[1].bus_type, "aximm-lite");
-}
-
-TEST(Ipxact, ParseRejectsNonComponent) {
-  EXPECT_THROW(parse_ipxact_xml("<foo></foo>"), ModelError);
+  cfg.num_ports = 2;
+  cfg.reservation_period = 1000;
+  EXPECT_EQ(to_ipxact_xml(describe_hyperconnect(cfg)), R"(<?xml version="1.0" encoding="UTF-8"?>
+<spirit:component xmlns:spirit="http://www.spiritconsortium.org/XMLSchema/SPIRIT/1685-2009">
+  <spirit:vendor>sssa.it</spirit:vendor>
+  <spirit:library>interconnect</spirit:library>
+  <spirit:name>axi_hyperconnect</spirit:name>
+  <spirit:version>1.0</spirit:version>
+  <spirit:busInterfaces>
+    <spirit:busInterface>
+      <spirit:name>S0_AXI</spirit:name>
+      <spirit:busType spirit:name="aximm"/>
+      <spirit:slave/>
+    </spirit:busInterface>
+    <spirit:busInterface>
+      <spirit:name>S1_AXI</spirit:name>
+      <spirit:busType spirit:name="aximm"/>
+      <spirit:slave/>
+    </spirit:busInterface>
+    <spirit:busInterface>
+      <spirit:name>M_AXI</spirit:name>
+      <spirit:busType spirit:name="aximm"/>
+      <spirit:master/>
+    </spirit:busInterface>
+    <spirit:busInterface>
+      <spirit:name>S_AXI_CTRL</spirit:name>
+      <spirit:busType spirit:name="aximm-lite"/>
+      <spirit:slave/>
+    </spirit:busInterface>
+  </spirit:busInterfaces>
+  <spirit:parameters>
+    <spirit:parameter>
+      <spirit:name>NUM_PORTS</spirit:name>
+      <spirit:value>2</spirit:value>
+    </spirit:parameter>
+    <spirit:parameter>
+      <spirit:name>NOMINAL_BURST</spirit:name>
+      <spirit:value>16</spirit:value>
+    </spirit:parameter>
+    <spirit:parameter>
+      <spirit:name>MAX_OUTSTANDING</spirit:name>
+      <spirit:value>4</spirit:value>
+    </spirit:parameter>
+    <spirit:parameter>
+      <spirit:name>RESERVATION_PERIOD</spirit:name>
+      <spirit:value>1000</spirit:value>
+    </spirit:parameter>
+    <spirit:parameter>
+      <spirit:name>ROUTE_CAPACITY</spirit:name>
+      <spirit:value>64</spirit:value>
+    </spirit:parameter>
+  </spirit:parameters>
+</spirit:component>
+)");
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // axihc — run an interconnect experiment from an INI description.
 //
 //   axihc <config.ini> [--cycles N] [--trace-out f.json]
-//         [--metrics-out f.csv] [--sample-every N] [--no-fast-forward]
+//         [--metrics-out f.csv [--sample-every N]] [--no-fast-forward]
 //         [--digest] [--latency-audit] [--flight-out f.jsonl]
 //   axihc <config.ini> --prove [--prove-json f.json]
 //   axihc <spec.ini> --campaign [--campaign-out f.jsonl]
@@ -64,7 +64,8 @@
 //
 // An unknown flag, a flag missing its value, or a count that is not a whole
 // unsigned number ("1e3", "abc", or 0 for --sample-every) is a usage error:
-// exit 2 with the usage text. A rejected input exits 1 with a message that
+// exit 2 with the usage text. So is --sample-every without --metrics-out,
+// the only output it changes. A rejected input exits 1 with a message that
 // names the file ("axihc: bad.ini: ini line 3: expected key = value").
 // Every config section and key, with its default, is a row of the table in
 // src/config/keys.cpp; see src/config/system_builder.hpp for the sections'
@@ -123,7 +124,7 @@ flight_capacity = 4096        ; --latency-audit: flight-recorder ring size
 
 void usage() {
   std::cerr << "usage: axihc <config.ini> [--cycles N] [--trace-out f.json]\n"
-               "             [--metrics-out f.csv] [--sample-every N]\n"
+               "             [--metrics-out f.csv [--sample-every N]]\n"
                "             [--no-fast-forward] [--digest]\n"
                "             [--latency-audit] [--flight-out f.jsonl]\n"
                "       axihc <config.ini> --prove [--prove-json f.json]\n"
@@ -294,6 +295,11 @@ int main(int argc, char** argv) {
       usage();
       return 2;
     }
+  }
+  if (sample_every != 0 && metrics_out.empty()) {
+    std::cerr << "axihc: --sample-every needs --metrics-out\n";
+    usage();
+    return 2;
   }
 
   std::ifstream file(argv[1]);
