@@ -215,11 +215,12 @@ void BM_AuditIdleAttached(benchmark::State& state) {
 }
 BENCHMARK(BM_AuditIdleAttached);
 
-// The full enabled auditor on the same system — bound model, histograms,
-// flight ring, stall classifier. Not CI-gated (enabling it is an explicit
-// opt-in), reported so the cost of `--latency-audit` is a number, not a
-// guess.
-void BM_AuditEnabled(benchmark::State& state) {
+// The enabled auditor on the same system: the full audit (bound check,
+// histograms, flight ring, stall classifier, stage mirrors) and the bound
+// check alone (what sweep and campaign rows run). Not CI-gated (enabling it
+// is an explicit opt-in); the kernel-bench CI step prints both overheads
+// over BM_AuditOff, so the cost of auditing is a number, not a guess.
+void audit_enabled_system(benchmark::State& state, bool provenance) {
   Simulator sim;
   BackingStore store;
   HyperConnectConfig cfg;
@@ -237,10 +238,10 @@ void BM_AuditEnabled(benchmark::State& state) {
                                                hc.port_link(p), d));
     sim.add(*dmas.back());
   }
-  LatencyAudit audit(cfg.num_ports, 1024);
+  LatencyAudit audit(cfg.num_ports, 1024, provenance);
   audit.set_enabled(true);
   hc.set_latency_audit(&audit);
-  mem.set_latency_audit(&audit);
+  if (provenance) mem.set_latency_audit(&audit);
   for (PortIndex p = 0; p < cfg.num_ports; ++p) {
     dmas[p]->set_latency_audit(&audit, p);
   }
@@ -250,7 +251,16 @@ void BM_AuditEnabled(benchmark::State& state) {
   state.counters["cycles/s"] = benchmark::Counter(
       static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
+
+void BM_AuditEnabled(benchmark::State& state) {
+  audit_enabled_system(state, true);
+}
 BENCHMARK(BM_AuditEnabled);
+
+void BM_AuditBoundsOnly(benchmark::State& state) {
+  audit_enabled_system(state, false);
+}
+BENCHMARK(BM_AuditBoundsOnly);
 
 void BM_DmaJobThroughHyperConnect(benchmark::State& state) {
   for (auto _ : state) {

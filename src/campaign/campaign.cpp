@@ -108,11 +108,14 @@ RunRow execute_run(const IniFile& ini, const CampaignSpec& spec,
                    const std::vector<std::uint64_t>& baseline_bytes) {
   const FaultScenario scenario = campaign_scenario(spec, run_index);
   ConfiguredSystem sys(ini, scenario);
-  // Latency provenance rides along on every run: fault recovery is exactly
-  // when the bound-exclusion logic earns its keep, and the audited/violation
-  // counters join the survivability row. The auditor never touches simulated
-  // state: a row's digest is that of a plain run of its replay config.
-  sys.observe_config().latency_audit = true;
+  // Every run checks the WCLA bounds: fault recovery is exactly when the
+  // bound-exclusion logic earns its keep, and the audited/violation
+  // counters join the survivability row. The row reads nothing of the
+  // provenance part, so it is left out; `axihc --latency-audit --flight-out`
+  // on the run's --campaign-replay config yields it. The auditor never
+  // touches simulated state: a row's digest is that of a plain run of its
+  // replay config.
+  sys.observe_config().latency_bounds = true;
   sys.run(spec.cycles);
 
   const RecoveryManager* rec = sys.recovery();
@@ -260,9 +263,8 @@ CampaignOutput run_campaign(const IniFile& ini) {
   FaultScenario baseline_scenario;
   baseline_scenario.seed = spec.seed;
   append_sentinels(spec, baseline_scenario);
+  // Unaudited: the baseline line reports only its digest and bytes.
   ConfiguredSystem baseline(ini, baseline_scenario);
-  // Audited like every run (execute_run).
-  baseline.observe_config().latency_audit = true;
   baseline.run(spec.cycles);
   std::vector<std::uint64_t> baseline_bytes;
   for (std::size_t i = 0; i < baseline.ha_count(); ++i) {

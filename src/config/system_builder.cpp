@@ -260,24 +260,56 @@ void ConfiguredSystem::wire_observability() {
   trace_.enable(observe_.trace);
   trace_.set_capacity(observe_.trace_capacity);
 
-  if (HyperConnect* hc = soc_->hyperconnect()) {
-    hc->set_trace(&trace_);
-    hc->register_metrics(registry_);
-  }
+  HyperConnect* hc = soc_->hyperconnect();
+  if (hc != nullptr) hc->set_trace(&trace_);
   soc_->memory_controller().set_trace(&trace_);
+  for (auto& m : masters_) m->set_trace(&trace_);
+  if (hypervisor_) hypervisor_->set_trace(&trace_);
+  if (recovery_) recovery_->set_trace(&trace_);
+
+  if (observe_.latency_audit || observe_.latency_bounds) {
+    const SocConfig& cfg = soc_->config();
+    const bool provenance = observe_.latency_audit;
+    audit_ = std::make_unique<LatencyAudit>(
+        cfg.num_ports, observe_.flight_capacity, provenance);
+    audit_->set_enabled(true);
+    audit_->set_trace(&trace_);
+    audit_->set_mem_source(soc_->memory_controller().name());
+    if (hc != nullptr) {
+      hc->set_latency_audit(audit_.get());
+      for (PortIndex p = 0; p < cfg.num_ports; ++p) {
+        audit_->set_port_source(p, hc->name() + ".port" + std::to_string(p));
+      }
+      // Positional memory-stage matching needs the in-order pipeline on
+      // both sides; out-of-order HC mode or FR-FCFS scheduling fall back
+      // to provenance-only auditing at the memory stage.
+      const bool positional =
+          !cfg.hc.out_of_order &&
+          cfg.mem.scheduling == MemScheduling::kInOrder;
+      if (positional) {
+        if (provenance) {
+          soc_->memory_controller().set_latency_audit(audit_.get());
+        }
+        // The analytic bound additionally assumes no PS-originated stall
+        // interference (the model has no term for it).
+        if (cfg.mem.ps_stall_period == 0) {
+          const ProveInput in = prove_input();
+          audit_->set_bound_model(in.analysis, in.platform);
+        }
+      }
+    }
+    for (PortIndex p = 0; p < masters_.size(); ++p) {
+      masters_[p]->set_latency_audit(audit_.get(), p);
+    }
+  }
+
+  // The registry's only reader is the sampler.
+  if (!observe_.metrics) return;
+  if (hc != nullptr) hc->register_metrics(registry_);
   soc_->memory_controller().register_metrics(registry_);
-  for (auto& m : masters_) {
-    m->set_trace(&trace_);
-    m->register_metrics(registry_);
-  }
-  if (hypervisor_) {
-    hypervisor_->set_trace(&trace_);
-    hypervisor_->register_metrics(registry_);
-  }
-  if (recovery_) {
-    recovery_->set_trace(&trace_);
-    recovery_->register_metrics(registry_);
-  }
+  for (auto& m : masters_) m->register_metrics(registry_);
+  if (hypervisor_) hypervisor_->register_metrics(registry_);
+  if (recovery_) recovery_->register_metrics(registry_);
 
   // APM-style byte counters on the FPGA-PS link, read from its R and W
   // traffic counters (64-bit bus: 8 bytes per beat): per-sample deltas are
@@ -294,50 +326,11 @@ void ConfiguredSystem::wire_observability() {
   // losing events would skew any analysis built on it.
   registry_.add_counter("trace.dropped",
                         [this] { return static_cast<double>(trace_.dropped()); });
+  if (audit_) audit_->register_metrics(registry_);
 
-  if (observe_.latency_audit) {
-    const SocConfig& cfg = soc_->config();
-    audit_ =
-        std::make_unique<LatencyAudit>(cfg.num_ports, observe_.flight_capacity);
-    audit_->set_enabled(true);
-    audit_->set_trace(&trace_);
-    audit_->set_mem_source(soc_->memory_controller().name());
-    if (HyperConnect* hc = soc_->hyperconnect()) {
-      hc->set_latency_audit(audit_.get());
-      // Watermark for the prover soundness cross-check: every audited run
-      // also records the observed per-port eFIFO peak, so a simulated cell
-      // can be compared against the static backlog bound.
-      hc->set_track_efifo_peaks(true);
-      for (PortIndex p = 0; p < cfg.num_ports; ++p) {
-        audit_->set_port_source(p, hc->name() + ".port" + std::to_string(p));
-      }
-      // Positional memory-stage matching needs the in-order pipeline on
-      // both sides; out-of-order HC mode or FR-FCFS scheduling fall back
-      // to provenance-only auditing at the memory stage.
-      const bool positional =
-          !cfg.hc.out_of_order &&
-          cfg.mem.scheduling == MemScheduling::kInOrder;
-      if (positional) {
-        soc_->memory_controller().set_latency_audit(audit_.get());
-        // The analytic bound additionally assumes no PS-originated stall
-        // interference (the model has no term for it).
-        if (cfg.mem.ps_stall_period == 0) {
-          const ProveInput in = prove_input();
-          audit_->set_bound_model(in.analysis, in.platform);
-        }
-      }
-    }
-    for (PortIndex p = 0; p < masters_.size(); ++p) {
-      masters_[p]->set_latency_audit(audit_.get(), p);
-    }
-    audit_->register_metrics(registry_);
-  }
-
-  if (observe_.metrics) {
-    sampler_ = std::make_unique<MetricsSampler>("sampler", registry_,
-                                                observe_.sample_every);
-    soc_->add(*sampler_);
-  }
+  sampler_ = std::make_unique<MetricsSampler>("sampler", registry_,
+                                              observe_.sample_every);
+  soc_->add(*sampler_);
 }
 
 void ConfiguredSystem::write_trace(std::ostream& os) const {

@@ -79,9 +79,14 @@ struct ObserveConfig {
   /// Per-transaction latency provenance + live WCLA bound auditing
   /// (src/obs/latency_audit.hpp).
   bool latency_audit = false;
+  /// The live WCLA bound check alone, without provenance: what sweep and
+  /// campaign rows read. Implied by latency_audit.
+  bool latency_bounds = false;
   /// Flight-recorder ring capacity (completed transactions retained).
   std::size_t flight_capacity = 0;
-  [[nodiscard]] bool any() const { return trace || metrics || latency_audit; }
+  [[nodiscard]] bool any() const {
+    return trace || metrics || latency_audit || latency_bounds;
+  }
 };
 
 /// A fully-assembled experiment: the SoC plus the configured HAs, ready to
@@ -143,7 +148,8 @@ class ConfiguredSystem {
   [[nodiscard]] const MetricsSampler* sampler() const {
     return sampler_.get();
   }
-  /// The latency auditor, or nullptr when observe latency_audit was off.
+  /// The latency auditor, or nullptr when observe latency_audit and
+  /// latency_bounds were off.
   [[nodiscard]] const LatencyAudit* latency_audit() const {
     return audit_.get();
   }
@@ -158,10 +164,10 @@ class ConfiguredSystem {
   /// Shared constructor body; `scenario_override` (campaign runs) replaces
   /// the file's [faultN] sections and fault_seed.
   void build(const IniFile& ini, const FaultScenario* scenario_override);
-  /// Hands the trace to every instrumented component, registers all
-  /// metrics (the APM-style `apm.*` byte counters included), and attaches
-  /// the sampler. Called once, from the first run() with observability
-  /// requested.
+  /// Hands the trace to every instrumented component, attaches the latency
+  /// auditor and, when metrics are on, registers all metrics (the APM-style
+  /// `apm.*` byte counters included) and attaches the sampler. Called once,
+  /// from the first run() with observability requested.
   void wire_observability();
   void add_ha(const IniSection& section, PortIndex port);
   /// Assembles the [recovery] hypervisor stack on the control link.

@@ -706,41 +706,39 @@ void HyperConnect::tick(Cycle now) {
 
   // TS modules: one sub-request per port per direction per cycle. Every
   // issued sub-transaction is registered with the port's protection unit.
+  // The bound check hears each split start (the accept, with the popped
+  // request); provenance also hears issues, stall causes, grants and exits.
   const bool audit = auditing();
+  const bool provenance = audit && audit_->provenance();
   for (PortIndex i = 0; i < num_ports(); ++i) {
     TransactionSupervisor& ts = *ts_[i];
     Efifo& fifo = efifos_[i];
-    // The TS pops the next original request before issuing; report the
-    // accept first (peek + the TS's own precondition) so the auditor sees it
-    // with its payload.
-    if (audit && runtime_.global_enable) {
-      if (!ts.active_read_id().has_value() && fifo.ar_available()) {
-        audit_accept(i, false, fifo.peek_ar(), now);
-      }
-      if (!ts.active_write_id().has_value() && fifo.aw_available()) {
-        audit_accept(i, true, fifo.peek_aw(), now);
-      }
+    const auto rsub = ts.tick_read_issue(fifo, *ts_ar_[i], budget_left_[i]);
+    if (audit && rsub.started) {
+      audit_accept(i, false, ts.split_request(false), now);
     }
-    if (const auto sub =
-            ts.tick_read_issue(fifo, *ts_ar_[i], budget_left_[i])) {
+    if (rsub) {
       ++staged_[0];
-      pu_[i]->on_issue_read(sub.id, sub.is_final, now);
+      pu_[i]->on_issue_read(rsub.id, rsub.is_final, now);
       lower_age_due(now);
-      if (audit) audit_->on_sub_issue(i, false, sub.is_final, now);
+      if (provenance) audit_->on_sub_issue(i, false, rsub.is_final, now);
     }
-    if (const auto sub =
-            ts.tick_write_issue(fifo, *ts_aw_[i], budget_left_[i])) {
+    const auto wsub = ts.tick_write_issue(fifo, *ts_aw_[i], budget_left_[i]);
+    if (audit && wsub.started) {
+      audit_accept(i, true, ts.split_request(true), now);
+    }
+    if (wsub) {
       ++staged_[1];
-      pu_[i]->on_issue_write(sub.id, sub.is_final, now);
+      pu_[i]->on_issue_write(wsub.id, wsub.is_final, now);
       lower_age_due(now);
-      if (audit) audit_->on_sub_issue(i, true, sub.is_final, now);
+      if (provenance) audit_->on_sub_issue(i, true, wsub.is_final, now);
     }
     // Classify why each still-active split of this port could not issue
     // this cycle (no other port's issue affects it). The auditor hears only
     // changes: it charges the cycles since the previous report to the
     // previous cause, so a split stalled for a whole budget window costs one
     // call at each end, not one per cycle.
-    if (!audit) continue;
+    if (!provenance) continue;
     if (ts.active_read_id().has_value()) {
       report_stall_cause(
           i, false, classify_stall(i, ts.reads_outstanding(), *ts_ar_[i]), now);
@@ -761,7 +759,7 @@ void HyperConnect::tick(Cycle now) {
         trace_->record(now, name() + ".exbar",
                        "ar_grant_p" + std::to_string(*p));
       }
-      if (audit) audit_->on_grant(*p, false, now);
+      if (provenance) audit_->on_grant(*p, false, now);
     }
   }
   if (staged_[1] != 0) {
@@ -772,18 +770,18 @@ void HyperConnect::tick(Cycle now) {
         trace_->record(now, name() + ".exbar",
                        "aw_grant_p" + std::to_string(*p));
       }
-      if (audit) audit_->on_grant(*p, true, now);
+      if (provenance) audit_->on_grant(*p, true, now);
     }
   }
 
   // Master eFIFO stage toward the FPGA-PS interface.
   if (xbar_ar_.can_pop() && master_link().ar.can_push()) {
     master_link().ar.push(xbar_ar_.pop());
-    if (audit) audit_->on_hc_exit(false, now);
+    if (provenance) audit_->on_hc_exit(false, now);
   }
   if (xbar_aw_.can_pop() && master_link().aw.can_push()) {
     master_link().aw.push(xbar_aw_.pop());
-    if (audit) audit_->on_hc_exit(true, now);
+    if (provenance) audit_->on_hc_exit(true, now);
   }
 }
 

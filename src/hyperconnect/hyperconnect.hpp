@@ -84,10 +84,11 @@ class HyperConnect final : public Interconnect {
   void set_trace(EventTrace* trace) { trace_ = trace; }
 
   /// Attaches the latency auditor (src/obs/latency_audit.*): the tick loop
-  /// reports eFIFO accepts, sub-transaction issues, stall-cause changes,
-  /// EXBAR grants, master-side exits and port disturbances to it. nullptr
-  /// (the default) disables at one branch per site. The audit mutates no
-  /// HyperConnect state: the state digest is identical with it on or off.
+  /// reports eFIFO accepts and port disturbances to it and, when it records
+  /// provenance, sub-transaction issues, stall-cause changes, EXBAR grants
+  /// and master-side exits. nullptr (the default) disables at one branch
+  /// per site. The audit mutates no HyperConnect state: the state digest is
+  /// identical with it on or off.
   void set_latency_audit(LatencyAudit* audit) { audit_ = audit; }
 
   /// Observability: track the per-port peak of Efifo::level() (the five

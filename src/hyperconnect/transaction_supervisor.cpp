@@ -94,24 +94,34 @@ TransactionSupervisor::IssuedSub TransactionSupervisor::read_issue(
     Efifo& in, TimingChannel<AddrReq>& ts_ar, std::uint32_t& budget_left) {
   // The inline caller saw either an active split that may issue, or an
   // enabled port with a request at the eFIFO head.
-  if (!read_split_.active) {
+  const bool started = !read_split_.active;
+  if (started) {
     const AddrReq req = in.pop_ar();
     read_split_ = {true, req, req.beats, req.addr};
-    if (!may_issue(ts_ar, reads_outstanding_, budget_left)) return {};
+    if (!may_issue(ts_ar, reads_outstanding_, budget_left)) {
+      return {0, false, false, true};
+    }
   }
-  return issue_sub(read_split_, ts_ar, pending_split_reads_, reads_outstanding_,
-                   budget_left);
+  IssuedSub sub = issue_sub(read_split_, ts_ar, pending_split_reads_,
+                            reads_outstanding_, budget_left);
+  sub.started = started;
+  return sub;
 }
 
 TransactionSupervisor::IssuedSub TransactionSupervisor::write_issue(
     Efifo& in, TimingChannel<AddrReq>& ts_aw, std::uint32_t& budget_left) {
-  if (!write_split_.active) {
+  const bool started = !write_split_.active;
+  if (started) {
     const AddrReq req = in.pop_aw();
     write_split_ = {true, req, req.beats, req.addr};
-    if (!may_issue(ts_aw, writes_outstanding_, budget_left)) return {};
+    if (!may_issue(ts_aw, writes_outstanding_, budget_left)) {
+      return {0, false, false, true};
+    }
   }
-  return issue_sub(write_split_, ts_aw, pending_split_writes_,
-                   writes_outstanding_, budget_left);
+  IssuedSub sub = issue_sub(write_split_, ts_aw, pending_split_writes_,
+                            writes_outstanding_, budget_left);
+  sub.started = started;
+  return sub;
 }
 
 RBeat TransactionSupervisor::process_r_beat(RBeat beat) {

@@ -43,14 +43,17 @@ class TransactionSupervisor {
 
   /// Result of one issue step: the sub-transaction issued this cycle, if
   /// `issued` (consumed by the protection unit's in-flight tracking). `id`
-  /// is the HA-side ID, before any ID extension. Eight bytes, returned in
-  /// one register: a std::optional of the same fields is twelve bytes, and
-  /// rebuilding its engaged flag on the stack cost a store-forwarding stall
-  /// on every idle tick.
+  /// is the HA-side ID, before any ID extension. `started`: the step popped
+  /// a new HA request from the eFIFO (split_request() returns it), whether
+  /// or not it issued. Eight bytes, returned in one register: a
+  /// std::optional of the same fields is twelve bytes, and rebuilding its
+  /// engaged flag on the stack cost a store-forwarding stall on every idle
+  /// tick.
   struct IssuedSub {
     TxnId id = 0;
     bool is_final = false;
     bool issued = false;
+    bool started = false;
     explicit operator bool() const { return issued; }
   };
 
@@ -138,6 +141,13 @@ class TransactionSupervisor {
   [[nodiscard]] std::optional<TxnId> active_write_id() const {
     if (write_split_.active) return write_split_.orig.id;
     return std::nullopt;
+  }
+
+  /// The HA request of the latest read/write split, as popped from the
+  /// eFIFO. Valid after the issue step that started it reported `started`,
+  /// until the next split or abort.
+  [[nodiscard]] const AddrReq& split_request(bool is_write) const {
+    return is_write ? write_split_.orig : read_split_.orig;
   }
 
  private:

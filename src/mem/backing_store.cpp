@@ -5,9 +5,10 @@ namespace axihc {
 BackingStore::Page* BackingStore::find_page(Addr page_idx) const {
   if (page_idx == cached_idx_) return cached_page_;
   auto it = pages_.find(page_idx);
-  if (it == pages_.end()) return nullptr;
+  // A miss is cached too (as nullptr): reads of never-written buffers are
+  // as sequential as any other. touch_page refreshes the slot on allocation.
   cached_idx_ = page_idx;
-  cached_page_ = it->second.get();
+  cached_page_ = it == pages_.end() ? nullptr : it->second.get();
   return cached_page_;
 }
 

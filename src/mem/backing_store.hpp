@@ -38,14 +38,16 @@ class BackingStore {
 
   static Addr word_index(Addr addr) { return addr >> 3; }
 
-  /// Cache-through page lookup; nullptr when the page was never written.
+  /// Cache-through page lookup (hits and misses both fill the last-page
+  /// slot); nullptr when the page was never written.
   Page* find_page(Addr page_idx) const;
   /// find_page, allocating a zeroed page on miss.
   Page& touch_page(Addr page_idx);
 
   std::unordered_map<Addr, std::unique_ptr<Page>> pages_;
-  // Last-page cache (mutable: read_word is logically const). The sentinel
-  // index is unreachable — real page indices fit in addr >> 3 / kPageWords.
+  // Last-page cache (mutable: read_word is logically const); a null page
+  // caches a miss. The sentinel index is unreachable — real page indices
+  // fit in addr >> 3 / kPageWords.
   mutable Addr cached_idx_ = ~Addr{0};
   mutable Page* cached_page_ = nullptr;
 };

@@ -8,10 +8,28 @@
 
 namespace axihc {
 
-LatencyAudit::LatencyAudit(PortIndex num_ports, std::size_t flight_capacity)
-    : num_ports_(num_ports),
-      per_port_dir_(static_cast<std::size_t>(num_ports) * 2),
+namespace {
+
+/// The open transaction a completion retires: matched by (id, issued_at).
+/// Completions on an in-order port arrive in accept order, but
+/// ID-extension (out-of-order) configurations can reorder them, so scan
+/// rather than assume the front.
+template <typename Open>
+auto find_open(std::vector<Open>& open, const AddrReq& req) {
+  return std::find_if(open.begin(), open.end(), [&](const Open& o) {
+    return o.id == req.id && o.issued_at == req.issued_at;
+  });
+}
+
+}  // namespace
+
+LatencyAudit::LatencyAudit(PortIndex num_ports, std::size_t flight_capacity,
+                           bool provenance)
+    : provenance_(provenance),
+      num_ports_(num_ports),
+      bound_state_(static_cast<std::size_t>(num_ports) * 2),
       prev_completion_(num_ports, kNoCycle),
+      per_port_dir_(static_cast<std::size_t>(num_ports) * 2),
       flight_(flight_capacity) {
   AXIHC_CHECK(num_ports >= 1);
   port_sources_.reserve(num_ports);
@@ -52,18 +70,28 @@ void LatencyAudit::register_metrics(MetricsRegistry& reg) {
   }
 }
 
+LatencyAudit::BoundState& LatencyAudit::bounds(PortIndex port,
+                                               bool is_write) {
+  AXIHC_CHECK(port < num_ports_);
+  return bound_state_[slot(port, is_write)];
+}
+
+const LatencyAudit::BoundState& LatencyAudit::bounds(PortIndex port,
+                                                     bool is_write) const {
+  AXIHC_CHECK(port < num_ports_);
+  return bound_state_[slot(port, is_write)];
+}
+
 LatencyAudit::PortDirState& LatencyAudit::state(PortIndex port,
                                                 bool is_write) {
   AXIHC_CHECK(port < num_ports_);
-  return per_port_dir_[static_cast<std::size_t>(port) * 2 +
-                       (is_write ? 1 : 0)];
+  return per_port_dir_[slot(port, is_write)];
 }
 
 const LatencyAudit::PortDirState& LatencyAudit::state(PortIndex port,
                                                       bool is_write) const {
   AXIHC_CHECK(port < num_ports_);
-  return per_port_dir_[static_cast<std::size_t>(port) * 2 +
-                       (is_write ? 1 : 0)];
+  return per_port_dir_[slot(port, is_write)];
 }
 
 std::string LatencyAudit::port_source(PortIndex port) const {
@@ -85,6 +113,10 @@ void LatencyAudit::flush_stall(PortDirState& pd, Cycle now) {
 
 void LatencyAudit::on_accept(PortIndex port, bool is_write,
                              const AddrReq& orig, Cycle now) {
+  BoundState& bs = bounds(port, is_write);
+  bs.open.push_back({orig.id, orig.beats, false, orig.issued_at, now});
+  if (bs.open.size() > kOpenCap) bs.open.erase(bs.open.begin());  // abandoned
+  if (!provenance_) return;
   PortDirState& pd = state(port, is_write);
   FlightRecord rec;
   rec.port = port;
@@ -94,7 +126,7 @@ void LatencyAudit::on_accept(PortIndex port, bool is_write,
   rec.issued_at = orig.issued_at;  // kNoCycle for non-stamping sources
   rec.accepted_at = now;
   pd.open.push_back(rec);
-  if (pd.open.size() > kOpenCap) pd.open.pop_front();  // abandoned txns
+  if (pd.open.size() > kOpenCap) pd.open.erase(pd.open.begin());
   // The split is now active; until the final sub issues, every cycle is
   // charged to the classifier's frozen cause.
   pd.stall_active = true;
@@ -104,6 +136,7 @@ void LatencyAudit::on_accept(PortIndex port, bool is_write,
 
 void LatencyAudit::on_sub_issue(PortIndex port, bool is_write, bool is_final,
                                 Cycle now) {
+  if (!provenance_) return;
   PortDirState& pd = state(port, is_write);
   pd.ts_stage.push_back(is_final);
   if (!is_final) return;
@@ -117,6 +150,7 @@ void LatencyAudit::on_sub_issue(PortIndex port, bool is_write, bool is_final,
 
 void LatencyAudit::on_stall_cause(PortIndex port, bool is_write,
                                   LatencyCause cause, Cycle now) {
+  if (!provenance_) return;
   PortDirState& pd = state(port, is_write);
   if (!pd.stall_active) return;
   flush_stall(pd, now);
@@ -137,6 +171,7 @@ FlightRecord* LatencyAudit::fill_target(PortDirState& pd,
 }
 
 void LatencyAudit::on_grant(PortIndex port, bool is_write, Cycle now) {
+  if (!provenance_) return;
   PortDirState& pd = state(port, is_write);
   if (pd.ts_stage.empty()) return;  // pre-enable residue
   const bool is_final = pd.ts_stage.front();
@@ -150,6 +185,7 @@ void LatencyAudit::on_grant(PortIndex port, bool is_write, Cycle now) {
 }
 
 void LatencyAudit::on_hc_exit(bool is_write, Cycle now) {
+  if (!provenance_) return;
   auto& stage = xbar_stage_[is_write ? 1 : 0];
   if (stage.empty()) return;  // pre-enable residue
   const StageToken tok = stage.front();
@@ -169,6 +205,7 @@ void LatencyAudit::on_hc_exit(bool is_write, Cycle now) {
 }
 
 void LatencyAudit::on_mem_start(bool is_write, Cycle now) {
+  if (!provenance_) return;
   auto& pending = mem_pending_[is_write ? 1 : 0];
   if (pending.empty()) return;  // pre-enable residue
   const StageToken tok = pending.front();
@@ -196,10 +233,11 @@ void LatencyAudit::on_mem_done(Cycle now) {
 
 void LatencyAudit::on_port_disturbed(PortIndex port, Cycle now) {
   for (const bool dir : {false, true}) {
+    for (OpenTxn& txn : bounds(port, dir).open) txn.fault_overlap = true;
+    if (!provenance_) continue;
     PortDirState& pd = state(port, dir);
     flush_stall(pd, now);
     pd.stall_active = false;
-    for (FlightRecord& rec : pd.open) rec.fault_overlap = true;
   }
 }
 
@@ -221,15 +259,74 @@ Cycle LatencyAudit::bound_for(PortIndex port, bool is_write,
 
 void LatencyAudit::on_complete(PortIndex port, bool is_write,
                                const AddrReq& req, bool failed, Cycle now) {
+  const Verdict v = check_bound(port, is_write, req, failed, now);
+  if (provenance_) record_provenance(port, is_write, req, failed, v, now);
+}
+
+LatencyAudit::Verdict LatencyAudit::check_bound(PortIndex port, bool is_write,
+                                                const AddrReq& req,
+                                                bool failed, Cycle now) {
+  BoundState& bs = bounds(port, is_write);
+  Verdict v;
+  v.beats = req.beats;
+  // Untracked completion (SmartConnect system or a pre-enable in-flight):
+  // no accept cycle, so no bound.
+  Cycle accepted_at = kNoCycle;
+  const auto it = find_open(bs.open, req);
+  if (it != bs.open.end()) {
+    v.beats = it->beats;
+    v.fault_overlap = it->fault_overlap;
+    accepted_at = it->accepted_at;
+    bs.open.erase(it);
+  } else {
+    ++untracked_;
+  }
+  // Non-stamping sources (raw link pushes in unit tests) have no issue
+  // cycle; fall back to the accept cycle, then the completion itself.
+  v.t0 = req.issued_at;
+  if (v.t0 == kNoCycle) v.t0 = accepted_at;
+  if (v.t0 == kNoCycle) v.t0 = now;
+
+  // Busy-period normalization: subtract self-queuing behind the port's own
+  // earlier transactions (the bound models a request arriving to an idle
+  // own port; see header).
+  Cycle busy_start = v.t0;
+  const Cycle prev = prev_completion_[port];
+  if (prev != kNoCycle && prev > busy_start) busy_start = prev;
+  v.audited_latency = now >= busy_start ? now - busy_start : 0;
+  prev_completion_[port] = now;
+
+  // Excluded: errors, fault-affected, untracked provenance.
+  const bool eligible =
+      !failed && !v.fault_overlap && accepted_at != kNoCycle;
+  if (eligible) v.bound = bound_for(port, is_write, v.beats);
+  if (v.bound != 0) {
+    ++bound_checked_;
+    const double ratio = static_cast<double>(v.audited_latency) /
+                         static_cast<double>(v.bound);
+    if (ratio > max_ratio_) max_ratio_ = ratio;
+    if (v.audited_latency > v.bound) {
+      v.violation = true;
+      ++bound_violations_;
+      ++bs.violations;
+      if (trace_ != nullptr) {
+        trace_->record(now, port_source(port), "bound_violation");
+      }
+    }
+    bs.max_audited = std::max(bs.max_audited, v.audited_latency);
+    bs.max_bound = std::max(bs.max_bound, v.bound);
+  } else if (!eligible) {
+    ++excluded_;
+  }
+  ++txns_;
+  return v;
+}
+
+void LatencyAudit::record_provenance(PortIndex port, bool is_write,
+                                     const AddrReq& req, bool failed,
+                                     const Verdict& v, Cycle now) {
   PortDirState& pd = state(port, is_write);
-  // Match by (id, issued_at): completions on an in-order port arrive in
-  // accept order, but ID-extension (out-of-order) configurations can
-  // reorder them, so scan rather than assume the front.
-  auto it = std::find_if(pd.open.begin(), pd.open.end(),
-                         [&](const FlightRecord& r) {
-                           return r.id == req.id &&
-                                  r.issued_at == req.issued_at;
-                         });
+  const auto it = find_open(pd.open, req);
   FlightRecord rec;
   if (it != pd.open.end()) {
     // The classifier owner is open.back(); if that record is completing
@@ -242,35 +339,24 @@ void LatencyAudit::on_complete(PortIndex port, bool is_write,
     rec = *it;
     pd.open.erase(it);
   } else {
-    // Untracked completion: no HyperConnect provenance (SmartConnect system
-    // or a pre-enable in-flight). End-to-end latency and the flight record
-    // are still useful; hops stay null and no cause is attributed.
+    // Untracked: end-to-end latency and the flight record are still
+    // useful; hops stay null and no cause is attributed.
     rec.port = port;
     rec.is_write = is_write;
     rec.id = req.id;
     rec.beats = req.beats;
     rec.issued_at = req.issued_at;
-    ++untracked_;
   }
   rec.error = failed;
-  finalize(port, is_write, rec, now);
-}
-
-void LatencyAudit::finalize(PortIndex port, bool is_write, FlightRecord rec,
-                            Cycle now) {
-  PortDirState& pd = state(port, is_write);
+  rec.fault_overlap = v.fault_overlap;
   rec.completed_at = now;
-  // Non-stamping sources (raw link pushes in unit tests) have no issue
-  // cycle; fall back to the accept cycle, then the completion itself.
-  Cycle t0 = rec.issued_at;
-  if (t0 == kNoCycle) t0 = rec.accepted_at;
-  if (t0 == kNoCycle) t0 = now;
+  const Cycle t0 = v.t0;
   rec.latency = now >= t0 ? now - t0 : 0;
 
   // Remaining exact spans (the classifier covered accept -> final issue).
   // Each hop-to-hop span splits into a fixed pipeline portion and the
   // variable cause; missing hops contribute zero and leave a residual.
-  auto charge = [&rec](std::size_t c, Cycle v) { rec.cause[c] += v; };
+  auto charge = [&rec](std::size_t c, Cycle val) { rec.cause[c] += val; };
   const auto kPipe = static_cast<std::size_t>(LatencyCause::kPipeline);
   if (rec.accepted_at != kNoCycle && rec.accepted_at > t0) {
     charge(static_cast<std::size_t>(LatencyCause::kEfifoQueue),
@@ -303,44 +389,12 @@ void LatencyAudit::finalize(PortIndex port, bool is_write, FlightRecord rec,
            rec.latency - accounted);
   }
 
-  // Busy-period normalization: subtract self-queuing behind the port's own
-  // earlier transactions (the bound models a request arriving to an idle
-  // own port; see header).
-  Cycle busy_start = t0;
-  const Cycle prev = prev_completion_[port];
-  if (prev != kNoCycle && prev > busy_start) busy_start = prev;
-  rec.audited_latency = now >= busy_start ? now - busy_start : 0;
-  prev_completion_[port] = now;
+  rec.audited_latency = v.audited_latency;
+  rec.bound = v.bound;
+  rec.violation = v.violation;
 
-  // Bound check. Excluded: errors, fault-affected, untracked provenance.
-  const bool eligible =
-      !rec.error && !rec.fault_overlap && rec.accepted_at != kNoCycle;
-  if (eligible) {
-    rec.bound = bound_for(port, is_write, rec.beats);
-  }
-  if (rec.bound != 0) {
-    ++bound_checked_;
-    const double ratio = static_cast<double>(rec.audited_latency) /
-                         static_cast<double>(rec.bound);
-    if (ratio > max_ratio_) max_ratio_ = ratio;
-    if (rec.audited_latency > rec.bound) {
-      rec.violation = true;
-      ++bound_violations_;
-      ++pd.violations;
-      if (trace_ != nullptr) {
-        trace_->record(now, port_source(port), "bound_violation");
-      }
-    }
-  } else if (!eligible) {
-    ++excluded_;
-  }
-
-  ++txns_;
   pd.hist.record(rec.latency);
   if (rec.latency > pd.max_latency) pd.max_latency = rec.latency;
-  if (rec.bound != 0 && rec.audited_latency > pd.max_audited) {
-    pd.max_audited = rec.audited_latency;
-  }
   for (std::size_t c = 0; c < kLatencyCauseCount; ++c) {
     pd.cause_total[c] += rec.cause[c];
   }
@@ -365,8 +419,9 @@ Cycle LatencyAudit::max_latency(PortIndex port, bool is_write) const {
 }
 
 Cycle LatencyAudit::max_audited(PortIndex port, bool is_write) const {
-  return state(port, is_write).max_audited;
+  return bounds(port, is_write).max_audited;
 }
+
 
 void LatencyAudit::write_rollup(std::ostream& os) const {
   os << "latency audit roll-up (cycles; aud_max = busy-period-normalized "
@@ -380,28 +435,24 @@ void LatencyAudit::write_rollup(std::ostream& os) const {
     for (const bool dir : {false, true}) {
       const PortDirState& pd = state(port, dir);
       if (pd.hist.count() == 0) continue;
-      // The bound varies per beat count; report against the worst audited.
-      Cycle bound = 0;
-      for (const FlightRecord& r : flight_.snapshot()) {
-        if (r.port == port && r.is_write == dir && r.bound > bound) {
-          bound = r.bound;
-        }
-      }
+      const BoundState& bs = bounds(port, dir);
+      // The bound varies per beat count; report the largest checked one.
+      const Cycle bound = bs.max_bound;
       os << std::left << std::setw(6) << static_cast<unsigned>(port)
          << std::setw(5) << (dir ? "w" : "r") << std::right << std::setw(9)
          << pd.hist.count() << std::setw(8) << pd.hist.percentile(50.0)
          << std::setw(8) << pd.hist.percentile(99.0) << std::setw(9)
          << pd.hist.percentile(99.9) << std::setw(9) << pd.max_latency
-         << std::setw(9) << pd.max_audited;
+         << std::setw(9) << bs.max_audited;
       if (bound != 0) {
         os << std::setw(9) << bound << std::setw(9)
-           << (bound >= pd.max_audited
-                   ? static_cast<std::int64_t>(bound - pd.max_audited)
-                   : -static_cast<std::int64_t>(pd.max_audited - bound));
+           << (bound >= bs.max_audited
+                   ? static_cast<std::int64_t>(bound - bs.max_audited)
+                   : -static_cast<std::int64_t>(bs.max_audited - bound));
       } else {
         os << std::setw(9) << "-" << std::setw(9) << "-";
       }
-      os << std::setw(6) << pd.violations << "\n";
+      os << std::setw(6) << bs.violations << "\n";
       // Cause breakdown: where this port+dir's cycles went.
       std::uint64_t total = 0;
       for (const std::uint64_t c : pd.cause_total) total += c;

@@ -79,13 +79,18 @@ std::string execute_cell(const IniFile& cfg) {
     return os.str();
   }
 
-  // The latency auditor rides along on every cell: its audit_wcrt_* bounds
-  // (src/analysis/wcla.hpp) are the sweep's predictability metric, and it
-  // forces the serial tick kernel — parallelism lives across cells, never
-  // inside one, so rows are independent of AXIHC_BENCH_THREADS. It never
-  // touches simulated state: a row's state_digest is that of a plain
-  // `axihc <cell> --digest` run.
-  sys->observe_config().latency_audit = true;
+  // Every cell runs the latency auditor's bound check: its audit_wcrt_*
+  // bounds (src/analysis/wcla.hpp) are the sweep's predictability metric.
+  // The row reads nothing of the provenance part (hops, causes,
+  // histograms, flight records), so it is left out; replaying the cell
+  // config with `axihc --latency-audit --flight-out` yields it. Neither the
+  // audit nor the eFIFO watermark touches simulated state: a row's
+  // state_digest is that of a plain `axihc <cell> --digest` run.
+  sys->observe_config().latency_bounds = true;
+  // Watermark for the prover soundness cross-check (efifo_max below).
+  if (HyperConnect* hc = sys->soc().hyperconnect()) {
+    hc->set_track_efifo_peaks(true);
+  }
   const Cycle cycles = sys->run();
 
   std::uint64_t total_bytes = 0;
@@ -120,8 +125,8 @@ std::string execute_cell(const IniFile& cfg) {
           ? estimate_hyperconnect(soc_cfg.hc)
           : estimate_smartconnect(soc_cfg.num_ports);
 
-  // Observed per-port eFIFO peak (watermark enabled by the audit rider):
-  // the prover soundness cross-check compares it against
+  // Observed per-port eFIFO peak (watermark enabled above): the prover
+  // soundness cross-check compares it against
   // static_backlog_bound. -1 = no eFIFO structure (SmartConnect).
   std::int64_t efifo_max = -1;
   if (const HyperConnect* hc = sys->soc().hyperconnect()) {

@@ -635,6 +635,7 @@ SaturatedOutcome run_saturated(bool fast_forward) {
   cs.soc().sim().set_fast_forward(fast_forward);
   cs.observe_config().latency_audit = true;
   cs.observe_config().metrics = true;
+  cs.soc().hyperconnect()->set_track_efifo_peaks(true);
   TickCounter counter;
   cs.soc().add(counter);
   SaturatedOutcome out;

@@ -9,11 +9,15 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "campaign/campaign.hpp"
 #include "config/system_builder.hpp"
 #include "ha/dma_engine.hpp"
 #include "hyperconnect/hyperconnect.hpp"
@@ -297,6 +301,142 @@ TEST(LatencyAudit, RollupReportsEveryActivePortDir) {
   EXPECT_NE(table.find("p99.9"), std::string::npos);
   EXPECT_NE(table.find("causes:"), std::string::npos);
   EXPECT_NE(table.find("violations=0"), std::string::npos) << table;
+}
+
+std::string repo_text(const std::string& rel) {
+  std::ifstream in(std::string(AXIHC_REPO_ROOT) + "/" + rel);
+  EXPECT_TRUE(in.good()) << rel;
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+/// The roll-up without its summary line (which counts flight drops).
+std::string rollup_table(const LatencyAudit& audit) {
+  std::ostringstream os;
+  audit.write_rollup(os);
+  std::string table = os.str();
+  table.erase(table.rfind("txns="));
+  return table;
+}
+
+TEST(LatencyAudit, RollupBoundDoesNotDependOnTheFlightRing) {
+  // The roll-up's bound/slack columns come from the bound check, not from
+  // the records a one-entry flight ring happens to retain.
+  const std::string quickstart = repo_text("examples/configs/quickstart.ini");
+  std::string tables[2];
+  for (int i = 0; i < 2; ++i) {
+    auto sys = audited_system(quickstart +
+                              (i == 0 ? "" : "\n[observe]\nflight_capacity = 1\n"));
+    sys->run(200000);
+    ASSERT_GT(sys->latency_audit()->bound_checked(), 0u);
+    tables[i] = rollup_table(*sys->latency_audit());
+  }
+  EXPECT_EQ(tables[1], tables[0]);
+  // Every port/dir row reports a bound (its line has no '-' column).
+  std::istringstream rows(tables[1]);
+  std::string line;
+  int port_rows = 0;
+  while (std::getline(rows, line)) {
+    if (line.empty() || line[0] < '0' || line[0] > '9') continue;
+    ++port_rows;
+    EXPECT_EQ(line.find(" -"), std::string::npos) << line;
+  }
+  EXPECT_EQ(port_rows, 4);
+}
+
+// ---------------------------------------------------------------------------
+// The bound check alone (sweep and campaign rows) vs the full audit
+// ---------------------------------------------------------------------------
+
+/// Everything the bound check reports, which must not depend on whether
+/// provenance is recorded alongside it.
+struct BoundSummary {
+  std::uint64_t txns = 0;
+  std::uint64_t checked = 0;
+  std::uint64_t violations = 0;
+  std::uint64_t excluded = 0;
+  double max_ratio = 0.0;
+  std::vector<Cycle> max_audited;  // [port * 2 + is_write]
+  std::uint64_t digest = 0;
+  bool operator==(const BoundSummary&) const = default;
+};
+
+BoundSummary bound_summary(ConfiguredSystem& sys, bool provenance,
+                           Cycle cycles) {
+  if (provenance) {
+    sys.observe_config().latency_audit = true;
+  } else {
+    sys.observe_config().latency_bounds = true;
+  }
+  sys.run(cycles);
+  const LatencyAudit* audit = sys.latency_audit();
+  EXPECT_NE(audit, nullptr);
+  EXPECT_EQ(audit->provenance(), provenance);
+  BoundSummary out{audit->transactions(), audit->bound_checked(),
+                   audit->bound_violations(), audit->excluded(),
+                   audit->max_latency_ratio(), {},
+                   sys.soc().sim().state_digest()};
+  for (PortIndex p = 0; p < sys.soc().config().num_ports; ++p) {
+    for (const bool dir : {false, true}) {
+      out.max_audited.push_back(audit->max_audited(p, dir));
+    }
+  }
+  return out;
+}
+
+void expect_same_bounds(const std::function<std::unique_ptr<ConfiguredSystem>()>&
+                            build,
+                        Cycle cycles) {
+  auto bounds_only = build();
+  auto full = build();
+  const BoundSummary b = bound_summary(*bounds_only, false, cycles);
+  const BoundSummary f = bound_summary(*full, true, cycles);
+  EXPECT_GT(f.txns, 0u);
+  EXPECT_EQ(b.txns, f.txns);
+  EXPECT_EQ(b.checked, f.checked);
+  EXPECT_EQ(b.violations, f.violations);
+  EXPECT_EQ(b.excluded, f.excluded);
+  EXPECT_EQ(b.max_ratio, f.max_ratio);
+  EXPECT_EQ(b.max_audited, f.max_audited);
+  EXPECT_EQ(b.digest, f.digest);
+  // Provenance is left out of a bounds-only run entirely.
+  EXPECT_EQ(bounds_only->latency_audit()->flight_recorder().size(), 0u);
+  EXPECT_EQ(bounds_only->latency_audit()->histogram(0, false).count(), 0u);
+}
+
+TEST(LatencyAudit, BoundsOnlyAgreesWithFullAuditOnEveryShippedConfig) {
+  std::vector<std::string> configs = {"tests/config_fixtures/stall_faults.ini"};
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(AXIHC_REPO_ROOT) + "/examples/configs")) {
+    if (entry.path().extension() == ".ini") {
+      configs.push_back("examples/configs/" +
+                        entry.path().filename().string());
+    }
+  }
+  std::sort(configs.begin(), configs.end());
+  ASSERT_GE(configs.size(), 8u);
+  for (const std::string& rel : configs) {
+    SCOPED_TRACE(rel);
+    const std::string text = repo_text(rel);
+    expect_same_bounds([&text] { return build_system(text); }, 0);
+  }
+}
+
+TEST(LatencyAudit, BoundsOnlyAgreesWithFullAuditOnFaultedCampaignRuns) {
+  // Run 0 corrupts AxLEN upstream of the port (the bound must use the beat
+  // count the HyperConnect accepted); run 4 drops W beats and stalls B.
+  // Both fault ports, so disturbance marking decides what is excluded.
+  const IniFile ini =
+      IniFile::parse(repo_text("examples/configs/campaign_smoke.ini"));
+  const CampaignSpec spec = parse_campaign_spec(ini);
+  for (const std::uint64_t run : {0u, 4u}) {
+    SCOPED_TRACE(run);
+    const FaultScenario scenario = campaign_scenario(spec, run);
+    expect_same_bounds(
+        [&] { return std::make_unique<ConfiguredSystem>(ini, scenario); },
+        spec.cycles);
+  }
 }
 
 /// Identical 2-port contention system; optionally fully audited.

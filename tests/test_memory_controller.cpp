@@ -208,5 +208,28 @@ TEST_F(MemFixture, CountsServedWork) {
   EXPECT_EQ(mem.beats_served(), 6u);
 }
 
+// The last-page slot caches misses as well as hits: a write to the page a
+// read just missed, and to a page a read missed before another read hit,
+// must still land and be read back.
+TEST(BackingStore, ReadMissThenWriteThenRead) {
+  BackingStore store;
+  EXPECT_EQ(store.read_word(0x1000), 0u);  // miss, now cached
+  EXPECT_EQ(store.read_word(0x1008), 0u);  // same page, cached miss
+  store.write_word(0x1008, 0xabcd);
+  EXPECT_EQ(store.read_word(0x1008), 0xabcdu);
+  EXPECT_EQ(store.read_word(0x1000), 0u);
+
+  EXPECT_EQ(store.read_word(0x9000), 0u);  // miss on a second page
+  EXPECT_EQ(store.read_word(0x1008), 0xabcdu);  // hit moves the slot back
+  store.write_word(0x9010, 0x1234, 0x0f);
+  EXPECT_EQ(store.read_word(0x9010), 0x1234u);
+  EXPECT_EQ(store.read_word(0x1008), 0xabcdu);
+
+  store.clear();
+  EXPECT_EQ(store.read_word(0x1008), 0u);
+  store.write_word(0x1008, 7);
+  EXPECT_EQ(store.read_word(0x1008), 7u);
+}
+
 }  // namespace
 }  // namespace axihc
