@@ -1,11 +1,18 @@
 #include "sweep/runner.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <cctype>
+#include <cerrno>
+#include <charconv>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -171,54 +178,152 @@ std::string execute_cell(const IniFile& cfg) {
   return os.str();
 }
 
-/// Cache file for one (config, code) key. The fragment is stored verbatim;
-/// a reader that fails any sanity check treats the entry as a miss.
-std::string cache_path(const std::string& dir, std::uint64_t config_digest,
-                       const std::string& code) {
-  return dir + "/" + hex_digest(config_digest).substr(2) + "-" + code +
-         ".json";
-}
+// The result cache: one append-only JSON-lines log per writer, named
+// `<code>-<host>-<pid>-<n>.jsonl`, one line per executed config:
+// `{"config":"0x<16 hex>",<fragment>}`. A writer only ever appends to the
+// file it created, so concurrent shards sharing a directory never write to
+// the same file, and a torn last line can only lose that line.
+constexpr std::string_view kLogLinePrefix = "{\"config\":\"0x";
+constexpr std::size_t kLogFragmentOffset = kLogLinePrefix.size() + 16 + 2;
 
-bool cache_load(const std::string& path, std::string* fragment) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  *fragment = buf.str();
-  // Sanity: a fragment always starts with one of the three shape-defining
-  // fields (simulated / statically disproved / build error) and completes a
-  // JSON object; anything else (truncated write, foreign file) re-runs the
-  // cell rather than splice a malformed row into the output.
-  if (fragment->rfind("\"cycles\":", 0) != 0 &&
-      fragment->rfind("\"prove_verdict\":", 0) != 0 &&
-      fragment->rfind("\"error\":", 0) != 0) {
-    return false;
-  }
-  try {
-    (void)parse_json("{" + *fragment + "}", path);
-  } catch (const ModelError&) {
-    return false;
-  }
-  return true;
-}
-
-void cache_store(const std::string& path, const std::string& fragment) {
-  // Write-to-temp + rename so concurrent shards sharing one cache directory
-  // never observe a torn entry (rename is atomic within a filesystem).
+/// This host's name as a file-name part: no '-', so a log name splits into
+/// code, host, pid and counter at its last three dashes.
+std::string host_tag() {
+  std::string host;
 #if defined(__unix__) || defined(__APPLE__)
-  const std::string tmp = path + ".tmp" + std::to_string(::getpid());
-#else
-  const std::string tmp = path + ".tmp";
+  char buf[256] = {};
+  if (::gethostname(buf, sizeof buf - 1) == 0) host = buf;
 #endif
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return;  // cache is best-effort; the row is already computed
-    out << fragment;
+  if (host.empty()) host = "host";
+  for (char& ch : host) {
+    const bool keep = std::isalnum(static_cast<unsigned char>(ch)) != 0 ||
+                      ch == '_' || ch == '.';
+    if (!keep) ch = '_';
   }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) std::filesystem::remove(tmp, ec);
+  return host;
 }
+
+/// Whether `name` is a log of code version `code`: `<code>-` followed by
+/// exactly three more dash-separated parts and `.jsonl`.
+bool is_log_of(const std::string& name, const std::string& code) {
+  const std::string prefix = code + "-";
+  return name.starts_with(prefix) && name.ends_with(".jsonl") &&
+         std::ranges::count(std::string_view(name).substr(prefix.size()),
+                            '-') == 2;
+}
+
+/// The config digest and fragment of one log line, when the line is a
+/// complete JSON object of a known fragment shape (simulated / statically
+/// disproved / build error). Anything else (a torn write, a foreign line)
+/// is a miss: the cell re-runs rather than splice a malformed row.
+bool parse_log_line(const std::string& line, std::uint64_t* config,
+                    std::string_view* fragment) {
+  if (line.size() <= kLogFragmentOffset || !line.starts_with(kLogLinePrefix) ||
+      line.compare(kLogFragmentOffset - 2, 2, "\",") != 0 ||
+      line.back() != '}') {
+    return false;
+  }
+  const char* hex = line.data() + kLogLinePrefix.size();
+  const auto [end, ec] = std::from_chars(hex, hex + 16, *config, 16);
+  if (ec != std::errc() || end != hex + 16) return false;
+  *fragment = std::string_view(line).substr(
+      kLogFragmentOffset, line.size() - kLogFragmentOffset - 1);
+  return fragment->starts_with("\"cycles\":") ||
+         fragment->starts_with("\"prove_verdict\":") ||
+         fragment->starts_with("\"error\":");
+}
+
+/// Reads code version `code`'s logs in `dir` (in file-name order) and
+/// returns, per job, the fragment of the first valid line for its config
+/// ("" = miss). Lines for configs this run does not need are skipped
+/// unparsed, so memory stays bounded by the sweep's own cells.
+std::vector<std::string> read_logs(
+    const std::string& dir, const std::string& code,
+    const std::unordered_map<std::uint64_t, std::size_t>& job_for_config) {
+  std::vector<std::string> fragments(job_for_config.size());
+  std::vector<std::filesystem::path> logs;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    if (is_log_of(entry.path().filename().string(), code)) {
+      logs.push_back(entry.path());
+    }
+  }
+  std::sort(logs.begin(), logs.end());
+  for (const std::filesystem::path& log : logs) {
+    std::ifstream in(log, std::ios::binary);
+    for (std::string line; std::getline(in, line);) {
+      std::uint64_t config = 0;
+      std::string_view fragment;
+      if (!parse_log_line(line, &config, &fragment)) continue;
+      const auto it = job_for_config.find(config);
+      if (it == job_for_config.end() || !fragments[it->second].empty()) {
+        continue;
+      }
+      try {
+        (void)parse_json(line, log.string());
+      } catch (const ModelError&) {
+        continue;
+      }
+      fragments[it->second] = fragment;
+    }
+  }
+  return fragments;
+}
+
+struct CloseFile {
+  void operator()(std::FILE* f) const { std::fclose(f); }
+};
+using File = std::unique_ptr<std::FILE, CloseFile>;
+
+/// Creates a new log for this writer in `dir` (nullptr if it cannot). The
+/// counter keeps two runs in one process apart; "x" (exclusive create)
+/// keeps this writer off any file another writer made.
+File create_log(const std::string& dir, const std::string& code) {
+  static std::atomic<unsigned> next{0};
+#if defined(__unix__) || defined(__APPLE__)
+  const long pid = static_cast<long>(::getpid());
+#else
+  const long pid = 0;
+#endif
+  const std::string stem =
+      dir + "/" + code + "-" + host_tag() + "-" + std::to_string(pid) + "-";
+  for (;;) {
+    const std::string path = stem + std::to_string(next++) + ".jsonl";
+    File file(std::fopen(path.c_str(), "wbx"));
+    if (file || errno != EEXIST) return file;
+  }
+}
+
+/// This run's log, created on the first append. The cache is best-effort:
+/// if the file cannot be created or written, rows are unaffected.
+class LogWriter {
+ public:
+  LogWriter(std::string dir, std::string code)
+      : dir_(std::move(dir)), code_(std::move(code)) {}
+
+  void append(std::uint64_t config, const std::string& fragment) {
+    if (!opened_) {
+      opened_ = true;
+      file_ = create_log(dir_, code_);
+    }
+    if (!file_) return;
+    const std::string line =
+        "{\"config\":\"" + hex_digest(config) + "\"," + fragment + "}\n";
+    // After a failed write (a full disk) the log ends in a torn line, which
+    // readers skip; stop writing rather than append after it.
+    if (std::fwrite(line.data(), 1, line.size(), file_.get()) !=
+            line.size() ||
+        std::fflush(file_.get()) != 0) {
+      file_.reset();
+    }
+  }
+
+ private:
+  std::string dir_;
+  std::string code_;
+  File file_;
+  bool opened_ = false;
+};
 
 /// The `axes` object of one cell's row: each axis id with its value.
 std::string axes_json(const SweepSpec& spec, std::size_t cell) {
@@ -295,35 +400,43 @@ SweepSummary run_sweep(const IniFile& ini, const SweepOptions& opts) {
   summary.shard_cells = cells.size();
   summary.lines.reserve(cells.size());
 
+  // Cache hits are known before the fan-out: each job either takes its
+  // logged fragment or simulates.
+  std::vector<std::string> logged =
+      opts.cache_dir.empty()
+          ? std::vector<std::string>(first_cell.size())
+          : read_logs(opts.cache_dir, code, job_for_config);
   std::vector<std::function<ConfigResult()>> jobs;
   jobs.reserve(first_cell.size());
-  for (const std::size_t first : first_cell) {
-    const Cell& c = cells[first];
-    jobs.push_back([&ini, &spec, &opts, &code, cell = c.cell,
-                    config = c.config] {
+  for (std::size_t job = 0; job < first_cell.size(); ++job) {
+    jobs.push_back([&ini, &spec, &logged, job,
+                    cell = cells[first_cell[job]].cell] {
       ConfigResult r;
-      const std::string path =
-          opts.cache_dir.empty() ? std::string()
-                                 : cache_path(opts.cache_dir, config, code);
-      if (!path.empty() && cache_load(path, &r.fragment)) {
+      if (!logged[job].empty()) {
+        r.fragment = std::move(logged[job]);
         r.cached = true;
         return r;
       }
       const IniFile cfg = sweep_cell_config(ini, spec, cell);
       r.fragment =
           run_timed_job([&cfg] { return execute_cell(cfg); }, r.timing);
-      if (!path.empty()) cache_store(path, r.fragment);
       return r;
     });
   }
 
   // Jobs finish in any order; rows stream in cell order. Once jobs 0..j are
   // done, every cell up to the first one of job j+1 has its fragment. A
-  // fragment is held only until its config's last cell is written.
+  // fragment is held only until its config's last cell is written. A
+  // simulated fragment is appended to this run's log here, so the log is
+  // written by one thread at a time, in job order.
   std::vector<std::string> fragments(jobs.size());
   std::size_t emitted = 0;
+  LogWriter log(opts.cache_dir, code);
   const auto emit_ready = [&](std::size_t job, ConfigResult& r) {
     fragments[job] = std::move(r.fragment);
+    if (!r.cached && !opts.cache_dir.empty()) {
+      log.append(cells[first_cell[job]].config, fragments[job]);
+    }
     for (; emitted < cells.size() && cells[emitted].job <= job; ++emitted) {
       const Cell& c = cells[emitted];
       // The job's first cell carries its cache flag and timing; later

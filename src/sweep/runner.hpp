@@ -1,24 +1,30 @@
 // The sweep execution engine behind `axihc --sweep` (see sweep.hpp for the
 // spec format).
 //
-// A serial pre-pass digests every cell's config; then one fan-out
-// (sim/parallel_jobs.hpp) runs one shared-nothing job per distinct config
-// — cache load, or simulate and cache store. Rows STREAM while the sweep
-// runs, each written as soon as every earlier cell is done, so the
-// JSON-lines output stays in deterministic cell order — a parallel sweep
-// prints byte-identical rows to a serial one (`--sweep-deterministic` drops
-// the wall-clock fields so whole files byte-compare).
+// A serial pre-pass digests every cell's config and looks each distinct
+// config up in the result cache; then one fan-out (sim/parallel_jobs.hpp)
+// runs one shared-nothing job per distinct config — a cached fragment, or a
+// simulation. Rows STREAM while the sweep runs, each written as soon as
+// every earlier cell is done, so the JSON-lines output stays in
+// deterministic cell order — a parallel sweep prints byte-identical rows to
+// a serial one (`--sweep-deterministic` drops the wall-clock fields so
+// whole files byte-compare).
 //
-// Incremental result cache: each cell's measurement fragment is stored
-// under (config digest, code version) in `cache_dir`, one file per key.
-// Identical configs — whether from a re-run, an overlapping sweep, or two
-// cells that happen to collapse to the same canonical config — share one
-// entry. Editing any source invalidates everything via the code-version
-// digest (sweep/code_version.hpp); editing one axis value re-runs only the
-// cells it touches.
+// Incremental result cache: each simulated config's measurement fragment is
+// keyed by (config digest, code version) in `cache_dir`, which holds one
+// append-only JSON-lines log per writer (`<code>-<host>-<pid>-<n>.jsonl`,
+// one line per simulated config, appended in cell order). A run reads only
+// its own code version's logs and keeps the first valid line per config it
+// needs; a torn or foreign line is a miss. Identical configs — whether from
+// a re-run, an overlapping sweep, or two cells that happen to collapse to
+// the same canonical config — share one entry. Editing any source
+// invalidates everything via the code-version digest
+// (sweep/code_version.hpp); editing one axis value re-runs only the cells
+// it touches.
 //
 // Sharding: `--sweep-shard i/N` runs the cells with index % N == i. Shards
-// share nothing at runtime (cache directories may be shared or separate);
+// share nothing at runtime (a cache directory may be shared, even by
+// concurrent shards, since each writes only its own log);
 // the union of all shard outputs, sorted by the `cell` field, equals the
 // unsharded output.
 #pragma once

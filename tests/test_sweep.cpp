@@ -320,6 +320,60 @@ TEST(SweepRunner, CacheHitsMissesAndInvalidation) {
   std::filesystem::remove_all(dir);
 }
 
+/// The files in a cache directory (each one writer's log).
+std::vector<std::filesystem::path> cache_files(const std::string& dir) {
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.push_back(entry.path());
+  }
+  return files;
+}
+
+std::vector<std::string> read_lines(const std::filesystem::path& path) {
+  std::vector<std::string> lines;
+  std::ifstream in(path);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+/// The rows' `cached` riders in cell order.
+std::vector<bool> cached_flags(const std::vector<std::string>& lines) {
+  std::vector<bool> flags;
+  for (const std::string& line : lines) {
+    flags.push_back(parse_json(line).find("cached")->boolean);
+  }
+  return flags;
+}
+
+/// Drops the `cached`/`wall_ms`/`rss_kb` riders, the last three fields, so
+/// rows compare with --sweep-deterministic ones.
+std::vector<std::string> without_riders(std::vector<std::string> lines) {
+  for (std::string& line : lines) {
+    line.erase(line.rfind(",\"cached\":"));
+    line += "}";
+  }
+  return lines;
+}
+
+TEST(SweepRunner, ColdRunWritesOneLogFile) {
+  ScopedEnv ver("AXIHC_CODE_VERSION", "one_log_v1");
+  const std::string dir = fresh_dir("one_log");
+  SweepOptions opts;
+  opts.cache_dir = dir;
+  const SweepSummary s = run(kRunnable, opts);
+  EXPECT_EQ(s.executed, 4u);
+  // One line per executed config, in one file named after the code version.
+  const std::vector<std::filesystem::path> files = cache_files(dir);
+  ASSERT_EQ(files.size(), 1u);
+  EXPECT_EQ(files[0].filename().string().rfind("one_log_v1-", 0), 0u);
+  EXPECT_EQ(files[0].extension(), ".jsonl");
+  EXPECT_EQ(read_lines(files[0]).size(), 4u);
+  // A warm run that executes nothing writes nothing.
+  EXPECT_EQ(run(kRunnable, opts).cache_hits, 4u);
+  EXPECT_EQ(cache_files(dir).size(), 1u);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(SweepRunner, MalformedCacheEntryIsAMiss) {
   ScopedEnv ver("AXIHC_CODE_VERSION", "corrupt_test_v1");
   const std::string dir = fresh_dir("corrupt");
@@ -327,15 +381,79 @@ TEST(SweepRunner, MalformedCacheEntryIsAMiss) {
   opts.cache_dir = dir;
   opts.deterministic = true;
   const SweepSummary first = run(kRunnable, opts);
-  // Entries truncated after their shape-defining first field (a torn
-  // write, a full disk) re-run their cells instead of corrupting the rows.
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    std::ofstream(entry.path()) << "\"cycles\":3000,\"state_dig";
+  const std::vector<std::filesystem::path> files = cache_files(dir);
+  ASSERT_EQ(files.size(), 1u);
+  std::vector<std::string> log = read_lines(files[0]);
+  ASSERT_EQ(log.size(), 4u);
+  // Corrupt line 1 into a complete JSON object of no known shape, and cut
+  // the last line mid-write (a torn append, a full disk) just after the
+  // first `ha` entry's closing brace: those two cells re-run instead of
+  // corrupting the rows; the other two still hit.
+  log[1].replace(log[1].find("\"cycles\":"), 9, "\"cyclez\":");
+  {
+    std::ofstream out(files[0], std::ios::binary | std::ios::trunc);
+    out << log[0] << "\n" << log[1] << "\n" << log[2] << "\n"
+        << log[3].substr(0, log[3].find('}') + 1);
   }
+  const std::string foreign = parse_json(log[1]).find("config")->str_or("");
+  const std::string cut = parse_json(first.lines[3]).find("config")->str_or("");
+  opts.deterministic = false;
   const SweepSummary second = run(kRunnable, opts);
-  EXPECT_EQ(second.executed, 4u);
-  EXPECT_EQ(second.cache_hits, 0u);
-  EXPECT_EQ(second.lines, first.lines);
+  EXPECT_EQ(second.executed, 2u);
+  EXPECT_EQ(second.cache_hits, 2u);
+  for (const std::string& line : second.lines) {
+    const JsonValue row = parse_json(line);
+    const std::string config = row.find("config")->str_or("");
+    EXPECT_EQ(row.find("cached")->boolean, config != foreign && config != cut)
+        << line;
+  }
+  EXPECT_EQ(without_riders(second.lines), first.lines);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SweepRunner, TornLastLineLosesOneCellAndLaterLogsStillHit) {
+  ScopedEnv ver("AXIHC_CODE_VERSION", "torn_test_v1");
+  const std::string dir = fresh_dir("torn");
+  SweepOptions opts;
+  opts.cache_dir = dir;
+  const SweepSummary first = run(kRunnable, opts);
+  const std::vector<std::filesystem::path> files = cache_files(dir);
+  ASSERT_EQ(files.size(), 1u);
+  // A writer killed mid-append: its last line ends without '}' or newline.
+  const std::uintmax_t size = std::filesystem::file_size(files[0]);
+  std::filesystem::resize_file(files[0], size - 40);
+
+  const SweepSummary second = run(kRunnable, opts);
+  EXPECT_EQ(second.executed, 1u);
+  EXPECT_EQ(cached_flags(second.lines),
+            (std::vector<bool>{true, true, true, false}));
+  // The re-run cell went to a second log, which the next run reads.
+  EXPECT_EQ(cache_files(dir).size(), 2u);
+  const SweepSummary third = run(kRunnable, opts);
+  EXPECT_EQ(third.executed, 0u);
+  EXPECT_EQ(third.cache_hits, 4u);
+  EXPECT_EQ(without_riders(third.lines), without_riders(first.lines));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SweepRunner, ShardsSharingACacheDirServeTheUnshardedRun) {
+  ScopedEnv ver("AXIHC_CODE_VERSION", "shard_cache_v1");
+  const std::string dir = fresh_dir("shard_cache");
+  SweepOptions opts;
+  opts.cache_dir = dir;
+  opts.deterministic = true;
+  for (std::size_t shard = 0; shard < 2; ++shard) {
+    SweepOptions sopts = opts;
+    sopts.shard_index = shard;
+    sopts.shard_count = 2;
+    EXPECT_EQ(run(kRunnable, sopts).executed, 2u);
+  }
+  EXPECT_EQ(cache_files(dir).size(), 2u);
+  const SweepSummary whole = run(kRunnable, opts);
+  EXPECT_EQ(whole.executed, 0u);
+  EXPECT_EQ(whole.cache_hits, 4u);
+  opts.cache_dir.clear();
+  EXPECT_EQ(whole.lines, run(kRunnable, opts).lines);
   std::filesystem::remove_all(dir);
 }
 

@@ -18,8 +18,9 @@
 // see src/sweep/sweep.hpp) into its cartesian grid and runs every cell as a
 // shared-nothing parallel job, streaming one JSON-lines row per cell.
 // Results are cached under (config digest, code version) — the default
-// directory is .axihc-sweep-cache next to the spec — so re-running a sweep
-// only simulates cells whose config or code actually changed.
+// directory is <spec>.ini.cache, i.e. the spec path plus ".cache", holding
+// one append-only log per writer — so re-running a sweep only simulates
+// cells whose config or code actually changed.
 // --sweep-shard i/N runs the cells with index % N == i (fan out across
 // machines; the sorted union of shard outputs equals the unsharded run).
 // --sweep-check compares each produced cell's config + state digest against

@@ -4,8 +4,10 @@
 Runs `axihc <spec> --sweep` cold into a fresh cache under <work dir>, then
 warm. Every warm cell must be a cache hit and the rows byte-identical. The
 sorted union of `--sweep-shard 0/2` and `1/2` (uncached) must equal the
-unsharded rows. Finally renders `--sweep-report`/`--sweep-report-json`
-from the saved rows.
+unsharded rows. The two shards then run again as concurrent processes into
+one fresh cache directory, each writing its own log; an unsharded run
+against it must hit every cell with the cold rows. Finally renders
+`--sweep-report`/`--sweep-report-json` from the saved rows.
 
     python3 tools/sweep_smoke.py <axihc binary> <spec.ini> <work dir>
 """
@@ -17,17 +19,26 @@ import subprocess
 import sys
 
 
-def sweep(axihc, spec, out, *flags):
-    done = subprocess.run(
+def start(axihc, spec, out, *flags):
+    return subprocess.Popen(
         [axihc, spec, "--sweep", "--sweep-deterministic", "--sweep-out",
          str(out), *flags], stderr=subprocess.PIPE, text=True)
-    sys.stderr.write(done.stderr)
-    if done.returncode != 0:
-        sys.exit(f"{spec}: sweep {' '.join(flags)} exited {done.returncode}")
-    counts = re.search(r"(\d+) executed, (\d+) cache hits", done.stderr)
+
+
+def finish(spec, proc, out):
+    _, err = proc.communicate()
+    sys.stderr.write(err)
+    if proc.returncode != 0:
+        sys.exit(f"{spec}: sweep {' '.join(proc.args[2:])} exited "
+                 f"{proc.returncode}")
+    counts = re.search(r"(\d+) executed, (\d+) cache hits", err)
     if counts is None:
         sys.exit(f"{spec}: no sweep summary on stderr")
     return out.read_text().splitlines(), int(counts.group(2))
+
+
+def sweep(axihc, spec, out, *flags):
+    return finish(spec, start(axihc, spec, out, *flags), out)
 
 
 def main(argv):
@@ -59,6 +70,21 @@ def main(argv):
         sys.exit(f"{spec}: the union of 2 shards differs from the "
                  "unsharded rows")
 
+    shared = str(work / "shared-cache")
+    procs = [(start(axihc, spec, work / f"shared{i}.jsonl", "--sweep-cache",
+                    shared, "--sweep-shard", f"{i}/2"),
+              work / f"shared{i}.jsonl") for i in range(2)]
+    for proc, out in procs:
+        finish(spec, proc, out)
+    rows, shared_hits = sweep(axihc, spec, work / "shared.jsonl",
+                              "--sweep-cache", shared)
+    if shared_hits != len(cold):
+        sys.exit(f"{spec}: after two concurrent shards the unsharded run "
+                 f"hit the cache for {shared_hits} of {len(cold)} cells")
+    if rows != cold:
+        sys.exit(f"{spec}: rows from the shards' cache differ from the "
+                 "cold run")
+
     md, js = work / "report.md", work / "report.json"
     done = subprocess.run([axihc, str(work / "cold.jsonl"), "--sweep-report",
                            str(md), "--sweep-report-json", str(js)])
@@ -68,7 +94,8 @@ def main(argv):
     if report.get("rows") != len(cold) or not md.read_text().strip():
         sys.exit(f"{spec}: the report does not cover the {len(cold)} rows")
     print(f"{spec}: {len(cold)} rows, {hits} warm cache hits, shard union "
-          "equals the unsharded rows, report rendered")
+          "equals the unsharded rows, concurrent shards fill one cache, "
+          "report rendered")
 
 
 if __name__ == "__main__":
