@@ -49,9 +49,6 @@ struct AddrReq {
   /// Bytes per beat = 1 << size_log2 (AxSIZE). 3 → 64-bit data bus.
   std::uint8_t size_log2 = 3;
   BurstType burst = BurstType::kIncr;
-  /// AXI QoS signal (ignored by SmartConnect per its product guide; carried
-  /// for completeness).
-  std::uint8_t qos = 0;
   /// Cycle the originating master issued the request (latency probes).
   Cycle issued_at = kNoCycle;
   /// Opaque bookkeeping field for interconnect models (e.g. sub-burst
@@ -90,8 +87,7 @@ inline void append_digest(StateDigest& d, const AddrReq& req) {
   d.mix(req.addr);
   d.mix(req.beats);
   d.mix(static_cast<std::uint64_t>(req.size_log2) |
-        (static_cast<std::uint64_t>(req.burst) << 8) |
-        (static_cast<std::uint64_t>(req.qos) << 16));
+        (static_cast<std::uint64_t>(req.burst) << 8));
   d.mix(static_cast<std::uint64_t>(req.issued_at));
   d.mix(req.tag);
 }

@@ -35,7 +35,6 @@ constexpr ConfigKey kKeys[] = {
     {"hyperconnect", "budgets", ""},
     {"hyperconnect", "prot_timeout", "0"},
     {"hyperconnect", "out_of_order", "false"},
-    {"hyperconnect", "arbitration", "round_robin", "round_robin qos_priority"},
     {"hyperconnect", "data_depth", "32", nullptr, 1, kU32},
     {"hyperconnect", "addr_depth", "4", nullptr, 1, kU32},
     // What to observe is chosen by axihc flags, never by the config.
@@ -73,7 +72,6 @@ constexpr ConfigKey kKeys[] = {
     ha("write_base", nullptr, "dma"),  // 0x2000'0000 + (port << 26)
     ha("direction", "read", "traffic", "read write mixed"),
     ha("gap", "0", "traffic"),
-    ha("qos", "0", "traffic", nullptr, 0, 15),  // AxQOS is 4 bits
     ha("base", nullptr, "traffic"),  // 0x4000'0000 + (port << 26)
     ha("network", "googlenet", "dnn", "googlenet alexnet"),
     ha("scale", "1", "dnn", nullptr, 1),

@@ -122,9 +122,6 @@ void ConfiguredSystem::build(const IniFile& ini,
     link->r_depth = link->w_depth = data_depth;
     link->ar_depth = link->aw_depth = addr_depth;
   }
-  if (hc.get_string("arbitration") == "qos_priority") {
-    cfg.hc.arbitration = ArbitrationPolicy::kQosPriority;
-  }
   if (cfg.hc.out_of_order) {
     cfg.mem.scheduling = MemScheduling::kFrFcfs;
     cfg.mem.id_order_mask = 0xFFFF0000;
@@ -290,12 +287,8 @@ void ConfiguredSystem::wire_observability() {
         if (provenance) {
           soc_->memory_controller().set_latency_audit(audit_.get());
         }
-        // The analytic bound additionally assumes no PS-originated stall
-        // interference (the model has no term for it).
-        if (cfg.mem.ps_stall_period == 0) {
-          const ProveInput in = prove_input();
-          audit_->set_bound_model(in.analysis, in.platform);
-        }
+        const ProveInput in = prove_input();
+        audit_->set_bound_model(in.analysis, in.platform);
       }
     }
     for (PortIndex p = 0; p < masters_.size(); ++p) {
@@ -410,7 +403,6 @@ void ConfiguredSystem::add_ha(const IniSection& section, PortIndex port) {
     cfg.burst_beats = section.get_u32("burst");
     cfg.gap_cycles = section.get_u64("gap");
     cfg.max_outstanding = section.get_u32("outstanding");
-    cfg.qos = static_cast<std::uint8_t>(section.get_u32("qos"));
     cfg.base = section.get_u64("base", 0x4000'0000 + (Addr{port} << 26));
     cfg.tolerate_out_of_order = ooo;
     ProveHaModel model;
@@ -533,7 +525,6 @@ ProveInput ConfiguredSystem::prove_input() const {
   in.out_of_order = in.hyperconnect && cfg.hc.out_of_order;
   in.id_bits = plc.id_bits;
   in.in_order_memory = cfg.mem.scheduling == MemScheduling::kInOrder;
-  in.ps_stall = cfg.mem.ps_stall_period != 0;
   in.decode = cfg.mem.mapped_ranges;
   in.has = prove_has_;
 

@@ -110,7 +110,6 @@ void AxiMasterBase::issue_read(Addr addr, BeatCount beats, Cycle now) {
   req.addr = addr;
   req.beats = beats;
   req.size_log2 = kBusSizeLog2;
-  req.qos = qos_;
   req.issued_at = now;
   reads_in_flight_.push_back({req, beats});
   link_.ar.push(req);
@@ -129,7 +128,6 @@ void AxiMasterBase::issue_write(Addr addr, BeatCount beats, Cycle now,
   req.addr = addr;
   req.beats = beats;
   req.size_log2 = kBusSizeLog2;
-  req.qos = qos_;
   req.issued_at = now;
   writes_in_flight_.push_back({req, beats});
   link_.aw.push(req);
@@ -149,7 +147,6 @@ void AxiMasterBase::issue_write_data(Addr addr,
   req.addr = addr;
   req.beats = static_cast<BeatCount>(data.size());
   req.size_log2 = kBusSizeLog2;
-  req.qos = qos_;
   req.issued_at = now;
   writes_in_flight_.push_back({req, req.beats});
   link_.aw.push(req);

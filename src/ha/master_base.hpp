@@ -155,9 +155,6 @@ class AxiMasterBase : public Component {
   /// Subclass reset hook (base reset() calls it after clearing its state).
   virtual void reset_master() {}
 
-  /// AXI QoS value stamped on every request this master issues (AxQOS).
-  void set_qos(std::uint8_t qos) { qos_ = qos; }
-
   /// Beats-per-word helper: all masters here use the 64-bit data bus.
   static constexpr std::uint8_t kBusSizeLog2 = 3;
   static constexpr std::uint64_t kBusBytes = 1u << kBusSizeLog2;
@@ -190,7 +187,6 @@ class AxiMasterBase : public Component {
   std::uint32_t max_or_;
   std::uint32_t max_ow_;
   bool allow_ooo_;
-  std::uint8_t qos_ = 0;
   TxnId next_id_ = 1;
 
   std::deque<InFlight> reads_in_flight_;

@@ -13,7 +13,6 @@ TrafficGenerator::TrafficGenerator(std::string name, AxiLink& link,
       cfg_(cfg) {
   AXIHC_CHECK(cfg_.burst_beats >= 1 && cfg_.burst_beats <= kMaxAxi4BurstBeats);
   AXIHC_CHECK(cfg_.region_bytes >= std::uint64_t{cfg_.burst_beats} * kBusBytes);
-  set_qos(cfg_.qos);
 }
 
 void TrafficGenerator::reset_master() {

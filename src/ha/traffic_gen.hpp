@@ -27,8 +27,6 @@ struct TrafficConfig {
   std::uint64_t max_transactions = 0;
   /// Accept out-of-order completion (future-work platforms, §V-A).
   bool tolerate_out_of_order = false;
-  /// AXI QoS value (AxQOS) stamped on every request.
-  std::uint8_t qos = 0;
 };
 
 class TrafficGenerator final : public AxiMasterBase {

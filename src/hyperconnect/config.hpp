@@ -11,13 +11,6 @@
 
 namespace axihc {
 
-/// EXBAR arbitration policy. The paper's EXBAR is fixed-granularity
-/// round-robin (kRoundRobin) — the predictable choice. kQosPriority is an
-/// opt-in extension honouring the AXI AxQOS signal that SmartConnect
-/// ignores: strict priority by QoS value, round-robin among equals. It can
-/// starve low-QoS masters; pair it with bandwidth reservation.
-enum class ArbitrationPolicy { kRoundRobin, kQosPriority };
-
 /// Synthesis-time parameters (fixed when the bitstream is built).
 struct HyperConnectConfig {
   std::uint32_t num_ports = 2;
@@ -54,9 +47,6 @@ struct HyperConnectConfig {
   /// port is isolated. 0 disables the timeout (malformed-burst detection
   /// stays active).
   Cycle prot_timeout = 0;
-
-  /// EXBAR arbitration policy (see above).
-  ArbitrationPolicy arbitration = ArbitrationPolicy::kRoundRobin;
 
   /// FUTURE-WORK EXTENSION (paper §V-A "Compatibility"): support memory
   /// subsystems that complete transactions out of order. When enabled, the

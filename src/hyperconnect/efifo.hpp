@@ -44,13 +44,11 @@ class Efifo {
   [[nodiscard]] bool ar_available() const {
     return active() && link_->ar.can_pop();
   }
-  [[nodiscard]] const AddrReq& peek_ar() const { return link_->ar.front(); }
   AddrReq pop_ar() { return link_->ar.pop(); }
 
   [[nodiscard]] bool aw_available() const {
     return active() && link_->aw.can_pop();
   }
-  [[nodiscard]] const AddrReq& peek_aw() const { return link_->aw.front(); }
   AddrReq pop_aw() { return link_->aw.pop(); }
 
   [[nodiscard]] bool w_available() const {

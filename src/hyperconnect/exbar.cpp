@@ -5,10 +5,9 @@
 namespace axihc {
 
 Exbar::Exbar(std::uint32_t num_ports, std::uint32_t route_capacity,
-             bool order_based_routing, ArbitrationPolicy policy)
+             bool order_based_routing)
     : num_ports_(num_ports),
       order_based_(order_based_routing),
-      policy_(policy),
       read_route_(route_capacity),
       write_route_(route_capacity),
       b_route_(route_capacity) {
@@ -30,22 +29,6 @@ std::optional<PortIndex> Exbar::pick(
   // modulo: both operands are < num_ports_, and the hardware divide was the
   // single hottest instruction of the whole kernel (per-port, per-channel,
   // per-cycle).
-  if (policy_ == ArbitrationPolicy::kQosPriority) {
-    // Highest AxQOS wins; round-robin pointer breaks ties among equals.
-    std::optional<PortIndex> best;
-    std::uint8_t best_qos = 0;
-    for (std::uint32_t i = 0; i < num_ports_; ++i) {
-      PortIndex cand = rr + i;
-      if (cand >= num_ports_) cand -= num_ports_;
-      if (!chans[cand]->can_pop()) continue;
-      const std::uint8_t qos = chans[cand]->front().qos;
-      if (!best.has_value() || qos > best_qos) {
-        best = cand;
-        best_qos = qos;
-      }
-    }
-    return best;
-  }
   // Fixed granularity round-robin: after granting port p, the pointer moves
   // past p, so each port gets at most one transaction per round-cycle.
   for (std::uint32_t i = 0; i < num_ports_; ++i) {

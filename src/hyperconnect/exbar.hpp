@@ -16,7 +16,6 @@
 
 #include "axi/axi.hpp"
 #include "common/ring_buffer.hpp"
-#include "hyperconnect/config.hpp"
 #include "interconnect/interconnect.hpp"
 #include "sim/channel.hpp"
 
@@ -39,8 +38,7 @@ class Exbar {
   /// responses are routed by their extended IDs instead; only the W pull
   /// order (an AXI4 requirement regardless) is recorded.
   Exbar(std::uint32_t num_ports, std::uint32_t route_capacity,
-        bool order_based_routing = true,
-        ArbitrationPolicy policy = ArbitrationPolicy::kRoundRobin);
+        bool order_based_routing = true);
 
   /// Round-robin grant of at most one read address request: pops from one of
   /// `ts_ar` into `out` and records routing info. Returns the granted port.
@@ -75,13 +73,12 @@ class Exbar {
 
  private:
   /// Picks the next port among those with a pending request at the heads
-  /// of `chans`, honouring the configured policy.
+  /// of `chans`, in round-robin order from `rr`.
   std::optional<PortIndex> pick(
       std::vector<TimingChannel<AddrReq>*>& chans, PortIndex& rr) const;
 
   std::uint32_t num_ports_;
   bool order_based_;
-  ArbitrationPolicy policy_;
   PortIndex rr_ar_ = 0;
   PortIndex rr_aw_ = 0;
   RingBuffer<ReadRoute> read_route_;

@@ -34,7 +34,7 @@ HyperConnect::HyperConnect(std::string name, HyperConnectConfig cfg)
       xbar_ar_(Component::name() + ".xbar_ar", cfg.xbar_stage_depth),
       xbar_aw_(Component::name() + ".xbar_aw", cfg.xbar_stage_depth),
       exbar_(cfg.num_ports, cfg.route_capacity,
-             /*order_based_routing=*/!cfg.out_of_order, cfg.arbitration),
+             /*order_based_routing=*/!cfg.out_of_order),
       budget_left_(runtime_.budgets),
       regfile_(runtime_,
                [this](PortIndex i) {

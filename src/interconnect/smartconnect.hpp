@@ -3,8 +3,8 @@
 //
 // SmartConnect is closed-source; the paper characterizes it externally and
 // this model is calibrated to exactly that characterization:
-//  * round-robin arbitration that IGNORES the AXI QoS signals (PG247 p.6/p.8,
-//    paper §II) — note this model never reads AddrReq::qos;
+//  * round-robin arbitration that IGNORES the AXI quality-of-service
+//    signals (PG247 p.6/p.8, paper §II) — the modeled payload carries none;
 //  * *variable* grant granularity: once a master wins arbitration it can be
 //    granted up to `grant_granularity` back-to-back transactions before the
 //    pointer advances (the paper found experimentally that SmartConnect's

@@ -211,18 +211,6 @@ void MemoryController::start_next_command() {
     audit_->on_mem_start(current_.is_write, now_);
 }
 
-namespace {
-// Periodic blocking window (PS stall, refresh): the controller is frozen in
-// cycles where `now % period < length`. Returns false inside a window, else
-// caps `next` at the start of the next one.
-bool before_window(Cycle period, Cycle length, Cycle now, Cycle& next) {
-  if (period == 0 || length == 0) return true;
-  if (now % period < length) return false;
-  next = std::min(next, (now / period + 1) * period);
-  return true;
-}
-}  // namespace
-
 Cycle MemoryController::next_activity(Cycle now) const {
   // Pending requests on AR/AW need accepting. W data is consumed only by a
   // streaming in-order write (always active below), or buffered as it
@@ -251,20 +239,19 @@ Cycle MemoryController::next_activity(Cycle now) const {
     case Phase::kStreamWrite: {
       // A countdown, or a stream blocked on R room, W data or B room: until
       // it ends each tick only counts a busy cycle (and decrements
-      // wait_left_), which tick() catches up on. PS-stall and refresh
-      // windows freeze the controller, so the certificate stops at the next
-      // window and is `now` inside one.
+      // wait_left_), which tick() catches up on. A refresh window freezes
+      // the controller (`now % period < duration`), so the certificate
+      // stops at the next window and is `now` inside one.
       Cycle next = kNoCycle;
       if (phase_ == Phase::kLatency || phase_ == Phase::kTurnaround) {
         next = now + wait_left_;
       } else if (!stream_blocked()) {
         return now;
       }
-      if (!before_window(cfg_.ps_stall_period, cfg_.ps_stall_length, now,
-                         next) ||
-          !before_window(cfg_.refresh_period, cfg_.refresh_duration, now,
-                         next)) {
-        return now;
+      const Cycle period = cfg_.refresh_period;
+      if (period != 0 && cfg_.refresh_duration != 0) {
+        if (now % period < cfg_.refresh_duration) return now;
+        next = std::min(next, (now / period + 1) * period);
       }
       return next;
     }
@@ -290,11 +277,6 @@ void MemoryController::tick(Cycle now) {
   accept_new_requests();
   if (cfg_.scheduling == MemScheduling::kFrFcfs) buffer_write_data();
 
-  // PS-side interference window: the controller is busy with PS masters.
-  if (cfg_.ps_stall_period != 0 &&
-      (now % cfg_.ps_stall_period) < cfg_.ps_stall_length) {
-    return;
-  }
   // DRAM refresh window (tREFI/tRFC): the device is unavailable. Refresh
   // also closes all open rows (precharge-all).
   if (cfg_.refresh_period != 0 &&

@@ -68,10 +68,6 @@ struct MemoryControllerConfig {
   /// Extra cycles between the last beat of a transaction and the start of
   /// the next one (bus turnaround / controller bookkeeping).
   Cycle turnaround = 1;
-  /// If nonzero: every `ps_stall_period` cycles the controller is blocked
-  /// for `ps_stall_length` cycles (PS-side traffic interference model).
-  Cycle ps_stall_period = 0;
-  Cycle ps_stall_length = 0;
   /// DRAM refresh: every `refresh_period` cycles (tREFI) the device is
   /// unavailable for `refresh_duration` cycles (tRFC). 0 disables refresh
   /// (the default, so calibrated baselines are undisturbed). At DDR4-speed

@@ -38,7 +38,7 @@
 // Excluded from the bound check (still recorded): error completions,
 // transactions whose port faulted or was decoupled during their lifetime,
 // and configurations the analysis does not model (out-of-order mode,
-// FR-FCFS memory scheduling, PS-stall interference, SmartConnect).
+// FR-FCFS memory scheduling, SmartConnect).
 #pragma once
 
 #include <array>

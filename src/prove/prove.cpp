@@ -329,7 +329,6 @@ ProveCheck check_wcla(const ProveInput& in, ProveReport& report) {
   if (!in.in_order_memory) {
     excluded.emplace_back("non-in-order (FR-FCFS) memory scheduling");
   }
-  if (in.ps_stall) excluded.emplace_back("PS-originated stall interference");
   if (!excluded.empty()) {
     c.verdict = ProveVerdict::kUnmodeled;
     std::ostringstream os;

@@ -34,9 +34,9 @@
 //   wcla-bound         boundedness classification: configurations the WCLA
 //                      model covers get per-port worst-case latency bounds
 //                      (analysis::audit_wcrt_*); SmartConnect,
-//                      out-of-order / FR-FCFS memory and PS-stall
-//                      interference are flagged unmodeled, exactly the
-//                      configurations the PR 7 auditor excludes.
+//                      out-of-order mode and FR-FCFS memory are flagged
+//                      unmodeled, exactly the configurations the runtime
+//                      latency auditor excludes.
 //   address-map        HA job windows against each other and the decode
 //                      map: windows of two HAs sharing bytes (an isolation
 //                      smell) and windows outside every decode entry
@@ -124,7 +124,6 @@ struct ProveInput {
   bool out_of_order = false;
   std::uint32_t id_bits = 16;
   bool in_order_memory = true;
-  bool ps_stall = false;
   /// Memory decode map; empty when every address decodes.
   std::vector<AddrRange> decode{};
   /// Attached HAs, index = port. May be shorter than num_ports (idle

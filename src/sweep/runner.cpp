@@ -121,7 +121,7 @@ std::string execute_cell(const IniFile& cfg) {
   // Bound slack: how far the observed worst case stayed below the WCLA
   // bound (1.0 = untouched, 0.0 = at the bound, negative = violated).
   // -1.0 flags "no analytic bound for this configuration" (SmartConnect,
-  // out-of-order mode, FR-FCFS memory, PS stall interference).
+  // out-of-order mode, FR-FCFS memory).
   const double wcla_slack = audit->bound_checked() > 0
                                 ? 1.0 - audit->max_latency_ratio()
                                 : -1.0;

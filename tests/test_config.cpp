@@ -192,9 +192,8 @@ std::string build_error(const std::string& ini) {
 }
 
 TEST(SystemBuilder, RejectsWrappingAndNegativeIntegers) {
-  // Sanity: the unmodified base builds, and so does the largest AxQOS.
+  // Sanity: the unmodified base builds.
   EXPECT_NO_THROW(build_system(pareto_base_with("system", "")));
-  EXPECT_NO_THROW(build_system(pareto_base_with("ha1", "qos = 15")));
   const struct {
     const char* section;
     const char* line;
@@ -212,35 +211,12 @@ TEST(SystemBuilder, RejectsWrappingAndNegativeIntegers) {
       {"hyperconnect", "reservation_period = -2000",
        "[hyperconnect] reservation_period"},
       {"ha1", "outstanding = 4294967304", "[ha1] outstanding"},
-      // AxQOS is 4 bits: no wrap modulo 256, no silent truncation to 4 bits.
-      {"ha1", "qos = 256", "[ha1] qos"},
-      {"ha1", "qos = 257", "[ha1] qos"},
-      {"ha1", "qos = 16", "[ha1] qos"},
-      {"ha1", "qos = -1", "[ha1] qos"},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.line);
     const std::string msg = build_error(pareto_base_with(c.section, c.line));
     EXPECT_NE(msg.find(c.names), std::string::npos) << msg;
   }
-}
-
-TEST(SystemBuilder, QosPriorityArbitrationSelectable) {
-  auto system = build_system(
-      "[system]\n"
-      "cycles = 30000\n"
-      "[hyperconnect]\n"
-      "arbitration = qos_priority\n"
-      "[ha0]\n"
-      "type = traffic\n"
-      "qos = 1\n"
-      "[ha1]\n"
-      "type = traffic\n"
-      "qos = 8\n");
-  system->run();
-  // Both make progress (route backlog softens strict priority; the
-  // dedicated QoS tests pin down the exact dominance conditions).
-  EXPECT_GT(system->ha(1).stats().bytes_read, 0u);
 }
 
 }  // namespace

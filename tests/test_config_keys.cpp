@@ -117,10 +117,10 @@ TEST(ConfigKeys, SpelledDefaultsBuildTheSameSystem) {
     const char* ini;
     Cycle cycles;
   } bases[] = {
-      // dma + prioritised traffic under a fault mix; empty [hyperconnect]
-      // and [observe].
+      // dma + mixed traffic under a fault mix; empty [hyperconnect] and
+      // [observe].
       {"[system]\n[hyperconnect]\n[ha0]\ntype = dma\n[ha1]\ntype = traffic\n"
-       "direction = mixed\nqos = 1\n[fault0]\nkind = delay_w\nparam = 4\n"
+       "direction = mixed\n[fault0]\nkind = delay_w\nparam = 4\n"
        "[fault1]\nkind = drop_w\nport = 1\nprobability = 0.5\n"
        "[fault2]\nkind = delay_w\nport = 1\n[observe]\n",
        20000},
@@ -293,6 +293,13 @@ TEST(ConfigKeys, RejectsUnknownSectionsAndKeys) {
       {fig5 + "[hazard]\ntype = dma\n", "[hazard]"},
       {fig5 + "[mem0x]\nbytes = 4096\n", "[mem0x]"},
       {replace_once(fig5, "[ha1]", "[ha1]\nburts = 8"), "[ha1] unknown key"},
+      // The EXBAR has one arbiter, round-robin, and requests carry no
+      // priority.
+      {replace_once(fig5, "[hyperconnect]",
+                    "[hyperconnect]\narbitration = qos_priority"),
+       "[hyperconnect] unknown key 'arbitration'"},
+      {replace_once(fig5, "[ha1]", "[ha1]\nqos = 8"),
+       "[ha1] unknown key 'qos'"},
       // What to observe is an axihc flag (--trace-out, --metrics-out,
       // --sample-every, --latency-audit), never a config key.
       {fig5 + "[observe]\ntrace = true\n", "[observe] unknown key 'trace'"},

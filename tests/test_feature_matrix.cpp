@@ -1,7 +1,7 @@
 // Feature-interaction matrix: every combination of the HyperConnect's
 // orthogonal features must compose correctly — protocol-clean HA streams,
 // conservation of all requested bytes, and budget enforcement whenever
-// reservation is on. 16 combinations, each with monitored mixed traffic.
+// reservation is on. 8 combinations, each with monitored mixed traffic.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -17,13 +17,13 @@
 namespace axihc {
 namespace {
 
-/// (out_of_order, reservation, equalization, qos_priority)
-using Combo = std::tuple<bool, bool, bool, bool>;
+/// (out_of_order, reservation, equalization)
+using Combo = std::tuple<bool, bool, bool>;
 
 class FeatureMatrix : public ::testing::TestWithParam<Combo> {};
 
 TEST_P(FeatureMatrix, ComposesCorrectly) {
-  const auto [ooo, reservation, equalization, qos] = GetParam();
+  const auto [ooo, reservation, equalization] = GetParam();
 
   Simulator sim;
   BackingStore store;
@@ -32,8 +32,6 @@ TEST_P(FeatureMatrix, ComposesCorrectly) {
   cfg.nominal_burst = equalization ? 16 : 0;
   cfg.max_outstanding = 4;
   cfg.out_of_order = ooo;
-  cfg.arbitration =
-      qos ? ArbitrationPolicy::kQosPriority : ArbitrationPolicy::kRoundRobin;
   if (reservation) {
     cfg.reservation_period = 1000;
     cfg.initial_budgets = {12, 8};
@@ -65,7 +63,6 @@ TEST_P(FeatureMatrix, ComposesCorrectly) {
     TrafficConfig t;
     t.direction = TrafficDirection::kMixed;
     t.burst_beats = p == 0 ? 32 : 8;  // heterogeneous bursts
-    t.qos = static_cast<std::uint8_t>(p * 4);
     t.base = 0x4000'0000 + (static_cast<Addr>(p) << 26);
     t.max_transactions = 40;
     t.tolerate_out_of_order = ooo;
@@ -78,8 +75,7 @@ TEST_P(FeatureMatrix, ComposesCorrectly) {
   ASSERT_TRUE(sim.run_until(
       [&] { return gens[0]->finished() && gens[1]->finished(); },
       3'000'000))
-      << "ooo=" << ooo << " res=" << reservation << " eq=" << equalization
-      << " qos=" << qos;
+      << "ooo=" << ooo << " res=" << reservation << " eq=" << equalization;
 
   // Protocol legality survived the combination.
   EXPECT_TRUE(monitors[0]->clean());
@@ -110,15 +106,14 @@ TEST_P(FeatureMatrix, ComposesCorrectly) {
 INSTANTIATE_TEST_SUITE_P(
     AllCombos, FeatureMatrix,
     ::testing::Combine(::testing::Bool(), ::testing::Bool(),
-                       ::testing::Bool(), ::testing::Bool()),
+                       ::testing::Bool()),
     [](const auto& param_info) {
       // No structured bindings here: commas inside [..] would split the
       // macro's arguments.
       std::string name;
       name += std::get<0>(param_info.param) ? "ooo_" : "inorder_";
       name += std::get<1>(param_info.param) ? "res_" : "nores_";
-      name += std::get<2>(param_info.param) ? "eq_" : "noeq_";
-      name += std::get<3>(param_info.param) ? "qos" : "rr";
+      name += std::get<2>(param_info.param) ? "eq" : "noeq";
       return name;
     });
 

@@ -14,8 +14,8 @@
 // in one Simulator sharing a trace, repeated-run digest stability, a
 // closed-loop fault-recovery run, a protocol monitor spanning a long
 // read latency, and the lazy catch-up through DRAM countdowns (a saturated
-// audited cell, run(N) deadlines inside countdowns, refresh and PS-stall
-// windows, and a kStallW window opening behind a blocked port), the lazy
+// audited cell, run(N) deadlines inside countdowns, refresh windows, and a
+// kStallW window opening behind a blocked port), the lazy
 // catch-up through one fault window of each stall kind and of delay_w, the
 // age backstop's deadline across timeout rewrites and re-arms, and the
 // HyperConnect's gated EXBAR grants against pinned full-scan values.
@@ -742,30 +742,37 @@ TEST(KernelFastPath, EveryRunDeadlineCatchesUpPendingCountdowns) {
   EXPECT_LT(fast.counter.ticks(), naive.counter.ticks());
 }
 
-TEST(KernelFastPath, StallAndRefreshWindowsInsideCountdownsAreBitIdentical) {
-  // Short, coprime PS-stall and refresh periods, so windows keep opening
-  // while a command is in its first-word latency or turnaround.
-  SocConfig cfg = one_port_soc();
-  cfg.mem.ps_stall_period = 61;
-  cfg.mem.ps_stall_length = 5;
-  cfg.mem.refresh_period = 97;
-  cfg.mem.refresh_duration = 7;
-  DmaConfig dma_cfg = one_at_a_time_dma();
-  dma_cfg.max_jobs = 2;
-  SmallSystem fast(cfg, dma_cfg, nullptr, true);
-  SmallSystem naive(cfg, dma_cfg, nullptr, false);
-  const auto done_fast = [&] { return fast.dma.finished(); };
-  const auto done_naive = [&] { return naive.dma.finished(); };
-  ASSERT_TRUE(fast.soc.sim().run_until(done_fast, 1'000'000));
-  ASSERT_TRUE(naive.soc.sim().run_until(done_naive, 1'000'000));
-  EXPECT_EQ(fast.soc.sim().now(), naive.soc.sim().now());
-  EXPECT_EQ(fast.soc.sim().state_digest(), naive.soc.sim().state_digest());
-  EXPECT_EQ(memory_counters(fast.soc.memory_controller()),
-            memory_counters(naive.soc.memory_controller()));
-  EXPECT_EQ(fast.dma.job_completion_cycles(),
-            naive.dma.job_completion_cycles());
-  EXPECT_GT(fast.soc.memory_controller().refreshes(), 10u);
-  EXPECT_LT(fast.counter.ticks(), naive.counter.ticks());
+TEST(KernelFastPath, RefreshWindowsInsideCountdownsAreBitIdentical) {
+  // Short refresh periods, coprime with each other and with the DRAM
+  // latencies, so windows keep opening while a command is in its
+  // first-word latency or turnaround.
+  const struct {
+    Cycle period;
+    Cycle duration;
+  } windows[] = {{97, 7}, {61, 5}};
+  for (const auto& w : windows) {
+    SCOPED_TRACE(::testing::Message() << "refresh " << w.period << "/"
+                                      << w.duration);
+    SocConfig cfg = one_port_soc();
+    cfg.mem.refresh_period = w.period;
+    cfg.mem.refresh_duration = w.duration;
+    DmaConfig dma_cfg = one_at_a_time_dma();
+    dma_cfg.max_jobs = 2;
+    SmallSystem fast(cfg, dma_cfg, nullptr, true);
+    SmallSystem naive(cfg, dma_cfg, nullptr, false);
+    const auto done_fast = [&] { return fast.dma.finished(); };
+    const auto done_naive = [&] { return naive.dma.finished(); };
+    ASSERT_TRUE(fast.soc.sim().run_until(done_fast, 1'000'000));
+    ASSERT_TRUE(naive.soc.sim().run_until(done_naive, 1'000'000));
+    EXPECT_EQ(fast.soc.sim().now(), naive.soc.sim().now());
+    EXPECT_EQ(fast.soc.sim().state_digest(), naive.soc.sim().state_digest());
+    EXPECT_EQ(memory_counters(fast.soc.memory_controller()),
+              memory_counters(naive.soc.memory_controller()));
+    EXPECT_EQ(fast.dma.job_completion_cycles(),
+              naive.dma.job_completion_cycles());
+    EXPECT_GT(fast.soc.memory_controller().refreshes(), 10u);
+    EXPECT_LT(fast.counter.ticks(), naive.counter.ticks());
+  }
 }
 
 TEST(KernelFastPath, StallWWindowOpeningBehindBlockedAwIsBitIdentical) {
@@ -954,7 +961,7 @@ TEST(KernelFastPath, StallWWindowInsideADelayWHoldIsBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// The age backstop's deadline. A PS-stall window freezes the DDR for the
+// The age backstop's deadline. A refresh window freezes the DDR for the
 // whole run, so one read pushed into port 0 at reset stays in flight and
 // ages; port 1 stays idle. A fault must latch on the first cycle the
 // record is 2 * PROT_TIMEOUT old (counted from its issue, or from the
@@ -980,8 +987,8 @@ struct AgeRun {
     cfg.num_ports = 2;
     cfg.hc.num_ports = 2;
     cfg.hc.prot_timeout = prot_timeout;
-    cfg.mem.ps_stall_period = 1'000'000;
-    cfg.mem.ps_stall_length = 500'000;
+    cfg.mem.refresh_period = 1'000'000;
+    cfg.mem.refresh_duration = 500'000;
     return cfg;
   }
 
@@ -1023,7 +1030,7 @@ TEST(KernelFastPath, AgeDeadlineFollowsTimeoutRewrites) {
     digests.push_back(run.soc.sim().state_digest());
   }
   EXPECT_EQ(digests[0], digests[1]);
-  EXPECT_EQ(digests[0], 0xb0c0258ab29168abu);
+  EXPECT_EQ(digests[0], 0xc0970570f4d2428au);
 }
 
 TEST(KernelFastPath, AgeDeadlineCoversAPortReArmedAlone) {
@@ -1045,7 +1052,7 @@ TEST(KernelFastPath, AgeDeadlineCoversAPortReArmedAlone) {
     digests.push_back(run.soc.sim().state_digest());
   }
   EXPECT_EQ(digests[0], digests[1]);
-  EXPECT_EQ(digests[0], 0x969c2b3a09a5e64au);
+  EXPECT_EQ(digests[0], 0x86c54b53c7650c6bu);
 }
 
 // ---------------------------------------------------------------------------

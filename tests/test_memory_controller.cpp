@@ -162,36 +162,6 @@ TEST_F(MemFixture, StreamsOneBeatPerCycle) {
   }
 }
 
-TEST_F(MemFixture, PsStallBlocksService) {
-  // Re-build with a PS-interference window of 8 stalled cycles per 16.
-  MemoryControllerConfig c = cfg();
-  c.ps_stall_period = 16;
-  c.ps_stall_length = 8;
-  Simulator sim2;
-  AxiLink link2("l2");
-  BackingStore store2;
-  MemoryController mem2("ddr2", link2, store2, c);
-  link2.register_with(sim2);
-  sim2.add(mem2);
-  sim2.reset();
-
-  link2.ar.push(read_req(0x0, 16));
-  std::size_t got = 0;
-  sim2.run_until(
-      [&] {
-        while (link2.r.can_pop()) {
-          link2.r.pop();
-          ++got;
-        }
-        return got >= 16;
-      },
-      2000);
-  EXPECT_EQ(got, 16u);
-  // With half the cycles stalled, the burst takes roughly twice as long as
-  // the unstalled case (which finishes in < 30 cycles).
-  EXPECT_GT(sim2.now(), 40u);
-}
-
 TEST_F(MemFixture, CountsServedWork) {
   link.ar.push(read_req(0x0, 4));
   collect_r(4);

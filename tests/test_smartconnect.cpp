@@ -116,21 +116,19 @@ TEST_F(ScFixture, HeterogeneousBurstsAreUnfair) {
   EXPECT_GT(s / (v + s), 0.9);
 }
 
-TEST_F(ScFixture, QosSignalsAreIgnored) {
-  // Two identical masters, one with max QoS: identical service (PG247).
+TEST_F(ScFixture, IdenticalMastersGetEqualShares) {
+  // Two identical greedy masters: round-robin gives each half the service.
   TrafficConfig cfg;
   cfg.direction = TrafficDirection::kRead;
   cfg.burst_beats = 16;
-  TrafficGenerator lo("lo", sc.port_link(0), cfg);
-  TrafficGenerator hi("hi", sc.port_link(1), cfg);
-  sim.add(lo);
-  sim.add(hi);
+  TrafficGenerator a_gen("a", sc.port_link(0), cfg);
+  TrafficGenerator b_gen("b", sc.port_link(1), cfg);
+  sim.add(a_gen);
+  sim.add(b_gen);
   sim.reset();
-  // (TrafficGenerator leaves qos = 0; the model never reads it — this test
-  // documents that behavioural contract by asserting equal shares.)
   sim.run(50000);
-  const double a = static_cast<double>(lo.stats().bytes_read);
-  const double b = static_cast<double>(hi.stats().bytes_read);
+  const double a = static_cast<double>(a_gen.stats().bytes_read);
+  const double b = static_cast<double>(b_gen.stats().bytes_read);
   EXPECT_NEAR(a / (a + b), 0.5, 0.05);
 }
 

@@ -1,5 +1,5 @@
 // SocSystem assembly details and remaining control-interface coverage:
-// PS-interference configuration, control-bus robustness.
+// memory configuration, control-bus robustness.
 #include <gtest/gtest.h>
 
 #include "driver/hyperconnect_driver.hpp"
@@ -13,33 +13,12 @@ namespace {
 TEST(SocSystem, PropagatesMemoryConfig) {
   SocConfig cfg;
   cfg.mem.row_hit_latency = 3;
-  cfg.mem.ps_stall_period = 100;
-  cfg.mem.ps_stall_length = 10;
+  cfg.mem.refresh_period = 1170;
+  cfg.mem.refresh_duration = 53;
   SocSystem soc(cfg);
   EXPECT_EQ(soc.memory_controller().config().row_hit_latency, 3u);
-  EXPECT_EQ(soc.memory_controller().config().ps_stall_period, 100u);
-}
-
-TEST(SocSystem, PsInterferenceSlowsTraffic) {
-  auto bytes_moved = [](Cycle stall_len) {
-    SocConfig cfg;
-    cfg.num_ports = 2;
-    cfg.mem.ps_stall_period = 100;
-    cfg.mem.ps_stall_length = stall_len;
-    SocSystem soc(cfg);
-    TrafficConfig t;
-    t.direction = TrafficDirection::kRead;
-    t.burst_beats = 16;
-    TrafficGenerator gen("gen", soc.port(0), t);
-    soc.add(gen);
-    soc.sim().reset();
-    soc.sim().run(50000);
-    return gen.stats().bytes_read;
-  };
-  const auto clean = bytes_moved(0);
-  const auto stalled = bytes_moved(50);  // 50% of cycles blocked
-  EXPECT_LT(stalled, clean * 6 / 10);
-  EXPECT_GT(stalled, clean * 3 / 10);
+  EXPECT_EQ(soc.memory_controller().config().refresh_period, 1170u);
+  EXPECT_EQ(soc.memory_controller().config().refresh_duration, 53u);
 }
 
 TEST(SocSystem, NumPortsOverridesHcConfig) {
