@@ -60,28 +60,21 @@ namespace {
 Cycle transfer_bound(const HcAnalysisConfig& cfg, const AnalysisPlatform& p,
                      PortIndex port, std::uint64_t subs) {
   if (subs == 0) return 0;
-  const BeatCount own_unit = cfg.nominal_burst != 0
-                                 ? cfg.nominal_burst
-                                 : cfg.max_unequalized_beats;
-  const Cycle s_own = service_bound(p, own_unit);
-  const Cycle s_comp = service_bound(p, competitor_unit_beats(cfg));
-
-  if (cfg.reservation_period != 0 && reservation_feasible(cfg, p)) {
-    const std::uint32_t budget = cfg.budgets.at(port);
-    AXIHC_CHECK_MSG(budget > 0, "reserved port with zero budget");
-    const std::uint64_t periods = (subs + budget - 1) / budget;
-    // +1 period of initial phasing; feasibility guarantees each window's
-    // budgets are servable within the window.
-    return with_refresh(p, (periods + 1) * cfg.reservation_period);
+  // Feasibility guarantees each window's budgets are servable within the
+  // window, so the supply term alone bounds the port.
+  if (reservation_feasible(cfg, p)) {
+    return with_refresh(p, reservation_supply_bound(cfg, port, subs));
   }
-  // Round-robin: each own sub pays at most (N-1) competitor units, plus the
-  // initial backlog and one blocking unit.
-  const std::uint64_t n_minus_1 = cfg.num_ports - 1;
-  const std::uint64_t interference =
-      std::uint64_t{cfg.competitor_backlog} * n_minus_1 + 1 +
-      subs * n_minus_1;
-  return with_refresh(p, static_cast<Cycle>(interference) * s_comp +
-                             static_cast<Cycle>(subs) * s_own);
+  const BeatCount unit = competitor_unit_beats(cfg);
+  Cycle span = arbitration_and_service_bound(
+      p, cfg.num_ports, cfg.competitor_backlog, 1, subs, unit, unit);
+  // Overcommitted plan: the port's own budget can gate it past any
+  // arbitration-only bound, and competitors are no longer confined to
+  // their budgets, so both terms apply.
+  if (cfg.reservation_period != 0 && cfg.budgets.at(port) > 0) {
+    span += reservation_supply_bound(cfg, port, subs);
+  }
+  return with_refresh(p, span);
 }
 
 }  // namespace

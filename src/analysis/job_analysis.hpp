@@ -54,7 +54,9 @@ struct JobProfile {
 
 /// Worst-case completion time of one job issued by `port`, from its first
 /// address request to its last response. Sound under the same adversary
-/// model as wcrt_read/wcrt_write.
+/// model as wcrt_read/wcrt_write. A feasible reservation plan charges each
+/// phase the supply term alone; an overcommitted plan charges supply plus
+/// the round-robin term, like the transaction bound.
 [[nodiscard]] Cycle job_wcrt(const HcAnalysisConfig& cfg,
                              const AnalysisPlatform& p, PortIndex port,
                              const JobProfile& job);

@@ -14,6 +14,11 @@
 //  * per-port reservation (budget B_i per period T) when enabled;
 //  * constant per-channel pipeline latencies (Fig. 3(a)).
 //
+// Each part of the argument is stated once: the round-robin interference
+// and service term, the reservation supply term, and the transaction bound
+// composed from them. The job bounds (job_analysis.hpp) and the
+// SmartConnect comparison bound are composed from the same two terms.
+//
 // Bounds are *sound* (never below the true worst case under the model) and
 // intentionally tight enough to be useful: the validation suite also checks
 // they are within a small factor of the observed worst case.
@@ -79,11 +84,36 @@ struct HcAnalysisConfig {
 [[nodiscard]] std::uint32_t sub_transaction_count(const HcAnalysisConfig& cfg,
                                                   BeatCount beats);
 
+/// Interference and own service, the one round-robin term every bound is
+/// built from: the time from a request reaching the arbiter to its last
+/// `own_units` arbitration units fully served at the memory controller,
+/// when each of the other `num_ports - 1` ports has `competitor_backlog`
+/// units granted but unserved ahead of it and is granted at most
+/// `grants_per_round` units of `competitor_beats` beats between two grants
+/// of the analysed port, whose units are `own_beats` beats long. One
+/// further competitor unit pays for non-preemptive blocking.
+[[nodiscard]] Cycle arbitration_and_service_bound(
+    const AnalysisPlatform& p, std::uint32_t num_ports,
+    std::uint64_t competitor_backlog, std::uint32_t grants_per_round,
+    std::uint64_t own_units, BeatCount competitor_beats, BeatCount own_beats);
+
+/// Reservation supply: with budget B per period T (cfg's plan at `port`,
+/// B > 0), `subs` sub-transactions are granted within ceil(subs/B) periods
+/// plus one period of initial phasing (arriving right after the port's
+/// budget ran out).
+[[nodiscard]] Cycle reservation_supply_bound(const HcAnalysisConfig& cfg,
+                                             PortIndex port,
+                                             std::uint64_t subs);
+
 /// Worst-case response time of a READ of `beats` beats issued by `port`,
 /// from the HA asserting ARVALID to the final R beat delivered, with every
-/// other port continuously backlogged. Uses the round-robin bound when
-/// reservation is off and the reservation supply bound (budget B per
-/// period T) when it is on.
+/// other port continuously backlogged: the number `--prove` certifies and
+/// the runtime latency auditor enforces per transaction. Without
+/// reservation, or for a port with no budget, it is the round-robin term.
+/// With a budget the port's reads and writes drain that one budget
+/// concurrently and competitors are confined to theirs only when the plan
+/// is feasible, so the bound adds the reservation supply term to the full
+/// round-robin term, for feasible and overcommitted plans alike.
 [[nodiscard]] Cycle wcrt_read(const HcAnalysisConfig& cfg,
                               const AnalysisPlatform& p, PortIndex port,
                               BeatCount beats);
@@ -92,23 +122,6 @@ struct HcAnalysisConfig {
 [[nodiscard]] Cycle wcrt_write(const HcAnalysisConfig& cfg,
                                const AnalysisPlatform& p, PortIndex port,
                                BeatCount beats);
-
-/// Bounds used by the runtime latency auditor (src/obs/latency_audit.*).
-/// wcrt_read/wcrt_write bound a request arriving at an otherwise-idle own
-/// port; the live auditor observes arbitrary workloads where the port's
-/// reads and writes share one budget and drain it concurrently, so the
-/// audit bound composes the reservation supply bound with the full
-/// round-robin arbitration-and-service term instead of a single blocking
-/// unit. It is >= the corresponding wcrt_* bound everywhere, and sound for
-/// infeasible reservation plans (where budget throttling, not arbitration,
-/// dominates). Falls back to the round-robin bound when reservation is off
-/// or the port has no budget.
-[[nodiscard]] Cycle audit_wcrt_read(const HcAnalysisConfig& cfg,
-                                    const AnalysisPlatform& p, PortIndex port,
-                                    BeatCount beats);
-[[nodiscard]] Cycle audit_wcrt_write(const HcAnalysisConfig& cfg,
-                                     const AnalysisPlatform& p, PortIndex port,
-                                     BeatCount beats);
 
 /// The analogous bound for the SmartConnect baseline: variable round-robin
 /// granularity `g` (worst-case interference g×(N−1) transactions per §V-B)

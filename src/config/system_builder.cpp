@@ -277,17 +277,15 @@ void ConfiguredSystem::wire_observability() {
       for (PortIndex p = 0; p < cfg.num_ports; ++p) {
         audit_->set_port_source(p, hc->name() + ".port" + std::to_string(p));
       }
-      // Positional memory-stage matching needs the in-order pipeline on
-      // both sides; out-of-order HC mode or FR-FCFS scheduling fall back
-      // to provenance-only auditing at the memory stage.
-      const bool positional =
-          !cfg.hc.out_of_order &&
-          cfg.mem.scheduling == MemScheduling::kInOrder;
-      if (positional) {
+      // The bound model goes to exactly the configurations --prove
+      // certifies. Those are also the ones with the in-order pipeline on
+      // both sides that positional memory-stage matching needs; the others
+      // fall back to provenance-only auditing at the memory stage.
+      const ProveInput in = prove_input();
+      if (wcla_exclusions(in).empty()) {
         if (provenance) {
           soc_->memory_controller().set_latency_audit(audit_.get());
         }
-        const ProveInput in = prove_input();
         audit_->set_bound_model(in.analysis, in.platform);
       }
     }
@@ -511,10 +509,7 @@ ProveInput ConfiguredSystem::prove_input() const {
   in.analysis.budgets = cfg.hc.initial_budgets;
   in.analysis.budgets.resize(cfg.num_ports, 0);
   in.analysis.competitor_backlog = cfg.hc.max_outstanding;
-  in.platform.mem_latency = cfg.mem.row_miss_latency;
-  in.platform.turnaround = cfg.mem.turnaround;
-  in.platform.refresh_period = cfg.mem.refresh_period;
-  in.platform.refresh_duration = cfg.mem.refresh_duration;
+  in.platform = analysis_platform(cfg.mem);
 
   const AxiLinkConfig& plc = cfg.hc.port_link_cfg;
   in.ar_depth = plc.ar_depth;

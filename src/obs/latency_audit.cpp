@@ -242,7 +242,7 @@ void LatencyAudit::on_port_disturbed(PortIndex port, Cycle now) {
 }
 
 Cycle LatencyAudit::bound_for(PortIndex port, bool is_write,
-                              BeatCount beats) {
+                              BeatCount beats) const {
   if (bound_override_ != 0) return bound_override_;
   if (!bound_model_.has_value()) return 0;
   const std::uint64_t key = (static_cast<std::uint64_t>(port) << 33) |
@@ -251,8 +251,8 @@ Cycle LatencyAudit::bound_for(PortIndex port, bool is_write,
   const auto it = bound_cache_.find(key);
   if (it != bound_cache_.end()) return it->second;
   const Cycle b =
-      is_write ? audit_wcrt_write(*bound_model_, bound_platform_, port, beats)
-               : audit_wcrt_read(*bound_model_, bound_platform_, port, beats);
+      is_write ? wcrt_write(*bound_model_, bound_platform_, port, beats)
+               : wcrt_read(*bound_model_, bound_platform_, port, beats);
   bound_cache_.emplace(key, b);
   return b;
 }

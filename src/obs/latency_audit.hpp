@@ -83,7 +83,7 @@ class LatencyAudit final {
   /// stage) when it does not.
   [[nodiscard]] bool provenance() const { return provenance_; }
 
-  /// Enables bound checking against audit_wcrt_read/audit_wcrt_write for
+  /// Enables bound checking against wcrt_read/wcrt_write for
   /// the given interconnect/platform model. Without a bound model the audit
   /// still collects provenance, histograms and flight records.
   void set_bound_model(HcAnalysisConfig cfg, AnalysisPlatform platform);
@@ -147,8 +147,11 @@ class LatencyAudit final {
   /// Worst busy-period-normalized latency among the port+dir's checked
   /// transactions.
   [[nodiscard]] Cycle max_audited(PortIndex port, bool is_write) const;
+  /// The bound a `beats`-beat transaction on port+dir is checked against:
+  /// the override if set, else the number `--prove` certifies for it (0
+  /// without a bound model).
   [[nodiscard]] Cycle bound_for(PortIndex port, bool is_write,
-                                BeatCount beats);
+                                BeatCount beats) const;
 
   // --- results: provenance (empty without it) ------------------------------
   [[nodiscard]] const FlightRecorder& flight_recorder() const {
@@ -242,7 +245,7 @@ class LatencyAudit final {
   std::optional<HcAnalysisConfig> bound_model_;
   AnalysisPlatform bound_platform_;
   Cycle bound_override_ = 0;
-  std::map<std::uint64_t, Cycle> bound_cache_;
+  mutable std::map<std::uint64_t, Cycle> bound_cache_;
   std::uint64_t txns_ = 0;
   std::uint64_t bound_checked_ = 0;
   std::uint64_t bound_violations_ = 0;

@@ -2,10 +2,12 @@
 
 namespace axihc {
 
-AnalysisPlatform Platform::analysis() const {
+AnalysisPlatform analysis_platform(const MemoryControllerConfig& mem) {
   AnalysisPlatform p;
   p.mem_latency = mem.row_miss_latency;
   p.turnaround = mem.turnaround;
+  p.refresh_period = mem.refresh_period;
+  p.refresh_duration = mem.refresh_duration;
   return p;
 }
 

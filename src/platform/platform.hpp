@@ -1,12 +1,12 @@
 // Platform presets for the two FPGA SoCs the paper evaluates (§VI-A):
 // the Zynq UltraScale+ ZCU102 and the Zynq-7000 Z-7020.
 //
-// A preset bundles the fabric clock, the memory-path timing calibration,
-// the device resource budget and the matching analysis platform, so benches
-// and applications can select a platform in one line. The paper reports
-// "similar results" on both; the Z-7020 preset has a slower clock and a
-// slower DDR3 path, so absolute rates drop while every comparison shape is
-// preserved — which this library's tests verify.
+// A preset bundles the fabric clock, the memory-path timing calibration
+// and the device resource budget, so benches and applications can select
+// a platform in one line; analysis_platform() gives its WCLA timing. The
+// paper reports "similar results" on both; the Z-7020 preset has a slower
+// clock and a slower DDR3 path, so absolute rates drop while every
+// comparison shape is preserved — which this library's tests verify.
 #pragma once
 
 #include <string>
@@ -28,11 +28,13 @@ struct Platform {
   DeviceBudget device{};
 
   [[nodiscard]] RateMeter rate_meter() const { return RateMeter(clock_hz); }
-
-  /// Analysis platform matching this preset's memory timing (HyperConnect
-  /// pipeline latencies).
-  [[nodiscard]] AnalysisPlatform analysis() const;
 };
+
+/// The analysis view of a memory controller's timing: worst-case (row-miss)
+/// first-word latency, turnaround and refresh, with the HyperConnect's
+/// pipeline latencies. The one mapping from memory timing to WCLA timing.
+[[nodiscard]] AnalysisPlatform analysis_platform(
+    const MemoryControllerConfig& mem);
 
 /// ZCU102 (XCZU9EG): 150 MHz fabric, DDR4-2666 behind the FPGA-PS port.
 [[nodiscard]] Platform zcu102_platform();

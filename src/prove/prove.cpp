@@ -321,14 +321,7 @@ ProveCheck check_wcla(const ProveInput& in, ProveReport& report) {
   ProveCheck c;
   c.id = "wcla-bound";
 
-  std::vector<std::string> excluded;
-  if (!in.hyperconnect) excluded.emplace_back("SmartConnect interconnect");
-  if (in.out_of_order) {
-    excluded.emplace_back("out-of-order ID-extension mode");
-  }
-  if (!in.in_order_memory) {
-    excluded.emplace_back("non-in-order (FR-FCFS) memory scheduling");
-  }
+  const std::vector<std::string> excluded = wcla_exclusions(in);
   if (!excluded.empty()) {
     c.verdict = ProveVerdict::kUnmodeled;
     std::ostringstream os;
@@ -359,14 +352,13 @@ ProveCheck check_wcla(const ProveInput& in, ProveReport& report) {
       continue;
     }
     const Cycle rd =
-        ha.reads ? audit_wcrt_read(acfg, in.platform,
-                                   static_cast<PortIndex>(p), ha.burst_beats)
+        ha.reads ? wcrt_read(acfg, in.platform, static_cast<PortIndex>(p),
+                             ha.burst_beats)
                  : 0;
-    const Cycle wr = ha.writes
-                         ? audit_wcrt_write(acfg, in.platform,
-                                            static_cast<PortIndex>(p),
-                                            ha.burst_beats)
-                         : 0;
+    const Cycle wr =
+        ha.writes ? wcrt_write(acfg, in.platform, static_cast<PortIndex>(p),
+                               ha.burst_beats)
+                  : 0;
     report.wcrt_read.push_back(rd);
     report.wcrt_write.push_back(wr);
     worst = std::max({worst, rd, wr});
@@ -385,7 +377,7 @@ ProveCheck check_wcla(const ProveInput& in, ProveReport& report) {
     os << "WCLA model covers this configuration; worst accept-to-complete "
           "bound over attached ports: "
        << worst
-       << " cycles (analysis::audit_wcrt_*, the same bounds the runtime "
+       << " cycles (analysis::wcrt_*, the same bounds the runtime "
           "latency auditor enforces per transaction)";
     c.detail = os.str();
   }
@@ -459,6 +451,18 @@ ProveCheck check_address_map(const ProveInput& in) {
 }
 
 }  // namespace
+
+std::vector<std::string> wcla_exclusions(const ProveInput& in) {
+  std::vector<std::string> excluded;
+  if (!in.hyperconnect) excluded.emplace_back("SmartConnect interconnect");
+  if (in.out_of_order) {
+    excluded.emplace_back("out-of-order ID-extension mode");
+  }
+  if (!in.in_order_memory) {
+    excluded.emplace_back("non-in-order (FR-FCFS) memory scheduling");
+  }
+  return excluded;
+}
 
 const char* to_string(ProveVerdict verdict) {
   switch (verdict) {

@@ -33,7 +33,7 @@
 //                      kIdPortShift under the out-of-order ID extension.
 //   wcla-bound         boundedness classification: configurations the WCLA
 //                      model covers get per-port worst-case latency bounds
-//                      (analysis::audit_wcrt_*); SmartConnect,
+//                      (analysis::wcrt_*); SmartConnect,
 //                      out-of-order mode and FR-FCFS memory are flagged
 //                      unmodeled, exactly the configurations the runtime
 //                      latency auditor excludes.
@@ -199,5 +199,11 @@ struct ProveReport {
 /// Runs every check. Pure function of the input: no simulation, no global
 /// state, deterministic across threads/backends by construction.
 [[nodiscard]] ProveReport prove(const ProveInput& in);
+
+/// Why the WCLA model has no latency bound for `in`, one reason per
+/// excluded feature; empty when the configuration is modeled. The one
+/// decision behind the wcla-bound check and the runtime auditor's bound
+/// model.
+[[nodiscard]] std::vector<std::string> wcla_exclusions(const ProveInput& in);
 
 }  // namespace axihc

@@ -86,7 +86,7 @@ std::string execute_cell(const IniFile& cfg) {
     return os.str();
   }
 
-  // Every cell runs the latency auditor's bound check: its audit_wcrt_*
+  // Every cell runs the latency auditor's bound check: its wcrt_*
   // bounds (src/analysis/wcla.hpp) are the sweep's predictability metric.
   // The row reads nothing of the provenance part (hops, causes,
   // histograms, flight records), so it is left out; replaying the cell

@@ -9,6 +9,7 @@
 #include "hyperconnect/hyperconnect.hpp"
 #include "mem/backing_store.hpp"
 #include "mem/memory_controller.hpp"
+#include "platform/platform.hpp"
 #include "sim/simulator.hpp"
 
 namespace axihc {
@@ -94,17 +95,10 @@ Cycle simulate_frame(DnnConfig dnn_cfg, Cycle period,
 }
 
 /// The analysis view of the default memory controller.
-AnalysisPlatform default_platform() {
-  const MemoryControllerConfig mc;
-  AnalysisPlatform p;
-  p.mem_latency = mc.row_miss_latency;
-  p.turnaround = mc.turnaround;
-  return p;
-}
+AnalysisPlatform default_platform() { return analysis_platform({}); }
 
-TEST(JobAnalysis, ReservationBoundDominatesSimulatedFrame) {
-  // A DNN-like job under reservation, with a flooding adversary: the
-  // analytical frame bound must dominate the measured frame time.
+/// A two-layer DNN-like job for the simulated-frame checks.
+DnnConfig two_layer_dnn() {
   DnnConfig dnn_cfg;
   dnn_cfg.layers = {
       {"l0", 8192, 4096, 2048, 200'000},
@@ -112,24 +106,55 @@ TEST(JobAnalysis, ReservationBoundDominatesSimulatedFrame) {
   };
   dnn_cfg.macs_per_cycle = 256;
   dnn_cfg.burst_beats = 16;
+  return dnn_cfg;
+}
 
+/// The analysis view of simulate_frame's system.
+HcAnalysisConfig frame_analysis(Cycle period,
+                                std::vector<std::uint32_t> budgets) {
+  HcAnalysisConfig a;
+  a.num_ports = 2;
+  a.nominal_burst = 16;
+  a.reservation_period = period;
+  a.budgets = std::move(budgets);
+  a.competitor_backlog = 4;
+  return a;
+}
+
+TEST(JobAnalysis, ReservationBoundDominatesSimulatedFrame) {
+  // A DNN-like job under reservation, with a flooding adversary: the
+  // analytical frame bound must dominate the measured frame time.
+  const DnnConfig dnn_cfg = two_layer_dnn();
   const Cycle period = 2000;
   const std::vector<std::uint32_t> budgets = {30, 15};  // 45 * S(16)=41 <= 2000
   const Cycle measured = simulate_frame(dnn_cfg, period, budgets);
   ASSERT_GT(measured, 0u);
 
-  HcAnalysisConfig a;
-  a.num_ports = 2;
-  a.nominal_burst = 16;
-  a.reservation_period = period;
-  a.budgets = budgets;
-  a.competitor_backlog = 4;
+  const HcAnalysisConfig a = frame_analysis(period, budgets);
   const AnalysisPlatform p = default_platform();
   ASSERT_TRUE(reservation_feasible(a, p));
   const Cycle bound = job_wcrt(a, p, 0, profile_of(dnn_cfg));
 
   EXPECT_LE(measured, bound);
   EXPECT_LE(bound, measured * 30) << "uselessly loose job bound";
+}
+
+TEST(JobAnalysis, OvercommittedBoundDominatesSimulatedFrame) {
+  // An overcommitted plan (34 * S(16)=41 > 1000): the port's own small
+  // budget throttles the frame far past any arbitration-only bound, so the
+  // job bound must charge the supply term on top of arbitration.
+  const DnnConfig dnn_cfg = two_layer_dnn();
+  const Cycle period = 1000;
+  const AnalysisPlatform p = default_platform();
+  for (const std::uint32_t budget : {4u, 2u, 1u}) {
+    const std::vector<std::uint32_t> budgets = {budget, 30};
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    const Cycle measured = simulate_frame(dnn_cfg, period, budgets);
+    ASSERT_GT(measured, 0u);
+    const HcAnalysisConfig a = frame_analysis(period, budgets);
+    ASSERT_FALSE(reservation_feasible(a, p));
+    EXPECT_LE(measured, job_wcrt(a, p, 0, profile_of(dnn_cfg)));
+  }
 }
 
 TEST(ReservationSizing, PaperAblationSizedBudgetsMeetDeadlines) {

@@ -21,10 +21,14 @@ TEST(Platform, PresetsDiffer) {
 }
 
 TEST(Platform, AnalysisPlatformTracksMemoryTiming) {
-  const Platform z7 = zynq7020_platform();
-  const AnalysisPlatform a = z7.analysis();
+  Platform z7 = zynq7020_platform();
+  z7.mem.refresh_period = 3900;
+  z7.mem.refresh_duration = 180;
+  const AnalysisPlatform a = analysis_platform(z7.mem);
   EXPECT_EQ(a.mem_latency, z7.mem.row_miss_latency);
   EXPECT_EQ(a.turnaround, z7.mem.turnaround);
+  EXPECT_EQ(a.refresh_period, z7.mem.refresh_period);
+  EXPECT_EQ(a.refresh_duration, z7.mem.refresh_duration);
 }
 
 TEST(Platform, RateMeterUsesPlatformClock) {

@@ -224,6 +224,48 @@ TEST(ProveChecks, OutOfOrderMemoryIsUnmodeledForWclaOnly) {
 }
 
 // ---------------------------------------------------------------------------
+// The certified bound is the enforced bound
+
+TEST(ProveAudit, CertifiedBoundsAreTheAuditorsBounds) {
+  std::size_t modeled = 0;
+  std::size_t unmodeled = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           repo_file("examples/configs"))) {
+    if (entry.path().extension() != ".ini") continue;
+    SCOPED_TRACE(entry.path().filename().string());
+    auto sys = build_system(read_file(entry.path().string()));
+    const ProveReport proof = sys->prove();
+    const std::vector<ProveHaModel> has = sys->prove_input().has;
+    sys->observe_config().latency_audit = true;
+    sys->run(1);  // wires the auditor
+    const LatencyAudit* audit = sys->latency_audit();
+    ASSERT_NE(audit, nullptr);
+    if (proof.check("wcla-bound")->verdict == ProveVerdict::kUnmodeled) {
+      EXPECT_FALSE(audit->bounds_enabled());
+      ++unmodeled;
+      continue;
+    }
+    ASSERT_TRUE(audit->bounds_enabled());
+    ASSERT_EQ(proof.wcrt_read.size(), has.size());
+    for (std::size_t p = 0; p < has.size(); ++p) {
+      const auto port = static_cast<PortIndex>(p);
+      const BeatCount beats = has[p].burst_beats;
+      if (has[p].reads) {
+        EXPECT_EQ(proof.wcrt_read[p], audit->bound_for(port, false, beats))
+            << has[p].name;
+      }
+      if (has[p].writes) {
+        EXPECT_EQ(proof.wcrt_write[p], audit->bound_for(port, true, beats))
+            << has[p].name;
+      }
+    }
+    ++modeled;
+  }
+  EXPECT_GE(modeled, 5u);
+  EXPECT_GE(unmodeled, 2u);
+}
+
+// ---------------------------------------------------------------------------
 // Backlog bound arithmetic
 
 TEST(ProveChecks, BacklogBoundFollowsFlowControl) {

@@ -5,6 +5,7 @@
 #include "ha/traffic_gen.hpp"
 #include "hyperconnect/hyperconnect.hpp"
 #include "mem/memory_controller.hpp"
+#include "platform/platform.hpp"
 #include "sim/simulator.hpp"
 
 namespace axihc {
@@ -141,11 +142,7 @@ TEST(Refresh, WcrtBoundDominatesObservedWorstCaseWithRefresh) {
   a.num_ports = 2;
   a.nominal_burst = 16;
   a.competitor_backlog = 4;
-  AnalysisPlatform p;
-  p.mem_latency = mc.row_miss_latency;
-  p.turnaround = mc.turnaround;
-  p.refresh_period = mc.refresh_period;
-  p.refresh_duration = mc.refresh_duration;
+  const AnalysisPlatform p = analysis_platform(mc);
   const Cycle bound = wcrt_read(a, p, 0, 16);
   EXPECT_LE(observed, bound);
 

@@ -13,17 +13,11 @@
 #include "interconnect/smartconnect.hpp"
 #include "mem/backing_store.hpp"
 #include "mem/memory_controller.hpp"
+#include "platform/platform.hpp"
 #include "sim/simulator.hpp"
 
 namespace axihc {
 namespace {
-
-AnalysisPlatform platform_for(const MemoryControllerConfig& mc) {
-  AnalysisPlatform p;
-  p.mem_latency = mc.row_miss_latency;
-  p.turnaround = mc.turnaround;
-  return p;
-}
 
 TEST(Wcla, ServiceBound) {
   AnalysisPlatform p;
@@ -99,7 +93,7 @@ TEST(Wcla, ReservationFeasibility) {
 /// Measures the observed worst-case read latency of a sparse victim on
 /// port 0 issuing `victim_beats`-beat reads against greedy adversaries on
 /// every other port. The memory is the default controller, whose analysis
-/// view is platform_for(MemoryControllerConfig{}).
+/// view is analysis_platform(MemoryControllerConfig{}).
 Cycle observed_worst_read(std::unique_ptr<Interconnect> icn,
                           BeatCount victim_beats, BeatCount adversary_beats) {
   Simulator sim;
@@ -163,7 +157,7 @@ TEST_P(WclaSoundness, BoundDominatesObservedWorstCase) {
   cfg.nominal_burst = nominal;
   cfg.max_unequalized_beats = adversary_beats;
   cfg.competitor_backlog = 4;
-  const Cycle bound = wcrt_read(cfg, platform_for({}), 0, victim_beats);
+  const Cycle bound = wcrt_read(cfg, analysis_platform({}), 0, victim_beats);
 
   EXPECT_LE(observed, bound) << "unsound bound";
   // Tightness: the bound must be within 12x of what an adversarial (but
@@ -192,15 +186,15 @@ TEST(WclaReservation, SupplyBoundHoldsUnderReservation) {
   cfg.reservation_period = period;
   cfg.budgets = budgets;
   cfg.competitor_backlog = 4;
-  ASSERT_TRUE(reservation_feasible(cfg, platform_for({})));
-  const Cycle bound = wcrt_read(cfg, platform_for({}), 0, 16);
+  ASSERT_TRUE(reservation_feasible(cfg, analysis_platform({})));
+  const Cycle bound = wcrt_read(cfg, analysis_platform({}), 0, 16);
   EXPECT_LE(observed, bound);
 }
 
 TEST(WclaBounds, PaperAblationBoundsDominateObservations) {
   // The worst-case analysis the paper says the architecture admits (§V-B),
   // against adversarial observations.
-  const AnalysisPlatform hc_p = platform_for({});
+  const AnalysisPlatform hc_p = analysis_platform({});
   Cycle hc_bound_vs_256_beats = 0;
   struct Row {
     std::uint32_t ports;
