@@ -119,17 +119,13 @@ inline void append_digest(StateDigest& d, const BResp& resp) {
 /// True if an INCR burst crosses a 4 KiB boundary (forbidden by AXI).
 [[nodiscard]] bool crosses_4k(const AddrReq& req);
 
-/// FIFO depths of the five channels of a link, plus the AxID width the
-/// prover checks against the ID-extension boundary (from the port config).
+/// FIFO depths of the five channels of a link.
 struct AxiLinkConfig {
   std::size_t ar_depth = 4;
   std::size_t aw_depth = 4;
   std::size_t w_depth = 32;
   std::size_t r_depth = 32;
   std::size_t b_depth = 4;
-  /// AxID width in bits. Must stay <= kIdPortShift on HA-side links when
-  /// the HyperConnect's ID-extension (out-of-order) mode is enabled.
-  std::uint32_t id_bits = 16;
 };
 
 /// A point-to-point AXI connection: five independent channels.

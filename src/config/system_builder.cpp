@@ -518,67 +518,9 @@ ProveInput ConfiguredSystem::prove_input() const {
   in.r_depth = plc.r_depth;
   in.b_depth = plc.b_depth;
   in.out_of_order = in.hyperconnect && cfg.hc.out_of_order;
-  in.id_bits = plc.id_bits;
   in.in_order_memory = cfg.mem.scheduling == MemScheduling::kInOrder;
   in.decode = cfg.mem.mapped_ranges;
   in.has = prove_has_;
-
-  // Waits-for graph over the elaborated pipeline. Forward edges follow the
-  // request path (a full queue drains into the next stage), response edges
-  // follow R/B back out to the HA, which always consumes beats (a sink
-  // node, NOT the HA's issue side — consuming responses never requires
-  // issuing new requests). The owed-completion back-edges model the TS's
-  // outstanding limit: accepting new work can require a completion slot,
-  // i.e. the port's R/B queues draining.
-  const auto edge = [&in](std::string from, std::string to) {
-    in.edges.push_back({std::move(from), std::move(to)});
-  };
-  if (in.hyperconnect) {
-    in.nodes = {"exbar",    "master.ar", "master.aw", "master.w",
-                "master.r", "master.b",  "mem"};
-    edge("exbar", "master.ar");
-    edge("exbar", "master.aw");
-    edge("exbar", "master.w");
-    edge("master.ar", "mem");
-    edge("master.aw", "mem");
-    edge("master.w", "mem");
-    edge("mem", "master.r");
-    edge("mem", "master.b");
-    for (std::size_t p = 0; p < prove_has_.size(); ++p) {
-      const std::string ha = prove_has_[p].name;
-      const std::string port = "port" + std::to_string(p);
-      const std::string ts = "ts" + std::to_string(p);
-      for (const char* ch : {".ar", ".aw", ".w", ".r", ".b"}) {
-        in.nodes.push_back(port + ch);
-      }
-      in.nodes.push_back(ha);
-      in.nodes.push_back(ha + ".sink");
-      in.nodes.push_back(ts);
-      edge(ha, port + ".ar");
-      edge(ha, port + ".aw");
-      edge(ha, port + ".w");
-      edge(port + ".ar", ts);
-      edge(port + ".aw", ts);
-      edge(port + ".w", ts);
-      edge(ts, "exbar");
-      edge(ts, port + ".r");  // owed completion (outstanding limit)
-      edge(ts, port + ".b");
-      edge("master.r", port + ".r");
-      edge("master.b", port + ".b");
-      edge(port + ".r", ha + ".sink");
-      edge(port + ".b", ha + ".sink");
-    }
-  } else {
-    in.nodes = {"smartconnect.req", "smartconnect.resp", "mem"};
-    edge("smartconnect.req", "mem");
-    edge("mem", "smartconnect.resp");
-    for (const ProveHaModel& ha : prove_has_) {
-      in.nodes.push_back(ha.name);
-      in.nodes.push_back(ha.name + ".sink");
-      edge(ha.name, "smartconnect.req");
-      edge("smartconnect.resp", ha.name + ".sink");
-    }
-  }
   return in;
 }
 

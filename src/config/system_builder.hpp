@@ -115,9 +115,8 @@ class ConfiguredSystem {
 
   /// Assembles the static-prover input (src/prove) from the elaborated
   /// system: the WCLA-side analysis config, platform timing, eFIFO depths,
-  /// the decode map, the per-HA arrival models and job windows recorded by
-  /// add_ha, and the channel/endpoint waits-for graph with owed-completion
-  /// back-edges.
+  /// the decode map, and the per-HA arrival models and job windows recorded
+  /// by add_ha.
   [[nodiscard]] ProveInput prove_input() const;
   /// Runs the static predictability certifier (src/prove) — zero simulated
   /// cycles; see ProveReport for verdicts and the certificate.

@@ -10,9 +10,6 @@
 //  * read data is returned on R in AR order; a write consumes its W beats at
 //    one per cycle and acknowledges with a single B response.
 //
-// An optional periodic stall models interference from PS-side masters
-// (CPU/peripherals sharing the DDR controller); it is off by default.
-//
 // An optional second link, the PS port, lets PS masters (CPU cores,
 // peripherals) contend for the same device explicitly: the DDR controller
 // as the PS exposes it. This is the substrate for the paper's §V-A remark

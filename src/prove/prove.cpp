@@ -1,13 +1,11 @@
 #include "prove/prove.hpp"
 
 #include <algorithm>
-#include <map>
 #include <ostream>
 #include <sstream>
 
 #include "common/check.hpp"
 #include "common/json_write.hpp"
-#include "hyperconnect/config.hpp"
 
 namespace axihc {
 
@@ -20,92 +18,6 @@ std::string quoted(const std::string& s) {
 /// ceil(a / b) for b >= 1.
 std::uint64_t ceil_div(std::uint64_t a, std::uint64_t b) {
   return (a + b - 1) / b;
-}
-
-// ---------------------------------------------------------------------------
-// deadlock-freedom: cycle analysis over the waits-for graph
-
-ProveCheck check_deadlock(const ProveInput& in) {
-  ProveCheck c;
-  c.id = "deadlock-freedom";
-
-  // Index the nodes; edges may reference endpoints the caller never listed
-  // explicitly (hand-built inputs), which simply become nodes.
-  std::map<std::string, std::size_t> index;
-  std::vector<std::string> names;
-  const auto intern = [&](const std::string& name) {
-    const auto [it, fresh] = index.emplace(name, names.size());
-    if (fresh) names.push_back(name);
-    return it->second;
-  };
-  for (const std::string& n : in.nodes) intern(n);
-  std::vector<std::vector<std::size_t>> adj;
-  for (const ProveEdge& e : in.edges) {
-    const std::size_t from = intern(e.from);
-    const std::size_t to = intern(e.to);
-    adj.resize(names.size());
-    adj[from].push_back(to);
-  }
-  adj.resize(names.size());
-
-  // Iterative three-color DFS; a back edge to an in-progress node is a
-  // waits-for cycle, reported as the certificate's counterexample.
-  enum : std::uint8_t { kWhite, kGray, kBlack };
-  std::vector<std::uint8_t> color(names.size(), kWhite);
-  std::vector<std::size_t> parent(names.size(), SIZE_MAX);
-  std::vector<std::size_t> cycle;
-  for (std::size_t root = 0; root < names.size() && cycle.empty(); ++root) {
-    if (color[root] != kWhite) continue;
-    std::vector<std::pair<std::size_t, std::size_t>> stack{{root, 0}};
-    color[root] = kGray;
-    while (!stack.empty() && cycle.empty()) {
-      auto& [node, next] = stack.back();
-      if (next >= adj[node].size()) {
-        color[node] = kBlack;
-        stack.pop_back();
-        continue;
-      }
-      const std::size_t to = adj[node][next++];
-      if (color[to] == kGray) {
-        // Unwind node -> ... -> to along the parent chain.
-        cycle.push_back(to);
-        for (std::size_t at = node; at != to; at = parent[at]) {
-          cycle.push_back(at);
-        }
-        std::reverse(cycle.begin(), cycle.end());
-        cycle.push_back(to);  // close the loop for readability
-      } else if (color[to] == kWhite) {
-        color[to] = kGray;
-        parent[to] = node;
-        stack.emplace_back(to, 0);
-      }
-    }
-  }
-
-  c.facts.emplace_back("nodes", std::to_string(names.size()));
-  c.facts.emplace_back("edges", std::to_string(in.edges.size()));
-  if (cycle.empty()) {
-    c.verdict = ProveVerdict::kProven;
-    std::ostringstream os;
-    os << "waits-for graph is acyclic (" << names.size() << " endpoints, "
-       << in.edges.size()
-       << " dependency edges incl. owed-completion back-edges): every "
-          "queue drains toward a sink, so no set of full queues can wait "
-          "on itself";
-    c.detail = os.str();
-  } else {
-    c.verdict = ProveVerdict::kDisproved;
-    std::ostringstream path;
-    for (std::size_t i = 0; i < cycle.size(); ++i) {
-      if (i != 0) path << " -> ";
-      path << names[cycle[i]];
-    }
-    c.detail = "waits-for cycle found: " + path.str() +
-               " — each endpoint's progress requires the next, so a state "
-               "with all of them blocked never drains";
-    c.facts.emplace_back("cycle", quoted(path.str()));
-  }
-  return c;
 }
 
 // ---------------------------------------------------------------------------
@@ -207,7 +119,7 @@ ProveCheck check_backlog(const ProveInput& in,
 }
 
 // ---------------------------------------------------------------------------
-// reservation: starvation-freedom, feasibility, ID headroom
+// reservation: starvation-freedom, feasibility
 
 ProveCheck check_reservation(const ProveInput& in, ProveReport& report) {
   ProveCheck c;
@@ -218,99 +130,79 @@ ProveCheck check_reservation(const ProveInput& in, ProveReport& report) {
     return c;
   }
 
-  std::vector<std::uint32_t> budgets = in.analysis.budgets;
-  budgets.resize(in.num_ports, 0);
   report.reservation_on = in.analysis.reservation_period != 0;
-
-  std::vector<std::string> problems;
-
-  // ID headroom under the out-of-order ID extension: the port index is
-  // packed above bit kIdPortShift, so a wider HA-side ID would alias ports.
-  if (in.out_of_order && in.id_bits > kIdPortShift) {
-    std::ostringstream os;
-    os << "HA-side AxID width " << in.id_bits
-       << " exceeds the ID-extension boundary (kIdPortShift = "
-       << kIdPortShift
-       << "): extended IDs alias across ports and responses misroute";
-    problems.push_back(os.str());
-    c.facts.emplace_back("id_headroom", "false");
-  } else {
-    c.facts.emplace_back("id_headroom", "true");
-  }
-
   if (!report.reservation_on) {
     c.facts.emplace_back("reservation", "\"off\"");
-    report.reservation_feasible = true;
-    if (problems.empty()) {
-      c.verdict = ProveVerdict::kProven;
-      c.detail =
-          "reservation disabled: fixed-granularity round-robin alone "
-          "guarantees every backlogged port a grant each round "
-          "(starvation-free by construction)";
-    }
-  } else {
-    // Starvation: the central unit recharges a zero budget to zero, so the
-    // TS never issues for that port again — an attached HA wedges forever.
-    for (std::size_t p = 0; p < in.has.size(); ++p) {
-      if (budgets[p] != 0) continue;
-      std::ostringstream os;
-      os << "port " << p << " (" << in.has[p].name
-         << ") has budget 0 under an active reservation (period "
-         << in.analysis.reservation_period
-         << "): the transaction supervisor never issues for it, so the "
-            "attached HA starves";
-      problems.push_back(os.str());
-    }
-
-    HcAnalysisConfig feas = in.analysis;
-    feas.budgets = budgets;
-    report.reservation_feasible = reservation_feasible(feas, in.platform);
-    const std::uint64_t demand = reservation_demand(feas, in.platform);
-    report.reservation_demand = demand;
-
-    c.facts.emplace_back("reservation", "\"on\"");
-    {
-      // The certificate must state the plan it certifies: two plans with
-      // equal total demand are different guarantees per port.
-      std::ostringstream os;
-      os << "[";
-      for (std::size_t p = 0; p < budgets.size(); ++p) {
-        os << (p != 0 ? "," : "") << budgets[p];
-      }
-      os << "]";
-      c.facts.emplace_back("budgets", os.str());
-    }
-    c.facts.emplace_back("period",
-                         std::to_string(in.analysis.reservation_period));
-    c.facts.emplace_back("demand", std::to_string(demand));
-    c.facts.emplace_back("feasible",
-                         report.reservation_feasible ? "true" : "false");
-    if (problems.empty()) {
-      c.verdict = ProveVerdict::kProven;
-      std::ostringstream os;
-      os << "every attached port has a nonzero budget (starvation-free); "
-         << "plan demand " << demand << " cycles per " <<
-          in.analysis.reservation_period << "-cycle period ("
-         << (report.reservation_feasible
-                 ? "feasible: the supply-bound WCLA form applies"
-                 : "overcommitted: budgets cannot all be served at "
-                   "worst-case memory timing, so only the composite "
-                   "supply+arbitration bound is sound and the guarantees "
-                   "are weaker than the budget split suggests");
-      os << ")";
-      c.detail = os.str();
-    }
+    c.verdict = ProveVerdict::kProven;
+    c.detail =
+        "reservation disabled: fixed-granularity round-robin alone "
+        "guarantees every backlogged port a grant each round "
+        "(starvation-free by construction)";
+    return c;
   }
 
-  if (!problems.empty()) {
-    c.verdict = ProveVerdict::kDisproved;
+  std::vector<std::uint32_t> budgets = in.analysis.budgets;
+  budgets.resize(in.num_ports, 0);
+
+  // Starvation: the central unit recharges a zero budget to zero, so the
+  // TS never issues for that port again — an attached HA wedges forever.
+  std::vector<std::string> starved;
+  for (std::size_t p = 0; p < in.has.size(); ++p) {
+    if (budgets[p] != 0) continue;
     std::ostringstream os;
-    for (std::size_t i = 0; i < problems.size(); ++i) {
-      if (i != 0) os << "; ";
-      os << problems[i];
-    }
-    c.detail = os.str();
+    os << "port " << p << " (" << in.has[p].name
+       << ") has budget 0 under an active reservation (period "
+       << in.analysis.reservation_period
+       << "): the transaction supervisor never issues for it, so the "
+          "attached HA starves";
+    starved.push_back(os.str());
   }
+
+  HcAnalysisConfig feas = in.analysis;
+  feas.budgets = budgets;
+  report.reservation_feasible = reservation_feasible(feas, in.platform);
+  const std::uint64_t demand = reservation_demand(feas, in.platform);
+  report.reservation_demand = demand;
+
+  c.facts.emplace_back("reservation", "\"on\"");
+  {
+    // The certificate must state the plan it certifies: two plans with
+    // equal total demand are different guarantees per port.
+    std::ostringstream os;
+    os << "[";
+    for (std::size_t p = 0; p < budgets.size(); ++p) {
+      os << (p != 0 ? "," : "") << budgets[p];
+    }
+    os << "]";
+    c.facts.emplace_back("budgets", os.str());
+  }
+  c.facts.emplace_back("period",
+                       std::to_string(in.analysis.reservation_period));
+  c.facts.emplace_back("demand", std::to_string(demand));
+  c.facts.emplace_back("feasible",
+                       report.reservation_feasible ? "true" : "false");
+
+  std::ostringstream os;
+  if (starved.empty()) {
+    c.verdict = ProveVerdict::kProven;
+    os << "every attached port has a nonzero budget (starvation-free); "
+       << "plan demand " << demand << " cycles per " <<
+        in.analysis.reservation_period << "-cycle period ("
+       << (report.reservation_feasible
+               ? "feasible: the supply-bound WCLA form applies"
+               : "overcommitted: budgets cannot all be served at "
+                 "worst-case memory timing, so only the composite "
+                 "supply+arbitration bound is sound and the guarantees "
+                 "are weaker than the budget split suggests");
+    os << ")";
+  } else {
+    c.verdict = ProveVerdict::kDisproved;
+    for (std::size_t i = 0; i < starved.size(); ++i) {
+      if (i != 0) os << "; ";
+      os << starved[i];
+    }
+  }
+  c.detail = os.str();
   return c;
 }
 
@@ -504,7 +396,7 @@ const ProveCheck* ProveReport::check(const std::string& id) const {
 
 std::string ProveReport::certificate_json() const {
   std::ostringstream os;
-  os << "{\"schema\":\"axihc-prove-v1\",\"verdict\":\""
+  os << "{\"schema\":\"axihc-prove-v2\",\"verdict\":\""
      << to_string(verdict()) << "\",\"static_backlog_bound\":"
      << static_backlog_bound() << ",\"reservation\":{\"on\":"
      << (reservation_on ? "true" : "false") << ",\"feasible\":"
@@ -572,7 +464,6 @@ ProveReport prove(const ProveInput& in) {
   AXIHC_CHECK_MSG(in.has.size() <= in.num_ports,
                   "prove: more HA models than ports");
   ProveReport report;
-  report.checks.push_back(check_deadlock(in));
   report.checks.push_back(check_backlog(in, report.backlog));
   report.checks.push_back(check_reservation(in, report));
   report.checks.push_back(check_wcla(in, report));

@@ -9,12 +9,7 @@
 // cycles it either proves a configuration's predictability obligations or
 // refutes them, and emits a machine-readable certificate either way.
 //
-// Checks (ids as reported):
-//   deadlock-freedom   cycle analysis over the channel/endpoint waits-for
-//                      graph (request edges, response edges, and the
-//                      owed-completion back-edges from outstanding-slot
-//                      recycling). A cycle of full queues could stall
-//                      forever; acyclic means every queue drains to a sink.
+// Checks (ids as reported), each a fact about the system as elaborated:
 //   efifo-backlog      per-port worst-case eFIFO occupancy from HA arrival
 //                      curves (burst/outstanding/gap of each HA model,
 //                      equalization caps) against the reservation /
@@ -29,8 +24,7 @@
 //                      feasibility (sum of budget x worst-case service vs
 //                      the recharge period; overcommitted plans keep sound
 //                      latency bounds but lose the supply-bound form, so
-//                      they warn instead of disprove), and ID headroom vs
-//                      kIdPortShift under the out-of-order ID extension.
+//                      they warn instead of disprove).
 //   wcla-bound         boundedness classification: configurations the WCLA
 //                      model covers get per-port worst-case latency bounds
 //                      (analysis::wcrt_*); SmartConnect,
@@ -44,8 +38,8 @@
 //                      disproves, since the simulated system is well
 //                      defined either way.
 //
-// Verdicts: kDisproved on a hard refutation (deadlock cycle, starvation,
-// ID overflow); kUnmodeled when a check has no model for the
+// Verdicts: kDisproved on a hard refutation (a zero-budget port under an
+// active reservation starves); kUnmodeled when a check has no model for the
 // configuration; kProven otherwise. Soundness contract: on a kProven
 // system, every certified bound dominates anything a simulation of the
 // same configuration can observe — the test suite cross-validates this
@@ -57,7 +51,9 @@
 // spending simulation time on it (src/sweep/runner.cpp). Inputs that are
 // inconsistent rather than unpredictable (overlapping decode entries, a
 // probation window shorter than the watchdog poll) never reach the
-// prover: the builder rejects them.
+// prover: the builder rejects them. Nor does it restate what the model
+// guarantees by construction: an HA ID that would alias the port tag in
+// out-of-order mode fails the TransactionSupervisor's run-time check.
 #pragma once
 
 #include <cstdint>
@@ -100,15 +96,9 @@ struct ProveHaModel {
   std::vector<ProveWindow> windows{};
 };
 
-/// One waits-for edge: `from`'s progress can require `to`'s progress.
-struct ProveEdge {
-  std::string from;
-  std::string to;
-};
-
 /// Everything the prover needs about an elaborated system. Assembled by
-/// ConfiguredSystem::prove(); tests may hand-build adversarial inputs the
-/// INI surface cannot express (e.g. a cyclic waits-for graph).
+/// ConfiguredSystem::prove_input(); tests may hand-build inputs the INI
+/// surface cannot express (e.g. a window split across decode entries).
 struct ProveInput {
   bool hyperconnect = true;  // false: SmartConnect baseline (unmodeled)
   std::uint32_t num_ports = 2;
@@ -122,16 +112,12 @@ struct ProveInput {
   std::size_t r_depth = 32;
   std::size_t b_depth = 4;
   bool out_of_order = false;
-  std::uint32_t id_bits = 16;
   bool in_order_memory = true;
   /// Memory decode map; empty when every address decodes.
   std::vector<AddrRange> decode{};
   /// Attached HAs, index = port. May be shorter than num_ports (idle
   /// ports contribute no arrivals and cannot starve).
   std::vector<ProveHaModel> has{};
-  /// Waits-for graph over named endpoints.
-  std::vector<std::string> nodes{};
-  std::vector<ProveEdge> edges{};
 };
 
 /// One check's verdict with its machine-readable evidence. Fact values are

@@ -69,8 +69,8 @@ std::string execute_cell(const IniFile& cfg) {
   }
 
   // Static screen (src/prove): a disproved cell would simulate a system
-  // with a certified refutation (deadlock cycle, starved port, ID
-  // aliasing) — burn no cycles on it, emit the verdict instead.
+  // with a certified refutation (a starved port) — burn no cycles on it,
+  // emit the verdict instead.
   const ProveReport proof = sys->prove();
   if (proof.disproved()) {
     std::ostringstream os;

@@ -9,7 +9,7 @@
 // cycles, and compare push cycles to arrival cycles.
 #include <gtest/gtest.h>
 
-#include "axi/loopback_slave.hpp"
+#include "loopback_slave.hpp"
 #include "hyperconnect/hyperconnect.hpp"
 #include "interconnect/smartconnect.hpp"
 #include "sim/simulator.hpp"

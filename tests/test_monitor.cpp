@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "axi/loopback_slave.hpp"
+#include "loopback_slave.hpp"
 #include "ha/dma_engine.hpp"
 #include "sim/simulator.hpp"
 

@@ -1,10 +1,11 @@
 // axihc-prove (src/prove): the static predictability certifier. Covers the
-// certificate format, each disprover firing on a fixture it exists for, the
-// unmodeled classifications, the address-map facts, determinism, the sweep
-// screening (disproved annotation rows, structured error rows, cached
-// certificates), and the headline soundness gate: over every shipped sweep
-// grid every statically proven bound must dominate what the simulation of
-// the same cell actually observed.
+// certificate format, the starvation disprover on its fixture, the pinned
+// certificate of every shipped config, the unmodeled classifications, the
+// address-map facts, determinism, the sweep screening (disproved annotation
+// rows, structured error rows, cached certificates), and the headline
+// soundness gate: over every shipped sweep grid every statically proven
+// bound must dominate what the simulation of the same cell actually
+// observed.
 #include "prove/prove.hpp"
 
 #include <gtest/gtest.h>
@@ -20,7 +21,6 @@
 #include "common/check.hpp"
 #include "config/ini.hpp"
 #include "config/system_builder.hpp"
-#include "hyperconnect/config.hpp"
 #include "sweep/json_mini.hpp"
 #include "sweep/report.hpp"
 #include "sweep/runner.hpp"
@@ -83,7 +83,7 @@ TEST(ProveCertificate, JsonStructure) {
   EXPECT_EQ(proof.verdict(), ProveVerdict::kProven);
 
   const JsonValue cert = parse_json(proof.certificate_json());
-  EXPECT_EQ(cert.find("schema")->str_or(""), "axihc-prove-v1");
+  EXPECT_EQ(cert.find("schema")->str_or(""), "axihc-prove-v2");
   EXPECT_EQ(cert.find("verdict")->str_or(""), "proven");
   EXPECT_GE(cert.find("static_backlog_bound")->number, 0.0);
 
@@ -95,10 +95,9 @@ TEST(ProveCertificate, JsonStructure) {
 
   const JsonValue* checks = cert.find("checks");
   ASSERT_NE(checks, nullptr);
-  ASSERT_EQ(checks->items.size(), 5u);
-  const std::vector<std::string> ids = {"deadlock-freedom", "efifo-backlog",
-                                        "reservation", "wcla-bound",
-                                        "address-map"};
+  ASSERT_EQ(checks->items.size(), 4u);
+  const std::vector<std::string> ids = {"efifo-backlog", "reservation",
+                                        "wcla-bound", "address-map"};
   for (std::size_t i = 0; i < ids.size(); ++i) {
     EXPECT_EQ(checks->items[i].find("id")->str_or(""), ids[i]);
     EXPECT_EQ(checks->items[i].find("verdict")->str_or(""), "proven");
@@ -144,40 +143,46 @@ TEST(ProveCertificate, VerdictStableAcrossThreadAndBackendEnv) {
 }
 
 // ---------------------------------------------------------------------------
-// Each disprover fires on the fixture it exists for
+// Pinned certificates: a change to any certified number, fact or verdict of
+// a shipped config fails here, so moving a bound is a deliberate re-pin.
 
-TEST(ProveDisprovers, DeadlockCycleIsRefutedWithCounterexample) {
-  // The INI surface cannot express a cyclic waits-for graph (the builder's
-  // topologies all drain to sinks), so hand-build the adversarial input.
-  ProveInput in = build_system(kHealthy)->prove_input();
-  ASSERT_FALSE(in.edges.empty());
-  // Close a loop: the memory's progress waits on a port queue that waits
-  // (transitively) on the memory.
-  in.edges.push_back({"mem", "port0.ar"});
-  const ProveReport proof = prove(in);
-  const ProveCheck* deadlock = proof.check("deadlock-freedom");
-  ASSERT_NE(deadlock, nullptr);
-  EXPECT_EQ(deadlock->verdict, ProveVerdict::kDisproved);
-  // The certificate carries the cycle as a counterexample.
-  EXPECT_NE(deadlock->detail.find("mem"), std::string::npos);
-  EXPECT_NE(deadlock->detail.find("port0.ar"), std::string::npos);
-  EXPECT_TRUE(proof.disproved());
+TEST(ProveCertificate, ShippedConfigsArePinned) {
+  const std::vector<std::pair<std::string, std::uint64_t>> pins = {
+      {"examples/configs/campaign_smoke.ini", 0x6dfde11100a87c58ull},
+      {"examples/configs/fig4_isolation.ini", 0x4d49dbacaf4bd905ull},
+      {"examples/configs/fig5_hc90.ini", 0xbfe9985229fa1414ull},
+      {"examples/configs/ooo_future_platform.ini", 0xccf60dd52f581986ull},
+      {"examples/configs/quickstart.ini", 0x75a3fccd0889fd7cull},
+      {"examples/configs/smartconnect_unfair.ini", 0x394bfce0fb1cd154ull},
+      {"examples/configs/watchdog_overrun.ini", 0x5d968bc43ad3ce23ull},
+      {"tests/config_fixtures/overcommit.ini", 0x2ac3b5ee359eb2e3ull},
+      {"tests/config_fixtures/shared_windows.ini", 0x7771b5e712e89002ull},
+      {"tests/config_fixtures/stall_faults.ini", 0x6dfde11100a87c58ull},
+      {"tests/config_fixtures/starved_port.ini", 0x197b05d29b7af248ull},
+  };
+  std::set<std::string> shipped;
+  for (const std::string dir : {"examples/configs", "tests/config_fixtures"}) {
+    for (const auto& entry :
+         std::filesystem::directory_iterator(repo_file(dir))) {
+      if (entry.path().extension() != ".ini") continue;
+      shipped.insert(dir + "/" + entry.path().filename().string());
+    }
+  }
+  std::set<std::string> pinned;
+  for (const auto& [rel, digest] : pins) {
+    pinned.insert(rel);
+    const ProveReport proof = prove_text(read_file(repo_file(rel)));
+    EXPECT_EQ(proof.certificate_digest(), digest)
+        << rel << ": pin 0x" << std::hex << proof.certificate_digest()
+        << std::dec << " if this certificate is intended:\n"
+        << proof.certificate_json();
+  }
+  // Every shipped config is pinned.
+  EXPECT_EQ(pinned, shipped);
 }
 
-TEST(ProveDisprovers, IdOverflowUnderOutOfOrderIsRefuted) {
-  ProveInput in = build_system(kHealthy)->prove_input();
-  in.out_of_order = true;
-  in.id_bits = kIdPortShift + 1;  // HA IDs would alias the port tag bits
-  const ProveReport proof = prove(in);
-  const ProveCheck* reservation = proof.check("reservation");
-  ASSERT_NE(reservation, nullptr);
-  EXPECT_EQ(reservation->verdict, ProveVerdict::kDisproved);
-  EXPECT_TRUE(proof.disproved());
-  // Same input with headroom: fine.
-  in.id_bits = kIdPortShift;
-  EXPECT_NE(prove(in).check("reservation")->verdict,
-            ProveVerdict::kDisproved);
-}
+// ---------------------------------------------------------------------------
+// The disprover fires on the fixture it exists for
 
 TEST(ProveDisprovers, ZeroBudgetStarvationIsRefuted) {
   const ProveReport proof = prove_text(
@@ -217,8 +222,7 @@ TEST(ProveChecks, OutOfOrderMemoryIsUnmodeledForWclaOnly) {
   const ProveReport proof =
       prove_text(read_file(repo_file("examples/configs/ooo_future_platform.ini")));
   EXPECT_EQ(proof.check("wcla-bound")->verdict, ProveVerdict::kUnmodeled);
-  // The structural checks still run and pass.
-  EXPECT_EQ(proof.check("deadlock-freedom")->verdict, ProveVerdict::kProven);
+  // The backlog check still runs and passes.
   EXPECT_EQ(proof.check("efifo-backlog")->verdict, ProveVerdict::kProven);
   EXPECT_GE(proof.static_backlog_bound(), 0);
 }
@@ -433,21 +437,6 @@ TEST(LintStructural, WarnsOnSharedHaWindows) {
   EXPECT_EQ(fact(address_map(proof), "shared_windows"),
             "[\"ha0 buffer / ha1 buffer\"]");
   EXPECT_FALSE(proof.disproved());
-}
-
-TEST(LintStructural, FlagsIdHeadroomViolation) {
-  ProveInput in = build_system(kHealthy)->prove_input();
-  in.out_of_order = true;
-  in.id_bits = 20;  // collides with the port index packed at bit 16
-  const ProveReport proof = prove(in);
-  const ProveCheck* reservation = proof.check("reservation");
-  ASSERT_NE(reservation, nullptr);
-  EXPECT_EQ(fact(*reservation, "id_headroom"), "false");
-  EXPECT_NE(reservation->detail.find("exceeds the ID-extension boundary"),
-            std::string::npos)
-      << reservation->detail;
-  in.id_bits = 16;  // default 16-bit IDs exactly fit
-  EXPECT_EQ(fact(*prove(in).check("reservation"), "id_headroom"), "true");
 }
 
 // ---------------------------------------------------------------------------

@@ -26,8 +26,7 @@
 // --sweep-check compares each produced cell's config + state digest against
 // a pinned row file and exits nonzero on any mismatch. --sweep-report /
 // --sweep-report-json render Pareto fronts and per-axis sensitivity tables
-// from this run's rows — or, without --sweep, from a saved row file ("-"
-// writes to stdout).
+// from this run's rows — or, without --sweep, from a saved row file.
 //
 // --config-digest prints the 64-bit digest of the config's canonical form
 // (stable across key order, whitespace, comments, numeric base, and
@@ -49,15 +48,19 @@
 // transactions) as JSON-lines; it implies --latency-audit.
 //
 // --prove elaborates the system and runs the static predictability
-// certifier (src/prove) with ZERO simulated cycles: deadlock-freedom over
-// the waits-for graph, per-port eFIFO backlog bounds, reservation
-// feasibility/starvation-freedom/ID headroom, and WCLA boundedness
+// certifier (src/prove) with ZERO simulated cycles: per-port eFIFO backlog
+// bounds, reservation feasibility/starvation-freedom, WCLA boundedness
 // classification, and the address map (HA job windows shared between HAs
 // or outside the decode map, reported as facts). Exits nonzero iff any
-// check is disproved. --prove-json writes the machine-readable certificate
-// (plus the code-version digest certificates are cached under in sweeps).
+// check is disproved (a zero-budget port under an active reservation).
+// --prove-json writes the machine-readable certificate (plus the
+// code-version digest certificates are cached under in sweeps).
 // Inconsistent inputs (overlapping decode entries, a probation window
 // shorter than the watchdog poll) are rejected when the system is built.
+//
+// The report and dump files (--prove-json, --trace-out, --metrics-out,
+// --flight-out, --sweep-report, --sweep-report-json) go to stdout when the
+// file name is "-".
 //
 // After a plain run, one line on stderr gives the simulated cycles, the wall
 // time of the run, the simulation rate and the process peak RSS
@@ -76,6 +79,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -139,14 +143,17 @@ void usage() {
                "       axihc <results.jsonl> --sweep-report f.md\n"
                "       axihc <config.ini> --config-digest\n"
                "       axihc <config.ini> --config-canonical\n"
-               "       axihc --example > experiment.ini\n";
+               "       axihc --example > experiment.ini\n"
+               "A report or dump file named - (--prove-json, --trace-out,\n"
+               "--metrics-out, --flight-out, --sweep-report*) is stdout.\n";
 }
 
-/// Writes `content` to `path`, with "-" meaning stdout. Returns false (and
-/// complains) when the file cannot be opened.
-bool write_output(const std::string& path, const std::string& content) {
+/// Streams `what` to `path` through `write`, with "-" meaning stdout.
+/// Returns false (and complains) when the file cannot be opened.
+bool write_output(const std::string& path, const char* what,
+                  const std::function<void(std::ostream&)>& write) {
   if (path == "-") {
-    std::cout << content;
+    write(std::cout);
     return true;
   }
   std::ofstream out(path);
@@ -154,8 +161,8 @@ bool write_output(const std::string& path, const std::string& content) {
     std::cerr << "axihc: cannot write '" << path << "'\n";
     return false;
   }
-  out << content;
-  std::cerr << "axihc: wrote " << path << "\n";
+  write(out);
+  std::cerr << "axihc: wrote " << what << " to " << path << "\n";
   return true;
 }
 
@@ -314,6 +321,20 @@ int main(int argc, char** argv) {
   // The file a rejection is about, named in its message: the config, row
   // or spec file, or the pin file while --sweep-check reads it.
   std::string input = argv[1];
+  // Renders the requested sweep reports from `lines`; false when one of
+  // them cannot be written.
+  const auto write_sweep_reports = [&](const std::vector<std::string>& lines) {
+    return (sweep_report.empty() ||
+            write_output(sweep_report, "sweep report",
+                         [&](std::ostream& out) {
+                           out << axihc::sweep_report_markdown(lines);
+                         })) &&
+           (sweep_report_json.empty() ||
+            write_output(sweep_report_json, "sweep report",
+                         [&](std::ostream& out) {
+                           out << axihc::sweep_report_json(lines);
+                         }));
+  };
   try {
     if (config_digest_mode || config_canonical_mode) {
       const axihc::IniFile ini = axihc::IniFile::parse(text.str());
@@ -336,16 +357,7 @@ int main(int argc, char** argv) {
       std::vector<std::string> lines;
       std::istringstream rows(text.str());
       for (std::string line; std::getline(rows, line);) lines.push_back(line);
-      if (!sweep_report.empty() &&
-          !write_output(sweep_report, axihc::sweep_report_markdown(lines))) {
-        return 1;
-      }
-      if (!sweep_report_json.empty() &&
-          !write_output(sweep_report_json,
-                        axihc::sweep_report_json(lines))) {
-        return 1;
-      }
-      return 0;
+      return write_sweep_reports(lines) ? 0 : 1;
     }
 
     if (sweep_mode) {
@@ -394,16 +406,7 @@ int main(int argc, char** argv) {
         std::cerr << "axihc: wrote sweep rows to " << sweep_out << "\n";
       }
 
-      if (!sweep_report.empty() &&
-          !write_output(sweep_report,
-                        axihc::sweep_report_markdown(summary.lines))) {
-        return 1;
-      }
-      if (!sweep_report_json.empty() &&
-          !write_output(sweep_report_json,
-                        axihc::sweep_report_json(summary.lines))) {
-        return 1;
-      }
+      if (!write_sweep_reports(summary.lines)) return 1;
 
       if (!sweep_check.empty()) {
         std::ifstream pins(sweep_check);
@@ -463,20 +466,18 @@ int main(int argc, char** argv) {
       const axihc::ProveReport proof = system->prove();
       std::cout << "axihc-prove: " << argv[1] << "\n";
       proof.write_text(std::cout);
-      if (!prove_json.empty()) {
-        std::ofstream out(prove_json);
-        if (!out) {
-          std::cerr << "axihc: cannot write '" << prove_json << "'\n";
-          return 1;
-        }
-        // The certificate itself is code-version-free (pure function of
-        // the elaborated system); the wrapper adds the digest sweeps cache
-        // certificates under, so an exported file can be matched against
-        // cache entries.
-        out << "{\"code\":\"" << axihc::code_version()
-            << "\",\"certificate\":" << proof.certificate_json() << "}\n";
-        std::cerr << "axihc: wrote prove certificate to " << prove_json
-                  << "\n";
+      // The certificate itself is code-version-free (pure function of the
+      // elaborated system); the wrapper adds the digest sweeps cache
+      // certificates under, so an exported file can be matched against
+      // cache entries.
+      if (!prove_json.empty() &&
+          !write_output(prove_json, "prove certificate",
+                        [&](std::ostream& out) {
+                          out << "{\"code\":\"" << axihc::code_version()
+                              << "\",\"certificate\":"
+                              << proof.certificate_json() << "}\n";
+                        })) {
+        return 1;
       }
       return proof.disproved() ? 1 : 0;
     }
@@ -510,14 +511,11 @@ int main(int argc, char** argv) {
       std::cout << "\n";
       audit->write_rollup(std::cout);
     }
-    if (!flight_out.empty() && audit != nullptr) {
-      std::ofstream out(flight_out);
-      if (!out) {
-        std::cerr << "axihc: cannot write '" << flight_out << "'\n";
-        return 1;
-      }
-      audit->flight_recorder().write_jsonl(out);
-      std::cerr << "axihc: wrote flight records to " << flight_out << "\n";
+    if (!flight_out.empty() && audit != nullptr &&
+        !write_output(flight_out, "flight records", [&](std::ostream& out) {
+          audit->flight_recorder().write_jsonl(out);
+        })) {
+      return 1;
     }
     if (print_digest) {
       // Machine-checkable bit-identity: equal configs must print equal
@@ -526,23 +524,17 @@ int main(int argc, char** argv) {
                 << system->soc().sim().state_digest() << std::dec << "\n";
     }
 
-    if (!trace_out.empty()) {
-      std::ofstream out(trace_out);
-      if (!out) {
-        std::cerr << "axihc: cannot write '" << trace_out << "'\n";
-        return 1;
-      }
-      system->write_trace(out);
-      std::cerr << "axihc: wrote trace to " << trace_out << "\n";
+    if (!trace_out.empty() &&
+        !write_output(trace_out, "trace", [&](std::ostream& out) {
+          system->write_trace(out);
+        })) {
+      return 1;
     }
-    if (!metrics_out.empty()) {
-      std::ofstream out(metrics_out);
-      if (!out) {
-        std::cerr << "axihc: cannot write '" << metrics_out << "'\n";
-        return 1;
-      }
-      system->write_metrics_csv(out);
-      std::cerr << "axihc: wrote metrics to " << metrics_out << "\n";
+    if (!metrics_out.empty() &&
+        !write_output(metrics_out, "metrics", [&](std::ostream& out) {
+          system->write_metrics_csv(out);
+        })) {
+      return 1;
     }
     if (audit != nullptr && audit->bound_violations() != 0) {
       std::cerr << "axihc: " << audit->bound_violations()
