@@ -1,7 +1,7 @@
 // Record-and-replay workflow: capture the address trace of a live workload
-// with an AxiMonitor, save it in the text trace format, and replay it —
-// against the same interconnect and against the SmartConnect baseline — to
-// compare how the two serve identical traffic.
+// with an AxiMonitor watching its port, save it in the text trace format,
+// and replay it — against the same interconnect and against the
+// SmartConnect baseline — to compare how the two serve identical traffic.
 //
 //   $ ./trace_replay            # record + replay, print the comparison
 #include <iostream>
@@ -41,16 +41,14 @@ std::pair<Cycle, Cycle> replay(const std::vector<TraceEntry>& trace,
 int main() {
   using namespace axihc;
 
-  // --- record: one DNN frame through a monitored HyperConnect port -------
+  // --- record: one DNN frame on a monitored HyperConnect port -----------
   std::vector<TraceEntry> trace;
   {
     SocConfig cfg;
     cfg.kind = InterconnectKind::kHyperConnect;
     cfg.num_ports = 2;
     SocSystem soc(cfg);
-    AxiLink ha_link("ha");
-    ha_link.register_with(soc.sim());
-    AxiMonitor recorder("rec", ha_link, soc.port(0));
+    AxiMonitor recorder("rec", soc.port(0));
     recorder.set_trace_sink(&trace);
     soc.add(recorder);
 
@@ -63,7 +61,7 @@ int main() {
       l.macs /= 64;
     }
     dnn_cfg.max_frames = 1;
-    DnnAccelerator dnn("dnn", ha_link, dnn_cfg);
+    DnnAccelerator dnn("dnn", soc.port(0), dnn_cfg);
     soc.add(dnn);
     soc.sim().reset();
     trace.clear();

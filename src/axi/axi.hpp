@@ -8,8 +8,8 @@
 //
 // In-order model: the paper's target platforms serve transactions in order at
 // the memory controller and route R/W data in AR/AW grant order. All
-// components in this library preserve that ordering, and the AxiMonitor
-// enforces it.
+// components in this library preserve that ordering, and an AxiMonitor
+// watching a link checks it.
 #pragma once
 
 #include <cstdint>

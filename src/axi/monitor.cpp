@@ -1,172 +1,162 @@
 #include "axi/monitor.hpp"
 
-#include <sstream>
-
 #include "common/check.hpp"
 #include "common/log.hpp"
 
 namespace axihc {
 
-AxiMonitor::AxiMonitor(std::string name, AxiLink& upstream,
-                       AxiLink& downstream, bool axi3_mode)
-    : Component(std::move(name)),
-      up_(upstream),
-      down_(downstream),
-      axi3_mode_(axi3_mode) {}
+AxiMonitor::AxiMonitor(std::string name, AxiLink& link, bool axi3_mode)
+    : Component(std::move(name)), link_(link), axi3_mode_(axi3_mode) {
+  watch(this);
+}
 
-void AxiMonitor::reset() {
+AxiMonitor::~AxiMonitor() { watch(nullptr); }
+
+void AxiMonitor::watch(AxiMonitor* observer) {
+  link_.ar.set_observer(observer);
+  link_.aw.set_observer(observer);
+  link_.w.set_observer(observer);
+  link_.r.set_observer(observer);
+  link_.b.set_observer(observer);
+}
+
+void AxiMonitor::interface_reset() {
   outstanding_reads_.clear();
   pending_w_.clear();
   awaiting_b_.clear();
+  early_w_.clear();
+}
+
+void AxiMonitor::reset() {
+  interface_reset();
   violations_.clear();
-  reads_started_ = reads_completed_ = 0;
-  writes_started_ = writes_completed_ = 0;
-  r_beats_ = w_beats_ = 0;
-  r_errors_ = b_errors_ = 0;
+  raised_ = 0;
+  reads_started_ = reads_completed_ = writes_started_ = writes_completed_ = 0;
+  r_beats_ = w_beats_ = r_errors_ = b_errors_ = 0;
 }
 
-void AxiMonitor::violation(Cycle now, const std::string& what) {
-  std::ostringstream os;
-  os << name() << " @" << now << ": " << what;
-  violations_.push_back(os.str());
+void AxiMonitor::tick(Cycle now) {
+  // Last cycle's commits are all in: an unmatched W beat had no AW.
+  if (!early_w_.empty()) {
+    violation(std::to_string(early_w_.size()) + " W beat(s) with no AW");
+    early_w_.clear();
+  }
+  now_ = now;
+  if (throw_on_violation_ && raised_ < violations_.size()) {
+    throw ModelError(violations_[raised_++]);
+  }
+}
+
+void AxiMonitor::violation(const std::string& what) {
+  violations_.push_back(name() + " @" + std::to_string(now_) + ": " + what);
   AXIHC_LOG_WARN() << violations_.back();
-  if (throw_on_violation_) throw ModelError(violations_.back());
 }
 
-bool AxiMonitor::check_addr_req(Cycle now, const AddrReq& req,
-                                const char* channel) {
-  bool forwardable = true;
+bool AxiMonitor::check_addr_req(const AddrReq& req, const char* channel) {
   const BeatCount max_beats =
       axi3_mode_ ? kMaxAxi3BurstBeats : kMaxAxi4BurstBeats;
   if (req.beats == 0 || req.beats > max_beats) {
-    std::ostringstream os;
-    os << channel << " burst length " << req.beats << " outside 1.."
-       << max_beats;
-    violation(now, os.str());
-    // A zero/oversized burst cannot be represented downstream: drop it
-    // after flagging rather than poisoning the slave.
-    forwardable = false;
+    violation(std::string(channel) + " burst length " +
+              std::to_string(req.beats) + " outside 1.." +
+              std::to_string(max_beats));
   }
   if (req.burst == BurstType::kWrap) {
     const bool legal = req.beats == 2 || req.beats == 4 || req.beats == 8 ||
                        req.beats == 16;
     if (!legal) {
-      violation(now, std::string(channel) + " WRAP burst length must be 2/4/8/16");
+      violation(std::string(channel) + " WRAP burst length must be 2/4/8/16");
     }
   }
   if (crosses_4k(req)) {
-    violation(now, std::string(channel) + " INCR burst crosses 4KiB boundary");
+    violation(std::string(channel) + " INCR burst crosses 4KiB boundary");
   }
-  return forwardable;
+  return req.beats != 0 && req.beats <= kMaxAxi4BurstBeats;
 }
 
-void AxiMonitor::tick(Cycle now) {
-  // AR: master -> slave, one request per cycle.
-  if (up_.ar.can_pop() && down_.ar.can_push() && !outstanding_reads_.full()) {
-    AddrReq req = up_.ar.pop();
-    if (check_addr_req(now, req, "AR")) {
-      outstanding_reads_.push({req.id, req.beats});
-      ++reads_started_;
-      if (trace_sink_) trace_sink_->push_back({now, false, req.addr, req.beats});
-      down_.ar.push(req);
-    }
+void AxiMonitor::on_commit(const TimingChannel<AddrReq>& channel,
+                           const AddrReq& req) {
+  const bool is_write = &channel == &link_.aw;
+  if (!check_addr_req(req, is_write ? "AW" : "AR")) return;
+  if (trace_sink_) {
+    trace_sink_->push_back({now_, is_write, req.addr, req.beats});
   }
+  if (!is_write) {
+    outstanding_reads_.push_back({req.id, req.beats});
+    ++reads_started_;
+    return;
+  }
+  pending_w_.push_back({req.id, req.beats});
+  ++writes_started_;
+  // W beats that committed before this AW within the same cycle.
+  while (!early_w_.empty() && !pending_w_.empty()) {
+    take_w(early_w_.front());
+    early_w_.pop_front();
+  }
+}
 
-  // R: slave -> master.
-  if (down_.r.can_pop() && up_.r.can_push()) {
-    RBeat beat = down_.r.pop();
-    ++r_beats_;
-    if (is_error(beat.resp)) ++r_errors_;
-    if (outstanding_reads_.empty()) {
-      violation(now, "R beat with no outstanding AR");
-    } else {
-      auto& head = outstanding_reads_.front();
-      if (beat.id != head.id) {
-        std::ostringstream os;
-        os << "R beat id " << beat.id << " != oldest outstanding AR id "
-           << head.id << " (out-of-order read data)";
-        violation(now, os.str());
-      }
-      AXIHC_CHECK(head.beats_left > 0);
-      --head.beats_left;
-      const bool expect_last = head.beats_left == 0;
-      if (beat.last != expect_last) {
-        violation(now, expect_last ? "missing RLAST on final beat"
-                                   : "spurious RLAST mid-burst");
-        beat.last = expect_last;  // repair after flagging
-      }
-      if (expect_last) {
-        outstanding_reads_.pop();
-        ++reads_completed_;
-      }
-    }
-    up_.r.push(beat);
+void AxiMonitor::on_commit(const TimingChannel<RBeat>& /*channel*/,
+                           const RBeat& beat) {
+  ++r_beats_;
+  if (is_error(beat.resp)) ++r_errors_;
+  if (outstanding_reads_.empty()) {
+    violation("R beat with no outstanding AR");
+    return;
   }
+  auto& head = outstanding_reads_.front();
+  if (beat.id != head.id) {
+    violation("R beat id " + std::to_string(beat.id) +
+              " != oldest outstanding AR id " + std::to_string(head.id) +
+              " (out-of-order read data)");
+  }
+  const bool expect_last = --head.beats_left == 0;
+  if (beat.last != expect_last) {
+    violation(expect_last ? "missing RLAST on final beat"
+                          : "spurious RLAST mid-burst");
+  }
+  if (expect_last) {
+    outstanding_reads_.pop_front();
+    ++reads_completed_;
+  }
+}
 
-  // AW: master -> slave.
-  if (up_.aw.can_pop() && down_.aw.can_push() && !pending_w_.full()) {
-    AddrReq req = up_.aw.pop();
-    if (check_addr_req(now, req, "AW")) {
-      pending_w_.push({req.id, req.beats});
-      ++writes_started_;
-      if (trace_sink_) trace_sink_->push_back({now, true, req.addr, req.beats});
-      down_.aw.push(req);
-    }
+void AxiMonitor::on_commit(const TimingChannel<WBeat>& /*channel*/,
+                           const WBeat& beat) {
+  if (pending_w_.empty()) {
+    early_w_.push_back(beat);  // its AW may still commit this cycle
+  } else {
+    take_w(beat);
   }
+}
 
-  // W: master -> slave. This library requires AW before its W data.
-  if (up_.w.can_pop() && down_.w.can_push()) {
-    WBeat beat = up_.w.front();
-    if (pending_w_.empty()) {
-      // Leave the beat queued: it may belong to an AW still in flight
-      // (pushed this cycle, visible next). Only flag if nothing shows up.
-      if (up_.aw.empty()) {
-        violation(now, "W beat with no pending AW and no AW in flight");
-        up_.w.pop();  // drop to avoid livelock after a real violation
-      }
-    } else {
-      up_.w.pop();
-      ++w_beats_;
-      auto& head = pending_w_.front();
-      AXIHC_CHECK(head.beats_left > 0);
-      --head.beats_left;
-      const bool expect_last = head.beats_left == 0;
-      if (beat.last != expect_last) {
-        violation(now, expect_last ? "missing WLAST on final beat"
-                                   : "spurious WLAST mid-burst");
-        beat.last = expect_last;  // repair after flagging
-      }
-      if (expect_last) {
-        if (awaiting_b_.full()) {
-          violation(now, "too many writes awaiting B");
-        } else {
-          awaiting_b_.push(pending_w_.front().id);
-        }
-        pending_w_.pop();
-      }
-      down_.w.push(beat);
-    }
+void AxiMonitor::take_w(const WBeat& beat) {
+  ++w_beats_;
+  auto& head = pending_w_.front();
+  const bool expect_last = --head.beats_left == 0;
+  if (beat.last != expect_last) {
+    violation(expect_last ? "missing WLAST on final beat"
+                          : "spurious WLAST mid-burst");
   }
+  if (expect_last) {
+    awaiting_b_.push_back(head.id);
+    pending_w_.pop_front();
+  }
+}
 
-  // B: slave -> master.
-  if (down_.b.can_pop() && up_.b.can_push()) {
-    BResp resp = down_.b.pop();
-    if (is_error(resp.resp)) ++b_errors_;
-    if (awaiting_b_.empty()) {
-      violation(now, "B response before all W data transferred (or spurious)");
-    } else {
-      const TxnId expected = awaiting_b_.front();
-      if (resp.id != expected) {
-        std::ostringstream os;
-        os << "B id " << resp.id << " != oldest completed write id "
-           << expected << " (out-of-order write response)";
-        violation(now, os.str());
-      }
-      awaiting_b_.pop();
-      ++writes_completed_;
-    }
-    up_.b.push(resp);
+void AxiMonitor::on_commit(const TimingChannel<BResp>& /*channel*/,
+                           const BResp& resp) {
+  if (is_error(resp.resp)) ++b_errors_;
+  if (awaiting_b_.empty()) {
+    violation("B response before all W data transferred (or spurious)");
+    return;
   }
+  if (resp.id != awaiting_b_.front()) {
+    violation("B id " + std::to_string(resp.id) +
+              " != oldest completed write id " +
+              std::to_string(awaiting_b_.front()) +
+              " (out-of-order write response)");
+  }
+  awaiting_b_.pop_front();
+  ++writes_completed_;
 }
 
 }  // namespace axihc

@@ -1,56 +1,54 @@
-// AXI protocol monitor: an in-line checker inserted between a master-side
-// link and a slave-side link (like a protocol-checker IP in an FPGA design).
-// It forwards traffic unchanged at one beat per channel per cycle and
-// verifies the protocol invariants this library relies on:
+// AXI protocol monitor: a passive checker of one link, like a protocol-
+// checker IP tapping a bus. It sees each beat as it becomes visible on the
+// link (ChannelObserver) and never pops, pushes, repairs or drops anything,
+// so attaching it moves no cycle and no state digest. It checks:
 //
-//  * burst legality: 1..256 beats (INCR), WRAP length in {2,4,8,16}, no
-//    4 KiB boundary crossing for INCR bursts;
+//  * burst legality: 1..256 beats (1..16 in AXI3 mode), WRAP length in
+//    {2,4,8,16}, no 4 KiB boundary crossing for INCR bursts;
 //  * in-order read data: R beats carry the id of the oldest outstanding AR,
 //    RLAST exactly on the final beat of each burst;
-//  * write data follows write addresses: W beat count per AW matches the
-//    advertised burst length, WLAST on the final beat;
-//  * one B response per write transaction, in AW order, only after all W
-//    data has been transferred.
+//  * W beat count and WLAST per AW; a W beat may become visible in the same
+//    cycle as its AW, not before;
+//  * one B response per write transaction, in AW order, after its last W.
 //
-// Violations are recorded; optionally the monitor throws ModelError
-// immediately (used by the tests).
+// Violations are recorded as the beats commit; optionally the monitor's
+// next tick throws ModelError. It is an observer component: it never holds
+// the kernel out of fast-forward and the state digest leaves it out.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
 #include "axi/axi.hpp"
 #include "axi/trace_format.hpp"
-#include "common/ring_buffer.hpp"
 #include "sim/component.hpp"
 
 namespace axihc {
 
-class AxiMonitor final : public Component {
+class AxiMonitor final : public Component,
+                         ChannelObserver<AddrReq>,
+                         ChannelObserver<RBeat>,
+                         ChannelObserver<WBeat>,
+                         ChannelObserver<BResp> {
  public:
-  /// Monitors traffic flowing from `upstream` (master side) to `downstream`
-  /// (slave side). `axi3_mode` restricts bursts to 16 beats as in AXI3.
-  AxiMonitor(std::string name, AxiLink& upstream, AxiLink& downstream,
-             bool axi3_mode = false);
+  /// Watches `link`. `axi3_mode` restricts bursts to 16 beats as in AXI3.
+  AxiMonitor(std::string name, AxiLink& link, bool axi3_mode = false);
+  ~AxiMonitor() override;
 
   void tick(Cycle now) override;
   void reset() override;
-  [[nodiscard]] Cycle next_activity(Cycle now) const override {
-    // Only traffic to forward wakes the monitor; its bookkeeping changes
-    // solely on forwarded beats.
-    if (up_.ar.can_pop() || up_.aw.can_pop() || up_.w.can_pop() ||
-        down_.r.can_pop() || down_.b.can_pop()) {
-      return now;
-    }
-    return kNoCycle;
-  }
+  /// The master behind the link was reset: forget what was in flight.
+  void interface_reset();
+  [[nodiscard]] Cycle next_activity(Cycle) const override { return kNoCycle; }
+  [[nodiscard]] bool observer() const override { return true; }
 
-  /// If set, a violation throws ModelError instead of only being recorded.
+  /// If set, the tick after a violation throws it as ModelError.
   void set_throw_on_violation(bool on) { throw_on_violation_ = on; }
 
-  /// Records every forwarded AR/AW into `sink` as a trace entry (nullptr
-  /// stops recording). Replay with TracePlayer.
+  /// Records every AR/AW into `sink`, stamped with the cycle it was pushed
+  /// in (nullptr stops recording). Replay with TracePlayer.
   void set_trace_sink(std::vector<TraceEntry>* sink) { trace_sink_ = sink; }
 
   [[nodiscard]] const std::vector<std::string>& violations() const {
@@ -81,19 +79,30 @@ class AxiMonitor final : public Component {
     BeatCount beats_left = 0;
   };
 
-  void violation(Cycle now, const std::string& what);
-  /// Returns false if the request is too malformed to forward downstream.
-  bool check_addr_req(Cycle now, const AddrReq& req, const char* channel);
+  void on_commit(const TimingChannel<AddrReq>&, const AddrReq&) override;
+  void on_commit(const TimingChannel<RBeat>&, const RBeat&) override;
+  void on_commit(const TimingChannel<WBeat>&, const WBeat&) override;
+  void on_commit(const TimingChannel<BResp>&, const BResp&) override;
+  /// Attaches `observer` (nullptr: detaches) to all five link channels.
+  void watch(AxiMonitor* observer);
 
-  AxiLink& up_;
-  AxiLink& down_;
+  void violation(const std::string& what);
+  /// False when AxLEN cannot encode the length: its beats go untracked.
+  bool check_addr_req(const AddrReq& req, const char* channel);
+  /// Counts a W beat against the oldest AW still owed data.
+  void take_w(const WBeat& beat);
+
+  AxiLink& link_;
   std::vector<TraceEntry>* trace_sink_ = nullptr;
   bool axi3_mode_;
   bool throw_on_violation_ = false;
+  Cycle now_ = 0;            // the cycle whose beats are committing
+  std::size_t raised_ = 0;   // violations already thrown
 
-  RingBuffer<OutstandingBurst> outstanding_reads_{256};
-  RingBuffer<OutstandingBurst> pending_w_{256};   // AWs awaiting W data
-  RingBuffer<TxnId> awaiting_b_{256};             // writes with all W sent
+  std::deque<OutstandingBurst> outstanding_reads_;
+  std::deque<OutstandingBurst> pending_w_;  // AWs awaiting W data
+  std::deque<TxnId> awaiting_b_;            // writes with all W sent
+  std::deque<WBeat> early_w_;  // W beats committed before any pending AW
 
   std::vector<std::string> violations_;
   std::uint64_t reads_started_ = 0;

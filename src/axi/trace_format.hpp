@@ -1,5 +1,5 @@
-// Trace format shared by recorders (AxiMonitor) and players (TracePlayer):
-// one address request per line,
+// Trace format shared by recorders (an AxiMonitor's trace sink) and players
+// (TracePlayer): one address request per line,
 //   <issue_cycle> R|W <hex_address> <beats>
 // with '#' comments. Traces close the loop between real systems and this
 // simulator: capture an HA's address stream, replay it against either

@@ -231,6 +231,8 @@ void ConfiguredSystem::wire_recovery(const IniSection& rec) {
   // those responses) and restart its job engine.
   recovery_->set_ha_reset([this](PortIndex p) {
     if (p < masters_.size()) masters_[p]->abandon_in_flight();
+    // The protocol monitor on its link (audited runs) shares its reset.
+    if (p < monitors_.size()) monitors_[p]->interface_reset();
   });
 
   // The FSM advances only at watchdog polls: a shorter probation would
@@ -291,6 +293,15 @@ void ConfiguredSystem::wire_observability() {
     }
     for (PortIndex p = 0; p < masters_.size(); ++p) {
       masters_[p]->set_latency_audit(audit_.get(), p);
+    }
+  }
+  // A full audit also checks every HA's stream for AXI legality. The
+  // monitors are passive observers: the digest does not move.
+  if (observe_.latency_audit) {
+    for (auto& m : masters_) {
+      monitors_.push_back(
+          std::make_unique<AxiMonitor>(m->name() + ".protocol", m->link()));
+      soc_->add(*monitors_.back());
     }
   }
 
@@ -480,6 +491,12 @@ Cycle ConfiguredSystem::run(Cycle override_cycles) {
                         "trace.dropped in the metrics series";
   }
   return soc_->sim().now();
+}
+
+std::uint64_t ConfiguredSystem::protocol_violations() const {
+  std::uint64_t n = 0;
+  for (const auto& m : monitors_) n += m->violations().size();
+  return n;
 }
 
 const AxiMasterBase& ConfiguredSystem::ha(std::size_t i) const {

@@ -49,6 +49,7 @@
 #include <string>
 #include <vector>
 
+#include "axi/monitor.hpp"
 #include "config/ini.hpp"
 #include "driver/register_master.hpp"
 #include "fault/fault_injector.hpp"
@@ -152,6 +153,9 @@ class ConfiguredSystem {
   [[nodiscard]] const LatencyAudit* latency_audit() const {
     return audit_.get();
   }
+  /// AXI protocol violations seen on the HA links: a latency_audit run
+  /// watches each with a passive AxiMonitor (0 otherwise).
+  [[nodiscard]] std::uint64_t protocol_violations() const;
 
   /// Chrome trace-event JSON (Perfetto-loadable): the event stream plus the
   /// sampled metrics as counter tracks.
@@ -164,7 +168,8 @@ class ConfiguredSystem {
   /// the file's [faultN] sections and fault_seed.
   void build(const IniFile& ini, const FaultScenario* scenario_override);
   /// Hands the trace to every instrumented component, attaches the latency
-  /// auditor and, when metrics are on, registers all metrics (the APM-style
+  /// auditor (and, for a full audit, a protocol monitor per HA link) and,
+  /// when metrics are on, registers all metrics (the APM-style
   /// `apm.*` byte counters included) and attaches the sampler. Called once,
   /// from the first run() with observability requested.
   void wire_observability();
@@ -200,6 +205,8 @@ class ConfiguredSystem {
   MetricsRegistry registry_;
   std::unique_ptr<MetricsSampler> sampler_;
   std::unique_ptr<LatencyAudit> audit_;
+  // Declared after the links they watch, so they detach before those go.
+  std::vector<std::unique_ptr<AxiMonitor>> monitors_;
 };
 
 /// Parses + builds in one call (throws ModelError with a line/section

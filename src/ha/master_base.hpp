@@ -81,6 +81,8 @@ class AxiMasterBase : public Component {
   void abandon_in_flight();
 
   [[nodiscard]] const MasterStats& stats() const { return stats_; }
+  /// The link this master drives.
+  [[nodiscard]] AxiLink& link() { return link_; }
   [[nodiscard]] std::uint32_t outstanding_reads() const {
     return static_cast<std::uint32_t>(reads_in_flight_.size());
   }

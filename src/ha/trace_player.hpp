@@ -1,6 +1,7 @@
 // Trace-driven AXI master: replays a recorded sequence of (cycle, R/W,
 // address, beats) requests with cycle-accurate issue times (see
-// axi/trace_format.hpp for the format and the AxiMonitor for recording).
+// axi/trace_format.hpp for the format and AxiMonitor::set_trace_sink for
+// recording).
 #pragma once
 
 #include <cstdint>

@@ -120,6 +120,23 @@ class ChannelBase {
 };
 
 template <typename T>
+class TimingChannel;
+
+/// Sees every element a TimingChannel commits, in push order, at the end of
+/// the cycle it was pushed in (TimingChannel::set_observer; null by
+/// default). An element flushed before its commit is never seen.
+/// Implementations must not touch the simulated system: the protocol
+/// monitor (axi/monitor.hpp) watches a link this way.
+template <typename T>
+class ChannelObserver {
+ public:
+  virtual void on_commit(const TimingChannel<T>& channel, const T& value) = 0;
+
+ protected:
+  ~ChannelObserver() = default;
+};
+
+template <typename T>
 class TimingChannel final : public ChannelBase {
  public:
   /// A channel with `capacity` storage slots (the register/FIFO depth of the
@@ -181,8 +198,18 @@ class TimingChannel final : public ChannelBase {
   [[nodiscard]] std::uint64_t total_pushes() const { return total_pushes_; }
   [[nodiscard]] std::uint64_t total_pops() const { return total_pops_; }
 
+  /// Attaches `observer` (one per channel), or detaches it with nullptr.
+  void set_observer(ChannelObserver<T>* observer) {
+    AXIHC_CHECK_MSG(observer == nullptr || observer_ == nullptr,
+                    "channel '" << name() << "' already has an observer");
+    observer_ = observer;
+  }
+
   void commit() override {
     ledger_on_commit();
+    if (observer_ != nullptr) [[unlikely]] {
+      notify_observer();
+    }
     committed_ += staged_;
     staged_ = 0;
     snapshot_ = committed_;
@@ -220,6 +247,14 @@ class TimingChannel final : public ChannelBase {
   }
 
  private:
+  // Out of line, so an unobserved commit carries one predicted branch and
+  // none of the loop.
+  [[gnu::noinline]] void notify_observer() {
+    for (std::uint32_t i = 0; i < staged_; ++i) {
+      observer_->on_commit(*this, slots_[wrap(head_ + committed_ + i)]);
+    }
+  }
+
   [[nodiscard]] std::uint32_t wrap(std::uint32_t i) const {
     // Capacities are arbitrary (not power-of-two); a compare beats div.
     return i >= capacity_ ? i - capacity_ : i;
@@ -234,6 +269,7 @@ class TimingChannel final : public ChannelBase {
   std::uint32_t snapshot_ = 0;   // occupancy at cycle start (can_push basis)
   std::uint64_t total_pushes_ = 0;
   std::uint64_t total_pops_ = 0;
+  ChannelObserver<T>* observer_ = nullptr;
 };
 
 }  // namespace axihc

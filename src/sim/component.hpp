@@ -54,10 +54,10 @@ class Component {
   /// Simulator::state_digest(). Default: stateless.
   virtual void append_digest(StateDigest& d) const { (void)d; }
 
-  /// True for a component that only reads the simulated system (the
-  /// metrics sampler): it ticks like any other, but is no part of the
-  /// system, so Simulator::state_digest() leaves it out and attaching one
-  /// never changes the digest.
+  /// True for a component that only reads the simulated system (metrics
+  /// sampler, protocol monitor): it ticks like any other, but is no part of
+  /// the system, so Simulator::state_digest() leaves it out and attaching
+  /// one never changes the digest.
   [[nodiscard]] virtual bool observer() const { return false; }
 
   [[nodiscard]] const std::string& name() const { return name_; }

@@ -23,13 +23,11 @@ struct Axi3Fixture : ::testing::Test {
     cfg.nominal_burst = nominal;
     cfg.max_outstanding = 8;
     hc = std::make_unique<HyperConnect>("hc", cfg);
-    mem_link = std::make_unique<AxiLink>("to_mem");
     monitor = std::make_unique<AxiMonitor>("axi3mon", hc->master_link(),
-                                           *mem_link, /*axi3_mode=*/true);
-    mem = std::make_unique<MemoryController>("ddr", *mem_link, store,
+                                           /*axi3_mode=*/true);
+    mem = std::make_unique<MemoryController>("ddr", hc->master_link(), store,
                                              MemoryControllerConfig{});
     hc->register_with(sim);
-    mem_link->register_with(sim);
     sim.add(*monitor);
     sim.add(*mem);
   }
@@ -37,7 +35,6 @@ struct Axi3Fixture : ::testing::Test {
   Simulator sim;
   BackingStore store;
   std::unique_ptr<HyperConnect> hc;
-  std::unique_ptr<AxiLink> mem_link;
   std::unique_ptr<AxiMonitor> monitor;
   std::unique_ptr<MemoryController> mem;
 };

@@ -103,8 +103,8 @@ TEST(Equalization, LongWriteMergedTransparently) {
 }
 
 TEST(Equalization, ProtocolCleanThroughMonitorWithSplitting) {
-  // HA-side monitor between a DMA with 64-beat bursts and the HyperConnect:
-  // the merge must reconstruct a protocol-correct stream.
+  // HA-side monitor on the link from a DMA with 64-beat bursts into the
+  // HyperConnect: the merge must reconstruct a protocol-correct stream.
   Simulator sim;
   BackingStore store;
   HyperConnectConfig cfg;
@@ -115,9 +115,7 @@ TEST(Equalization, ProtocolCleanThroughMonitorWithSplitting) {
   hc.register_with(sim);
   sim.add(mem);
 
-  AxiLink ha_link("ha");
-  ha_link.register_with(sim);
-  AxiMonitor monitor("mon", ha_link, hc.port_link(0));
+  AxiMonitor monitor("mon", hc.port_link(0));
   monitor.set_throw_on_violation(true);
   sim.add(monitor);
 
@@ -126,7 +124,7 @@ TEST(Equalization, ProtocolCleanThroughMonitorWithSplitting) {
   dcfg.bytes_per_job = 4096;
   dcfg.burst_beats = 64;
   dcfg.max_jobs = 1;
-  DmaEngine dma("dma", ha_link, dcfg);
+  DmaEngine dma("dma", hc.port_link(0), dcfg);
   sim.add(dma);
   sim.reset();
 

@@ -202,9 +202,7 @@ TEST(ErrorPathMonitor, ErrorsAreCountedNotViolations) {
   hc.register_with(sim);
   sim.add(mem);
 
-  AxiLink ha_link("ha");
-  ha_link.register_with(sim);
-  AxiMonitor monitor("mon", ha_link, hc.port_link(0));
+  AxiMonitor monitor("mon", hc.port_link(0));
   monitor.set_throw_on_violation(true);
   sim.add(monitor);
 
@@ -214,7 +212,7 @@ TEST(ErrorPathMonitor, ErrorsAreCountedNotViolations) {
   tcfg.region_bytes = 0x100;
   tcfg.burst_beats = 16;  // split into two sub-bursts each
   tcfg.max_transactions = 8;
-  TrafficGenerator gen("gen", ha_link, tcfg);
+  TrafficGenerator gen("gen", hc.port_link(0), tcfg);
   sim.add(gen);
   sim.reset();
 

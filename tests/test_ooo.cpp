@@ -225,9 +225,7 @@ TEST(OooHyperConnect, HaSideStreamsRemainProtocolClean) {
   // Per-port order is preserved even when the controller reorders across
   // ports, so an HA-side protocol monitor must stay clean.
   OooSystem sys;
-  AxiLink ha_link("ha");
-  ha_link.register_with(sys.sim);
-  AxiMonitor monitor("mon", ha_link, sys.hc->port_link(0));
+  AxiMonitor monitor("mon", sys.hc->port_link(0));
   monitor.set_throw_on_violation(true);
   sys.sim.add(monitor);
 
@@ -237,7 +235,7 @@ TEST(OooHyperConnect, HaSideStreamsRemainProtocolClean) {
   d.burst_beats = 32;  // split by the TS
   d.max_jobs = 1;
   d.tolerate_out_of_order = true;
-  DmaEngine dma0("dma0", ha_link, d);
+  DmaEngine dma0("dma0", sys.hc->port_link(0), d);
   TrafficConfig t;
   t.direction = TrafficDirection::kRead;
   t.burst_beats = 16;

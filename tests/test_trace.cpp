@@ -76,31 +76,49 @@ TEST(TracePlayer, ReplaysAtRecordedCycles) {
 }
 
 TEST(TracePlayer, RecordAndReplayReproducesTraffic) {
-  // Record a DMA's address stream through a monitor, then replay the trace
-  // against a fresh memory: same transaction counts, same byte totals.
+  // Record a DMA's address stream with a monitor on its link, then replay
+  // the trace against a fresh memory: same transaction counts, same byte
+  // totals.
   std::vector<TraceEntry> trace;
   {
     Simulator sim;
-    AxiLink up("up");
-    AxiLink down("down");
+    AxiLink link("l");
     BackingStore store;
-    MemoryController mem("ddr", down, store, {});
-    AxiMonitor mon("mon", up, down);
+    MemoryController mem("ddr", link, store, {});
+    AxiMonitor mon("mon", link);
     mon.set_trace_sink(&trace);
     DmaConfig cfg;
     cfg.mode = DmaMode::kReadWrite;
     cfg.bytes_per_job = 2048;
     cfg.burst_beats = 16;
     cfg.max_jobs = 1;
-    DmaEngine dma("dma", up, cfg);
-    up.register_with(sim);
-    down.register_with(sim);
+    DmaEngine dma("dma", link, cfg);
+    link.register_with(sim);
     sim.add(mem);
     sim.add(mon);
     sim.add(dma);
     sim.reset();
-    trace.clear();  // reset() may have replayed nothing, but be safe
-    ASSERT_TRUE(sim.run_until([&] { return dma.finished(); }, 100000));
+    // The cycle of every AR and AW push, read off the push counters after
+    // each advance (the DMA pushes at most one of each per cycle, always in
+    // the advance's final, real step). Index 0 is AR, 1 is AW.
+    std::vector<Cycle> pushed[2];
+    std::vector<Cycle> recorded[2];
+    ASSERT_TRUE(sim.run_until(
+        [&] {
+          for (const bool w : {false, true}) {
+            const auto& ch = w ? link.aw : link.ar;
+            if (ch.total_pushes() > pushed[w].size()) {
+              pushed[w].push_back(sim.now() - 1);
+            }
+            EXPECT_EQ(ch.total_pushes(), pushed[w].size());
+          }
+          return dma.finished();
+        },
+        100000));
+    // Each entry carries the cycle the DMA pushed its request in.
+    for (const TraceEntry& e : trace) recorded[e.is_write].push_back(e.issue_at);
+    EXPECT_EQ(recorded[0], pushed[0]);
+    EXPECT_EQ(recorded[1], pushed[1]);
   }
   ASSERT_EQ(trace.size(), 32u);  // 16 reads + 16 writes of 16 beats
 

@@ -43,9 +43,12 @@
 // --latency-audit enables the per-transaction latency-provenance layer
 // (src/obs/latency_audit): after the run it prints the per-port roll-up
 // (p50/p99/p99.9/max vs analytic WCLA bound, cause breakdown) and exits
-// nonzero when any transaction exceeded its bound. --flight-out dumps the
-// flight-recorder ring (the last [observe] flight_capacity completed
-// transactions) as JSON-lines; it implies --latency-audit.
+// nonzero when any transaction exceeded its bound. The run also watches
+// each HA's link with a passive AXI protocol monitor (src/axi/monitor) and
+// prints the violations it saw ("protocol: 0 violations on 2 HA links").
+// --flight-out dumps the flight-recorder ring (the last [observe]
+// flight_capacity completed transactions) as JSON-lines; it implies
+// --latency-audit.
 //
 // --prove elaborates the system and runs the static predictability
 // certifier (src/prove) with ZERO simulated cycles: per-port eFIFO backlog
@@ -58,9 +61,10 @@
 // Inconsistent inputs (overlapping decode entries, a probation window
 // shorter than the watchdog poll) are rejected when the system is built.
 //
-// The report and dump files (--prove-json, --trace-out, --metrics-out,
-// --flight-out, --sweep-report, --sweep-report-json) go to stdout when the
-// file name is "-".
+// The row, report and dump files (--sweep-out, --campaign-out,
+// --prove-json, --trace-out, --metrics-out, --flight-out, --sweep-report,
+// --sweep-report-json) go to stdout when the file name is "-". A file that
+// cannot be opened or written exits 1 ("axihc: cannot write 'f.json'").
 //
 // After a plain run, one line on stderr gives the simulated cycles, the wall
 // time of the run, the simulation rate and the process peak RSS
@@ -144,25 +148,30 @@ void usage() {
                "       axihc <config.ini> --config-digest\n"
                "       axihc <config.ini> --config-canonical\n"
                "       axihc --example > experiment.ini\n"
-               "A report or dump file named - (--prove-json, --trace-out,\n"
-               "--metrics-out, --flight-out, --sweep-report*) is stdout.\n";
+               "An output file named - (--sweep-out, --campaign-out,\n"
+               "--prove-json, --trace-out, --metrics-out, --flight-out,\n"
+               "--sweep-report*) is stdout.\n";
 }
 
 /// Streams `what` to `path` through `write`, with "-" meaning stdout.
-/// Returns false (and complains) when the file cannot be opened.
+/// Returns false (and complains) when the file cannot be opened or a write
+/// to it fails.
 bool write_output(const std::string& path, const char* what,
                   const std::function<void(std::ostream&)>& write) {
-  if (path == "-") {
-    write(std::cout);
-    return true;
+  std::ofstream file;
+  if (path != "-") file.open(path);
+  std::ostream& out = path == "-" ? std::cout : file;
+  if (out) {
+    write(out);
+    out.flush();
   }
-  std::ofstream out(path);
   if (!out) {
     std::cerr << "axihc: cannot write '" << path << "'\n";
     return false;
   }
-  write(out);
-  std::cerr << "axihc: wrote " << what << " to " << path << "\n";
+  if (path != "-") {
+    std::cerr << "axihc: wrote " << what << " to " << path << "\n";
+  }
   return true;
 }
 
@@ -374,19 +383,15 @@ int main(int argc, char** argv) {
       opts.shard_count = sweep_shard_count;
       opts.deterministic = sweep_deterministic;
 
-      std::ofstream out_file;
-      if (!sweep_out.empty()) {
-        out_file.open(sweep_out);
-        if (!out_file) {
-          std::cerr << "axihc: cannot write '" << sweep_out << "'\n";
-          return 1;
-        }
-        opts.out = &out_file;
-      } else {
-        opts.out = &std::cout;
+      // Rows stream out as cells finish.
+      axihc::SweepSummary summary;
+      if (!write_output(sweep_out.empty() ? "-" : sweep_out, "sweep rows",
+                        [&](std::ostream& out) {
+                          opts.out = &out;
+                          summary = axihc::run_sweep(ini, opts);
+                        })) {
+        return 1;
       }
-
-      const axihc::SweepSummary summary = axihc::run_sweep(ini, opts);
       std::cerr << "axihc: sweep '" << summary.name << "': "
                 << summary.cells << " cells";
       if (sweep_shard_count > 1) {
@@ -402,9 +407,6 @@ int main(int argc, char** argv) {
         std::cerr << ", " << summary.errors << " config errors";
       }
       std::cerr << "\n";
-      if (!sweep_out.empty()) {
-        std::cerr << "axihc: wrote sweep rows to " << sweep_out << "\n";
-      }
 
       if (!write_sweep_reports(summary.lines)) return 1;
 
@@ -436,16 +438,14 @@ int main(int argc, char** argv) {
         return 0;
       }
       const axihc::CampaignOutput out = axihc::run_campaign(ini);
-      std::ofstream out_file;
-      if (!campaign_out.empty()) {
-        out_file.open(campaign_out);
-        if (!out_file) {
-          std::cerr << "axihc: cannot write '" << campaign_out << "'\n";
-          return 1;
-        }
+      if (!write_output(campaign_out.empty() ? "-" : campaign_out,
+                        "campaign results", [&](std::ostream& os) {
+                          for (const std::string& line : out.lines) {
+                            os << line << "\n";
+                          }
+                        })) {
+        return 1;
       }
-      std::ostream& os = campaign_out.empty() ? std::cout : out_file;
-      for (const std::string& line : out.lines) os << line << "\n";
       std::cerr << "axihc: campaign: " << (out.lines.size() - 1)
                 << " runs, " << out.total_recoveries << " recoveries, "
                 << out.total_escalations << " escalations, "
@@ -453,10 +453,6 @@ int main(int argc, char** argv) {
                 << out.conservation_violations
                 << " budget-conservation violations, "
                 << out.total_bound_violations << " WCLA bound violations\n";
-      if (!campaign_out.empty()) {
-        std::cerr << "axihc: wrote campaign results to " << campaign_out
-                  << "\n";
-      }
       return out.ok() ? 0 : 1;
     }
 
@@ -510,6 +506,8 @@ int main(int argc, char** argv) {
     if (audit != nullptr) {
       std::cout << "\n";
       audit->write_rollup(std::cout);
+      std::cout << "protocol: " << system->protocol_violations()
+                << " violations on " << system->ha_count() << " HA links\n";
     }
     if (!flight_out.empty() && audit != nullptr &&
         !write_output(flight_out, "flight records", [&](std::ostream& out) {
