@@ -392,9 +392,7 @@ void ConfiguredSystem::add_ha(const IniSection& section, PortIndex port) {
                        "[" + name + "] write_base + bytes_per_job");
     ProveHaModel model;
     model.name = name;
-    model.type = type;
     model.burst_beats = cfg.burst_beats;
-    model.max_outstanding = cfg.max_outstanding;
     model.reads = cfg.mode != DmaMode::kWrite;
     model.writes = cfg.mode != DmaMode::kRead;
     if (model.reads) {
@@ -416,10 +414,7 @@ void ConfiguredSystem::add_ha(const IniSection& section, PortIndex port) {
     cfg.tolerate_out_of_order = ooo;
     ProveHaModel model;
     model.name = name;
-    model.type = type;
     model.burst_beats = cfg.burst_beats;
-    model.max_outstanding = cfg.max_outstanding;
-    model.gap_cycles = cfg.gap_cycles;
     model.reads = cfg.direction != TrafficDirection::kWrite;
     model.writes = cfg.direction != TrafficDirection::kRead;
     model.windows.push_back(
@@ -453,9 +448,7 @@ void ConfiguredSystem::add_ha(const IniSection& section, PortIndex port) {
     cfg.tolerate_out_of_order = ooo;
     ProveHaModel model;
     model.name = name;
-    model.type = type;
     model.burst_beats = cfg.burst_beats;
-    model.max_outstanding = cfg.max_outstanding;
     model.reads = true;   // weight/ifmap loads
     model.writes = true;  // ofmap stores
     std::uint64_t load_max = 0;
@@ -527,13 +520,6 @@ ProveInput ConfiguredSystem::prove_input() const {
   in.analysis.budgets.resize(cfg.num_ports, 0);
   in.analysis.competitor_backlog = cfg.hc.max_outstanding;
   in.platform = analysis_platform(cfg.mem);
-
-  const AxiLinkConfig& plc = cfg.hc.port_link_cfg;
-  in.ar_depth = plc.ar_depth;
-  in.aw_depth = plc.aw_depth;
-  in.w_depth = plc.w_depth;
-  in.r_depth = plc.r_depth;
-  in.b_depth = plc.b_depth;
   in.out_of_order = in.hyperconnect && cfg.hc.out_of_order;
   in.in_order_memory = cfg.mem.scheduling == MemScheduling::kInOrder;
   in.decode = cfg.mem.mapped_ranges;

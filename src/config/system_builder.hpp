@@ -115,9 +115,8 @@ class ConfiguredSystem {
   [[nodiscard]] std::string report() const;
 
   /// Assembles the static-prover input (src/prove) from the elaborated
-  /// system: the WCLA-side analysis config, platform timing, eFIFO depths,
-  /// the decode map, and the per-HA arrival models and job windows recorded
-  /// by add_ha.
+  /// system: the WCLA-side analysis config, platform timing, the decode
+  /// map, and the per-HA traffic models and job windows recorded by add_ha.
   [[nodiscard]] ProveInput prove_input() const;
   /// Runs the static predictability certifier (src/prove) — zero simulated
   /// cycles; see ProveReport for verdicts and the certificate.
@@ -183,7 +182,7 @@ class ConfiguredSystem {
 
   Platform platform_;
   Cycle configured_cycles_ = 0;
-  /// Arrival model and job windows per attached HA (recorded by add_ha for
+  /// Traffic model and job windows per attached HA (recorded by add_ha for
   /// the prover).
   std::vector<ProveHaModel> prove_has_;
   std::unique_ptr<SocSystem> soc_;

@@ -51,7 +51,6 @@ HyperConnect::HyperConnect(std::string name, HyperConnectConfig cfg)
   AXIHC_CHECK(cfg_.max_outstanding >= 1);
   owed_r_.resize(cfg_.num_ports);
   owed_b_.resize(cfg_.num_ports);
-  efifo_peak_.assign(cfg_.num_ports, 0);
   reported_cause_.assign(std::size_t{cfg_.num_ports} * 2,
                          LatencyCause::kPipeline);
   efifos_.reserve(cfg_.num_ports);
@@ -98,7 +97,6 @@ void HyperConnect::reset() {
     owed_r_[i].clear();
     owed_b_[i].clear();
     mutable_counters(i) = PortCounters{};
-    efifo_peak_[i] = 0;
   }
   owed_pending_ = 0;
   staged_ = {};
@@ -139,9 +137,6 @@ void HyperConnect::register_metrics(MetricsRegistry& reg) {
     reg.add_gauge(p + ".efifo_level", [this, i] {
       return static_cast<double>(efifos_[i].level());
     });
-    reg.add_gauge(p + ".efifo_peak", [this, i] {
-      return static_cast<double>(efifo_peak_[i]);
-    });
     reg.add_gauge(p + ".reads_outstanding", [this, i] {
       return static_cast<double>(ts_[i]->reads_outstanding());
     });
@@ -164,11 +159,6 @@ void HyperConnect::register_metrics(MetricsRegistry& reg) {
     reg.add_counter(p + ".w_beats", &c.w_beats);
     reg.add_counter(p + ".b_resps", &c.b_resps);
   }
-}
-
-std::size_t HyperConnect::efifo_peak(PortIndex i) const {
-  AXIHC_CHECK(i < efifo_peak_.size());
-  return efifo_peak_[i];
 }
 
 std::uint32_t HyperConnect::budget_left(PortIndex i) const {
@@ -666,11 +656,6 @@ void HyperConnect::catch_up_stalls(Cycle skipped) {
 void HyperConnect::tick(Cycle now) {
   if (now > next_tick_) catch_up_stalls(now - next_tick_);
   next_tick_ = now + 1;
-  if (track_efifo_peaks_) {
-    for (PortIndex i = 0; i < num_ports(); ++i) {
-      efifo_peak_[i] = std::max(efifo_peak_[i], efifos_[i].level());
-    }
-  }
   tick_control_interface();
   tick_central_unit(now);
 

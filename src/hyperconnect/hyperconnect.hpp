@@ -91,16 +91,6 @@ class HyperConnect final : public Interconnect {
   /// identical with it on or off.
   void set_latency_audit(LatencyAudit* audit) { audit_ = audit; }
 
-  /// Observability: track the per-port peak of Efifo::level() (the five
-  /// channel queues of the port link summed), sampled once per tick. Exact
-  /// under fast-forward (levels are constant while the system is
-  /// quiescent) and excluded from append_digest — pure observation, used
-  /// by the prover soundness cross-check (static backlog bound >= observed
-  /// peak). Off by default: one max-pass per tick when enabled.
-  void set_track_efifo_peaks(bool on) { track_efifo_peaks_ = on; }
-  /// Peak eFIFO occupancy of a port since reset (0 while tracking is off).
-  [[nodiscard]] std::size_t efifo_peak(PortIndex i) const;
-
   /// Registers this instance's gauges and counters (per-port budget
   /// remaining, eFIFO occupancy, grants/beats, outstanding sub-transactions,
   /// fault telemetry) with `reg`. The readers borrow `this`, which must
@@ -219,10 +209,6 @@ class HyperConnect final : public Interconnect {
   // only once it is reached.
   Cycle age_due_ = 0;
   Cycle age_timeout_ = 0;
-
-  // Observation-only watermark (set_track_efifo_peaks); not digested.
-  std::vector<std::size_t> efifo_peak_;
-  bool track_efifo_peaks_ = false;
 
   HcRegisterFile regfile_;
   AxiLink control_link_;

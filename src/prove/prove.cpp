@@ -15,113 +15,10 @@ std::string quoted(const std::string& s) {
   return "\"" + json_escape(s) + "\"";
 }
 
-/// ceil(a / b) for b >= 1.
-std::uint64_t ceil_div(std::uint64_t a, std::uint64_t b) {
-  return (a + b - 1) / b;
-}
-
-// ---------------------------------------------------------------------------
-// efifo-backlog: arrival curves vs the reservation / round-robin service
-
-ProveCheck check_backlog(const ProveInput& in,
-                         std::vector<ProveBacklogBound>& out) {
-  ProveCheck c;
-  c.id = "efifo-backlog";
-  if (!in.hyperconnect) {
-    c.verdict = ProveVerdict::kUnmodeled;
-    c.detail =
-        "SmartConnect baseline: no eFIFO structure to bound (the paper's "
-        "predictability analysis does not cover it)";
-    return c;
-  }
-
-  std::vector<std::uint32_t> budgets = in.analysis.budgets;
-  budgets.resize(in.num_ports, 0);
-  const bool reservation_on = in.analysis.reservation_period != 0;
-  HcAnalysisConfig feas = in.analysis;
-  feas.budgets = budgets;
-  const bool feasible =
-      reservation_on && reservation_feasible(feas, in.platform);
-
-  bool any_backpressure = false;
-  bool curve_applied = false;
-  std::uint64_t worst_total = 0;
-  for (std::size_t p = 0; p < in.has.size(); ++p) {
-    const ProveHaModel& ha = in.has[p];
-    // Flow-control demand: every queued AR/AW is an in-flight request of
-    // this HA, every queued W/R beat belongs to one, so the outstanding
-    // limit caps each queue's occupancy regardless of service timing.
-    std::uint64_t demand_ar = ha.reads ? ha.max_outstanding : 0;
-    std::uint64_t demand_aw = ha.writes ? ha.max_outstanding : 0;
-
-    // Arrival-curve refinement for paced single-direction HAs under a
-    // feasible reservation: arrivals obey the leaky bucket of 1 request
-    // per gap+1 cycles, and the supply curve guarantees
-    // floor(budget / subs-per-request) request completions per period once
-    // service starts. When the guaranteed service rate strictly exceeds
-    // the arrival rate, the backlog peaks before the first supply period
-    // completes: at most ceil(period / (gap+1)) arrivals plus one
-    // in-service request.
-    if (feasible && ha.gap_cycles > 0 && ha.reads != ha.writes &&
-        budgets[p] > 0) {
-      const std::uint32_t subs =
-          sub_transaction_count(in.analysis, ha.burst_beats);
-      const std::uint64_t service_per_period = budgets[p] / subs;
-      const std::uint64_t arrivals_per_period =
-          ceil_div(in.analysis.reservation_period, ha.gap_cycles + 1);
-      if (service_per_period >= arrivals_per_period + 1) {
-        const std::uint64_t curve = arrivals_per_period + 1;
-        std::uint64_t& demand = ha.reads ? demand_ar : demand_aw;
-        if (curve < demand) {
-          demand = curve;
-          curve_applied = true;
-        }
-      }
-    }
-
-    ProveBacklogBound b;
-    b.ar = std::min<std::uint64_t>(demand_ar, in.ar_depth);
-    b.aw = std::min<std::uint64_t>(demand_aw, in.aw_depth);
-    b.w = std::min<std::uint64_t>(demand_aw * ha.burst_beats, in.w_depth);
-    b.r = std::min<std::uint64_t>(demand_ar * ha.burst_beats, in.r_depth);
-    b.b = std::min<std::uint64_t>(demand_aw, in.b_depth);
-    b.total = b.ar + b.aw + b.w + b.r + b.b;
-    b.backpressure = demand_ar > in.ar_depth || demand_aw > in.aw_depth ||
-                     demand_aw * ha.burst_beats > in.w_depth ||
-                     demand_ar * ha.burst_beats > in.r_depth;
-    any_backpressure |= b.backpressure;
-    worst_total = std::max(worst_total, b.total);
-    out.push_back(b);
-  }
-  // Ports with no attached HA receive no traffic: zero backlog.
-  out.resize(in.num_ports);
-
-  c.verdict = ProveVerdict::kProven;
-  c.facts.emplace_back("worst_port_backlog", std::to_string(worst_total));
-  c.facts.emplace_back("backpressure",
-                       any_backpressure ? "true" : "false");
-  c.facts.emplace_back("arrival_curve_applied",
-                       curve_applied ? "true" : "false");
-  std::ostringstream os;
-  os << "worst-case per-port eFIFO occupancy " << worst_total
-     << " entries across the five channel queues (flow-control demand from "
-        "per-HA outstanding limits"
-     << (curve_applied ? ", tightened by the arrival/service-curve backlog"
-                       : "")
-     << ", clamped to configured depths)";
-  if (any_backpressure) {
-    os << "; request-side demand exceeds the AR/AW depth on at least one "
-          "port, so the eFIFO always-ready premise is not certified "
-          "(back-pressure, not overflow)";
-  }
-  c.detail = os.str();
-  return c;
-}
-
 // ---------------------------------------------------------------------------
 // reservation: starvation-freedom, feasibility
 
-ProveCheck check_reservation(const ProveInput& in, ProveReport& report) {
+ProveCheck check_reservation(const ProveInput& in) {
   ProveCheck c;
   c.id = "reservation";
   if (!in.hyperconnect) {
@@ -130,8 +27,7 @@ ProveCheck check_reservation(const ProveInput& in, ProveReport& report) {
     return c;
   }
 
-  report.reservation_on = in.analysis.reservation_period != 0;
-  if (!report.reservation_on) {
+  if (in.analysis.reservation_period == 0) {
     c.facts.emplace_back("reservation", "\"off\"");
     c.verdict = ProveVerdict::kProven;
     c.detail =
@@ -160,9 +56,8 @@ ProveCheck check_reservation(const ProveInput& in, ProveReport& report) {
 
   HcAnalysisConfig feas = in.analysis;
   feas.budgets = budgets;
-  report.reservation_feasible = reservation_feasible(feas, in.platform);
+  const bool feasible = reservation_feasible(feas, in.platform);
   const std::uint64_t demand = reservation_demand(feas, in.platform);
-  report.reservation_demand = demand;
 
   c.facts.emplace_back("reservation", "\"on\"");
   {
@@ -179,8 +74,7 @@ ProveCheck check_reservation(const ProveInput& in, ProveReport& report) {
   c.facts.emplace_back("period",
                        std::to_string(in.analysis.reservation_period));
   c.facts.emplace_back("demand", std::to_string(demand));
-  c.facts.emplace_back("feasible",
-                       report.reservation_feasible ? "true" : "false");
+  c.facts.emplace_back("feasible", feasible ? "true" : "false");
 
   std::ostringstream os;
   if (starved.empty()) {
@@ -188,7 +82,7 @@ ProveCheck check_reservation(const ProveInput& in, ProveReport& report) {
     os << "every attached port has a nonzero budget (starvation-free); "
        << "plan demand " << demand << " cycles per " <<
         in.analysis.reservation_period << "-cycle period ("
-       << (report.reservation_feasible
+       << (feasible
                ? "feasible: the supply-bound WCLA form applies"
                : "overcommitted: budgets cannot all be served at "
                  "worst-case memory timing, so only the composite "
@@ -288,7 +182,6 @@ std::string range_str(const AddrRange& r) {
 ProveCheck check_address_map(const ProveInput& in) {
   ProveCheck c;
   c.id = "address-map";
-  c.verdict = ProveVerdict::kProven;
 
   std::vector<const ProveWindow*> windows;
   for (const ProveHaModel& ha : in.has) {
@@ -297,22 +190,10 @@ ProveCheck check_address_map(const ProveInput& in) {
     }
   }
 
-  std::vector<std::string> findings;
-  std::string shared = "[";
-  for (std::size_t i = 0; i < windows.size(); ++i) {
-    const ProveWindow& a = *windows[i];
-    for (std::size_t j = i + 1; j < windows.size(); ++j) {
-      const ProveWindow& b = *windows[j];
-      if (!a.range.overlaps(b.range.base, b.range.bytes)) continue;
-      shared += (shared.size() > 1 ? "," : "") +
-                quoted(a.name + " / " + b.name);
-      findings.push_back(a.name + " " + range_str(a.range) +
-                         " shares bytes with " + b.name + " " +
-                         range_str(b.range));
-    }
-  }
   // A burst decodes only when one entry holds all of it, so a window no
-  // single entry contains completes (partly) with DECERR.
+  // single entry contains completes (partly) with DECERR: the HA's jobs on
+  // it cannot succeed.
+  std::vector<std::string> findings;
   std::string unmapped = "[";
   if (!in.decode.empty()) {
     for (const ProveWindow* w : windows) {
@@ -326,17 +207,39 @@ ProveCheck check_address_map(const ProveInput& in) {
                          " lies outside every decode entry (DECERR)");
     }
   }
+  c.verdict = findings.empty() ? ProveVerdict::kProven
+                               : ProveVerdict::kDisproved;
+  // Two HAs sharing bytes is a fact: producer/consumer sharing is
+  // legitimate.
+  std::string shared = "[";
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    const ProveWindow& a = *windows[i];
+    for (std::size_t j = i + 1; j < windows.size(); ++j) {
+      const ProveWindow& b = *windows[j];
+      if (!a.range.overlaps(b.range.base, b.range.bytes)) continue;
+      shared += (shared.size() > 1 ? "," : "") +
+                quoted(a.name + " / " + b.name);
+      findings.push_back(a.name + " " + range_str(a.range) +
+                         " shares bytes with " + b.name + " " +
+                         range_str(b.range));
+    }
+  }
   c.facts.emplace_back("shared_windows", shared + "]");
   c.facts.emplace_back("unmapped_windows", unmapped + "]");
 
+  // A disproof leads with the unmapped windows it names.
   std::ostringstream os;
-  os << windows.size() << " HA job window(s)";
-  if (findings.empty()) {
-    os << ", pairwise disjoint"
-       << (in.decode.empty() ? "" : " and inside the decode map");
+  if (c.verdict == ProveVerdict::kProven) {
+    os << windows.size() << " HA job window(s)";
+    if (findings.empty()) {
+      os << ", pairwise disjoint"
+         << (in.decode.empty() ? "" : " and inside the decode map");
+    } else {
+      os << ": ";
+    }
   }
   for (std::size_t i = 0; i < findings.size(); ++i) {
-    os << (i == 0 ? ": " : "; ") << findings[i];
+    os << (i == 0 ? "" : "; ") << findings[i];
   }
   c.detail = os.str();
   return c;
@@ -377,16 +280,6 @@ ProveVerdict ProveReport::verdict() const {
   return v;
 }
 
-std::int64_t ProveReport::static_backlog_bound() const {
-  const ProveCheck* c = check("efifo-backlog");
-  if (c == nullptr || c->verdict == ProveVerdict::kUnmodeled) return -1;
-  std::uint64_t worst = 0;
-  for (const ProveBacklogBound& b : backlog) {
-    worst = std::max(worst, b.total);
-  }
-  return static_cast<std::int64_t>(worst);
-}
-
 const ProveCheck* ProveReport::check(const std::string& id) const {
   for (const ProveCheck& c : checks) {
     if (c.id == id) return &c;
@@ -396,12 +289,8 @@ const ProveCheck* ProveReport::check(const std::string& id) const {
 
 std::string ProveReport::certificate_json() const {
   std::ostringstream os;
-  os << "{\"schema\":\"axihc-prove-v2\",\"verdict\":\""
-     << to_string(verdict()) << "\",\"static_backlog_bound\":"
-     << static_backlog_bound() << ",\"reservation\":{\"on\":"
-     << (reservation_on ? "true" : "false") << ",\"feasible\":"
-     << (reservation_feasible ? "true" : "false") << ",\"demand\":"
-     << reservation_demand << "},\"checks\":[";
+  os << "{\"schema\":\"axihc-prove-v3\",\"verdict\":\""
+     << to_string(verdict()) << "\",\"checks\":[";
   for (std::size_t i = 0; i < checks.size(); ++i) {
     const ProveCheck& c = checks[i];
     if (i != 0) os << ",";
@@ -414,23 +303,10 @@ std::string ProveReport::certificate_json() const {
     os << "}";
   }
   os << "],\"ports\":[";
-  const std::size_t ports =
-      std::max(backlog.size(), wcrt_read.size());
-  for (std::size_t p = 0; p < ports; ++p) {
+  for (std::size_t p = 0; p < wcrt_read.size(); ++p) {
     if (p != 0) os << ",";
-    os << "{\"port\":" << p;
-    if (p < backlog.size()) {
-      const ProveBacklogBound& b = backlog[p];
-      os << ",\"backlog\":{\"ar\":" << b.ar << ",\"aw\":" << b.aw
-         << ",\"w\":" << b.w << ",\"r\":" << b.r << ",\"b\":" << b.b
-         << ",\"total\":" << b.total << ",\"backpressure\":"
-         << (b.backpressure ? "true" : "false") << "}";
-    }
-    if (p < wcrt_read.size()) {
-      os << ",\"wcrt_read\":" << wcrt_read[p]
-         << ",\"wcrt_write\":" << wcrt_write[p];
-    }
-    os << "}";
+    os << "{\"port\":" << p << ",\"wcrt_read\":" << wcrt_read[p]
+       << ",\"wcrt_write\":" << wcrt_write[p] << "}";
   }
   os << "]}";
   return os.str();
@@ -453,10 +329,7 @@ void ProveReport::write_text(std::ostream& os) const {
     os << "  [" << to_string(c.verdict) << "] " << c.id << ": " << c.detail
        << "\n";
   }
-  os << "verdict: " << to_string(verdict());
-  const std::int64_t bound = static_backlog_bound();
-  if (bound >= 0) os << "; static backlog bound: " << bound;
-  os << "\n";
+  os << "verdict: " << to_string(verdict()) << "\n";
 }
 
 ProveReport prove(const ProveInput& in) {
@@ -464,8 +337,7 @@ ProveReport prove(const ProveInput& in) {
   AXIHC_CHECK_MSG(in.has.size() <= in.num_ports,
                   "prove: more HA models than ports");
   ProveReport report;
-  report.checks.push_back(check_backlog(in, report.backlog));
-  report.checks.push_back(check_reservation(in, report));
+  report.checks.push_back(check_reservation(in));
   report.checks.push_back(check_wcla(in, report));
   report.checks.push_back(check_address_map(in));
   return report;

@@ -9,15 +9,8 @@
 // cycles it either proves a configuration's predictability obligations or
 // refutes them, and emits a machine-readable certificate either way.
 //
-// Checks (ids as reported), each a fact about the system as elaborated:
-//   efifo-backlog      per-port worst-case eFIFO occupancy from HA arrival
-//                      curves (burst/outstanding/gap of each HA model,
-//                      equalization caps) against the reservation /
-//                      round-robin service curve, checked against the
-//                      configured data_depth/addr_depth. Request-side
-//                      demand above the AR/AW depth is flagged as
-//                      back-pressure (the eFIFO "always ready" premise is
-//                      then not certified).
+// Checks (ids as reported), each a property the configuration decides, so
+// each can come out either way:
 //   reservation        reservation-plan analysis: per-port
 //                      starvation-freedom (a port with a zero budget under
 //                      an active reservation is never served — disproved),
@@ -31,19 +24,20 @@
 //                      out-of-order mode and FR-FCFS memory are flagged
 //                      unmodeled, exactly the configurations the runtime
 //                      latency auditor excludes.
-//   address-map        HA job windows against each other and the decode
-//                      map: windows of two HAs sharing bytes (an isolation
-//                      smell) and windows outside every decode entry
-//                      (accesses DECERR). Reported as facts; never
-//                      disproves, since the simulated system is well
-//                      defined either way.
+//   address-map        HA job windows against the decode map and each
+//                      other: a window no single decode entry holds is
+//                      disproved (its accesses complete with DECERR, so the
+//                      HA's jobs cannot succeed); windows of two HAs
+//                      sharing bytes are a fact, since producer/consumer
+//                      sharing is legitimate.
 //
 // Verdicts: kDisproved on a hard refutation (a zero-budget port under an
-// active reservation starves); kUnmodeled when a check has no model for the
-// configuration; kProven otherwise. Soundness contract: on a kProven
-// system, every certified bound dominates anything a simulation of the
-// same configuration can observe — the test suite cross-validates this
-// over the full pareto1k grid (tests/test_prove.cpp).
+// active reservation starves; a job window is unmapped); kUnmodeled when a
+// check has no model for the configuration; kProven otherwise. Soundness
+// contract: on a kProven system, every certified latency bound dominates
+// what a simulation of the same configuration observes — the runtime
+// auditor counts zero bound violations over every shipped sweep grid
+// (tests/test_prove.cpp).
 //
 // Wiring: `axihc --prove/--prove-json` (tools/axihc.cpp),
 // ConfiguredSystem::prove() assembles the ProveInput from an elaborated
@@ -78,18 +72,12 @@ struct ProveWindow {
   AddrRange range;
 };
 
-/// The arrival model of one attached hardware accelerator, extracted from
+/// The traffic model of one attached hardware accelerator, extracted from
 /// its configuration (ConfiguredSystem::add_ha records one per [haN]).
 struct ProveHaModel {
   std::string name;  // config section, e.g. "ha0"
-  std::string type;  // dma | traffic | dnn
   /// Burst length (beats) of the requests this HA issues.
   BeatCount burst_beats = 16;
-  /// HA-side in-flight limit (requests issued but not completed).
-  std::uint32_t max_outstanding = 8;
-  /// Idle cycles between consecutive issues (traffic generators; 0 =
-  /// greedy). The leaky-bucket arrival rate is 1 request per gap+1 cycles.
-  Cycle gap_cycles = 0;
   bool reads = true;
   bool writes = false;
   /// The address windows its jobs touch (the address-map check).
@@ -105,18 +93,12 @@ struct ProveInput {
   /// WCLA-side view (nominal burst, reservation plan, outstanding caps).
   HcAnalysisConfig analysis{};
   AnalysisPlatform platform{};
-  /// Port-side eFIFO queue depths (AxiLinkConfig of the port links).
-  std::size_t ar_depth = 4;
-  std::size_t aw_depth = 4;
-  std::size_t w_depth = 32;
-  std::size_t r_depth = 32;
-  std::size_t b_depth = 4;
   bool out_of_order = false;
   bool in_order_memory = true;
   /// Memory decode map; empty when every address decodes.
   std::vector<AddrRange> decode{};
   /// Attached HAs, index = port. May be shorter than num_ports (idle
-  /// ports contribute no arrivals and cannot starve).
+  /// ports carry no traffic and cannot starve).
   std::vector<ProveHaModel> has{};
 };
 
@@ -130,37 +112,12 @@ struct ProveCheck {
   std::vector<std::pair<std::string, std::string>> facts;
 };
 
-/// Certified worst-case eFIFO occupancy of one port, per channel queue.
-/// Each entry is min(arrival-side demand, configured depth), so the total
-/// is sound against the observed peak of Efifo::level() by construction of
-/// the demand bounds (flow control: a queued element is an in-flight
-/// request/beat, capped by the HA's outstanding limit, tightened by the
-/// arrival/service-curve backlog when the reservation supply outpaces the
-/// arrival rate).
-struct ProveBacklogBound {
-  std::uint64_t ar = 0;
-  std::uint64_t aw = 0;
-  std::uint64_t w = 0;
-  std::uint64_t r = 0;
-  std::uint64_t b = 0;
-  std::uint64_t total = 0;
-  /// Request-side demand exceeded the AR/AW depth: the queue itself stays
-  /// bounded by its depth, but the "always ready" eFIFO premise is not
-  /// certified (the HA will see back-pressure).
-  bool backpressure = false;
-};
-
 struct ProveReport {
   std::vector<ProveCheck> checks;
-  /// Per attached port (empty when the backlog check is unmodeled).
-  std::vector<ProveBacklogBound> backlog;
   /// Per attached port, accept-to-complete WCLA bounds at the HA's burst
   /// length (0 for a starved port; empty when wcla-bound is unmodeled).
   std::vector<Cycle> wcrt_read;
   std::vector<Cycle> wcrt_write;
-  bool reservation_on = false;
-  bool reservation_feasible = true;
-  std::uint64_t reservation_demand = 0;  // cycles needed per period
 
   /// Disproved if any check is disproved; else unmodeled if any check is
   /// unmodeled; else proven.
@@ -168,8 +125,6 @@ struct ProveReport {
   [[nodiscard]] bool disproved() const {
     return verdict() == ProveVerdict::kDisproved;
   }
-  /// Max certified per-port backlog total, or -1 when unmodeled.
-  [[nodiscard]] std::int64_t static_backlog_bound() const;
   [[nodiscard]] const ProveCheck* check(const std::string& id) const;
 
   /// The machine-readable certificate (one JSON object).

@@ -24,7 +24,6 @@
 #include "common/json_write.hpp"
 #include "config/canonical.hpp"
 #include "config/system_builder.hpp"
-#include "hyperconnect/hyperconnect.hpp"
 #include "obs/latency_audit.hpp"
 #include "prove/prove.hpp"
 #include "resources/resources.hpp"
@@ -43,8 +42,7 @@ namespace {
 std::string prove_fields(const ProveReport& proof) {
   std::ostringstream os;
   os << "\"prove_verdict\":\"" << to_string(proof.verdict())
-     << "\",\"static_backlog_bound\":" << proof.static_backlog_bound()
-     << ",\"prove_certificate\":\""
+     << "\",\"prove_certificate\":\""
      << hex_digest(proof.certificate_digest()) << "\"";
   return os.str();
 }
@@ -90,14 +88,10 @@ std::string execute_cell(const IniFile& cfg) {
   // bounds (src/analysis/wcla.hpp) are the sweep's predictability metric.
   // The row reads nothing of the provenance part (hops, causes,
   // histograms, flight records), so it is left out; replaying the cell
-  // config with `axihc --latency-audit --flight-out` yields it. Neither the
-  // audit nor the eFIFO watermark touches simulated state: a row's
-  // state_digest is that of a plain `axihc <cell> --digest` run.
+  // config with `axihc --latency-audit --flight-out` yields it. The audit
+  // touches no simulated state: a row's state_digest is that of a plain
+  // `axihc <cell> --digest` run.
   sys->observe_config().latency_bounds = true;
-  // Watermark for the prover soundness cross-check (efifo_max below).
-  if (HyperConnect* hc = sys->soc().hyperconnect()) {
-    hc->set_track_efifo_peaks(true);
-  }
   const Cycle cycles = sys->run();
 
   std::uint64_t total_bytes = 0;
@@ -132,18 +126,6 @@ std::string execute_cell(const IniFile& cfg) {
           ? estimate_hyperconnect(soc_cfg.hc)
           : estimate_smartconnect(soc_cfg.num_ports);
 
-  // Observed per-port eFIFO peak (watermark enabled above): the prover
-  // soundness cross-check compares it against
-  // static_backlog_bound. -1 = no eFIFO structure (SmartConnect).
-  std::int64_t efifo_max = -1;
-  if (const HyperConnect* hc = sys->soc().hyperconnect()) {
-    efifo_max = 0;
-    for (PortIndex p = 0; p < soc_cfg.num_ports; ++p) {
-      efifo_max = std::max(
-          efifo_max, static_cast<std::int64_t>(hc->efifo_peak(p)));
-    }
-  }
-
   std::ostringstream os;
   os << "\"cycles\":" << cycles << ",\"state_digest\":\""
      << hex_digest(sys->soc().sim().state_digest()) << "\",\"total_bytes\":"
@@ -174,7 +156,7 @@ std::string execute_cell(const IniFile& cfg) {
        << ",\"write_max\":"
        << (s.write_latency.count() > 0 ? s.write_latency.max() : 0) << "}";
   }
-  os << "],\"efifo_max\":" << efifo_max << "," << prove_fields(proof);
+  os << "]," << prove_fields(proof);
   return os.str();
 }
 

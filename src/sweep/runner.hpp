@@ -59,7 +59,7 @@ struct SweepSummary {
   std::size_t executed = 0;     ///< simulated this run (cache misses)
   std::size_t cache_hits = 0;
   /// Cells statically refuted by the prover (src/prove): annotated rows
-  /// with prove_verdict/static_backlog_bound, never simulated.
+  /// with prove_verdict/prove_detail, never simulated.
   std::size_t disproved = 0;
   /// Cells whose config the builder rejected: structured "error" rows.
   std::size_t errors = 0;

@@ -602,8 +602,8 @@ std::vector<std::uint64_t> memory_counters(const MemoryController& mem) {
 }
 
 // Two saturating traffic generators on a 2-port HyperConnect in front of the
-// in-order DDR model (the pareto1k base cell), audited, sampled and
-// eFIFO-peak tracked.
+// in-order DDR model (the pareto1k base cell), audited and sampled (the
+// samples carry every port's efifo_level gauge).
 constexpr char kSaturatedIni[] = R"(
 [system]
 interconnect = hyperconnect
@@ -635,7 +635,6 @@ struct SaturatedOutcome {
   std::uint64_t digest = 0;
   std::uint64_t counter_ticks = 0;
   std::vector<std::uint64_t> mem;
-  std::vector<std::size_t> efifo_peaks;
   std::string audit_rollup;
   std::string flight;
   std::vector<MetricsSnapshot> samples;
@@ -646,7 +645,6 @@ SaturatedOutcome run_saturated(bool fast_forward) {
   cs.soc().sim().set_fast_forward(fast_forward);
   cs.observe_config().latency_audit = true;
   cs.observe_config().metrics = true;
-  cs.soc().hyperconnect()->set_track_efifo_peaks(true);
   TickCounter counter;
   cs.soc().add(counter);
   SaturatedOutcome out;
@@ -654,9 +652,6 @@ SaturatedOutcome run_saturated(bool fast_forward) {
   out.digest = cs.soc().sim().state_digest();
   out.counter_ticks = counter.ticks();
   out.mem = memory_counters(cs.soc().memory_controller());
-  for (PortIndex i = 0; i < 2; ++i) {
-    out.efifo_peaks.push_back(cs.soc().hyperconnect()->efifo_peak(i));
-  }
   std::ostringstream rollup;
   cs.latency_audit()->write_rollup(rollup);
   out.audit_rollup = rollup.str();
@@ -673,7 +668,6 @@ TEST(KernelFastPath, SaturatedInOrderDdrSkipsCountdownsBitIdentically) {
   EXPECT_EQ(fast.final_cycle, naive.final_cycle);
   EXPECT_EQ(fast.digest, naive.digest);
   EXPECT_EQ(fast.mem, naive.mem);
-  EXPECT_EQ(fast.efifo_peaks, naive.efifo_peaks);
   EXPECT_EQ(fast.audit_rollup, naive.audit_rollup);
   EXPECT_EQ(fast.flight, naive.flight);
   ASSERT_EQ(fast.samples.size(), naive.samples.size());

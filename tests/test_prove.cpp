@@ -1,5 +1,5 @@
 // axihc-prove (src/prove): the static predictability certifier. Covers the
-// certificate format, the starvation disprover on its fixture, the pinned
+// certificate format, the disprovers on their fixtures, the pinned
 // certificate of every shipped config, the unmodeled classifications, the
 // address-map facts, determinism, the sweep screening (disproved annotation
 // rows, structured error rows, cached certificates), and the headline
@@ -83,34 +83,30 @@ TEST(ProveCertificate, JsonStructure) {
   EXPECT_EQ(proof.verdict(), ProveVerdict::kProven);
 
   const JsonValue cert = parse_json(proof.certificate_json());
-  EXPECT_EQ(cert.find("schema")->str_or(""), "axihc-prove-v2");
+  EXPECT_EQ(cert.find("schema")->str_or(""), "axihc-prove-v3");
   EXPECT_EQ(cert.find("verdict")->str_or(""), "proven");
-  EXPECT_GE(cert.find("static_backlog_bound")->number, 0.0);
-
-  const JsonValue* reservation = cert.find("reservation");
-  ASSERT_NE(reservation, nullptr);
-  EXPECT_TRUE(reservation->find("on")->boolean);
-  EXPECT_TRUE(reservation->find("feasible")->boolean);
-  EXPECT_GT(reservation->find("demand")->number, 0.0);
+  // The plan's facts live in the reservation check only.
+  EXPECT_EQ(cert.find("reservation"), nullptr);
 
   const JsonValue* checks = cert.find("checks");
   ASSERT_NE(checks, nullptr);
-  ASSERT_EQ(checks->items.size(), 4u);
-  const std::vector<std::string> ids = {"efifo-backlog", "reservation",
-                                        "wcla-bound", "address-map"};
+  ASSERT_EQ(checks->items.size(), 3u);
+  const std::vector<std::string> ids = {"reservation", "wcla-bound",
+                                        "address-map"};
   for (std::size_t i = 0; i < ids.size(); ++i) {
     EXPECT_EQ(checks->items[i].find("id")->str_or(""), ids[i]);
     EXPECT_EQ(checks->items[i].find("verdict")->str_or(""), "proven");
     EXPECT_FALSE(checks->items[i].find("detail")->str_or("").empty());
   }
+  const JsonValue& reservation = checks->items[0];
+  EXPECT_EQ(reservation.find("reservation")->str_or(""), "on");
+  EXPECT_TRUE(reservation.find("feasible")->boolean);
+  EXPECT_GT(reservation.find("demand")->number, 0.0);
 
   const JsonValue* ports = cert.find("ports");
   ASSERT_NE(ports, nullptr);
   ASSERT_EQ(ports->items.size(), 2u);
   for (const JsonValue& port : ports->items) {
-    const JsonValue* backlog = port.find("backlog");
-    ASSERT_NE(backlog, nullptr);
-    EXPECT_GT(backlog->find("total")->number, 0.0);
     EXPECT_GT(port.find("wcrt_read")->number, 0.0);
   }
 }
@@ -148,17 +144,18 @@ TEST(ProveCertificate, VerdictStableAcrossThreadAndBackendEnv) {
 
 TEST(ProveCertificate, ShippedConfigsArePinned) {
   const std::vector<std::pair<std::string, std::uint64_t>> pins = {
-      {"examples/configs/campaign_smoke.ini", 0x6dfde11100a87c58ull},
-      {"examples/configs/fig4_isolation.ini", 0x4d49dbacaf4bd905ull},
-      {"examples/configs/fig5_hc90.ini", 0xbfe9985229fa1414ull},
-      {"examples/configs/ooo_future_platform.ini", 0xccf60dd52f581986ull},
-      {"examples/configs/quickstart.ini", 0x75a3fccd0889fd7cull},
-      {"examples/configs/smartconnect_unfair.ini", 0x394bfce0fb1cd154ull},
-      {"examples/configs/watchdog_overrun.ini", 0x5d968bc43ad3ce23ull},
-      {"tests/config_fixtures/overcommit.ini", 0x2ac3b5ee359eb2e3ull},
-      {"tests/config_fixtures/shared_windows.ini", 0x7771b5e712e89002ull},
-      {"tests/config_fixtures/stall_faults.ini", 0x6dfde11100a87c58ull},
-      {"tests/config_fixtures/starved_port.ini", 0x197b05d29b7af248ull},
+      {"examples/configs/campaign_smoke.ini", 0xfc348568d135c1e9ull},
+      {"examples/configs/fig4_isolation.ini", 0x3927332a8210ff1eull},
+      {"examples/configs/fig5_hc90.ini", 0x3acf5a8f3226d004ull},
+      {"examples/configs/ooo_future_platform.ini", 0xd4f841d4d496d894ull},
+      {"examples/configs/quickstart.ini", 0x27caa00e91bf9b6aull},
+      {"examples/configs/smartconnect_unfair.ini", 0xfa9416f1dd7518f0ull},
+      {"examples/configs/watchdog_overrun.ini", 0xaf885dcd8211cacdull},
+      {"tests/config_fixtures/overcommit.ini", 0x77f37f3979091968ull},
+      {"tests/config_fixtures/shared_windows.ini", 0x7deb241261baed15ull},
+      {"tests/config_fixtures/stall_faults.ini", 0xfc348568d135c1e9ull},
+      {"tests/config_fixtures/starved_port.ini", 0xcdaede16596958c1ull},
+      {"tests/config_fixtures/unmapped_window.ini", 0xb2c5e3b860ae0908ull},
   };
   std::set<std::string> shipped;
   for (const std::string dir : {"examples/configs", "tests/config_fixtures"}) {
@@ -200,9 +197,10 @@ TEST(ProveChecks, OvercommitWarnsButDoesNotDisprove) {
       prove_text(read_file(repo_file("tests/config_fixtures/overcommit.ini")));
   // Overcommit keeps sound (composite-form) bounds: proven, not disproved.
   EXPECT_EQ(proof.verdict(), ProveVerdict::kProven);
-  EXPECT_TRUE(proof.reservation_on);
-  EXPECT_FALSE(proof.reservation_feasible);
-  EXPECT_GT(proof.reservation_demand, 1000u);  // the fixture's period
+  const ProveCheck& plan = *proof.check("reservation");
+  EXPECT_EQ(fact(plan, "reservation"), "\"on\"");
+  EXPECT_EQ(fact(plan, "feasible"), "false");
+  EXPECT_GT(std::stoull(fact(plan, "demand")), 1000u);  // the fixture's period
 }
 
 // ---------------------------------------------------------------------------
@@ -214,7 +212,6 @@ TEST(ProveChecks, SmartConnectIsUnmodeledNotDisproved) {
       "[ha0]\ntype = traffic\ndirection = read\n");
   EXPECT_EQ(proof.verdict(), ProveVerdict::kUnmodeled);
   EXPECT_FALSE(proof.disproved());
-  EXPECT_EQ(proof.static_backlog_bound(), -1);
   EXPECT_EQ(proof.check("wcla-bound")->verdict, ProveVerdict::kUnmodeled);
 }
 
@@ -222,9 +219,9 @@ TEST(ProveChecks, OutOfOrderMemoryIsUnmodeledForWclaOnly) {
   const ProveReport proof =
       prove_text(read_file(repo_file("examples/configs/ooo_future_platform.ini")));
   EXPECT_EQ(proof.check("wcla-bound")->verdict, ProveVerdict::kUnmodeled);
-  // The backlog check still runs and passes.
-  EXPECT_EQ(proof.check("efifo-backlog")->verdict, ProveVerdict::kProven);
-  EXPECT_GE(proof.static_backlog_bound(), 0);
+  // The HyperConnect's own checks still run and pass.
+  EXPECT_EQ(proof.check("reservation")->verdict, ProveVerdict::kProven);
+  EXPECT_EQ(proof.check("address-map")->verdict, ProveVerdict::kProven);
 }
 
 // ---------------------------------------------------------------------------
@@ -269,30 +266,6 @@ TEST(ProveAudit, CertifiedBoundsAreTheAuditorsBounds) {
   EXPECT_GE(unmodeled, 2u);
 }
 
-// ---------------------------------------------------------------------------
-// Backlog bound arithmetic
-
-TEST(ProveChecks, BacklogBoundFollowsFlowControl) {
-  const ProveReport proof = prove_text(kHealthy);
-  ASSERT_EQ(proof.backlog.size(), 2u);
-  // ha0: read-only, outstanding 8, burst 16, default depths (ar 4, r 32):
-  // ar = min(8, 4), r = min(8 * 16, 32), no write-side demand.
-  EXPECT_EQ(proof.backlog[0].ar, 4u);
-  EXPECT_EQ(proof.backlog[0].r, 32u);
-  EXPECT_EQ(proof.backlog[0].aw, 0u);
-  EXPECT_EQ(proof.backlog[0].w, 0u);
-  EXPECT_EQ(proof.backlog[0].b, 0u);
-  EXPECT_EQ(proof.backlog[0].total, 36u);
-  // ha1 reads and writes: both sides loaded.
-  EXPECT_EQ(proof.backlog[1].total,
-            proof.backlog[1].ar + proof.backlog[1].aw + proof.backlog[1].w +
-                proof.backlog[1].r + proof.backlog[1].b);
-  EXPECT_EQ(proof.static_backlog_bound(),
-            static_cast<std::int64_t>(proof.backlog[1].total));
-  // Demand above the AR depth is flagged as back-pressure, never an error.
-  EXPECT_TRUE(proof.backlog[0].backpressure);
-}
-
 TEST(ProveChecks, Fig5ReservationDemandPin) {
   // The paper's HC-90-10 case study is overcommitted by design: 64+7
   // budgets at nominal burst 16 need 2911 worst-case cycles per 2000-cycle
@@ -301,9 +274,10 @@ TEST(ProveChecks, Fig5ReservationDemandPin) {
   const ProveReport proof =
       prove_text(read_file(repo_file("examples/configs/fig5_hc90.ini")));
   EXPECT_EQ(proof.verdict(), ProveVerdict::kProven);
-  EXPECT_TRUE(proof.reservation_on);
-  EXPECT_FALSE(proof.reservation_feasible);
-  EXPECT_EQ(proof.reservation_demand, 2911u);
+  const ProveCheck& plan = *proof.check("reservation");
+  EXPECT_EQ(fact(plan, "reservation"), "\"on\"");
+  EXPECT_EQ(fact(plan, "feasible"), "false");
+  EXPECT_EQ(fact(plan, "demand"), "2911");
 }
 
 TEST(ProveChecks, Fig4IsFeasibleAndFullyProven) {
@@ -316,13 +290,12 @@ TEST(ProveChecks, Fig4IsFeasibleAndFullyProven) {
 }
 
 // ---------------------------------------------------------------------------
-// address-map: shared and unmapped HA job windows are facts, never disproofs
+// address-map: an unmapped HA job window disproves; shared windows are facts
 
-/// A copy of the address-map check of `proof`; it is always proven.
+/// A copy of the address-map check of `proof`.
 ProveCheck address_map(const ProveReport& proof) {
   const ProveCheck* c = proof.check("address-map");
   AXIHC_CHECK(c != nullptr);
-  EXPECT_EQ(c->verdict, ProveVerdict::kProven);
   return *c;
 }
 
@@ -334,6 +307,7 @@ TEST(ProveAddressMap, ShippedExamplesHaveDisjointMappedWindows) {
     SCOPED_TRACE(entry.path().filename().string());
     const ProveCheck c =
         address_map(prove_text(read_file(entry.path().string())));
+    EXPECT_EQ(c.verdict, ProveVerdict::kProven);
     EXPECT_EQ(fact(c, "shared_windows"), "[]");
     EXPECT_EQ(fact(c, "unmapped_windows"), "[]");
     ++configs;
@@ -355,6 +329,7 @@ type = dma
 read_base = 0x10000000
 write_base = 0x28000000
 )"));
+  EXPECT_EQ(c.verdict, ProveVerdict::kProven);
   EXPECT_EQ(fact(c, "shared_windows"),
             "[\"ha0 read buffer / ha1 read buffer\"]");
 }
@@ -372,7 +347,9 @@ TEST(ProveAddressMap, DnnBuffersArePerPort) {
   for (const std::string network : {"googlenet", "alexnet"}) {
     SCOPED_TRACE(network);
     const std::string ini = four_ports("type = dnn\nnetwork = " + network);
-    EXPECT_EQ(fact(address_map(prove_text(ini)), "shared_windows"), "[]");
+    const ProveCheck c = address_map(prove_text(ini));
+    EXPECT_EQ(c.verdict, ProveVerdict::kProven);
+    EXPECT_EQ(fact(c, "shared_windows"), "[]");
     for (const ProveHaModel& ha : build_system(ini)->prove_input().has) {
       dnn_windows.insert(dnn_windows.end(), ha.windows.begin(),
                          ha.windows.end());
@@ -393,19 +370,20 @@ TEST(ProveAddressMap, DnnBuffersArePerPort) {
 }
 
 TEST(ProveAddressMap, WindowBeyondMemBytesIsUnmapped) {
-  const ProveCheck c = address_map(prove_text(R"(
-[system]
-ports = 1
-cycles = 1000
-mem_bytes = 0x1000000
-[ha0]
-type = dma
-read_base = 0x10000000
-)"));
-  // Both buffers of the default readwrite DMA lie above 16 MiB.
+  const ProveReport proof = prove_text(
+      read_file(repo_file("tests/config_fixtures/unmapped_window.ini")));
+  const ProveCheck c = address_map(proof);
+  // Both buffers of the default readwrite DMA lie above 16 MiB: every
+  // access DECERRs, so the map is disproved and the windows are named.
+  EXPECT_EQ(c.verdict, ProveVerdict::kDisproved);
+  EXPECT_TRUE(proof.disproved());
   EXPECT_EQ(fact(c, "unmapped_windows"),
             "[\"ha0 read buffer\",\"ha0 write buffer\"]");
+  EXPECT_EQ(c.detail.rfind("ha0 read buffer", 0), 0u) << c.detail;
   EXPECT_NE(c.detail.find("outside every decode entry"), std::string::npos);
+  // The other checks do not depend on where the windows lie.
+  EXPECT_EQ(proof.check("reservation")->verdict, ProveVerdict::kProven);
+  EXPECT_EQ(proof.check("wcla-bound")->verdict, ProveVerdict::kProven);
 }
 
 TEST(ProveAddressMap, WindowMustFitOneDecodeEntry) {
@@ -415,13 +393,18 @@ TEST(ProveAddressMap, WindowMustFitOneDecodeEntry) {
   // Two adjacent entries cover the window together but neither holds it
   // whole: a burst decodes only inside one entry.
   in.decode = {{0x0, 0x2000}, {0x2000, 0x2000}};
-  EXPECT_EQ(fact(address_map(prove(in)), "unmapped_windows"),
-            "[\"ha0 buffer\"]");
+  ProveCheck c = address_map(prove(in));
+  EXPECT_EQ(fact(c, "unmapped_windows"), "[\"ha0 buffer\"]");
+  EXPECT_EQ(c.verdict, ProveVerdict::kDisproved);
   in.decode = {{0x0, 0x4000}};
-  EXPECT_EQ(fact(address_map(prove(in)), "unmapped_windows"), "[]");
+  c = address_map(prove(in));
+  EXPECT_EQ(fact(c, "unmapped_windows"), "[]");
+  EXPECT_EQ(c.verdict, ProveVerdict::kProven);
   // Without a decode map every address decodes.
   in.decode.clear();
-  EXPECT_EQ(fact(address_map(prove(in)), "unmapped_windows"), "[]");
+  c = address_map(prove(in));
+  EXPECT_EQ(fact(c, "unmapped_windows"), "[]");
+  EXPECT_EQ(c.verdict, ProveVerdict::kProven);
 }
 
 // Hand-built inputs for two findings the retired design-rule checker
@@ -434,8 +417,9 @@ TEST(LintStructural, WarnsOnSharedHaWindows) {
   in.has[1].windows = {{"ha1 buffer", {0x1000'8000, 1u << 20}}};
   const ProveReport proof = prove(in);
   // A partial overlap is named, and it is a fact, never a disproof.
-  EXPECT_EQ(fact(address_map(proof), "shared_windows"),
-            "[\"ha0 buffer / ha1 buffer\"]");
+  const ProveCheck c = address_map(proof);
+  EXPECT_EQ(fact(c, "shared_windows"), "[\"ha0 buffer / ha1 buffer\"]");
+  EXPECT_EQ(c.verdict, ProveVerdict::kProven);
   EXPECT_FALSE(proof.disproved());
 }
 
@@ -459,10 +443,9 @@ TEST(ProveSweep, DisprovedCellsBecomeAnnotationRowsWithoutSimulation) {
   const JsonValue good = parse_json(s.lines[0]);
   EXPECT_EQ(good.find("prove_verdict")->str_or(""), "proven");
   ASSERT_NE(good.find("cycles"), nullptr);
-  ASSERT_NE(good.find("efifo_max"), nullptr);
   // Soundness on the simulated cell of this very sweep.
-  EXPECT_LE(good.find("efifo_max")->number,
-            good.find("static_backlog_bound")->number);
+  EXPECT_GT(good.find("bound_checked")->number, 0.0);
+  EXPECT_EQ(good.find("bound_violations")->number, 0.0);
 
   const JsonValue bad = parse_json(s.lines[1]);
   EXPECT_EQ(bad.find("prove_verdict")->str_or(""), "disproved");
@@ -550,14 +533,10 @@ std::size_t assert_sweep_soundness(const std::string& spec_rel) {
     // baseline legs); it must never contain disproved ones.
     EXPECT_NE(verdict, "disproved") << line;
     if (verdict != "proven") continue;
-    const double bound = row.find("static_backlog_bound")->number;
-    const double observed = row.find("efifo_max")->number;
-    EXPECT_GE(bound, 0.0) << line;
     // THE soundness contract: a certified worst case is never beaten by a
-    // run of the very configuration it certifies.
-    EXPECT_LE(observed, bound) << line;
-    // And the certified WCLA bounds held transaction by transaction (the
-    // runtime auditor counted zero violations).
+    // run of the very configuration it certifies. The certified WCLA
+    // bounds held transaction by transaction (the runtime auditor counted
+    // zero violations).
     EXPECT_EQ(row.find("bound_violations")->number, 0.0) << line;
     ++checked;
   }

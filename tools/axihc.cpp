@@ -51,11 +51,12 @@
 // --latency-audit.
 //
 // --prove elaborates the system and runs the static predictability
-// certifier (src/prove) with ZERO simulated cycles: per-port eFIFO backlog
-// bounds, reservation feasibility/starvation-freedom, WCLA boundedness
-// classification, and the address map (HA job windows shared between HAs
-// or outside the decode map, reported as facts). Exits nonzero iff any
-// check is disproved (a zero-budget port under an active reservation).
+// certifier (src/prove) with ZERO simulated cycles: reservation
+// feasibility/starvation-freedom, WCLA boundedness classification, and the
+// address map (HA job windows outside the decode map; windows shared
+// between HAs are reported as facts). Exits nonzero iff any check is
+// disproved (a zero-budget port under an active reservation, or a job
+// window outside every decode entry).
 // --prove-json writes the machine-readable certificate (plus the
 // code-version digest certificates are cached under in sweeps).
 // Inconsistent inputs (overlapping decode entries, a probation window
